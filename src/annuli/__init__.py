@@ -56,14 +56,13 @@ from .nitsche import (
 from .sphere_maps import (
     MobiusTransform,
     SphereDifferential,
-    conformal_stretch,
     conformal_stretch_points,
     gram_determinant,
     inverse_stereographic,
-    mobius_apply,
     mobius_apply_points,
     mobius_compose,
     mobius_inverse,
+    mobius_pushforward,
     random_mobius,
     sphere_inequality_integral,
     sphere_map_differential,

@@ -1,9 +1,10 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""Hot numeric kernels.
 
-Set ``ANNULI_DISABLE_NUMBA=1`` to force the pure numpy/python
-implementations.  The public names at the bottom of this module always
-point at the active backend; the ``*_numpy`` variants stay importable so
-benchmarks and tests can compare the two paths directly.
+The Moebius sphere action is vectorized numpy.  The sequential loops
+(RK4 shooting, the tridiagonal solve, gradient descent) are compiled with
+numba when it is installed; ``ANNULI_DISABLE_NUMBA=1`` forces their
+numpy/python versions, which stay importable as ``*_numpy`` so tests can
+compare the two backends.
 """
 from __future__ import annotations
 
@@ -29,92 +30,47 @@ _jit = {"cache": True, "fastmath": False}
 
 
 # ---------------------------------------------------------------------------
-# Moebius sphere action in homogeneous coordinates.
+# Moebius sphere action as a real Lorentz matrix (PSL(2, C) = SO+(3, 1)).
 #
-# A point p on the unit sphere lifts to a complex pair (z1, z2) with
-# p = (2 Re(z1 conj z2), 2 Im(z1 conj z2), |z1|^2 - |z2|^2) / (|z1|^2 + |z2|^2).
-# The lift branches on the sign of the z coordinate so neither pole needs
-# a special case, and the matrix acts linearly on the pair.
+# The unit vector p is the null vector (1, p), i.e. the hermitian matrix
+# X = sum_mu x_mu B_mu / 2 with B = (I, sigma_x, -sigma_y, sigma_z).  This
+# basis gives p = (2 Re z1 conj z2, 2 Im z1 conj z2, |z1|^2 - |z2|^2) / s,
+# s = |z1|^2 + |z2|^2, for the stereographic coordinate z1 / z2.  M acts
+# by X -> M X M^H, i.e. by L = [[w0, w^T], [l, A]]: p -> (A p + l) /
+# (w . p + w0) with stretch 1 / (w . p + w0).  L keeps null vectors future
+# pointing, so the denominator is positive on the whole sphere.
+
+_BASIS = np.array([
+    [[1, 0], [0, 1]],
+    [[0, 1], [1, 0]],
+    [[0, 1j], [-1j, 0]],
+    [[1, 0], [0, -1]],
+], dtype=complex)
 
 
-def _mobius_apply_loop(a, b, c, d, pts):
-    n = pts.shape[0]
-    out = np.empty((n, 3))
-    for i in range(n):
-        x = pts[i, 0]
-        y = pts[i, 1]
-        z = pts[i, 2]
-        if z <= 0.0:
-            z1 = x + 1j * y
-            z2 = (1.0 - z) + 0.0j
-        else:
-            z1 = (1.0 + z) + 0.0j
-            z2 = x - 1j * y
-        w1 = a * z1 + b * z2
-        w2 = c * z1 + d * z2
-        n1 = w1.real * w1.real + w1.imag * w1.imag
-        n2 = w2.real * w2.real + w2.imag * w2.imag
-        s = n1 + n2
-        m = w1 * np.conj(w2)
-        out[i, 0] = 2.0 * m.real / s
-        out[i, 1] = 2.0 * m.imag / s
-        out[i, 2] = (n1 - n2) / s
-    return out
+def _lorentz(a, b, c, d):
+    """``L[mu, nu] = Re tr(B_mu M B_nu M^H) / 2`` for ``M = [[a, b], [c, d]]``."""
+    m = np.array([[a, b], [c, d]], dtype=complex)
+    return 0.5 * np.einsum("mij,jk,nkl,il->mn", _BASIS, m, _BASIS, m.conj()).real
 
 
-def _mobius_stretch_loop(a, b, c, d, pts):
-    n = pts.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        x = pts[i, 0]
-        y = pts[i, 1]
-        z = pts[i, 2]
-        if z <= 0.0:
-            z1 = x + 1j * y
-            z2 = (1.0 - z) + 0.0j
-        else:
-            z1 = (1.0 + z) + 0.0j
-            z2 = x - 1j * y
-        w1 = a * z1 + b * z2
-        w2 = c * z1 + d * z2
-        before = z1.real * z1.real + z1.imag * z1.imag + z2.real * z2.real + z2.imag * z2.imag
-        after = w1.real * w1.real + w1.imag * w1.imag + w2.real * w2.real + w2.imag * w2.imag
-        out[i] = before / after
-    return out
+def mobius_apply_points(a, b, c, d, pts):
+    lor = _lorentz(a, b, c, d)
+    den = pts @ lor[0, 1:] + lor[0, 0]
+    return (pts @ lor[1:, 1:].T + lor[1:, 0]) / den[..., None]
 
 
-def mobius_apply_points_numpy(a, b, c, d, pts):
-    x = pts[:, 0]
-    y = pts[:, 1]
-    z = pts[:, 2]
-    south = z <= 0.0
-    z1 = np.where(south, x + 1j * y, (1.0 + z) + 0.0j)
-    z2 = np.where(south, (1.0 - z) + 0.0j, x - 1j * y)
-    w1 = a * z1 + b * z2
-    w2 = c * z1 + d * z2
-    n1 = w1.real**2 + w1.imag**2
-    n2 = w2.real**2 + w2.imag**2
-    s = n1 + n2
-    m = w1 * np.conj(w2)
-    out = np.empty((pts.shape[0], 3))
-    out[:, 0] = 2.0 * m.real / s
-    out[:, 1] = 2.0 * m.imag / s
-    out[:, 2] = (n1 - n2) / s
-    return out
+def conformal_stretch_points(a, b, c, d, pts):
+    lor = _lorentz(a, b, c, d)
+    return 1.0 / (pts @ lor[0, 1:] + lor[0, 0])
 
 
-def conformal_stretch_points_numpy(a, b, c, d, pts):
-    x = pts[:, 0]
-    y = pts[:, 1]
-    z = pts[:, 2]
-    south = z <= 0.0
-    z1 = np.where(south, x + 1j * y, (1.0 + z) + 0.0j)
-    z2 = np.where(south, (1.0 - z) + 0.0j, x - 1j * y)
-    w1 = a * z1 + b * z2
-    w2 = c * z1 + d * z2
-    before = z1.real**2 + z1.imag**2 + z2.real**2 + z2.imag**2
-    after = w1.real**2 + w1.imag**2 + w2.real**2 + w2.imag**2
-    return before / after
+def mobius_pushforward(a, b, c, d, pts, vecs):
+    """Derivative of the sphere action at ``pts`` along tangent ``vecs``."""
+    lor = _lorentz(a, b, c, d)
+    den = (pts @ lor[0, 1:] + lor[0, 0])[..., None]
+    image = (pts @ lor[1:, 1:].T + lor[1:, 0]) / den
+    return (vecs @ lor[1:, 1:].T - image * (vecs @ lor[0, 1:])[..., None]) / den
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +255,14 @@ def gd_quadratic_numpy(a, k, max_iter, tol, mode, fixed_step):
 
 
 if HAVE_NUMBA:
-    mobius_apply_points_numba = _njit(**_jit)(_mobius_apply_loop)
-    conformal_stretch_points_numba = _njit(**_jit)(_mobius_stretch_loop)
     rk4_shoot_numba = _njit(**_jit)(_rk4_shoot_impl)
     thomas_solve_numba = _njit(**_jit)(_thomas_impl)
     gd_quadratic_numba = _njit(**_jit)(_gd_quadratic_loop)
 
-    mobius_apply_points = mobius_apply_points_numba
-    conformal_stretch_points = conformal_stretch_points_numba
     rk4_shoot = rk4_shoot_numba
     thomas_solve = thomas_solve_numba
     gd_quadratic = gd_quadratic_numba
 else:
-    mobius_apply_points = mobius_apply_points_numpy
-    conformal_stretch_points = conformal_stretch_points_numpy
     rk4_shoot = _rk4_shoot_impl
     thomas_solve = _thomas_impl
     gd_quadratic = gd_quadratic_numpy
@@ -326,11 +276,6 @@ def warm_up():
 
     Harmless under the numpy backend.  Call this before timing anything.
     """
-    pts = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
-    one = 1.0 + 0.0j
-    zero = 0.0 + 0.0j
-    mobius_apply_points(one, zero, zero, one, pts)
-    conformal_stretch_points(one, zero, zero, one, pts)
     rk4_shoot(1.0, 2.0, 1.0, 1.0, 8, 1e-12, 1e12)
     thomas_solve(
         np.array([0.0, -1.0, -1.0]),

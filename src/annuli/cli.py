@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import analytic_min_weighted_energy, dirichlet_lower_bound, weighted_energy
-from .errors import ConfigError
+from .errors import ConfigError, EvaluationError
 from .geometry import AnnulusPair, make_radial_grid
 from .maps import GeneralizedRadialMap, exp_profile_from_boundary
 from .nitsche import analytic_dirichlet_energy_radial, nitsche_condition
@@ -33,6 +33,9 @@ _FILE_ALIASES = {"output_format": "format", "output_path": "output"}
 _KNOWN_FILE_KEYS = set(_RADIUS_KEYS) | set(_INT_KEYS) | {
     "format", "output", "output_format", "output_path", "sweep",
 }
+# a refined energy pass doubles both orders, and the sphere rule at order
+# n has 2 n^2 nodes
+MAX_QUADRATURE_ORDER = 512
 
 
 @dataclass(frozen=True)
@@ -214,6 +217,8 @@ def parse_config(argv) -> RunConfig:
         raise ConfigError("grid_n must be at least 2")
     if cfg.sphere_order < 2 or cfg.radial_order < 2:
         raise ConfigError("quadrature orders must be at least 2")
+    if max(cfg.sphere_order, cfg.radial_order) > MAX_QUADRATURE_ORDER:
+        raise ConfigError(f"quadrature orders must be at most {MAX_QUADRATURE_ORDER}")
     return cfg
 
 
@@ -397,12 +402,12 @@ def main(argv=None) -> int:
         text, code = _COMMANDS[cfg.command](cfg)
         _emit(cfg, text)
         return code
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (EvaluationError, ArithmeticError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # downstream consumer (head, less) closed the pipe; swallow the
         # shutdown flush too, then report the truncation

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .geometry import Annulus, AnnulusPair, RadialGrid, tangent_frame
-from .sphere_maps import MobiusTransform, _pushforward, mobius_apply_points
+from .sphere_maps import MobiusTransform, mobius_apply_points, mobius_pushforward
 
 
 def _as_floats(t):
@@ -311,7 +311,7 @@ def map_differential(f: GeneralizedRadialMap, x) -> np.ndarray:
     hd = f.profile.derivative(t, 1)
     s = mobius_apply_points(f.rotation, eta)
     etas = np.vstack([eta, eta])
-    ds = _pushforward(f.rotation, etas, np.vstack([frame.u, frame.v]))
+    ds = mobius_pushforward(f.rotation, etas, np.vstack([frame.u, frame.v]))
     d = np.outer(hd * s, eta)
     d += (h / t) * (np.outer(ds[0], frame.u) + np.outer(ds[1], frame.v))
     return d

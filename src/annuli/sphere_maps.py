@@ -1,9 +1,11 @@
 """Moebius transformations acting on the unit sphere.
 
 A transform is a determinant-normalized 2x2 complex matrix acting on the
-stereographic coordinate.  Internally every evaluation goes through
-homogeneous coordinates, which keeps both poles finite; the plain chart
-functions are provided for callers that want the complex-plane picture.
+stereographic coordinate.  Every evaluation goes through the equivalent
+real 4x4 Lorentz matrix (PSL(2, C) = SO+(3, 1)), whose action on the
+sphere is a quotient with a denominator that stays positive at both
+poles; the plain chart functions are provided for callers that want the
+complex-plane picture.
 """
 from __future__ import annotations
 
@@ -74,11 +76,9 @@ def inverse_stereographic(w: complex) -> np.ndarray:
     return np.array([2.0 * w.real / s, 2.0 * w.imag / s, (q - 1.0) / s])
 
 
-def _entries(t: MobiusTransform):
-    return complex(t.a), complex(t.b), complex(t.c), complex(t.d)
-
-
-def _check_unit_points(pts: np.ndarray) -> np.ndarray:
+def _act(kernel, t: MobiusTransform, pts, *vecs):
+    """Run a sphere-action kernel of ``_kernels`` on unit vectors of shape
+    ``(N, 3)`` or ``(3,)`` and on tangent vectors of the same shape."""
     pts = np.asarray(pts, dtype=float)
     single = pts.ndim == 1
     if single:
@@ -88,37 +88,30 @@ def _check_unit_points(pts: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(pts, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise ValueError("sphere action expects unit vectors")
-    return pts, single
+    vecs = [np.asarray(v, dtype=float).reshape(pts.shape) for v in vecs]
+    out = kernel(t.a, t.b, t.c, t.d, pts, *vecs)
+    return out[0] if single else out
 
 
 def mobius_apply_points(t: MobiusTransform, pts: np.ndarray) -> np.ndarray:
     """Apply the sphere action of ``t`` to an ``(N, 3)`` array of unit
     vectors.  Outputs are unit vectors up to rounding."""
-    pts, single = _check_unit_points(pts)
-    a, b, c, d = _entries(t)
-    out = _kernels.mobius_apply_points(a, b, c, d, np.ascontiguousarray(pts))
-    return out[0] if single else out
-
-
-def mobius_apply(t: MobiusTransform, p) -> np.ndarray:
-    return mobius_apply_points(t, np.asarray(p, dtype=float))
+    return _act(_kernels.mobius_apply_points, t, pts)
 
 
 def conformal_stretch_points(t: MobiusTransform, pts: np.ndarray) -> np.ndarray:
     """Pointwise stretch factor of the sphere action.
 
-    On the homogeneous lift ``(z1, z2)`` of a point, a determinant-one
-    matrix scales the spherical metric by
-    ``(|z1|^2 + |z2|^2) / (|M z1|^2 + |M z2|^2)``.
+    With ``L = [[w0, w^T], [l, A]]`` the Lorentz matrix of ``t``, the
+    action scales the spherical metric at ``p`` by ``1 / (w . p + w0)``.
     """
-    pts, single = _check_unit_points(pts)
-    a, b, c, d = _entries(t)
-    out = _kernels.conformal_stretch_points(a, b, c, d, np.ascontiguousarray(pts))
-    return out[0] if single else out
+    return _act(_kernels.conformal_stretch_points, t, pts)
 
 
-def conformal_stretch(t: MobiusTransform, p) -> float:
-    return float(conformal_stretch_points(t, np.asarray(p, dtype=float)))
+def mobius_pushforward(t: MobiusTransform, etas: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Derivative of the sphere action at unit points ``etas`` along
+    tangent vectors ``vecs`` of the same shape, at unit-sphere scale."""
+    return _act(_kernels.mobius_pushforward, t, etas, vecs)
 
 
 def mobius_compose(t1: MobiusTransform, t2: MobiusTransform) -> MobiusTransform:
@@ -181,48 +174,6 @@ class SphereDifferential:
     scale: float
 
 
-def _lift_with_tangent(etas: np.ndarray, vecs: np.ndarray):
-    """Homogeneous lift of unit points together with the lift of a
-    tangent velocity, branch-consistent with the kernel evaluation."""
-    x, y, z = etas[:, 0], etas[:, 1], etas[:, 2]
-    vx, vy, vz = vecs[:, 0], vecs[:, 1], vecs[:, 2]
-    south = z <= 0.0
-    z1 = np.where(south, x + 1j * y, (1.0 + z) + 0.0j)
-    z2 = np.where(south, (1.0 - z) + 0.0j, x - 1j * y)
-    d1 = np.where(south, vx + 1j * vy, vz + 0.0j)
-    d2 = np.where(south, -vz + 0.0j, vx - 1j * vy)
-    return z1, z2, d1, d2
-
-
-def _pushforward(t: MobiusTransform, etas: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Derivative of the sphere action along unit tangent directions,
-    at unit-sphere scale (no 1/t factor)."""
-    a, b, c, d = _entries(t)
-    z1, z2, d1, d2 = _lift_with_tangent(etas, vecs)
-    w1 = a * z1 + b * z2
-    w2 = c * z1 + d * z2
-    dw1 = a * d1 + b * d2
-    dw2 = c * d1 + d * d2
-    m = w1 * np.conj(w2)
-    dm = dw1 * np.conj(w2) + w1 * np.conj(dw2)
-    n1 = w1.real**2 + w1.imag**2
-    n2 = w2.real**2 + w2.imag**2
-    nn = n1 + n2
-    dn1 = 2.0 * (dw1.real * w1.real + dw1.imag * w1.imag)
-    dn2 = 2.0 * (dw2.real * w2.real + dw2.imag * w2.imag)
-    dnn = dn1 + dn2
-    s = np.empty_like(etas)
-    s[:, 0] = 2.0 * m.real / nn
-    s[:, 1] = 2.0 * m.imag / nn
-    s[:, 2] = (n1 - n2) / nn
-    ds = np.empty_like(etas)
-    ds[:, 0] = 2.0 * dm.real / nn
-    ds[:, 1] = 2.0 * dm.imag / nn
-    ds[:, 2] = (dn1 - dn2) / nn
-    ds -= s * (dnn / nn)[:, None]
-    return ds
-
-
 def sphere_map_differential(t: MobiusTransform, x, frame: TangentFrame | None = None) -> SphereDifferential:
     """Differential of ``x -> T(x / |x|)`` at a point off the origin."""
     x = np.asarray(x, dtype=float)
@@ -234,7 +185,7 @@ def sphere_map_differential(t: MobiusTransform, x, frame: TangentFrame | None = 
         frame = tangent_frame(eta)
     vecs = np.vstack([frame.u, frame.v])
     etas = np.vstack([eta, eta])
-    ds = _pushforward(t, etas, vecs)
+    ds = mobius_pushforward(t, etas, vecs)
     return SphereDifferential(d_u=ds[0] / tt, d_v=ds[1] / tt, d_n=np.zeros(3), scale=1.0 / tt)
 
 
@@ -272,8 +223,8 @@ def sphere_inequality_integral(
         raise ValueError("shell radius must be positive")
     u, v = tangent_frames(quad.nodes)
     if isinstance(mapping, MobiusTransform):
-        du = _pushforward(mapping, quad.nodes, u)
-        dv = _pushforward(mapping, quad.nodes, v)
+        du = mobius_pushforward(mapping, quad.nodes, u)
+        dv = mobius_pushforward(mapping, quad.nodes, v)
     else:
         du, dv = _tangent_derivatives_fd(mapping, quad.nodes, u, v, fd_step)
     density = np.einsum("ij,ij->i", du, du) + np.einsum("ij,ij->i", dv, dv)

@@ -41,8 +41,8 @@ from .nitsche import (
 from .maps import ExponentialProfile, HarmonicProfile
 from .sphere_maps import (
     MobiusTransform,
-    _pushforward,
     mobius_apply_points,
+    mobius_pushforward,
     random_mobius,
     sphere_inequality_integral,
 )
@@ -355,8 +355,8 @@ def check_sphere_inequality(n_transforms: int = 20, n_perturbations: int = 20,
     u, v = tangent_frames(quad.nodes)
     worst_area = 0.0
     for t in transforms:
-        du = _pushforward(t, quad.nodes, u)
-        dv = _pushforward(t, quad.nodes, v)
+        du = mobius_pushforward(t, quad.nodes, u)
+        dv = mobius_pushforward(t, quad.nodes, v)
         area = float(quad.weights @ np.linalg.norm(np.cross(du, dv), axis=1))
         worst_area = max(worst_area, abs(area - 4.0 * math.pi))
     results.append(_equality("mapped-area-identity", worst_area, 0.0, tol,

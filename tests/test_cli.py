@@ -216,6 +216,21 @@ class TestSweepCommand:
         assert code == 2 and "invalid pair" in err
 
 
+class TestNoTraceback:
+    @pytest.mark.parametrize("argv, expected", [
+        # the closed-form harmonic energy overflows a float
+        (["nitsche", "--r", "1", "--R", "2", "--rstar", "1e-300", "--Rstar", "1e300"], 1),
+        # a Gauss rule of this order would need a dense 100000^2 matrix
+        (["energy", "--r", "1", "--R", "2", "--rstar", "1", "--Rstar", "2",
+          "--sphere-order", "100000"], 2),
+    ])
+    def test_exits_with_one_line_error(self, capsys, argv, expected):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == expected
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestOutputFile:
     def test_writes_lf_line_endings(self, tmp_path):
         out = tmp_path / "e.csv"

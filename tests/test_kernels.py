@@ -11,19 +11,6 @@ from annuli import _kernels as K
 needs_numba = pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba backend unavailable")
 
 
-def unit_points(rng, n=400):
-    v = rng.standard_normal((n, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def det_normalized(rng):
-    while True:
-        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det) > 1e-6:
-            return m / np.sqrt(det)
-
-
 class TestBackendReporting:
     def test_backend_matches_numba_flag(self):
         assert K.BACKEND in ("numba", "numpy")
@@ -44,26 +31,9 @@ class TestBackendReporting:
 class TestBackendEquivalence:
     """Both backends must agree on seeded inputs.
 
-    Möbius kernels differ only in loop shape, so agreement is a few ulp.
     Gradient descent accumulates dot products in different orders, so it
     is compared through the invariant quantities, not the iterates.
     """
-
-    def test_mobius_apply(self, rng):
-        pts = unit_points(rng)
-        m = det_normalized(rng)
-        a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-        got_nb = K.mobius_apply_points_numba(a, b, c, d, pts)
-        got_np = K.mobius_apply_points_numpy(a, b, c, d, pts)
-        np.testing.assert_allclose(got_nb, got_np, rtol=1e-13, atol=1e-14)
-
-    def test_conformal_stretch(self, rng):
-        pts = unit_points(rng)
-        m = det_normalized(rng)
-        a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-        got_nb = K.conformal_stretch_points_numba(a, b, c, d, pts)
-        got_np = K.conformal_stretch_points_numpy(a, b, c, d, pts)
-        np.testing.assert_allclose(got_nb, got_np, rtol=1e-13)
 
     def test_rk4_shoot(self):
         args = (1.0, 2.0, 1.0, 2.0, 512, 1e-12, 1e12)

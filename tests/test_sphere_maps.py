@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from annuli import (
     MobiusTransform,
-    conformal_stretch,
     conformal_stretch_points,
     gram_determinant,
     inverse_stereographic,
     make_sphere_quadrature,
-    mobius_apply,
     mobius_apply_points,
     mobius_compose,
     mobius_inverse,
+    mobius_pushforward,
     random_mobius,
     sphere_inequality_integral,
     sphere_map_differential,
@@ -28,6 +27,7 @@ EIGHT_PI = 8.0 * math.pi
 
 NORTH = np.array([0.0, 0.0, 1.0])
 SOUTH = np.array([0.0, 0.0, -1.0])
+EQUATOR_POINTS = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [-0.6, 0.8, 0.0]])
 
 
 def entries(t: MobiusTransform):
@@ -74,24 +74,28 @@ class TestMobiusTransform:
     def test_diagonal_transform_moves_equator_point(self):
         # diag(sqrt 2, 1/sqrt 2) acts as w -> 2w: (1,0,0) -> (4/5, 0, 3/5)
         t = MobiusTransform(math.sqrt(2.0), 0.0, 0.0, 1.0 / math.sqrt(2.0))
-        out = mobius_apply(t, np.array([1.0, 0.0, 0.0]))
+        out = mobius_apply_points(t, np.array([1.0, 0.0, 0.0]))
         assert np.allclose(out, [0.8, 0.0, 0.6], atol=1e-14)
 
     def test_poles_handled_without_special_casing(self):
         t = MobiusTransform(0.0, 1.0, -1.0, 0.0)  # w -> -1/w swaps poles
-        assert np.allclose(mobius_apply(t, NORTH), SOUTH, atol=1e-14)
-        assert np.allclose(mobius_apply(t, SOUTH), NORTH, atol=1e-14)
+        assert np.allclose(mobius_apply_points(t, NORTH), SOUTH, atol=1e-14)
+        assert np.allclose(mobius_apply_points(t, SOUTH), NORTH, atol=1e-14)
 
     def test_apply_agrees_with_chart_formula(self, rng):
         t = random_mobius(rng)
-        for _ in range(20):
-            v = rng.normal(size=3)
+        # random points plus points on z = 0 and within 0.99 of both poles
+        pts = list(rng.normal(size=(20, 3))) + list(EQUATOR_POINTS) + [
+            [math.sqrt(1.0 - z * z), 0.0, z] for z in (-0.99, 0.99)
+        ]
+        for v in pts:
+            v = np.asarray(v, dtype=float)
             v /= np.linalg.norm(v)
             if abs(v[2]) > 0.99:
                 continue
             w = stereographic(v)
             expect = inverse_stereographic((t.a * w + t.b) / (t.c * w + t.d))
-            assert np.allclose(mobius_apply(t, v), expect, atol=1e-11)
+            assert np.allclose(mobius_apply_points(t, v), expect, atol=1e-11)
 
 
 class TestGroupStructure:
@@ -129,12 +133,12 @@ class TestGroupStructure:
 class TestConformalStretch:
     def test_identity_has_unit_stretch(self):
         t = MobiusTransform.identity()
-        assert math.isclose(conformal_stretch(t, SOUTH), 1.0, abs_tol=1e-14)
+        assert math.isclose(conformal_stretch_points(t, SOUTH), 1.0, abs_tol=1e-14)
 
     def test_dilation_stretch_at_south_pole(self):
         # w -> 2w doubles lengths at w=0, i.e. at the south pole
         t = MobiusTransform(math.sqrt(2.0), 0.0, 0.0, 1.0 / math.sqrt(2.0))
-        assert math.isclose(conformal_stretch(t, SOUTH), 2.0, rel_tol=1e-14)
+        assert math.isclose(conformal_stretch_points(t, SOUTH), 2.0, rel_tol=1e-14)
 
     def test_stretch_squared_integrates_to_sphere_area(self, rng):
         # area of the image sphere equals 4 pi for any conformal bijection
@@ -179,14 +183,31 @@ class TestGramDeterminant:
     def test_mapped_area_identity(self, rng):
         q = make_sphere_quadrature(24)
         u, v = tangent_frames(q.nodes)
-        from annuli.sphere_maps import _pushforward
-
         for _ in range(4):
             t = random_mobius(rng)
-            du = _pushforward(t, q.nodes, u)
-            dv = _pushforward(t, q.nodes, v)
+            du = mobius_pushforward(t, q.nodes, u)
+            dv = mobius_pushforward(t, q.nodes, v)
             area = float(q.weights @ np.linalg.norm(np.cross(du, dv), axis=1))
             assert math.isclose(area, 4.0 * math.pi, rel_tol=1e-10)
+
+
+class TestPushforward:
+    def test_matches_great_circle_differences(self, rng):
+        # random points, points within 1e-9 of both poles, and points on
+        # z = 0, where a complex lift of the sphere would switch branches
+        near_poles = [[1e-9, 0.0, 1.0], [0.0, -1e-9, 1.0], [1e-9, 0.0, -1.0], [0.0, 1e-9, -1.0]]
+        pts = np.vstack([rng.normal(size=(40, 3)), near_poles, EQUATOR_POINTS])
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        u, v = tangent_frames(pts)
+        h = 1e-5
+        for _ in range(5):
+            t = random_mobius(rng)
+            for vecs in (u, v):
+                fd = (mobius_apply_points(t, math.cos(h) * pts + math.sin(h) * vecs)
+                      - mobius_apply_points(t, math.cos(h) * pts - math.sin(h) * vecs)) / (2.0 * h)
+                exact = mobius_pushforward(t, pts, vecs)
+                err = np.linalg.norm(exact - fd, axis=1) / np.linalg.norm(exact, axis=1)
+                assert np.max(err) < 1e-7
 
 
 class TestSphereInequality:
