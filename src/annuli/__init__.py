@@ -7,7 +7,7 @@ minimizes the reduced radial functional three independent ways, checks
 the sharp lower bound and its inversion symmetry, and covers the
 companion results on radial harmonic maps between shells.
 """
-from ._kernels import BACKEND, HAVE_NUMBA, warm_up
+from ._kernels import BACKEND, warm_up
 from .energy import (
     EnergyReport,
     analytic_min_weighted_energy,
@@ -43,8 +43,6 @@ from .maps import (
     map_eval,
     map_eval_many,
     perturbed_profile,
-    profile_derivative,
-    profile_eval,
 )
 from .nitsche import (
     NitscheVerdict,

@@ -1,32 +1,13 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels, numpy/python only.
 
-The Moebius sphere action is vectorized numpy.  The sequential loops
-(RK4 shooting, the tridiagonal solve, gradient descent) are compiled with
-numba when it is installed; ``ANNULI_DISABLE_NUMBA=1`` forces their
-numpy/python versions, which stay importable as ``*_numpy`` so tests can
-compare the two backends.
+The Moebius sphere action is vectorized numpy; RK4 shooting, the
+tridiagonal solve and gradient descent are plain loops.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("ANNULI_DISABLE_NUMBA", "0").strip().lower()
-NUMBA_DISABLED = _flag in ("1", "true", "yes", "on")
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled by ANNULI_DISABLE_NUMBA")
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-_jit = {"cache": True, "fastmath": False}
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +61,7 @@ def mobius_pushforward(a, b, c, d, pts, vecs):
 # toward zero, +1 it blew past the overflow cap.
 
 
-def _rk4_shoot_impl(r, R, h0, slope, n_steps, floor, cap):
+def rk4_shoot(r, R, h0, slope, n_steps, floor, cap):
     dt = (R - r) / n_steps
     out = np.empty(n_steps + 1)
     out[0] = h0
@@ -125,8 +106,7 @@ def _rk4_shoot_impl(r, R, h0, slope, n_steps, floor, cap):
             break
         out[k + 1] = H
     if status != 0:
-        for j in range(k + 1, n_steps + 1):
-            out[j] = H if np.isfinite(H) else 0.0
+        out[k + 1:] = H if np.isfinite(H) else 0.0
     return out, status
 
 
@@ -137,7 +117,7 @@ def _rk4_shoot_impl(r, R, h0, slope, n_steps, floor, cap):
 # diagonally dominant, so no pivoting is needed.
 
 
-def _thomas_impl(lower, diag, upper, rhs):
+def thomas_solve(lower, diag, upper, rhs):
     n = diag.shape[0]
     cp = np.empty(n)
     dp = np.empty(n)
@@ -147,10 +127,7 @@ def _thomas_impl(lower, diag, upper, rhs):
     dp[0] = rhs[0] / beta
     for i in range(1, n):
         beta = diag[i] - lower[i] * cp[i - 1]
-        if i < n - 1:
-            cp[i] = upper[i] / beta
-        else:
-            cp[i] = 0.0
+        cp[i] = upper[i] / beta  # cp[n - 1] is never read
         dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / beta
     x[n - 1] = dp[n - 1]
     for i in range(n - 2, -1, -1):
@@ -169,58 +146,7 @@ def _thomas_impl(lower, diag, upper, rhs):
 # iteration zero.
 
 
-def _gd_quadratic_loop(a, k, max_iter, tol, mode, fixed_step):
-    n = a.shape[0]
-    g = np.empty(n - 1)
-    g_old = np.zeros(n - 1)
-    s = np.zeros(n - 1)
-    iters = 0
-    converged = False
-    while True:
-        gmax = 0.0
-        for j in range(1, n):
-            gj = 2.0 * (a[j - 1] * (k[j] - k[j - 1]) - a[j] * (k[j + 1] - k[j]))
-            g[j - 1] = gj
-            if abs(gj) > gmax:
-                gmax = abs(gj)
-        if gmax <= tol:
-            converged = True
-            break
-        if iters >= max_iter:
-            break
-        if mode == 2:
-            alpha = fixed_step
-        else:
-            bb = False
-            if mode == 1 and iters > 0:
-                ss = 0.0
-                sy = 0.0
-                for j in range(n - 1):
-                    ss += s[j] * s[j]
-                    sy += s[j] * (g[j] - g_old[j])
-                if sy > 0.0:
-                    alpha = ss / sy
-                    bb = True
-            if not bb:
-                # exact step: curvature of Q along -g, with d padded by
-                # the fixed zero boundary values
-                gg = 0.0
-                for j in range(n - 1):
-                    gg += g[j] * g[j]
-                curv = a[0] * g[0] * g[0] + a[n - 1] * g[n - 2] * g[n - 2]
-                for i in range(1, n - 1):
-                    dd = g[i] - g[i - 1]
-                    curv += a[i] * dd * dd
-                alpha = gg / (2.0 * curv)
-        for j in range(n - 1):
-            s[j] = -alpha * g[j]
-            g_old[j] = g[j]
-            k[j + 1] += s[j]
-        iters += 1
-    return iters, converged
-
-
-def gd_quadratic_numpy(a, k, max_iter, tol, mode, fixed_step):
+def gd_quadratic(a, k, max_iter, tol, mode, fixed_step):
     iters = 0
     converged = False
     g_old = None
@@ -254,34 +180,6 @@ def gd_quadratic_numpy(a, k, max_iter, tol, mode, fixed_step):
     return iters, converged
 
 
-if HAVE_NUMBA:
-    rk4_shoot_numba = _njit(**_jit)(_rk4_shoot_impl)
-    thomas_solve_numba = _njit(**_jit)(_thomas_impl)
-    gd_quadratic_numba = _njit(**_jit)(_gd_quadratic_loop)
-
-    rk4_shoot = rk4_shoot_numba
-    thomas_solve = thomas_solve_numba
-    gd_quadratic = gd_quadratic_numba
-else:
-    rk4_shoot = _rk4_shoot_impl
-    thomas_solve = _thomas_impl
-    gd_quadratic = gd_quadratic_numpy
-
-rk4_shoot_numpy = _rk4_shoot_impl
-thomas_solve_numpy = _thomas_impl
-
-
 def warm_up():
-    """Trigger jit compilation of every kernel on tiny inputs.
-
-    Harmless under the numpy backend.  Call this before timing anything.
-    """
-    rk4_shoot(1.0, 2.0, 1.0, 1.0, 8, 1e-12, 1e12)
-    thomas_solve(
-        np.array([0.0, -1.0, -1.0]),
-        np.array([2.0, 2.0, 2.0]),
-        np.array([-1.0, -1.0, 0.0]),
-        np.array([1.0, 0.0, 1.0]),
-    )
-    gd_quadratic(np.ones(4), np.linspace(0.0, 1.0, 5), 10, 1e-12, 1, 0.0)
+    """Return :data:`BACKEND`; kept for callers, as there is nothing to compile."""
     return BACKEND

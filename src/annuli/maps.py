@@ -189,16 +189,6 @@ def _nodal_second_derivative(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 RadialProfile = Union[ExponentialProfile, HarmonicProfile, SampledProfile]
 
 
-def profile_eval(profile: RadialProfile, t):
-    """Evaluate a profile at scalar or array radii."""
-    return profile.eval(t)
-
-
-def profile_derivative(profile: RadialProfile, t, order: int = 1):
-    """First or second derivative of a profile."""
-    return profile.derivative(t, order)
-
-
 def exp_profile_from_boundary(pair: AnnulusPair, orientation: str = "increasing") -> ExponentialProfile:
     """Euler-Lagrange profile through the boundary radii of a pair.
 

@@ -84,10 +84,27 @@ def analytic_dirichlet_energy_radial(pair: AnnulusPair) -> float:
 
     ``4 pi (r (r^3 + 2 R^3) r_star^2 - 6 r^2 R^2 r_star R_star
     + R (2 r^3 + R^3) R_star^2) / (R^3 - r^3)``.
+
+    Where the float formula overflows or underflows, the rational value
+    is rounded once instead; an energy beyond the float range is ``inf``.
     """
     pair.require_weighted()
-    r, R = pair.r, pair.R
-    rs, Rs = pair.r_star, pair.R_star
-    num = r * (r**3 + 2.0 * R**3) * rs**2 - 6.0 * r**2 * R**2 * rs * Rs \
-        + R * (2.0 * r**3 + R**3) * Rs**2
-    return 4.0 * math.pi * num / (R**3 - r**3)
+    radii = (pair.r, pair.R, pair.r_star, pair.R_star)
+    try:
+        num, den = _energy_terms(*radii)
+        energy = 4.0 * math.pi * num / den
+    except (OverflowError, ZeroDivisionError):  # R^3 - r^3 may underflow to 0
+        energy = math.nan
+    if math.isfinite(energy):
+        return energy
+    num, den = _energy_terms(*map(Fraction, radii))
+    try:
+        return 4.0 * math.pi * float(num / den)
+    except OverflowError:
+        return math.inf
+
+
+def _energy_terms(r, R, rs, Rs):
+    num = r * (r**3 + 2 * R**3) * rs**2 - 6 * r**2 * R**2 * rs * Rs \
+        + R * (2 * r**3 + R**3) * Rs**2
+    return num, R**3 - r**3

@@ -5,7 +5,8 @@ after the substitution ``K = log H``, a convex quadratic in the sampled
 ``K`` values.  Minimizing it therefore amounts to one symmetric
 positive-definite tridiagonal solve; gradient descent and an RK4
 shooting method for the original second-order equation are provided as
-independent routes to the same profile.
+independent routes to the same profile.  All three run on the numpy
+kernels in ``_kernels``.
 """
 from __future__ import annotations
 

@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from annuli import AnnulusPair, warm_up
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _compiled_kernels():
-    # compile jit kernels once so individual tests time only themselves
-    warm_up()
+from annuli import AnnulusPair
 
 
 @pytest.fixture

@@ -1,9 +1,21 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from annuli.cli import main, parse_config, render_csv, render_json
+from annuli.cli import (
+    MAX_GRID_N,
+    MAX_QUADRATURE_ORDER,
+    MAX_SWEEP_ROWS,
+    main,
+    parse_config,
+    render_csv,
+    render_json,
+)
 
 E_STR = "2.718281828459045"
 CANON = ["--r", "1", "--R", "2", "--rstar", "1", "--Rstar", E_STR]
@@ -218,17 +230,97 @@ class TestSweepCommand:
 
 class TestNoTraceback:
     @pytest.mark.parametrize("argv, expected", [
-        # the closed-form harmonic energy overflows a float
-        (["nitsche", "--r", "1", "--R", "2", "--rstar", "1e-300", "--Rstar", "1e300"], 1),
+        # a grid this fine would need arrays of 745 GiB
+        (["minimize", "--r", "1", "--R", "2", "--rstar", "1", "--Rstar", "2",
+          "--grid-n", "100000000000"], 2),
         # a Gauss rule of this order would need a dense 100000^2 matrix
         (["energy", "--r", "1", "--R", "2", "--rstar", "1", "--Rstar", "2",
           "--sphere-order", "100000"], 2),
+        # so would a sweep axis this long
+        (["sweep", "--r", "1", "--R", "2", "--rstar", "1",
+          "--sweep", "Rstar=1:2:100000000000"], 2),
     ])
     def test_exits_with_one_line_error(self, capsys, argv, expected):
         code, _, err = run_cli(capsys, *argv)
         assert code == expected
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_arithmetic_error_exits_1(self, capsys, monkeypatch):
+        import annuli.cli as cli_mod
+
+        def overflow(cfg):
+            raise OverflowError("math range error")
+
+        monkeypatch.setitem(cli_mod._COMMANDS, "nitsche", overflow)
+        code, _, err = run_cli(capsys, "nitsche", *CANON)
+        assert code == 1
+        assert err == "error: OverflowError: math range error\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["nitsche", "--Rstar", "1e300"],
+        ["nitsche", "--Rstar", "1e300", "--format", "json"],
+        ["sweep", "--sweep", "Rstar=1e300:1e300:1"],
+    ])
+    def test_energy_beyond_float_range_is_empty(self, capsys, argv):
+        # the verdict is exact; only the harmonic energy (about 1e600)
+        # does not fit in a float
+        code, out, err = run_cli(capsys, *argv, "--r", "1", "--R", "2", "--rstar", "1e-300")
+        assert code == 0 and err == ""
+        if "json" in argv:
+            vals = json.loads(out)
+            assert vals["harmonic_energy"] is None
+        else:
+            header, row = out.strip().splitlines()
+            vals = dict(zip(header.split(","), row.split(",")))
+            assert vals["harmonic_energy"] == ""
+        assert str(vals["admissible"]).lower() == "true"
+        assert float(vals["ratio"]) == 0.0
+
+
+_EXTREME_RADII = ["0", "-1", "1e-300", "-1e-300", "1e300", "-1e300", "5e-324", "-5e-324",
+                  "2.2250738585072014e-308", "1.7976931348623157e308", "inf", "-inf", "nan"]
+_RADII = st.one_of(st.sampled_from(["1", "2", "3"]), st.sampled_from(_EXTREME_RADII),
+                   st.floats(0.1, 10.0).map(repr))
+_INTS = st.sampled_from([8, -1, 0, 2, MAX_QUADRATURE_ORDER, MAX_QUADRATURE_ORDER + 1,
+                         MAX_GRID_N, MAX_GRID_N + 1, MAX_SWEEP_ROWS, MAX_SWEEP_ROWS + 1,
+                         10**11]).map(str)
+_SWEEP = st.tuples(st.sampled_from(["r", "R", "rstar", "Rstar"]), _RADII, _RADII,
+                   st.one_of(_INTS, st.sampled_from(["1", "3"]))).map(
+    lambda p: ["--sweep", f"{p[0]}={p[1]}:{p[2]}:{p[3]}"])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["energy", "minimize", "nitsche", "sweep"]))
+    argv = [command]
+    for flag in ("--r", "--R", "--rstar", "--Rstar"):
+        if draw(st.integers(0, 7)):  # mostly present
+            argv += [flag, draw(_RADII)]
+    for flag in ("--grid-n", "--sphere-order", "--radial-order", "--seed"):
+        if not draw(st.integers(0, 3)):  # mostly absent
+            argv += [flag, draw(_INTS)]
+    if command == "sweep":
+        for spec in draw(st.lists(_SWEEP, min_size=0, max_size=3)):
+            argv += spec
+    argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    return argv
+
+
+class TestFuzzArgv:
+    @settings(max_examples=400, deadline=None)
+    @given(argv=_argv())
+    def test_exit_code_and_no_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code:  # ours print one line, argparse a usage line first
+            assert "error: " in err.getvalue().splitlines()[-1]
 
 
 class TestOutputFile:

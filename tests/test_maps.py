@@ -19,8 +19,6 @@ from annuli import (
     map_eval,
     map_eval_many,
     perturbed_profile,
-    profile_derivative,
-    profile_eval,
     random_mobius,
 )
 
@@ -69,8 +67,8 @@ class TestHarmonicProfile:
     def test_profile_helpers_dispatch(self):
         p = HarmonicProfile(1.0, 1.0)
         ts = np.array([1.0, 2.0])
-        assert np.allclose(profile_eval(p, ts), ts + 1.0 / ts**2)
-        assert np.allclose(profile_derivative(p, ts), 1.0 - 2.0 / ts**3)
+        assert np.allclose(p.eval(ts), ts + 1.0 / ts**2)
+        assert np.allclose(p.derivative(ts), 1.0 - 2.0 / ts**3)
 
 
 class TestSampledProfile:

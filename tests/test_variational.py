@@ -201,7 +201,7 @@ class TestShooting:
         assert math.isclose(result.profile.eval(1.5), math.exp(2.0 / 3.0), rel_tol=1e-6)
         assert abs(result.boundary_miss) < 1e-9
 
-    def test_slope_matches_profile_derivative(self, canonical_pair):
+    def test_slope_matches_closed_form_slope(self, canonical_pair):
         h1 = exp_profile_from_boundary(canonical_pair, "increasing")
         result = shoot_el(canonical_pair)
         assert math.isclose(result.initial_slope, h1.derivative(1.0), abs_tol=1e-6)
