@@ -35,10 +35,19 @@ def _lorentz(a, b, c, d):
     return 0.5 * np.einsum("mij,jk,nkl,il->mn", _BASIS, m, _BASIS, m.conj()).real
 
 
+def _image(lor, pts):
+    """``(A p + l, w . p + w0)`` for each row ``p``, built in place."""
+    den = pts @ lor[0, 1:]
+    den += lor[0, 0]
+    num = pts @ lor[1:, 1:].T
+    num += lor[1:, 0]
+    return num, den[:, None]
+
+
 def mobius_apply_points(a, b, c, d, pts):
-    lor = _lorentz(a, b, c, d)
-    den = pts @ lor[0, 1:] + lor[0, 0]
-    return (pts @ lor[1:, 1:].T + lor[1:, 0]) / den[..., None]
+    num, den = _image(_lorentz(a, b, c, d), pts)
+    num /= den
+    return num
 
 
 def conformal_stretch_points(a, b, c, d, pts):
@@ -49,9 +58,13 @@ def conformal_stretch_points(a, b, c, d, pts):
 def mobius_pushforward(a, b, c, d, pts, vecs):
     """Derivative of the sphere action at ``pts`` along tangent ``vecs``."""
     lor = _lorentz(a, b, c, d)
-    den = (pts @ lor[0, 1:] + lor[0, 0])[..., None]
-    image = (pts @ lor[1:, 1:].T + lor[1:, 0]) / den
-    return (vecs @ lor[1:, 1:].T - image * (vecs @ lor[0, 1:])[..., None]) / den
+    image, den = _image(lor, pts)
+    image /= den
+    image *= (vecs @ lor[0, 1:])[:, None]
+    out = vecs @ lor[1:, 1:].T
+    out -= image
+    out /= den
+    return out
 
 
 # ---------------------------------------------------------------------------

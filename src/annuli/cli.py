@@ -329,11 +329,15 @@ def cmd_minimize(cfg: RunConfig) -> tuple[str, int]:
     return text, 0
 
 
+def _in_range(value: float) -> float | None:
+    """None, printed as an empty cell, for a value beyond the float range."""
+    return value if math.isfinite(value) else None
+
+
 def _harmonic_energy(pair: AnnulusPair, verdict) -> float | None:
     """Energy of the radial harmonic map; None when the map is not
     admissible or its energy exceeds the float range."""
-    energy = analytic_dirichlet_energy_radial(pair) if verdict.admissible else math.inf
-    return energy if math.isfinite(energy) else None
+    return _in_range(analytic_dirichlet_energy_radial(pair)) if verdict.admissible else None
 
 
 def cmd_nitsche(cfg: RunConfig) -> tuple[str, int]:
@@ -394,7 +398,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
             "ratio": verdict.ratio,
             "admissible": verdict.admissible,
             "harmonic_energy": _harmonic_energy(pair, verdict),
-            "lower_bound": dirichlet_lower_bound(pair),
+            "lower_bound": _in_range(dirichlet_lower_bound(pair)),
         })
     if cfg.output_format == "json":
         return render_json(rows), 0

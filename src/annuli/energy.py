@@ -5,11 +5,16 @@ into a radial integral and a sphere integral (the decomposition route);
 arbitrary sampled maps go through a full 3-D tensor rule with central
 finite differences (the FD route).  Cross-checking the two is one of the
 main verification tools, so neither is allowed to call the other.
+
+The FD route evaluates a map once per stencil point.  For the inversion
+check, ``weighted_energy_with_inversion`` differentiates ``f`` and its
+composition with ``y -> a y / |y|^2`` from that one set of samples.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -21,6 +26,7 @@ from .maps import (
     RadialProfile,
     SampledMap,
     SampledProfile,
+    invert_values,
     map_eval_many,
 )
 from .sphere_maps import conformal_stretch_points
@@ -73,6 +79,22 @@ def _require_positive(h: np.ndarray, t: np.ndarray):
         raise EvaluationError(f"profile vanishes at radius t={t[i]!r} (node {i})")
 
 
+def _radial_integral(t: np.ndarray, w: np.ndarray, g: np.ndarray) -> float:
+    """``integral(t^2 g^2) dt`` by the rule ``(t, w)``.
+
+    Radii so large that ``t^2`` overflows would give ``inf`` or ``nan``;
+    they raise instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = float(w @ (t**2 * g**2))
+    if not math.isfinite(val):
+        raise EvaluationError(
+            f"radial energy integral is not finite ({val}) at radii up to {t[-1]:.6g}; "
+            "the radii are too large for floating point"
+        )
+    return val
+
+
 def reduced_energy(profile: RadialProfile, annulus: Annulus, radial_order: int = 64) -> float:
     """One-dimensional weighted energy of a radial profile,
     ``4 pi * integral(t^2 (H'/H)^2 + 2) dt``.
@@ -84,7 +106,7 @@ def reduced_energy(profile: RadialProfile, annulus: Annulus, radial_order: int =
         raise ValueError("reduced energy needs a positive inner radius")
     t, w, h, hd = _profile_quadrature(profile, annulus, radial_order)
     _require_positive(h, t)
-    val = float(w @ (t**2 * (hd / h) ** 2)) + 2.0 * annulus.width
+    val = _radial_integral(t, w, hd / h) + 2.0 * annulus.width
     return 4.0 * math.pi * val
 
 
@@ -98,7 +120,7 @@ def _decomposed_weighted(f: GeneralizedRadialMap, pair: AnnulusPair,
                          radial_order: int, sphere_order: int):
     t, w, h, hd = _profile_quadrature(f.profile, pair.domain, radial_order)
     _require_positive(h, t)
-    radial = 4.0 * math.pi * float(w @ (t**2 * (hd / h) ** 2))
+    radial = 4.0 * math.pi * _radial_integral(t, w, hd / h)
     spherical = 2.0 * pair.domain.width * _sphere_factor(f, sphere_order)
     return radial, spherical
 
@@ -106,39 +128,53 @@ def _decomposed_weighted(f: GeneralizedRadialMap, pair: AnnulusPair,
 def _decomposed_dirichlet(f: GeneralizedRadialMap, pair: AnnulusPair,
                           radial_order: int, sphere_order: int):
     t, w, h, hd = _profile_quadrature(f.profile, pair.domain, radial_order)
-    radial = 4.0 * math.pi * float(w @ (t**2 * hd**2))
+    radial = 4.0 * math.pi * _radial_integral(t, w, hd)
     spherical = 2.0 * float(w @ h**2) * _sphere_factor(f, sphere_order)
     return radial, spherical
 
 
-def _fd_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int,
-               sphere_order: int, weighted: bool, fd_step: float | None) -> float:
+def _same(vals: np.ndarray) -> np.ndarray:
+    return vals
+
+
+def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_order: int,
+                 weighted: bool, fd_step: float | None, views=(_same,)) -> list[float]:
+    """FD energies of ``view(f)`` for each ``view`` of the map values,
+    all differentiated from one evaluation of ``f`` on the stencil.
+
+    The stencil is walked one axis at a time (``+e_k`` and ``-e_k``, then
+    the centres) rather than in one call over all seven shifts, whose
+    arrays would be seven times larger and fall out of cache.
+    """
     if fd_step is None:
         fd_step = f.fd_step if isinstance(f, SampledMap) else 1e-5
     t, wt = gauss_legendre(pair.domain.inner, pair.domain.outer, radial_order)
     quad = make_sphere_quadrature(sphere_order)
     centers = (t[:, None, None] * quad.nodes[None, :, :]).reshape(-1, 3)
     steps = np.repeat(fd_step * t, quad.nodes.shape[0])
-    density = np.zeros(centers.shape[0])
+    density = np.zeros((len(views), centers.shape[0]))
     for k in range(3):
         shift = np.zeros(3)
         shift[k] = 1.0
         plus = map_eval_many(f, centers + steps[:, None] * shift)
         minus = map_eval_many(f, centers - steps[:, None] * shift)
-        dk = (plus - minus) / (2.0 * steps[:, None])
-        density += np.einsum("ij,ij->i", dk, dk)
+        for view, dens in zip(views, density):
+            dk = (view(plus) - view(minus)) / (2.0 * steps[:, None])
+            dens += np.einsum("ij,ij->i", dk, dk)
     if weighted:
         vals = map_eval_many(f, centers)
-        nsq = np.einsum("ij,ij->i", vals, vals)
-        bad = np.nonzero(~np.isfinite(nsq) | (nsq <= 1e-300))[0]
-        if bad.size:
-            i = int(bad[0])
-            raise EvaluationError(
-                f"image norm vanished at quadrature node {i}, x={centers[i].tolist()}"
-            )
-        density = density / nsq
+        for view, dens in zip(views, density):
+            image = view(vals)
+            nsq = np.einsum("ij,ij->i", image, image)
+            bad = np.nonzero(~np.isfinite(nsq) | (nsq <= 1e-300))[0]
+            if bad.size:
+                i = int(bad[0])
+                raise EvaluationError(
+                    f"image norm vanished at quadrature node {i}, x={centers[i].tolist()}"
+                )
+            dens /= nsq
     weights = (wt[:, None] * t[:, None] ** 2 * quad.weights[None, :]).ravel()
-    return float(weights @ density)
+    return [float(weights @ dens) for dens in density]
 
 
 def _energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_order: int,
@@ -156,10 +192,10 @@ def _energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_order: i
             r2, s2 = split(f, pair, 2 * radial_order, 2 * sphere_order)
             delta = abs((r2 + s2) - value)
         return EnergyReport(value, radial, spherical, (radial_order, sphere_order), delta)
-    value = _fd_energy(f, pair, radial_order, sphere_order, weighted, fd_step)
+    [value] = _fd_energies(f, pair, radial_order, sphere_order, weighted, fd_step)
     delta = None
     if refine:
-        v2 = _fd_energy(f, pair, 2 * radial_order, 2 * sphere_order, weighted, fd_step)
+        [v2] = _fd_energies(f, pair, 2 * radial_order, 2 * sphere_order, weighted, fd_step)
         delta = abs(v2 - value)
     return EnergyReport(value, None, None, (radial_order, sphere_order), delta)
 
@@ -170,6 +206,26 @@ def weighted_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int = 64,
     """Weighted Dirichlet energy ``integral(|Df|^2 / |f|^2)`` over the
     domain annulus."""
     return _energy(f, pair, radial_order, sphere_order, refine, True, fd_step)
+
+
+def weighted_energy_with_inversion(f: AnnulusMap, pair: AnnulusPair, a: float,
+                                   radial_order: int = 64, sphere_order: int = 32,
+                                   fd_step: float | None = None) -> tuple[float, float]:
+    """FD weighted energies of ``f`` and of ``inversion_transform(f, a)``.
+
+    Both maps are differentiated from one set of samples of ``f`` on the
+    finite-difference stencil, so ``f`` is evaluated once instead of
+    twice.  Each value equals the ``weighted_energy(..., refine=False)``
+    of the FD route, bit for bit; a map that is a
+    :class:`GeneralizedRadialMap` still goes through the FD route here.
+    """
+    if not (a > 0.0 and math.isfinite(a)):
+        raise ValueError("inversion scale must be positive and finite")
+    if radial_order < 2 or sphere_order < 2:
+        raise ValueError("quadrature orders must be at least 2")
+    pair.require_weighted()
+    return tuple(_fd_energies(f, pair, radial_order, sphere_order, True, fd_step,
+                              (_same, partial(invert_values, a=a))))
 
 
 def dirichlet_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int = 64,
@@ -188,7 +244,11 @@ def analytic_min_weighted_energy(pair: AnnulusPair) -> float:
     """
     pair.require_weighted()
     r, R = pair.r, pair.R
-    ell = math.log(pair.R_star / pair.r_star)
+    ratio = pair.R_star / pair.r_star
+    if 0.0 < ratio < math.inf:
+        ell = math.log(ratio)
+    else:  # the quotient overflows for extreme radii; its log does not
+        ell = math.log(pair.R_star) - math.log(pair.r_star)
     return 4.0 * math.pi * (2.0 * (R - r) + r * R * ell * ell / (R - r))
 
 
@@ -200,7 +260,11 @@ def dirichlet_lower_bound(pair: AnnulusPair) -> float:
     ``integral(|Df|^2) >= r_star^2 * integral(|Df|^2 / |f|^2)``, and the
     right side is at least ``r_star^2`` times the weighted minimum.  The
     bound is strictly below the harmonic-map energy whenever the latter
-    exists.
+    exists.  A bound beyond the float range is ``inf``.
     """
     pair.require_weighted()
-    return pair.r_star**2 * analytic_min_weighted_energy(pair)
+    try:
+        scale = pair.r_star**2
+    except OverflowError:
+        return math.inf
+    return scale * analytic_min_weighted_energy(pair)

@@ -211,6 +211,16 @@ class TangentFrame:
 _AXES = np.eye(3)
 
 
+def row_norms(pts: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an ``(N, 3)`` array.
+
+    Same bits as ``np.linalg.norm(pts, axis=1)``, which sums the squares
+    in the same order, at a fraction of its cost on long arrays.
+    """
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
 def tangent_frame(normal: np.ndarray) -> TangentFrame:
     """Deterministic tangent frame at a unit vector.
 
@@ -236,13 +246,13 @@ def tangent_frames(points: np.ndarray):
     """Vectorized :func:`tangent_frame` over an ``(N, 3)`` array of unit
     vectors.  Returns ``(U, V)`` arrays of the same shape."""
     pts = np.asarray(points, dtype=float)
-    norms = np.linalg.norm(pts, axis=1)
+    norms = row_norms(pts)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise ValueError("tangent frames require unit vectors")
     pts = pts / norms[:, None]
     idx = (np.argmax(np.abs(pts), axis=1) + 1) % 3
     helpers = _AXES[idx]
     u = np.cross(helpers, pts)
-    u = u / np.linalg.norm(u, axis=1)[:, None]
+    u = u / row_norms(u)[:, None]
     v = np.cross(pts, u)
     return u, v

@@ -15,7 +15,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .geometry import Annulus, AnnulusPair, RadialGrid, tangent_frame
+from .geometry import Annulus, AnnulusPair, RadialGrid, row_norms, tangent_frame
 from .sphere_maps import MobiusTransform, mobius_apply_points, mobius_pushforward
 
 
@@ -265,7 +265,7 @@ def map_eval_many(f: AnnulusMap, points: np.ndarray) -> np.ndarray:
         raise ValueError("expected points of shape (N, 3)")
     if isinstance(f, SampledMap):
         return np.asarray(f.evaluator(points), dtype=float)
-    t = np.linalg.norm(points, axis=1)
+    t = row_norms(points)
     if np.any(t <= 0.0):
         raise DomainError("radial map undefined at the origin")
     _check_in_annulus(f.domain(), t)
@@ -335,6 +335,15 @@ def as_sampled_map(f: AnnulusMap, fd_step: float = 1e-5) -> SampledMap:
     return SampledMap(evaluator=lambda points: map_eval_many(f, points), fd_step=fd_step)
 
 
+def invert_values(vals: np.ndarray, a: float) -> np.ndarray:
+    """Apply the sphere inversion ``y -> a * y / |y|^2`` to the rows of
+    an ``(N, 3)`` array of map values."""
+    nsq = np.einsum("ij,ij->i", vals, vals)
+    if np.any(nsq <= 1e-300):
+        raise EvaluationError("map value hit the origin; inversion undefined")
+    return a * vals / nsq[:, None]
+
+
 def inversion_transform(f: AnnulusMap, a: float = 1.0) -> SampledMap:
     """Compose a map with the sphere inversion ``y -> a * y / |y|^2``.
 
@@ -345,11 +354,7 @@ def inversion_transform(f: AnnulusMap, a: float = 1.0) -> SampledMap:
         raise ValueError("inversion scale must be positive and finite")
 
     def evaluator(points: np.ndarray) -> np.ndarray:
-        vals = map_eval_many(f, points)
-        nsq = np.einsum("ij,ij->i", vals, vals)
-        if np.any(nsq <= 1e-300):
-            raise EvaluationError("map value hit the origin; inversion undefined")
-        return a * vals / nsq[:, None]
+        return invert_values(map_eval_many(f, points), a)
 
     step = f.fd_step if isinstance(f, SampledMap) else 1e-5
     return SampledMap(evaluator=evaluator, fd_step=step)

@@ -17,7 +17,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import _kernels
-from .geometry import SphericalQuadrature, TangentFrame, tangent_frame, tangent_frames
+from .geometry import SphericalQuadrature, TangentFrame, row_norms, tangent_frame, tangent_frames
 
 _DET_TOL = 1e-12
 
@@ -85,8 +85,7 @@ def _act(kernel, t: MobiusTransform, pts, *vecs):
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("expected points of shape (N, 3)")
-    norms = np.linalg.norm(pts, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
+    if np.any(np.abs(row_norms(pts) - 1.0) > 1e-9):
         raise ValueError("sphere action expects unit vectors")
     vecs = [np.asarray(v, dtype=float).reshape(pts.shape) for v in vecs]
     out = kernel(t.a, t.b, t.c, t.d, pts, *vecs)

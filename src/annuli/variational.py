@@ -75,13 +75,22 @@ def _interval_coefficients(grid: RadialGrid) -> np.ndarray:
     """
     t = grid.nodes
     dt = np.diff(t)
-    if grid.spacing_mode == "uniform-in-1/t":
-        # integral of t^2 against a K linear in 1/t over one interval
-        m = t[:-1] * t[1:]
-    else:
-        # integral of t^2 against a K linear in t over one interval
-        m = (t[:-1] ** 2 + t[:-1] * t[1:] + t[1:] ** 2) / 3.0
-    return m / dt
+    with np.errstate(over="ignore"):
+        if grid.spacing_mode == "uniform-in-1/t":
+            # integral of t^2 against a K linear in 1/t over one interval
+            m = t[:-1] * t[1:]
+        else:
+            # integral of t^2 against a K linear in t over one interval
+            m = (t[:-1] ** 2 + t[:-1] * t[1:] + t[1:] ** 2) / 3.0
+        a = m / dt
+    bad = np.nonzero(~np.isfinite(a))[0]
+    if bad.size:
+        i = int(bad[0])
+        raise EvaluationError(
+            f"interval stiffness a_{i} = {a[i]} on [{t[i]:.6g}, {t[i + 1]:.6g}] is not finite; "
+            "the radii are too large for floating point"
+        )
+    return a
 
 
 def discrete_reduced_energy(k_values: np.ndarray, grid: RadialGrid) -> float:

@@ -239,12 +239,53 @@ class TestNoTraceback:
         # so would a sweep axis this long
         (["sweep", "--r", "1", "--R", "2", "--rstar", "1",
           "--sweep", "Rstar=1:2:100000000000"], 2),
+        # t^2 overflows in the radial energy integral
+        (["energy", "--r", "1", "--R", "1e300", "--rstar", "1", "--Rstar", "2"], 1),
+        # and in the interval stiffness of the discrete energy
+        (["minimize", "--r", "1", "--R", "1e300", "--rstar", "1", "--Rstar", "2",
+          "--grid-n", "10"], 1),
     ])
     def test_exits_with_one_line_error(self, capsys, argv, expected):
         code, _, err = run_cli(capsys, *argv)
         assert code == expected
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_overflow_errors_name_their_cause(self, capsys):
+        _, _, err = run_cli(capsys, "energy", "--r", "1", "--R", "1e300",
+                            "--rstar", "1", "--Rstar", "2")
+        assert err.startswith("error: EvaluationError: radial energy integral is not finite")
+        _, _, err = run_cli(capsys, "minimize", "--r", "1", "--R", "1e300",
+                            "--rstar", "1", "--Rstar", "2", "--grid-n", "10")
+        assert err.startswith("error: EvaluationError: interval stiffness a_0 = inf")
+
+    def test_extreme_target_ratio_keeps_a_finite_minimum(self, capsys):
+        # R_star / r_star overflows, yet the minimum is about 4.8e7
+        code, out, err = run_cli(capsys, "sweep", "--r", "1", "--R", "2", "--rstar", "1e-300",
+                                 "--sweep", "Rstar=1e300:1e300:1")
+        assert code == 0 and err == ""
+        header, row = out.strip().splitlines()
+        vals = dict(zip(header.split(","), row.split(",")))
+        ell = 600.0 * math.log(10.0)
+        assert math.isclose(float(vals["analytic_min"]), 4.0 * math.pi * (2.0 + 2.0 * ell * ell),
+                            rel_tol=1e-11)
+        # r_star^2 underflows: the bound rounds to zero
+        assert float(vals["lower_bound"]) == 0.0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_lower_bound_beyond_float_range_is_empty(self, capsys, fmt):
+        # r_star^2 = 1e400 used to raise OverflowError
+        code, out, err = run_cli(capsys, "sweep", "--r", "1", "--R", "2", "--rstar", "1e200",
+                                 "--sweep", "Rstar=1e300:1e300:1", "--format", fmt)
+        assert code == 0 and err == ""
+        if fmt == "json":
+            [vals] = json.loads(out)
+            assert vals["lower_bound"] is None
+        else:
+            header, row = out.strip().splitlines()
+            vals = dict(zip(header.split(","), row.split(",")))
+            assert vals["lower_bound"] == ""
+        assert math.isfinite(float(vals["analytic_min"]))
 
     def test_arithmetic_error_exits_1(self, capsys, monkeypatch):
         import annuli.cli as cli_mod

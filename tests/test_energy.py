@@ -13,11 +13,18 @@ from annuli import (
     dirichlet_energy,
     dirichlet_lower_bound,
     exp_profile_from_boundary,
+    inversion_transform,
     random_mobius,
     reduced_energy,
     weighted_energy,
+    weighted_energy_with_inversion,
 )
-from annuli.verify import random_admissible_pair, random_annulus_pair
+from annuli.verify import (
+    _angular_competitor,
+    _smooth_bump_map,
+    random_admissible_pair,
+    random_annulus_pair,
+)
 
 PI = math.pi
 
@@ -42,6 +49,13 @@ class TestAnalyticMinimum:
         pair = AnnulusPair.from_radii(1.0, 2.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             analytic_min_weighted_energy(pair)
+
+    def test_target_ratio_beyond_float_range(self):
+        # R_star / r_star overflows; the log of the ratio does not
+        pair = AnnulusPair.from_radii(1.0, 2.0, 1e-300, 1e300)
+        ell = 600.0 * math.log(10.0)
+        expect = 4.0 * PI * (2.0 + 2.0 * ell * ell)
+        assert math.isclose(analytic_min_weighted_energy(pair), expect, rel_tol=1e-12)
 
 
 class TestReducedEnergy:
@@ -111,6 +125,54 @@ class TestWeightedEnergy:
             weighted_energy(SampledMap(evaluator=collapse), canonical_pair,
                             radial_order=8, sphere_order=4, refine=False)
 
+    @pytest.mark.parametrize("energy", [weighted_energy, dirichlet_energy])
+    def test_radii_beyond_float_range_are_an_evaluation_error(self, energy):
+        # t^2 overflows in the radial integral, which used to give nan
+        pair = AnnulusPair.from_radii(1.0, 1e300, 1.0, 2.0)
+        f = GeneralizedRadialMap(exp_profile_from_boundary(pair, "increasing"))
+        with pytest.raises(EvaluationError, match="radial energy integral is not finite"):
+            energy(f, pair, refine=False)
+        with pytest.raises(EvaluationError, match="radial energy integral is not finite"):
+            reduced_energy(f.profile, pair.domain)
+
+
+def _inversion_test_map(kind, pair, rng):
+    if kind == "radial":
+        return GeneralizedRadialMap(exp_profile_from_boundary(pair, "decreasing"),
+                                    random_mobius(rng))
+    if kind == "bump":
+        return _smooth_bump_map(pair, rng)
+    return _angular_competitor(pair, rng)
+
+
+class TestWeightedEnergyWithInversion:
+    @pytest.mark.parametrize("kind", ["radial", "bump", "angular"])
+    @pytest.mark.parametrize("scale", ["0.5", "1", "r*R*"])
+    def test_equals_separate_fd_routes(self, canonical_pair, rng, kind, scale):
+        pair = canonical_pair
+        a = {"0.5": 0.5, "1": 1.0, "r*R*": pair.r_star * pair.R_star}[scale]
+        f = _inversion_test_map(kind, pair, rng)
+        e_f, e_g = weighted_energy_with_inversion(f, pair, a, 32, 16)
+        g = inversion_transform(f, a)
+        assert e_g == weighted_energy(g, pair, 32, 16, refine=False).value
+        sampled = as_sampled_map(f)
+        assert e_f == weighted_energy(sampled, pair, 32, 16, refine=False).value
+        assert math.isclose(e_f, e_g, rel_tol=2e-4)
+
+    def test_map_hitting_the_origin_is_an_evaluation_error(self, canonical_pair):
+        def collapse(pts):
+            return np.zeros_like(pts)
+
+        with pytest.raises(EvaluationError, match="hit the origin"):
+            weighted_energy_with_inversion(SampledMap(evaluator=collapse), canonical_pair,
+                                           1.0, radial_order=8, sphere_order=4)
+
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_scale(self, canonical_pair, a):
+        f = GeneralizedRadialMap(exp_profile_from_boundary(canonical_pair, "increasing"))
+        with pytest.raises(ValueError, match="inversion scale"):
+            weighted_energy_with_inversion(f, canonical_pair, a)
+
 
 class TestDirichletEnergy:
     def test_identity_map_energy(self):
@@ -156,6 +218,11 @@ class TestLowerBound:
         for _ in range(25):
             pair = random_admissible_pair(rng)
             assert dirichlet_lower_bound(pair) < analytic_dirichlet_energy_radial(pair)
+
+    def test_bound_beyond_float_range_is_inf(self):
+        # r_star^2 overflows
+        pair = AnnulusPair.from_radii(1.0, 2.0, 1e200, 1e300)
+        assert dirichlet_lower_bound(pair) == math.inf
 
     def test_bound_holds_for_actual_maps(self, rng):
         for _ in range(5):

@@ -16,6 +16,7 @@ from annuli import (
     tangent_frame,
     tangent_frames,
 )
+from annuli.geometry import row_norms
 
 
 class TestAnnulus:
@@ -154,3 +155,12 @@ class TestTangentFrames:
             f = tangent_frame(pts[i])
             assert np.allclose(u[i], f.u)
             assert np.allclose(v[i], f.v)
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("scale", [1e-160, 1e-100, 1e-20, 1.0, 1e20, 1e100, 1e200])
+    def test_bitwise_equal_to_linalg_norm(self, scale):
+        pts = np.random.default_rng(5).normal(size=(20_000, 3)) * scale
+        with np.errstate(over="ignore"):  # squares of 1e200 overflow in both
+            for arr in (pts, np.asfortranarray(pts)):
+                assert np.array_equal(row_norms(arr), np.linalg.norm(arr, axis=1))

@@ -39,11 +39,16 @@ class TestGenerators:
             assert nitsche_condition(random_admissible_pair(rng)).admissible
 
 
+@pytest.fixture(scope="module")
+def default_report():
+    """One default ``run_suite()`` shared by the tests that only read it."""
+    return run_suite()
+
+
 class TestSuite:
-    def test_default_suite_passes(self):
-        report = run_suite()
-        failures = [r.name for r in report.results if not r.passed]
-        assert report.passed, failures
+    def test_default_suite_passes(self, default_report):
+        failures = [r.name for r in default_report.results if not r.passed]
+        assert default_report.passed, failures
 
     def test_reports_are_deterministic(self):
         r1 = run_suite(VerifyConfig())
@@ -52,8 +57,8 @@ class TestSuite:
         # wall time varies run to run and is deliberately unserialized
         assert "wall_time" not in r1.rows()[0]
 
-    def test_coverage_names_every_claim_family(self):
-        names = set(run_suite().coverage)
+    def test_coverage_names_every_claim_family(self, default_report):
+        names = set(default_report.coverage)
         for expected in (
             "minimal-energy-analytic-vs-numeric",
             "competitor-energies-above-minimum",
