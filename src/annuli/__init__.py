@@ -15,7 +15,6 @@ from .energy import (
     dirichlet_lower_bound,
     reduced_energy,
     weighted_energy,
-    weighted_energy_with_inversion,
 )
 from .errors import ConfigError, DomainError, EvaluationError
 from .geometry import (

@@ -7,14 +7,13 @@ finite differences (the FD route).  Cross-checking the two is one of the
 main verification tools, so neither is allowed to call the other.
 
 The FD route evaluates a map once per stencil point.  For the inversion
-check, ``weighted_energy_with_inversion`` differentiates ``f`` and its
-composition with ``y -> a y / |y|^2`` from that one set of samples.
+check, ``f`` and its composition with ``y -> a y / |y|^2`` are
+differentiated from that one set of samples.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -26,8 +25,8 @@ from .maps import (
     RadialProfile,
     SampledMap,
     SampledProfile,
-    invert_values,
     map_eval_many,
+    sphere_inversion,
 )
 from .sphere_maps import conformal_stretch_points
 
@@ -177,12 +176,16 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     return [float(weights @ dens) for dens in density]
 
 
-def _energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_order: int,
-            refine: bool, weighted: bool, fd_step: float | None) -> EnergyReport:
+def _check_orders(pair: AnnulusPair, radial_order: int, sphere_order: int, weighted: bool):
     if radial_order < 2 or sphere_order < 2:
         raise ValueError("quadrature orders must be at least 2")
     if weighted:
         pair.require_weighted()
+
+
+def _energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_order: int,
+            refine: bool, weighted: bool, fd_step: float | None) -> EnergyReport:
+    _check_orders(pair, radial_order, sphere_order, weighted)
     if isinstance(f, GeneralizedRadialMap):
         split = _decomposed_weighted if weighted else _decomposed_dirichlet
         radial, spherical = split(f, pair, radial_order, sphere_order)
@@ -208,24 +211,18 @@ def weighted_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int = 64,
     return _energy(f, pair, radial_order, sphere_order, refine, True, fd_step)
 
 
-def weighted_energy_with_inversion(f: AnnulusMap, pair: AnnulusPair, a: float,
-                                   radial_order: int = 64, sphere_order: int = 32,
-                                   fd_step: float | None = None) -> tuple[float, float]:
-    """FD weighted energies of ``f`` and of ``inversion_transform(f, a)``.
+def _weighted_energies_with_inversion(f: AnnulusMap, pair: AnnulusPair, a: float,
+                                     radial_order: int, sphere_order: int) -> tuple[float, float]:
+    """FD weighted energies of ``f`` and of ``inversion_transform(f, a)``,
+    both differentiated from one evaluation of ``f`` on the stencil.
 
-    Both maps are differentiated from one set of samples of ``f`` on the
-    finite-difference stencil, so ``f`` is evaluated once instead of
-    twice.  Each value equals the ``weighted_energy(..., refine=False)``
-    of the FD route, bit for bit; a map that is a
-    :class:`GeneralizedRadialMap` still goes through the FD route here.
+    Each equals the FD route's ``weighted_energy(..., refine=False)``
+    bit for bit, also for a :class:`GeneralizedRadialMap`.
     """
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError("inversion scale must be positive and finite")
-    if radial_order < 2 or sphere_order < 2:
-        raise ValueError("quadrature orders must be at least 2")
-    pair.require_weighted()
-    return tuple(_fd_energies(f, pair, radial_order, sphere_order, True, fd_step,
-                              (_same, partial(invert_values, a=a))))
+    invert = sphere_inversion(a)
+    _check_orders(pair, radial_order, sphere_order, True)
+    return tuple(_fd_energies(f, pair, radial_order, sphere_order, True, None,
+                              (_same, invert)))
 
 
 def dirichlet_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int = 64,
@@ -236,6 +233,33 @@ def dirichlet_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int = 64,
     return _energy(f, pair, radial_order, sphere_order, refine, False, fd_step)
 
 
+def _log_ratio(pair: AnnulusPair) -> float:
+    ratio = pair.R_star / pair.r_star
+    if 0.0 < ratio < math.inf:
+        return math.log(ratio)
+    # the quotient overflows for extreme radii; its log does not
+    return math.log(pair.R_star) - math.log(pair.r_star)
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _log_min_weighted_energy(pair: AnnulusPair) -> float:
+    """Log of the weighted minimum, finite for every valid pair: each
+    term of the sum is taken in logs."""
+    r, R = pair.r, pair.R
+    terms = [math.log(2.0) + math.log(R - r)]
+    ell = abs(_log_ratio(pair))
+    if ell > 0.0:
+        terms.append(math.log(r) + math.log(R) + 2.0 * math.log(ell) - math.log(R - r))
+    hi = max(terms)
+    return math.log(4.0 * math.pi) + hi + math.log(sum(math.exp(x - hi) for x in terms))
+
+
 def analytic_min_weighted_energy(pair: AnnulusPair) -> float:
     """Minimum of the weighted energy over homeomorphisms between the
     shells of a pair:
@@ -244,12 +268,12 @@ def analytic_min_weighted_energy(pair: AnnulusPair) -> float:
     """
     pair.require_weighted()
     r, R = pair.r, pair.R
-    ratio = pair.R_star / pair.r_star
-    if 0.0 < ratio < math.inf:
-        ell = math.log(ratio)
-    else:  # the quotient overflows for extreme radii; its log does not
-        ell = math.log(pair.R_star) - math.log(pair.r_star)
-    return 4.0 * math.pi * (2.0 * (R - r) + r * R * ell * ell / (R - r))
+    ell = _log_ratio(pair)
+    value = 4.0 * math.pi * (2.0 * (R - r) + r * R * ell * ell / (R - r))
+    if math.isfinite(value):
+        return value
+    # r * R overflows for extreme radii; the minimum itself may not
+    return _exp_or_inf(_log_min_weighted_energy(pair))
 
 
 def dirichlet_lower_bound(pair: AnnulusPair) -> float:
@@ -260,11 +284,15 @@ def dirichlet_lower_bound(pair: AnnulusPair) -> float:
     ``integral(|Df|^2) >= r_star^2 * integral(|Df|^2 / |f|^2)``, and the
     right side is at least ``r_star^2`` times the weighted minimum.  The
     bound is strictly below the harmonic-map energy whenever the latter
-    exists.  A bound beyond the float range is ``inf``.
+    exists.  A bound beyond the float range is ``inf``; one below it is 0.
     """
     pair.require_weighted()
     try:
         scale = pair.r_star**2
     except OverflowError:
-        return math.inf
-    return scale * analytic_min_weighted_energy(pair)
+        scale = math.inf
+    bound = scale * analytic_min_weighted_energy(pair)
+    if 0.0 < bound < math.inf:
+        return bound
+    # a factor left the float range; the product need not have
+    return _exp_or_inf(2.0 * math.log(pair.r_star) + _log_min_weighted_energy(pair))

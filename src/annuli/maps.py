@@ -335,13 +335,19 @@ def as_sampled_map(f: AnnulusMap, fd_step: float = 1e-5) -> SampledMap:
     return SampledMap(evaluator=lambda points: map_eval_many(f, points), fd_step=fd_step)
 
 
-def invert_values(vals: np.ndarray, a: float) -> np.ndarray:
-    """Apply the sphere inversion ``y -> a * y / |y|^2`` to the rows of
-    an ``(N, 3)`` array of map values."""
-    nsq = np.einsum("ij,ij->i", vals, vals)
-    if np.any(nsq <= 1e-300):
-        raise EvaluationError("map value hit the origin; inversion undefined")
-    return a * vals / nsq[:, None]
+def sphere_inversion(a: float):
+    """The sphere inversion ``y -> a * y / |y|^2`` on the rows of an
+    ``(N, 3)`` array of map values; raises if a value hits the origin."""
+    if not (a > 0.0 and math.isfinite(a)):
+        raise ValueError("inversion scale must be positive and finite")
+
+    def invert(vals: np.ndarray) -> np.ndarray:
+        nsq = np.einsum("ij,ij->i", vals, vals)
+        if np.any(nsq <= 1e-300):
+            raise EvaluationError("map value hit the origin; inversion undefined")
+        return a * vals / nsq[:, None]
+
+    return invert
 
 
 def inversion_transform(f: AnnulusMap, a: float = 1.0) -> SampledMap:
@@ -350,11 +356,10 @@ def inversion_transform(f: AnnulusMap, a: float = 1.0) -> SampledMap:
     The weighted energy is invariant under this composition; the image
     annulus radii become ``a / R_star`` and ``a / r_star``.
     """
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError("inversion scale must be positive and finite")
+    invert = sphere_inversion(a)
 
     def evaluator(points: np.ndarray) -> np.ndarray:
-        return invert_values(map_eval_many(f, points), a)
+        return invert(map_eval_many(f, points))
 
     step = f.fd_step if isinstance(f, SampledMap) else 1e-5
     return SampledMap(evaluator=evaluator, fd_step=step)

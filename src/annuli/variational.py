@@ -83,9 +83,9 @@ def _interval_coefficients(grid: RadialGrid) -> np.ndarray:
             # integral of t^2 against a K linear in t over one interval
             m = (t[:-1] ** 2 + t[:-1] * t[1:] + t[1:] ** 2) / 3.0
         a = m / dt
-    bad = np.nonzero(~np.isfinite(a))[0]
-    if bad.size:
-        i = int(bad[0])
+    # a max() that is finite means every entry is; it needs no temporary
+    if not math.isfinite(a.max()):
+        i = int(np.nonzero(~np.isfinite(a))[0][0])
         raise EvaluationError(
             f"interval stiffness a_{i} = {a[i]} on [{t[i]:.6g}, {t[i + 1]:.6g}] is not finite; "
             "the radii are too large for floating point"

@@ -16,12 +16,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .energy import (
+    _weighted_energies_with_inversion,
     analytic_min_weighted_energy,
     dirichlet_energy,
     dirichlet_lower_bound,
     reduced_energy,
     weighted_energy,
-    weighted_energy_with_inversion,
 )
 from .errors import ConfigError
 from .geometry import (
@@ -334,7 +334,8 @@ def check_inversion_invariance(pair: AnnulusPair, n_maps: int = 50, seed: int = 
         else:
             f = _angular_competitor(pair, rng)
         a = scales[i % len(scales)]
-        e_f, e_g = weighted_energy_with_inversion(f, pair, a, fd_radial_order, fd_sphere_order)
+        e_f, e_g = _weighted_energies_with_inversion(f, pair, a, fd_radial_order,
+                                                     fd_sphere_order)
         if kind == 0:
             e_f = weighted_energy(f, pair, fd_radial_order, fd_sphere_order, refine=False).value
         worst = max(worst, abs(e_f - e_g) / max(abs(e_f), 1.0))

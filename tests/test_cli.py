@@ -228,6 +228,15 @@ class TestSweepCommand:
         assert code == 2 and "invalid pair" in err
 
 
+# the start of the error line, where it should name the cause
+_ERROR_CAUSES = {
+    "energy --r 1 --R 1e300 --rstar 1 --Rstar 2":
+        "error: EvaluationError: radial energy integral is not finite",
+    "minimize --r 1 --R 1e300 --rstar 1 --Rstar 2 --grid-n 10":
+        "error: EvaluationError: interval stiffness a_0 = inf",
+}
+
+
 class TestNoTraceback:
     @pytest.mark.parametrize("argv, expected", [
         # a grid this fine would need arrays of 745 GiB
@@ -249,15 +258,8 @@ class TestNoTraceback:
         code, _, err = run_cli(capsys, *argv)
         assert code == expected
         assert "Traceback" not in err
-        assert err.startswith("error: ") and err.count("\n") == 1
-
-    def test_overflow_errors_name_their_cause(self, capsys):
-        _, _, err = run_cli(capsys, "energy", "--r", "1", "--R", "1e300",
-                            "--rstar", "1", "--Rstar", "2")
-        assert err.startswith("error: EvaluationError: radial energy integral is not finite")
-        _, _, err = run_cli(capsys, "minimize", "--r", "1", "--R", "1e300",
-                            "--rstar", "1", "--Rstar", "2", "--grid-n", "10")
-        assert err.startswith("error: EvaluationError: interval stiffness a_0 = inf")
+        assert err.startswith(_ERROR_CAUSES.get(" ".join(argv), "error: "))
+        assert err.count("\n") == 1
 
     def test_extreme_target_ratio_keeps_a_finite_minimum(self, capsys):
         # R_star / r_star overflows, yet the minimum is about 4.8e7

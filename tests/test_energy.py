@@ -17,8 +17,8 @@ from annuli import (
     random_mobius,
     reduced_energy,
     weighted_energy,
-    weighted_energy_with_inversion,
 )
+from annuli.energy import _weighted_energies_with_inversion
 from annuli.verify import (
     _angular_competitor,
     _smooth_bump_map,
@@ -56,6 +56,19 @@ class TestAnalyticMinimum:
         ell = 600.0 * math.log(10.0)
         expect = 4.0 * PI * (2.0 + 2.0 * ell * ell)
         assert math.isclose(analytic_min_weighted_energy(pair), expect, rel_tol=1e-12)
+
+    def test_radii_product_beyond_float_range(self):
+        # r * R overflows; the minimum, about 8 pi 1e300, does not
+        r, R = 1e200, 1e300
+        pair = AnnulusPair.from_radii(r, R, 1.0, 2.0)
+        ell = math.log(2.0)
+        expect = 4.0 * PI * (2.0 * (R - r) + r * (R / (R - r)) * ell * ell)
+        assert math.isclose(analytic_min_weighted_energy(pair), expect, rel_tol=1e-12)
+
+    def test_minimum_beyond_float_range_is_inf(self):
+        # 2 (R - r) overflows
+        pair = AnnulusPair.from_radii(1.0, 1e308, 1.0, 2.0)
+        assert analytic_min_weighted_energy(pair) == math.inf
 
 
 class TestReducedEnergy:
@@ -145,14 +158,14 @@ def _inversion_test_map(kind, pair, rng):
     return _angular_competitor(pair, rng)
 
 
-class TestWeightedEnergyWithInversion:
+class TestWeightedEnergiesWithInversion:
     @pytest.mark.parametrize("kind", ["radial", "bump", "angular"])
     @pytest.mark.parametrize("scale", ["0.5", "1", "r*R*"])
     def test_equals_separate_fd_routes(self, canonical_pair, rng, kind, scale):
         pair = canonical_pair
         a = {"0.5": 0.5, "1": 1.0, "r*R*": pair.r_star * pair.R_star}[scale]
         f = _inversion_test_map(kind, pair, rng)
-        e_f, e_g = weighted_energy_with_inversion(f, pair, a, 32, 16)
+        e_f, e_g = _weighted_energies_with_inversion(f, pair, a, 32, 16)
         g = inversion_transform(f, a)
         assert e_g == weighted_energy(g, pair, 32, 16, refine=False).value
         sampled = as_sampled_map(f)
@@ -164,14 +177,14 @@ class TestWeightedEnergyWithInversion:
             return np.zeros_like(pts)
 
         with pytest.raises(EvaluationError, match="hit the origin"):
-            weighted_energy_with_inversion(SampledMap(evaluator=collapse), canonical_pair,
-                                           1.0, radial_order=8, sphere_order=4)
+            _weighted_energies_with_inversion(SampledMap(evaluator=collapse), canonical_pair,
+                                              1.0, radial_order=8, sphere_order=4)
 
     @pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_scale(self, canonical_pair, a):
         f = GeneralizedRadialMap(exp_profile_from_boundary(canonical_pair, "increasing"))
         with pytest.raises(ValueError, match="inversion scale"):
-            weighted_energy_with_inversion(f, canonical_pair, a)
+            _weighted_energies_with_inversion(f, canonical_pair, a, 32, 16)
 
 
 class TestDirichletEnergy:
@@ -223,6 +236,18 @@ class TestLowerBound:
         # r_star^2 overflows
         pair = AnnulusPair.from_radii(1.0, 2.0, 1e200, 1e300)
         assert dirichlet_lower_bound(pair) == math.inf
+
+    @pytest.mark.parametrize("radii, expect", [
+        # r_star^2 underflows to 0 and r * R overflows: 0 * inf was nan
+        ((1e200, 1e300, 1e-300, 1.0), 8.0 * PI * 1e-300),
+        # r_star^2 underflows to 0 and the minimum overflows
+        ((1.0, 1.7e308, 1e-300, 1.0), 8.0 * PI * 1.7e-292),
+        # the minimum overflows, the bound does not
+        ((1.0, 1e308, 1e-100, 1.0), 8.0 * PI * 1e108),
+    ])
+    def test_bound_with_a_factor_beyond_float_range(self, radii, expect):
+        bound = dirichlet_lower_bound(AnnulusPair.from_radii(*radii))
+        assert math.isclose(bound, expect, rel_tol=1e-12)
 
     def test_bound_holds_for_actual_maps(self, rng):
         for _ in range(5):
