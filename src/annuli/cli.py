@@ -308,7 +308,10 @@ def cmd_minimize(cfg: RunConfig) -> tuple[str, int]:
     t = grid.nodes
     h_closed = closed.eval(t)
     residual = np.full(t.size, math.nan)
-    residual[1:-1] = el_residual(sol.profile, t[1:-1])
+    # a diagnostic column: where extreme radii take a residual out of the
+    # float range it prints as nan or inf, like the endpoint rows
+    with np.errstate(all="ignore"):
+        residual[1:-1] = el_residual(sol.profile, t[1:-1])
     analytic = analytic_min_weighted_energy(pair)
     rows = [
         {
@@ -374,8 +377,11 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
 
 def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
     base = dict(cfg.base_radii)
-    axes = [(param, np.linspace(start, stop, count))
-            for param, start, stop, count in cfg.sweeps]
+    # spans near the float limits overflow in linspace; the pair check
+    # below rejects every value that came out inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        axes = [(param, np.linspace(start, stop, count))
+                for param, start, stop, count in cfg.sweeps]
     combos = [{}]
     for param, values in axes:
         combos = [dict(c, **{param: float(v)}) for c in combos for v in values]

@@ -18,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError
-from .geometry import Annulus, AnnulusPair, gauss_legendre, make_sphere_quadrature
+from .geometry import Annulus, AnnulusPair, _log_ratio, gauss_legendre, make_sphere_quadrature
 from .maps import (
     AnnulusMap,
     GeneralizedRadialMap,
     RadialProfile,
-    SampledMap,
     SampledProfile,
+    _FD_STEP,
     map_eval_many,
     sphere_inversion,
 )
@@ -68,7 +68,9 @@ def _profile_quadrature(profile: RadialProfile, annulus: Annulus, order: int):
         wq = np.concatenate([0.5 * dt, 0.5 * dt])
         return tq, wq, hq, hdq
     tq, wq = gauss_legendre(annulus.inner, annulus.outer, order)
-    return tq, wq, profile.eval(tq), profile.derivative(tq, 1)
+    # extreme radii overflow here; _radial_integral raises on the result
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return tq, wq, profile.eval(tq), profile.derivative(tq, 1)
 
 
 def _require_positive(h: np.ndarray, t: np.ndarray):
@@ -137,7 +139,7 @@ def _same(vals: np.ndarray) -> np.ndarray:
 
 
 def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_order: int,
-                 weighted: bool, fd_step: float | None, views=(_same,)) -> list[float]:
+                 weighted: bool, views=(_same,)) -> list[float]:
     """FD energies of ``view(f)`` for each ``view`` of the map values,
     all differentiated from one evaluation of ``f`` on the stencil.
 
@@ -145,12 +147,10 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     the centres) rather than in one call over all seven shifts, whose
     arrays would be seven times larger and fall out of cache.
     """
-    if fd_step is None:
-        fd_step = f.fd_step if isinstance(f, SampledMap) else 1e-5
     t, wt = gauss_legendre(pair.domain.inner, pair.domain.outer, radial_order)
     quad = make_sphere_quadrature(sphere_order)
     centers = (t[:, None, None] * quad.nodes[None, :, :]).reshape(-1, 3)
-    steps = np.repeat(fd_step * t, quad.nodes.shape[0])
+    steps = np.repeat(_FD_STEP * t, quad.nodes.shape[0])
     density = np.zeros((len(views), centers.shape[0]))
     for k in range(3):
         shift = np.zeros(3)
@@ -184,7 +184,7 @@ def _check_orders(pair: AnnulusPair, radial_order: int, sphere_order: int, weigh
 
 
 def _energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_order: int,
-            refine: bool, weighted: bool, fd_step: float | None) -> EnergyReport:
+            refine: bool, weighted: bool) -> EnergyReport:
     _check_orders(pair, radial_order, sphere_order, weighted)
     if isinstance(f, GeneralizedRadialMap):
         split = _decomposed_weighted if weighted else _decomposed_dirichlet
@@ -195,20 +195,19 @@ def _energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_order: i
             r2, s2 = split(f, pair, 2 * radial_order, 2 * sphere_order)
             delta = abs((r2 + s2) - value)
         return EnergyReport(value, radial, spherical, (radial_order, sphere_order), delta)
-    [value] = _fd_energies(f, pair, radial_order, sphere_order, weighted, fd_step)
+    [value] = _fd_energies(f, pair, radial_order, sphere_order, weighted)
     delta = None
     if refine:
-        [v2] = _fd_energies(f, pair, 2 * radial_order, 2 * sphere_order, weighted, fd_step)
+        [v2] = _fd_energies(f, pair, 2 * radial_order, 2 * sphere_order, weighted)
         delta = abs(v2 - value)
     return EnergyReport(value, None, None, (radial_order, sphere_order), delta)
 
 
 def weighted_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int = 64,
-                    sphere_order: int = 32, refine: bool = True,
-                    fd_step: float | None = None) -> EnergyReport:
+                    sphere_order: int = 32, refine: bool = True) -> EnergyReport:
     """Weighted Dirichlet energy ``integral(|Df|^2 / |f|^2)`` over the
     domain annulus."""
-    return _energy(f, pair, radial_order, sphere_order, refine, True, fd_step)
+    return _energy(f, pair, radial_order, sphere_order, refine, True)
 
 
 def _weighted_energies_with_inversion(f: AnnulusMap, pair: AnnulusPair, a: float,
@@ -221,24 +220,14 @@ def _weighted_energies_with_inversion(f: AnnulusMap, pair: AnnulusPair, a: float
     """
     invert = sphere_inversion(a)
     _check_orders(pair, radial_order, sphere_order, True)
-    return tuple(_fd_energies(f, pair, radial_order, sphere_order, True, None,
-                              (_same, invert)))
+    return tuple(_fd_energies(f, pair, radial_order, sphere_order, True, (_same, invert)))
 
 
 def dirichlet_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int = 64,
-                     sphere_order: int = 32, refine: bool = True,
-                     fd_step: float | None = None) -> EnergyReport:
+                     sphere_order: int = 32, refine: bool = True) -> EnergyReport:
     """Plain Dirichlet energy ``integral(|Df|^2)`` over the domain
     annulus."""
-    return _energy(f, pair, radial_order, sphere_order, refine, False, fd_step)
-
-
-def _log_ratio(pair: AnnulusPair) -> float:
-    ratio = pair.R_star / pair.r_star
-    if 0.0 < ratio < math.inf:
-        return math.log(ratio)
-    # the quotient overflows for extreme radii; its log does not
-    return math.log(pair.R_star) - math.log(pair.r_star)
+    return _energy(f, pair, radial_order, sphere_order, refine, False)
 
 
 def _exp_or_inf(x: float) -> float:
@@ -253,7 +242,7 @@ def _log_min_weighted_energy(pair: AnnulusPair) -> float:
     term of the sum is taken in logs."""
     r, R = pair.r, pair.R
     terms = [math.log(2.0) + math.log(R - r)]
-    ell = abs(_log_ratio(pair))
+    ell = abs(_log_ratio(pair.R_star, pair.r_star))
     if ell > 0.0:
         terms.append(math.log(r) + math.log(R) + 2.0 * math.log(ell) - math.log(R - r))
     hi = max(terms)
@@ -268,7 +257,7 @@ def analytic_min_weighted_energy(pair: AnnulusPair) -> float:
     """
     pair.require_weighted()
     r, R = pair.r, pair.R
-    ell = _log_ratio(pair)
+    ell = _log_ratio(pair.R_star, pair.r_star)
     value = 4.0 * math.pi * (2.0 * (R - r) + r * R * ell * ell / (R - r))
     if math.isfinite(value):
         return value

@@ -49,6 +49,15 @@ class Annulus:
         return self.inner == self.outer
 
 
+def _log_ratio(hi: float, lo: float) -> float:
+    """``log(hi / lo)`` of two positive radii."""
+    ratio = hi / lo
+    if 0.0 < ratio < math.inf:
+        return math.log(ratio)
+    # the quotient leaves the float range for extreme radii; its log does not
+    return math.log(hi) - math.log(lo)
+
+
 @dataclass(frozen=True)
 class AnnulusPair:
     """Domain and target shells of a mapping problem."""

@@ -15,8 +15,11 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .geometry import Annulus, AnnulusPair, RadialGrid, row_norms, tangent_frame
+from .geometry import Annulus, AnnulusPair, RadialGrid, _log_ratio, row_norms, tangent_frame
 from .sphere_maps import MobiusTransform, mobius_apply_points, mobius_pushforward
+
+# central-difference step of every map differential, relative to |x|
+_FD_STEP = 1e-5
 
 
 def _as_floats(t):
@@ -204,9 +207,15 @@ def exp_profile_from_boundary(pair: AnnulusPair, orientation: str = "increasing"
         lo, hi = pair.R_star, pair.r_star
     else:
         raise ValueError("orientation must be 'increasing' or 'decreasing'")
-    ell = math.log(hi / lo)
-    a = lo * math.exp(ell * R / (R - r))
+    ell = _log_ratio(hi, lo)
+    try:
+        a = lo * math.exp(ell * R / (R - r))
+    except OverflowError:
+        a = math.inf
     b = -ell * r * R / (R - r)
+    if not (0.0 < a < math.inf and math.isfinite(b)):
+        raise EvaluationError(f"{orientation} exponential profile a exp(b / t) has a = {a!r}, "
+                              f"b = {b!r}; the radii are too extreme for floating point")
     return ExponentialProfile(a=a, b=b)
 
 
@@ -235,16 +244,10 @@ class SampledMap:
     """Map backed by a vectorized evaluator.
 
     ``evaluator`` must accept an ``(N, 3)`` array and return the mapped
-    ``(N, 3)`` array.  ``fd_step`` is the relative step used when the
-    map is differentiated by central differences.
+    ``(N, 3)`` array.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    fd_step: float = 1e-5
-
-    def __post_init__(self):
-        if not (0.0 < self.fd_step < 1e-1):
-            raise ValueError("fd_step must be a small positive relative step")
 
 
 AnnulusMap = Union[GeneralizedRadialMap, SampledMap]
@@ -307,15 +310,13 @@ def map_differential(f: GeneralizedRadialMap, x) -> np.ndarray:
     return d
 
 
-def map_differential_fd(f: AnnulusMap, x, fd_step: float | None = None) -> np.ndarray:
+def map_differential_fd(f: AnnulusMap, x) -> np.ndarray:
     """Central-difference 3x3 differential, step relative to ``|x|``."""
     x = np.asarray(x, dtype=float)
     t = float(np.linalg.norm(x))
     if t <= 0.0:
         raise DomainError("differential undefined at the origin")
-    if fd_step is None:
-        fd_step = f.fd_step if isinstance(f, SampledMap) else 1e-5
-    h = fd_step * t
+    h = _FD_STEP * t
     dom = f.domain() if isinstance(f, GeneralizedRadialMap) else None
     if dom is not None and (t - h < dom.inner or t + h > dom.outer):
         raise DomainError("not enough margin to the annulus boundary for the step")
@@ -324,7 +325,7 @@ def map_differential_fd(f: AnnulusMap, x, fd_step: float | None = None) -> np.nd
     return (vals[:3] - vals[3:]).T / (2.0 * h)
 
 
-def as_sampled_map(f: AnnulusMap, fd_step: float = 1e-5) -> SampledMap:
+def as_sampled_map(f: AnnulusMap) -> SampledMap:
     """Wrap any map as a :class:`SampledMap`.
 
     Useful to force the finite-difference energy route on a map that
@@ -332,7 +333,7 @@ def as_sampled_map(f: AnnulusMap, fd_step: float = 1e-5) -> SampledMap:
     """
     if isinstance(f, SampledMap):
         return f
-    return SampledMap(evaluator=lambda points: map_eval_many(f, points), fd_step=fd_step)
+    return SampledMap(evaluator=lambda points: map_eval_many(f, points))
 
 
 def sphere_inversion(a: float):
@@ -361,8 +362,7 @@ def inversion_transform(f: AnnulusMap, a: float = 1.0) -> SampledMap:
     def evaluator(points: np.ndarray) -> np.ndarray:
         return invert(map_eval_many(f, points))
 
-    step = f.fd_step if isinstance(f, SampledMap) else 1e-5
-    return SampledMap(evaluator=evaluator, fd_step=step)
+    return SampledMap(evaluator=evaluator)
 
 
 def perturbed_profile(

@@ -20,6 +20,8 @@ from . import _kernels
 from .geometry import SphericalQuadrature, TangentFrame, row_norms, tangent_frame, tangent_frames
 
 _DET_TOL = 1e-12
+# angle of the centred great-circle differences of a callable sphere map
+_GREAT_CIRCLE_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -204,12 +206,7 @@ def _tangent_derivatives_fd(s: Callable[[np.ndarray], np.ndarray], etas: np.ndar
     return du, dv
 
 
-def sphere_inequality_integral(
-    mapping: SphereMap,
-    t: float,
-    quad: SphericalQuadrature,
-    fd_step: float = 1e-6,
-) -> float:
+def sphere_inequality_integral(mapping: SphereMap, t: float, quad: SphericalQuadrature) -> float:
     """Integral of the tangential energy density of a shell map.
 
     For a map ``S(x) = mapping(x / |x|)`` restricted to the sphere of
@@ -225,7 +222,7 @@ def sphere_inequality_integral(
         du = mobius_pushforward(mapping, quad.nodes, u)
         dv = mobius_pushforward(mapping, quad.nodes, v)
     else:
-        du, dv = _tangent_derivatives_fd(mapping, quad.nodes, u, v, fd_step)
+        du, dv = _tangent_derivatives_fd(mapping, quad.nodes, u, v, _GREAT_CIRCLE_STEP)
     density = np.einsum("ij,ij->i", du, du) + np.einsum("ij,ij->i", dv, dv)
     # the 1/t^2 from each derivative cancels the t^2 area element
     return float(quad.weights @ density)

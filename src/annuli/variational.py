@@ -23,15 +23,21 @@ from .maps import RadialProfile, SampledProfile, exp_profile_from_boundary
 _FOUR_PI = 4.0 * math.pi
 
 
-def el_residual(profile: RadialProfile, t):
-    """Residual ``2 H H' - t H'^2 + t H H''`` of the radial
-    Euler-Lagrange equation; zero exactly on ``a * exp(b / t)``."""
+def _residual_radii(profile: RadialProfile, t):
+    """Radii as a float array plus whether ``t`` was a scalar; sampled
+    profiles only have residuals at interior radii."""
     t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
     if isinstance(profile, SampledProfile):
         a = profile.annulus
         if np.any(t_arr <= a.inner) or np.any(t_arr >= a.outer):
             raise DomainError("residual of a sampled profile needs interior radii")
+    return t_arr, t_arr.ndim == 0
+
+
+def el_residual(profile: RadialProfile, t):
+    """Residual ``2 H H' - t H'^2 + t H H''`` of the radial
+    Euler-Lagrange equation; zero exactly on ``a * exp(b / t)``."""
+    t_arr, scalar = _residual_radii(profile, t)
     h = profile.eval(t_arr)
     hd = profile.derivative(t_arr, 1)
     hdd = profile.derivative(t_arr, 2)
@@ -46,12 +52,7 @@ def weighted_harmonic_residual(profile: RadialProfile, t):
     minus the coefficient demanded by the first-variation identity; the
     result equals ``el_residual / (t^2 H)``, so the two vanish together.
     """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    if isinstance(profile, SampledProfile):
-        a = profile.annulus
-        if np.any(t_arr <= a.inner) or np.any(t_arr >= a.outer):
-            raise DomainError("residual of a sampled profile needs interior radii")
+    t_arr, scalar = _residual_radii(profile, t)
     h = profile.eval(t_arr)
     if np.any(np.abs(h) < 1e-300):
         raise EvaluationError("profile vanishes; weighted residual is singular")
@@ -83,12 +84,13 @@ def _interval_coefficients(grid: RadialGrid) -> np.ndarray:
             # integral of t^2 against a K linear in t over one interval
             m = (t[:-1] ** 2 + t[:-1] * t[1:] + t[1:] ** 2) / 3.0
         a = m / dt
-    # a max() that is finite means every entry is; it needs no temporary
-    if not math.isfinite(a.max()):
-        i = int(np.nonzero(~np.isfinite(a))[0][0])
+    # t^2 overflows for huge radii and underflows to zero for tiny ones;
+    # a positive min() and a finite max() need no temporary
+    if not (a.min() > 0.0 and math.isfinite(a.max())):
+        i = int(np.nonzero(~(np.isfinite(a) & (a > 0.0)))[0][0])
         raise EvaluationError(
-            f"interval stiffness a_{i} = {a[i]} on [{t[i]:.6g}, {t[i + 1]:.6g}] is not finite; "
-            "the radii are too large for floating point"
+            f"interval stiffness a_{i} = {a[i]} on [{t[i]:.6g}, {t[i + 1]:.6g}] is not positive "
+            "and finite; the radii are too extreme for floating point"
         )
     return a
 

@@ -3,9 +3,10 @@
 Every check compares an independently computed quantity against a
 closed form or a structural bound, records the outcome in a
 :class:`CheckResult`, and never raises on a mere numerical failure.
-``run_suite`` executes the full battery in a fixed order from a single
-seed, so two runs with the same configuration produce byte-identical
-serialized reports (wall time is reported separately, not serialized).
+Each check takes one :class:`VerifyConfig`, the only holder of every
+setting.  ``run_suite`` executes the five checks in a fixed order, so
+two runs with the same configuration produce byte-identical serialized
+reports (wall time is reported separately, not serialized).
 """
 from __future__ import annotations
 
@@ -27,13 +28,16 @@ from .errors import ConfigError
 from .geometry import (
     Annulus,
     AnnulusPair,
+    _log_ratio,
     make_radial_grid,
     make_sphere_quadrature,
     row_norms,
     tangent_frames,
 )
 from .maps import (
+    ExponentialProfile,
     GeneralizedRadialMap,
+    HarmonicProfile,
     SampledMap,
     as_sampled_map,
     exp_profile_from_boundary,
@@ -45,7 +49,6 @@ from .nitsche import (
     harmonic_radial_bvp,
     nitsche_condition,
 )
-from .maps import ExponentialProfile, HarmonicProfile
 from .sphere_maps import (
     MobiusTransform,
     mobius_apply_points,
@@ -62,6 +65,7 @@ from .variational import (
 )
 
 EIGHT_PI = 8.0 * math.pi
+_SHELL_RADII = (1.0, 2.0, 5.0)  # where the sharp 8 pi value is checked
 DEFAULT_PAIR = AnnulusPair.from_radii(1.0, 2.0, 1.0, math.e)
 
 
@@ -224,7 +228,7 @@ def _angular_competitor(pair: AnnulusPair, rng: np.random.Generator) -> SampledM
     rot = random_mobius(rng)
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    ell = math.log(pair.R_star / pair.r_star)
+    ell = _log_ratio(pair.R_star, pair.r_star)
     cap = 0.4 * ell * pair.r / (math.pi * pair.R)
     amp = rng.uniform(0.3, 1.0) * cap
     r, width = pair.r, pair.domain.width
@@ -244,13 +248,11 @@ def _angular_competitor(pair: AnnulusPair, rng: np.random.Generator) -> SampledM
 # Checks.
 
 
-def check_minimal_energy(pair: AnnulusPair, n_competitors: int = 50, seed: int = 42,
-                   radial_order: int = 64, sphere_order: int = 32,
-                   fd_radial_order: int = 32, fd_sphere_order: int = 16,
-                   closed_form_tol: float = 1e-8, grid_n: int = 1000) -> list[CheckResult]:
+def check_minimal_energy(config: VerifyConfig) -> list[CheckResult]:
     """Minimal-energy value, minimizer structure, and the lower bound
     against perturbed competitors."""
-    rng = np.random.default_rng([seed, 1])
+    pair = config.pair
+    rng = np.random.default_rng([config.seed, 1])
     results: list[CheckResult] = []
     target = analytic_min_weighted_energy(pair)
 
@@ -260,10 +262,10 @@ def check_minimal_energy(pair: AnnulusPair, n_competitors: int = 50, seed: int =
         profile = exp_profile_from_boundary(pair, orientation)
         for t in transforms:
             rep = weighted_energy(GeneralizedRadialMap(profile, t), pair,
-                                  radial_order, sphere_order, refine=False)
+                                  config.radial_order, config.sphere_order, refine=False)
             worst = max(worst, abs(rep.value - target) / target)
     results.append(_equality(
-        "minimal-energy-analytic-vs-numeric", worst, 0.0, closed_form_tol,
+        "minimal-energy-analytic-vs-numeric", worst, 0.0, config.closed_form_tol,
         "max relative gap over both minimizers and 4 rotations"))
 
     inc = exp_profile_from_boundary(pair, "increasing")
@@ -274,25 +276,26 @@ def check_minimal_energy(pair: AnnulusPair, n_competitors: int = 50, seed: int =
         "minimizer-profiles-multiply-to-constant", prod_err, 0.0,
         1e-12 * pair.r_star * pair.R_star))
 
-    n_angular = n_competitors // 3
-    n_radial = n_competitors - n_angular
+    n_angular = config.n_competitors // 3
+    n_radial = config.n_competitors - n_angular
     grid = make_radial_grid(pair.domain, 200)
     min_gap = math.inf
     for i in range(n_radial):
         amp = rng.uniform(0.02, 0.5)
         mode = int(rng.integers(1, 5))
         prof = perturbed_profile(inc, amp, mode, seed=int(rng.integers(2**31)), grid=grid)
-        e = reduced_energy(prof, pair.domain, radial_order)
+        e = reduced_energy(prof, pair.domain, config.radial_order)
         min_gap = min(min_gap, e - target)
     for i in range(n_angular):
         f = _angular_competitor(pair, rng)
-        rep = weighted_energy(f, pair, fd_radial_order, fd_sphere_order, refine=False)
+        rep = weighted_energy(f, pair, config.fd_radial_order, config.fd_sphere_order, refine=False)
         min_gap = min(min_gap, rep.value - target)
     results.append(_lower_bound(
         "competitor-energies-above-minimum", min_gap, 0.0, 1e-6,
         f"{n_radial} radial and {n_angular} angular perturbations"))
 
     gaps = []
+    grid_n = config.grid_n
     for n in (grid_n // 4, grid_n // 2, grid_n):
         sol = minimize_reduced_energy(pair, make_radial_grid(pair.domain, n))
         gaps.append(sol.energy - target)
@@ -307,20 +310,21 @@ def check_minimal_energy(pair: AnnulusPair, n_competitors: int = 50, seed: int =
     return results
 
 
-def check_inversion_invariance(pair: AnnulusPair, n_maps: int = 50, seed: int = 42,
-                               fd_radial_order: int = 32, fd_sphere_order: int = 16,
-                               rel_tol: float = 2e-4) -> CheckResult:
+def check_inversion_invariance(config: VerifyConfig) -> list[CheckResult]:
     """Weighted energy is unchanged by composing with ``y -> a y / |y|^2``.
 
     The composed map always goes through the finite-difference route,
     differentiated from the same stencil samples as the map itself.
     Generalized radial maps take the decomposition route for their own
-    energy, so this doubles as a cross-check of the two quadrature paths.
+    energy, so this doubles as a cross-check of the two quadrature paths;
+    the tolerance is twice the FD energy tolerance, one per route.
     """
-    rng = np.random.default_rng([seed, 2])
+    pair = config.pair
+    orders = (config.fd_radial_order, config.fd_sphere_order)
+    rng = np.random.default_rng([config.seed, 2])
     scales = (0.5, 1.0, pair.r_star * pair.R_star)
     worst = 0.0
-    for i in range(n_maps):
+    for i in range(config.n_inversion_maps):
         kind = i % 3
         if kind == 0:
             orientation = "increasing" if i % 2 == 0 else "decreasing"
@@ -334,32 +338,33 @@ def check_inversion_invariance(pair: AnnulusPair, n_maps: int = 50, seed: int = 
         else:
             f = _angular_competitor(pair, rng)
         a = scales[i % len(scales)]
-        e_f, e_g = _weighted_energies_with_inversion(f, pair, a, fd_radial_order,
-                                                     fd_sphere_order)
+        e_f, e_g = _weighted_energies_with_inversion(f, pair, a, *orders)
         if kind == 0:
-            e_f = weighted_energy(f, pair, fd_radial_order, fd_sphere_order, refine=False).value
+            e_f = weighted_energy(f, pair, *orders, refine=False).value
         worst = max(worst, abs(e_f - e_g) / max(abs(e_f), 1.0))
-    return _equality("inversion-invariance-of-weighted-energy", worst, 0.0, rel_tol,
-                     f"{n_maps} maps at scales 0.5; 1; r*R*")
+    return [_equality("inversion-invariance-of-weighted-energy", worst, 0.0,
+                      2.0 * config.fd_energy_rel_tol,
+                      f"{config.n_inversion_maps} maps at scales 0.5; 1; r*R*")]
 
 
-def check_sphere_inequality(n_transforms: int = 20, n_perturbations: int = 20,
-                            t_values=(1.0, 2.0, 5.0), seed: int = 42,
-                            quad_order: int = 32, tol: float = 1e-8) -> list[CheckResult]:
+def check_sphere_inequality(config: VerifyConfig) -> list[CheckResult]:
     """Tangential shell energy: exactly ``8 pi`` for Moebius transforms,
     strictly larger for non-conformal surjections, and the mapped area
     identity ``4 pi``."""
-    rng = np.random.default_rng([seed, 3])
-    quad = make_sphere_quadrature(quad_order)
+    rng = np.random.default_rng([config.seed, 3])
+    quad = make_sphere_quadrature(config.sphere_order)
+    tol = config.closed_form_tol
     results = []
 
-    transforms = [MobiusTransform.identity()] + [random_mobius(rng) for _ in range(n_transforms)]
+    transforms = [MobiusTransform.identity()]
+    transforms += [random_mobius(rng) for _ in range(config.n_transforms)]
     worst = 0.0
     for t in transforms:
-        for tv in t_values:
+        for tv in _SHELL_RADII:
             worst = max(worst, abs(sphere_inequality_integral(t, tv, quad) - EIGHT_PI))
     results.append(_equality("shell-energy-sharp-at-mobius", worst, 0.0, tol,
-                             f"{len(transforms)} transforms at radii {'; '.join(str(v) for v in t_values)}"))
+                             f"{len(transforms)} transforms at radii "
+                             f"{'; '.join(str(v) for v in _SHELL_RADII)}"))
 
     u, v = tangent_frames(quad.nodes)
     worst_area = 0.0
@@ -372,7 +377,7 @@ def check_sphere_inequality(n_transforms: int = 20, n_perturbations: int = 20,
                              "integral of the gram determinant over the sphere"))
 
     min_excess = math.inf
-    for _ in range(n_perturbations):
+    for _ in range(config.n_perturbations):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         amp = rng.uniform(0.15, 0.35)
@@ -383,27 +388,24 @@ def check_sphere_inequality(n_transforms: int = 20, n_perturbations: int = 20,
 
         min_excess = min(min_excess, sphere_inequality_integral(stretch, 1.0, quad) - EIGHT_PI)
     results.append(_lower_bound("shell-energy-strict-for-non-mobius", min_excess, 0.0, 0.0,
-                                f"{n_perturbations} non-conformal sphere bijections"))
+                                f"{config.n_perturbations} non-conformal sphere bijections"))
     return results
 
 
-def check_harmonic_bvp(pairs_seed: int = 42, n_pairs: int = 1000,
-                   fd_radial_order: int = 32, fd_sphere_order: int = 16,
-                   fd_energy_rel_tol: float = 1e-4,
-                   residual_tol: float = 1e-9) -> list[CheckResult]:
+def check_harmonic_bvp(config: VerifyConfig) -> list[CheckResult]:
     """Radial harmonic BVP: threshold equivalence, harmonicity, energy
     closed form, and its ordering against the universal lower bound."""
-    rng = np.random.default_rng([pairs_seed, 4])
+    rng = np.random.default_rng([config.seed, 4])
     results = []
 
     mismatches = 0
-    pairs = [random_annulus_pair(rng) for _ in range(n_pairs)]
+    pairs = [random_annulus_pair(rng) for _ in range(config.n_pairs)]
     for p in pairs:
         if nitsche_condition(p).admissible != harmonic_profile_monotone(p):
             mismatches += 1
     results.append(_equality("nitsche-threshold-matches-monotonicity",
                              float(mismatches), 0.0, 0.0,
-                             f"{n_pairs} random pairs"))
+                             f"{config.n_pairs} random pairs"))
 
     worst_res = 0.0
     for p in pairs[:50]:
@@ -412,17 +414,19 @@ def check_harmonic_bvp(pairs_seed: int = 42, n_pairs: int = 1000,
         res = prof.derivative(t, 2) + 2.0 * prof.derivative(t, 1) / t - 2.0 * prof.eval(t) / t**2
         worst_res = max(worst_res, float(np.max(np.abs(res))))
     results.append(_equality("harmonic-bvp-radial-laplacian-vanishes",
-                             worst_res, 0.0, residual_tol, "50 random pairs; 100 radii each"))
+                             worst_res, 0.0, config.residual_tol,
+                             "50 random pairs; 100 radii each"))
 
     admissible = [random_admissible_pair(rng) for _ in range(20)]
     worst_rel = 0.0
     for p in admissible:
         x = analytic_dirichlet_energy_radial(p)
         f = as_sampled_map(GeneralizedRadialMap(harmonic_radial_bvp(p)))
-        num = dirichlet_energy(f, p, fd_radial_order, fd_sphere_order, refine=False).value
+        num = dirichlet_energy(f, p, config.fd_radial_order, config.fd_sphere_order,
+                               refine=False).value
         worst_rel = max(worst_rel, abs(num - x) / x)
     results.append(_equality("harmonic-energy-closed-form-vs-quadrature",
-                             worst_rel, 0.0, fd_energy_rel_tol, "20 admissible pairs"))
+                             worst_rel, 0.0, config.fd_energy_rel_tol, "20 admissible pairs"))
 
     min_gap_rel = math.inf
     for p in admissible + [random_admissible_pair(rng) for _ in range(80)]:
@@ -443,11 +447,12 @@ def check_harmonic_bvp(pairs_seed: int = 42, n_pairs: int = 1000,
     return results
 
 
-def check_residuals(seed: int = 42, residual_tol: float = 1e-9) -> list[CheckResult]:
+def check_residuals(config: VerifyConfig) -> list[CheckResult]:
     """Pointwise identities: the Euler-Lagrange family, the weighted
     harmonicity reformulation, and the first-order form of the
     log-derivative density."""
-    rng = np.random.default_rng([seed, 5])
+    residual_tol = config.residual_tol
+    rng = np.random.default_rng([config.seed, 5])
     results = []
     t = np.linspace(0.8, 4.0, 100)
 
@@ -521,23 +526,12 @@ def run_suite(config: VerifyConfig | None = None) -> SuiteReport:
     if not isinstance(config, VerifyConfig):
         raise ConfigError("run_suite expects a VerifyConfig")
     start = time.perf_counter()
+    # plain calls, so a wrapper swapped into this module's namespace is used
     results: list[CheckResult] = []
-    results += check_residuals(seed=config.seed, residual_tol=config.residual_tol)
-    results += check_minimal_energy(
-        config.pair, n_competitors=config.n_competitors, seed=config.seed,
-        radial_order=config.radial_order, sphere_order=config.sphere_order,
-        fd_radial_order=config.fd_radial_order, fd_sphere_order=config.fd_sphere_order,
-        closed_form_tol=config.closed_form_tol, grid_n=config.grid_n)
-    results.append(check_inversion_invariance(
-        config.pair, n_maps=config.n_inversion_maps, seed=config.seed,
-        fd_radial_order=config.fd_radial_order, fd_sphere_order=config.fd_sphere_order,
-        rel_tol=2.0 * config.fd_energy_rel_tol))
-    results += check_sphere_inequality(
-        n_transforms=config.n_transforms, n_perturbations=config.n_perturbations,
-        seed=config.seed, quad_order=config.sphere_order, tol=config.closed_form_tol)
-    results += check_harmonic_bvp(
-        pairs_seed=config.seed, n_pairs=config.n_pairs,
-        fd_radial_order=config.fd_radial_order, fd_sphere_order=config.fd_sphere_order,
-        fd_energy_rel_tol=config.fd_energy_rel_tol, residual_tol=config.residual_tol)
+    results += check_residuals(config)
+    results += check_minimal_energy(config)
+    results += check_inversion_invariance(config)
+    results += check_sphere_inequality(config)
+    results += check_harmonic_bvp(config)
     wall = time.perf_counter() - start
     return SuiteReport(results=results, seed=config.seed, wall_time=wall)

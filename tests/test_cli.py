@@ -234,6 +234,12 @@ _ERROR_CAUSES = {
         "error: EvaluationError: radial energy integral is not finite",
     "minimize --r 1 --R 1e300 --rstar 1 --Rstar 2 --grid-n 10":
         "error: EvaluationError: interval stiffness a_0 = inf",
+    "minimize --r 5e-324 --R 1e-300 --rstar 1e-300 --Rstar 1 --grid-n 8":
+        "error: EvaluationError: interval stiffness a_0 = 0.0",
+    "energy --r 1 --R 2 --rstar 1e-300 --Rstar 1e300":
+        "error: EvaluationError: increasing exponential profile a exp(b / t) has a = inf",
+    "energy --r 1e200 --R 1e300 --rstar 1 --Rstar 2":
+        "error: EvaluationError: increasing exponential profile a exp(b / t) has a = 2.0, b = -inf",
 }
 
 
@@ -253,6 +259,13 @@ class TestNoTraceback:
         # and in the interval stiffness of the discrete energy
         (["minimize", "--r", "1", "--R", "1e300", "--rstar", "1", "--Rstar", "2",
           "--grid-n", "10"], 1),
+        # t^2 underflows to zero there, which made the tridiagonal solve divide 0 / 0
+        (["minimize", "--r", "5e-324", "--R", "1e-300", "--rstar", "1e-300", "--Rstar", "1",
+          "--grid-n", "8"], 1),
+        # a = 1e-300 exp(2 log(1e600)) of the minimizer H = a exp(b / t)
+        (["energy", "--r", "1", "--R", "2", "--rstar", "1e-300", "--Rstar", "1e300"], 1),
+        # b = -log(2) r R / (R - r) with r R = 1e500
+        (["energy", "--r", "1e200", "--R", "1e300", "--rstar", "1", "--Rstar", "2"], 1),
     ])
     def test_exits_with_one_line_error(self, capsys, argv, expected):
         code, _, err = run_cli(capsys, *argv)

@@ -101,31 +101,44 @@ class TestConfig:
 
 class TestIndividualChecks:
     def test_minimal_energy_group(self, canonical_pair):
-        results = check_minimal_energy(canonical_pair, n_competitors=10)
+        results = check_minimal_energy(VerifyConfig(pair=canonical_pair, n_competitors=10))
         assert all(r.passed for r in results)
 
     def test_inversion_invariance(self, canonical_pair):
-        assert check_inversion_invariance(canonical_pair, n_maps=9).passed
+        results = check_inversion_invariance(VerifyConfig(pair=canonical_pair,
+                                                          n_inversion_maps=9))
+        assert all(r.passed for r in results)
 
     def test_sphere_inequality_group(self):
-        results = check_sphere_inequality(n_transforms=5, n_perturbations=5)
+        results = check_sphere_inequality(VerifyConfig(n_transforms=5, n_perturbations=5))
         assert all(r.passed for r in results)
 
     def test_harmonic_bvp_group(self):
-        results = check_harmonic_bvp(n_pairs=100)
+        results = check_harmonic_bvp(VerifyConfig(n_pairs=100))
         assert all(r.passed for r in results)
 
     def test_residual_group(self):
-        results = check_residuals()
+        results = check_residuals(VerifyConfig())
         assert all(r.passed for r in results)
 
     def test_inadmissible_default_is_rejected_loudly(self):
         # a pair with zero inner target radius cannot be verified
         pair = AnnulusPair.from_radii(1.0, 2.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            check_minimal_energy(pair)
+            check_minimal_energy(VerifyConfig(pair=pair))
 
     def test_results_carry_tolerances(self):
-        for r in check_residuals():
+        for r in check_residuals(VerifyConfig()):
             assert r.tolerance >= 0.0
             assert math.isfinite(r.observed)
+
+    def test_suite_is_the_five_checks_in_order(self):
+        # run_suite adds nothing of its own: every setting reaches the
+        # checks through the one config
+        config = VerifyConfig(n_pairs=100, n_competitors=10, n_inversion_maps=9,
+                              n_transforms=5, n_perturbations=5)
+        joined = []
+        for check in (check_residuals, check_minimal_energy, check_inversion_invariance,
+                      check_sphere_inequality, check_harmonic_bvp):
+            joined += check(config)
+        assert joined == run_suite(config).results
