@@ -1,9 +1,20 @@
 """Hot numeric kernels, numpy/python only.
 
-The Moebius sphere action is vectorized numpy; RK4 shooting, the
-tridiagonal solve and gradient descent are plain loops.
+The Moebius sphere action is vectorized numpy.  RK4 shooting and the
+tridiagonal solve are scalar loops; they run on Python floats, reading
+and writing 1-D float64 arrays through memoryviews, because numpy-scalar
+indexing and ``np.isfinite`` dominated them.  Gradient descent is a loop
+of whole-array steps into buffers allocated once.
+
+Contract: array inputs are 1-D float64 (a memoryview rejects
+``longdouble``), and the Thomas systems are symmetric positive definite,
+as ``variational._interval_coefficients`` guarantees for every caller.
+Python-float division raises ``ZeroDivisionError`` where numpy scalars
+returned ``inf`` or ``nan``.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -71,34 +82,38 @@ def mobius_pushforward(a, b, c, d, pts, vecs):
 # RK4 shooting for the radial Euler-Lagrange equation
 #   H'' = (t H'^2 - 2 H H') / (t H)
 # on a uniform step grid.  Status: 0 integrated, -1 the profile crashed
-# toward zero, +1 it blew past the overflow cap.
+# toward zero, +1 it blew past the overflow cap.  The scalars are taken as
+# Python floats (exact for float64), so every step is Python-float
+# arithmetic in the same order as the formulas; a t * H that underflows
+# to zero raises ZeroDivisionError.
 
 
 def rk4_shoot(r, R, h0, slope, n_steps, floor, cap):
+    r, R, floor, cap = float(r), float(R), float(floor), float(cap)
+    H = float(h0)
+    P = float(slope)
     dt = (R - r) / n_steps
+    hdt = 0.5 * dt
     out = np.empty(n_steps + 1)
-    out[0] = h0
-    H = h0
-    P = slope
+    values = memoryview(out)
+    values[0] = H
     status = 0
     for k in range(n_steps):
         t = r + k * dt
-        t2 = t + 0.5 * dt
+        t2 = t + hdt
         t4 = t + dt
-        H1 = H
-        P1 = P
-        if H1 <= floor:
+        if H <= floor:
             status = -1
             break
-        a1 = (t * P1 * P1 - 2.0 * H1 * P1) / (t * H1)
-        H2 = H + 0.5 * dt * P1
-        P2 = P + 0.5 * dt * a1
+        a1 = (t * P * P - 2.0 * H * P) / (t * H)
+        H2 = H + hdt * P
+        P2 = P + hdt * a1
         if H2 <= floor:
             status = -1
             break
         a2 = (t2 * P2 * P2 - 2.0 * H2 * P2) / (t2 * H2)
-        H3 = H + 0.5 * dt * P2
-        P3 = P + 0.5 * dt * a2
+        H3 = H + hdt * P2
+        P3 = P + hdt * a2
         if H3 <= floor:
             status = -1
             break
@@ -109,43 +124,55 @@ def rk4_shoot(r, R, h0, slope, n_steps, floor, cap):
             status = -1
             break
         a4 = (t4 * P4 * P4 - 2.0 * H4 * P4) / (t4 * H4)
-        H = H + dt * (P1 + 2.0 * P2 + 2.0 * P3 + P4) / 6.0
+        H = H + dt * (P + 2.0 * P2 + 2.0 * P3 + P4) / 6.0
         P = P + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-        if not np.isfinite(H) or H <= floor:
+        if not math.isfinite(H) or H <= floor:
             status = -1
             break
         if H >= cap:
             status = 1
             break
-        out[k + 1] = H
+        values[k + 1] = H
     if status != 0:
-        out[k + 1:] = H if np.isfinite(H) else 0.0
+        out[k + 1:] = H if math.isfinite(H) else 0.0
     return out, status
 
 
 # ---------------------------------------------------------------------------
 # Tridiagonal (Thomas) solve.  Row i reads
 #   lower[i] * x[i-1] + diag[i] * x[i] + upper[i] * x[i+1] = rhs[i]
-# with lower[0] and upper[-1] ignored.  The systems here are SPD and
-# diagonally dominant, so no pivoting is needed.
+# with lower[0] and upper[-1] ignored.  The four inputs are 1-D float64
+# arrays (strided views are fine).  The systems here are SPD and
+# diagonally dominant, so no pivoting is needed and no pivot is zero; a
+# zero pivot raises ZeroDivisionError.  The back substitution overwrites
+# the forward-sweep buffer, which is returned.  It is allocated first, so
+# the scratch buffer freed on return lies above it and leaves no hole
+# below a live array (peak RSS of the n = 1e5 solves rose without that).
 
 
 def thomas_solve(lower, diag, upper, rhs):
     n = diag.shape[0]
-    cp = np.empty(n)
     dp = np.empty(n)
-    x = np.empty(n)
-    beta = diag[0]
-    cp[0] = upper[0] / beta
-    dp[0] = rhs[0] / beta
+    cp = np.empty(n)
+    lo, dg, up, rh = (memoryview(v) for v in (lower, diag, upper, rhs))
+    c, d = memoryview(cp), memoryview(dp)
+    beta = dg[0]
+    ci = up[0] / beta
+    di = rh[0] / beta
+    c[0] = ci
+    d[0] = di
     for i in range(1, n):
-        beta = diag[i] - lower[i] * cp[i - 1]
-        cp[i] = upper[i] / beta  # cp[n - 1] is never read
-        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / beta
-    x[n - 1] = dp[n - 1]
+        li = lo[i]
+        beta = dg[i] - li * ci
+        ci = up[i] / beta  # cp[n - 1] is never read
+        di = (rh[i] - li * di) / beta
+        c[i] = ci
+        d[i] = di
+    x = di
     for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
+        x = d[i] - c[i] * x
+        d[i] = x
+    return dp
 
 
 # ---------------------------------------------------------------------------
@@ -156,18 +183,27 @@ def thomas_solve(lower, diag, upper, rhs):
 # first step, 2 fixed step.  Convergence means the gradient max-norm
 # dropped to tol before the iteration budget ran out; the gradient is
 # checked before each step, so an optimal initial guess converges at
-# iteration zero.
+# iteration zero.  ``k`` (1-D float64) is updated in place; the work
+# arrays are allocated once and filled by ``out=`` ufuncs.
 
 
 def gd_quadratic(a, k, max_iter, tol, mode, fixed_step):
+    n = a.shape[0]
+    dk = np.empty(n)
+    flux = np.empty(n)
+    g = np.empty(n - 1)
+    g_old = np.empty(n - 1)
+    y = np.empty(n - 1)
+    s = np.empty(n - 1)
+    interior = k[1:-1]
     iters = 0
     converged = False
-    g_old = None
-    s = None
     while True:
-        dk = np.diff(k)
-        g = 2.0 * (a[:-1] * dk[:-1] - a[1:] * dk[1:])
-        if np.max(np.abs(g)) <= tol:
+        np.subtract(k[1:], k[:-1], out=dk)
+        np.multiply(a, dk, out=flux)
+        np.subtract(flux[:-1], flux[1:], out=g)
+        g *= 2.0
+        if max(g.max(), -g.min()) <= tol:
             converged = True
             break
         if iters >= max_iter:
@@ -176,8 +212,8 @@ def gd_quadratic(a, k, max_iter, tol, mode, fixed_step):
             alpha = fixed_step
         else:
             alpha = None
-            if mode == 1 and s is not None:
-                y = g - g_old
+            if mode == 1 and iters > 0:
+                np.subtract(g, g_old, out=y)
                 sy = float(s @ y)
                 if sy > 0.0:
                     alpha = float(s @ s) / sy
@@ -186,9 +222,9 @@ def gd_quadratic(a, k, max_iter, tol, mode, fixed_step):
                 pad[1:-1] = -g
                 dd = np.diff(pad)
                 alpha = float(g @ g) / (2.0 * float(a @ (dd * dd)))
-        s = -alpha * g
-        g_old = g
-        k[1:-1] += s
+        np.multiply(g, -alpha, out=s)
+        g, g_old = g_old, g
+        interior += s
         iters += 1
     return iters, converged
 

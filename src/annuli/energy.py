@@ -13,6 +13,7 @@ differentiated from that one set of samples.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,16 +84,22 @@ def _require_positive(h: np.ndarray, t: np.ndarray):
 def _radial_integral(t: np.ndarray, w: np.ndarray, g: np.ndarray) -> float:
     """``integral(t^2 g^2) dt`` by the rule ``(t, w)``.
 
-    Radii so large that ``t^2`` overflows would give ``inf`` or ``nan``;
-    they raise instead.
+    Radii so large that ``t^2`` overflows, or so small that it underflows
+    (a profile derivative ``b / t^2`` is then ``0 / 0`` or infinite), would
+    give ``inf`` or ``nan``; they raise instead, naming which.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         val = float(w @ (t**2 * g**2))
     if not math.isfinite(val):
-        raise EvaluationError(
-            f"radial energy integral is not finite ({val}) at radii up to {t[-1]:.6g}; "
-            "the radii are too large for floating point"
-        )
+        lo, hi = float(t[0]), float(t[-1])
+        if hi * hi == math.inf:
+            cause = f"t^2 overflows at radii up to {hi:.6g}; the radii are too large"
+        elif lo * lo < sys.float_info.min:
+            cause = f"t^2 underflows at radii down to {lo:.6g}; the radii are too small"
+        else:
+            cause = f"(H'/H)^2 overflows on [{lo:.6g}, {hi:.6g}]; the profile is too steep"
+        raise EvaluationError(f"radial energy integral is not finite ({val}): {cause} "
+                              "for floating point")
     return val
 
 

@@ -216,6 +216,15 @@ def exp_profile_from_boundary(pair: AnnulusPair, orientation: str = "increasing"
     if not (0.0 < a < math.inf and math.isfinite(b)):
         raise EvaluationError(f"{orientation} exponential profile a exp(b / t) has a = {a!r}, "
                               f"b = {b!r}; the radii are too extreme for floating point")
+    # b / r must reproduce the exponent at the inner radius, whose error is
+    # the relative error of H(r); a subnormal b, or a subnormal product on
+    # the way to it, keeps too few digits for that
+    exponent = -ell * (R / (R - r))
+    if not abs(b / r - exponent) <= 1e-12 * max(1.0, abs(exponent)):
+        raise EvaluationError(f"{orientation} exponential profile a exp(b / t) has b = {b!r}, "
+                              f"rounded through subnormal floats: b / r = {b / r!r}, not "
+                              f"{exponent!r}; the inner radius r = {r!r} is too small "
+                              "for floating point")
     return ExponentialProfile(a=a, b=b)
 
 

@@ -180,12 +180,14 @@ def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolu
     rhs[0] = a[0] * k0
     rhs[-1] = a[-1] * kn
     y = _kernels.thomas_solve(lower, diag, upper, rhs)
-    # extended-precision residual, one refinement pass
+    # extended-precision residual, one refinement pass; the products are
+    # formed in long double and subtracted in place
     ld = np.longdouble
-    res = rhs.astype(ld) - diag.astype(ld) * y.astype(ld)
-    res[1:] -= lower[1:].astype(ld) * y[:-1].astype(ld)
-    res[:-1] -= upper[:-1].astype(ld) * y[1:].astype(ld)
-    y = y + _kernels.thomas_solve(lower, diag, upper, res.astype(float))
+    res = rhs.astype(ld)
+    res -= np.multiply(diag, y, dtype=ld)
+    res[1:] -= np.multiply(lower[1:], y[:-1], dtype=ld)
+    res[:-1] -= np.multiply(upper[:-1], y[1:], dtype=ld)
+    y += _kernels.thomas_solve(lower, diag, upper, res.astype(float))
     k = np.concatenate([[k0], y, [kn]])
     return _solution_from_k(pair, grid, k, 1, True)
 

@@ -231,7 +231,14 @@ class TestSweepCommand:
 # the start of the error line, where it should name the cause
 _ERROR_CAUSES = {
     "energy --r 1 --R 1e300 --rstar 1 --Rstar 2":
-        "error: EvaluationError: radial energy integral is not finite",
+        "error: EvaluationError: radial energy integral is not finite (nan): t^2 overflows",
+    "energy --r 5e-324 --R 1e-300 --rstar 1 --Rstar 1":
+        "error: EvaluationError: radial energy integral is not finite (nan): t^2 underflows",
+    "energy --r 1e-153 --R 2e-153 --rstar 1 --Rstar 1e150":
+        "error: EvaluationError: radial energy integral is not finite (inf): (H'/H)^2 overflows",
+    "minimize --r 5e-324 --R 1 --rstar 1 --Rstar 1e300 --grid-n 8":
+        "error: EvaluationError: increasing exponential profile a exp(b / t) has b = -3.414e-321, "
+        "rounded through subnormal floats",
     "minimize --r 1 --R 1e300 --rstar 1 --Rstar 2 --grid-n 10":
         "error: EvaluationError: interval stiffness a_0 = inf",
     "minimize --r 5e-324 --R 1e-300 --rstar 1e-300 --Rstar 1 --grid-n 8":
@@ -261,6 +268,13 @@ class TestNoTraceback:
           "--grid-n", "10"], 1),
         # t^2 underflows to zero there, which made the tridiagonal solve divide 0 / 0
         (["minimize", "--r", "5e-324", "--R", "1e-300", "--rstar", "1e-300", "--Rstar", "1",
+          "--grid-n", "8"], 1),
+        # t^2 underflows to zero in the radial energy integral: no overflow
+        (["energy", "--r", "5e-324", "--R", "1e-300", "--rstar", "1", "--Rstar", "1"], 1),
+        # t^2 is normal there, but H'/H is about 7e155 and its square overflows
+        (["energy", "--r", "1e-153", "--R", "2e-153", "--rstar", "1", "--Rstar", "1e150"], 1),
+        # b = -log(1e300) r R / (R - r) is subnormal: H(r) came out 0.80, not 1
+        (["minimize", "--r", "5e-324", "--R", "1", "--rstar", "1", "--Rstar", "1e300",
           "--grid-n", "8"], 1),
         # a = 1e-300 exp(2 log(1e600)) of the minimizer H = a exp(b / t)
         (["energy", "--r", "1", "--R", "2", "--rstar", "1e-300", "--Rstar", "1e300"], 1),

@@ -143,9 +143,20 @@ class TestWeightedEnergy:
         # t^2 overflows in the radial integral, which used to give nan
         pair = AnnulusPair.from_radii(1.0, 1e300, 1.0, 2.0)
         f = GeneralizedRadialMap(exp_profile_from_boundary(pair, "increasing"))
-        with pytest.raises(EvaluationError, match="radial energy integral is not finite"):
+        with pytest.raises(EvaluationError, match=r"not finite .*t\^2 overflows.*too large"):
             energy(f, pair, refine=False)
-        with pytest.raises(EvaluationError, match="radial energy integral is not finite"):
+        with pytest.raises(EvaluationError, match=r"not finite .*t\^2 overflows.*too large"):
+            reduced_energy(f.profile, pair.domain)
+
+    @pytest.mark.parametrize("energy", [weighted_energy, dirichlet_energy])
+    def test_tiny_radii_name_the_underflow(self, energy):
+        # t^2 underflows to zero, so H' = -b / t^2 * H is 0 / 0; that is no
+        # overflow, and the message used to call the radii too large
+        pair = AnnulusPair.from_radii(5e-324, 1e-300, 1.0, 1.0)
+        f = GeneralizedRadialMap(exp_profile_from_boundary(pair, "increasing"))
+        with pytest.raises(EvaluationError, match=r"not finite .*t\^2 underflows.*too small"):
+            energy(f, pair, refine=False)
+        with pytest.raises(EvaluationError, match=r"not finite .*t\^2 underflows.*too small"):
             reduced_energy(f.profile, pair.domain)
 
 

@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+import pytest
 
 from annuli import _kernels as K
 
@@ -41,3 +44,113 @@ class TestLoops:
         assert converged and iters > 0
         flux = np.concatenate(([0.0], np.cumsum(1.0 / a))) / np.sum(1.0 / a)
         np.testing.assert_allclose(k, flux, rtol=0.0, atol=1e-8)
+
+    def test_thomas_reads_strided_views(self, rng):
+        # every other element of longer arrays: the same system as the
+        # contiguous copies, solved to the same bits
+        n = 40
+        base = rng.random((4, 2 * n))
+        lower, upper = -base[0, ::2], -base[1, ::2]
+        diag = 2.0 + base[2, ::2]
+        rhs = base[3, ::2]
+        x = K.thomas_solve(lower, diag, upper, rhs)
+        dense = K.thomas_solve(*(np.ascontiguousarray(v) for v in (lower, diag, upper, rhs)))
+        assert x.tobytes() == dense.tobytes()
+        mat = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+        np.testing.assert_allclose(mat @ x, rhs, atol=1e-12)
+
+    def test_thomas_rejects_long_double(self):
+        x = np.ones(3, dtype=np.longdouble)
+        with pytest.raises(NotImplementedError):
+            K.thomas_solve(x, x, x, x)
+
+    def test_thomas_zero_pivot_raises(self):
+        zero = np.zeros(3)
+        with pytest.raises(ZeroDivisionError):
+            K.thomas_solve(zero, zero, zero, np.ones(3))
+
+
+class TestRK4Shoot:
+    def test_tracks_the_closed_form(self):
+        # (1, 2) -> (1, e): H = e^2 exp(-2 / t), H(1) = 1, H'(1) = 2
+        values, status = K.rk4_shoot(1.0, 2.0, 1.0, 2.0, 2000, 1e-10, 1e10)
+        assert status == 0
+        t = np.linspace(1.0, 2.0, 2001)
+        np.testing.assert_allclose(values, np.exp(2.0 - 2.0 / t), rtol=0.0, atol=1e-12)
+
+    def test_float64_scalars_give_the_same_bits(self):
+        # numpy scalars, as radii drawn by numpy arrive, change nothing
+        plain, _ = K.rk4_shoot(1.0, 2.0, 1.0, 2.0, 500, 1e-10, 1e10)
+        wrapped, _ = K.rk4_shoot(*map(np.float64, (1.0, 2.0, 1.0, 2.0)), 500,
+                                 np.float64(1e-10), np.float64(1e10))
+        assert plain.tobytes() == wrapped.tobytes()
+
+    @staticmethod
+    def _tail(values):
+        """Index where the constant tail after a break starts."""
+        return int(np.argmax(values == values[-1]))
+
+    def test_steep_negative_slope_crashes(self):
+        floor = 1e-10
+        values, status = K.rk4_shoot(1.0, 2.0, 1.0, -50.0, 2000, floor, 1e10)
+        assert status == -1
+        i = self._tail(values)
+        assert 0 < i < 2000
+        # the tail repeats the last finite H: the last stored value, or
+        # the first one at or below the floor
+        assert values[i - 1] > values[i] > 0.0
+        assert np.all(np.diff(values[:i]) < 0.0)
+
+    def test_low_cap_stops_the_climb(self):
+        cap = 1.5
+        values, status = K.rk4_shoot(1.0, 2.0, 1.0, 2.0, 2000, 1e-10, cap)
+        assert status == 1
+        i = self._tail(values)
+        assert values[i - 1] < cap <= values[-1]
+        assert np.all(values[i:] == values[-1])
+
+    def test_non_finite_profile_fills_zero(self):
+        # with no cap, the profile overflows to inf or nan and the tail is 0
+        values, status = K.rk4_shoot(1.0, 2.0, 1.0, 1e3, 200, 1e-10, math.inf)
+        assert status == -1
+        i = self._tail(values)
+        assert values[-1] == 0.0 and 0 < i < 200
+        assert np.all(np.isfinite(values)) and values[i - 1] > 1e100
+
+
+class TestGradientDescentModes:
+    @staticmethod
+    def _problem(rng, n=30):
+        a = 0.5 + rng.random(n)
+        k = np.linspace(0.0, 1.0, n + 1)
+        k[1:-1] += 0.1 * rng.standard_normal(n - 1)
+        flux = np.concatenate(([0.0], np.cumsum(1.0 / a))) / np.sum(1.0 / a)
+        return a, k, flux
+
+    def test_exact_line_search_converges(self, rng):
+        a, k, flux = self._problem(rng)
+        iters, converged = K.gd_quadratic(a, k, 100_000, 1e-11, 0, 0.0)
+        assert converged and iters > 0
+        np.testing.assert_allclose(k, flux, rtol=0.0, atol=1e-8)
+
+    def test_fixed_step_converges(self, rng):
+        # a step below 1 / (4 max a) is stable for this form
+        a, k, flux = self._problem(rng)
+        iters, converged = K.gd_quadratic(a, k, 100_000, 1e-11, 2, 0.2 / a.max())
+        assert converged and iters > 0
+        np.testing.assert_allclose(k, flux, rtol=0.0, atol=1e-8)
+
+    def test_fixed_step_is_one_gradient_step(self, rng):
+        a, k, _ = self._problem(rng)
+        flux = a * np.diff(k)
+        expect = k.copy()
+        expect[1:-1] -= 0.01 * (2.0 * (flux[:-1] - flux[1:]))
+        assert K.gd_quadratic(a, k, 1, 1e-11, 2, 0.01) == (1, False)
+        np.testing.assert_allclose(k, expect, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_zero_budget_on_a_non_optimal_start(self, rng, mode):
+        a, k, _ = self._problem(rng)
+        start = k.copy()
+        assert K.gd_quadratic(a, k, 0, 1e-11, mode, 0.1) == (0, False)
+        assert k.tobytes() == start.tobytes()

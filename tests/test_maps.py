@@ -131,6 +131,22 @@ class TestBoundaryProfiles:
         with pytest.raises(ValueError):
             exp_profile_from_boundary(canonical_pair, "sideways")
 
+    @pytest.mark.parametrize("orientation", ["increasing", "decreasing"])
+    def test_subnormal_b_is_an_evaluation_error(self, orientation):
+        # b = -log(1e300) r R / (R - r) is -3.4e-321, four digits of a
+        # subnormal: H(r) came out 0.80 instead of 1
+        pair = AnnulusPair.from_radii(5e-324, 1.0, 1.0, 1e300)
+        with pytest.raises(EvaluationError, match=r"has b = .*subnormal.*r = 5e-324"):
+            exp_profile_from_boundary(pair, orientation)
+
+    def test_subnormal_product_with_negligible_exponent_is_kept(self):
+        # -ell r R is subnormal here too, but b / r is about 2e-15, so the
+        # rounding moves H by a few ulps only
+        pair = AnnulusPair.from_radii(1e-154, 2e-154, 1.0, 1.000000000000001)
+        h = exp_profile_from_boundary(pair, "increasing")
+        assert math.isclose(h.eval(1e-154), 1.0, rel_tol=1e-14)
+        assert math.isclose(h.eval(2e-154), 1.000000000000001, rel_tol=1e-14)
+
 
 class TestGeneralizedRadialMap:
     def test_identity_rotation_scales_rays(self, canonical_pair):
