@@ -22,11 +22,9 @@ from .geometry import (
     AnnulusPair,
     RadialGrid,
     SphericalQuadrature,
-    TangentFrame,
     gauss_legendre,
     make_radial_grid,
     make_sphere_quadrature,
-    tangent_frame,
     tangent_frames,
 )
 from .maps import (
@@ -39,8 +37,6 @@ from .maps import (
     exp_profile_from_boundary,
     inversion_transform,
     map_differential,
-    map_differential_fd,
-    map_eval,
     map_eval_many,
     perturbed_profile,
 )
@@ -53,9 +49,7 @@ from .nitsche import (
 )
 from .sphere_maps import (
     MobiusTransform,
-    SphereDifferential,
     conformal_stretch_points,
-    gram_determinant,
     inverse_stereographic,
     mobius_apply_points,
     mobius_compose,
@@ -63,7 +57,6 @@ from .sphere_maps import (
     mobius_pushforward,
     random_mobius,
     sphere_inequality_integral,
-    sphere_map_differential,
     stereographic,
 )
 from .variational import (

@@ -125,16 +125,34 @@ def _read_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, value):
-    if value is None:
-        return None
-    try:
-        if key in _RADIUS_KEYS:
-            return float(value)
-        if key in _INT_KEYS:
-            return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field {key!r}: {value!r} is not numeric") from exc
-    return value
+    """Check the type of one config file value and convert it.
+
+    key=value files give strings; JSON files may also give numbers,
+    which radii and integer fields accept unless they are booleans."""
+    if key in _RADIUS_KEYS:
+        if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+            try:
+                return float(value)
+            except (ValueError, OverflowError):
+                pass
+        raise ConfigError(f"config field {key!r}: {value!r} is not a number")
+    if key in _INT_KEYS:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        if isinstance(value, str):
+            try:
+                return int(value)
+            except ValueError:
+                pass
+        raise ConfigError(f"config field {key!r}: {value!r} is not an integer")
+    if key == "sweep":
+        specs = [value] if isinstance(value, str) else value
+        if isinstance(specs, list) and all(isinstance(spec, str) for spec in specs):
+            return specs
+        raise ConfigError(f"config field 'sweep': {value!r} is not a sweep spec or a list of them")
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"config field {key!r}: {value!r} is not a string")
 
 
 def _parse_sweep_spec(spec: str):
@@ -156,13 +174,14 @@ def parse_config(argv) -> RunConfig:
     """Turn an argv list into a validated :class:`RunConfig`.
 
     Explicit flags override config file entries, which override the
-    defaults.
+    defaults.  A JSON ``null`` leaves its field at the default.
     """
     ns = _build_parser().parse_args(argv)
     filedata = _read_config_file(ns.config) if ns.config else {}
     for key in filedata:
         if key not in _KNOWN_FILE_KEYS:
             raise ConfigError(f"config field {key!r} is not recognized")
+    filedata = {key: _coerce(key, value) for key, value in filedata.items() if value is not None}
 
     def pick(key, default=None):
         flag = getattr(ns, key, None)
@@ -170,15 +189,13 @@ def parse_config(argv) -> RunConfig:
             return flag
         for name in (key, _FILE_ALIASES.get(key)):
             if name is not None and name in filedata:
-                return _coerce(key, filedata[name])
+                return filedata[name]
         return default
 
     sweeps = ()
     swept: set = set()
     if ns.command == "sweep":
         raw = getattr(ns, "sweep", None) or filedata.get("sweep") or []
-        if isinstance(raw, str):
-            raw = [raw]
         sweeps = tuple(_parse_sweep_spec(s) for s in raw)
         if not sweeps:
             raise ConfigError("sweep needs at least one --sweep PARAM=START:STOP:COUNT")
@@ -271,8 +288,11 @@ def render_json(payload) -> str:
 
 def _emit(cfg: RunConfig, text: str):
     if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 

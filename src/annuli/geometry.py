@@ -119,10 +119,6 @@ class RadialGrid:
         if self.spacing_mode not in SPACING_MODES:
             raise ValueError(f"unknown spacing mode {self.spacing_mode!r}")
 
-    @property
-    def n_intervals(self) -> int:
-        return self.nodes.size - 1
-
 
 def make_radial_grid(annulus: Annulus, n: int, spacing_mode: str = "uniform-in-t") -> RadialGrid:
     """Build a radial grid with ``n`` intervals (``n + 1`` nodes).
@@ -179,15 +175,6 @@ class SphericalQuadrature:
     weights: np.ndarray
     order: int
 
-    def integrate(self, values) -> float:
-        """Integrate nodal samples, or a callable of the node array."""
-        if callable(values):
-            values = values(self.nodes)
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.weights.shape:
-            raise ValueError("values must match the node count")
-        return float(self.weights @ values)
-
 
 def make_sphere_quadrature(order: int) -> SphericalQuadrature:
     """Build a sphere rule with ``order`` polar nodes and ``2 * order``
@@ -208,15 +195,6 @@ def make_sphere_quadrature(order: int) -> SphericalQuadrature:
     return SphericalQuadrature(nodes=nodes, weights=weights, order=order)
 
 
-@dataclass(frozen=True)
-class TangentFrame:
-    """Right-handed orthonormal frame ``(u, v, n)`` at a sphere point."""
-
-    u: np.ndarray
-    v: np.ndarray
-    n: np.ndarray
-
-
 _AXES = np.eye(3)
 
 
@@ -230,30 +208,14 @@ def row_norms(pts: np.ndarray) -> np.ndarray:
     return np.sqrt(x * x + y * y + z * z)
 
 
-def tangent_frame(normal: np.ndarray) -> TangentFrame:
-    """Deterministic tangent frame at a unit vector.
-
-    The helper axis is chosen by the largest-magnitude component of the
-    input, so nearby inputs get nearby frames and no cross product ever
-    degenerates.
-    """
-    n = np.asarray(normal, dtype=float)
-    if n.shape != (3,):
-        raise ValueError("expected a single 3-vector")
-    norm = float(np.linalg.norm(n))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError("tangent frames require a unit vector")
-    n = n / norm
-    helper = _AXES[(int(np.argmax(np.abs(n))) + 1) % 3]
-    u = np.cross(helper, n)
-    u = u / np.linalg.norm(u)
-    v = np.cross(n, u)
-    return TangentFrame(u=u, v=v, n=n)
-
-
 def tangent_frames(points: np.ndarray):
-    """Vectorized :func:`tangent_frame` over an ``(N, 3)`` array of unit
-    vectors.  Returns ``(U, V)`` arrays of the same shape."""
+    """Tangent frames at the rows of an ``(N, 3)`` array of unit vectors.
+
+    Returns ``(U, V)`` arrays of the same shape; with the point ``n``,
+    each ``(u, v, n)`` is a right-handed orthonormal frame.  The helper
+    axis is chosen by the largest-magnitude component of the point, so
+    nearby points get nearby frames and no cross product degenerates.
+    """
     pts = np.asarray(points, dtype=float)
     norms = row_norms(pts)
     if np.any(np.abs(norms - 1.0) > 1e-9):

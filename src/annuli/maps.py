@@ -15,7 +15,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .geometry import Annulus, AnnulusPair, RadialGrid, _log_ratio, row_norms, tangent_frame
+from .geometry import Annulus, AnnulusPair, RadialGrid, _log_ratio, row_norms, tangent_frames
 from .sphere_maps import MobiusTransform, mobius_apply_points, mobius_pushforward
 
 # central-difference step of every map differential, relative to |x|
@@ -286,14 +286,6 @@ def map_eval_many(f: AnnulusMap, points: np.ndarray) -> np.ndarray:
     return h[:, None] * mobius_apply_points(f.rotation, units)
 
 
-def map_eval(f: AnnulusMap, x) -> np.ndarray:
-    """Evaluate a map at a single point."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise ValueError("expected a single 3-vector")
-    return map_eval_many(f, x[None, :])[0]
-
-
 def map_differential(f: GeneralizedRadialMap, x) -> np.ndarray:
     """Analytic 3x3 differential of a generalized radial map.
 
@@ -308,30 +300,14 @@ def map_differential(f: GeneralizedRadialMap, x) -> np.ndarray:
         raise DomainError("radial map undefined at the origin")
     _check_in_annulus(f.domain(), np.array([t]))
     eta = x / t
-    frame = tangent_frame(eta)
+    u, v = tangent_frames(eta[None])
     h = f.profile.eval(t)
     hd = f.profile.derivative(t, 1)
-    s = mobius_apply_points(f.rotation, eta)
-    etas = np.vstack([eta, eta])
-    ds = mobius_pushforward(f.rotation, etas, np.vstack([frame.u, frame.v]))
+    s = mobius_apply_points(f.rotation, eta[None])[0]
+    ds = mobius_pushforward(f.rotation, np.vstack([eta, eta]), np.vstack([u, v]))
     d = np.outer(hd * s, eta)
-    d += (h / t) * (np.outer(ds[0], frame.u) + np.outer(ds[1], frame.v))
+    d += (h / t) * (np.outer(ds[0], u[0]) + np.outer(ds[1], v[0]))
     return d
-
-
-def map_differential_fd(f: AnnulusMap, x) -> np.ndarray:
-    """Central-difference 3x3 differential, step relative to ``|x|``."""
-    x = np.asarray(x, dtype=float)
-    t = float(np.linalg.norm(x))
-    if t <= 0.0:
-        raise DomainError("differential undefined at the origin")
-    h = _FD_STEP * t
-    dom = f.domain() if isinstance(f, GeneralizedRadialMap) else None
-    if dom is not None and (t - h < dom.inner or t + h > dom.outer):
-        raise DomainError("not enough margin to the annulus boundary for the step")
-    shifts = np.vstack([x + h * e for e in np.eye(3)] + [x - h * e for e in np.eye(3)])
-    vals = map_eval_many(f, shifts)
-    return (vals[:3] - vals[3:]).T / (2.0 * h)
 
 
 def as_sampled_map(f: AnnulusMap) -> SampledMap:

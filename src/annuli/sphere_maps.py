@@ -1,11 +1,14 @@
 """Moebius transformations acting on the unit sphere.
 
 A transform is a determinant-normalized 2x2 complex matrix acting on the
-stereographic coordinate.  Every evaluation goes through the equivalent
-real 4x4 Lorentz matrix (PSL(2, C) = SO+(3, 1)), whose action on the
-sphere is a quotient with a denominator that stays positive at both
-poles; the plain chart functions are provided for callers that want the
-complex-plane picture.
+stereographic coordinate.  Its sphere action, conformal stretch and
+pushforward take ``(N, 3)`` arrays of unit vectors and go through the
+equivalent real 4x4 Lorentz matrix (PSL(2, C) = SO+(3, 1)), whose action
+is a quotient with a denominator that stays positive at both poles.
+``sphere_inequality_integral`` integrates the tangential energy of a
+sphere map, a transform or a callable, over a quadrature rule.  The
+single-point chart functions ``stereographic`` and
+``inverse_stereographic`` give the complex-plane picture.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import _kernels
-from .geometry import SphericalQuadrature, TangentFrame, row_norms, tangent_frame, tangent_frames
+from .geometry import SphericalQuadrature, row_norms, tangent_frames
 
 _DET_TOL = 1e-12
 # angle of the centred great-circle differences of a callable sphere map
@@ -80,18 +83,16 @@ def inverse_stereographic(w: complex) -> np.ndarray:
 
 def _act(kernel, t: MobiusTransform, pts, *vecs):
     """Run a sphere-action kernel of ``_kernels`` on unit vectors of shape
-    ``(N, 3)`` or ``(3,)`` and on tangent vectors of the same shape."""
+    ``(N, 3)`` and on tangent vectors of the same shape."""
     pts = np.asarray(pts, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("expected points of shape (N, 3)")
     if np.any(np.abs(row_norms(pts) - 1.0) > 1e-9):
         raise ValueError("sphere action expects unit vectors")
-    vecs = [np.asarray(v, dtype=float).reshape(pts.shape) for v in vecs]
-    out = kernel(t.a, t.b, t.c, t.d, pts, *vecs)
-    return out[0] if single else out
+    vecs = [np.asarray(v, dtype=float) for v in vecs]
+    if any(v.shape != pts.shape for v in vecs):
+        raise ValueError("tangent vectors must have the shape of the points")
+    return kernel(t.a, t.b, t.c, t.d, pts, *vecs)
 
 
 def mobius_apply_points(t: MobiusTransform, pts: np.ndarray) -> np.ndarray:
@@ -157,44 +158,9 @@ def random_mobius(rng: np.random.Generator, max_condition: float = 5.0) -> Mobiu
 
 
 # ---------------------------------------------------------------------------
-# Differentials.
+# Tangential energy of a sphere map.
 
 SphereMap = Union[MobiusTransform, Callable[[np.ndarray], np.ndarray]]
-
-
-@dataclass(frozen=True)
-class SphereDifferential:
-    """Directional derivatives of ``x -> T(x / |x|)`` at a point with
-    ``|x| = t``, taken along a tangent frame.  ``d_n`` vanishes because
-    the map ignores the radius; ``scale`` records the ``1 / t`` factor
-    already applied to ``d_u`` and ``d_v``."""
-
-    d_u: np.ndarray
-    d_v: np.ndarray
-    d_n: np.ndarray
-    scale: float
-
-
-def sphere_map_differential(t: MobiusTransform, x, frame: TangentFrame | None = None) -> SphereDifferential:
-    """Differential of ``x -> T(x / |x|)`` at a point off the origin."""
-    x = np.asarray(x, dtype=float)
-    tt = float(np.linalg.norm(x))
-    if tt <= 0.0:
-        raise ValueError("differential undefined at the origin")
-    eta = x / tt
-    if frame is None:
-        frame = tangent_frame(eta)
-    vecs = np.vstack([frame.u, frame.v])
-    etas = np.vstack([eta, eta])
-    ds = mobius_pushforward(t, etas, vecs)
-    return SphereDifferential(d_u=ds[0] / tt, d_v=ds[1] / tt, d_n=np.zeros(3), scale=1.0 / tt)
-
-
-def gram_determinant(t: MobiusTransform, x) -> float:
-    """Area stretch ``|d_u x d_v|`` of the shell map at ``x``; equals
-    ``lambda^2 / t^2`` for a conformal sphere action."""
-    diff = sphere_map_differential(t, x)
-    return float(np.linalg.norm(np.cross(diff.d_u, diff.d_v)))
 
 
 def _tangent_derivatives_fd(s: Callable[[np.ndarray], np.ndarray], etas: np.ndarray,

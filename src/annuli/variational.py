@@ -21,6 +21,9 @@ from .geometry import AnnulusPair, RadialGrid, make_radial_grid
 from .maps import RadialProfile, SampledProfile, exp_profile_from_boundary
 
 _FOUR_PI = 4.0 * math.pi
+# RK4 steps of one shooting trial, and the boundary miss that ends the bisection
+_ODE_STEPS = 2000
+_BISECT_TOL = 1e-10
 
 
 def _residual_radii(profile: RadialProfile, t):
@@ -254,27 +257,36 @@ class ShootingResult:
     converged: bool
 
 
-def shoot_el(pair: AnnulusPair, ode_steps: int = 2000,
-             bisect_tol: float = 1e-10) -> ShootingResult:
+def shoot_el(pair: AnnulusPair) -> ShootingResult:
     """Solve the boundary value problem for the radial Euler-Lagrange
     equation by RK4 integration and bisection on the initial slope.
 
+    Each trial integrates ``H'' = (t H'^2 - 2 H H') / (t H)`` from
+    ``H(r) = r_star`` over 2000 uniform steps, and bisection stops once
+    the miss ``H(R) - R_star`` is within 1e-10 (or after 200 halvings).
     The slope bracket is ``+- 10 (R_star - r_star) / (R - r)``, wide
     enough for moderately proportioned pairs; if the boundary miss does
-    not change sign across it, a non-converged result is returned.
+    not change sign across it, a non-converged result is returned.  A
+    product ``t * H`` that underflows to zero raises
+    :class:`EvaluationError`.
     """
     pair.require_weighted()
-    if ode_steps < 8:
-        raise ValueError("need at least 8 integration steps")
     r, R = pair.r, pair.R
-    nodes = np.linspace(r, R, ode_steps + 1)
+    nodes = np.linspace(r, R, _ODE_STEPS + 1)
     nodes[-1] = R
     grid = RadialGrid(pair.domain, nodes, "uniform-in-t")
     floor = 1e-10 * pair.r_star
     cap = 1e10 * pair.R_star
 
     def integrate(slope: float):
-        return _kernels.rk4_shoot(r, R, pair.r_star, slope, ode_steps, floor, cap)
+        try:
+            return _kernels.rk4_shoot(r, R, pair.r_star, slope, _ODE_STEPS, floor, cap)
+        except ZeroDivisionError:
+            raise EvaluationError(
+                f"RK4 shooting on r = {r!r}, R = {R!r}, r_star = {pair.r_star!r}, "
+                f"R_star = {pair.R_star!r}: the product t * H underflows to zero; "
+                "the radii are too small for floating point"
+            ) from None
 
     def miss(result):
         values, status = result
@@ -299,7 +311,7 @@ def shoot_el(pair: AnnulusPair, ode_steps: int = 2000,
     result = integrate(mid)
     m_mid = miss(result)
     for _ in range(200):
-        if abs(m_mid) <= bisect_tol:
+        if abs(m_mid) <= _BISECT_TOL:
             break
         if m_mid > 0.0:
             hi = mid
@@ -312,4 +324,4 @@ def shoot_el(pair: AnnulusPair, ode_steps: int = 2000,
     if status != 0:
         return ShootingResult(mid, None, m_mid, False)
     prof = SampledProfile(grid=grid, values=values.copy())
-    return ShootingResult(mid, prof, m_mid, abs(m_mid) <= bisect_tol)
+    return ShootingResult(mid, prof, m_mid, abs(m_mid) <= _BISECT_TOL)

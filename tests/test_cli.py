@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,31 @@ class TestParseConfig:
         f.write_text("bogus=1\n")
         code, _, err = run_cli(capsys, "verify", "--config", str(f))
         assert code == 2 and "bogus" in err
+
+    @pytest.mark.parametrize("command, data, expected", [
+        ("sweep", {"sweep": 5}, "'sweep': 5 is not a sweep spec"),
+        ("sweep", {"sweep": [1]}, "'sweep': [1] is not a sweep spec"),
+        ("nitsche", {"output": 7}, "'output': 7 is not a string"),
+        ("minimize", {"grid_n": 10.9}, "'grid_n': 10.9 is not an integer"),
+        ("nitsche", {"r": True}, "'r': True is not a number"),
+        ("minimize", {"grid_n": True}, "'grid_n': True is not an integer"),
+    ])
+    def test_json_value_of_the_wrong_type_is_a_usage_error(self, tmp_path, capsys,
+                                                           command, data, expected):
+        f = tmp_path / "c.json"
+        radii = {"r": 1, "R": 2, "rstar": 1, "Rstar": 2}
+        if command == "sweep":
+            del radii["Rstar"]
+        f.write_text(json.dumps({**radii, **data}))
+        code, out, err = run_cli(capsys, command, "--config", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: config field {expected}")
+        assert err.count("\n") == 1
+
+    def test_json_null_leaves_the_default(self, tmp_path):
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({"r": 1, "R": 2, "rstar": 1, "Rstar": 2, "grid_n": None}))
+        assert parse_config(["minimize", "--config", str(f)]).grid_n == 1000
 
     def test_malformed_config_line_number(self, tmp_path):
         f = tmp_path / "c.txt"
@@ -247,6 +274,10 @@ _ERROR_CAUSES = {
         "error: EvaluationError: increasing exponential profile a exp(b / t) has a = inf",
     "energy --r 1e200 --R 1e300 --rstar 1 --Rstar 2":
         "error: EvaluationError: increasing exponential profile a exp(b / t) has a = 2.0, b = -inf",
+    "nitsche --r 1 --R 2 --rstar 1 --Rstar 2 --output /nonexistent/x.csv":
+        "error: cannot write output file: [Errno 2] No such file or directory",
+    "nitsche --r 1 --R 2 --rstar 1 --Rstar 2 --output .":
+        "error: cannot write output file: [Errno 21] Is a directory",
 }
 
 
@@ -280,6 +311,10 @@ class TestNoTraceback:
         (["energy", "--r", "1", "--R", "2", "--rstar", "1e-300", "--Rstar", "1e300"], 1),
         # b = -log(2) r R / (R - r) with r R = 1e500
         (["energy", "--r", "1e200", "--R", "1e300", "--rstar", "1", "--Rstar", "2"], 1),
+        # an output file in a missing directory, and one that is a directory
+        (["nitsche", "--r", "1", "--R", "2", "--rstar", "1", "--Rstar", "2",
+          "--output", "/nonexistent/x.csv"], 2),
+        (["nitsche", "--r", "1", "--R", "2", "--rstar", "1", "--Rstar", "2", "--output", "."], 2),
     ])
     def test_exits_with_one_line_error(self, capsys, argv, expected):
         code, _, err = run_cli(capsys, *argv)
@@ -391,6 +426,69 @@ class TestFuzzArgv:
         assert "Traceback" not in err.getvalue()
         if code:  # ours print one line, argparse a usage line first
             assert "error: " in err.getvalue().splitlines()[-1]
+
+
+# a JSON value of every type; a config file field may hold any of them
+_JSON_VALUES = st.one_of(
+    st.integers(-3, 80), st.sampled_from([10**11, 10**400]), st.floats(), st.booleans(),
+    st.text(max_size=6), st.lists(st.one_of(st.integers(0, 3), st.text(max_size=4)), max_size=3),
+    st.none(), st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
+)
+# well-typed values of each field, so that some configs get past validation
+_GOOD_VALUES = {
+    **{key: st.one_of(_RADII, st.floats(0.1, 10.0)) for key in ("r", "R", "rstar", "Rstar")},
+    **{key: st.one_of(st.integers(-1, 40), st.sampled_from(["8", "x"]))
+       for key in ("grid_n", "sphere_order", "radial_order", "seed")},
+    "format": st.sampled_from(["csv", "json", "xml"]),
+    "output_format": st.sampled_from(["csv", "json"]),
+    "sweep": st.one_of(_SWEEP.map(lambda spec: spec[1]),
+                       st.lists(_SWEEP.map(lambda spec: spec[1]), max_size=3)),
+}
+# output paths relative to a temporary directory: a file, a file in a
+# missing directory, and the directory itself; no other string is drawn
+# for them, so nothing is written outside that directory
+_OUTPUTS = st.sampled_from(["out.csv", "missing/out.csv", ""])
+_NON_STRINGS = _JSON_VALUES.filter(lambda value: not isinstance(value, str))
+
+
+@st.composite
+def _json_config(draw):
+    config = {}
+    for key in ("r", "R", "rstar", "Rstar", "grid_n", "sphere_order", "radial_order", "seed",
+                "format", "output_format", "sweep", "output", "output_path"):
+        radius = key in ("r", "R", "rstar", "Rstar")
+        if bool(draw(st.integers(0, 7 if radius else 2))) != radius:
+            continue  # radii mostly present, other fields mostly absent
+        if key in ("output", "output_path"):
+            good, bad = _OUTPUTS, _NON_STRINGS
+        else:
+            good, bad = _GOOD_VALUES[key], _JSON_VALUES
+        config[key] = draw(good if draw(st.integers(0, 3)) else bad)
+    return config
+
+
+class TestFuzzJsonConfig:
+    @settings(max_examples=100, deadline=None)
+    @given(command=st.sampled_from(["energy", "minimize", "nitsche", "sweep"]),
+           config=_json_config(), missing_output=st.booleans())
+    def test_exit_code_and_no_traceback(self, command, config, missing_output):
+        with tempfile.TemporaryDirectory() as tmp:
+            for key in ("output", "output_path"):
+                if isinstance(config.get(key), str):
+                    config[key] = os.path.join(tmp, config[key])
+            path = os.path.join(tmp, "c.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            argv = [command, "--config", path]
+            if missing_output:
+                argv += ["--output", os.path.join(tmp, "missing", "out.csv")]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2), (config, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert err.getvalue().splitlines()[-1].startswith("error: "), (config, err.getvalue())
 
 
 class TestOutputFile:

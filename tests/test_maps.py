@@ -15,8 +15,6 @@ from annuli import (
     inversion_transform,
     make_radial_grid,
     map_differential,
-    map_differential_fd,
-    map_eval,
     map_eval_many,
     perturbed_profile,
     random_mobius,
@@ -153,7 +151,7 @@ class TestGeneralizedRadialMap:
         h1 = exp_profile_from_boundary(canonical_pair, "increasing")
         f = GeneralizedRadialMap(h1)
         x = np.array([1.5, 0.0, 0.0])
-        assert np.allclose(map_eval(f, x), [h1.eval(1.5), 0.0, 0.0], rtol=1e-14)
+        assert np.allclose(map_eval_many(f, x[None])[0], [h1.eval(1.5), 0.0, 0.0], rtol=1e-14)
 
     def test_norm_of_image_is_profile_value(self, canonical_pair, rng):
         h1 = exp_profile_from_boundary(canonical_pair, "increasing")
@@ -168,7 +166,7 @@ class TestGeneralizedRadialMap:
         f = GeneralizedRadialMap(exp_profile_from_boundary(canonical_pair, "increasing"),
                                  annulus=canonical_pair.domain)
         with pytest.raises(DomainError):
-            map_eval(f, np.array([3.0, 0.0, 0.0]))
+            map_eval_many(f, np.array([[3.0, 0.0, 0.0]]))
 
 
 class TestMapDifferential:
@@ -178,9 +176,10 @@ class TestMapDifferential:
         for _ in range(10):
             x = rng.normal(size=3)
             x *= rng.uniform(1.1, 1.9) / np.linalg.norm(x)
-            d_an = map_differential(f, x)
-            d_fd = map_differential_fd(f, x)
-            assert np.allclose(d_an, d_fd, atol=1e-6)
+            h = 1e-5 * np.linalg.norm(x)
+            vals = map_eval_many(f, np.vstack([x + h * np.eye(3), x - h * np.eye(3)]))
+            d_fd = (vals[:3] - vals[3:]).T / (2.0 * h)
+            assert np.allclose(map_differential(f, x), d_fd, atol=1e-6)
 
     def test_radial_map_frobenius_norm(self, canonical_pair):
         # ||Df||^2 = H'^2 + 2 H^2 / t^2 for the identity rotation
@@ -190,12 +189,6 @@ class TestMapDifferential:
         d = map_differential(f, np.array([t, 0.0, 0.0]))
         expect = h1.derivative(t) ** 2 + 2.0 * h1.eval(t) ** 2 / t**2
         assert math.isclose(float(np.sum(d * d)), expect, rel_tol=1e-12)
-
-    def test_fd_step_outside_domain_raises(self, canonical_pair):
-        f = GeneralizedRadialMap(exp_profile_from_boundary(canonical_pair, "increasing"),
-                                 annulus=canonical_pair.domain)
-        with pytest.raises(DomainError):
-            map_differential_fd(f, np.array([2.0, 0.0, 0.0]))
 
 
 class TestInversionTransform:
@@ -217,7 +210,7 @@ class TestInversionTransform:
         f = GeneralizedRadialMap(h1)
         gg = inversion_transform(inversion_transform(f, a=1.0), a=1.0)
         x = np.array([0.0, 1.5, 0.0])
-        assert np.allclose(map_eval(gg, x), map_eval(f, x), rtol=1e-12)
+        assert np.allclose(map_eval_many(gg, x[None]), map_eval_many(f, x[None]), rtol=1e-12)
 
     def test_vanishing_image_raises(self):
         def zero_map(pts):
@@ -227,7 +220,7 @@ class TestInversionTransform:
 
         g = inversion_transform(SampledMap(evaluator=zero_map), a=1.0)
         with pytest.raises(EvaluationError):
-            map_eval(g, np.array([1.0, 0.0, 0.0]))
+            map_eval_many(g, np.array([[1.0, 0.0, 0.0]]))
 
     def test_scale_must_be_positive(self, canonical_pair):
         f = GeneralizedRadialMap(exp_profile_from_boundary(canonical_pair, "increasing"))

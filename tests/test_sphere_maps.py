@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from annuli import (
     MobiusTransform,
     conformal_stretch_points,
-    gram_determinant,
     inverse_stereographic,
     make_sphere_quadrature,
     mobius_apply_points,
@@ -18,7 +17,6 @@ from annuli import (
     mobius_pushforward,
     random_mobius,
     sphere_inequality_integral,
-    sphere_map_differential,
     stereographic,
     tangent_frames,
 )
@@ -74,13 +72,13 @@ class TestMobiusTransform:
     def test_diagonal_transform_moves_equator_point(self):
         # diag(sqrt 2, 1/sqrt 2) acts as w -> 2w: (1,0,0) -> (4/5, 0, 3/5)
         t = MobiusTransform(math.sqrt(2.0), 0.0, 0.0, 1.0 / math.sqrt(2.0))
-        out = mobius_apply_points(t, np.array([1.0, 0.0, 0.0]))
-        assert np.allclose(out, [0.8, 0.0, 0.6], atol=1e-14)
+        out = mobius_apply_points(t, np.array([[1.0, 0.0, 0.0]]))
+        assert np.allclose(out, [[0.8, 0.0, 0.6]], atol=1e-14)
 
     def test_poles_handled_without_special_casing(self):
         t = MobiusTransform(0.0, 1.0, -1.0, 0.0)  # w -> -1/w swaps poles
-        assert np.allclose(mobius_apply_points(t, NORTH), SOUTH, atol=1e-14)
-        assert np.allclose(mobius_apply_points(t, SOUTH), NORTH, atol=1e-14)
+        assert np.allclose(mobius_apply_points(t, NORTH[None]), SOUTH[None], atol=1e-14)
+        assert np.allclose(mobius_apply_points(t, SOUTH[None]), NORTH[None], atol=1e-14)
 
     def test_apply_agrees_with_chart_formula(self, rng):
         t = random_mobius(rng)
@@ -95,7 +93,7 @@ class TestMobiusTransform:
                 continue
             w = stereographic(v)
             expect = inverse_stereographic((t.a * w + t.b) / (t.c * w + t.d))
-            assert np.allclose(mobius_apply_points(t, v), expect, atol=1e-11)
+            assert np.allclose(mobius_apply_points(t, v[None])[0], expect, atol=1e-11)
 
 
 class TestGroupStructure:
@@ -133,12 +131,12 @@ class TestGroupStructure:
 class TestConformalStretch:
     def test_identity_has_unit_stretch(self):
         t = MobiusTransform.identity()
-        assert math.isclose(conformal_stretch_points(t, SOUTH), 1.0, abs_tol=1e-14)
+        assert math.isclose(conformal_stretch_points(t, SOUTH[None])[0], 1.0, abs_tol=1e-14)
 
     def test_dilation_stretch_at_south_pole(self):
         # w -> 2w doubles lengths at w=0, i.e. at the south pole
         t = MobiusTransform(math.sqrt(2.0), 0.0, 0.0, 1.0 / math.sqrt(2.0))
-        assert math.isclose(conformal_stretch_points(t, SOUTH), 2.0, rel_tol=1e-14)
+        assert math.isclose(conformal_stretch_points(t, SOUTH[None])[0], 2.0, rel_tol=1e-14)
 
     def test_stretch_squared_integrates_to_sphere_area(self, rng):
         # area of the image sphere equals 4 pi for any conformal bijection
@@ -149,45 +147,44 @@ class TestConformalStretch:
             assert math.isclose(float(q.weights @ lam2), 4.0 * math.pi, rel_tol=1e-10)
 
     def test_stretch_matches_differential_norms(self, rng):
-        # both tangent derivatives have length lambda / t and stay orthogonal
+        # both tangent derivatives have length lambda and stay orthogonal
         t = random_mobius(rng)
         pts = rng.normal(size=(10, 3))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         lam = conformal_stretch_points(t, pts)
-        for radius in (1.0, 3.0):
-            for i in range(10):
-                d = sphere_map_differential(t, pts[i] * radius)
-                assert math.isclose(np.linalg.norm(d.d_u), lam[i] / radius, rel_tol=1e-10)
-                assert math.isclose(np.linalg.norm(d.d_v), lam[i] / radius, rel_tol=1e-10)
-                assert abs(float(d.d_u @ d.d_v)) < 1e-12 * lam[i] ** 2
+        u, v = tangent_frames(pts)
+        du = mobius_pushforward(t, pts, u)
+        dv = mobius_pushforward(t, pts, v)
+        assert np.allclose(np.linalg.norm(du, axis=1), lam, rtol=1e-10, atol=0.0)
+        assert np.allclose(np.linalg.norm(dv, axis=1), lam, rtol=1e-10, atol=0.0)
+        assert np.all(np.abs(np.einsum("ij,ij->i", du, dv)) < 1e-12 * lam**2)
+
+
+def _area_stretch(t: MobiusTransform, pts: np.ndarray) -> np.ndarray:
+    """``|du x dv|`` of the sphere action along the tangent frames."""
+    u, v = tangent_frames(pts)
+    return np.linalg.norm(np.cross(mobius_pushforward(t, pts, u), mobius_pushforward(t, pts, v)),
+                          axis=1)
 
 
 class TestGramDeterminant:
-    def test_identity_rotation_gram_is_inverse_square_radius(self, rng):
+    def test_identity_rotation_area_stretch_is_one(self, rng):
         pts = rng.normal(size=(8, 3))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
-        ident = MobiusTransform.identity()
-        for t in (1.0, 2.0, 5.0):
-            g = [gram_determinant(ident, p * t) for p in pts]
-            assert np.allclose(g, 1.0 / t**2, rtol=1e-12)
+        assert np.allclose(_area_stretch(MobiusTransform.identity(), pts), 1.0, rtol=1e-12)
 
-    def test_gram_equals_stretch_over_radius_squared(self, rng):
+    def test_area_stretch_equals_stretch_squared(self, rng):
         t = random_mobius(rng)
         pts = rng.normal(size=(8, 3))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         lam2 = conformal_stretch_points(t, pts) ** 2
-        for i in range(8):
-            g = gram_determinant(t, pts[i] * 2.0)
-            assert math.isclose(g, lam2[i] / 4.0, rel_tol=1e-10)
+        assert np.allclose(_area_stretch(t, pts), lam2, rtol=1e-10, atol=0.0)
 
     def test_mapped_area_identity(self, rng):
         q = make_sphere_quadrature(24)
-        u, v = tangent_frames(q.nodes)
         for _ in range(4):
             t = random_mobius(rng)
-            du = mobius_pushforward(t, q.nodes, u)
-            dv = mobius_pushforward(t, q.nodes, v)
-            area = float(q.weights @ np.linalg.norm(np.cross(du, dv), axis=1))
+            area = float(q.weights @ _area_stretch(t, q.nodes))
             assert math.isclose(area, 4.0 * math.pi, rel_tol=1e-10)
 
 
@@ -208,6 +205,17 @@ class TestPushforward:
                 exact = mobius_pushforward(t, pts, vecs)
                 err = np.linalg.norm(exact - fd, axis=1) / np.linalg.norm(exact, axis=1)
                 assert np.max(err) < 1e-7
+
+
+    def test_rejects_vectors_of_another_shape(self, rng):
+        # a transposed or flattened array used to be reshaped silently
+        pts = rng.normal(size=(4, 3))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        u, _ = tangent_frames(pts)
+        t = random_mobius(rng)
+        for vecs in (u.T, u.ravel()):
+            with pytest.raises(ValueError, match="shape of the points"):
+                mobius_pushforward(t, pts, vecs)
 
 
 class TestSphereInequality:

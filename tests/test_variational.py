@@ -6,6 +6,7 @@ import pytest
 from annuli import (
     AnnulusPair,
     DomainError,
+    EvaluationError,
     ExponentialProfile,
     HarmonicProfile,
     analytic_min_weighted_energy,
@@ -231,3 +232,10 @@ class TestShooting:
         result = shoot_el(pair)
         assert not result.converged
         assert result.profile is None
+
+    @pytest.mark.parametrize("radii", [(5e-324, 1.0, 0.5, 1.0), (1e-200, 1e-100, 1e-200, 1.0)])
+    def test_underflowing_t_times_h_is_an_evaluation_error(self, radii):
+        # t * H rounds to zero in the RK4 step, which divided by it
+        with pytest.raises(EvaluationError, match=rf"r = {radii[0]!r}, R = {radii[1]!r}.*"
+                                                  r"t \* H underflows"):
+            shoot_el(AnnulusPair.from_radii(*radii))
