@@ -3,8 +3,8 @@
 The Moebius sphere action is vectorized numpy.  RK4 shooting and the
 tridiagonal solve are scalar loops; they run on Python floats, reading
 and writing 1-D float64 arrays through memoryviews, because numpy-scalar
-indexing and ``np.isfinite`` dominated them.  Gradient descent is a loop
-of whole-array steps into buffers allocated once.
+indexing and ``np.isfinite`` dominated them.  Descent on the quadratic
+form is a loop of whole-array steps into buffers allocated once.
 
 Contract: array inputs are 1-D float64 (a memoryview rejects
 ``longdouble``), and the Thomas systems are symmetric positive definite,
@@ -176,55 +176,76 @@ def thomas_solve(lower, diag, upper, rhs):
 
 
 # ---------------------------------------------------------------------------
-# Gradient descent on the discrete quadratic form
+# Descent on the discrete quadratic form
 #   Q(k) = sum_i a[i] * (k[i+1] - k[i])^2
-# over interior nodes with fixed endpoints.  Step modes: 0 exact line
-# search (closed form for a quadratic), 1 Barzilai-Borwein with an exact
-# first step, 2 fixed step.  Convergence means the gradient max-norm
-# dropped to tol before the iteration budget ran out; the gradient is
-# checked before each step, so an optimal initial guess converges at
-# iteration zero.  ``k`` (1-D float64) is updated in place; the work
-# arrays are allocated once and filled by ``out=`` ufuncs.
+# over interior nodes with fixed endpoints.  Modes: 0 steepest descent
+# with the exact line search, 1 conjugate gradient (Hestenes-Stiefel),
+# 2 steepest descent with a fixed step.  The gradient of Q at k,
+# 2 (flux[:-1] - flux[1:]) with flux = a * diff(k), is linear in k, so
+# the same formula applied to a direction padded with zero ends is the
+# Hessian product.  Each step takes one such product and updates the
+# gradient recursively.  Convergence means a gradient recomputed from k
+# has max-norm at most tol before the iteration budget runs out; when
+# only the recursive one does, descent restarts from the recomputed
+# gradient.  The gradient is checked before each step, so an optimal
+# initial guess converges at iteration zero.  A direction of
+# non-positive curvature, which needs some a[i] <= 0, ends the run
+# unconverged without a step.  ``k`` (1-D float64) is updated in place;
+# the work arrays are allocated once and filled by ``out=`` ufuncs.
+
+
+def _form_gradient(a, x, flux, out):
+    """Gradient of ``Q`` at ``x`` (length ``n + 1``) into ``out``."""
+    np.subtract(x[1:], x[:-1], out=flux)
+    flux *= a
+    np.subtract(flux[:-1], flux[1:], out=out)
+    out *= 2.0
 
 
 def gd_quadratic(a, k, max_iter, tol, mode, fixed_step):
     n = a.shape[0]
-    dk = np.empty(n)
     flux = np.empty(n)
     g = np.empty(n - 1)
-    g_old = np.empty(n - 1)
-    y = np.empty(n - 1)
-    s = np.empty(n - 1)
+    hp = np.empty(n - 1)
+    tmp = np.empty(n - 1)
+    padded = np.zeros(n + 1)
+    p = padded[1:-1]
     interior = k[1:-1]
+    _form_gradient(a, k, flux, g)
+    gg = float(g @ g)
+    fresh = True   # g was recomputed from k, not updated
     iters = 0
     converged = False
     while True:
-        np.subtract(k[1:], k[:-1], out=dk)
-        np.multiply(a, dk, out=flux)
-        np.subtract(flux[:-1], flux[1:], out=g)
-        g *= 2.0
         if max(g.max(), -g.min()) <= tol:
-            converged = True
-            break
+            if fresh:
+                converged = True
+                break
+            _form_gradient(a, k, flux, g)
+            gg = float(g @ g)
+            fresh = True
+            continue
         if iters >= max_iter:
             break
+        if mode == 1 and not fresh:
+            p *= gg / gg_old
+            p -= g
+        else:
+            np.negative(g, out=p)
+        _form_gradient(a, padded, flux, hp)
         if mode == 2:
             alpha = fixed_step
         else:
-            alpha = None
-            if mode == 1 and iters > 0:
-                np.subtract(g, g_old, out=y)
-                sy = float(s @ y)
-                if sy > 0.0:
-                    alpha = float(s @ s) / sy
-            if alpha is None:
-                pad = np.zeros(k.shape[0])
-                pad[1:-1] = -g
-                dd = np.diff(pad)
-                alpha = float(g @ g) / (2.0 * float(a @ (dd * dd)))
-        np.multiply(g, -alpha, out=s)
-        g, g_old = g_old, g
-        interior += s
+            php = float(p @ hp)
+            if not php > 0.0:
+                break
+            alpha = gg / php
+        np.multiply(p, alpha, out=tmp)
+        interior += tmp
+        np.multiply(hp, alpha, out=tmp)
+        g += tmp
+        gg_old, gg = gg, float(g @ g)
+        fresh = False
         iters += 1
     return iters, converged
 

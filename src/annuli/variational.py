@@ -3,14 +3,17 @@
 The reduced functional ``4 pi * integral(t^2 (H'/H)^2 + 2) dt`` becomes,
 after the substitution ``K = log H``, a convex quadratic in the sampled
 ``K`` values.  Minimizing it therefore amounts to one symmetric
-positive-definite tridiagonal solve; gradient descent and an RK4
-shooting method for the original second-order equation are provided as
-independent routes to the same profile.  All three run on the numpy
-kernels in ``_kernels``.
+positive-definite tridiagonal solve.  Descent on the gradient and an
+RK4 shooting method for the original second-order equation are provided
+as independent routes to the same profile; the descent takes
+conjugate-gradient steps (mode 1) by default, or steepest-descent steps
+with the exact line search (mode 0) or a fixed length (mode 2).  All
+three routes run on the numpy kernels in ``_kernels``.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,29 +199,31 @@ def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolu
 
 
 def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid,
-                              step_rule: str | float = "bb",
+                              step_rule: str | float = "cg",
                               max_iter: int = 200_000,
                               tol: float = 1e-7) -> DiscreteSolution:
-    """Minimize the same discrete energy by gradient descent.
+    """Minimize the same discrete energy by descent on its gradient.
 
-    ``step_rule`` picks the step length: ``"bb"`` (default) for
-    Barzilai-Borwein steps, which handle the badly conditioned systems
-    that fine grids or wide annuli produce, ``"exact"`` for the
-    classical closed-form line search on the quadratic, or a positive
-    float (or ``"fixed:<value>"``) for a fixed step.  ``tol`` bounds the
-    max-norm of the energy gradient at convergence; running out of
-    ``max_iter`` first yields ``converged=False`` with the current
-    iterate.
+    ``step_rule`` picks the method (the ``_kernels.gd_quadratic`` mode):
+    ``"cg"`` (default, mode 1) for conjugate gradient, which handles the
+    badly conditioned systems that fine grids or wide annuli produce;
+    ``"exact"`` (mode 0) for steepest descent with the closed-form line
+    search on the quadratic; or a positive finite float, or
+    ``"fixed:<value>"`` (mode 2), for steepest descent with that fixed
+    step.  ``tol`` (positive, finite) bounds the max-norm of the energy
+    gradient at convergence, recomputed from the final iterate; running
+    out of ``max_iter`` (an integer) first yields ``converged=False``
+    with the current iterate.
     """
-    pair.require_weighted()
-    if grid.annulus != pair.domain:
-        raise ValueError("grid must live on the domain annulus of the pair")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
-    mode = 1
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     fixed = 0.0
     if isinstance(step_rule, str):
-        if step_rule == "bb":
+        if step_rule == "cg":
             mode = 1
         elif step_rule == "exact":
             mode = 0
@@ -230,8 +235,11 @@ def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid,
     else:
         mode = 2
         fixed = float(step_rule)
-    if mode == 2 and not fixed > 0.0:
-        raise ValueError("fixed step must be positive")
+    if mode == 2 and not 0.0 < fixed < math.inf:
+        raise ValueError(f"fixed step must be positive and finite, got {fixed!r}")
+    pair.require_weighted()
+    if grid.annulus != pair.domain:
+        raise ValueError("grid must live on the domain annulus of the pair")
     if pair.r_star == pair.R_star:
         return _constant_solution(pair, grid)
     a = _interval_coefficients(grid)
