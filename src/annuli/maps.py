@@ -8,6 +8,7 @@ vectorized evaluator and are differentiated by finite differences.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Union
@@ -365,8 +366,8 @@ def perturbed_profile(
     are untouched, so the perturbation stays admissible for boundary
     value problems.
     """
-    if mode < 1:
-        raise ValueError("mode must be a positive integer")
+    if isinstance(mode, bool) or not isinstance(mode, numbers.Integral) or mode < 1:
+        raise ValueError(f"mode must be a positive integer, got {mode!r}")
     if grid is None:
         if isinstance(base, SampledProfile):
             grid = base.grid

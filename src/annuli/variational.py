@@ -3,11 +3,9 @@
 The reduced functional ``4 pi * integral(t^2 (H'/H)^2 + 2) dt`` becomes,
 after the substitution ``K = log H``, a convex quadratic in the sampled
 ``K`` values.  Minimizing it therefore amounts to one symmetric
-positive-definite tridiagonal solve.  Descent on the gradient and an
-RK4 shooting method for the original second-order equation are provided
-as independent routes to the same profile; the descent takes
-conjugate-gradient steps (mode 1) by default, or steepest-descent steps
-with the exact line search (mode 0) or a fixed length (mode 2).  All
+positive-definite tridiagonal solve.  Conjugate-gradient descent on the
+gradient and an RK4 shooting method for the original second-order
+equation are provided as independent routes to the same profile.  All
 three routes run on the numpy kernels in ``_kernels``.
 """
 from __future__ import annotations
@@ -161,12 +159,8 @@ def _constant_solution(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolution:
 
 
 def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolution:
-    """Minimize the discrete reduced energy by a direct tridiagonal
-    solve in ``K = log H``.
-
-    One step of iterative refinement with an extended-precision residual
-    keeps the nodal values near machine accuracy even on fine grids.
-    """
+    """Minimize the discrete reduced energy by one direct tridiagonal
+    solve in ``K = log H``."""
     pair.require_weighted()
     if grid.annulus != pair.domain:
         raise ValueError("grid must live on the domain annulus of the pair")
@@ -186,31 +180,18 @@ def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolu
     rhs[0] = a[0] * k0
     rhs[-1] = a[-1] * kn
     y = _kernels.thomas_solve(lower, diag, upper, rhs)
-    # extended-precision residual, one refinement pass; the products are
-    # formed in long double and subtracted in place
-    ld = np.longdouble
-    res = rhs.astype(ld)
-    res -= np.multiply(diag, y, dtype=ld)
-    res[1:] -= np.multiply(lower[1:], y[:-1], dtype=ld)
-    res[:-1] -= np.multiply(upper[:-1], y[1:], dtype=ld)
-    y += _kernels.thomas_solve(lower, diag, upper, res.astype(float))
     k = np.concatenate([[k0], y, [kn]])
     return _solution_from_k(pair, grid, k, 1, True)
 
 
 def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid,
-                              step_rule: str | float = "cg",
                               max_iter: int = 200_000,
                               tol: float = 1e-7) -> DiscreteSolution:
-    """Minimize the same discrete energy by descent on its gradient.
+    """Minimize the same discrete energy by conjugate-gradient descent
+    on its gradient, which handles the badly conditioned systems that
+    fine grids or wide annuli produce.
 
-    ``step_rule`` picks the method (the ``_kernels.gd_quadratic`` mode):
-    ``"cg"`` (default, mode 1) for conjugate gradient, which handles the
-    badly conditioned systems that fine grids or wide annuli produce;
-    ``"exact"`` (mode 0) for steepest descent with the closed-form line
-    search on the quadratic; or a positive finite float, or
-    ``"fixed:<value>"`` (mode 2), for steepest descent with that fixed
-    step.  ``tol`` (positive, finite) bounds the max-norm of the energy
+    ``tol`` (positive, finite) bounds the max-norm of the energy
     gradient at convergence, recomputed from the final iterate; running
     out of ``max_iter`` (an integer) first yields ``converged=False``
     with the current iterate.
@@ -221,22 +202,6 @@ def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid,
         raise ValueError("max_iter must be nonnegative")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    fixed = 0.0
-    if isinstance(step_rule, str):
-        if step_rule == "cg":
-            mode = 1
-        elif step_rule == "exact":
-            mode = 0
-        elif step_rule.startswith("fixed:"):
-            mode = 2
-            fixed = float(step_rule.split(":", 1)[1])
-        else:
-            raise ValueError(f"unknown step rule {step_rule!r}")
-    else:
-        mode = 2
-        fixed = float(step_rule)
-    if mode == 2 and not 0.0 < fixed < math.inf:
-        raise ValueError(f"fixed step must be positive and finite, got {fixed!r}")
     pair.require_weighted()
     if grid.annulus != pair.domain:
         raise ValueError("grid must live on the domain annulus of the pair")
@@ -248,7 +213,8 @@ def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid,
     k = k0 + (t - t[0]) / (t[-1] - t[0]) * (kn - k0)
     # the kernel minimizes Q = E / (4 pi) - const, so rescale the
     # gradient tolerance accordingly
-    iters, converged = _kernels.gd_quadratic(a, k, max_iter, tol / _FOUR_PI, mode, fixed)
+    # mode 1 is conjugate gradient, which takes no fixed step
+    iters, converged = _kernels.gd_quadratic(a, k, max_iter, tol / _FOUR_PI, 1, 0.0)
     return _solution_from_k(pair, grid, k, int(iters), bool(converged))
 
 
@@ -256,8 +222,9 @@ def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid,
 class ShootingResult:
     """Outcome of shooting for the radial Euler-Lagrange equation.
 
-    ``profile`` is None only when no sign change was found in the
-    initial slope bracket (``converged`` False in that case)."""
+    ``profile`` is None when no sign change was found in the initial
+    slope bracket, or when the last bisection trial fell below the floor
+    or rose above the cap; ``converged`` is False in both cases."""
 
     initial_slope: float
     profile: SampledProfile | None

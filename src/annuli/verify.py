@@ -4,13 +4,15 @@ Every check compares an independently computed quantity against a
 closed form or a structural bound, records the outcome in a
 :class:`CheckResult`, and never raises on a mere numerical failure.
 Each check takes one :class:`VerifyConfig`, the only holder of every
-setting.  ``run_suite`` executes the five checks in a fixed order, so
-two runs with the same configuration produce byte-identical serialized
-reports (wall time is reported separately, not serialized).
+setting a caller can change.  ``run_suite`` executes the five checks in
+a fixed order, so two runs with the same configuration produce
+byte-identical serialized reports (wall time is reported separately,
+not serialized).
 """
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields
 
@@ -66,6 +68,12 @@ from .variational import (
 
 EIGHT_PI = 8.0 * math.pi
 _SHELL_RADII = (1.0, 2.0, 5.0)  # where the sharp 8 pi value is checked
+# quadrature orders of the finite-difference energy route, its relative
+# tolerance, and the tolerance of the pointwise residual identities
+_FD_RADIAL_ORDER = 32
+_FD_SPHERE_ORDER = 16
+_FD_ENERGY_REL_TOL = 1e-4
+_RESIDUAL_TOL = 1e-9
 DEFAULT_PAIR = AnnulusPair.from_radii(1.0, 2.0, 1.0, math.e)
 
 
@@ -102,39 +110,38 @@ def _lower_bound(name: str, observed: float, bound: float, slack: float,
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Scales, orders, and tolerances of the verification suite."""
+    """Pair, seed, quadrature orders, grid size, sample counts and
+    closed-form tolerance of the verification suite."""
 
     pair: AnnulusPair = DEFAULT_PAIR
     seed: int = 42
     radial_order: int = 64
     sphere_order: int = 32
     grid_n: int = 1000
-    fd_radial_order: int = 32
-    fd_sphere_order: int = 16
     n_competitors: int = 50
     n_inversion_maps: int = 50
     n_transforms: int = 20
     n_perturbations: int = 20
     n_pairs: int = 1000
     closed_form_tol: float = 1e-8
-    fd_energy_rel_tol: float = 1e-4
-    residual_tol: float = 1e-9
 
     def __post_init__(self):
         for f in fields(self):
             if f.name in ("pair",):
                 continue
             v = getattr(self, f.name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ConfigError(f"verify config field {f.name!r} must be numeric")
+            # every field but the tolerance is a count, an order or a seed
+            integral = f.type == "int"
+            kind = numbers.Integral if integral else (int, float)
+            if isinstance(v, bool) or not isinstance(v, kind):
+                noun = "an integer" if integral else "numeric"
+                raise ConfigError(f"verify config field {f.name!r} must be {noun}")
             if v < 0:
                 raise ConfigError(f"verify config field {f.name!r} must be nonnegative")
         if self.grid_n < 8:
             raise ConfigError("verify config field 'grid_n' must be at least 8")
         if self.radial_order < 2 or self.sphere_order < 2:
             raise ConfigError("verify config orders must be at least 2")
-        if self.fd_radial_order < 2 or self.fd_sphere_order < 2:
-            raise ConfigError("verify config fd orders must be at least 2")
 
 
 @dataclass
@@ -194,10 +201,10 @@ def random_annulus_pair(rng: np.random.Generator, low: float = 0.1, high: float 
         return AnnulusPair.from_radii(r, R, rs, Rs)
 
 
-def random_admissible_pair(rng: np.random.Generator, **kwargs) -> AnnulusPair:
+def random_admissible_pair(rng: np.random.Generator) -> AnnulusPair:
     """Random pair satisfying the Nitsche admissibility condition."""
     while True:
-        pair = random_annulus_pair(rng, **kwargs)
+        pair = random_annulus_pair(rng)
         if nitsche_condition(pair).admissible:
             return pair
 
@@ -288,7 +295,7 @@ def check_minimal_energy(config: VerifyConfig) -> list[CheckResult]:
         min_gap = min(min_gap, e - target)
     for i in range(n_angular):
         f = _angular_competitor(pair, rng)
-        rep = weighted_energy(f, pair, config.fd_radial_order, config.fd_sphere_order, refine=False)
+        rep = weighted_energy(f, pair, _FD_RADIAL_ORDER, _FD_SPHERE_ORDER, refine=False)
         min_gap = min(min_gap, rep.value - target)
     results.append(_lower_bound(
         "competitor-energies-above-minimum", min_gap, 0.0, 1e-6,
@@ -320,7 +327,7 @@ def check_inversion_invariance(config: VerifyConfig) -> list[CheckResult]:
     the tolerance is twice the FD energy tolerance, one per route.
     """
     pair = config.pair
-    orders = (config.fd_radial_order, config.fd_sphere_order)
+    orders = (_FD_RADIAL_ORDER, _FD_SPHERE_ORDER)
     rng = np.random.default_rng([config.seed, 2])
     scales = (0.5, 1.0, pair.r_star * pair.R_star)
     worst = 0.0
@@ -343,7 +350,7 @@ def check_inversion_invariance(config: VerifyConfig) -> list[CheckResult]:
             e_f = weighted_energy(f, pair, *orders, refine=False).value
         worst = max(worst, abs(e_f - e_g) / max(abs(e_f), 1.0))
     return [_equality("inversion-invariance-of-weighted-energy", worst, 0.0,
-                      2.0 * config.fd_energy_rel_tol,
+                      2.0 * _FD_ENERGY_REL_TOL,
                       f"{config.n_inversion_maps} maps at scales 0.5; 1; r*R*")]
 
 
@@ -414,7 +421,7 @@ def check_harmonic_bvp(config: VerifyConfig) -> list[CheckResult]:
         res = prof.derivative(t, 2) + 2.0 * prof.derivative(t, 1) / t - 2.0 * prof.eval(t) / t**2
         worst_res = max(worst_res, float(np.max(np.abs(res))))
     results.append(_equality("harmonic-bvp-radial-laplacian-vanishes",
-                             worst_res, 0.0, config.residual_tol,
+                             worst_res, 0.0, _RESIDUAL_TOL,
                              "50 random pairs; 100 radii each"))
 
     admissible = [random_admissible_pair(rng) for _ in range(20)]
@@ -422,11 +429,10 @@ def check_harmonic_bvp(config: VerifyConfig) -> list[CheckResult]:
     for p in admissible:
         x = analytic_dirichlet_energy_radial(p)
         f = as_sampled_map(GeneralizedRadialMap(harmonic_radial_bvp(p)))
-        num = dirichlet_energy(f, p, config.fd_radial_order, config.fd_sphere_order,
-                               refine=False).value
+        num = dirichlet_energy(f, p, _FD_RADIAL_ORDER, _FD_SPHERE_ORDER, refine=False).value
         worst_rel = max(worst_rel, abs(num - x) / x)
     results.append(_equality("harmonic-energy-closed-form-vs-quadrature",
-                             worst_rel, 0.0, config.fd_energy_rel_tol, "20 admissible pairs"))
+                             worst_rel, 0.0, _FD_ENERGY_REL_TOL, "20 admissible pairs"))
 
     min_gap_rel = math.inf
     for p in admissible + [random_admissible_pair(rng) for _ in range(80)]:
@@ -451,7 +457,6 @@ def check_residuals(config: VerifyConfig) -> list[CheckResult]:
     """Pointwise identities: the Euler-Lagrange family, the weighted
     harmonicity reformulation, and the first-order form of the
     log-derivative density."""
-    residual_tol = config.residual_tol
     rng = np.random.default_rng([config.seed, 5])
     results = []
     t = np.linspace(0.8, 4.0, 100)
@@ -468,9 +473,9 @@ def check_residuals(config: VerifyConfig) -> list[CheckResult]:
         h = prof.eval(t)
         worst_link = max(worst_link, float(np.max(np.abs(wh - el / (t**2 * h)))))
     results.append(_equality("euler-lagrange-residual-vanishes-on-exponential-family",
-                             worst_el, 0.0, residual_tol, "20 random profiles; 100 radii"))
+                             worst_el, 0.0, _RESIDUAL_TOL, "20 random profiles; 100 radii"))
     results.append(_equality("weighted-harmonic-residual-vanishes-on-exponential-family",
-                             worst_wh, 0.0, residual_tol, "same sample"))
+                             worst_wh, 0.0, _RESIDUAL_TOL, "same sample"))
     results.append(_equality("weighted-residual-equals-scaled-euler-lagrange",
                              worst_link, 0.0, 1e-12, "identity between the two residuals"))
 
@@ -491,7 +496,7 @@ def check_residuals(config: VerifyConfig) -> list[CheckResult]:
     mprime = 2.0 * ld * (inc.derivative(tt, 2) / inc.eval(tt) - ld**2)
     worst_m = float(np.max(np.abs(2.0 * m / tt + 0.5 * mprime)))
     results.append(_equality("log-derivative-density-first-order-form",
-                             worst_m, 0.0, residual_tol,
+                             worst_m, 0.0, _RESIDUAL_TOL,
                              "2 M / t + M' / 2 = 0 along the increasing minimizer"))
 
     grid = make_radial_grid(Annulus(1.0, 2.0), 50)

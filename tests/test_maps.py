@@ -250,6 +250,21 @@ class TestPerturbedProfile:
             perturbed_profile(base, -1.5, mode=1,
                               grid=make_radial_grid(canonical_pair.domain, 64))
 
+    @pytest.mark.parametrize("mode", [2.5, True, 0])
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_mode_must_be_a_positive_integer(self, canonical_pair, mode, seed):
+        # a fractional mode would move the outer endpoint (sin(2.5 pi) = 1)
+        base = exp_profile_from_boundary(canonical_pair, "increasing")
+        grid = make_radial_grid(canonical_pair.domain, 64)
+        with pytest.raises(ValueError, match="mode"):
+            perturbed_profile(base, 0.2, mode=mode, seed=seed, grid=grid)
+
+    def test_numpy_integer_mode_accepted(self, canonical_pair):
+        base = exp_profile_from_boundary(canonical_pair, "increasing")
+        grid = make_radial_grid(canonical_pair.domain, 64)
+        p = perturbed_profile(base, 0.2, mode=np.int64(2), seed=3, grid=grid)
+        assert math.isclose(p.eval(2.0), base.eval(2.0), rel_tol=1e-12)
+
     def test_zero_amplitude_reproduces_base(self, canonical_pair):
         base = exp_profile_from_boundary(canonical_pair, "increasing")
         p = perturbed_profile(base, 0.0, mode=1, seed=0,
