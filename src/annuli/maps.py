@@ -368,6 +368,8 @@ def perturbed_profile(
     """
     if isinstance(mode, bool) or not isinstance(mode, numbers.Integral) or mode < 1:
         raise ValueError(f"mode must be a positive integer, got {mode!r}")
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude!r}")
     if grid is None:
         if isinstance(base, SampledProfile):
             grid = base.grid

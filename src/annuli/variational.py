@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +23,9 @@ from .geometry import AnnulusPair, RadialGrid, make_radial_grid
 from .maps import RadialProfile, SampledProfile, exp_profile_from_boundary
 
 _FOUR_PI = 4.0 * math.pi
-# RK4 steps of one shooting trial, and the boundary miss that ends the bisection
+# RK4 steps of one shooting trial, and the boundary miss that ends the search
 _ODE_STEPS = 2000
-_BISECT_TOL = 1e-10
+_MISS_TOL = 1e-10
 
 
 def _residual_radii(profile: RadialProfile, t):
@@ -223,26 +224,48 @@ class ShootingResult:
     """Outcome of shooting for the radial Euler-Lagrange equation.
 
     ``profile`` is None when no sign change was found in the initial
-    slope bracket, or when the last bisection trial fell below the floor
-    or rose above the cap; ``converged`` is False in both cases."""
+    slope bracket, or when the last trial fell below the floor or rose
+    above the cap; ``converged`` is False in both cases.  ``sweeps``
+    counts the RK4 integrations, the two bracket-end trials included."""
 
     initial_slope: float
     profile: SampledProfile | None
     boundary_miss: float
     converged: bool
+    sweeps: int = 0
+
+
+def _secant(history) -> float | None:
+    """Root of the line through the last two ``(slope, g)`` trials, or
+    None when there are fewer than two or their ``g`` values are equal."""
+    if len(history) < 2:
+        return None
+    (s0, g0), (s1, g1) = history
+    if g0 == g1:
+        return None
+    return s1 - g1 * (s1 - s0) / (g1 - g0)
 
 
 def shoot_el(pair: AnnulusPair) -> ShootingResult:
     """Solve the boundary value problem for the radial Euler-Lagrange
-    equation by RK4 integration and bisection on the initial slope.
+    equation by RK4 integration and safeguarded secant steps on the
+    initial slope.
 
     Each trial integrates ``H'' = (t H'^2 - 2 H H') / (t H)`` from
-    ``H(r) = r_star`` over 2000 uniform steps, and bisection stops once
-    the miss ``H(R) - R_star`` is within 1e-10 (or after 200 halvings).
-    The slope bracket is ``+- 10 (R_star - r_star) / (R - r)``, wide
-    enough for moderately proportioned pairs; if the boundary miss does
-    not change sign across it, a non-converged result is returned.  A
-    product ``t * H`` that underflows to zero raises
+    ``H(r) = r_star`` over 2000 uniform steps.  The slope bracket is
+    ``+- 10 (R_star - r_star) / (R - r)``, wide enough for moderately
+    proportioned pairs; if the boundary miss ``H(R) - R_star`` does not
+    change sign across it, a non-converged result is returned.  Inside
+    the bracket the first trial is the slope 0 and the second the chord
+    slope ``(R_star - r_star) / (R - r)``.  Every later trial is the
+    secant step on ``g(s) = log H(R; s) - log R_star`` through the last
+    two trials with a finite ``g``: along the exact flow ``g`` is linear
+    in ``s``, so the step lands on the root up to the RK4 error.  A
+    candidate not strictly inside the bracket, or a missing secant,
+    falls back to halving the bracket.  Trials that fall below the
+    floor or rise above the cap still narrow the bracket.  The search
+    stops once the miss is within 1e-10 (or after 200 further trials).
+    A product ``t * H`` that underflows to zero raises
     :class:`EvaluationError`.
     """
     pair.require_weighted()
@@ -252,51 +275,58 @@ def shoot_el(pair: AnnulusPair) -> ShootingResult:
     grid = RadialGrid(pair.domain, nodes, "uniform-in-t")
     floor = 1e-10 * pair.r_star
     cap = 1e10 * pair.R_star
+    log_target = math.log(pair.R_star)
+    history = deque(maxlen=2)   # (slope, g) of the last trials with a finite g
+    sweeps = 0
 
-    def integrate(slope: float):
+    def trial(slope: float):
+        """RK4 sweep from ``slope``: its result and the boundary miss,
+        -inf below the floor and +inf above the cap."""
+        nonlocal sweeps
+        sweeps += 1
         try:
-            return _kernels.rk4_shoot(r, R, pair.r_star, slope, _ODE_STEPS, floor, cap)
+            result = _kernels.rk4_shoot(r, R, pair.r_star, slope, _ODE_STEPS, floor, cap)
         except ZeroDivisionError:
             raise EvaluationError(
                 f"RK4 shooting on r = {r!r}, R = {R!r}, r_star = {pair.r_star!r}, "
                 f"R_star = {pair.R_star!r}: the product t * H underflows to zero; "
                 "the radii are too small for floating point"
             ) from None
-
-    def miss(result):
         values, status = result
-        if status < 0:
-            return -math.inf
-        if status > 0:
-            return math.inf
-        return float(values[-1]) - pair.R_star
+        if status != 0:
+            return result, math.copysign(math.inf, status)
+        end = float(values[-1])
+        history.append((slope, math.log(end) - log_target))
+        return result, end - pair.R_star
 
     if pair.r_star == pair.R_star:
-        values, _ = integrate(0.0)
+        (values, _), m = trial(0.0)
         prof = SampledProfile(grid=grid, values=values)
-        return ShootingResult(0.0, prof, float(values[-1]) - pair.R_star, True)
+        return ShootingResult(0.0, prof, m, True, sweeps)
 
     half = 10.0 * (pair.R_star - pair.r_star) / (R - r)
     lo, hi = -half, half
-    m_lo = miss(integrate(lo))
-    m_hi = miss(integrate(hi))
+    _, m_lo = trial(lo)
+    _, m_hi = trial(hi)
     if not (m_lo <= 0.0 <= m_hi):
-        return ShootingResult(math.nan, None, math.inf, False)
-    mid = 0.5 * (lo + hi)
-    result = integrate(mid)
-    m_mid = miss(result)
-    for _ in range(200):
-        if abs(m_mid) <= _BISECT_TOL:
+        return ShootingResult(math.nan, None, math.inf, False, sweeps)
+    slope = 0.0
+    result, m = trial(slope)
+    for i in range(200):
+        if abs(m) <= _MISS_TOL:
             break
-        if m_mid > 0.0:
-            hi = mid
+        if m > 0.0:
+            hi = slope
         else:
-            lo = mid
-        mid = 0.5 * (lo + hi)
-        result = integrate(mid)
-        m_mid = miss(result)
+            lo = slope
+        step = (pair.R_star - pair.r_star) / (R - r) if i == 0 else _secant(history)
+        # the last slope is now a bracket end, so this also rules out a repeat
+        if step is None or not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        slope = step
+        result, m = trial(slope)
     values, status = result
     if status != 0:
-        return ShootingResult(mid, None, m_mid, False)
+        return ShootingResult(slope, None, m, False, sweeps)
     prof = SampledProfile(grid=grid, values=values.copy())
-    return ShootingResult(mid, prof, m_mid, abs(m_mid) <= _BISECT_TOL)
+    return ShootingResult(slope, prof, m, abs(m) <= _MISS_TOL, sweeps)

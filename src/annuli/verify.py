@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .energy import (
+    _fd_energies,
     _weighted_energies_with_inversion,
     analytic_min_weighted_energy,
     dirichlet_energy,
@@ -44,6 +45,7 @@ from .maps import (
     as_sampled_map,
     exp_profile_from_boundary,
     perturbed_profile,
+    sphere_inversion,
 )
 from .nitsche import (
     analytic_dirichlet_energy_radial,
@@ -138,6 +140,8 @@ class VerifyConfig:
                 raise ConfigError(f"verify config field {f.name!r} must be {noun}")
             if v < 0:
                 raise ConfigError(f"verify config field {f.name!r} must be nonnegative")
+        if not math.isfinite(self.closed_form_tol):
+            raise ConfigError("verify config field 'closed_form_tol' must be finite")
         if self.grid_n < 8:
             raise ConfigError("verify config field 'grid_n' must be at least 8")
         if self.radial_order < 2 or self.sphere_order < 2:
@@ -320,11 +324,13 @@ def check_minimal_energy(config: VerifyConfig) -> list[CheckResult]:
 def check_inversion_invariance(config: VerifyConfig) -> list[CheckResult]:
     """Weighted energy is unchanged by composing with ``y -> a y / |y|^2``.
 
-    The composed map always goes through the finite-difference route,
-    differentiated from the same stencil samples as the map itself.
-    Generalized radial maps take the decomposition route for their own
-    energy, so this doubles as a cross-check of the two quadrature paths;
-    the tolerance is twice the FD energy tolerance, one per route.
+    The composed map always goes through the finite-difference route;
+    other maps are differentiated from the same stencil samples as
+    their composition.  Generalized radial maps take the decomposition
+    route for their own energy, so only their composition is
+    differentiated, and the check doubles as a cross-check of the two
+    quadrature paths; the tolerance is twice the FD energy tolerance,
+    one per route.
     """
     pair = config.pair
     orders = (_FD_RADIAL_ORDER, _FD_SPHERE_ORDER)
@@ -345,9 +351,12 @@ def check_inversion_invariance(config: VerifyConfig) -> list[CheckResult]:
         else:
             f = _angular_competitor(pair, rng)
         a = scales[i % len(scales)]
-        e_f, e_g = _weighted_energies_with_inversion(f, pair, a, *orders)
         if kind == 0:
+            # the decomposition route gives the energy of f itself
             e_f = weighted_energy(f, pair, *orders, refine=False).value
+            [e_g] = _fd_energies(f, pair, *orders, True, (sphere_inversion(a),))
+        else:
+            e_f, e_g = _weighted_energies_with_inversion(f, pair, a, *orders)
         worst = max(worst, abs(e_f - e_g) / max(abs(e_f), 1.0))
     return [_equality("inversion-invariance-of-weighted-energy", worst, 0.0,
                       2.0 * _FD_ENERGY_REL_TOL,

@@ -265,6 +265,13 @@ class TestPerturbedProfile:
         p = perturbed_profile(base, 0.2, mode=np.int64(2), seed=3, grid=grid)
         assert math.isclose(p.eval(2.0), base.eval(2.0), rel_tol=1e-12)
 
+    @pytest.mark.parametrize("amplitude", [math.inf, math.nan])
+    def test_amplitude_must_be_finite(self, canonical_pair, amplitude):
+        base = exp_profile_from_boundary(canonical_pair, "increasing")
+        grid = make_radial_grid(canonical_pair.domain, 64)
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            perturbed_profile(base, amplitude, mode=1, grid=grid)
+
     def test_zero_amplitude_reproduces_base(self, canonical_pair):
         base = exp_profile_from_boundary(canonical_pair, "increasing")
         p = perturbed_profile(base, 0.0, mode=1, seed=0,

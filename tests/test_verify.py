@@ -106,6 +106,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="integer"):
             VerifyConfig(**{field: value})
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_rejects_non_finite_tolerance(self, tol):
+        with pytest.raises(ConfigError, match="closed_form_tol"):
+            VerifyConfig(closed_form_tol=tol)
+
     def test_accepts_numpy_integers(self):
         assert VerifyConfig(seed=np.int64(7), n_pairs=np.int32(10)).seed == 7
 
