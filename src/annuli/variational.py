@@ -5,14 +5,15 @@ after the substitution ``K = log H``, a convex quadratic in the sampled
 ``K`` values.  Minimizing it therefore amounts to one symmetric
 positive-definite tridiagonal solve.  Conjugate-gradient descent on the
 gradient and an RK4 shooting method for the original second-order
-equation are provided as independent routes to the same profile.  All
-three routes run on the numpy kernels in ``_kernels``.
+equation are provided as independent routes to the same profile.  The
+shooting miss ``log H(R) - log R_star`` is affine in the initial slope
+along the exact flow, so secant steps find the slope without a bracket.
+All three routes run on the numpy kernels in ``_kernels``.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +24,11 @@ from .geometry import AnnulusPair, RadialGrid, make_radial_grid
 from .maps import RadialProfile, SampledProfile, exp_profile_from_boundary
 
 _FOUR_PI = 4.0 * math.pi
-# RK4 steps of one shooting trial, and the boundary miss that ends the search
+# RK4 steps of one shooting sweep, the boundary miss that ends the
+# search, and the most sweeps it takes
 _ODE_STEPS = 2000
 _MISS_TOL = 1e-10
+_MAX_SWEEPS = 200
 
 
 def _residual_radii(profile: RadialProfile, t):
@@ -223,10 +226,10 @@ def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid,
 class ShootingResult:
     """Outcome of shooting for the radial Euler-Lagrange equation.
 
-    ``profile`` is None when no sign change was found in the initial
-    slope bracket, or when the last trial fell below the floor or rose
-    above the cap; ``converged`` is False in both cases.  ``sweeps``
-    counts the RK4 integrations, the two bracket-end trials included."""
+    ``converged`` means the boundary miss ``H(R) - R_star`` met its
+    1e-10 tolerance.  ``profile`` is None, and the miss is +-inf, only
+    when the last sweep fell below the floor or rose above the cap.
+    ``sweeps`` counts the RK4 integrations."""
 
     initial_slope: float
     profile: SampledProfile | None
@@ -235,98 +238,57 @@ class ShootingResult:
     sweeps: int = 0
 
 
-def _secant(history) -> float | None:
-    """Root of the line through the last two ``(slope, g)`` trials, or
-    None when there are fewer than two or their ``g`` values are equal."""
-    if len(history) < 2:
-        return None
-    (s0, g0), (s1, g1) = history
-    if g0 == g1:
-        return None
-    return s1 - g1 * (s1 - s0) / (g1 - g0)
-
-
 def shoot_el(pair: AnnulusPair) -> ShootingResult:
     """Solve the boundary value problem for the radial Euler-Lagrange
-    equation by RK4 integration and safeguarded secant steps on the
-    initial slope.
+    equation by RK4 integration and secant steps on the initial slope.
 
-    Each trial integrates ``H'' = (t H'^2 - 2 H H') / (t H)`` from
-    ``H(r) = r_star`` over 2000 uniform steps.  The slope bracket is
-    ``+- 10 (R_star - r_star) / (R - r)``, wide enough for moderately
-    proportioned pairs; if the boundary miss ``H(R) - R_star`` does not
-    change sign across it, a non-converged result is returned.  Inside
-    the bracket the first trial is the slope 0 and the second the chord
-    slope ``(R_star - r_star) / (R - r)``.  Every later trial is the
-    secant step on ``g(s) = log H(R; s) - log R_star`` through the last
-    two trials with a finite ``g``: along the exact flow ``g`` is linear
-    in ``s``, so the step lands on the root up to the RK4 error.  A
-    candidate not strictly inside the bracket, or a missing secant,
-    falls back to halving the bracket.  Trials that fall below the
-    floor or rise above the cap still narrow the bracket.  The search
-    stops once the miss is within 1e-10 (or after 200 further trials).
+    Each sweep integrates ``H'' = (t H'^2 - 2 H H') / (t H)`` from
+    ``H(r) = r_star`` with slope ``H'(r) = s`` over 2000 uniform steps.
+    Along the exact flow ``log H`` is affine in ``1/t``, so the miss
+    ``g(s) = log H(R; s) - log R_star`` is affine in ``s`` and needs no
+    bracket.  The search starts from the point ``(0, log r_star -
+    log R_star)``, known without a sweep: with ``s = 0`` every RK4 stage
+    has ``H'' = 0``, so ``H`` stays ``r_star`` exactly.  The first sweep
+    takes the log-chord slope ``r_star log(R_star / r_star) / (R - r)``,
+    whose exact ``H(R)`` lies between ``r_star`` and ``R_star``; every
+    later one takes the secant step on ``g`` through the last two points.
+    The search stops once ``|H(R) - R_star| <= 1e-10``, when ``g``
+    repeats, after 200 sweeps, or when a sweep falls below the floor
+    ``1e-10 r_star`` or rises above the cap ``1e10 R_star``; only the
+    last case returns no profile.  A degenerate target has log-chord
+    slope 0 and converges in one sweep.
+
+    The 2000 steps hold the profile within 5.6e-7 R_star of the closed
+    form for ``R / r <= 100``, the range of :func:`random_annulus_pair`;
+    the error grows past it (6.8e-6 R_star at ``R / r = 200``, 6.7e-4
+    R_star at 1000), while the boundary miss still meets its tolerance.
     A product ``t * H`` that underflows to zero raises
     :class:`EvaluationError`.
     """
     pair.require_weighted()
-    r, R = pair.r, pair.R
-    nodes = np.linspace(r, R, _ODE_STEPS + 1)
-    nodes[-1] = R
-    grid = RadialGrid(pair.domain, nodes, "uniform-in-t")
-    floor = 1e-10 * pair.r_star
-    cap = 1e10 * pair.R_star
-    log_target = math.log(pair.R_star)
-    history = deque(maxlen=2)   # (slope, g) of the last trials with a finite g
-    sweeps = 0
-
-    def trial(slope: float):
-        """RK4 sweep from ``slope``: its result and the boundary miss,
-        -inf below the floor and +inf above the cap."""
-        nonlocal sweeps
-        sweeps += 1
+    r, R, r_star, R_star = pair.r, pair.R, pair.r_star, pair.R_star
+    floor = 1e-10 * r_star
+    cap = 1e10 * R_star
+    log_target = math.log(R_star)
+    log_ratio = log_target - math.log(r_star)
+    s_prev, g_prev = 0.0, -log_ratio
+    slope = r_star * log_ratio / (R - r)
+    for sweeps in range(1, _MAX_SWEEPS + 1):
         try:
-            result = _kernels.rk4_shoot(r, R, pair.r_star, slope, _ODE_STEPS, floor, cap)
+            values, status = _kernels.rk4_shoot(r, R, r_star, slope, _ODE_STEPS, floor, cap)
         except ZeroDivisionError:
             raise EvaluationError(
-                f"RK4 shooting on r = {r!r}, R = {R!r}, r_star = {pair.r_star!r}, "
-                f"R_star = {pair.R_star!r}: the product t * H underflows to zero; "
+                f"RK4 shooting on r = {r!r}, R = {R!r}, r_star = {r_star!r}, "
+                f"R_star = {R_star!r}: the product t * H underflows to zero; "
                 "the radii are too small for floating point"
             ) from None
-        values, status = result
         if status != 0:
-            return result, math.copysign(math.inf, status)
+            return ShootingResult(slope, None, math.copysign(math.inf, status), False, sweeps)
         end = float(values[-1])
-        history.append((slope, math.log(end) - log_target))
-        return result, end - pair.R_star
-
-    if pair.r_star == pair.R_star:
-        (values, _), m = trial(0.0)
-        prof = SampledProfile(grid=grid, values=values)
-        return ShootingResult(0.0, prof, m, True, sweeps)
-
-    half = 10.0 * (pair.R_star - pair.r_star) / (R - r)
-    lo, hi = -half, half
-    _, m_lo = trial(lo)
-    _, m_hi = trial(hi)
-    if not (m_lo <= 0.0 <= m_hi):
-        return ShootingResult(math.nan, None, math.inf, False, sweeps)
-    slope = 0.0
-    result, m = trial(slope)
-    for i in range(200):
-        if abs(m) <= _MISS_TOL:
+        miss = end - R_star
+        g = math.log(end) - log_target
+        if abs(miss) <= _MISS_TOL or g == g_prev or sweeps == _MAX_SWEEPS:
             break
-        if m > 0.0:
-            hi = slope
-        else:
-            lo = slope
-        step = (pair.R_star - pair.r_star) / (R - r) if i == 0 else _secant(history)
-        # the last slope is now a bracket end, so this also rules out a repeat
-        if step is None or not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        slope = step
-        result, m = trial(slope)
-    values, status = result
-    if status != 0:
-        return ShootingResult(slope, None, m, False, sweeps)
-    prof = SampledProfile(grid=grid, values=values.copy())
-    return ShootingResult(slope, prof, m, abs(m) <= _MISS_TOL, sweeps)
+        s_prev, g_prev, slope = slope, g, slope - g * (slope - s_prev) / (g - g_prev)
+    profile = SampledProfile(grid=make_radial_grid(pair.domain, _ODE_STEPS), values=values)
+    return ShootingResult(slope, profile, miss, abs(miss) <= _MISS_TOL, sweeps)

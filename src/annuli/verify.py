@@ -77,6 +77,9 @@ _FD_SPHERE_ORDER = 16
 _FD_ENERGY_REL_TOL = 1e-4
 _RESIDUAL_TOL = 1e-9
 DEFAULT_PAIR = AnnulusPair.from_radii(1.0, 2.0, 1.0, math.e)
+# with no samples a check's bound reads inf or holds vacuously
+_SAMPLE_COUNTS = ("n_competitors", "n_inversion_maps", "n_transforms",
+                  "n_perturbations", "n_pairs")
 
 
 @dataclass(frozen=True)
@@ -140,6 +143,8 @@ class VerifyConfig:
                 raise ConfigError(f"verify config field {f.name!r} must be {noun}")
             if v < 0:
                 raise ConfigError(f"verify config field {f.name!r} must be nonnegative")
+            if v < 1 and f.name in _SAMPLE_COUNTS:
+                raise ConfigError(f"verify config field {f.name!r} must be at least 1")
         if not math.isfinite(self.closed_form_tol):
             raise ConfigError("verify config field 'closed_form_tol' must be finite")
         if self.grid_n < 8:
@@ -184,23 +189,22 @@ class SuiteReport:
 # Random problem generators.
 
 
-def random_annulus_pair(rng: np.random.Generator, low: float = 0.1, high: float = 10.0,
-                        min_ratio: float = 1.02,
-                        max_domain_ratio: float | None = None) -> AnnulusPair:
+_MIN_RATIO = 1.02   # least R / r and R* / r* of a random pair
+
+
+def random_annulus_pair(rng: np.random.Generator, low: float = 0.1,
+                        high: float = 10.0) -> AnnulusPair:
     """Random pair with radii log-uniform in ``[low, high]``.
 
-    Rejection enforces the orderings and, optionally, an upper bound on
-    ``R / r`` for consumers whose slope brackets assume moderately
-    proportioned domains.
+    Rejection enforces ``R / r >= 1.02`` and ``R* / r* >= 1.02``; both
+    ratios are at most ``high / low`` (100 by default).
     """
     lo, hi = math.log(low), math.log(high)
     while True:
         vals = np.exp(rng.uniform(lo, hi, size=4))
         r, R = sorted(vals[:2])
         rs, Rs = sorted(vals[2:])
-        if R / r < min_ratio or Rs / rs < min_ratio:
-            continue
-        if max_domain_ratio is not None and R / r > max_domain_ratio:
+        if R / r < _MIN_RATIO or Rs / rs < _MIN_RATIO:
             continue
         return AnnulusPair.from_radii(r, R, rs, Rs)
 

@@ -101,7 +101,7 @@ def test_criterion_03_three_way_oracle_agreement():
     start = time.perf_counter()
     worst = 0.0
     for _ in range(10):
-        pair = random_annulus_pair(rng, low=0.5, high=4.0, max_domain_ratio=8.0)
+        pair = random_annulus_pair(rng, low=0.5, high=4.0)
         ts = np.linspace(pair.r, pair.R, 501)
         closed = exp_profile_from_boundary(pair, "increasing").eval(ts)
         shot = shoot_el(pair)
@@ -244,7 +244,7 @@ def test_criterion_09_gradient_check():
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(50):
-        pair = random_annulus_pair(rng, low=0.5, high=4.0, max_domain_ratio=8.0)
+        pair = random_annulus_pair(rng, low=0.5, high=4.0)
         n = int(rng.integers(8, 41))
         mode = "uniform-in-t" if rng.random() < 0.5 else "uniform-in-1/t"
         grid = make_radial_grid(pair.domain, n, mode)
