@@ -45,7 +45,8 @@ MAX_SWEEP_ROWS = 10**4
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved options of one CLI invocation.
+    """Resolved options of one CLI invocation; :func:`parse_config`
+    fills every field and holds the defaults.
 
     ``pair`` may be None for ``verify`` (defaults apply) and for
     ``sweep`` when a swept radius has no base value; ``base_radii``
@@ -53,14 +54,14 @@ class RunConfig:
 
     command: str
     pair: AnnulusPair | None
-    grid_n: int = 1000
-    sphere_order: int = 32
-    radial_order: int = 64
-    seed: int = 42
-    output_format: str = "csv"
-    output_path: str | None = None
-    sweeps: tuple = ()
-    base_radii: tuple = ()
+    grid_n: int
+    sphere_order: int
+    radial_order: int
+    seed: int
+    output_format: str
+    output_path: str | None
+    sweeps: tuple
+    base_radii: tuple
 
 
 def _build_parser() -> argparse.ArgumentParser:

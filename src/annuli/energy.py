@@ -27,7 +27,6 @@ from .maps import (
     SampledProfile,
     _FD_STEP,
     map_eval_many,
-    sphere_inversion,
 )
 from .sphere_maps import conformal_stretch_points
 
@@ -215,19 +214,6 @@ def weighted_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int = 64,
     """Weighted Dirichlet energy ``integral(|Df|^2 / |f|^2)`` over the
     domain annulus."""
     return _energy(f, pair, radial_order, sphere_order, refine, True)
-
-
-def _weighted_energies_with_inversion(f: AnnulusMap, pair: AnnulusPair, a: float,
-                                     radial_order: int, sphere_order: int) -> tuple[float, float]:
-    """FD weighted energies of ``f`` and of ``inversion_transform(f, a)``,
-    both differentiated from one evaluation of ``f`` on the stencil.
-
-    Each equals the FD route's ``weighted_energy(..., refine=False)``
-    bit for bit, also for a :class:`GeneralizedRadialMap`.
-    """
-    invert = sphere_inversion(a)
-    _check_orders(pair, radial_order, sphere_order, True)
-    return tuple(_fd_energies(f, pair, radial_order, sphere_order, True, (_same, invert)))
 
 
 def dirichlet_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int = 64,

@@ -18,6 +18,9 @@ import numpy as np
 from .geometry import AnnulusPair
 from .maps import HarmonicProfile
 
+# radii at which harmonic_profile_monotone samples the slope
+_MONOTONE_SAMPLES = 2001
+
 
 @dataclass(frozen=True)
 class NitscheVerdict:
@@ -64,16 +67,14 @@ def harmonic_radial_bvp(pair: AnnulusPair) -> HarmonicProfile:
     return HarmonicProfile(a=a, b=b)
 
 
-def harmonic_profile_monotone(pair: AnnulusPair, samples: int = 2001) -> bool:
-    """Check ``H' > 0`` for the BVP profile on a fine radial grid.
+def harmonic_profile_monotone(pair: AnnulusPair) -> bool:
+    """Check ``H' > 0`` for the BVP profile at 2001 equally spaced radii.
 
     A slope that vanishes only to rounding (the threshold case, where
     ``H'`` touches zero at the inner boundary) still counts as monotone.
     """
-    if samples < 3:
-        raise ValueError("need at least 3 sample points")
     profile = harmonic_radial_bvp(pair)
-    t = np.linspace(pair.r, pair.R, samples)
+    t = np.linspace(pair.r, pair.R, _MONOTONE_SAMPLES)
     hd = profile.derivative(t, 1)
     scale = float(np.max(np.abs(hd))) + abs(profile.a)
     return bool(np.min(hd) >= -1e-12 * max(scale, 1.0))

@@ -25,6 +25,8 @@ from .geometry import SphericalQuadrature, row_norms, tangent_frames
 _DET_TOL = 1e-12
 # angle of the centred great-circle differences of a callable sphere map
 _GREAT_CIRCLE_STEP = 1e-6
+# largest condition number of a random_mobius draw
+_MAX_CONDITION = 5.0
 
 
 @dataclass(frozen=True)
@@ -130,16 +132,14 @@ def mobius_inverse(t: MobiusTransform) -> MobiusTransform:
     return MobiusTransform(t.d, -t.b, -t.c, t.a)
 
 
-def random_mobius(rng: np.random.Generator, max_condition: float = 5.0) -> MobiusTransform:
+def random_mobius(rng: np.random.Generator) -> MobiusTransform:
     """Draw a random transform with entries uniform on the unit square.
 
     Rejects nearly singular draws (``|det| < 1e-6``) and, after the
-    determinant normalization, draws whose condition number exceeds
-    ``max_condition``: those concentrate the stretch factor in a cap too
-    small for fixed-order quadrature to resolve.
+    determinant normalization, draws whose condition number exceeds 5:
+    those concentrate the stretch factor in a cap too small for
+    fixed-order quadrature to resolve.
     """
-    if max_condition < 1.0:
-        raise ValueError("condition bound must be at least 1")
     while True:
         e = rng.uniform(-1.0, 1.0, size=8)
         a = complex(e[0], e[1])
@@ -152,7 +152,7 @@ def random_mobius(rng: np.random.Generator, max_condition: float = 5.0) -> Mobiu
         f2 = (abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2) / abs(det)
         # det-one matrices satisfy f2 = kappa + 1/kappa
         kappa = 0.5 * (f2 + math.sqrt(max(f2 * f2 - 4.0, 0.0)))
-        if kappa > max_condition:
+        if kappa > _MAX_CONDITION:
             continue
         return MobiusTransform(a, b, c, d)
 

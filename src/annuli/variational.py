@@ -13,7 +13,6 @@ All three routes run on the numpy kernels in ``_kernels``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,10 @@ _FOUR_PI = 4.0 * math.pi
 _ODE_STEPS = 2000
 _MISS_TOL = 1e-10
 _MAX_SWEEPS = 200
+# iteration budget of conjugate-gradient descent, and the max-norm of the
+# energy gradient that ends it
+_CG_MAX_ITER = 200_000
+_CG_TOL = 1e-7
 
 
 def _residual_radii(profile: RadialProfile, t):
@@ -108,9 +111,11 @@ def discrete_reduced_energy(k_values: np.ndarray, grid: RadialGrid) -> float:
     k = np.asarray(k_values, dtype=float)
     if k.shape != grid.nodes.shape:
         raise ValueError("K values must match the grid nodes")
-    a = _interval_coefficients(grid)
-    q = float(a @ np.diff(k) ** 2)
-    return _FOUR_PI * (q + 2.0 * grid.annulus.width)
+    return _energy_from_coefficients(_interval_coefficients(grid), k, grid)
+
+
+def _energy_from_coefficients(a: np.ndarray, k: np.ndarray, grid: RadialGrid) -> float:
+    return _FOUR_PI * (float(a @ np.diff(k) ** 2) + 2.0 * grid.annulus.width)
 
 
 def reduced_energy_gradient(k_values: np.ndarray, grid: RadialGrid) -> np.ndarray:
@@ -144,13 +149,15 @@ def _boundary_logs(pair: AnnulusPair):
     return math.log(pair.r_star), math.log(pair.R_star)
 
 
-def _solution_from_k(pair: AnnulusPair, grid: RadialGrid, k: np.ndarray,
+def _solution_from_k(pair: AnnulusPair, grid: RadialGrid, a: np.ndarray, k: np.ndarray,
                      iterations: int, converged: bool) -> DiscreteSolution:
+    """Solution for the nodal ``K`` values; ``a`` is the interval
+    stiffness the solver already built."""
     values = np.exp(k)
     values[0] = pair.r_star
     values[-1] = pair.R_star
     profile = SampledProfile(grid=grid, values=values)
-    energy = discrete_reduced_energy(k, grid)
+    energy = _energy_from_coefficients(a, k, grid)
     sup = _closed_form_sup_error(pair, grid, values)
     return DiscreteSolution(profile, energy, sup, iterations, converged)
 
@@ -185,27 +192,19 @@ def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolu
     rhs[-1] = a[-1] * kn
     y = _kernels.thomas_solve(lower, diag, upper, rhs)
     k = np.concatenate([[k0], y, [kn]])
-    return _solution_from_k(pair, grid, k, 1, True)
+    return _solution_from_k(pair, grid, a, k, 1, True)
 
 
-def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid,
-                              max_iter: int = 200_000,
-                              tol: float = 1e-7) -> DiscreteSolution:
+def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolution:
     """Minimize the same discrete energy by conjugate-gradient descent
     on its gradient, which handles the badly conditioned systems that
     fine grids or wide annuli produce.
 
-    ``tol`` (positive, finite) bounds the max-norm of the energy
-    gradient at convergence, recomputed from the final iterate; running
-    out of ``max_iter`` (an integer) first yields ``converged=False``
-    with the current iterate.
+    Convergence means the max-norm of the energy gradient, recomputed
+    from the final iterate, is at most 1e-7; running out of the budget
+    of 200 000 iterations first yields ``converged=False`` with the
+    current iterate.
     """
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
-        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
-    if max_iter < 0:
-        raise ValueError("max_iter must be nonnegative")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     pair.require_weighted()
     if grid.annulus != pair.domain:
         raise ValueError("grid must live on the domain annulus of the pair")
@@ -218,8 +217,8 @@ def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid,
     # the kernel minimizes Q = E / (4 pi) - const, so rescale the
     # gradient tolerance accordingly
     # mode 1 is conjugate gradient, which takes no fixed step
-    iters, converged = _kernels.gd_quadratic(a, k, max_iter, tol / _FOUR_PI, 1, 0.0)
-    return _solution_from_k(pair, grid, k, int(iters), bool(converged))
+    iters, converged = _kernels.gd_quadratic(a, k, _CG_MAX_ITER, _CG_TOL / _FOUR_PI, 1, 0.0)
+    return _solution_from_k(pair, grid, a, k, int(iters), bool(converged))
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,13 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
 from .energy import (
     _fd_energies,
-    _weighted_energies_with_inversion,
+    _same,
     analytic_min_weighted_energy,
     dirichlet_energy,
     dirichlet_lower_bound,
@@ -76,6 +77,8 @@ _FD_RADIAL_ORDER = 32
 _FD_SPHERE_ORDER = 16
 _FD_ENERGY_REL_TOL = 1e-4
 _RESIDUAL_TOL = 1e-9
+# tolerance of the checks against closed forms evaluated by quadrature
+_CLOSED_FORM_TOL = 1e-8
 DEFAULT_PAIR = AnnulusPair.from_radii(1.0, 2.0, 1.0, math.e)
 # with no samples a check's bound reads inf or holds vacuously
 _SAMPLE_COUNTS = ("n_competitors", "n_inversion_maps", "n_transforms",
@@ -115,8 +118,8 @@ def _lower_bound(name: str, observed: float, bound: float, slack: float,
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Pair, seed, quadrature orders, grid size, sample counts and
-    closed-form tolerance of the verification suite."""
+    """Pair, seed, quadrature orders, grid size and sample counts of
+    the verification suite."""
 
     pair: AnnulusPair = DEFAULT_PAIR
     seed: int = 42
@@ -128,25 +131,19 @@ class VerifyConfig:
     n_transforms: int = 20
     n_perturbations: int = 20
     n_pairs: int = 1000
-    closed_form_tol: float = 1e-8
 
     def __post_init__(self):
         for f in fields(self):
             if f.name in ("pair",):
                 continue
+            # every other field is a count, an order or a seed
             v = getattr(self, f.name)
-            # every field but the tolerance is a count, an order or a seed
-            integral = f.type == "int"
-            kind = numbers.Integral if integral else (int, float)
-            if isinstance(v, bool) or not isinstance(v, kind):
-                noun = "an integer" if integral else "numeric"
-                raise ConfigError(f"verify config field {f.name!r} must be {noun}")
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ConfigError(f"verify config field {f.name!r} must be an integer")
             if v < 0:
                 raise ConfigError(f"verify config field {f.name!r} must be nonnegative")
             if v < 1 and f.name in _SAMPLE_COUNTS:
                 raise ConfigError(f"verify config field {f.name!r} must be at least 1")
-        if not math.isfinite(self.closed_form_tol):
-            raise ConfigError("verify config field 'closed_form_tol' must be finite")
         if self.grid_n < 8:
             raise ConfigError("verify config field 'grid_n' must be at least 8")
         if self.radial_order < 2 or self.sphere_order < 2:
@@ -197,8 +194,13 @@ def random_annulus_pair(rng: np.random.Generator, low: float = 0.1,
     """Random pair with radii log-uniform in ``[low, high]``.
 
     Rejection enforces ``R / r >= 1.02`` and ``R* / r* >= 1.02``; both
-    ratios are at most ``high / low`` (100 by default).
+    ratios are at most ``high / low`` (100 by default).  Unless
+    ``0 < low < high < inf`` and ``high / low > 1.02``, so that such
+    ratios can occur, it raises :class:`ValueError` before drawing.
     """
+    if not (0.0 < low < high < math.inf and high / low > _MIN_RATIO):
+        raise ValueError(f"random pair needs 0 < low < high < inf and high / low > "
+                         f"{_MIN_RATIO}, got low = {low!r}, high = {high!r}")
     lo, hi = math.log(low), math.log(high)
     while True:
         vals = np.exp(rng.uniform(lo, hi, size=4))
@@ -217,29 +219,34 @@ def random_admissible_pair(rng: np.random.Generator) -> AnnulusPair:
             return pair
 
 
-def _smooth_bump_map(pair: AnnulusPair, rng: np.random.Generator) -> SampledMap:
-    """Radial map with a smooth multiplicative sine bump on the
-    increasing minimizer profile and a random sphere rotation."""
+def _modulated_minimizer(pair: AnnulusPair, rot: MobiusTransform,
+                         factor: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> SampledMap:
+    """Map ``x -> H(t) factor(t, eta) rot(eta)``, with ``t = |x|``,
+    ``eta = x / t`` and ``H`` the increasing minimizer profile."""
     base = exp_profile_from_boundary(pair, "increasing")
-    rot = random_mobius(rng)
-    amp = rng.uniform(0.05, 0.3)
-    mode = int(rng.integers(1, 4))
-    r, width = pair.r, pair.domain.width
 
     def evaluator(points: np.ndarray) -> np.ndarray:
         t = row_norms(points)
         units = points / t[:, None]
-        s = mobius_apply_points(rot, units)
-        factor = 1.0 + amp * np.sin(mode * np.pi * (t - r) / width)
-        return (base.eval(t) * factor)[:, None] * s
+        return (base.eval(t) * factor(t, units))[:, None] * mobius_apply_points(rot, units)
 
     return SampledMap(evaluator=evaluator)
+
+
+def _smooth_bump_map(pair: AnnulusPair, rng: np.random.Generator) -> SampledMap:
+    """Radial map with a smooth multiplicative sine bump on the
+    increasing minimizer profile and a random sphere rotation."""
+    rot = random_mobius(rng)
+    amp = rng.uniform(0.05, 0.3)
+    mode = int(rng.integers(1, 4))
+    r, width = pair.r, pair.domain.width
+    return _modulated_minimizer(
+        pair, rot, lambda t, units: 1.0 + amp * np.sin(mode * np.pi * (t - r) / width))
 
 
 def _angular_competitor(pair: AnnulusPair, rng: np.random.Generator) -> SampledMap:
     """Admissible non-radial competitor: the increasing minimizer with a
     seeded angular modulation that vanishes on both boundary spheres."""
-    base = exp_profile_from_boundary(pair, "increasing")
     rot = random_mobius(rng)
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
@@ -247,16 +254,8 @@ def _angular_competitor(pair: AnnulusPair, rng: np.random.Generator) -> SampledM
     cap = 0.4 * ell * pair.r / (math.pi * pair.R)
     amp = rng.uniform(0.3, 1.0) * cap
     r, width = pair.r, pair.domain.width
-
-    def evaluator(points: np.ndarray) -> np.ndarray:
-        t = row_norms(points)
-        units = points / t[:, None]
-        s = mobius_apply_points(rot, units)
-        envelope = np.sin(np.pi * (t - r) / width)
-        factor = 1.0 + amp * envelope * (units @ axis)
-        return (base.eval(t) * factor)[:, None] * s
-
-    return SampledMap(evaluator=evaluator)
+    return _modulated_minimizer(
+        pair, rot, lambda t, units: 1.0 + amp * np.sin(np.pi * (t - r) / width) * (units @ axis))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +279,7 @@ def check_minimal_energy(config: VerifyConfig) -> list[CheckResult]:
                                   config.radial_order, config.sphere_order, refine=False)
             worst = max(worst, abs(rep.value - target) / target)
     results.append(_equality(
-        "minimal-energy-analytic-vs-numeric", worst, 0.0, config.closed_form_tol,
+        "minimal-energy-analytic-vs-numeric", worst, 0.0, _CLOSED_FORM_TOL,
         "max relative gap over both minimizers and 4 rotations"))
 
     inc = exp_profile_from_boundary(pair, "increasing")
@@ -354,13 +353,13 @@ def check_inversion_invariance(config: VerifyConfig) -> list[CheckResult]:
             f = _smooth_bump_map(pair, rng)
         else:
             f = _angular_competitor(pair, rng)
-        a = scales[i % len(scales)]
+        invert = sphere_inversion(scales[i % len(scales)])
         if kind == 0:
             # the decomposition route gives the energy of f itself
             e_f = weighted_energy(f, pair, *orders, refine=False).value
-            [e_g] = _fd_energies(f, pair, *orders, True, (sphere_inversion(a),))
+            [e_g] = _fd_energies(f, pair, *orders, True, (invert,))
         else:
-            e_f, e_g = _weighted_energies_with_inversion(f, pair, a, *orders)
+            e_f, e_g = _fd_energies(f, pair, *orders, True, (_same, invert))
         worst = max(worst, abs(e_f - e_g) / max(abs(e_f), 1.0))
     return [_equality("inversion-invariance-of-weighted-energy", worst, 0.0,
                       2.0 * _FD_ENERGY_REL_TOL,
@@ -373,7 +372,6 @@ def check_sphere_inequality(config: VerifyConfig) -> list[CheckResult]:
     identity ``4 pi``."""
     rng = np.random.default_rng([config.seed, 3])
     quad = make_sphere_quadrature(config.sphere_order)
-    tol = config.closed_form_tol
     results = []
 
     transforms = [MobiusTransform.identity()]
@@ -382,7 +380,7 @@ def check_sphere_inequality(config: VerifyConfig) -> list[CheckResult]:
     for t in transforms:
         for tv in _SHELL_RADII:
             worst = max(worst, abs(sphere_inequality_integral(t, tv, quad) - EIGHT_PI))
-    results.append(_equality("shell-energy-sharp-at-mobius", worst, 0.0, tol,
+    results.append(_equality("shell-energy-sharp-at-mobius", worst, 0.0, _CLOSED_FORM_TOL,
                              f"{len(transforms)} transforms at radii "
                              f"{'; '.join(str(v) for v in _SHELL_RADII)}"))
 
@@ -393,7 +391,7 @@ def check_sphere_inequality(config: VerifyConfig) -> list[CheckResult]:
         dv = mobius_pushforward(t, quad.nodes, v)
         area = float(quad.weights @ row_norms(np.cross(du, dv)))
         worst_area = max(worst_area, abs(area - 4.0 * math.pi))
-    results.append(_equality("mapped-area-identity", worst_area, 0.0, tol,
+    results.append(_equality("mapped-area-identity", worst_area, 0.0, _CLOSED_FORM_TOL,
                              "integral of the gram determinant over the sphere"))
 
     min_excess = math.inf

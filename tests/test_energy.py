@@ -18,7 +18,8 @@ from annuli import (
     reduced_energy,
     weighted_energy,
 )
-from annuli.energy import _weighted_energies_with_inversion
+from annuli.energy import _fd_energies, _same
+from annuli.maps import sphere_inversion
 from annuli.verify import (
     _angular_competitor,
     _smooth_bump_map,
@@ -176,7 +177,7 @@ class TestWeightedEnergiesWithInversion:
         pair = canonical_pair
         a = {"0.5": 0.5, "1": 1.0, "r*R*": pair.r_star * pair.R_star}[scale]
         f = _inversion_test_map(kind, pair, rng)
-        e_f, e_g = _weighted_energies_with_inversion(f, pair, a, 32, 16)
+        e_f, e_g = _fd_energies(f, pair, 32, 16, True, (_same, sphere_inversion(a)))
         g = inversion_transform(f, a)
         assert e_g == weighted_energy(g, pair, 32, 16, refine=False).value
         sampled = as_sampled_map(f)
@@ -188,14 +189,14 @@ class TestWeightedEnergiesWithInversion:
             return np.zeros_like(pts)
 
         with pytest.raises(EvaluationError, match="hit the origin"):
-            _weighted_energies_with_inversion(SampledMap(evaluator=collapse), canonical_pair,
-                                              1.0, radial_order=8, sphere_order=4)
+            _fd_energies(SampledMap(evaluator=collapse), canonical_pair, 8, 4, True,
+                         (_same, sphere_inversion(1.0)))
 
     @pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_scale(self, canonical_pair, a):
         f = GeneralizedRadialMap(exp_profile_from_boundary(canonical_pair, "increasing"))
         with pytest.raises(ValueError, match="inversion scale"):
-            _weighted_energies_with_inversion(f, canonical_pair, a, 32, 16)
+            _fd_energies(f, canonical_pair, 32, 16, True, (_same, sphere_inversion(a)))
 
 
 class TestDirichletEnergy:

@@ -83,6 +83,12 @@ class TestSampledProfile:
         with pytest.raises(ValueError):
             SampledProfile(grid=grid, values=np.array([1.0, 1.0, 0.0, 1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_values(self, canonical_pair, bad):
+        grid = make_radial_grid(canonical_pair.domain, 4)
+        with pytest.raises(ValueError, match="strictly positive and finite"):
+            SampledProfile(grid=grid, values=np.array([1.0, bad, 2.0, 2.0, 3.0]))
+
     def test_eval_outside_domain_raises(self, canonical_pair):
         grid = make_radial_grid(canonical_pair.domain, 4)
         p = SampledProfile(grid=grid, values=np.ones(5))
@@ -163,8 +169,8 @@ class TestGeneralizedRadialMap:
         assert np.allclose(np.linalg.norm(map_eval_many(f, xs), axis=1), h1.eval(ts), rtol=1e-12)
 
     def test_eval_outside_annulus_raises(self, canonical_pair):
-        f = GeneralizedRadialMap(exp_profile_from_boundary(canonical_pair, "increasing"),
-                                 annulus=canonical_pair.domain)
+        grid = make_radial_grid(canonical_pair.domain, 16)
+        f = GeneralizedRadialMap(SampledProfile(grid=grid, values=np.ones(17)))
         with pytest.raises(DomainError):
             map_eval_many(f, np.array([[3.0, 0.0, 0.0]]))
 

@@ -2,7 +2,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from annuli import (
     AnnulusPair,
@@ -96,9 +95,3 @@ class TestClosedFormEnergy:
     def test_identity_map_value(self):
         pair = AnnulusPair.from_radii(1.0, 2.0, 1.0, 2.0)
         assert math.isclose(analytic_dirichlet_energy_radial(pair), 28.0 * PI, rel_tol=1e-13)
-
-
-class TestMonotoneSampler:
-    def test_needs_enough_samples(self, canonical_pair):
-        with pytest.raises(ValueError):
-            harmonic_profile_monotone(canonical_pair, samples=2)

@@ -267,12 +267,8 @@ class TestRandomMobius:
     def test_condition_number_capped(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            t = random_mobius(rng, max_condition=5.0)
+            t = random_mobius(rng)
             m = t.matrix
             f2 = float(np.sum(np.abs(m) ** 2))
             kappa = (f2 + math.sqrt(max(f2 * f2 - 4.0, 0.0))) / 2.0
             assert kappa <= 5.0 + 1e-9
-
-    def test_cap_must_allow_identity(self):
-        with pytest.raises(ValueError):
-            random_mobius(np.random.default_rng(0), max_condition=0.5)
