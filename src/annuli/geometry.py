@@ -173,7 +173,6 @@ class SphericalQuadrature:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
 
 def make_sphere_quadrature(order: int) -> SphericalQuadrature:
@@ -192,7 +191,7 @@ def make_sphere_quadrature(order: int) -> SphericalQuadrature:
     weights = np.repeat(wz, n_phi) * (np.pi / order)
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return SphericalQuadrature(nodes=nodes, weights=weights, order=order)
+    return SphericalQuadrature(nodes=nodes, weights=weights)
 
 
 _AXES = np.eye(3)

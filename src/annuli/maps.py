@@ -336,19 +336,18 @@ def inversion_transform(f: AnnulusMap, a: float = 1.0) -> SampledMap:
 def perturbed_profile(
     base: RadialProfile,
     amplitude: float,
-    mode: int = 1,
-    seed: int | None = None,
+    mode: int,
     *,
+    seed: int,
     grid: RadialGrid,
 ) -> SampledProfile:
     """Multiply a profile by sine bumps that vanish at both endpoints
     and sample the result on the nodes of ``grid``.
 
-    With a seed, the bump is a seeded random mixture of the first
-    ``mode`` frequencies at total relative amplitude ``amplitude``;
-    without one it is the single frequency ``mode``.  Endpoint values
-    are untouched, so the perturbation stays admissible for boundary
-    value problems.
+    The bump is a random mixture of the first ``mode`` frequencies,
+    drawn from ``seed``, at total relative amplitude ``amplitude``.
+    Endpoint values are untouched, so the perturbation stays admissible
+    for boundary value problems.
     """
     if isinstance(mode, bool) or not isinstance(mode, numbers.Integral) or mode < 1:
         raise ValueError(f"mode must be a positive integer, got {mode!r}")
@@ -357,19 +356,16 @@ def perturbed_profile(
     t = grid.nodes
     a = grid.annulus
     s = (t - a.inner) / a.width
-    if seed is None:
-        bump = np.sin(mode * np.pi * s)
-    else:
-        rng = np.random.default_rng(seed)
-        coef = rng.uniform(-1.0, 1.0, size=mode)
-        norm = np.sum(np.abs(coef))
-        if norm == 0.0:
-            coef[0] = 1.0
-            norm = 1.0
-        coef /= norm
-        bump = np.zeros_like(s)
-        for j, cj in enumerate(coef, start=1):
-            bump += cj * np.sin(j * np.pi * s)
+    rng = np.random.default_rng(seed)
+    coef = rng.uniform(-1.0, 1.0, size=mode)
+    norm = np.sum(np.abs(coef))
+    if norm == 0.0:
+        coef[0] = 1.0
+        norm = 1.0
+    coef /= norm
+    bump = np.zeros_like(s)
+    for j, cj in enumerate(coef, start=1):
+        bump += cj * np.sin(j * np.pi * s)
     values = base.eval(t) * (1.0 + amplitude * bump)
     if np.any(values <= 0.0):
         raise ValueError("perturbation amplitude destroys positivity")

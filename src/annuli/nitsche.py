@@ -4,8 +4,10 @@ The radial harmonic boundary value problem has the closed-form solution
 ``H(t) = a t + b / t^2``.  It is a monotone (hence injective) profile
 exactly when the target radii satisfy
 ``r_star / R_star <= 3 r R^2 / (r^3 + 2 R^3)``; this module evaluates
-that condition exactly in rational arithmetic and provides the harmonic
-map's Dirichlet energy in closed form.
+that condition exactly in rational arithmetic, checks it against the
+slope of ``H`` at the two boundary radii (``H'' = 6 b / t^4`` has one
+sign, so the least slope on ``[r, R]`` is at an endpoint), and provides
+the harmonic map's Dirichlet energy in closed form.
 """
 from __future__ import annotations
 
@@ -17,9 +19,6 @@ import numpy as np
 
 from .geometry import AnnulusPair
 from .maps import HarmonicProfile
-
-# radii at which harmonic_profile_monotone samples the slope
-_MONOTONE_SAMPLES = 2001
 
 
 @dataclass(frozen=True)
@@ -68,14 +67,16 @@ def harmonic_radial_bvp(pair: AnnulusPair) -> HarmonicProfile:
 
 
 def harmonic_profile_monotone(pair: AnnulusPair) -> bool:
-    """Check ``H' > 0`` for the BVP profile at 2001 equally spaced radii.
+    """Check ``H' > 0`` for the BVP profile at ``t = r`` and ``t = R``.
 
-    A slope that vanishes only to rounding (the threshold case, where
-    ``H'`` touches zero at the inner boundary) still counts as monotone.
+    ``H'`` is monotone in ``t`` because ``H'' = 6 b / t^4`` has one sign,
+    so both its least value and its largest magnitude on ``[r, R]`` sit
+    at an endpoint.  A slope that vanishes only to rounding (the
+    threshold case, where ``H'`` touches zero at the inner boundary)
+    still counts as monotone.
     """
     profile = harmonic_radial_bvp(pair)
-    t = np.linspace(pair.r, pair.R, _MONOTONE_SAMPLES)
-    hd = profile.derivative(t, 1)
+    hd = profile.derivative(np.array([pair.r, pair.R]), 1)
     scale = float(np.max(np.abs(hd))) + abs(profile.a)
     return bool(np.min(hd) >= -1e-12 * max(scale, 1.0))
 

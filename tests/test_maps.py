@@ -251,13 +251,14 @@ class TestPerturbedProfile:
 
     def test_positivity_guard(self, canonical_pair):
         base = exp_profile_from_boundary(canonical_pair, "increasing")
+        # seed 0 draws one positive coefficient, so the bump is sin(pi s);
         # a downward full-depth bump pushes the profile through zero
-        with pytest.raises(ValueError):
-            perturbed_profile(base, -1.5, mode=1,
+        with pytest.raises(ValueError, match="positivity"):
+            perturbed_profile(base, -1.5, mode=1, seed=0,
                               grid=make_radial_grid(canonical_pair.domain, 64))
 
     @pytest.mark.parametrize("mode", [2.5, True, 0])
-    @pytest.mark.parametrize("seed", [None, 3])
+    @pytest.mark.parametrize("seed", [3])
     def test_mode_must_be_a_positive_integer(self, canonical_pair, mode, seed):
         # a fractional mode would move the outer endpoint (sin(2.5 pi) = 1)
         base = exp_profile_from_boundary(canonical_pair, "increasing")
@@ -276,7 +277,7 @@ class TestPerturbedProfile:
         base = exp_profile_from_boundary(canonical_pair, "increasing")
         grid = make_radial_grid(canonical_pair.domain, 64)
         with pytest.raises(ValueError, match="amplitude must be finite"):
-            perturbed_profile(base, amplitude, mode=1, grid=grid)
+            perturbed_profile(base, amplitude, mode=1, seed=0, grid=grid)
 
     def test_zero_amplitude_reproduces_base(self, canonical_pair):
         base = exp_profile_from_boundary(canonical_pair, "increasing")

@@ -70,6 +70,26 @@ class TestHarmonicBVP:
         # the sample should exercise both verdicts
         assert seen[True] > 0 and seen[False] > 0
 
+    def test_tolerance_band_at_threshold(self):
+        # on the threshold H'(r) vanishes up to rounding, and the slope
+        # rule's tolerance counts that as monotone: at r* = thr R* and one
+        # ulp either side it says monotone, while the exact rational
+        # verdict goes both ways; a relative step of 1e-9 leaves the band
+        rng = np.random.default_rng(3)
+        seen = {True: 0, False: 0}
+        for _ in range(200):
+            p = random_annulus_pair(rng)
+            rs = nitsche_condition(p).threshold * p.R_star
+            for r_star in (np.nextafter(rs, 0.0), rs, np.nextafter(rs, np.inf)):
+                q = AnnulusPair.from_radii(p.r, p.R, float(r_star), p.R_star)
+                seen[nitsche_condition(q).admissible] += 1
+                assert harmonic_profile_monotone(q)
+            for r_star, verdict in ((rs * (1.0 - 1e-9), True), (rs * (1.0 + 1e-9), False)):
+                q = AnnulusPair.from_radii(p.r, p.R, r_star, p.R_star)
+                assert nitsche_condition(q).admissible == verdict
+                assert harmonic_profile_monotone(q) == verdict
+        assert seen[True] > 0 and seen[False] > 0
+
     def test_threshold_pair_has_flat_slope_at_inner_radius(self):
         pair = AnnulusPair.from_radii(1.0, 2.0, 12.0, 17.0)
         h = harmonic_radial_bvp(pair)

@@ -25,10 +25,15 @@ class TestGenerators:
             p = random_annulus_pair(rng, low=0.2, high=5.0)
             assert 0.2 <= p.r < p.R <= 5.0
             assert 0.2 <= p.r_star < p.R_star <= 5.0
+        # just above the least allowed bounds a draw still passes often
+        p = random_annulus_pair(rng, 1.0, 1.0405)
+        assert p.R / p.r >= 1.02 and p.R_star / p.r_star >= 1.02
 
-    @pytest.mark.parametrize("low, high", [(1.0, 1.01), (2.0, 2.0), (3.0, 1.0)])
+    @pytest.mark.parametrize("low, high", [(1.0, 1.01), (1.0, 1.0201), (1.0, 1.04),
+                                           (2.0, 2.0), (3.0, 1.0)])
     def test_bounds_without_room_raise_before_drawing(self, low, high):
-        # R / r >= 1.02 cannot hold inside [1, 1.01]: rejection never ends
+        # R / r >= 1.02 cannot hold inside [1, 1.01], and below
+        # high / low = 1.02^2 a draw passes too rarely for rejection to end
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match=f"low = {low!r}, high = {high!r}"):
             random_annulus_pair(rng, low, high)
@@ -60,7 +65,7 @@ class TestSuite:
         assert "wall_time" not in again.rows()[0]
 
     def test_coverage_names_every_claim_family(self, default_report):
-        names = set(default_report.coverage)
+        names = {r.name for r in default_report.results}
         for expected in (
             "minimal-energy-analytic-vs-numeric",
             "competitor-energies-above-minimum",
@@ -84,23 +89,18 @@ class TestSuite:
         failed = {r.name for r in results if not r.passed}
         assert "minimal-energy-analytic-vs-numeric" in failed
 
-    def test_different_seed_still_passes(self):
-        report = run_suite(VerifyConfig(seed=7, n_pairs=200, n_competitors=20,
-                                        n_inversion_maps=12))
+    def test_different_seed_still_passes(self, monkeypatch):
+        for name, count in (("_N_PAIRS", 200), ("_N_COMPETITORS", 20),
+                            ("_N_INVERSION_MAPS", 12)):
+            monkeypatch.setattr(verify, name, count)
+        report = run_suite(VerifyConfig(seed=7))
         assert report.passed, [r.name for r in report.results if not r.passed]
 
 
 class TestConfig:
     def test_rejects_negative_values(self):
-        with pytest.raises(ConfigError):
-            VerifyConfig(n_pairs=-1)
-
-    @pytest.mark.parametrize("field", ["n_competitors", "n_inversion_maps", "n_transforms",
-                                       "n_perturbations", "n_pairs"])
-    def test_sample_counts_must_be_positive(self, field):
-        # with no samples a bound reads inf or a check passes vacuously
-        with pytest.raises(ConfigError, match=f"'{field}' must be at least 1"):
-            VerifyConfig(**{field: 0})
+        with pytest.raises(ConfigError, match="'seed' must be nonnegative"):
+            VerifyConfig(seed=-1)
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ConfigError):
@@ -110,7 +110,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             VerifyConfig(seed="forty-two")
 
-    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("n_pairs", 2.5),
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("sphere_order", 16.5),
                                               ("grid_n", 10.5), ("radial_order", 8.5),
                                               ("seed", True)])
     def test_integer_fields_reject_non_integers(self, field, value):
@@ -118,25 +118,30 @@ class TestConfig:
             VerifyConfig(**{field: value})
 
     def test_accepts_numpy_integers(self):
-        assert VerifyConfig(seed=np.int64(7), n_pairs=np.int32(10)).seed == 7
+        config = VerifyConfig(seed=np.int64(7), sphere_order=np.int32(10))
+        assert (config.seed, config.sphere_order) == (7, 10)
 
 
 class TestIndividualChecks:
-    def test_minimal_energy_group(self, canonical_pair):
-        results = check_minimal_energy(VerifyConfig(pair=canonical_pair, n_competitors=10))
+    def test_minimal_energy_group(self, canonical_pair, monkeypatch):
+        monkeypatch.setattr(verify, "_N_COMPETITORS", 10)
+        results = check_minimal_energy(VerifyConfig(pair=canonical_pair))
         assert all(r.passed for r in results)
 
-    def test_inversion_invariance(self, canonical_pair):
-        results = check_inversion_invariance(VerifyConfig(pair=canonical_pair,
-                                                          n_inversion_maps=9))
+    def test_inversion_invariance(self, canonical_pair, monkeypatch):
+        monkeypatch.setattr(verify, "_N_INVERSION_MAPS", 9)
+        results = check_inversion_invariance(VerifyConfig(pair=canonical_pair))
         assert all(r.passed for r in results)
 
-    def test_sphere_inequality_group(self):
-        results = check_sphere_inequality(VerifyConfig(n_transforms=5, n_perturbations=5))
+    def test_sphere_inequality_group(self, monkeypatch):
+        monkeypatch.setattr(verify, "_N_TRANSFORMS", 5)
+        monkeypatch.setattr(verify, "_N_PERTURBATIONS", 5)
+        results = check_sphere_inequality(VerifyConfig())
         assert all(r.passed for r in results)
 
-    def test_harmonic_bvp_group(self):
-        results = check_harmonic_bvp(VerifyConfig(n_pairs=100))
+    def test_harmonic_bvp_group(self, monkeypatch):
+        monkeypatch.setattr(verify, "_N_PAIRS", 100)
+        results = check_harmonic_bvp(VerifyConfig())
         assert all(r.passed for r in results)
 
     def test_residual_group(self):
@@ -154,11 +159,14 @@ class TestIndividualChecks:
             assert r.tolerance >= 0.0
             assert math.isfinite(r.observed)
 
-    def test_suite_is_the_five_checks_in_order(self):
+    def test_suite_is_the_five_checks_in_order(self, monkeypatch):
         # run_suite adds nothing of its own: every setting reaches the
         # checks through the one config
-        config = VerifyConfig(n_pairs=100, n_competitors=10, n_inversion_maps=9,
-                              n_transforms=5, n_perturbations=5)
+        for name, count in (("_N_PAIRS", 100), ("_N_COMPETITORS", 10),
+                            ("_N_INVERSION_MAPS", 9), ("_N_TRANSFORMS", 5),
+                            ("_N_PERTURBATIONS", 5)):
+            monkeypatch.setattr(verify, name, count)
+        config = VerifyConfig()
         joined = []
         for check in (check_residuals, check_minimal_energy, check_inversion_invariance,
                       check_sphere_inequality, check_harmonic_bvp):
