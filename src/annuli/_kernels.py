@@ -1,15 +1,15 @@
 """Hot numeric kernels, numpy/python only.
 
-The Moebius sphere action is vectorized numpy.  RK4 shooting and the
-tridiagonal solve are scalar loops; they run on Python floats, reading
-and writing 1-D float64 arrays through memoryviews, because numpy-scalar
-indexing and ``np.isfinite`` dominated them.  Descent on the quadratic
-form is a loop of whole-array steps into buffers allocated once.
+The Moebius sphere action and RK4 shooting are vectorized numpy.  The
+tridiagonal solve is a scalar loop on Python floats, reading and writing
+1-D float64 arrays through memoryviews, because numpy-scalar indexing
+dominated it.  Descent on the quadratic form is a loop of whole-array
+steps into buffers allocated once.
 
 Contract: array inputs are 1-D float64 (a memoryview rejects
 ``longdouble``), and the Thomas systems are symmetric positive definite,
 as ``variational._interval_coefficients`` guarantees for every caller.
-Python-float division raises ``ZeroDivisionError`` where numpy scalars
+A zero Thomas pivot raises ``ZeroDivisionError``, where numpy scalars
 returned ``inf`` or ``nan``.
 """
 from __future__ import annotations
@@ -79,62 +79,43 @@ def mobius_pushforward(a, b, c, d, pts, vecs):
 
 
 # ---------------------------------------------------------------------------
-# RK4 shooting for the radial Euler-Lagrange equation
-#   H'' = (t H'^2 - 2 H H') / (t H)
-# on a uniform step grid.  Status: 0 integrated, -1 the profile crashed
-# toward zero, +1 it blew past the overflow cap.  The scalars are taken as
-# Python floats (exact for float64), so every step is Python-float
-# arithmetic in the same order as the formulas; a t * H that underflows
-# to zero raises ZeroDivisionError.
+# RK4 shooting for the radial Euler-Lagrange equation on a uniform step
+# grid.  In (K, P) = (log H, H'/H) the equation is the linear
+#   K' = P,  P' = -2 P / t,
+# so one RK4 step is P <- m_k P, K <- K + c_k P, with m_k and c_k the
+# four stages evaluated at P = 1.  A sweep is one cumprod, one cumsum
+# and one exp, and the rise log H - log h0 is linear in the slope.
+# Status: 0 integrated, -1 the profile crashed toward zero or left the
+# float range, +1 it blew past the overflow cap.  After a break the tail
+# repeats the first bad H, or is 0 where that H is not finite.
 
 
 def rk4_shoot(r, R, h0, slope, n_steps, floor, cap):
-    r, R, floor, cap = float(r), float(R), float(floor), float(cap)
-    H = float(h0)
-    P = float(slope)
     dt = (R - r) / n_steps
     hdt = 0.5 * dt
-    out = np.empty(n_steps + 1)
-    values = memoryview(out)
-    values[0] = H
-    status = 0
-    for k in range(n_steps):
-        t = r + k * dt
+    with np.errstate(all="ignore"):
+        t = r + np.arange(n_steps) * dt
         t2 = t + hdt
-        t4 = t + dt
-        if H <= floor:
-            status = -1
-            break
-        a1 = (t * P * P - 2.0 * H * P) / (t * H)
-        H2 = H + hdt * P
-        P2 = P + hdt * a1
-        if H2 <= floor:
-            status = -1
-            break
-        a2 = (t2 * P2 * P2 - 2.0 * H2 * P2) / (t2 * H2)
-        H3 = H + hdt * P2
-        P3 = P + hdt * a2
-        if H3 <= floor:
-            status = -1
-            break
-        a3 = (t2 * P3 * P3 - 2.0 * H3 * P3) / (t2 * H3)
-        H4 = H + dt * P3
-        P4 = P + dt * a3
-        if H4 <= floor:
-            status = -1
-            break
-        a4 = (t4 * P4 * P4 - 2.0 * H4 * P4) / (t4 * H4)
-        H = H + dt * (P + 2.0 * P2 + 2.0 * P3 + P4) / 6.0
-        P = P + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-        if not math.isfinite(H) or H <= floor:
-            status = -1
-            break
-        if H >= cap:
-            status = 1
-            break
-        values[k + 1] = H
-    if status != 0:
-        out[k + 1:] = H if math.isfinite(H) else 0.0
+        a1 = -2.0 / t
+        p2 = 1.0 + hdt * a1
+        a2 = -2.0 * p2 / t2
+        p3 = 1.0 + hdt * a2
+        a3 = -2.0 * p3 / t2
+        p4 = 1.0 + dt * a3
+        a4 = -2.0 * p4 / (t + dt)
+        c = dt * (1.0 + 2.0 * p2 + 2.0 * p3 + p4) / 6.0
+        m = 1.0 + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
+        p = np.cumprod(np.concatenate(([slope / h0], m[:-1])))
+        rise = np.concatenate(([0.0], np.cumsum(c * p)))
+        out = h0 * np.exp(rise)
+        good = (out > floor) & (out < cap)
+    status = 0
+    if not good.all():
+        i = int(np.argmin(good))
+        h = float(out[i])
+        finite = math.isfinite(h)
+        status = 1 if finite and h >= cap else -1
+        out[i:] = h if finite else 0.0
     return out, status
 
 

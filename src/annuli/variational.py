@@ -4,11 +4,11 @@ The reduced functional ``4 pi * integral(t^2 (H'/H)^2 + 2) dt`` becomes,
 after the substitution ``K = log H``, a convex quadratic in the sampled
 ``K`` values.  Minimizing it therefore amounts to one symmetric
 positive-definite tridiagonal solve.  Conjugate-gradient descent on the
-gradient and an RK4 shooting method for the original second-order
-equation are provided as independent routes to the same profile.  The
-shooting miss ``log H(R) - log R_star`` is affine in the initial slope
-along the exact flow, so secant steps find the slope without a bracket.
-All three routes run on the numpy kernels in ``_kernels``.
+gradient and RK4 shooting on the Euler-Lagrange equation are provided
+as independent routes to the same profile.  In ``K`` that equation is
+linear, so the discrete rise ``log H(R) - log r_star`` is linear in the
+initial slope and one trial sweep fixes the slope.  All three routes run
+on the numpy kernels in ``_kernels``.
 """
 from __future__ import annotations
 
@@ -19,15 +19,18 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, EvaluationError
-from .geometry import AnnulusPair, RadialGrid, make_radial_grid
+from .geometry import AnnulusPair, RadialGrid, _log_ratio, make_radial_grid
 from .maps import RadialProfile, SampledProfile, exp_profile_from_boundary
 
 _FOUR_PI = 4.0 * math.pi
-# RK4 steps of one shooting sweep, the boundary miss that ends the
-# search, and the most sweeps it takes
-_ODE_STEPS = 2000
+# RK4 steps of a shooting sweep: at least _MIN_STEPS and at least
+# _STEPS_PER_RATIO * (R / r - 1), so each step is at most r / 20; needing
+# more than _MAX_STEPS is an error.  The boundary miss that counts as
+# converged, relative to R_star.
+_MIN_STEPS = 2000
+_STEPS_PER_RATIO = 20
+_MAX_STEPS = 1_000_000
 _MISS_TOL = 1e-10
-_MAX_SWEEPS = 200
 # iteration budget of conjugate-gradient descent, and the max-norm of the
 # energy gradient that ends it
 _CG_MAX_ITER = 200_000
@@ -225,10 +228,11 @@ def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSo
 class ShootingResult:
     """Outcome of shooting for the radial Euler-Lagrange equation.
 
-    ``converged`` means the boundary miss ``H(R) - R_star`` met its
-    1e-10 tolerance.  ``profile`` is None, and the miss is +-inf, only
-    when the last sweep fell below the floor or rose above the cap.
-    ``sweeps`` counts the RK4 integrations."""
+    ``converged`` means the boundary miss ``H(R) - R_star`` is at most
+    ``1e-10 R_star`` in size.  ``profile`` is None, and the miss is +-inf,
+    only when the last sweep fell below the floor or rose above the cap.
+    ``sweeps`` counts the RK4 integrations: 2, or 1 when ``r_star ==
+    R_star``."""
 
     initial_slope: float
     profile: SampledProfile | None
@@ -237,57 +241,61 @@ class ShootingResult:
     sweeps: int = 0
 
 
+def _shooting_error(pair: AnnulusPair, reason: str) -> EvaluationError:
+    return EvaluationError(
+        f"RK4 shooting on r = {pair.r!r}, R = {pair.R!r}, r_star = {pair.r_star!r}, "
+        f"R_star = {pair.R_star!r}: {reason}"
+    )
+
+
 def shoot_el(pair: AnnulusPair) -> ShootingResult:
     """Solve the boundary value problem for the radial Euler-Lagrange
-    equation by RK4 integration and secant steps on the initial slope.
+    equation by RK4 shooting on the initial slope.
 
-    Each sweep integrates ``H'' = (t H'^2 - 2 H H') / (t H)`` from
-    ``H(r) = r_star`` with slope ``H'(r) = s`` over 2000 uniform steps.
-    Along the exact flow ``log H`` is affine in ``1/t``, so the miss
-    ``g(s) = log H(R; s) - log R_star`` is affine in ``s`` and needs no
-    bracket.  The search starts from the point ``(0, log r_star -
-    log R_star)``, known without a sweep: with ``s = 0`` every RK4 stage
-    has ``H'' = 0``, so ``H`` stays ``r_star`` exactly.  The first sweep
-    takes the log-chord slope ``r_star log(R_star / r_star) / (R - r)``,
-    whose exact ``H(R)`` lies between ``r_star`` and ``R_star``; every
-    later one takes the secant step on ``g`` through the last two points.
-    The search stops once ``|H(R) - R_star| <= 1e-10``, when ``g``
-    repeats, after 200 sweeps, or when a sweep falls below the floor
-    ``1e-10 r_star`` or rises above the cap ``1e10 R_star``; only the
-    last case returns no profile.  A degenerate target has log-chord
-    slope 0 and converges in one sweep.
+    A sweep integrates ``K'' = -2 K' / t`` for ``K = log H`` from
+    ``H(r) = r_star`` with slope ``H'(r) = s`` over ``n = max(2000,
+    ceil(20 (R / r - 1)))`` uniform steps, so each step is at most
+    ``r / 20``.  The discrete rise ``log H(R) - log r_star`` is linear in
+    ``s``.  The trial sweep takes the slope of the closed form; the
+    second scales it by ``log(R_star / r_star)`` over the trial rise,
+    which hits ``R_star`` up to rounding.  A degenerate target takes one
+    sweep at slope 0.  A sweep that falls below the floor ``1e-10
+    r_star`` or rises above the cap ``1e10 R_star`` returns no profile.
 
-    The 2000 steps hold the profile within 5.6e-7 R_star of the closed
-    form for ``R / r <= 100``, the range of :func:`random_annulus_pair`;
-    the error grows past it (6.8e-6 R_star at ``R / r = 200``, 6.7e-4
-    R_star at 1000), while the boundary miss still meets its tolerance.
-    A product ``t * H`` that underflows to zero raises
-    :class:`EvaluationError`.
+    The profile stays within 1.6e-7 ``max(r_star, R_star)`` of the
+    closed form, measured on generator pairs and on ``R / r`` up to 1e4.
+    :class:`EvaluationError` names the radii when ``n`` would pass
+    1 000 000, when a sweep is not finite, or when the trial rise is not
+    positive and finite.
     """
     pair.require_weighted()
     r, R, r_star, R_star = pair.r, pair.R, pair.r_star, pair.R_star
+    wide = _STEPS_PER_RATIO * (R / r - 1.0)
+    if not wide <= _MAX_STEPS:
+        raise _shooting_error(pair, f"R / r needs more than {_MAX_STEPS} RK4 steps; "
+                                    "the domain is too wide")
+    n = max(_MIN_STEPS, math.ceil(wide))
     floor = 1e-10 * r_star
     cap = 1e10 * R_star
-    log_target = math.log(R_star)
-    log_ratio = log_target - math.log(r_star)
-    s_prev, g_prev = 0.0, -log_ratio
-    slope = r_star * log_ratio / (R - r)
-    for sweeps in range(1, _MAX_SWEEPS + 1):
-        try:
-            values, status = _kernels.rk4_shoot(r, R, r_star, slope, _ODE_STEPS, floor, cap)
-        except ZeroDivisionError:
-            raise EvaluationError(
-                f"RK4 shooting on r = {r!r}, R = {R!r}, r_star = {r_star!r}, "
-                f"R_star = {R_star!r}: the product t * H underflows to zero; "
-                "the radii are too small for floating point"
-            ) from None
-        if status != 0:
-            return ShootingResult(slope, None, math.copysign(math.inf, status), False, sweeps)
-        end = float(values[-1])
-        miss = end - R_star
-        g = math.log(end) - log_target
-        if abs(miss) <= _MISS_TOL or g == g_prev or sweeps == _MAX_SWEEPS:
-            break
-        s_prev, g_prev, slope = slope, g, slope - g * (slope - s_prev) / (g - g_prev)
-    profile = SampledProfile(grid=make_radial_grid(pair.domain, _ODE_STEPS), values=values)
-    return ShootingResult(slope, profile, miss, abs(miss) <= _MISS_TOL, sweeps)
+    log_ratio = _log_ratio(R_star, r_star)
+    slope = r_star * log_ratio * (R / r) / (R - r)
+    values, status = _kernels.rk4_shoot(r, R, r_star, slope, n, floor, cap)
+    sweeps = 1
+    if status == 0 and log_ratio != 0.0:
+        rise = _log_ratio(float(values[-1]), r_star)
+        if not 0.0 < rise < math.inf:
+            raise _shooting_error(pair, f"the trial sweep rises by log H(R) - log r_star = {rise!r}, "
+                                        "not a positive finite number; the radii are too "
+                                        "extreme for floating point")
+        slope *= log_ratio / rise
+        values, status = _kernels.rk4_shoot(r, R, r_star, slope, n, floor, cap)
+        sweeps = 2
+    if status != 0:
+        # the kernel fills the tail of a non-finite sweep with 0
+        if values[-1] == 0.0:
+            raise _shooting_error(pair, "a sweep is not finite; the radii are too extreme "
+                                        "for floating point")
+        return ShootingResult(slope, None, math.copysign(math.inf, status), False, sweeps)
+    miss = float(values[-1]) - R_star
+    profile = SampledProfile(grid=make_radial_grid(pair.domain, n), values=values)
+    return ShootingResult(slope, profile, miss, abs(miss) <= _MISS_TOL * R_star, sweeps)

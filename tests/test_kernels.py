@@ -112,12 +112,44 @@ class TestRK4Shoot:
         assert np.all(values[i:] == values[-1])
 
     def test_non_finite_profile_fills_zero(self):
-        # with no cap, the profile overflows to inf or nan and the tail is 0
-        values, status = K.rk4_shoot(1.0, 2.0, 1.0, 1e3, 200, 1e-10, math.inf)
+        # with no cap, the profile overflows to inf or nan and the tail is 0;
+        # log H = 2000 (1 - 1 / t) passes 709 near t = 1.55
+        values, status = K.rk4_shoot(1.0, 2.0, 1.0, 2e3, 200, 1e-10, math.inf)
         assert status == -1
         i = self._tail(values)
         assert values[-1] == 0.0 and 0 < i < 200
         assert np.all(np.isfinite(values)) and values[i - 1] > 1e100
+
+    def test_matches_a_stepwise_rk4_loop(self):
+        # reference: textbook RK4 on (K, P) = (log H, H'/H) with
+        # K' = P, P' = -2 P / t, one Python step at a time
+        r, R, h0, slope, n = 0.5, 3.0, 1.5, -0.7, 300
+
+        def f(t, y):
+            return np.array([y[1], -2.0 * y[1] / t])
+
+        dt = (R - r) / n
+        y = np.array([math.log(h0), slope / h0])
+        ref = [h0]
+        for k in range(n):
+            t = r + k * dt
+            k1 = f(t, y)
+            k2 = f(t + dt / 2, y + dt / 2 * k1)
+            k3 = f(t + dt / 2, y + dt / 2 * k2)
+            k4 = f(t + dt, y + dt * k3)
+            y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            ref.append(math.exp(y[0]))
+        values, status = K.rk4_shoot(r, R, h0, slope, n, 1e-10, 1e10)
+        assert status == 0
+        np.testing.assert_allclose(values, ref, rtol=1e-13, atol=0.0)
+
+    def test_rise_is_linear_in_the_slope(self):
+        # shoot_el's slope correction relies on log(H(R) / h0) scaling
+        # with the slope; the RK4 steps are linear in H'/H
+        h0 = 2.0
+        rises = [math.log(K.rk4_shoot(0.1, 10.0, h0, s, 2000, 1e-10, 1e10)[0][-1] / h0)
+                 for s in (5.0, 15.0)]
+        assert math.isclose(rises[1], 3.0 * rises[0], rel_tol=1e-12)
 
 
 class TestGradientDescentModes:

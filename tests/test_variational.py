@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -246,10 +247,10 @@ class TestShooting:
         assert sup < 1e-5 * pair.R_star
 
     def test_canonical_pair_takes_few_sweeps(self, canonical_pair):
-        # the log-chord slope, then one secant step
+        # the closed-form slope, then one exact slope correction
         result = shoot_el(canonical_pair)
         assert result.converged
-        assert result.sweeps <= 3
+        assert result.sweeps == 2
         assert abs(result.initial_slope - 2.0) <= 1e-9
 
     @pytest.mark.parametrize("seed", [101, 7])
@@ -259,7 +260,7 @@ class TestShooting:
         for _ in range(512):
             pair = random_annulus_pair(rng)
             result = shoot_el(pair)
-            assert result.converged and result.sweeps <= 4
+            assert result.converged and result.sweeps == 2
             closed = exp_profile_from_boundary(pair, "increasing")
             sup = np.max(np.abs(result.profile.values - closed.eval(result.profile.grid.nodes)))
             assert sup < 1e-5 * max(pair.r_star, pair.R_star)
@@ -281,9 +282,39 @@ class TestShooting:
             assert result.boundary_miss == math.copysign(math.inf, status)
             assert result.sweeps == 2 and result.initial_slope == calls[1]
 
-    @pytest.mark.parametrize("radii", [(5e-324, 1.0, 0.5, 1.0), (1e-200, 1e-100, 1e-200, 1.0)])
+    # radii -> the reason the error gives
+    _SHOOTING_ERRORS = {
+        (5e-324, 1.0, 0.5, 1.0): "needs more than 1000000 RK4 steps",
+        (1e-200, 1e-100, 1e-200, 1.0): "needs more than 1000000 RK4 steps",
+        # the step (R - r) / n underflows to zero and -2 / t overflows
+        (5e-324, 1e-323, 0.5, 1.0): "a sweep is not finite",
+        # the closed-form slope underflows to zero
+        (6.5e255, 6.6e255, 2e-284, 7e-34): "rises by log H(R) - log r_star = 0.0,",
+    }
+
+    @pytest.mark.parametrize("radii", list(_SHOOTING_ERRORS))
     def test_underflowing_t_times_h_is_an_evaluation_error(self, radii):
-        # t * H rounds to zero in the RK4 step, which divided by it
-        with pytest.raises(EvaluationError, match=rf"r = {radii[0]!r}, R = {radii[1]!r}.*"
-                                                  r"t \* H underflows"):
+        head = "r = {!r}, R = {!r}, r_star = {!r}, R_star = {!r}: ".format(*radii)
+        match = re.escape(head) + ".*" + re.escape(self._SHOOTING_ERRORS[radii])
+        with pytest.raises(EvaluationError, match=match):
             shoot_el(AnnulusPair.from_radii(*radii))
+
+    def test_very_wide_domain_stays_near_the_closed_form(self):
+        # R / r = 1000 takes 19 980 steps of at most r / 20
+        pair = AnnulusPair.from_radii(0.1, 100.0, 0.1, 10.0)
+        result = shoot_el(pair)
+        assert result.converged and result.profile.grid.nodes.size == 19_981
+        closed = exp_profile_from_boundary(pair, "increasing")
+        sup = np.max(np.abs(result.profile.values - closed.eval(result.profile.grid.nodes)))
+        assert sup < 1e-5 * pair.R_star
+
+    @pytest.mark.parametrize("radii", [(1.0, 2.0, 1e6, 2.718e6), (1.0, 2.0, 1e9, 3e9),
+                                       (1.0, 2.0, 1e-6, 2.718e-6)])
+    def test_convergence_is_scale_invariant(self, radii):
+        # H(R) rounds to about 1e-16 R_star, so the miss tolerance scales with R_star
+        pair = AnnulusPair.from_radii(*radii)
+        result = shoot_el(pair)
+        assert result.converged and abs(result.boundary_miss) <= 1e-10 * pair.R_star
+        closed = exp_profile_from_boundary(pair, "increasing")
+        sup = np.max(np.abs(result.profile.values - closed.eval(result.profile.grid.nodes)))
+        assert sup < 1e-12 * pair.R_star
