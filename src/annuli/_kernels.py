@@ -3,8 +3,12 @@
 The Moebius sphere action and RK4 shooting are vectorized numpy.  The
 tridiagonal solve is a scalar loop on Python floats, reading and writing
 1-D float64 arrays through memoryviews, because numpy-scalar indexing
-dominated it.  Descent on the quadratic form is a loop of whole-array
-steps into buffers allocated once.
+dominated it.  Conjugate-gradient descent on the quadratic form is a
+loop of whole-array steps into buffers allocated once.
+
+``rk4_shoot`` and ``gd_quadratic`` ignore trailing arguments:
+``perfbench/micro.py`` still passes the retired floor and cap, and mode
+and fixed step, by position.
 
 Contract: array inputs are 1-D float64 (a memoryview rejects
 ``longdouble``), and the Thomas systems are symmetric positive definite,
@@ -13,8 +17,6 @@ A zero Thomas pivot raises ``ZeroDivisionError``, where numpy scalars
 returned ``inf`` or ``nan``.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -84,13 +86,12 @@ def mobius_pushforward(a, b, c, d, pts, vecs):
 #   K' = P,  P' = -2 P / t,
 # so one RK4 step is P <- m_k P, K <- K + c_k P, with m_k and c_k the
 # four stages evaluated at P = 1.  A sweep is one cumprod, one cumsum
-# and one exp, and the rise log H - log h0 is linear in the slope.
-# Status: 0 integrated, -1 the profile crashed toward zero or left the
-# float range, +1 it blew past the overflow cap.  After a break the tail
-# repeats the first bad H, or is 0 where that H is not finite.
+# and one exp, and the rise log H - log h0 is linear in the slope.  The
+# sweep is returned as computed; a step that leaves the float range
+# shows as 0, inf or nan.
 
 
-def rk4_shoot(r, R, h0, slope, n_steps, floor, cap):
+def rk4_shoot(r, R, h0, slope, n_steps, *_):
     dt = (R - r) / n_steps
     hdt = 0.5 * dt
     with np.errstate(all="ignore"):
@@ -107,16 +108,7 @@ def rk4_shoot(r, R, h0, slope, n_steps, floor, cap):
         m = 1.0 + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
         p = np.cumprod(np.concatenate(([slope / h0], m[:-1])))
         rise = np.concatenate(([0.0], np.cumsum(c * p)))
-        out = h0 * np.exp(rise)
-        good = (out > floor) & (out < cap)
-    status = 0
-    if not good.all():
-        i = int(np.argmin(good))
-        h = float(out[i])
-        finite = math.isfinite(h)
-        status = 1 if finite and h >= cap else -1
-        out[i:] = h if finite else 0.0
-    return out, status
+        return h0 * np.exp(rise)
 
 
 # ---------------------------------------------------------------------------
@@ -157,22 +149,22 @@ def thomas_solve(lower, diag, upper, rhs):
 
 
 # ---------------------------------------------------------------------------
-# Descent on the discrete quadratic form
+# Conjugate-gradient descent (Hestenes-Stiefel) on the discrete
+# quadratic form
 #   Q(k) = sum_i a[i] * (k[i+1] - k[i])^2
-# over interior nodes with fixed endpoints.  Modes: 0 steepest descent
-# with the exact line search, 1 conjugate gradient (Hestenes-Stiefel),
-# 2 steepest descent with a fixed step.  The gradient of Q at k,
+# over interior nodes with fixed endpoints.  The gradient of Q at k,
 # 2 (flux[:-1] - flux[1:]) with flux = a * diff(k), is linear in k, so
 # the same formula applied to a direction padded with zero ends is the
-# Hessian product.  Each step takes one such product and updates the
-# gradient recursively.  Convergence means a gradient recomputed from k
-# has max-norm at most tol before the iteration budget runs out; when
-# only the recursive one does, descent restarts from the recomputed
-# gradient.  The gradient is checked before each step, so an optimal
-# initial guess converges at iteration zero.  A direction of
-# non-positive curvature, which needs some a[i] <= 0, ends the run
-# unconverged without a step.  ``k`` (1-D float64) is updated in place;
-# the work arrays are allocated once and filled by ``out=`` ufuncs.
+# Hessian product.  Each step takes one such product, the exact line
+# search along the direction, and updates the gradient recursively.
+# Convergence means a gradient recomputed from k has max-norm at most
+# tol before the iteration budget runs out; when only the recursive one
+# does, descent restarts from the recomputed gradient.  The gradient is
+# checked before each step, so an optimal initial guess converges at
+# iteration zero.  A direction of non-positive curvature, which needs
+# some a[i] <= 0, ends the run unconverged without a step.  ``k`` (1-D
+# float64) is updated in place; the work arrays are allocated once and
+# filled by ``out=`` ufuncs.
 
 
 def _form_gradient(a, x, flux, out):
@@ -183,7 +175,7 @@ def _form_gradient(a, x, flux, out):
     out *= 2.0
 
 
-def gd_quadratic(a, k, max_iter, tol, mode, fixed_step):
+def gd_quadratic(a, k, max_iter, tol, *_):
     n = a.shape[0]
     flux = np.empty(n)
     g = np.empty(n - 1)
@@ -208,19 +200,16 @@ def gd_quadratic(a, k, max_iter, tol, mode, fixed_step):
             continue
         if iters >= max_iter:
             break
-        if mode == 1 and not fresh:
+        if fresh:
+            np.negative(g, out=p)
+        else:
             p *= gg / gg_old
             p -= g
-        else:
-            np.negative(g, out=p)
         _form_gradient(a, padded, flux, hp)
-        if mode == 2:
-            alpha = fixed_step
-        else:
-            php = float(p @ hp)
-            if not php > 0.0:
-                break
-            alpha = gg / php
+        php = float(p @ hp)
+        if not php > 0.0:
+            break
+        alpha = gg / php
         np.multiply(p, alpha, out=tmp)
         interior += tmp
         np.multiply(hp, alpha, out=tmp)

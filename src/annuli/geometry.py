@@ -113,7 +113,10 @@ class RadialGrid:
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("grid needs at least two nodes")
         if not np.all(np.diff(nodes) > 0.0):
-            raise DomainError("grid nodes must be strictly increasing")
+            raise DomainError(
+                f"grid nodes must be strictly increasing: {nodes.size} nodes on the annulus "
+                f"[{self.annulus.inner!r}, {self.annulus.outer!r}]"
+            )
         if nodes[0] != self.annulus.inner or nodes[-1] != self.annulus.outer:
             raise DomainError("grid must span the annulus exactly")
         if self.spacing_mode not in SPACING_MODES:

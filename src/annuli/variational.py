@@ -182,18 +182,11 @@ def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolu
         return _constant_solution(pair, grid)
     a = _interval_coefficients(grid)
     k0, kn = _boundary_logs(pair)
-    m = grid.nodes.size - 2
-    diag = a[:-1] + a[1:]
-    lower = np.empty(m)
-    upper = np.empty(m)
-    lower[1:] = -a[1:-1]
-    lower[0] = 0.0
-    upper[:-1] = -a[1:-1]
-    upper[-1] = 0.0
-    rhs = np.zeros(m)
+    rhs = np.zeros(grid.nodes.size - 2)
     rhs[0] = a[0] * k0
     rhs[-1] = a[-1] * kn
-    y = _kernels.thomas_solve(lower, diag, upper, rhs)
+    # the kernel ignores the first lower and the last upper entry
+    y = _kernels.thomas_solve(-a[:-1], a[:-1] + a[1:], -a[1:], rhs)
     k = np.concatenate([[k0], y, [kn]])
     return _solution_from_k(pair, grid, a, k, 1, True)
 
@@ -219,8 +212,7 @@ def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSo
     k = k0 + (t - t[0]) / (t[-1] - t[0]) * (kn - k0)
     # the kernel minimizes Q = E / (4 pi) - const, so rescale the
     # gradient tolerance accordingly
-    # mode 1 is conjugate gradient, which takes no fixed step
-    iters, converged = _kernels.gd_quadratic(a, k, _CG_MAX_ITER, _CG_TOL / _FOUR_PI, 1, 0.0)
+    iters, converged = _kernels.gd_quadratic(a, k, _CG_MAX_ITER, _CG_TOL / _FOUR_PI)
     return _solution_from_k(pair, grid, a, k, int(iters), bool(converged))
 
 
@@ -228,11 +220,10 @@ def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSo
 class ShootingResult:
     """Outcome of shooting for the radial Euler-Lagrange equation.
 
-    ``converged`` means the boundary miss ``H(R) - R_star`` is at most
-    ``1e-10 R_star`` in size.  ``profile`` is None, and the miss is +-inf,
-    only when the last sweep fell below the floor or rose above the cap.
-    ``sweeps`` counts the RK4 integrations: 2, or 1 when ``r_star ==
-    R_star``."""
+    ``converged`` means the finite boundary miss ``H(R) - R_star`` is at
+    most ``1e-10 R_star`` in size.  :func:`shoot_el` always sets
+    ``profile``.  ``sweeps`` counts the RK4 integrations: 2, or 1 when
+    ``r_star == R_star``."""
 
     initial_slope: float
     profile: SampledProfile | None
@@ -252,21 +243,22 @@ def shoot_el(pair: AnnulusPair) -> ShootingResult:
     """Solve the boundary value problem for the radial Euler-Lagrange
     equation by RK4 shooting on the initial slope.
 
-    A sweep integrates ``K'' = -2 K' / t`` for ``K = log H`` from
-    ``H(r) = r_star`` with slope ``H'(r) = s`` over ``n = max(2000,
-    ceil(20 (R / r - 1)))`` uniform steps, so each step is at most
-    ``r / 20``.  The discrete rise ``log H(R) - log r_star`` is linear in
-    ``s``.  The trial sweep takes the slope of the closed form; the
-    second scales it by ``log(R_star / r_star)`` over the trial rise,
-    which hits ``R_star`` up to rounding.  A degenerate target takes one
-    sweep at slope 0.  A sweep that falls below the floor ``1e-10
-    r_star`` or rises above the cap ``1e10 R_star`` returns no profile.
+    A sweep integrates ``K'' = -2 K' / t`` for ``K = log H`` on the unit
+    profile ``H / r_star`` from ``K(r) = 0`` with slope ``K'(r) = p`` over
+    ``n = max(2000, ceil(20 (R / r - 1)))`` uniform steps, so each step
+    is at most ``r / 20``.  The discrete rise ``K(R)`` is linear in ``p``.
+    The trial sweep takes the log slope of the closed form; the second
+    scales it by ``log(R_star / r_star)`` over the trial rise, which hits
+    ``R_star`` up to rounding.  A degenerate target takes one sweep at
+    slope 0.  For ``p >= 0`` every sweep is positive and nondecreasing,
+    so no floor or cap is needed.  ``initial_slope`` is ``H'(r) = r_star
+    p``, which may underflow to 0 while ``p`` does not.
 
     The profile stays within 1.6e-7 ``max(r_star, R_star)`` of the
     closed form, measured on generator pairs and on ``R / r`` up to 1e4.
     :class:`EvaluationError` names the radii when ``n`` would pass
-    1 000 000, when a sweep is not finite, or when the trial rise is not
-    positive and finite.
+    1 000 000, or when a value of the last sweep is not positive and
+    finite.
     """
     pair.require_weighted()
     r, R, r_star, R_star = pair.r, pair.R, pair.r_star, pair.R_star
@@ -275,27 +267,22 @@ def shoot_el(pair: AnnulusPair) -> ShootingResult:
         raise _shooting_error(pair, f"R / r needs more than {_MAX_STEPS} RK4 steps; "
                                     "the domain is too wide")
     n = max(_MIN_STEPS, math.ceil(wide))
-    floor = 1e-10 * r_star
-    cap = 1e10 * R_star
     log_ratio = _log_ratio(R_star, r_star)
-    slope = r_star * log_ratio * (R / r) / (R - r)
-    values, status = _kernels.rk4_shoot(r, R, r_star, slope, n, floor, cap)
+    p0 = log_ratio * (R / r) / (R - r)
+    unit = _kernels.rk4_shoot(r, R, 1.0, p0, n)
     sweeps = 1
-    if status == 0 and log_ratio != 0.0:
-        rise = _log_ratio(float(values[-1]), r_star)
-        if not 0.0 < rise < math.inf:
-            raise _shooting_error(pair, f"the trial sweep rises by log H(R) - log r_star = {rise!r}, "
-                                        "not a positive finite number; the radii are too "
-                                        "extreme for floating point")
-        slope *= log_ratio / rise
-        values, status = _kernels.rk4_shoot(r, R, r_star, slope, n, floor, cap)
+    # an inf or nan trial sweep is the last one; a trial rise of 0 makes
+    # the corrected slope, and so the next sweep, inf or nan
+    if log_ratio != 0.0 and unit[-1] < math.inf:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p0 = float(p0 * (log_ratio / np.log(unit[-1])))
+        unit = _kernels.rk4_shoot(r, R, 1.0, p0, n)
         sweeps = 2
-    if status != 0:
-        # the kernel fills the tail of a non-finite sweep with 0
-        if values[-1] == 0.0:
-            raise _shooting_error(pair, "a sweep is not finite; the radii are too extreme "
-                                        "for floating point")
-        return ShootingResult(slope, None, math.copysign(math.inf, status), False, sweeps)
+    with np.errstate(over="ignore"):
+        values = r_star * unit
+    if not (values.min() > 0.0 and values.max() < math.inf):
+        raise _shooting_error(pair, "a sweep is not positive and finite; the radii are too "
+                                    "extreme for floating point")
     miss = float(values[-1]) - R_star
     profile = SampledProfile(grid=make_radial_grid(pair.domain, n), values=values)
-    return ShootingResult(slope, profile, miss, abs(miss) <= _MISS_TOL * R_star, sweeps)
+    return ShootingResult(r_star * p0, profile, miss, abs(miss) <= _MISS_TOL * R_star, sweeps)

@@ -265,31 +265,31 @@ class TestShooting:
             sup = np.max(np.abs(result.profile.values - closed.eval(result.profile.grid.nodes)))
             assert sup < 1e-5 * max(pair.r_star, pair.R_star)
 
-    def test_sweep_off_floor_or_cap_reports_instead_of_raising(self, monkeypatch, canonical_pair):
-        # the secant step's sweep falls below the floor, or rises above the cap
+    @pytest.mark.parametrize("bad", [math.inf, 0.0])
+    def test_sweep_off_the_float_range_is_an_evaluation_error(self, monkeypatch, canonical_pair, bad):
+        # a sweep holding inf or 0, as RK4 gives when H leaves the float
+        # range, names the radii instead of returning a profile
         rk4_shoot = _kernels.rk4_shoot
-        for status in (-1, 1):
-            calls = []
 
-            def second_sweep_leaves(r, R, h0, slope, n_steps, floor, cap):
-                values, _ = rk4_shoot(r, R, h0, slope, n_steps, floor, cap)
-                calls.append(slope)
-                return values, status if len(calls) == 2 else 0
+        def sweep_with_a_bad_value(*args):
+            values = rk4_shoot(*args)
+            values[values.size // 2] = bad
+            return values
 
-            monkeypatch.setattr(_kernels, "rk4_shoot", second_sweep_leaves)
-            result = shoot_el(canonical_pair)
-            assert not result.converged and result.profile is None
-            assert result.boundary_miss == math.copysign(math.inf, status)
-            assert result.sweeps == 2 and result.initial_slope == calls[1]
+        monkeypatch.setattr(_kernels, "rk4_shoot", sweep_with_a_bad_value)
+        with pytest.raises(EvaluationError, match=r"r = 1\.0, R = 2\.0, .*not positive and finite"):
+            shoot_el(canonical_pair)
 
     # radii -> the reason the error gives
     _SHOOTING_ERRORS = {
         (5e-324, 1.0, 0.5, 1.0): "needs more than 1000000 RK4 steps",
         (1e-200, 1e-100, 1e-200, 1.0): "needs more than 1000000 RK4 steps",
         # the step (R - r) / n underflows to zero and -2 / t overflows
-        (5e-324, 1e-323, 0.5, 1.0): "a sweep is not finite",
-        # the closed-form slope underflows to zero
-        (6.5e255, 6.6e255, 2e-284, 7e-34): "rises by log H(R) - log r_star = 0.0,",
+        (5e-324, 1e-323, 0.5, 1.0): "a sweep is not positive and finite",
+        # R_star / r_star = 1e600 overflows the sweep of H / r_star
+        (1.0, 2.0, 1e-300, 1e300): "a sweep is not positive and finite",
+        # the unit sweep is finite, but r_star times it overflows
+        (1.0, 2.0, 2.0, 1.7976931348623157e308): "a sweep is not positive and finite",
     }
 
     @pytest.mark.parametrize("radii", list(_SHOOTING_ERRORS))
@@ -298,6 +298,34 @@ class TestShooting:
         match = re.escape(head) + ".*" + re.escape(self._SHOOTING_ERRORS[radii])
         with pytest.raises(EvaluationError, match=match):
             shoot_el(AnnulusPair.from_radii(*radii))
+
+    @pytest.mark.parametrize("radii", [
+        # H'(r) = 9.5e-314 is subnormal, H'(r) / H(r) is not
+        (4.014992031433428e+265, 6.0224880471501416e+265, 8.225963145319816e-51,
+         2.3868370694219366e+17),
+        # H'(r) underflows to 0
+        (6.5e255, 6.6e255, 2e-284, 7e-34),
+    ])
+    def test_subnormal_initial_slope_converges(self, radii):
+        # the sweep runs on H / r_star, whose log slope stays normal
+        r, R, r_star, R_star = radii
+        result = shoot_el(AnnulusPair.from_radii(*radii))
+        assert result.converged and result.sweeps == 2
+        # the closed form in logs: log r_star + log(R_star / r_star) R (t - r) / ((R - r) t)
+        t = result.profile.grid.nodes
+        log_closed = math.log(r_star) + (math.log(R_star) - math.log(r_star)) * (R / (R - r)) * (t - r) / t
+        assert np.max(np.abs(np.log(result.profile.values) - log_closed)) <= 1e-10
+
+    def test_domain_too_thin_for_the_grid_names_the_radii(self):
+        # a domain a few ulps wide has no room for 2001 increasing nodes
+        radii = (2.400252145973843e-195, 2.4002521459738432e-195, 8.668147427852216e-147,
+                 3.0207058007326167e+150)
+        pair = AnnulusPair.from_radii(*radii)
+        match = re.escape(f"2001 nodes on the annulus [{radii[0]!r}, {radii[1]!r}]")
+        with pytest.raises(DomainError, match=match):
+            make_radial_grid(pair.domain, 2000)
+        with pytest.raises(DomainError, match=match):
+            shoot_el(pair)
 
     def test_very_wide_domain_stays_near_the_closed_form(self):
         # R / r = 1000 takes 19 980 steps of at most r / 20
