@@ -64,9 +64,16 @@ class RunConfig:
     base_radii: tuple
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns a usage error into a :class:`ConfigError`, so it prints as
+    one ``error:`` line; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="annuli",
-                                     description="weighted Dirichlet energies of annulus mappings")
+    parser = _Parser(prog="annuli", description="weighted Dirichlet energies of annulus mappings")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in (
         ("energy", "analytic minimal energy and numeric energies of both minimizers"),

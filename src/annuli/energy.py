@@ -123,21 +123,19 @@ def _sphere_factor(f: GeneralizedRadialMap, sphere_order: int) -> float:
     return float(quad.weights @ lam**2)
 
 
-def _decomposed_weighted(f: GeneralizedRadialMap, pair: AnnulusPair,
-                         radial_order: int, sphere_order: int):
+def _decomposed(f: GeneralizedRadialMap, pair: AnnulusPair, radial_order: int,
+                sphere_order: int, weighted: bool):
+    """``(radial, spherical, value)`` parts of the energy of a generalized
+    radial map.  The radial part integrates ``t^2 (H'/H)^2`` (weighted)
+    or ``t^2 H'^2``; the sphere factor is scaled by ``2 (R - r)`` or by
+    ``2 integral(H^2)``."""
     t, w, h, hd = _profile_quadrature(f.profile, pair.domain, radial_order)
-    _require_positive(h, t)
-    radial = 4.0 * math.pi * _radial_integral(t, w, hd / h)
-    spherical = 2.0 * pair.domain.width * _sphere_factor(f, sphere_order)
-    return radial, spherical
-
-
-def _decomposed_dirichlet(f: GeneralizedRadialMap, pair: AnnulusPair,
-                          radial_order: int, sphere_order: int):
-    t, w, h, hd = _profile_quadrature(f.profile, pair.domain, radial_order)
-    radial = 4.0 * math.pi * _radial_integral(t, w, hd)
-    spherical = 2.0 * float(w @ h**2) * _sphere_factor(f, sphere_order)
-    return radial, spherical
+    if weighted:
+        _require_positive(h, t)
+    radial = 4.0 * math.pi * _radial_integral(t, w, hd / h if weighted else hd)
+    shell = 2.0 * pair.domain.width if weighted else 2.0 * float(w @ h**2)
+    spherical = shell * _sphere_factor(f, sphere_order)
+    return radial, spherical, radial + spherical
 
 
 def _same(vals: np.ndarray) -> np.ndarray:
@@ -192,21 +190,15 @@ def _check_orders(pair: AnnulusPair, radial_order: int, sphere_order: int, weigh
 def _energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_order: int,
             refine: bool, weighted: bool) -> EnergyReport:
     _check_orders(pair, radial_order, sphere_order, weighted)
-    if isinstance(f, GeneralizedRadialMap):
-        split = _decomposed_weighted if weighted else _decomposed_dirichlet
-        radial, spherical = split(f, pair, radial_order, sphere_order)
-        value = radial + spherical
-        delta = None
-        if refine:
-            r2, s2 = split(f, pair, 2 * radial_order, 2 * sphere_order)
-            delta = abs((r2 + s2) - value)
-        return EnergyReport(value, radial, spherical, (radial_order, sphere_order), delta)
-    [value] = _fd_energies(f, pair, radial_order, sphere_order, weighted)
-    delta = None
-    if refine:
-        [v2] = _fd_energies(f, pair, 2 * radial_order, 2 * sphere_order, weighted)
-        delta = abs(v2 - value)
-    return EnergyReport(value, None, None, (radial_order, sphere_order), delta)
+
+    def parts(ro, so):
+        if isinstance(f, GeneralizedRadialMap):
+            return _decomposed(f, pair, ro, so, weighted)
+        return None, None, _fd_energies(f, pair, ro, so, weighted)[0]
+
+    radial, spherical, value = parts(radial_order, sphere_order)
+    delta = abs(parts(2 * radial_order, 2 * sphere_order)[2] - value) if refine else None
+    return EnergyReport(value, radial, spherical, (radial_order, sphere_order), delta)
 
 
 def weighted_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int = 64,

@@ -39,6 +39,9 @@ class Annulus:
             raise DomainError("inner radius must be less than outer")
         if self.outer <= 0.0:
             raise DomainError("outer radius must be positive")
+        # numpy scalars would warn where Python floats overflow quietly
+        object.__setattr__(self, "inner", float(self.inner))
+        object.__setattr__(self, "outer", float(self.outer))
 
     @property
     def width(self) -> float:

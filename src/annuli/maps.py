@@ -16,20 +16,43 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .geometry import Annulus, AnnulusPair, RadialGrid, _log_ratio, row_norms, tangent_frames
+from .geometry import AnnulusPair, RadialGrid, _log_ratio, row_norms, tangent_frames
 from .sphere_maps import MobiusTransform, mobius_apply_points, mobius_pushforward
 
 # central-difference step of every map differential, relative to |x|
 _FD_STEP = 1e-5
 
 
-def _as_floats(t):
-    arr = np.asarray(t, dtype=float)
-    return arr, arr.ndim == 0
+class _Profile:
+    """Front shared by every radial profile.
+
+    ``eval`` and ``derivative`` take a radius or an array of radii, run
+    the class's domain check (``t > 0`` unless overridden) and return a
+    Python float for a scalar radius.  A class supplies ``_h``, ``_d1``
+    and ``_d2`` on float arrays.
+    """
+
+    def _check(self, t):
+        if np.any(t <= 0.0):
+            raise DomainError(f"{type(self).__name__} is defined for t > 0")
+
+    def _front(self, t, fn):
+        t = np.asarray(t, dtype=float)
+        self._check(t)
+        out = fn(t)
+        return float(out) if t.ndim == 0 else out
+
+    def eval(self, t):
+        return self._front(t, self._h)
+
+    def derivative(self, t, order: int = 1):
+        if order not in (1, 2):
+            raise ValueError("derivative order must be 1 or 2")
+        return self._front(t, self._d1 if order == 1 else self._d2)
 
 
 @dataclass(frozen=True)
-class ExponentialProfile:
+class ExponentialProfile(_Profile):
     """Profile ``H(t) = a * exp(b / t)`` with ``a > 0``.
 
     This two-parameter family contains every solution of the radial
@@ -43,61 +66,36 @@ class ExponentialProfile:
         if not (self.a > 0.0 and math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValueError("exponential profile needs a > 0 and finite parameters")
 
-    def _check(self, t):
-        if np.any(t <= 0.0):
-            raise DomainError("exponential profile defined for t > 0")
+    def _h(self, t):
+        return np.exp(math.log(self.a) + self.b / t)
 
-    def eval(self, t):
-        t, scalar = _as_floats(t)
-        self._check(t)
-        out = np.exp(math.log(self.a) + self.b / t)
-        return float(out) if scalar else out
+    def _d1(self, t):
+        return -self.b / t**2 * self._h(t)
 
-    def derivative(self, t, order: int = 1):
-        t, scalar = _as_floats(t)
-        self._check(t)
-        h = np.exp(math.log(self.a) + self.b / t)
-        if order == 1:
-            out = -self.b / t**2 * h
-        elif order == 2:
-            out = (2.0 * self.b / t**3 + self.b**2 / t**4) * h
-        else:
-            raise ValueError("derivative order must be 1 or 2")
-        return float(out) if scalar else out
+    def _d2(self, t):
+        return (2.0 * self.b / t**3 + self.b**2 / t**4) * self._h(t)
 
 
 @dataclass(frozen=True)
-class HarmonicProfile:
+class HarmonicProfile(_Profile):
     """Profile ``H(t) = a t + b / t^2``; the radial part of a harmonic
     map of shells, not of a weighted-energy minimizer."""
 
     a: float
     b: float
 
-    def _check(self, t):
-        if np.any(t <= 0.0):
-            raise DomainError("harmonic profile defined for t > 0")
+    def _h(self, t):
+        return self.a * t + self.b / t**2
 
-    def eval(self, t):
-        t, scalar = _as_floats(t)
-        self._check(t)
-        out = self.a * t + self.b / t**2
-        return float(out) if scalar else out
+    def _d1(self, t):
+        return self.a - 2.0 * self.b / t**3
 
-    def derivative(self, t, order: int = 1):
-        t, scalar = _as_floats(t)
-        self._check(t)
-        if order == 1:
-            out = self.a - 2.0 * self.b / t**3
-        elif order == 2:
-            out = 6.0 * self.b / t**4 + 0.0 * t
-        else:
-            raise ValueError("derivative order must be 1 or 2")
-        return float(out) if scalar else out
+    def _d2(self, t):
+        return 6.0 * self.b / t**4 + 0.0 * t
 
 
 @dataclass(frozen=True, eq=False)
-class SampledProfile:
+class SampledProfile(_Profile):
     """Piecewise-linear profile on a radial grid.
 
     Derivatives come from second-order stencils at the nodes (one-sided
@@ -117,78 +115,56 @@ class SampledProfile:
         if not (values.min() > 0.0 and values.max() < math.inf):
             raise ValueError("profile values must be strictly positive and finite")
 
-    @property
-    def annulus(self) -> Annulus:
-        return self.grid.annulus
-
-    def _slack(self) -> float:
-        return 1e-9 * self.grid.annulus.width
-
     def _check(self, t):
         a = self.grid.annulus
-        s = self._slack()
+        s = 1e-9 * a.width
         if np.any(t < a.inner - s) or np.any(t > a.outer + s):
             raise DomainError(
                 f"profile sampled on [{a.inner}, {a.outer}], got radius outside"
             )
 
     @cached_property
-    def _nodal_d1(self) -> np.ndarray:
-        return _nodal_derivative(self.grid.nodes, self.values)
+    def _nodal(self) -> tuple[np.ndarray, np.ndarray]:
+        return _nodal_derivatives(self.grid.nodes, self.values)
 
-    @cached_property
-    def _nodal_d2(self) -> np.ndarray:
-        return _nodal_second_derivative(self.grid.nodes, self.values)
+    def _h(self, t):
+        return np.interp(t, self.grid.nodes, self.values)
 
-    def eval(self, t):
-        t, scalar = _as_floats(t)
-        self._check(t)
-        out = np.interp(t, self.grid.nodes, self.values)
-        return float(out) if scalar else out
+    def _d1(self, t):
+        return np.interp(t, self.grid.nodes, self._nodal[0])
 
-    def derivative(self, t, order: int = 1):
-        t, scalar = _as_floats(t)
-        self._check(t)
-        if order == 1:
-            out = np.interp(t, self.grid.nodes, self._nodal_d1)
-        elif order == 2:
-            out = np.interp(t, self.grid.nodes, self._nodal_d2)
-        else:
-            raise ValueError("derivative order must be 1 or 2")
-        return float(out) if scalar else out
+    def _d2(self, t):
+        return np.interp(t, self.grid.nodes, self._nodal[1])
 
 
-def _nodal_derivative(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Second-order first derivative on a nonuniform grid."""
-    d = np.empty_like(y)
+def _nodal_derivatives(t: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Second-order first and second derivatives on a nonuniform grid.
+
+    First derivatives are one-sided at the endpoints; second derivatives
+    there repeat their neighbours'.
+    """
     hm = t[1:-1] - t[:-2]
     hp = t[2:] - t[1:-1]
-    d[1:-1] = (
-        hm**2 * y[2:] - hp**2 * y[:-2] + (hp**2 - hm**2) * y[1:-1]
-    ) / (hm * hp * (hm + hp))
-    h0, h1 = t[1] - t[0], t[2] - t[1]
-    d[0] = (
+    denom = hm * hp * (hm + hp)
+    d1 = np.empty_like(y)
+    d1[1:-1] = (hm**2 * y[2:] - hp**2 * y[:-2] + (hp**2 - hm**2) * y[1:-1]) / denom
+    h0, h1 = hm[0], hp[0]
+    d1[0] = (
         -(2.0 * h0 + h1) / (h0 * (h0 + h1)) * y[0]
         + (h0 + h1) / (h0 * h1) * y[1]
         - h0 / (h1 * (h0 + h1)) * y[2]
     )
-    g0, g1 = t[-1] - t[-2], t[-2] - t[-3]
-    d[-1] = (
+    g0, g1 = hp[-1], hm[-1]
+    d1[-1] = (
         (2.0 * g0 + g1) / (g0 * (g0 + g1)) * y[-1]
         - (g0 + g1) / (g0 * g1) * y[-2]
         + g0 / (g1 * (g0 + g1)) * y[-3]
     )
-    return d
-
-
-def _nodal_second_derivative(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    d = np.empty_like(y)
-    hm = t[1:-1] - t[:-2]
-    hp = t[2:] - t[1:-1]
-    d[1:-1] = 2.0 * (hm * y[2:] + hp * y[:-2] - (hm + hp) * y[1:-1]) / (hm * hp * (hm + hp))
-    d[0] = d[1]
-    d[-1] = d[-2]
-    return d
+    d2 = np.empty_like(y)
+    d2[1:-1] = 2.0 * (hm * y[2:] + hp * y[:-2] - (hm + hp) * y[1:-1]) / denom
+    d2[0] = d2[1]
+    d2[-1] = d2[-2]
+    return d1, d2
 
 
 RadialProfile = Union[ExponentialProfile, HarmonicProfile, SampledProfile]
@@ -358,11 +334,7 @@ def perturbed_profile(
     s = (t - a.inner) / a.width
     rng = np.random.default_rng(seed)
     coef = rng.uniform(-1.0, 1.0, size=mode)
-    norm = np.sum(np.abs(coef))
-    if norm == 0.0:
-        coef[0] = 1.0
-        norm = 1.0
-    coef /= norm
+    coef /= np.sum(np.abs(coef))
     bump = np.zeros_like(s)
     for j, cj in enumerate(coef, start=1):
         bump += cj * np.sin(j * np.pi * s)

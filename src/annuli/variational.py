@@ -42,7 +42,7 @@ def _residual_radii(profile: RadialProfile, t):
     profiles only have residuals at interior radii."""
     t_arr = np.asarray(t, dtype=float)
     if isinstance(profile, SampledProfile):
-        a = profile.annulus
+        a = profile.grid.annulus
         if np.any(t_arr <= a.inner) or np.any(t_arr >= a.outer):
             raise DomainError("residual of a sampled profile needs interior radii")
     return t_arr, t_arr.ndim == 0

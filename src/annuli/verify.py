@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -131,15 +131,12 @@ class VerifyConfig:
     grid_n: int = 1000
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.name in ("pair",):
-                continue
-            # every other field is an order, a size or a seed
-            v = getattr(self, f.name)
+        for name in ("seed", "radial_order", "sphere_order", "grid_n"):
+            v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ConfigError(f"verify config field {f.name!r} must be an integer")
+                raise ConfigError(f"verify config field {name!r} must be an integer")
             if v < 0:
-                raise ConfigError(f"verify config field {f.name!r} must be nonnegative")
+                raise ConfigError(f"verify config field {name!r} must be nonnegative")
         if self.grid_n < 8:
             raise ConfigError("verify config field 'grid_n' must be at least 8")
         if self.radial_order < 2 or self.sphere_order < 2:
@@ -161,17 +158,7 @@ class SuiteReport:
     def rows(self) -> list[dict]:
         """Deterministic serialization; excludes wall time on purpose so
         repeat runs compare byte-identical."""
-        return [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "observed": r.observed,
-                "expected": r.expected,
-                "tolerance": r.tolerance,
-                "detail": r.detail,
-            }
-            for r in self.results
-        ]
+        return [asdict(r) for r in self.results]
 
 
 # ---------------------------------------------------------------------------

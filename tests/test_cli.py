@@ -278,6 +278,11 @@ _ERROR_CAUSES = {
         "error: cannot write output file: [Errno 2] No such file or directory",
     "nitsche --r 1 --R 2 --rstar 1 --Rstar 2 --output .":
         "error: cannot write output file: [Errno 21] Is a directory",
+    "energy --r x": "error: argument --r: invalid float value: 'x'",
+    "energy --bogus 1": "error: unrecognized arguments: --bogus 1",
+    "frobnicate": "error: argument command: invalid choice: 'frobnicate'",
+    "": "error: the following arguments are required: command",
+    "energy --format xml": "error: argument --format: invalid choice: 'xml'",
 }
 
 
@@ -315,6 +320,12 @@ class TestNoTraceback:
         (["nitsche", "--r", "1", "--R", "2", "--rstar", "1", "--Rstar", "2",
           "--output", "/nonexistent/x.csv"], 2),
         (["nitsche", "--r", "1", "--R", "2", "--rstar", "1", "--Rstar", "2", "--output", "."], 2),
+        # malformed flags, an unknown or missing command, a bad choice: argparse's own errors
+        (["energy", "--r", "x"], 2),
+        (["energy", "--bogus", "1"], 2),
+        (["frobnicate"], 2),
+        ([], 2),
+        (["energy", "--format", "xml"], 2),
     ])
     def test_exits_with_one_line_error(self, capsys, argv, expected):
         code, _, err = run_cli(capsys, *argv)
@@ -418,14 +429,12 @@ class TestFuzzArgv:
     def test_exit_code_and_no_traceback(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse usage errors
-                code = exc.code
+            code = main(argv)
         assert code in (0, 1, 2), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
-        if code:  # ours print one line, argparse a usage line first
-            assert "error: " in err.getvalue().splitlines()[-1]
+        if code:  # argparse's usage errors too are one line
+            assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+            assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
 
 
 # a JSON value of every type; a config file field may hold any of them

@@ -40,6 +40,11 @@ class TestAnnulus:
         with pytest.raises(DomainError):
             Annulus(math.nan, 1.0)
 
+    def test_radii_are_stored_as_python_floats(self):
+        a = Annulus(np.float64(1.5), 2)
+        assert type(a.inner) is float and type(a.outer) is float
+        assert (a.inner, a.outer) == (1.5, 2.0)
+
 
 class TestAnnulusPair:
     def test_from_radii_roundtrip(self):

@@ -107,6 +107,29 @@ class TestSampledProfile:
         assert errs[0] / errs[1] > 3.0
 
 
+_FRONT_GRID = make_radial_grid(AnnulusPair.from_radii(1.0, 2.0, 1.0, math.e).domain, 16)
+
+
+class TestProfileFront:
+    """Every profile class shares one eval / derivative front."""
+
+    @pytest.mark.parametrize("profile, outside", [
+        (ExponentialProfile(2.0, -1.5), 0.0),
+        (HarmonicProfile(2.0, 3.0), -1.0),
+        (SampledProfile(grid=_FRONT_GRID, values=np.exp(1.0 / _FRONT_GRID.nodes)), 2.5),
+    ], ids=["exponential", "harmonic", "sampled"])
+    def test_scalars_arrays_orders_and_domain(self, profile, outside):
+        ts = np.array([[1.2, 1.5], [1.7, 1.9]])
+        for call in (profile.eval, profile.derivative, lambda t: profile.derivative(t, 2)):
+            assert type(call(1.5)) is float
+            assert call(ts).shape == ts.shape
+        with pytest.raises(ValueError, match="derivative order must be 1 or 2"):
+            profile.derivative(1.5, 3)
+        for call in (profile.eval, profile.derivative):
+            with pytest.raises(DomainError):
+                call(outside)
+
+
 class TestBoundaryProfiles:
     def test_increasing_profile_hits_the_target_radii(self, canonical_pair):
         h1 = exp_profile_from_boundary(canonical_pair, "increasing")

@@ -299,6 +299,15 @@ class TestShooting:
         with pytest.raises(EvaluationError, match=match):
             shoot_el(AnnulusPair.from_radii(*radii))
 
+    def test_numpy_scalar_radius_out_of_range_is_an_evaluation_error(self):
+        # R_star / r_star overflows; a numpy-scalar R_star made that quotient
+        # warn (an error under this suite's filter) before the named error
+        pair = AnnulusPair.from_radii(1.0, 2.0, 0.5, np.float64(1.7976931348623157e308))
+        with pytest.raises(EvaluationError, match=r"R_star = 1\.7976931348623157e\+308"):
+            shoot_el(pair)
+        with pytest.raises(EvaluationError, match="too extreme for floating point"):
+            exp_profile_from_boundary(pair)
+
     @pytest.mark.parametrize("radii", [
         # H'(r) = 9.5e-314 is subnormal, H'(r) / H(r) is not
         (4.014992031433428e+265, 6.0224880471501416e+265, 8.225963145319816e-51,

@@ -29,6 +29,10 @@ class TestGenerators:
         p = random_annulus_pair(rng, 1.0, 1.0405)
         assert p.R / p.r >= 1.02 and p.R_star / p.r_star >= 1.02
 
+    def test_random_pair_radii_are_python_floats(self):
+        p = random_annulus_pair(np.random.default_rng(0))
+        assert all(type(x) is float for x in (p.r, p.R, p.r_star, p.R_star))
+
     @pytest.mark.parametrize("low, high", [(1.0, 1.01), (1.0, 1.0201), (1.0, 1.04),
                                            (2.0, 2.0), (3.0, 1.0)])
     def test_bounds_without_room_raise_before_drawing(self, low, high):
