@@ -3,8 +3,10 @@
 The Moebius sphere action and RK4 shooting are vectorized numpy.  The
 tridiagonal solve is a scalar loop on Python floats, reading and writing
 1-D float64 arrays through memoryviews, because numpy-scalar indexing
-dominated it.  Conjugate-gradient descent on the quadratic form is a
-loop of whole-array steps into buffers allocated once.
+dominated it.  Conjugate-gradient descent on the quadratic form,
+preconditioned by the inverse of its Hessian diagonal (Jacobi), is a loop
+of whole-array steps into buffers allocated once; a non-positive
+diagonal entry ends it unconverged without a step.
 
 ``rk4_shoot`` and ``gd_quadratic`` ignore trailing arguments:
 ``perfbench/micro.py`` still passes the retired floor and cap, and mode
@@ -149,22 +151,28 @@ def thomas_solve(lower, diag, upper, rhs):
 
 
 # ---------------------------------------------------------------------------
-# Conjugate-gradient descent (Hestenes-Stiefel) on the discrete
+# Jacobi-preconditioned conjugate-gradient descent on the discrete
 # quadratic form
 #   Q(k) = sum_i a[i] * (k[i+1] - k[i])^2
 # over interior nodes with fixed endpoints.  The gradient of Q at k,
 # 2 (flux[:-1] - flux[1:]) with flux = a * diff(k), is linear in k, so
 # the same formula applied to a direction padded with zero ends is the
-# Hessian product.  Each step takes one such product, the exact line
-# search along the direction, and updates the gradient recursively.
+# Hessian product.  The preconditioner is the Hessian diagonal
+# 2 (a[:-1] + a[1:]): each step scales the gradient by its inverse,
+# z = g / diag, takes one Hessian product and the exact line search along
+# the direction, and updates the gradient recursively.  The scaled
+# gradient z has the units of k, so the run is unchanged, bit for bit,
+# when a and tol are scaled by a power of two: the scale of a_i ~ t^2 / dt
+# sets neither the step lengths nor the iteration count.
 # Convergence means a gradient recomputed from k has max-norm at most
 # tol before the iteration budget runs out; when only the recursive one
 # does, descent restarts from the recomputed gradient.  The gradient is
 # checked before each step, so an optimal initial guess converges at
 # iteration zero.  A direction of non-positive curvature, which needs
-# some a[i] <= 0, ends the run unconverged without a step.  ``k`` (1-D
-# float64) is updated in place; the work arrays are allocated once and
-# filled by ``out=`` ufuncs.
+# some a[i] <= 0, ends the run unconverged without a step; so does a
+# diagonal entry a[i] + a[i+1] <= 0, before the preconditioner divides
+# by it.  ``k`` (1-D float64) is updated in place; the work arrays are
+# allocated once and filled by ``out=`` ufuncs.
 
 
 def _form_gradient(a, x, flux, out):
@@ -179,13 +187,21 @@ def gd_quadratic(a, k, max_iter, tol, *_):
     n = a.shape[0]
     flux = np.empty(n)
     g = np.empty(n - 1)
+    z = np.empty(n - 1)
     hp = np.empty(n - 1)
     tmp = np.empty(n - 1)
     padded = np.zeros(n + 1)
     p = padded[1:-1]
     interior = k[1:-1]
     _form_gradient(a, k, flux, g)
-    gg = float(g @ g)
+    # the inverse diagonal 1 / (2 (a[i] + a[i+1])) as 0.25 over the mean
+    # of a[i] and a[i+1]: the same bits for normal floats, and the mean
+    # cannot overflow
+    dinv = a[:-1] * 0.5
+    dinv += a[1:] * 0.5
+    positive = dinv.min() > 0.0
+    if positive:
+        np.divide(0.25, dinv, out=dinv)
     fresh = True   # g was recomputed from k, not updated
     iters = 0
     converged = False
@@ -195,26 +211,27 @@ def gd_quadratic(a, k, max_iter, tol, *_):
                 converged = True
                 break
             _form_gradient(a, k, flux, g)
-            gg = float(g @ g)
             fresh = True
             continue
-        if iters >= max_iter:
+        if iters >= max_iter or not positive:
             break
+        np.multiply(g, dinv, out=z)
+        gz = float(g @ z)
         if fresh:
-            np.negative(g, out=p)
+            np.negative(z, out=p)
         else:
-            p *= gg / gg_old
-            p -= g
+            p *= gz / gz_old
+            p -= z
         _form_gradient(a, padded, flux, hp)
         php = float(p @ hp)
         if not php > 0.0:
             break
-        alpha = gg / php
+        alpha = gz / php
         np.multiply(p, alpha, out=tmp)
         interior += tmp
         np.multiply(hp, alpha, out=tmp)
         g += tmp
-        gg_old, gg = gg, float(g @ g)
+        gz_old = gz
         fresh = False
         iters += 1
     return iters, converged

@@ -239,6 +239,7 @@ def analytic_min_weighted_energy(pair: AnnulusPair) -> float:
     shells of a pair:
 
     ``4 pi (2 (R - r) + r R log^2(R_star / r_star) / (R - r))``.
+    A minimum beyond the float range is ``inf``.
     """
     pair.require_weighted()
     r, R = pair.r, pair.R

@@ -3,12 +3,13 @@
 The reduced functional ``4 pi * integral(t^2 (H'/H)^2 + 2) dt`` becomes,
 after the substitution ``K = log H``, a convex quadratic in the sampled
 ``K`` values.  Minimizing it therefore amounts to one symmetric
-positive-definite tridiagonal solve.  Conjugate-gradient descent on the
-gradient and RK4 shooting on the Euler-Lagrange equation are provided
-as independent routes to the same profile.  In ``K`` that equation is
-linear, so the discrete rise ``log H(R) - log r_star`` is linear in the
-initial slope and one trial sweep fixes the slope.  All three routes run
-on the numpy kernels in ``_kernels``.
+positive-definite tridiagonal solve.  Jacobi-preconditioned
+conjugate-gradient descent on the gradient and RK4 shooting on the
+Euler-Lagrange equation are provided as independent routes to the same
+profile.  In ``K`` that equation is linear, so the discrete rise
+``log H(R) - log r_star`` is linear in the initial slope and one trial
+sweep fixes the slope.  All three routes run on the numpy kernels in
+``_kernels``.
 """
 from __future__ import annotations
 
@@ -193,8 +194,11 @@ def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolu
 
 def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolution:
     """Minimize the same discrete energy by conjugate-gradient descent
-    on its gradient, which handles the badly conditioned systems that
-    fine grids or wide annuli produce.
+    on its gradient, preconditioned by the inverse Hessian diagonal
+    ``1 / (2 (a_i + a_{i+1}))`` (Jacobi).  The stiffness ``a_i ~ t^2 / dt``
+    of fine grids or wide annuli is badly scaled; the preconditioner
+    removes that scale, so the run takes at most about one iteration per
+    unknown on generator pairs at n = 1000.
 
     Convergence means the max-norm of the energy gradient, recomputed
     from the final iterate, is at most 1e-7; running out of the budget

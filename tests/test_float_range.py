@@ -1,0 +1,79 @@
+"""Float-range contract: for radii anywhere in the float range, the
+direct solve, shooting and the closed forms give a finite answer or
+raise ``DomainError`` / ``EvaluationError``, never a warning or another
+exception.  The two closed-form energies return ``inf`` where the value
+itself lies beyond the float range, and only there."""
+import math
+import sys
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from annuli import (
+    AnnulusPair,
+    DomainError,
+    EvaluationError,
+    GeneralizedRadialMap,
+    analytic_min_weighted_energy,
+    dirichlet_lower_bound,
+    exp_profile_from_boundary,
+    make_radial_grid,
+    minimize_reduced_energy,
+    nitsche_condition,
+    shoot_el,
+    weighted_energy,
+)
+from annuli.energy import _log_min_weighted_energy
+
+_LOG_MAX = math.log(sys.float_info.max)
+
+_ROUTES = {
+    "minimize_reduced_energy": lambda p: minimize_reduced_energy(
+        p, make_radial_grid(p.domain, 1000)).energy,
+    "shoot_el": lambda p: shoot_el(p).profile.values,
+    "nitsche_condition": lambda p: nitsche_condition(p).margin,
+    "weighted_energy": lambda p: weighted_energy(
+        GeneralizedRadialMap(exp_profile_from_boundary(p)), p).value,
+}
+
+
+@st.composite
+def _shell(draw):
+    """Inner radius log-uniform over 1e-300..1e300, ratio 1 + 1e-16..1e3."""
+    inner = 10.0 ** draw(st.floats(-300.0, 300.0))
+    return inner, inner * (1.0 + 10.0 ** draw(st.floats(-16.0, 3.0)))
+
+
+class TestFloatRange:
+    # Conjugate gradient is left out: its absolute gradient tolerance is
+    # below the rounding of the gradient on some extreme pairs, which
+    # then run the full 200 000-iteration budget.
+    @settings(max_examples=500, deadline=None)
+    @given(domain=_shell(), target=_shell(), wrap=st.booleans())
+    def test_finite_or_named_error(self, domain, target, wrap):
+        radii = domain + target
+        if wrap:
+            radii = tuple(np.float64(v) for v in radii)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                pair = AnnulusPair.from_radii(*radii)
+            except (DomainError, EvaluationError):
+                return
+            for name, route in _ROUTES.items():
+                try:
+                    value = route(pair)
+                except (DomainError, EvaluationError):
+                    continue
+                assert np.all(np.isfinite(value)), (name, radii)
+            try:
+                log_min = _log_min_weighted_energy(pair)
+                minimum = analytic_min_weighted_energy(pair)
+                bound = dirichlet_lower_bound(pair)
+            except (DomainError, EvaluationError):
+                return
+            assert minimum > 0.0 and (math.isfinite(minimum) or log_min > _LOG_MAX), radii
+            log_bound = 2.0 * math.log(pair.r_star) + log_min
+            assert bound >= 0.0 and (math.isfinite(bound) or log_bound > _LOG_MAX), radii

@@ -189,6 +189,23 @@ class TestConjugateGradientProperty:
         flux = a * np.diff(k)
         assert np.max(np.abs(2.0 * (flux[:-1] - flux[1:]))) <= 1e-12
 
+    def test_power_of_two_scaling_changes_no_bit(self):
+        # the Jacobi-scaled gradient is in units of k, so scaling a and
+        # tol by 2**e scales g, the diagonal and p . Hp exactly and leaves
+        # every step length and iterate as it was; 2**900 and 2**-900
+        # would overflow or underflow g . g
+        rng = np.random.default_rng(17)
+        n = 200
+        a = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
+        start = rng.standard_normal(n + 1)
+        runs = []
+        for e in (-900, 0, 900):
+            k = start.copy()
+            iters, converged = K.gd_quadratic(a * 2.0**e, k, 50 * n, 1e-12 * 2.0**e)
+            assert converged
+            runs.append((iters, k.tobytes()))
+        assert runs[0] == runs[1] == runs[2]
+
 
 def _perfbench_module(name):
     """Load ``perfbench/<name>.py`` from the source tree by path."""
