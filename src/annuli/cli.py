@@ -427,7 +427,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
             "R": pair.R,
             "rstar": pair.r_star,
             "Rstar": pair.R_star,
-            "analytic_min": analytic_min_weighted_energy(pair),
+            "analytic_min": _in_range(analytic_min_weighted_energy(pair)),
             "threshold": verdict.threshold,
             "ratio": verdict.ratio,
             "admissible": verdict.admissible,

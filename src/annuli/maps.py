@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .geometry import AnnulusPair, RadialGrid, _log_ratio, row_norms, tangent_frames
-from .sphere_maps import MobiusTransform, mobius_apply_points, mobius_pushforward
+from .sphere_maps import MobiusTransform, _apply_to_units, mobius_apply_points, mobius_pushforward
 
 # central-difference step of every map differential, relative to |x|
 _FD_STEP = 1e-5
@@ -243,7 +243,7 @@ def map_eval_many(f: AnnulusMap, points: np.ndarray) -> np.ndarray:
         raise DomainError("radial map undefined at the origin")
     h = f.profile.eval(t)
     units = points / t[:, None]
-    return h[:, None] * mobius_apply_points(f.rotation, units)
+    return h[:, None] * _apply_to_units(f.rotation, units, t)
 
 
 def map_differential(f: GeneralizedRadialMap, x) -> np.ndarray:

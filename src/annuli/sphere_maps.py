@@ -97,6 +97,16 @@ def _act(kernel, t: MobiusTransform, pts, *vecs):
     return kernel(t.a, t.b, t.c, t.d, pts, *vecs)
 
 
+def _apply_to_units(t: MobiusTransform, units: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The sphere action on the rows of an ``(N, 3)`` float array that the
+    caller has just divided by ``norms``, its ``row_norms``.  A norm in
+    1e-150..1e150 squares to a normal float, so such rows are unit
+    vectors up to rounding and skip the unit check; others take it."""
+    if norms.size and 1e-150 <= norms.min() and norms.max() <= 1e150:
+        return _kernels.mobius_apply_points(t.a, t.b, t.c, t.d, units)
+    return mobius_apply_points(t, units)
+
+
 def mobius_apply_points(t: MobiusTransform, pts: np.ndarray) -> np.ndarray:
     """Apply the sphere action of ``t`` to an ``(N, 3)`` array of unit
     vectors.  Outputs are unit vectors up to rounding."""

@@ -362,6 +362,24 @@ class TestNoTraceback:
             assert vals["lower_bound"] == ""
         assert math.isfinite(float(vals["analytic_min"]))
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_analytic_min_beyond_float_range_is_empty(self, capsys, fmt):
+        # the minimum, about 2.7e308, lies just beyond the float range;
+        # it used to print as inf
+        code, out, err = run_cli(capsys, "sweep", "--r", "1e298", "--R", "1.0000000099999999e+298",
+                                 "--rstar", "1", "--sweep", "Rstar=100:101:2", "--format", fmt)
+        assert code == 0 and err == ""
+        if fmt == "json":
+            rows = json.loads(out)
+        else:
+            header, *lines = out.strip().splitlines()
+            rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert len(rows) == 2
+        empty = None if fmt == "json" else ""
+        for vals in rows:
+            assert vals["analytic_min"] == empty
+            assert vals["lower_bound"] == empty
+
     def test_arithmetic_error_exits_1(self, capsys, monkeypatch):
         import annuli.cli as cli_mod
 

@@ -20,6 +20,8 @@ from annuli import (
     stereographic,
     tangent_frames,
 )
+from annuli.geometry import row_norms
+from annuli.sphere_maps import _apply_to_units
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -216,6 +218,33 @@ class TestPushforward:
         for vecs in (u.T, u.ravel()):
             with pytest.raises(ValueError, match="shape of the points"):
                 mobius_pushforward(t, pts, vecs)
+
+
+class TestUnitCheck:
+    def test_public_actions_reject_points_off_the_sphere(self, rng):
+        pts = 2.0 * EQUATOR_POINTS
+        t = random_mobius(rng)
+        for call in (lambda: mobius_apply_points(t, pts),
+                     lambda: conformal_stretch_points(t, pts),
+                     lambda: mobius_pushforward(t, pts, np.zeros_like(pts))):
+            with pytest.raises(ValueError, match="unit vectors"):
+                call()
+
+    def test_freshly_normalized_rows_give_the_same_bits(self, rng):
+        # the package's own normalized rows skip the unit check only
+        pts = rng.normal(size=(50, 3)) * 10.0 ** rng.uniform(-140.0, 140.0, size=(50, 1))
+        norms = row_norms(pts)
+        units = pts / norms[:, None]
+        t = random_mobius(rng)
+        assert _apply_to_units(t, units, norms).tobytes() == mobius_apply_points(t, units).tobytes()
+
+    def test_rows_whose_squares_leave_the_normal_range_keep_the_check(self, rng):
+        # (1e-160)^2 is subnormal: the norm is off by 6e-6, and so is the
+        # quotient, which the sphere action rejects as before
+        pts = np.array([[1e-160, 1e-160, 0.0]])
+        norms = row_norms(pts)
+        with pytest.raises(ValueError, match="unit vectors"):
+            _apply_to_units(random_mobius(rng), pts / norms[:, None], norms)
 
 
 class TestSphereInequality:
