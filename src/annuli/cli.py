@@ -418,9 +418,8 @@ def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
         radii = dict(base, **combo)
         try:
             pair = AnnulusPair.from_radii(radii["r"], radii["R"], radii["rstar"], radii["Rstar"])
-            pair.require_weighted()
         except ValueError as exc:
-            raise ConfigError(f"sweep hit an invalid pair ({exc})") from exc
+            raise ConfigError(f"{exc}; the sweep hit an invalid pair at {radii}") from exc
         verdict = nitsche_condition(pair)
         rows.append({
             "r": pair.r,

@@ -109,8 +109,6 @@ def reduced_energy(profile: RadialProfile, annulus: Annulus, radial_order: int =
     This equals the weighted energy of the radial map built from the
     profile and an arbitrary Moebius rotation.
     """
-    if annulus.inner <= 0.0:
-        raise ValueError("reduced energy needs a positive inner radius")
     t, w, h, hd = _profile_quadrature(profile, annulus, radial_order)
     _require_positive(h, t)
     val = _radial_integral(t, w, hd / h) + 2.0 * annulus.width
@@ -180,16 +178,10 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     return [float(weights @ dens) for dens in density]
 
 
-def _check_orders(pair: AnnulusPair, radial_order: int, sphere_order: int, weighted: bool):
-    if radial_order < 2 or sphere_order < 2:
-        raise ValueError("quadrature orders must be at least 2")
-    if weighted:
-        pair.require_weighted()
-
-
 def _energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_order: int,
             refine: bool, weighted: bool) -> EnergyReport:
-    _check_orders(pair, radial_order, sphere_order, weighted)
+    if radial_order < 2 or sphere_order < 2:
+        raise ValueError("quadrature orders must be at least 2")
 
     def parts(ro, so):
         if isinstance(f, GeneralizedRadialMap):
@@ -241,7 +233,6 @@ def analytic_min_weighted_energy(pair: AnnulusPair) -> float:
     ``4 pi (2 (R - r) + r R log^2(R_star / r_star) / (R - r))``.
     A minimum beyond the float range is ``inf``.
     """
-    pair.require_weighted()
     r, R = pair.r, pair.R
     ell = _log_ratio(pair.R_star, pair.r_star)
     value = 4.0 * math.pi * (2.0 * (R - r) + r * R * ell * ell / (R - r))
@@ -261,7 +252,6 @@ def dirichlet_lower_bound(pair: AnnulusPair) -> float:
     bound is strictly below the harmonic-map energy whenever the latter
     exists.  A bound beyond the float range is ``inf``; one below it is 0.
     """
-    pair.require_weighted()
     try:
         scale = pair.r_star**2
     except OverflowError:

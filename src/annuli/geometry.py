@@ -20,7 +20,9 @@ SPACING_MODES = ("uniform-in-t", "uniform-in-1/t")
 
 @dataclass(frozen=True)
 class Annulus:
-    """Closed spherical shell ``{x : inner <= |x| <= outer}``.
+    """Closed spherical shell ``{x : inner <= |x| <= outer}`` with
+    ``0 < inner <= outer < inf``: the weight ``|y|^-2`` divides by ``|f|``
+    and the radial reduction by ``t``.
 
     A degenerate shell with ``inner == outer`` (a sphere) is allowed as
     the target of a mapping problem; domain-side consumers that need an
@@ -32,16 +34,15 @@ class Annulus:
 
     def __post_init__(self):
         if not (math.isfinite(self.inner) and math.isfinite(self.outer)):
-            raise DomainError("annulus radii must be finite")
-        if self.inner < 0.0:
-            raise DomainError("inner radius must be nonnegative")
-        if self.inner > self.outer:
-            raise DomainError("inner radius must be less than outer")
-        if self.outer <= 0.0:
-            raise DomainError("outer radius must be positive")
+            raise DomainError(f"annulus radii must be finite, got {self.inner!r}, {self.outer!r}")
         # numpy scalars would warn where Python floats overflow quietly
-        object.__setattr__(self, "inner", float(self.inner))
-        object.__setattr__(self, "outer", float(self.outer))
+        inner, outer = float(self.inner), float(self.outer)
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "outer", outer)
+        if not inner > 0.0:
+            raise DomainError(f"inner radius must be positive, got {inner!r}")
+        if inner > outer:
+            raise DomainError(f"inner radius must be less than outer, got {inner!r} > {outer!r}")
 
     @property
     def width(self) -> float:
@@ -70,7 +71,7 @@ class AnnulusPair:
 
     def __post_init__(self):
         if self.domain.is_degenerate:
-            raise DomainError("domain annulus must have inner < outer")
+            raise DomainError(f"domain annulus must have inner < outer, got {self.domain!r}")
 
     @classmethod
     def from_radii(cls, r: float, R: float, r_star: float, R_star: float) -> "AnnulusPair":
@@ -92,15 +93,6 @@ class AnnulusPair:
     def R_star(self) -> float:
         return self.target.outer
 
-    def require_weighted(self) -> None:
-        """Reject pairs whose weighted energy is undefined.
-
-        The integrand divides by ``|f|^2`` and the radial reduction
-        divides by ``t``, so both inner radii must be strictly positive.
-        """
-        if self.domain.inner <= 0.0 or self.target.inner <= 0.0:
-            raise DomainError("weighted energy requires strictly positive inner radii")
-
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
@@ -121,7 +113,8 @@ class RadialGrid:
                 f"[{self.annulus.inner!r}, {self.annulus.outer!r}]"
             )
         if nodes[0] != self.annulus.inner or nodes[-1] != self.annulus.outer:
-            raise DomainError("grid must span the annulus exactly")
+            raise DomainError(f"grid must span the annulus exactly: nodes {float(nodes[0])!r} "
+                              f"to {float(nodes[-1])!r} on {self.annulus!r}")
         if self.spacing_mode not in SPACING_MODES:
             raise ValueError(f"unknown spacing mode {self.spacing_mode!r}")
 
@@ -137,12 +130,10 @@ def make_radial_grid(annulus: Annulus, n: int, spacing_mode: str = "uniform-in-t
     if n < 2:
         raise ValueError("need at least two intervals")
     if annulus.is_degenerate:
-        raise DomainError("cannot grid a degenerate annulus")
+        raise DomainError(f"cannot grid a degenerate annulus, got {annulus!r}")
     if spacing_mode == "uniform-in-t":
         nodes = np.linspace(annulus.inner, annulus.outer, n + 1)
     elif spacing_mode == "uniform-in-1/t":
-        if annulus.inner <= 0.0:
-            raise DomainError("reciprocal spacing needs a positive inner radius")
         nodes = 1.0 / np.linspace(1.0 / annulus.inner, 1.0 / annulus.outer, n + 1)
     else:
         raise ValueError(f"unknown spacing mode {spacing_mode!r}")

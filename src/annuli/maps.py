@@ -33,8 +33,10 @@ class _Profile:
     """
 
     def _check(self, t):
-        if np.any(t <= 0.0):
-            raise DomainError(f"{type(self).__name__} is defined for t > 0")
+        bad = t[t <= 0.0]
+        if bad.size:
+            raise DomainError(f"{type(self).__name__} is defined for t > 0, "
+                              f"got t = {float(bad[0])!r}")
 
     def _front(self, t, fn):
         t = np.asarray(t, dtype=float)
@@ -118,10 +120,10 @@ class SampledProfile(_Profile):
     def _check(self, t):
         a = self.grid.annulus
         s = 1e-9 * a.width
-        if np.any(t < a.inner - s) or np.any(t > a.outer + s):
-            raise DomainError(
-                f"profile sampled on [{a.inner}, {a.outer}], got radius outside"
-            )
+        outside = t[(t < a.inner - s) | (t > a.outer + s)]
+        if outside.size:
+            raise DomainError(f"profile sampled on [{a.inner}, {a.outer}], got radius outside: "
+                              f"t = {float(outside[0])!r}")
 
     @cached_property
     def _nodal(self) -> tuple[np.ndarray, np.ndarray]:
@@ -177,7 +179,6 @@ def exp_profile_from_boundary(pair: AnnulusPair, orientation: str = "increasing"
     ``decreasing`` swaps the target radii.  The two profiles multiply to
     the constant ``r_star * R_star``.
     """
-    pair.require_weighted()
     r, R = pair.r, pair.R
     if orientation == "increasing":
         lo, hi = pair.r_star, pair.R_star

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .geometry import AnnulusPair
 from .maps import HarmonicProfile
 
@@ -37,7 +35,6 @@ def nitsche_condition(pair: AnnulusPair) -> NitscheVerdict:
     Both sides are compared as exact rationals built from the binary
     float radii, so boundary cases do not flip on rounding noise.
     """
-    pair.require_weighted()
     r = Fraction(pair.r)
     R = Fraction(pair.R)
     ratio = Fraction(pair.r_star) / Fraction(pair.R_star)
@@ -57,28 +54,25 @@ def harmonic_radial_bvp(pair: AnnulusPair) -> HarmonicProfile:
     ``a = (r^2 r_star - R^2 R_star) / (r^3 - R^3)`` and
     ``b = r^2 R^2 (r R_star - R r_star) / (r^3 - R^3)``.
     """
-    pair.require_weighted()
-    r, R = pair.r, pair.R
-    rs, Rs = pair.r_star, pair.R_star
-    denom = r**3 - R**3
-    a = (r**2 * rs - R**2 * Rs) / denom
-    b = r**2 * R**2 * (r * Rs - R * rs) / denom
-    return HarmonicProfile(a=a, b=b)
+    a_num, b_num, denom = _bvp_terms(pair.r, pair.R, pair.r_star, pair.R_star)
+    return HarmonicProfile(a=a_num / denom, b=b_num / denom)
 
 
 def harmonic_profile_monotone(pair: AnnulusPair) -> bool:
-    """Check ``H' > 0`` for the BVP profile at ``t = r`` and ``t = R``.
+    """Check ``H' >= 0`` for the BVP profile at ``t = r`` and ``t = R``.
 
     ``H'`` is monotone in ``t`` because ``H'' = 6 b / t^4`` has one sign,
-    so both its least value and its largest magnitude on ``[r, R]`` sit
-    at an endpoint.  A slope that vanishes only to rounding (the
-    threshold case, where ``H'`` touches zero at the inner boundary)
-    still counts as monotone.
+    so its least value on ``[r, R]`` sits at an endpoint.  As
+    ``H'(t) = (a_num t^3 - 2 b_num) / (t^3 (r^3 - R^3))`` with ``r < R``,
+    its sign is that of ``2 b_num - a_num t^3``, a homogeneous polynomial
+    decided exactly on the float radii scaled to integers by one power of
+    two.  At the threshold ``H'(r)`` is exactly 0, which counts as monotone.
     """
-    profile = harmonic_radial_bvp(pair)
-    hd = profile.derivative(np.array([pair.r, pair.R]), 1)
-    scale = float(np.max(np.abs(hd))) + abs(profile.a)
-    return bool(np.min(hd) >= -1e-12 * max(scale, 1.0))
+    ratios = [x.as_integer_ratio() for x in (pair.r, pair.R, pair.r_star, pair.R_star)]
+    den = max(d for _, d in ratios)  # powers of two: each divides the largest
+    r, R, rs, Rs = (n * (den // d) for n, d in ratios)
+    a_num, b_num, _ = _bvp_terms(r, R, rs, Rs)
+    return all(a_num * t**3 - 2 * b_num <= 0 for t in (r, R))
 
 
 def analytic_dirichlet_energy_radial(pair: AnnulusPair) -> float:
@@ -90,7 +84,6 @@ def analytic_dirichlet_energy_radial(pair: AnnulusPair) -> float:
     Where the float formula overflows or underflows, the rational value
     is rounded once instead; an energy beyond the float range is ``inf``.
     """
-    pair.require_weighted()
     radii = (pair.r, pair.R, pair.r_star, pair.R_star)
     try:
         num, den = _energy_terms(*radii)
@@ -104,6 +97,11 @@ def analytic_dirichlet_energy_radial(pair: AnnulusPair) -> float:
         return 4.0 * math.pi * float(num / den)
     except OverflowError:
         return math.inf
+
+
+def _bvp_terms(r, R, rs, Rs):
+    """Numerators of the BVP's ``a`` and ``b``, and their denominator."""
+    return r**2 * rs - R**2 * Rs, r**2 * R**2 * (r * Rs - R * rs), r**3 - R**3
 
 
 def _energy_terms(r, R, rs, Rs):

@@ -179,7 +179,6 @@ def _constant_solution(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolution:
 def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolution:
     """Minimize the discrete reduced energy by one direct tridiagonal
     solve in ``K = log H``."""
-    pair.require_weighted()
     if grid.annulus != pair.domain:
         raise ValueError("grid must live on the domain annulus of the pair")
     if pair.r_star == pair.R_star:
@@ -208,7 +207,6 @@ def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSo
     of 200 000 iterations first yields ``converged=False`` with the
     current iterate.
     """
-    pair.require_weighted()
     if grid.annulus != pair.domain:
         raise ValueError("grid must live on the domain annulus of the pair")
     if pair.r_star == pair.R_star:
@@ -267,7 +265,6 @@ def shoot_el(pair: AnnulusPair) -> ShootingResult:
     1 000 000, or when a value of the last sweep is not positive and
     finite.
     """
-    pair.require_weighted()
     r, R, r_star, R_star = pair.r, pair.R, pair.r_star, pair.R_star
     wide = _STEPS_PER_RATIO * (R / r - 1.0)
     if not wide <= _MAX_STEPS:

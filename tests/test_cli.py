@@ -204,6 +204,17 @@ class TestVerifyCommand:
         assert code == 1
         assert "0/1" in err
 
+    def test_zero_radius_runs_no_check(self, capsys, monkeypatch):
+        import annuli.cli as cli_mod
+
+        def no_suite(cfg):
+            raise AssertionError("the suite ran on an invalid pair")
+
+        monkeypatch.setattr(cli_mod, "run_suite", no_suite)
+        code, _, err = run_cli(capsys, "verify", "--r", "1", "--R", "2", "--rstar", "0",
+                               "--Rstar", "1")
+        assert (code, err) == (2, "error: inner radius must be positive, got 0.0\n")
+
 
 class TestSweepCommand:
     def test_single_axis_monotone_energy(self, capsys):
@@ -283,6 +294,14 @@ _ERROR_CAUSES = {
     "frobnicate": "error: argument command: invalid choice: 'frobnicate'",
     "": "error: the following arguments are required: command",
     "energy --format xml": "error: argument --format: invalid choice: 'xml'",
+    "energy --r 0 --R 2 --rstar 1 --Rstar 2": "error: inner radius must be positive, got 0.0",
+    "minimize --r 1 --R 2 --rstar -1 --Rstar 2": "error: inner radius must be positive, got -1.0",
+    "nitsche --r -0 --R 2 --rstar 1 --Rstar 2": "error: inner radius must be positive, got -0.0",
+    "verify --r 1 --R 2 --rstar 0 --Rstar 1": "error: inner radius must be positive, got 0.0",
+    "sweep --r -2.5 --R 2 --rstar 1 --Rstar 2 --sweep Rstar=2:3:2":
+        "error: inner radius must be positive, got -2.5",
+    "sweep --r 1 --R 2 --rstar 0 --sweep Rstar=2:3:2":
+        "error: inner radius must be positive, got 0.0; the sweep hit an invalid pair at {",
 }
 
 
@@ -326,6 +345,15 @@ class TestNoTraceback:
         (["frobnicate"], 2),
         ([], 2),
         (["energy", "--format", "xml"], 2),
+        # a zero or negative inner radius, -0.0 included, fails as the pair is built:
+        # verify runs no check first, sweep computes no row
+        (["energy", "--r", "0", "--R", "2", "--rstar", "1", "--Rstar", "2"], 2),
+        (["minimize", "--r", "1", "--R", "2", "--rstar", "-1", "--Rstar", "2"], 2),
+        (["nitsche", "--r", "-0", "--R", "2", "--rstar", "1", "--Rstar", "2"], 2),
+        (["verify", "--r", "1", "--R", "2", "--rstar", "0", "--Rstar", "1"], 2),
+        (["sweep", "--r", "-2.5", "--R", "2", "--rstar", "1", "--Rstar", "2",
+          "--sweep", "Rstar=2:3:2"], 2),
+        (["sweep", "--r", "1", "--R", "2", "--rstar", "0", "--sweep", "Rstar=2:3:2"], 2),
     ])
     def test_exits_with_one_line_error(self, capsys, argv, expected):
         code, _, err = run_cli(capsys, *argv)

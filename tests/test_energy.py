@@ -5,6 +5,7 @@ import pytest
 
 from annuli import (
     AnnulusPair,
+    DomainError,
     EvaluationError,
     GeneralizedRadialMap,
     SampledMap,
@@ -47,9 +48,9 @@ class TestAnalyticMinimum:
         assert math.isclose(analytic_min_weighted_energy(pair), expect, rel_tol=1e-15)
 
     def test_requires_weighted_pair(self):
-        pair = AnnulusPair.from_radii(1.0, 2.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            analytic_min_weighted_energy(pair)
+        # the weight divides by |f|: a zero target radius has no pair to evaluate
+        with pytest.raises(DomainError, match="inner radius must be positive, got 0.0"):
+            AnnulusPair.from_radii(1.0, 2.0, 0.0, 1.0)
 
     def test_target_ratio_beyond_float_range(self):
         # R_star / r_star overflows; the log of the ratio does not

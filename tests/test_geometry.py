@@ -9,7 +9,9 @@ from annuli import (
     Annulus,
     AnnulusPair,
     DomainError,
+    HarmonicProfile,
     RadialGrid,
+    SampledProfile,
     gauss_legendre,
     make_radial_grid,
     make_sphere_quadrature,
@@ -46,18 +48,85 @@ class TestAnnulus:
         assert (a.inner, a.outer) == (1.5, 2.0)
 
 
+# every float class: zeros of both signs, subnormals, infinities, nan
+_RADIUS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 2.0,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+
+
+class TestRadiusContract:
+    @settings(max_examples=500, deadline=None)
+    @given(a=_RADIUS, b=_RADIUS)
+    def test_annulus_constructs_exactly_on_positive_finite_radii(self, a, b):
+        if 0.0 < a <= b < math.inf:
+            shell = Annulus(a, b)
+            assert (shell.inner, shell.outer) == (a, b)
+        else:
+            with pytest.raises(DomainError):
+                Annulus(a, b)
+
+    @settings(max_examples=500, deadline=None)
+    @given(r=_RADIUS, R=_RADIUS, r_star=_RADIUS, R_star=_RADIUS)
+    def test_pair_constructs_exactly_when_both_shells_do_and_r_below_R(self, r, R, r_star,
+                                                                       R_star):
+        if 0.0 < r < R < math.inf and 0.0 < r_star <= R_star < math.inf:
+            AnnulusPair.from_radii(r, R, r_star, R_star)
+        else:
+            with pytest.raises(DomainError):
+                AnnulusPair.from_radii(r, R, r_star, R_star)
+
+
+def _sampled_profile():
+    grid = make_radial_grid(Annulus(1.0, 2.0), 4)
+    return SampledProfile(grid=grid, values=np.ones(5))
+
+
+class TestRadiusErrorsNameTheValue:
+    @pytest.mark.parametrize("build, bad", [
+        pytest.param(lambda: Annulus(math.inf, 1.0), math.inf, id="annulus-infinite"),
+        pytest.param(lambda: Annulus(1.0, math.nan), math.nan, id="annulus-nan"),
+        pytest.param(lambda: Annulus(0.0, 1.0), 0.0, id="annulus-zero-inner"),
+        pytest.param(lambda: Annulus(-0.0, 1.0), -0.0, id="annulus-minus-zero-inner"),
+        pytest.param(lambda: Annulus(-2.5, 1.0), -2.5, id="annulus-negative-inner"),
+        pytest.param(lambda: Annulus(2.5, 1.5), 2.5, id="annulus-swapped-inner"),
+        pytest.param(lambda: Annulus(2.5, 1.5), 1.5, id="annulus-swapped-outer"),
+        pytest.param(lambda: AnnulusPair.from_radii(1.25, 1.25, 1.0, 2.0), 1.25,
+                     id="pair-degenerate-domain"),
+        pytest.param(lambda: make_radial_grid(Annulus(1.25, 1.25), 4), 1.25,
+                     id="grid-degenerate-annulus"),
+        pytest.param(lambda: RadialGrid(Annulus(1.0, 2.0), [1.0, 1.5, 2.5], "uniform-in-t"),
+                     2.5, id="grid-span-outer"),
+        pytest.param(lambda: RadialGrid(Annulus(1.0, 2.0), [0.75, 1.5, 2.0], "uniform-in-t"),
+                     0.75, id="grid-span-inner"),
+        pytest.param(lambda: HarmonicProfile(a=1.0, b=1.0).eval(np.array([1.0, -0.25])), -0.25,
+                     id="profile-negative-radius"),
+        pytest.param(lambda: HarmonicProfile(a=1.0, b=1.0).derivative(0.0), 0.0,
+                     id="profile-zero-radius"),
+        pytest.param(lambda: _sampled_profile().eval(np.array([1.5, 3.5])), 3.5,
+                     id="sampled-profile-above"),
+        pytest.param(lambda: _sampled_profile().derivative(0.5), 0.5,
+                     id="sampled-profile-below"),
+    ])
+    def test_message_holds_the_repr(self, build, bad):
+        with pytest.raises(DomainError) as info:
+            build()
+        assert repr(bad) in str(info.value)
+
+
 class TestAnnulusPair:
     def test_from_radii_roundtrip(self):
         p = AnnulusPair.from_radii(1.0, 2.0, 0.5, 3.0)
         assert (p.r, p.R, p.r_star, p.R_star) == (1.0, 2.0, 0.5, 3.0)
 
     def test_weighted_requires_positive_inner_radii(self):
-        p = AnnulusPair.from_radii(0.0, 1.0, 1.0, 2.0)
-        with pytest.raises(DomainError):
-            p.require_weighted()
+        with pytest.raises(DomainError, match="inner radius must be positive, got 0.0"):
+            AnnulusPair.from_radii(0.0, 1.0, 1.0, 2.0)
 
     def test_degenerate_target_is_weighted_ok(self):
-        AnnulusPair.from_radii(1.0, 2.0, 1.5, 1.5).require_weighted()
+        p = AnnulusPair.from_radii(1.0, 2.0, 1.5, 1.5)
+        assert p.target.is_degenerate and (p.r_star, p.R_star) == (1.5, 1.5)
 
 
 class TestRadialGrid:

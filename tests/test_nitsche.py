@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from annuli import (
     AnnulusPair,
@@ -70,11 +71,10 @@ class TestHarmonicBVP:
         # the sample should exercise both verdicts
         assert seen[True] > 0 and seen[False] > 0
 
-    def test_tolerance_band_at_threshold(self):
-        # on the threshold H'(r) vanishes up to rounding, and the slope
-        # rule's tolerance counts that as monotone: at r* = thr R* and one
-        # ulp either side it says monotone, while the exact rational
-        # verdict goes both ways; a relative step of 1e-9 leaves the band
+    def test_exact_verdict_at_threshold(self):
+        # the slope signs are decided exactly, so at r* = thr R* and one
+        # ulp either side the verdict follows the rational condition both
+        # ways, and a relative step of 1e-9 decides it
         rng = np.random.default_rng(3)
         seen = {True: 0, False: 0}
         for _ in range(200):
@@ -82,13 +82,26 @@ class TestHarmonicBVP:
             rs = nitsche_condition(p).threshold * p.R_star
             for r_star in (np.nextafter(rs, 0.0), rs, np.nextafter(rs, np.inf)):
                 q = AnnulusPair.from_radii(p.r, p.R, float(r_star), p.R_star)
-                seen[nitsche_condition(q).admissible] += 1
-                assert harmonic_profile_monotone(q)
+                verdict = nitsche_condition(q).admissible
+                seen[verdict] += 1
+                assert harmonic_profile_monotone(q) == verdict
             for r_star, verdict in ((rs * (1.0 - 1e-9), True), (rs * (1.0 + 1e-9), False)):
                 q = AnnulusPair.from_radii(p.r, p.R, r_star, p.R_star)
                 assert nitsche_condition(q).admissible == verdict
                 assert harmonic_profile_monotone(q) == verdict
         assert seen[True] > 0 and seen[False] > 0
+
+    @pytest.mark.parametrize("eps", [1e-14, 1e-12, 1e-11])
+    def test_no_monotone_band_past_threshold(self, eps):
+        # within about 1e-11 relative past the threshold, H'(r) < 0 lies
+        # below the rounding of a float slope; the verdict must still follow
+        # the rational condition
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            p = random_annulus_pair(rng)
+            r_star = nitsche_condition(p).threshold * p.R_star * (1.0 + eps)
+            q = AnnulusPair.from_radii(p.r, p.R, r_star, p.R_star)
+            assert harmonic_profile_monotone(q) == nitsche_condition(q).admissible, q
 
     def test_threshold_pair_has_flat_slope_at_inner_radius(self):
         pair = AnnulusPair.from_radii(1.0, 2.0, 12.0, 17.0)

@@ -6,6 +6,7 @@ import pytest
 from annuli import (
     AnnulusPair,
     ConfigError,
+    DomainError,
     VerifyConfig,
     check_harmonic_bvp,
     check_inversion_invariance,
@@ -153,10 +154,10 @@ class TestIndividualChecks:
         assert all(r.passed for r in results)
 
     def test_inadmissible_default_is_rejected_loudly(self):
-        # a pair with zero inner target radius cannot be verified
-        pair = AnnulusPair.from_radii(1.0, 2.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            check_minimal_energy(VerifyConfig(pair=pair))
+        # a pair with zero inner target radius cannot be built, so no
+        # VerifyConfig can hold one
+        with pytest.raises(DomainError, match="inner radius must be positive, got 0.0"):
+            AnnulusPair.from_radii(1.0, 2.0, 0.0, 1.0)
 
     def test_results_carry_tolerances(self):
         for r in check_residuals(VerifyConfig()):
