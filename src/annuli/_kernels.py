@@ -7,10 +7,11 @@ row; every elimination step runs as one numpy op across all blocks, and
 only the small system in the separator values (plus a tail of fewer
 rows than a block) is a scalar Thomas loop on Python floats through
 memoryviews.  Smaller systems take that loop directly.
-Conjugate-gradient descent on the quadratic form, preconditioned by the
-inverse of its Hessian diagonal (Jacobi), is a loop of whole-array steps
-into buffers allocated once; a non-positive diagonal entry ends it
-unconverged without a step.
+Conjugate-gradient descent on the quadratic form, preconditioned in the
+hierarchical basis, is a loop of whole-array steps into buffers
+allocated once; each basis level is one numpy step of the transform, and
+a hat energy that is not positive and finite ends the run unconverged
+without a step.
 
 ``rk4_shoot`` and ``gd_quadratic`` ignore trailing arguments:
 ``perfbench/micro.py`` still passes the retired floor and cap, and mode
@@ -310,28 +311,88 @@ def thomas_solve(lower, diag, upper, rhs):
 
 
 # ---------------------------------------------------------------------------
-# Jacobi-preconditioned conjugate-gradient descent on the discrete
-# quadratic form
+# Conjugate-gradient descent on the discrete quadratic form
 #   Q(k) = sum_i a[i] * (k[i+1] - k[i])^2
-# over interior nodes with fixed endpoints.  The gradient of Q at k,
-# 2 (flux[:-1] - flux[1:]) with flux = a * diff(k), is linear in k, so
-# the same formula applied to a direction padded with zero ends is the
-# Hessian product.  The preconditioner is the Hessian diagonal
-# 2 (a[:-1] + a[1:]): each step scales the gradient by its inverse,
-# z = g / diag, takes one Hessian product and the exact line search along
-# the direction, and updates the gradient recursively.  The scaled
-# gradient z has the units of k, so the run is unchanged, bit for bit,
-# when a and tol are scaled by a power of two: the scale of a_i ~ t^2 / dt
-# sets neither the step lengths nor the iteration count.
+# over interior nodes with fixed endpoints, preconditioned in the
+# hierarchical basis (Yserentant 1986, Numer. Math. 49; Bank, Dupont and
+# Yserentant 1988).  The gradient of Q at k, 2 (flux[:-1] - flux[1:])
+# with flux = a * diff(k), is linear in k, so the same formula applied
+# to a direction padded with zero ends is the Hessian product A p.
+#
+# Interior node j sits at level l = nu_2(j), the number of trailing zero
+# bits of j.  With h = 2^l its parents are j - h and min(j + h, n), so
+# any n works.  Its hat is 1 at j, 0 at the parents and beyond, and
+# linear in the node index in between.  S maps hat coefficients to nodal
+# values, adding to each level's nodes the interpolant of their parents,
+# coarsest level first; S^T runs the transposed steps finest level
+# first.  For constant a the hats are A-orthogonal, and a ~ t^2 / dt
+# varies slowly along a grid, so S^T A S is nearly diagonal and
+# M^-1 = S D^-1 S^T, with D its exact diagonal, needs few iterations.
+# D_j is the energy of hat j, 2 (sum of a over its left side / h^2 +
+# sum over its right side / R^2) with R = min(h, n - j).  Each side is
+# an aligned block of a whose mean is built from the means of its two
+# halves, so no intermediate exceeds max |a|; D / 4, the mean of the two
+# side terms, is kept instead of D for the same reason.
+#
+# Each step applies M^-1 to the gradient, takes one Hessian product and
+# the exact line search along the direction, and updates the gradient
+# recursively.  M^-1 g has the units of k, so the run is unchanged, bit
+# for bit, when a and tol are scaled by a power of two: the scale of
+# a_i ~ t^2 / dt sets neither the step lengths nor the iteration count.
 # Convergence means a gradient recomputed from k has max-norm at most
 # tol before the iteration budget runs out; when only the recursive one
 # does, descent restarts from the recomputed gradient.  The gradient is
 # checked before each step, so an optimal initial guess converges at
 # iteration zero.  A direction of non-positive curvature, which needs
-# some a[i] <= 0, ends the run unconverged without a step; so does a
-# diagonal entry a[i] + a[i+1] <= 0, before the preconditioner divides
-# by it.  ``k`` (1-D float64) is updated in place; the work arrays are
+# some a[i] <= 0, ends the run unconverged without a step; so does an
+# entry of D that is not positive and finite, before D^-1 is formed.
+# ``k`` (1-D float64) is updated in place; the work arrays are
 # allocated once and filled by ``out=`` ufuncs.
+
+
+def _hierarchical_basis(a):
+    """The levels of the hierarchical basis on ``n = len(a)`` intervals,
+    coarsest first, and ``D / 4`` in node order (length ``n - 1``).
+
+    A level is ``(nodes, left, right, w_left, w_right)``: its nodes and
+    their left parents as slices, their right parents as an index array,
+    and the weights of each parent in the interpolant at the node."""
+    n = a.shape[0]
+    quarter_d = np.empty(n + 1)
+    levels = []
+    mean = a   # mean of a over each aligned block of h intervals
+    h = 1
+    while h < n:
+        nodes = slice(h, n, 2 * h)
+        j = np.arange(h, n, 2 * h)
+        right = np.minimum(h, n - j)
+        w_left = right / (right + h)
+        w_right = h / (right + h)
+        m = j.size
+        left_mean, right_mean = mean[0:2 * m:2], mean[1:2 * m:2]
+        quarter_d[nodes] = 0.5 * left_mean / h + 0.5 * right_mean / right
+        levels.append((nodes, slice(0, n - h, 2 * h), j + right, w_left, w_right))
+        # the left block holds h intervals and the right one R, so the
+        # mean over both weighs them by the interpolation weights swapped
+        paired = left_mean * w_right + right_mean * w_left
+        mean = np.concatenate((paired, mean[2 * m:]))
+        h *= 2
+    return levels[::-1], quarter_d[1:-1]
+
+
+def _interpolate(levels, u):
+    """``u <- S u`` on nodes ``0 .. n``; ``u[0]`` and ``u[n]`` must be 0."""
+    for nodes, left, right, w_left, w_right in levels:
+        u[nodes] += w_left * u[left] + w_right * u[right]
+
+
+def _restrict(levels, g):
+    """``g <- S^T g`` on the interior nodes; ``g[0]`` and ``g[n]`` are
+    left holding what the transposed steps add to them."""
+    for nodes, left, right, w_left, w_right in reversed(levels):
+        gj = g[nodes]
+        g[left] += w_left * gj
+        g[right] += w_right * gj
 
 
 def _form_gradient(a, x, flux, out):
@@ -346,21 +407,21 @@ def gd_quadratic(a, k, max_iter, tol, *_):
     n = a.shape[0]
     flux = np.empty(n)
     g = np.empty(n - 1)
-    z = np.empty(n - 1)
     hp = np.empty(n - 1)
     tmp = np.empty(n - 1)
     padded = np.zeros(n + 1)
     p = padded[1:-1]
+    work = np.zeros(n + 1)
+    z = work[1:-1]
     interior = k[1:-1]
     _form_gradient(a, k, flux, g)
-    # the inverse diagonal 1 / (2 (a[i] + a[i+1])) as 0.25 over the mean
-    # of a[i] and a[i+1]: the same bits for normal floats, and the mean
-    # cannot overflow
-    dinv = a[:-1] * 0.5
-    dinv += a[1:] * 0.5
-    positive = dinv.min() > 0.0
+    levels, quarter_d = _hierarchical_basis(a)
+    positive = quarter_d.min() > 0.0 and quarter_d.max() < math.inf
+    # D^-1 with zero ends, so scaling by it also clears what S^T leaves
+    # on the boundary nodes
+    dinv = np.zeros(n + 1)
     if positive:
-        np.divide(0.25, dinv, out=dinv)
+        np.divide(0.25, quarter_d, out=dinv[1:-1])
     fresh = True   # g was recomputed from k, not updated
     iters = 0
     converged = False
@@ -374,7 +435,10 @@ def gd_quadratic(a, k, max_iter, tol, *_):
             continue
         if iters >= max_iter or not positive:
             break
-        np.multiply(g, dinv, out=z)
+        z[...] = g
+        _restrict(levels, work)
+        work *= dinv
+        _interpolate(levels, work)
         gz = float(g @ z)
         if fresh:
             np.negative(z, out=p)

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -66,7 +67,16 @@ class RunConfig:
 
 class _Parser(argparse.ArgumentParser):
     """Turns a usage error into a :class:`ConfigError`, so it prints as
-    one ``error:`` line; subcommand parsers inherit the class."""
+    one ``error:`` line; subcommand parsers inherit the class.  A token
+    that reads as a negative float, such as ``-1e-300`` or ``-inf``, is a
+    value, so a negative radius reaches the check that names it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern knows only the -1 and -.5 forms; no
+        # option of this parser looks like a number
+        self._negative_number_matcher = re.compile(
+            r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise ConfigError(message)

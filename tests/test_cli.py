@@ -302,6 +302,12 @@ _ERROR_CAUSES = {
         "error: inner radius must be positive, got -2.5",
     "sweep --r 1 --R 2 --rstar 0 --sweep Rstar=2:3:2":
         "error: inner radius must be positive, got 0.0; the sweep hit an invalid pair at {",
+    "energy --r -1e-300 --R 2 --rstar 1 --Rstar 2":
+        "error: inner radius must be positive, got -1e-300",
+    "nitsche --r 1 --R 2 --rstar 1 --Rstar -2e0":
+        "error: inner radius must be less than outer, got 1.0 > -2.0",
+    "minimize --r -inf --R 2 --rstar 1 --Rstar 2":
+        "error: annulus radii must be finite, got -inf, 2.0",
 }
 
 
@@ -354,6 +360,11 @@ class TestNoTraceback:
         (["sweep", "--r", "-2.5", "--R", "2", "--rstar", "1", "--Rstar", "2",
           "--sweep", "Rstar=2:3:2"], 2),
         (["sweep", "--r", "1", "--R", "2", "--rstar", "0", "--sweep", "Rstar=2:3:2"], 2),
+        # a negative radius in exponent form, or an infinite one, is a value, not an
+        # unknown option
+        (["energy", "--r", "-1e-300", "--R", "2", "--rstar", "1", "--Rstar", "2"], 2),
+        (["nitsche", "--r", "1", "--R", "2", "--rstar", "1", "--Rstar", "-2e0"], 2),
+        (["minimize", "--r", "-inf", "--R", "2", "--rstar", "1", "--Rstar", "2"], 2),
     ])
     def test_exits_with_one_line_error(self, capsys, argv, expected):
         code, _, err = run_cli(capsys, *argv)

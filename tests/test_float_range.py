@@ -49,7 +49,7 @@ def _shell(draw):
 class TestFloatRange:
     # Conjugate gradient is left out: its absolute gradient tolerance is
     # below the rounding of the gradient on some extreme pairs, which
-    # then run the full 200 000-iteration budget.
+    # then run the full 20 000-iteration budget.
     @settings(max_examples=500, deadline=None)
     @given(domain=_shell(), target=_shell(), wrap=st.booleans())
     def test_finite_or_named_error(self, domain, target, wrap):

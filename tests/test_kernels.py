@@ -262,6 +262,19 @@ class TestGradientDescentModes:
         assert K.gd_quadratic(np.array([1.0, -1.0]), k, 100, 1e-11) == (0, False)
         assert k.tolist() == [0.0, 0.3, 1.0]
 
+    @pytest.mark.parametrize("a", [
+        # the level-0 entries are positive, and so is the Hessian diagonal,
+        # but the level-1 hat has D / 4 = 1 / 4 - 0.3 < 0
+        [1.0, 1.0, -0.6],
+        [1.0, math.nan, 1.0],
+    ])
+    def test_hat_energy_not_positive_ends_the_run(self, a):
+        a = np.array(a)
+        assert not K._hierarchical_basis(a)[1].min() > 0.0
+        k = np.array([0.0, 0.3, 0.5, 1.0])
+        assert K.gd_quadratic(a, k, 100, 1e-11) == (0, False)
+        assert k.tolist() == [0.0, 0.3, 0.5, 1.0]
+
     def test_tolerance_below_rounding_is_never_reached(self, rng):
         # the recursively updated gradient falls below any tolerance, but
         # the one recomputed from k stays at the rounding level; each
@@ -271,11 +284,57 @@ class TestGradientDescentModes:
         np.testing.assert_allclose(k, flux, rtol=0.0, atol=1e-12)
 
 
+def _interior_vector(rng, n):
+    """Random values on nodes 1 .. n - 1, zero at nodes 0 and n."""
+    v = np.zeros(n + 1)
+    v[1:-1] = rng.standard_normal(n - 1)
+    return v
+
+
+class TestHierarchicalBasis:
+    def test_restriction_is_the_adjoint_of_interpolation(self, rng):
+        # every n, so the clipped right parents of non-powers of two too
+        for n in range(2, 201):
+            levels, _ = K._hierarchical_basis(np.ones(n))
+            v, w = _interior_vector(rng, n), _interior_vector(rng, n)
+            sv, stw = v.copy(), w.copy()
+            K._interpolate(levels, sv)
+            K._restrict(levels, stw)
+            lhs = sv[1:-1] @ w[1:-1]
+            rhs = v[1:-1] @ stw[1:-1]
+            scale = np.abs(sv[1:-1]) @ np.abs(w[1:-1])
+            assert abs(lhs - rhs) <= 1e-14 * scale
+
+    def test_hat_energies_are_the_diagonal_of_the_basis_hessian(self, rng):
+        for n in range(2, 41):
+            a = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
+            levels, quarter_d = K._hierarchical_basis(a)
+            s = np.empty((n - 1, n - 1))
+            for j in range(1, n):
+                e = np.zeros(n + 1)
+                e[j] = 1.0
+                K._interpolate(levels, e)
+                s[:, j - 1] = e[1:-1]
+            hessian = 2.0 * (np.diag(a[:-1] + a[1:]) - np.diag(a[1:-1], 1) - np.diag(a[1:-1], -1))
+            np.testing.assert_allclose(4.0 * quarter_d, np.diag(s.T @ hessian @ s), rtol=1e-13)
+
+    def test_hat_energies_stay_finite_near_the_float_maximum(self):
+        # a cumulative sum of a would overflow; every block mean is
+        # max(a), so D / 4 = max(a) (1 / (2 h) + 1 / (2 R)) exactly
+        n = 37
+        big = 1.7e308
+        _, quarter_d = K._hierarchical_basis(np.full(n, big))
+        j = np.arange(1, n)
+        h = j & -j
+        right = np.minimum(h, n - j)
+        np.testing.assert_allclose(quarter_d, big / (2.0 * h) + big / (2.0 * right), rtol=1e-15)
+
+
 class TestConjugateGradientProperty:
     # Over 3000 draws of this strategy, conjugate gradient at tol 1e-12
-    # converged on all, came within 2.4e-12 of the closed form and took at
-    # most 3.01 n iterations (n = 199); the bounds below leave a factor 40
-    # and 1.33.
+    # converged on all, came within 8.3e-12 of the closed form and took at
+    # most 1.27 n iterations (57 at n = 45); the bounds below leave a
+    # factor 12 and 3.
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
     def test_reaches_the_closed_form(self, n, seed):
@@ -292,8 +351,8 @@ class TestConjugateGradientProperty:
         assert np.max(np.abs(2.0 * (flux[:-1] - flux[1:]))) <= 1e-12
 
     def test_power_of_two_scaling_changes_no_bit(self):
-        # the Jacobi-scaled gradient is in units of k, so scaling a and
-        # tol by 2**e scales g, the diagonal and p . Hp exactly and leaves
+        # the preconditioned gradient is in units of k, so scaling a and
+        # tol by 2**e scales g, D and p . Hp exactly and leaves
         # every step length and iterate as it was; 2**900 and 2**-900
         # would overflow or underflow g . g
         rng = np.random.default_rng(17)
