@@ -153,14 +153,19 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     quad = make_sphere_quadrature(sphere_order)
     centers = (t[:, None, None] * quad.nodes[None, :, :]).reshape(-1, 3)
     steps = np.repeat(_FD_STEP * t, quad.nodes.shape[0])
+    two_steps = (2.0 * steps)[:, None]
     density = np.zeros((len(views), centers.shape[0]))
     for k in range(3):
-        shift = np.zeros(3)
-        shift[k] = 1.0
-        plus = map_eval_many(f, centers + steps[:, None] * shift)
-        minus = map_eval_many(f, centers - steps[:, None] * shift)
+        # a fresh buffer per evaluation: an evaluator may return a view of it
+        plus = centers.copy()
+        plus[:, k] += steps
+        plus = map_eval_many(f, plus)
+        minus = centers.copy()
+        minus[:, k] -= steps
+        minus = map_eval_many(f, minus)
         for view, dens in zip(views, density):
-            dk = (view(plus) - view(minus)) / (2.0 * steps[:, None])
+            dk = view(plus) - view(minus)
+            dk /= two_steps
             dens += np.einsum("ij,ij->i", dk, dk)
     if weighted:
         vals = map_eval_many(f, centers)

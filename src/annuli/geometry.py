@@ -107,7 +107,7 @@ class RadialGrid:
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("grid needs at least two nodes")
-        if not np.all(np.diff(nodes) > 0.0):
+        if not np.all(nodes[1:] > nodes[:-1]):
             raise DomainError(
                 f"grid nodes must be strictly increasing: {nodes.size} nodes on the annulus "
                 f"[{self.annulus.inner!r}, {self.annulus.outer!r}]"

@@ -244,7 +244,9 @@ def map_eval_many(f: AnnulusMap, points: np.ndarray) -> np.ndarray:
         raise DomainError("radial map undefined at the origin")
     h = f.profile.eval(t)
     units = points / t[:, None]
-    return h[:, None] * _apply_to_units(f.rotation, units, t)
+    image = _apply_to_units(f.rotation, units, t)
+    image *= h[:, None]
+    return image
 
 
 def map_differential(f: GeneralizedRadialMap, x) -> np.ndarray:
@@ -291,7 +293,9 @@ def sphere_inversion(a: float):
         nsq = np.einsum("ij,ij->i", vals, vals)
         if np.any(nsq <= 1e-300):
             raise EvaluationError("map value hit the origin; inversion undefined")
-        return a * vals / nsq[:, None]
+        image = a * vals
+        image /= nsq[:, None]
+        return image
 
     return invert
 

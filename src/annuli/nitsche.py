@@ -4,7 +4,7 @@ The radial harmonic boundary value problem has the closed-form solution
 ``H(t) = a t + b / t^2``.  It is a monotone (hence injective) profile
 exactly when the target radii satisfy
 ``r_star / R_star <= 3 r R^2 / (r^3 + 2 R^3)``; this module evaluates
-that condition exactly in rational arithmetic, checks it against the
+that condition exactly in integer arithmetic, checks it against the
 slope of ``H`` at the two boundary radii (``H'' = 6 b / t^4`` has one
 sign, so the least slope on ``[r, R]`` is at an endpoint), and provides
 the harmonic map's Dirichlet energy in closed form.
@@ -32,18 +32,19 @@ class NitscheVerdict:
 def nitsche_condition(pair: AnnulusPair) -> NitscheVerdict:
     """Decide ``r_star / R_star <= 3 r R^2 / (r^3 + 2 R^3)``.
 
-    Both sides are compared as exact rationals built from the binary
-    float radii, so boundary cases do not flip on rounding noise.
+    Both sides are compared exactly, cross-multiplied on the float radii
+    scaled to integers by one power of two, so boundary cases do not flip
+    on rounding noise.  Both sides are homogeneous of degree 0, and
+    Python's int division rounds correctly, so ``ratio``, ``threshold``
+    and ``margin`` are the exact values rounded once.
     """
-    r = Fraction(pair.r)
-    R = Fraction(pair.R)
-    ratio = Fraction(pair.r_star) / Fraction(pair.R_star)
-    threshold = 3 * r * R * R / (r**3 + 2 * R**3)
+    r, R, rs, Rs = _integer_radii(pair)
+    num, den = 3 * r * R * R, r**3 + 2 * R**3
     return NitscheVerdict(
-        admissible=ratio <= threshold,
-        ratio=float(ratio),
-        threshold=float(threshold),
-        margin=float(threshold - ratio),
+        admissible=rs * den <= num * Rs,
+        ratio=rs / Rs,
+        threshold=num / den,
+        margin=(num * Rs - rs * den) / (Rs * den),
     )
 
 
@@ -68,9 +69,7 @@ def harmonic_profile_monotone(pair: AnnulusPair) -> bool:
     decided exactly on the float radii scaled to integers by one power of
     two.  At the threshold ``H'(r)`` is exactly 0, which counts as monotone.
     """
-    ratios = [x.as_integer_ratio() for x in (pair.r, pair.R, pair.r_star, pair.R_star)]
-    den = max(d for _, d in ratios)  # powers of two: each divides the largest
-    r, R, rs, Rs = (n * (den // d) for n, d in ratios)
+    r, R, rs, Rs = _integer_radii(pair)
     a_num, b_num, _ = _bvp_terms(r, R, rs, Rs)
     return all(a_num * t**3 - 2 * b_num <= 0 for t in (r, R))
 
@@ -97,6 +96,13 @@ def analytic_dirichlet_energy_radial(pair: AnnulusPair) -> float:
         return 4.0 * math.pi * float(num / den)
     except OverflowError:
         return math.inf
+
+
+def _integer_radii(pair: AnnulusPair):
+    """The float radii times one power of two, as exact ints."""
+    ratios = [x.as_integer_ratio() for x in (pair.r, pair.R, pair.r_star, pair.R_star)]
+    den = max(d for _, d in ratios)  # powers of two: each divides the largest
+    return tuple(n * (den // d) for n, d in ratios)
 
 
 def _bvp_terms(r, R, rs, Rs):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,22 +95,24 @@ def _interval_coefficients(grid: RadialGrid) -> np.ndarray:
     upper bound of the continuum minimum on every grid, and makes the
     reciprocal spacing reproduce the closed-form minimizer at the nodes.
     """
-    t = grid.nodes
-    dt = np.diff(t)
+    t0, t1 = grid.nodes[:-1], grid.nodes[1:]
+    # the integral of t^2 against a K linear in 1/t over one interval is
+    # t0 t1; against a K linear in t it is (t0^2 + t0 t1 + t1^2) / 3.
+    # Two buffers hold every step, in the plain formula's operation order
+    tmp = np.empty(t0.size)
     with np.errstate(over="ignore"):
-        if grid.spacing_mode == "uniform-in-1/t":
-            # integral of t^2 against a K linear in 1/t over one interval
-            m = t[:-1] * t[1:]
-        else:
-            # integral of t^2 against a K linear in t over one interval
-            m = (t[:-1] ** 2 + t[:-1] * t[1:] + t[1:] ** 2) / 3.0
-        a = m / dt
+        a = np.multiply(t0, t1)
+        if grid.spacing_mode == "uniform-in-t":
+            a += np.multiply(t0, t0, out=tmp)
+            a += np.multiply(t1, t1, out=tmp)
+            a /= 3.0
+        a /= np.subtract(t1, t0, out=tmp)
     # t^2 overflows for huge radii and underflows to zero for tiny ones;
     # a positive min() and a finite max() need no temporary
     if not (a.min() > 0.0 and math.isfinite(a.max())):
         i = int(np.nonzero(~(np.isfinite(a) & (a > 0.0)))[0][0])
         raise EvaluationError(
-            f"interval stiffness a_{i} = {a[i]} on [{t[i]:.6g}, {t[i + 1]:.6g}] is not positive "
+            f"interval stiffness a_{i} = {a[i]} on [{t0[i]:.6g}, {t1[i]:.6g}] is not positive "
             "and finite; the radii are too extreme for floating point"
         )
     return a
@@ -124,7 +127,9 @@ def discrete_reduced_energy(k_values: np.ndarray, grid: RadialGrid) -> float:
 
 
 def _energy_from_coefficients(a: np.ndarray, k: np.ndarray, grid: RadialGrid) -> float:
-    return _FOUR_PI * (float(a @ np.diff(k) ** 2) + 2.0 * grid.annulus.width)
+    dk = np.diff(k)
+    dk *= dk
+    return _FOUR_PI * (float(a @ dk) + 2.0 * grid.annulus.width)
 
 
 def reduced_energy_gradient(k_values: np.ndarray, grid: RadialGrid) -> np.ndarray:
@@ -140,13 +145,26 @@ def reduced_energy_gradient(k_values: np.ndarray, grid: RadialGrid) -> np.ndarra
 
 @dataclass(frozen=True)
 class DiscreteSolution:
-    """Result of a discrete minimization run."""
+    """Result of a discrete minimization run on ``pair``.
+
+    ``sup_error_vs_closed_form`` is computed when first read, not by the
+    solve, and then kept.  It is the max nodal distance from the closed-form
+    minimizer, exactly 0.0 when ``r_star == R_star``.  Reading it raises
+    :class:`EvaluationError` where the closed form leaves the float range,
+    as on very thin shells, even though the solve itself succeeded.
+    """
 
     profile: SampledProfile
     energy: float
-    sup_error_vs_closed_form: float
     iterations: int
     converged: bool
+    pair: AnnulusPair
+
+    @cached_property
+    def sup_error_vs_closed_form(self) -> float:
+        if self.pair.r_star == self.pair.R_star:
+            return 0.0
+        return _closed_form_sup_error(self.pair, self.profile.grid, self.profile.values)
 
 
 def _closed_form_sup_error(pair: AnnulusPair, grid: RadialGrid, values: np.ndarray) -> float:
@@ -167,20 +185,25 @@ def _solution_from_k(pair: AnnulusPair, grid: RadialGrid, a: np.ndarray, k: np.n
     values[-1] = pair.R_star
     profile = SampledProfile(grid=grid, values=values)
     energy = _energy_from_coefficients(a, k, grid)
-    sup = _closed_form_sup_error(pair, grid, values)
-    return DiscreteSolution(profile, energy, sup, iterations, converged)
+    return DiscreteSolution(profile, energy, iterations, converged, pair)
 
 
 def _constant_solution(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolution:
     values = np.full_like(grid.nodes, pair.r_star)
     profile = SampledProfile(grid=grid, values=values)
     energy = _FOUR_PI * 2.0 * grid.annulus.width
-    return DiscreteSolution(profile, energy, 0.0, 0, True)
+    return DiscreteSolution(profile, energy, 0, True, pair)
 
 
 def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolution:
     """Minimize the discrete reduced energy by one direct tridiagonal
-    solve in ``K = log H``."""
+    solve in ``K = log H``.
+
+    The solve never evaluates the closed form, so it succeeds wherever the
+    interval stiffness is positive and finite, thin shells included.  The
+    returned ``sup_error_vs_closed_form`` is computed on first read and
+    may raise there (see :class:`DiscreteSolution`).
+    """
     if grid.annulus != pair.domain:
         raise ValueError("grid must live on the domain annulus of the pair")
     if pair.r_star == pair.R_star:
@@ -191,7 +214,8 @@ def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolu
     rhs[0] = a[0] * k0
     rhs[-1] = a[-1] * kn
     # the kernel ignores the first lower and the last upper entry
-    y = _kernels.thomas_solve(-a[:-1], a[:-1] + a[1:], -a[1:], rhs)
+    off = np.negative(a)
+    y = _kernels.thomas_solve(off[:-1], a[:-1] + a[1:], off[1:], rhs)
     k = np.concatenate([[k0], y, [kn]])
     return _solution_from_k(pair, grid, a, k, 1, True)
 
@@ -210,7 +234,10 @@ def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSo
     Convergence means the max-norm of the energy gradient, recomputed
     from the final iterate, is at most 1e-7; running out of the budget
     of 20 000 iterations first yields ``converged=False`` with the
-    current iterate.
+    current iterate.  That happens where the tolerance lies below the
+    rounding of the gradient, on extreme radii and on very thin shells
+    such as ``(1, 1 + 1e-10, 1, 2)``.  As for the direct solve,
+    ``sup_error_vs_closed_form`` is computed on first read.
     """
     if grid.annulus != pair.domain:
         raise ValueError("grid must live on the domain annulus of the pair")

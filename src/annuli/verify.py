@@ -208,7 +208,9 @@ def _modulated_minimizer(pair: AnnulusPair, rot: MobiusTransform,
     def evaluator(points: np.ndarray) -> np.ndarray:
         t = row_norms(points)
         units = points / t[:, None]
-        return (base.eval(t) * factor(t, units))[:, None] * mobius_apply_points(rot, units)
+        image = mobius_apply_points(rot, units)
+        image *= (base.eval(t) * factor(t, units))[:, None]
+        return image
 
     return SampledMap(evaluator=evaluator)
 

@@ -1,6 +1,9 @@
 import importlib
 import importlib.util
+import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -368,9 +371,12 @@ class TestConjugateGradientProperty:
         assert runs[0] == runs[1] == runs[2]
 
 
+_ROOT = Path(__file__).resolve().parents[1]
+
+
 def _perfbench_module(name):
     """Load ``perfbench/<name>.py`` from the source tree by path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    path = _ROOT / "perfbench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -404,3 +410,13 @@ class TestBenchmarkPins:
             module = importlib.import_module(f"annuli.{layer}")
             for name in funcs:
                 assert callable(getattr(module, name)), f"annuli.{layer}.{name}"
+
+    def test_traced_oracle_pairs_run_passes_its_self_test(self):
+        # the traced run fails when a span it predicts nonzero reads 0, so
+        # a change that starves a pinned span fails here too; about 2 s
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", "oracle-pairs", "--seed", "1",
+             "--trace", "1"],
+            cwd=_ROOT, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

@@ -13,6 +13,8 @@ from annuli import (
     harmonic_radial_bvp,
     nitsche_condition,
 )
+from annuli.errors import DomainError
+from annuli.nitsche import NitscheVerdict
 from annuli.verify import random_annulus_pair
 
 PI = math.pi
@@ -45,6 +47,44 @@ class TestCondition:
         thr = Fraction(3 * r * R * R, r**3 + 2 * R**3)
         pair = AnnulusPair.from_radii(1.0, 2.0, float(thr.numerator), float(thr.denominator))
         assert nitsche_condition(pair).margin == 0.0
+
+
+def _rational_verdict(pair):
+    """The condition in exact rationals, each field rounded once."""
+    r, R = Fraction(pair.r), Fraction(pair.R)
+    ratio = Fraction(pair.r_star) / Fraction(pair.R_star)
+    threshold = 3 * r * R * R / (r**3 + 2 * R**3)
+    return NitscheVerdict(ratio <= threshold, float(ratio), float(threshold),
+                          float(threshold - ratio))
+
+
+def _bits(v):
+    return v.admissible, v.ratio.hex(), v.threshold.hex(), v.margin.hex()
+
+
+class TestIntegerScaledCondition:
+    def test_generator_pairs_match_the_rational_formula(self):
+        rng = np.random.default_rng(13)
+        for _ in range(2000):
+            pair = random_annulus_pair(rng)
+            assert _bits(nitsche_condition(pair)) == _bits(_rational_verdict(pair)), pair
+
+    def test_extreme_radii_match_the_rational_formula(self):
+        # inner radii log-uniform over 1e-300..1e300, ratios 1 + 1e-16..1e3
+        rng = np.random.default_rng(14)
+        checked = 0
+        for _ in range(2000):
+            radii = []
+            for _ in range(2):
+                inner = 10.0 ** float(rng.uniform(-300.0, 300.0))
+                radii += [inner, inner * (1.0 + 10.0 ** float(rng.uniform(-16.0, 3.0)))]
+            try:
+                pair = AnnulusPair.from_radii(*radii)
+            except DomainError:
+                continue
+            checked += 1
+            assert _bits(nitsche_condition(pair)) == _bits(_rational_verdict(pair)), pair
+        assert checked > 1500
 
 
 class TestHarmonicBVP:

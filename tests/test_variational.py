@@ -22,7 +22,7 @@ from annuli import (
     weighted_harmonic_residual,
 )
 from annuli import _kernels, variational
-from annuli.variational import _interval_coefficients
+from annuli.variational import _closed_form_sup_error, _interval_coefficients
 from annuli.verify import random_annulus_pair
 
 
@@ -129,6 +129,57 @@ class TestDiscreteMinimization:
         other = make_radial_grid(AnnulusPair.from_radii(1.0, 3.0, 1.0, 2.0).domain, 16)
         with pytest.raises(ValueError):
             minimize_reduced_energy(canonical_pair, other)
+
+
+class TestLazySupError:
+    """``sup_error_vs_closed_form`` is computed on first read, not by the
+    solve."""
+
+    def test_thin_shell_solves_and_only_the_read_raises(self):
+        # the closed form a exp(b / t) has a = inf here, so the diagnostic
+        # cannot be computed, while the solve reaches the minimum
+        pair = AnnulusPair.from_radii(1.0, 1.0 + 1e-10, 1.0, 2.0)
+        sol = minimize_reduced_energy(pair, make_radial_grid(pair.domain, 1000))
+        target = analytic_min_weighted_energy(pair)
+        assert sol.converged
+        assert abs(sol.energy - target) <= 1e-12 * target
+        with pytest.raises(EvaluationError, match="exponential profile"):
+            sol.sup_error_vs_closed_form
+
+    @pytest.mark.parametrize("solve", [minimize_reduced_energy, gradient_descent_minimize])
+    def test_lazy_value_is_the_closed_form_sup_error(self, solve, canonical_pair):
+        rng = np.random.default_rng(21)
+        for pair in [canonical_pair] + [random_annulus_pair(rng) for _ in range(20)]:
+            grid = make_radial_grid(pair.domain, 1000)
+            sol = solve(pair, grid)
+            assert "sup_error_vs_closed_form" not in vars(sol)
+            expected = _closed_form_sup_error(pair, grid, sol.profile.values)
+            assert sol.sup_error_vs_closed_form.hex() == expected.hex()
+            assert vars(sol)["sup_error_vs_closed_form"] is sol.sup_error_vs_closed_form
+
+    @pytest.mark.parametrize("solve", [minimize_reduced_energy, gradient_descent_minimize])
+    def test_constant_solution_reads_exactly_zero(self, solve):
+        pair = AnnulusPair.from_radii(1.0, 2.0, 1.5, 1.5)
+        sol = solve(pair, make_radial_grid(pair.domain, 16))
+        assert sol.sup_error_vs_closed_form.hex() == (0.0).hex()
+
+
+class TestIntervalCoefficients:
+    @pytest.mark.parametrize("spacing", ["uniform-in-t", "uniform-in-1/t"])
+    def test_bits_of_the_plain_formula(self, spacing, canonical_pair):
+        rng = np.random.default_rng(5)
+        pairs = [canonical_pair, AnnulusPair.from_radii(1e-150, 3e-150, 1.0, 2.0),
+                 AnnulusPair.from_radii(1e153, 1e153 * (1 + 1e-9), 1.0, 2.0)]
+        pairs += [random_annulus_pair(rng) for _ in range(10)]
+        for pair in pairs:
+            for n in (2, 1000, 100_000):
+                grid = make_radial_grid(pair.domain, n, spacing)
+                t = grid.nodes
+                if spacing == "uniform-in-t":
+                    plain = (t[:-1] ** 2 + t[:-1] * t[1:] + t[1:] ** 2) / 3.0 / np.diff(t)
+                else:
+                    plain = t[:-1] * t[1:] / np.diff(t)
+                assert _interval_coefficients(grid).tobytes() == plain.tobytes(), (pair, n)
 
 
 class TestEnergyGradient:
