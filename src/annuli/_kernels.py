@@ -1,17 +1,13 @@
 """Hot numeric kernels, numpy/python only.
 
 The Moebius sphere action and RK4 shooting are vectorized numpy.  The
-tridiagonal solve is blocked: systems of at least 512 rows are split
-into blocks of about sqrt(n / 40) rows, each followed by a separator
-row; every elimination step runs as one numpy op across all blocks, and
-only the small system in the separator values (plus a tail of fewer
-rows than a block) is a scalar Thomas loop on Python floats through
-memoryviews.  Smaller systems take that loop directly.
-Conjugate-gradient descent on the quadratic form, preconditioned in the
-hierarchical basis, is a loop of whole-array steps into buffers
-allocated once; each basis level is one numpy step of the transform, and
-a hat energy that is not positive and finite ends the run unconverged
-without a step.
+tridiagonal solve is odd-even cyclic reduction: each of its about
+log2(n) levels halves the system in one numpy op per step, and every n
+takes the same path.  Conjugate-gradient descent on the quadratic form,
+preconditioned in the hierarchical basis, is a loop of whole-array steps
+into buffers allocated once; each basis level is one numpy step of the
+transform, and a hat energy that is not positive and finite ends the run
+unconverged without a step.
 
 ``rk4_shoot`` and ``gd_quadratic`` ignore trailing arguments:
 ``perfbench/micro.py`` still passes the retired floor and cap, and mode
@@ -124,84 +120,28 @@ def rk4_shoot(r, R, h0, slope, n_steps, *_):
 # ---------------------------------------------------------------------------
 # Tridiagonal solve.  Row i reads
 #   lower[i] * x[i-1] + diag[i] * x[i] + upper[i] * x[i+1] = rhs[i]
-# with lower[0] and upper[-1] ignored.  The four inputs are 1-D float64
-# arrays (strided views are fine); another dtype raises
-# NotImplementedError.  The systems here are SPD and diagonally dominant,
-# so no pivoting is needed and no pivot is zero; a zero pivot raises
-# ZeroDivisionError.  The two n-sized buffers are allocated first, so the
-# scratch buffer freed on return lies above the returned one and leaves no
-# hole below a live array (peak RSS of the n = 1e5 solves rose without
-# that); everything else the solve allocates is O(n / L).
+# with lower[0] and upper[-1] ignored: no step reads them, so they may
+# hold nan.  The four inputs are 1-D float64 arrays; another dtype raises
+# NotImplementedError.  Every step is an elementwise ufunc, so strided
+# views give the bits of contiguous copies.  The systems here are SPD and
+# diagonally dominant, so no pivoting is needed and no pivot is zero; a
+# zero pivot raises ZeroDivisionError.
 #
-# Below _BLOCKED_MIN rows the solve is the Thomas loop on Python floats,
-# reading and writing through memoryviews, because numpy-scalar indexing
-# dominated it.  Larger systems take the partition method (Wang 1981,
-# ACM TOMS 7(2); the SPIKE solver of Polizzi and Sameh): with
-# L = _block_length(n) and m = n // L, rows j L .. j L + L - 2 form block
-# j and row j L + L - 1 is separator j; the last n - m L < L rows are the
-# tail.  Every input is read through a [:m L].reshape(m, L) view, and each
-# block pass is a Python loop over the L - 1 positions of a block with
-# one numpy op across all m blocks per step:
-#   1. top-down elimination of every block on its own, storing c and
-#      1 / beta in the two buffers.  Running vectors follow three block
-#      solutions: for the rhs (y), for a unit coupling to the left
-#      separator (u) and for one to the right separator (v).  They give
-#      the last rows directly, and the first rows as the back
-#      substitution unrolled, x_0 = sum_i prod_{j<i} (-c_j) d_i, so no
-#      second elimination is needed;
-#   2. block j's solution is y - alpha_j s_{j-1} u - gamma_j s_j v, with
-#      alpha_j and gamma_j the couplings of its first and last row, so
-#      the separator rows, followed by the tail rows as they stand, form
-#      a tridiagonal system of size m + n - m L, which the loop solves;
-#   3. forward and back substitution of every block with its first and
-#      last rhs entries corrected by the separator values, overwriting
-#      the 1 / beta buffer in place.
-# The partition method is stable for diagonally dominant systems.  Its
-# pivots are those of the blocks and of the reduced system, not the
-# loop's; a zero one raises on either route.
-#
-# Measured per solve on the SPD systems of minimize_reduced_energy, on a
-# 2-core Xeon with numpy 2.4.6 and Python 3.11.7, whose speed drifts by
-# tens of percent: the loop takes 0.34-0.55 us per row, and the fixed
-# numpy-call cost of one block position is about 40 loop rows, so
-# L = sqrt(n / 40) balances block positions against separator rows.  At
-# n = 1e5 the blocked solve took 5-8 ms against 45-55 ms for the loop,
-# at n = 1000 about half the loop's time; the two meet between 300 and
-# 500 rows.
-
-_BLOCKED_MIN = 512
-
-
-def _block_length(n):
-    """Rows per block plus one separator row, for ``n >= _BLOCKED_MIN``."""
-    return math.isqrt(n // 40)
-
-
-def _thomas_loop(lower, diag, upper, rhs):
-    """The Thomas algorithm; the back substitution overwrites the
-    forward-sweep buffer, which is returned."""
-    n = diag.shape[0]
-    dp = np.empty(n)
-    cp = np.empty(n)
-    lo, dg, up, rh = (memoryview(v) for v in (lower, diag, upper, rhs))
-    c, d = memoryview(cp), memoryview(dp)
-    beta = dg[0]
-    ci = up[0] / beta
-    di = rh[0] / beta
-    c[0] = ci
-    d[0] = di
-    for i in range(1, n):
-        li = lo[i]
-        beta = dg[i] - li * ci
-        ci = up[i] / beta  # cp[n - 1] is never read
-        di = (rh[i] - li * di) / beta
-        c[i] = ci
-        d[i] = di
-    x = di
-    for i in range(n - 2, -1, -1):
-        x = d[i] - c[i] * x
-        d[i] = x
-    return dp
+# Odd-even cyclic reduction (Hockney 1965; stable for diagonally dominant
+# systems, Heller 1976, SIAM J. Numer. Anal. 13).  Each odd row takes its
+# even neighbours out of its equation, which leaves a tridiagonal system
+# in the odd unknowns with half the rows; after floor(log2 n) levels row
+# 2^floor(log2 n) - 1 is left alone.  Back substitution then solves the
+# even rows of each level, last level first, from the odd values on
+# either side.  Each step is one numpy op across a level, so any n takes
+# the same path.  Level 1 goes into four buffers of n // 2 rows, and each
+# later level overwrites the odd rows of the one before, as strided
+# views: the even rows, which the back substitution reads, are kept.  The
+# output is the scratch of the reduction, the solution is written
+# straight into strided views of it, and the lower diagonal of the level
+# below, no longer needed, is the scratch of the back substitution; so a
+# solve allocates 3 n floats in all.  The output is allocated first, so
+# the buffers freed on return leave no hole below a live array.
 
 
 def _require_pivots(beta):
@@ -209,105 +149,68 @@ def _require_pivots(beta):
         raise ZeroDivisionError("zero pivot in the tridiagonal solve")
 
 
-def _eliminate_blocks(lo, dg, up, rh, c, w):
-    """Pass 1 on ``(b, m)`` views, row ``i`` holding position ``i`` of
-    every block: fill ``c`` and ``w = 1 / beta`` and return the last and
-    the first row of ``y``, ``u`` and ``v``, the block solutions for the
-    rhs and for unit couplings to the left and right separator."""
-    b = dg.shape[0]
-    beta = dg[0].copy()
-    y = rh[0].copy()
-    # u (the forward-sweep values of the unit-left solution) and prod_c
-    # run without their sign (-1)^i, which cancels in u_first and is put
-    # on the last rows after the loop
-    u = np.ones_like(beta)
-    prod_c = np.ones_like(beta)
-    y_first = np.zeros_like(beta)
-    u_first = np.zeros_like(beta)
-    tmp = np.empty_like(beta)
-    for i in range(b):
-        if i:
-            ci = c[i - 1]
-            np.multiply(up[i - 1], w[i - 1], out=ci)
-            prod_c *= ci
-            li = lo[i]
-            np.multiply(li, ci, out=beta)
-            np.subtract(dg[i], beta, out=beta)
-            np.multiply(li, y, out=tmp)
-            np.subtract(rh[i], tmp, out=y)
-            u *= li
-        _require_pivots(beta)
-        wi = w[i]
-        np.divide(1.0, beta, out=wi)
-        y *= wi
-        u *= wi
-        # the back substitution unrolled: x_0 = sum_i prod_{j<i} (-c_j) d_i
-        np.multiply(prod_c, y, out=tmp)
-        (np.subtract if i % 2 else np.add)(y_first, tmp, out=y_first)
-        np.multiply(prod_c, u, out=tmp)
-        u_first += tmp
-    if b % 2 == 0:
-        np.negative(u, out=u)
-        np.negative(prod_c, out=prod_c)
-    v_last = w[-1].copy()
-    prod_c *= v_last
-    return y, u, v_last, y_first, u_first, prod_c
+def _reduce(system, reduced, scratch):
+    """Eliminate the even rows of ``system`` (``m`` rows) from its odd
+    rows into ``reduced`` (``m // 2`` rows), which may be the odd rows of
+    ``system`` itself; ``scratch`` holds at least ``m`` entries."""
+    lo, dg, up, rh = system
+    alpha, b, c, d = reduced
+    m = dg.shape[0]
+    half, inner = m // 2, (m - 1) // 2   # odd rows, and those with an even row below
+    above, below = slice(0, 2 * half, 2), slice(2, 2 * inner + 1, 2)
+    _require_pivots(dg[::2])
+    # -1 / diag, not np.negative(v, out=v), which misreads a 64-byte-stride view in numpy 2.4.6
+    w = np.divide(-1.0, dg[::2], out=scratch[half:m])
+    tmp = scratch[:half]
+    gamma = c[:inner]
+    np.multiply(lo[1::2], w[:half], out=alpha)
+    np.multiply(up[1::2][:inner], w[1:], out=gamma)
+    for new, old, left, right in ((b, dg, up, lo), (d, rh, rh, rh)):
+        np.multiply(alpha, left[above], out=tmp)
+        np.add(old[1::2], tmp, out=new)
+        np.multiply(gamma, right[below], out=tmp[:inner])
+        new[:inner] += tmp[:inner]
+    # the reduced system's lower[0] and upper[-1] are left as they are
+    alpha[1:] *= lo[above][1:]
+    gamma[:half - 1] *= up[below][:half - 1]
 
 
-def _substitute_blocks(lo, rh, c, w, left, right):
-    """Pass 3: solve every block with ``left`` taken off its first rhs
-    entry and ``right`` off its last; ``w`` becomes the solution."""
-    tmp = rh[0] - left
-    right = right * w[-1]
-    w[0] *= tmp
-    for i in range(1, w.shape[0]):
-        np.multiply(lo[i], w[i - 1], out=tmp)
-        np.subtract(rh[i], tmp, out=tmp)
-        w[i] *= tmp
-    w[-1] -= right
-    for i in range(w.shape[0] - 2, -1, -1):
-        np.multiply(c[i], w[i + 1], out=tmp)
-        w[i] -= tmp
+def _substitute(system, x, scratch):
+    """Solve the even rows of ``system`` into ``x[::2]`` from the values
+    ``x[1::2]`` of its odd rows; ``scratch`` holds at least ``m // 2``
+    entries."""
+    lo, dg, up, rh = system
+    m = dg.shape[0]
+    half, inner = m // 2, (m - 1) // 2
+    above, below = slice(0, 2 * half, 2), slice(2, 2 * inner + 1, 2)
+    even, odd = x[::2], x[1::2]
+    tmp = scratch[:half]
+    even[0] = rh[0]
+    np.multiply(lo[below], odd[:inner], out=even[1:])
+    np.subtract(rh[below], even[1:], out=even[1:])
+    np.multiply(up[above], odd, out=tmp)
+    even[:half] -= tmp
+    even /= dg[::2]
 
 
 def thomas_solve(lower, diag, upper, rhs):
     if any(v.dtype != np.float64 for v in (lower, diag, upper, rhs)):
         raise NotImplementedError("the tridiagonal solve takes float64 arrays only")
     n = diag.shape[0]
-    if n < _BLOCKED_MIN:
-        return _thomas_loop(lower, diag, upper, rhs)
-    dp = np.empty(n)
-    cp = np.empty(n)
-    step = _block_length(n)
-    m = n // step
-    end = m * step
-    lo, dg, up, rh, c, w = (v[:end].reshape(m, step)[:, :-1].T
-                            for v in (lower, diag, upper, rhs, cp, dp))
-    y_last, u_last, v_last, y_first, u_first, v_first = _eliminate_blocks(lo, dg, up, rh, c, w)
-    # couplings of each block's first and last row; block 0 has none on
-    # the left, and each product below is scale-free before it meets a
-    # matrix entry, so no intermediate leaves the float range
-    alpha = lower[:end:step].copy()
-    alpha[0] = 0.0
-    gamma = upper[step - 2:end:step]
-    sep = slice(step - 1, end, step)
-    ls, us = lower[sep], upper[sep]
-    sub = -ls * (alpha * u_last)
-    dia = diag[sep] - ls * (gamma * v_last)
-    dia[:-1] -= us[:-1] * (alpha[1:] * u_first[1:])
-    sup = np.empty(m)
-    sup[:-1] = -us[:-1] * (gamma[1:] * v_first[1:])
-    sup[-1] = us[-1]
-    red_rhs = rhs[sep] - ls * y_last
-    red_rhs[:-1] -= us[:-1] * y_first[1:]
-    s = _thomas_loop(*(np.concatenate((head, tail[end:]))
-                       for head, tail in ((sub, lower), (dia, diag), (sup, upper),
-                                          (red_rhs, rhs))))
-    dp[sep] = s[:m]
-    dp[end:] = s[m:]
-    alpha[1:] *= s[:m - 1]
-    _substitute_blocks(lo, rh, c, w, alpha, gamma * s[:m])
-    return dp
+    x = np.empty(n)
+    levels = [((lower, diag, upper, rhs), x)]
+    reduced = np.empty((4, n // 2))
+    while reduced.shape[1]:
+        system, xs = levels[-1]
+        _reduce(system, reduced, x)
+        levels.append((reduced, xs[1::2]))
+        reduced = reduced[:, 1::2]
+    (_, dg, _, rh), xs = levels[-1]
+    _require_pivots(dg)
+    np.divide(rh, dg, out=xs)
+    for (system, xs), (coarser, _) in zip(levels[-2::-1], levels[:0:-1]):
+        _substitute(system, xs, coarser[0])
+    return x
 
 
 # ---------------------------------------------------------------------------

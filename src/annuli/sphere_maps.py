@@ -182,17 +182,16 @@ def _tangent_derivatives_fd(s: Callable[[np.ndarray], np.ndarray], etas: np.ndar
     return du, dv
 
 
-def sphere_inequality_integral(mapping: SphereMap, t: float, quad: SphericalQuadrature) -> float:
+def sphere_inequality_integral(mapping: SphereMap, quad: SphericalQuadrature) -> float:
     """Integral of the tangential energy density of a shell map.
 
-    For a map ``S(x) = mapping(x / |x|)`` restricted to the sphere of
-    radius ``t``, returns the surface integral of
-    ``|DS|^2 - |DS . x/|x||^2``.  The value is scale invariant in ``t``,
-    is exactly ``8 pi`` for every Moebius transform, and exceeds ``8 pi``
-    for any other surjective map of the sphere.
+    For the map ``S(x) = mapping(x / |x|)`` on a sphere centred at the
+    origin, returns the surface integral of ``|DS|^2 - |DS . x/|x||^2``.
+    The value does not depend on the sphere's radius, so it is taken on
+    the unit sphere of ``quad``.  It is exactly ``8 pi`` for every Moebius
+    transform, and exceeds ``8 pi`` for any other surjective map of the
+    sphere.
     """
-    if t <= 0.0:
-        raise ValueError("shell radius must be positive")
     u, v = tangent_frames(quad.nodes)
     if isinstance(mapping, MobiusTransform):
         du = mobius_pushforward(mapping, quad.nodes, u)
@@ -200,5 +199,6 @@ def sphere_inequality_integral(mapping: SphereMap, t: float, quad: SphericalQuad
     else:
         du, dv = _tangent_derivatives_fd(mapping, quad.nodes, u, v, _GREAT_CIRCLE_STEP)
     density = np.einsum("ij,ij->i", du, du) + np.einsum("ij,ij->i", dv, dv)
-    # the 1/t^2 from each derivative cancels the t^2 area element
+    # on a sphere of radius t the 1/t^2 from each derivative cancels the
+    # t^2 area element
     return float(quad.weights @ density)

@@ -3,10 +3,8 @@
 The reduced functional ``4 pi * integral(t^2 (H'/H)^2 + 2) dt`` becomes,
 after the substitution ``K = log H``, a convex quadratic in the sampled
 ``K`` values.  Minimizing it therefore amounts to one symmetric
-positive-definite tridiagonal solve: a scalar Thomas loop below 512
-unknowns, and above it a blocked solve that eliminates all blocks at
-once in numpy and loops only over the separator rows between them,
-with the same contract.  Conjugate-gradient descent on the gradient,
+positive-definite tridiagonal solve, by odd-even cyclic reduction in
+numpy for every grid size.  Conjugate-gradient descent on the gradient,
 preconditioned in the hierarchical basis, and RK4 shooting on the
 Euler-Lagrange equation are provided as independent routes to the same
 profile.  In ``K`` that equation is linear, so the discrete rise

@@ -358,8 +358,7 @@ def check_sphere_inequality(config: VerifyConfig) -> list[CheckResult]:
 
     transforms = [MobiusTransform.identity()]
     transforms += [random_mobius(rng) for _ in range(_N_TRANSFORMS)]
-    # the shell integral is scale invariant, so one radius covers all
-    worst = max(abs(sphere_inequality_integral(t, 1.0, quad) - EIGHT_PI) for t in transforms)
+    worst = max(abs(sphere_inequality_integral(t, quad) - EIGHT_PI) for t in transforms)
     results.append(_equality("shell-energy-sharp-at-mobius", worst, 0.0, _CLOSED_FORM_TOL,
                              f"{len(transforms)} transforms on the unit shell"))
 
@@ -383,7 +382,7 @@ def check_sphere_inequality(config: VerifyConfig) -> list[CheckResult]:
             out = etas + amp * (etas @ axis)[:, None] * axis[None, :]
             return out / row_norms(out)[:, None]
 
-        min_excess = min(min_excess, sphere_inequality_integral(stretch, 1.0, quad) - EIGHT_PI)
+        min_excess = min(min_excess, sphere_inequality_integral(stretch, quad) - EIGHT_PI)
     results.append(_lower_bound("shell-energy-strict-for-non-mobius", min_excess, 0.0, 0.0,
                                 f"{_N_PERTURBATIONS} non-conformal sphere bijections"))
     return results

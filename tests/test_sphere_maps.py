@@ -253,26 +253,24 @@ class TestSphereInequality:
 
     def test_identity_attains_8pi(self):
         q = make_sphere_quadrature(32)
-        v = sphere_inequality_integral(MobiusTransform.identity(), 1.0, q)
+        v = sphere_inequality_integral(MobiusTransform.identity(), q)
         assert math.isclose(v, EIGHT_PI, abs_tol=1e-12)
 
-    def test_mobius_attains_8pi_at_any_radius(self, rng):
+    def test_mobius_attains_8pi(self, rng):
         q = make_sphere_quadrature(32)
         for _ in range(6):
-            t = random_mobius(rng)
-            for radius in (1.0, 2.0, 5.0):
-                v = sphere_inequality_integral(t, radius, q)
-                assert abs(v - EIGHT_PI) < 1e-8
+            v = sphere_inequality_integral(random_mobius(rng), q)
+            assert abs(v - EIGHT_PI) < 1e-8
 
     def test_callable_route_matches_transform_route(self, rng):
         q = make_sphere_quadrature(24)
         t = random_mobius(rng)
-        direct = sphere_inequality_integral(t, 2.0, q)
+        direct = sphere_inequality_integral(t, q)
 
         def ev(pts):
             return mobius_apply_points(t, pts)
 
-        via_fd = sphere_inequality_integral(ev, 2.0, q)
+        via_fd = sphere_inequality_integral(ev, q)
         assert math.isclose(direct, via_fd, rel_tol=1e-6)
 
     def test_equator_squash_exceeds_8pi(self):
@@ -284,7 +282,7 @@ class TestSphereInequality:
             out /= np.linalg.norm(out, axis=1)[:, None]
             return out
 
-        assert sphere_inequality_integral(squash, 1.0, q) > EIGHT_PI + 1e-3
+        assert sphere_inequality_integral(squash, q) > EIGHT_PI + 1e-3
 
 
 class TestRandomMobius:
