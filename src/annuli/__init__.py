@@ -36,7 +36,6 @@ from .maps import (
     as_sampled_map,
     exp_profile_from_boundary,
     inversion_transform,
-    map_differential,
     map_eval_many,
     perturbed_profile,
 )
@@ -50,14 +49,10 @@ from .nitsche import (
 from .sphere_maps import (
     MobiusTransform,
     conformal_stretch_points,
-    inverse_stereographic,
     mobius_apply_points,
-    mobius_compose,
-    mobius_inverse,
     mobius_pushforward,
     random_mobius,
     sphere_inequality_integral,
-    stereographic,
 )
 from .variational import (
     DiscreteSolution,

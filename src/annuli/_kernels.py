@@ -14,11 +14,14 @@ unconverged without a step.
 and fixed step, by position.
 
 Contract: array inputs are 1-D float64 (the tridiagonal solve raises
-``NotImplementedError`` for another dtype), and the tridiagonal systems
-are symmetric positive definite, as ``variational._interval_coefficients``
-guarantees for every caller.  A zero pivot of the tridiagonal solve
-raises ``ZeroDivisionError``, where numpy would return ``inf`` or
-``nan``.
+``NotImplementedError`` for another dtype), and a tridiagonal system is
+symmetric positive definite or strictly diagonally dominant by rows.
+Every ``variational`` caller passes a symmetric positive-definite system,
+as ``variational._interval_coefficients`` guarantees; the kernel tests
+and ``perfbench/micro.py`` pass nonsymmetric, strictly diagonally
+dominant ones.  Cyclic reduction needs no pivoting on either class.  A
+zero pivot of the tridiagonal solve raises ``ZeroDivisionError``, where
+numpy would return ``inf`` or ``nan``.
 """
 from __future__ import annotations
 

@@ -16,8 +16,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .geometry import AnnulusPair, RadialGrid, _log_ratio, row_norms, tangent_frames
-from .sphere_maps import MobiusTransform, _apply_to_units, mobius_apply_points, mobius_pushforward
+from .geometry import AnnulusPair, RadialGrid, _log_ratio, row_norms
+from .sphere_maps import MobiusTransform, _apply_to_units
 
 # central-difference step of every map differential, relative to |x|
 _FD_STEP = 1e-5
@@ -247,29 +247,6 @@ def map_eval_many(f: AnnulusMap, points: np.ndarray) -> np.ndarray:
     image = _apply_to_units(f.rotation, units, t)
     image *= h[:, None]
     return image
-
-
-def map_differential(f: GeneralizedRadialMap, x) -> np.ndarray:
-    """Analytic 3x3 differential of a generalized radial map.
-
-    Splits into the radial stretch ``H'(t)`` along the normal and the
-    sphere pushforward scaled by ``H(t) / t`` on the tangent plane.
-    """
-    if not isinstance(f, GeneralizedRadialMap):
-        raise TypeError("analytic differential needs a generalized radial map")
-    x = np.asarray(x, dtype=float)
-    t = float(np.linalg.norm(x))
-    if t <= 0.0:
-        raise DomainError("radial map undefined at the origin")
-    eta = x / t
-    u, v = tangent_frames(eta[None])
-    h = f.profile.eval(t)
-    hd = f.profile.derivative(t, 1)
-    s = mobius_apply_points(f.rotation, eta[None])[0]
-    ds = mobius_pushforward(f.rotation, np.vstack([eta, eta]), np.vstack([u, v]))
-    d = np.outer(hd * s, eta)
-    d += (h / t) * (np.outer(ds[0], u[0]) + np.outer(ds[1], v[0]))
-    return d
 
 
 def as_sampled_map(f: AnnulusMap) -> SampledMap:

@@ -6,9 +6,7 @@ pushforward take ``(N, 3)`` arrays of unit vectors and go through the
 equivalent real 4x4 Lorentz matrix (PSL(2, C) = SO+(3, 1)), whose action
 is a quotient with a denominator that stays positive at both poles.
 ``sphere_inequality_integral`` integrates the tangential energy of a
-sphere map, a transform or a callable, over a quadrature rule.  The
-single-point chart functions ``stereographic`` and
-``inverse_stereographic`` give the complex-plane picture.
+sphere map, a transform or a callable, over a quadrature rule.
 """
 from __future__ import annotations
 
@@ -32,7 +30,10 @@ _MAX_CONDITION = 5.0
 @dataclass(frozen=True)
 class MobiusTransform:
     """Entries of the matrix ``[[a, b], [c, d]]``, normalized so that
-    ``a d - b c = 1``.  Matrices differing by sign act identically."""
+    ``a d - b c = 1``.  Matrices differing by sign act identically.
+
+    Raises ``ValueError`` on a nearly singular matrix, and where an
+    entry, the determinant or a normalized entry is not finite."""
 
     a: complex
     b: complex
@@ -40,47 +41,28 @@ class MobiusTransform:
     d: complex
 
     def __post_init__(self):
-        a, b, c, d = (complex(v) for v in (self.a, self.b, self.c, self.d))
+        entries = [complex(v) for v in (self.a, self.b, self.c, self.d)]
+        if not all(map(cmath.isfinite, entries)):
+            raise ValueError(f"matrix entries must be finite, got a, b, c, d = {entries}")
+        a, b, c, d = entries
         det = a * d - b * c
-        if abs(det) < _DET_TOL:
+        if not cmath.isfinite(det):
+            raise ValueError(f"determinant a d - b c = {det!r} of the entries {entries} "
+                             "is not finite")
+        # abs() raises OverflowError where |det| passes the float range
+        if math.hypot(det.real, det.imag) < _DET_TOL:
             raise ValueError("matrix is singular or nearly singular")
         s = cmath.sqrt(det)
-        object.__setattr__(self, "a", a / s)
-        object.__setattr__(self, "b", b / s)
-        object.__setattr__(self, "c", c / s)
-        object.__setattr__(self, "d", d / s)
+        normalized = [v / s for v in entries]
+        if not all(map(cmath.isfinite, normalized)):
+            raise ValueError(f"dividing the entries by sqrt(a d - b c) = {s!r} gives "
+                             f"{normalized}, not all finite")
+        for name, v in zip("abcd", normalized):
+            object.__setattr__(self, name, v)
 
     @classmethod
     def identity(cls) -> "MobiusTransform":
         return cls(1.0, 0.0, 0.0, 1.0)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]])
-
-
-def stereographic(p) -> complex:
-    """Project a unit vector to the complex plane from the north pole.
-
-    ``(0, 0, 1)`` maps to complex infinity, ``(0, 0, -1)`` to zero and
-    ``(1, 0, 0)`` to one.
-    """
-    p = np.asarray(p, dtype=float)
-    if abs(np.linalg.norm(p) - 1.0) > 1e-9:
-        raise ValueError("stereographic projection expects a unit vector")
-    denom = 1.0 - p[2]
-    if denom <= 1e-15:
-        return complex(math.inf, 0.0)
-    return complex(p[0] / denom, p[1] / denom)
-
-
-def inverse_stereographic(w: complex) -> np.ndarray:
-    """Inverse of :func:`stereographic`; accepts complex infinity."""
-    if cmath.isinf(w):
-        return np.array([0.0, 0.0, 1.0])
-    q = abs(w) ** 2
-    s = 1.0 + q
-    return np.array([2.0 * w.real / s, 2.0 * w.imag / s, (q - 1.0) / s])
 
 
 def _act(kernel, t: MobiusTransform, pts, *vecs):
@@ -126,20 +108,6 @@ def mobius_pushforward(t: MobiusTransform, etas: np.ndarray, vecs: np.ndarray) -
     """Derivative of the sphere action at unit points ``etas`` along
     tangent vectors ``vecs`` of the same shape, at unit-sphere scale."""
     return _act(_kernels.mobius_pushforward, t, etas, vecs)
-
-
-def mobius_compose(t1: MobiusTransform, t2: MobiusTransform) -> MobiusTransform:
-    """Transform acting as ``t1`` after ``t2``."""
-    return MobiusTransform(
-        t1.a * t2.a + t1.b * t2.c,
-        t1.a * t2.b + t1.b * t2.d,
-        t1.c * t2.a + t1.d * t2.c,
-        t1.c * t2.b + t1.d * t2.d,
-    )
-
-
-def mobius_inverse(t: MobiusTransform) -> MobiusTransform:
-    return MobiusTransform(t.d, -t.b, -t.c, t.a)
 
 
 def random_mobius(rng: np.random.Generator) -> MobiusTransform:

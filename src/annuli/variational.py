@@ -137,8 +137,12 @@ def reduced_energy_gradient(k_values: np.ndarray, grid: RadialGrid) -> np.ndarra
     if k.shape != grid.nodes.shape:
         raise ValueError("K values must match the grid nodes")
     a = _interval_coefficients(grid)
-    dk = np.diff(k)
-    return 2.0 * _FOUR_PI * (a[:-1] * dk[:-1] - a[1:] * dk[1:])
+    # the gradient of Q = E / (4 pi) - const that conjugate-gradient
+    # descent runs on, scaled back to E
+    grad = np.empty(a.size - 1)
+    _kernels._form_gradient(a, k, np.empty(a.size), grad)
+    grad *= _FOUR_PI
+    return grad
 
 
 @dataclass(frozen=True)
@@ -170,10 +174,6 @@ def _closed_form_sup_error(pair: AnnulusPair, grid: RadialGrid, values: np.ndarr
     return float(np.max(np.abs(values - closed.eval(grid.nodes))))
 
 
-def _boundary_logs(pair: AnnulusPair):
-    return math.log(pair.r_star), math.log(pair.R_star)
-
-
 def _solution_from_k(pair: AnnulusPair, grid: RadialGrid, a: np.ndarray, k: np.ndarray,
                      iterations: int, converged: bool) -> DiscreteSolution:
     """Solution for the nodal ``K`` values; ``a`` is the interval
@@ -193,6 +193,21 @@ def _constant_solution(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolution:
     return DiscreteSolution(profile, energy, 0, True, pair)
 
 
+def _discrete_minimize(pair: AnnulusPair, grid: RadialGrid, solve) -> DiscreteSolution:
+    """The steps both discrete solvers share: check the grid, answer a
+    degenerate target with the constant profile, and otherwise run
+    ``solve(grid, a, k0, kn) -> (k, iterations, converged)`` on the
+    interval stiffness ``a`` and the boundary values ``k0, kn`` of
+    ``K = log H``."""
+    if grid.annulus != pair.domain:
+        raise ValueError("grid must live on the domain annulus of the pair")
+    if pair.r_star == pair.R_star:
+        return _constant_solution(pair, grid)
+    a = _interval_coefficients(grid)
+    k, iterations, converged = solve(grid, a, math.log(pair.r_star), math.log(pair.R_star))
+    return _solution_from_k(pair, grid, a, k, iterations, converged)
+
+
 def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolution:
     """Minimize the discrete reduced energy by one direct tridiagonal
     solve in ``K = log H``.
@@ -202,20 +217,17 @@ def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolu
     returned ``sup_error_vs_closed_form`` is computed on first read and
     may raise there (see :class:`DiscreteSolution`).
     """
-    if grid.annulus != pair.domain:
-        raise ValueError("grid must live on the domain annulus of the pair")
-    if pair.r_star == pair.R_star:
-        return _constant_solution(pair, grid)
-    a = _interval_coefficients(grid)
-    k0, kn = _boundary_logs(pair)
+    return _discrete_minimize(pair, grid, _direct_k)
+
+
+def _direct_k(grid: RadialGrid, a: np.ndarray, k0: float, kn: float):
     rhs = np.zeros(grid.nodes.size - 2)
     rhs[0] = a[0] * k0
     rhs[-1] = a[-1] * kn
     # the kernel ignores the first lower and the last upper entry
     off = np.negative(a)
     y = _kernels.thomas_solve(off[:-1], a[:-1] + a[1:], off[1:], rhs)
-    k = np.concatenate([[k0], y, [kn]])
-    return _solution_from_k(pair, grid, a, k, 1, True)
+    return np.concatenate([[k0], y, [kn]]), 1, True
 
 
 def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolution:
@@ -237,18 +249,16 @@ def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSo
     such as ``(1, 1 + 1e-10, 1, 2)``.  As for the direct solve,
     ``sup_error_vs_closed_form`` is computed on first read.
     """
-    if grid.annulus != pair.domain:
-        raise ValueError("grid must live on the domain annulus of the pair")
-    if pair.r_star == pair.R_star:
-        return _constant_solution(pair, grid)
-    a = _interval_coefficients(grid)
-    k0, kn = _boundary_logs(pair)
+    return _discrete_minimize(pair, grid, _cg_k)
+
+
+def _cg_k(grid: RadialGrid, a: np.ndarray, k0: float, kn: float):
     t = grid.nodes
     k = k0 + (t - t[0]) / (t[-1] - t[0]) * (kn - k0)
     # the kernel minimizes Q = E / (4 pi) - const, so rescale the
     # gradient tolerance accordingly
     iters, converged = _kernels.gd_quadratic(a, k, _CG_MAX_ITER, _CG_TOL / _FOUR_PI)
-    return _solution_from_k(pair, grid, a, k, int(iters), bool(converged))
+    return k, int(iters), bool(converged)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ from annuli import (
     exp_profile_from_boundary,
     inversion_transform,
     make_radial_grid,
-    map_differential,
     map_eval_many,
     perturbed_profile,
     random_mobius,
 )
+from reference import map_differential
 
 
 def fd_derivative(fn, t, h=1e-6):

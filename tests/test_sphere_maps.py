@@ -9,19 +9,22 @@ from hypothesis import strategies as st
 from annuli import (
     MobiusTransform,
     conformal_stretch_points,
-    inverse_stereographic,
     make_sphere_quadrature,
     mobius_apply_points,
-    mobius_compose,
-    mobius_inverse,
     mobius_pushforward,
     random_mobius,
     sphere_inequality_integral,
-    stereographic,
     tangent_frames,
 )
 from annuli.geometry import row_norms
 from annuli.sphere_maps import _apply_to_units
+from reference import (
+    inverse_stereographic,
+    mobius_compose,
+    mobius_inverse,
+    mobius_matrix,
+    stereographic,
+)
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -64,6 +67,35 @@ class TestMobiusTransform:
     def test_singular_matrix_rejected(self):
         with pytest.raises(ValueError):
             MobiusTransform(1.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("entries,match", [
+        ((math.nan, 0.0, 0.0, 1.0), "entries must be finite"),
+        ((0.0, 1.0, complex(1.0, math.inf), 0.0), "entries must be finite"),
+        ((math.inf, 0.0, 0.0, 1.0), "entries must be finite"),
+        # a scaled identity whose determinant overflows used to normalize
+        # to all-zero entries
+        ((1e200, 0.0, 0.0, 1e200), r"determinant a d - b c = \(inf\+0j\)"),
+        ((1e200, 1e200, 1e200, 1e200), r"determinant a d - b c = \(nan\+0j\)"),
+        # a finite determinant below 1 whose square root overflows a / s
+        ((1e306, 0.0, 0.0, 1e-316), "not all finite"),
+    ], ids=["nan", "complex-inf", "inf", "inf-determinant", "nan-determinant",
+            "overflowing-normalization"])
+    def test_non_finite_matrix_rejected(self, entries, match):
+        with pytest.raises(ValueError, match=match):
+            MobiusTransform(*entries)
+
+    def test_determinant_of_modulus_beyond_the_float_range(self):
+        # |a d - b c| = 2.4e308 although both of its parts are finite
+        t = MobiusTransform(complex(1.3e154, 1.3e154), 0.0, 0.0, 1.3e154)
+        a, b, c, d = entries(t)
+        assert cmath.isclose(a * d - b * c, 1.0, abs_tol=1e-14)
+
+    def test_finite_entries_divide_by_the_root_of_the_determinant(self, rng):
+        for _ in range(50):
+            a, b, c, d = rng.normal(size=4) + 1j * rng.normal(size=4)
+            a, b, c, d = (complex(v) for v in (a, b, c, d))
+            s = cmath.sqrt(a * d - b * c)
+            assert entries(MobiusTransform(a, b, c, d)) == (a / s, b / s, c / s, d / s)
 
     def test_identity_fixes_sample_points(self, rng):
         t = MobiusTransform.identity()
@@ -295,7 +327,7 @@ class TestRandomMobius:
         rng = np.random.default_rng(0)
         for _ in range(200):
             t = random_mobius(rng)
-            m = t.matrix
+            m = mobius_matrix(t)
             f2 = float(np.sum(np.abs(m) ** 2))
             kappa = (f2 + math.sqrt(max(f2 * f2 - 4.0, 0.0))) / 2.0
             assert kappa <= 5.0 + 1e-9
