@@ -219,9 +219,11 @@ def parse_config(argv) -> RunConfig:
             raise ConfigError("sweep needs at least one --sweep PARAM=START:STOP:COUNT")
         if len(sweeps) > 2:
             raise ConfigError("at most two sweep axes are supported")
+        swept = {param for param, _, _, _ in sweeps}
+        if len(swept) < len(sweeps):
+            raise ConfigError(f"sweep axes must vary different radii, got {sweeps[0][0]} on both")
         if math.prod(count for _, _, _, count in sweeps) > MAX_SWEEP_ROWS:
             raise ConfigError(f"a sweep has at most {MAX_SWEEP_ROWS} rows")
-        swept = {param for param, _, _, _ in sweeps}
 
     radii = {k: pick(k) for k in _RADIUS_KEYS}
     given = [k for k, v in radii.items() if v is not None]

@@ -15,11 +15,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import EvaluationError
 from .geometry import Annulus, AnnulusPair, _log_ratio, gauss_legendre, make_sphere_quadrature
+from .geometry import _four_pi_times
 from .maps import (
     AnnulusMap,
     GeneralizedRadialMap,
@@ -212,39 +214,22 @@ def dirichlet_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int = 64,
     return _energy(f, pair, radial_order, sphere_order, refine, False)
 
 
-def _exp_or_inf(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def _log_min_weighted_energy(pair: AnnulusPair) -> float:
-    """Log of the weighted minimum, finite for every valid pair: each
-    term of the sum is taken in logs."""
-    r, R = pair.r, pair.R
-    terms = [math.log(2.0) + math.log(R - r)]
-    ell = abs(_log_ratio(pair.R_star, pair.r_star))
-    if ell > 0.0:
-        terms.append(math.log(r) + math.log(R) + 2.0 * math.log(ell) - math.log(R - r))
-    hi = max(terms)
-    return math.log(4.0 * math.pi) + hi + math.log(sum(math.exp(x - hi) for x in terms))
+def _min_weighted_energy(pair: AnnulusPair) -> Fraction:
+    """The weighted minimum over ``4 pi``, exact on the float radii and
+    the float ``log(R_star / r_star)``."""
+    r, R = Fraction(pair.r), Fraction(pair.R)
+    ell = Fraction(_log_ratio(pair.R_star, pair.r_star))
+    return 2 * (R - r) + r * R * ell * ell / (R - r)
 
 
 def analytic_min_weighted_energy(pair: AnnulusPair) -> float:
     """Minimum of the weighted energy over homeomorphisms between the
     shells of a pair:
 
-    ``4 pi (2 (R - r) + r R log^2(R_star / r_star) / (R - r))``.
-    A minimum beyond the float range is ``inf``.
+    ``4 pi (2 (R - r) + r R log^2(R_star / r_star) / (R - r))``, exact
+    on the float radii and rounded once; ``inf`` beyond the float range.
     """
-    r, R = pair.r, pair.R
-    ell = _log_ratio(pair.R_star, pair.r_star)
-    value = 4.0 * math.pi * (2.0 * (R - r) + r * R * ell * ell / (R - r))
-    if math.isfinite(value):
-        return value
-    # r * R overflows for extreme radii; the minimum itself may not
-    return _exp_or_inf(_log_min_weighted_energy(pair))
+    return _four_pi_times(_min_weighted_energy(pair))
 
 
 def dirichlet_lower_bound(pair: AnnulusPair) -> float:
@@ -255,14 +240,7 @@ def dirichlet_lower_bound(pair: AnnulusPair) -> float:
     ``integral(|Df|^2) >= r_star^2 * integral(|Df|^2 / |f|^2)``, and the
     right side is at least ``r_star^2`` times the weighted minimum.  The
     bound is strictly below the harmonic-map energy whenever the latter
-    exists.  A bound beyond the float range is ``inf``; one below it is 0.
+    exists.  Exact on the float radii and rounded once, it is ``inf``
+    beyond the float range and rounds toward 0 below it.
     """
-    try:
-        scale = pair.r_star**2
-    except OverflowError:
-        scale = math.inf
-    bound = scale * analytic_min_weighted_energy(pair)
-    if 0.0 < bound < math.inf:
-        return bound
-    # a factor left the float range; the product need not have
-    return _exp_or_inf(2.0 * math.log(pair.r_star) + _log_min_weighted_energy(pair))
+    return _four_pi_times(Fraction(pair.r_star) ** 2 * _min_weighted_energy(pair))

@@ -8,12 +8,14 @@ a product rule on the sphere.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EvaluationError
 
 SPACING_MODES = ("uniform-in-t", "uniform-in-1/t")
 
@@ -92,6 +94,32 @@ class AnnulusPair:
     @property
     def R_star(self) -> float:
         return self.target.outer
+
+
+def _four_pi_times(exact: Fraction) -> float:
+    """``4 pi`` times the float nearest ``exact``; ``inf`` beyond the float range."""
+    try:
+        return 4.0 * math.pi * float(exact)
+    except OverflowError:
+        return math.inf
+
+
+def _profile_coefficient(name: str, exact, profile: str, pair: AnnulusPair) -> float:
+    """Coefficient ``name`` of ``profile``: ``exact``, a ``Fraction`` or a
+    float from ``exp``, rounded once.  It must be finite, and normal or
+    within 1e-12 relative of a ``Fraction``; else :class:`EvaluationError`
+    names it and the radii."""
+    try:
+        value = float(exact)
+    except OverflowError:
+        value = math.inf if exact > 0 else -math.inf
+    if math.isfinite(value) and (abs(value) >= sys.float_info.min or (
+            isinstance(exact, Fraction) and abs(exact - Fraction(value)) <= abs(exact) / 10**12)):
+        return value
+    how = ", rounded through subnormal floats" if math.isfinite(value) else ""
+    raise EvaluationError(f"{profile} has {name} = {value!r}{how}; the radii r = {pair.r!r}, "
+                          f"R = {pair.R!r}, r_star = {pair.r_star!r}, R_star = {pair.R_star!r} "
+                          "are too extreme for floating point")
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,6 +222,14 @@ def make_sphere_quadrature(order: int) -> SphericalQuadrature:
 _AXES = np.eye(3)
 
 
+def _as_points(points) -> np.ndarray:
+    """``points`` as a float array, which must have shape ``(N, 3)``."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"expected points of shape (N, 3), got shape {pts.shape}")
+    return pts
+
+
 def row_norms(pts: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of an ``(N, 3)`` array.
 
@@ -212,7 +248,7 @@ def tangent_frames(points: np.ndarray):
     axis is chosen by the largest-magnitude component of the point, so
     nearby points get nearby frames and no cross product degenerates.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _as_points(points)
     norms = row_norms(pts)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise ValueError("tangent frames require unit vectors")

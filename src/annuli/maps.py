@@ -10,13 +10,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .geometry import AnnulusPair, RadialGrid, _log_ratio, row_norms
+from .geometry import AnnulusPair, RadialGrid, _as_points, _log_ratio, _profile_coefficient, row_norms
 from .sphere_maps import MobiusTransform, _apply_to_units
 
 # central-difference step of every map differential, relative to |x|
@@ -178,33 +179,25 @@ def exp_profile_from_boundary(pair: AnnulusPair, orientation: str = "increasing"
     ``increasing`` interpolates ``H(r) = r_star, H(R) = R_star``;
     ``decreasing`` swaps the target radii.  The two profiles multiply to
     the constant ``r_star * R_star``.
+    With the float ``ell = log(hi / lo)``, ``b = -ell r R / (R - r)`` and
+    the exponent of ``a = lo exp(ell R / (R - r))`` are exact on the float
+    radii and rounded once; ``geometry._profile_coefficient`` checks both.
     """
-    r, R = pair.r, pair.R
     if orientation == "increasing":
         lo, hi = pair.r_star, pair.R_star
     elif orientation == "decreasing":
         lo, hi = pair.R_star, pair.r_star
     else:
         raise ValueError("orientation must be 'increasing' or 'decreasing'")
-    ell = _log_ratio(hi, lo)
+    profile = f"{orientation} exponential profile a exp(b / t)"
+    r, R = Fraction(pair.r), Fraction(pair.R)
+    exponent = Fraction(_log_ratio(hi, lo)) * R / (R - r)
     try:
-        a = lo * math.exp(ell * R / (R - r))
+        a = lo * math.exp(float(exponent))
     except OverflowError:
         a = math.inf
-    b = -ell * r * R / (R - r)
-    if not (0.0 < a < math.inf and math.isfinite(b)):
-        raise EvaluationError(f"{orientation} exponential profile a exp(b / t) has a = {a!r}, "
-                              f"b = {b!r}; the radii are too extreme for floating point")
-    # b / r must reproduce the exponent at the inner radius, whose error is
-    # the relative error of H(r); a subnormal b, or a subnormal product on
-    # the way to it, keeps too few digits for that
-    exponent = -ell * (R / (R - r))
-    if not abs(b / r - exponent) <= 1e-12 * max(1.0, abs(exponent)):
-        raise EvaluationError(f"{orientation} exponential profile a exp(b / t) has b = {b!r}, "
-                              f"rounded through subnormal floats: b / r = {b / r!r}, not "
-                              f"{exponent!r}; the inner radius r = {r!r} is too small "
-                              "for floating point")
-    return ExponentialProfile(a=a, b=b)
+    return ExponentialProfile(a=_profile_coefficient("a", a, profile, pair),
+                              b=_profile_coefficient("b", -exponent * r, profile, pair))
 
 
 @dataclass(frozen=True)
@@ -233,12 +226,13 @@ AnnulusMap = Union[GeneralizedRadialMap, SampledMap]
 
 
 def map_eval_many(f: AnnulusMap, points: np.ndarray) -> np.ndarray:
-    """Evaluate a map on an ``(N, 3)`` array of points."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError("expected points of shape (N, 3)")
+    """Evaluate a map on an ``(N, 3)`` array of points, to one of that shape."""
+    points = _as_points(points)
     if isinstance(f, SampledMap):
-        return np.asarray(f.evaluator(points), dtype=float)
+        image = np.asarray(f.evaluator(points), dtype=float)
+        if image.shape != points.shape:
+            raise ValueError(f"map evaluator returned shape {image.shape}, not {points.shape}")
+        return image
     t = row_norms(points)
     if np.any(t <= 0.0):
         raise DomainError("radial map undefined at the origin")

@@ -4,18 +4,18 @@ The radial harmonic boundary value problem has the closed-form solution
 ``H(t) = a t + b / t^2``.  It is a monotone (hence injective) profile
 exactly when the target radii satisfy
 ``r_star / R_star <= 3 r R^2 / (r^3 + 2 R^3)``; this module evaluates
-that condition exactly in integer arithmetic, checks it against the
-slope of ``H`` at the two boundary radii (``H'' = 6 b / t^4`` has one
-sign, so the least slope on ``[r, R]`` is at an endpoint), and provides
-the harmonic map's Dirichlet energy in closed form.
+that condition, checks it against the slope of ``H`` at the two
+boundary radii (``H'' = 6 b / t^4`` has one sign, so the least slope on
+``[r, R]`` is at an endpoint), and provides the harmonic map's
+Dirichlet energy in closed form.  Each is exact on the float radii,
+scaled to integers by one power of two, and rounded once.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import AnnulusPair
+from .geometry import AnnulusPair, _four_pi_times, _profile_coefficient
 from .maps import HarmonicProfile
 
 
@@ -38,7 +38,7 @@ def nitsche_condition(pair: AnnulusPair) -> NitscheVerdict:
     Python's int division rounds correctly, so ``ratio``, ``threshold``
     and ``margin`` are the exact values rounded once.
     """
-    r, R, rs, Rs = _integer_radii(pair)
+    (r, R, rs, Rs), _ = _integer_radii(pair)
     num, den = 3 * r * R * R, r**3 + 2 * R**3
     return NitscheVerdict(
         admissible=rs * den <= num * Rs,
@@ -53,10 +53,16 @@ def harmonic_radial_bvp(pair: AnnulusPair) -> HarmonicProfile:
     spheres, ``H(t) = a t + b / t^2`` with
 
     ``a = (r^2 r_star - R^2 R_star) / (r^3 - R^3)`` and
-    ``b = r^2 R^2 (r R_star - R r_star) / (r^3 - R^3)``.
+    ``b = r^2 R^2 (r R_star - R r_star) / (r^3 - R^3)``, each exact on the
+    float radii and rounded once; ``geometry._profile_coefficient`` checks
+    both and raises :class:`EvaluationError` naming the radii.
     """
-    a_num, b_num, denom = _bvp_terms(pair.r, pair.R, pair.r_star, pair.R_star)
-    return HarmonicProfile(a=a_num / denom, b=b_num / denom)
+    radii, scale = _integer_radii(pair)
+    a_num, b_num, denom = _bvp_terms(*radii)
+    profile = "harmonic profile a t + b / t^2"
+    return HarmonicProfile(a=_profile_coefficient("a", Fraction(a_num, denom), profile, pair),
+                           b=_profile_coefficient("b", Fraction(b_num, denom * scale**3),
+                                                  profile, pair))
 
 
 def harmonic_profile_monotone(pair: AnnulusPair) -> bool:
@@ -69,7 +75,7 @@ def harmonic_profile_monotone(pair: AnnulusPair) -> bool:
     decided exactly on the float radii scaled to integers by one power of
     two.  At the threshold ``H'(r)`` is exactly 0, which counts as monotone.
     """
-    r, R, rs, Rs = _integer_radii(pair)
+    (r, R, rs, Rs), _ = _integer_radii(pair)
     a_num, b_num, _ = _bvp_terms(r, R, rs, Rs)
     return all(a_num * t**3 - 2 * b_num <= 0 for t in (r, R))
 
@@ -78,39 +84,24 @@ def analytic_dirichlet_energy_radial(pair: AnnulusPair) -> float:
     """Dirichlet energy of the radial harmonic BVP map,
 
     ``4 pi (r (r^3 + 2 R^3) r_star^2 - 6 r^2 R^2 r_star R_star
-    + R (2 r^3 + R^3) R_star^2) / (R^3 - r^3)``.
+    + R (2 r^3 + R^3) R_star^2) / (R^3 - r^3)``,
 
-    Where the float formula overflows or underflows, the rational value
-    is rounded once instead; an energy beyond the float range is ``inf``.
+    exact on the float radii and rounded once: an energy beyond the float
+    range is ``inf``, one below it rounds toward 0.
     """
-    radii = (pair.r, pair.R, pair.r_star, pair.R_star)
-    try:
-        num, den = _energy_terms(*radii)
-        energy = 4.0 * math.pi * num / den
-    except (OverflowError, ZeroDivisionError):  # R^3 - r^3 may underflow to 0
-        energy = math.nan
-    if math.isfinite(energy):
-        return energy
-    num, den = _energy_terms(*map(Fraction, radii))
-    try:
-        return 4.0 * math.pi * float(num / den)
-    except OverflowError:
-        return math.inf
+    (r, R, rs, Rs), scale = _integer_radii(pair)
+    num = r * (r**3 + 2 * R**3) * rs**2 - 6 * r**2 * R**2 * rs * Rs + R * (2 * r**3 + R**3) * Rs**2
+    return _four_pi_times(Fraction(num, (R**3 - r**3) * scale**3))
 
 
 def _integer_radii(pair: AnnulusPair):
-    """The float radii times one power of two, as exact ints."""
+    """The float radii times one power of two ``scale``, as ints; and ``scale``."""
     ratios = [x.as_integer_ratio() for x in (pair.r, pair.R, pair.r_star, pair.R_star)]
-    den = max(d for _, d in ratios)  # powers of two: each divides the largest
-    return tuple(n * (den // d) for n, d in ratios)
+    scale = max(d for _, d in ratios)  # powers of two: each divides the largest
+    return [n * (scale // d) for n, d in ratios], scale
 
 
 def _bvp_terms(r, R, rs, Rs):
     """Numerators of the BVP's ``a`` and ``b``, and their denominator."""
     return r**2 * rs - R**2 * Rs, r**2 * R**2 * (r * Rs - R * rs), r**3 - R**3
 
-
-def _energy_terms(r, R, rs, Rs):
-    num = r * (r**3 + 2 * R**3) * rs**2 - 6 * r**2 * R**2 * rs * Rs \
-        + R * (2 * r**3 + R**3) * Rs**2
-    return num, R**3 - r**3

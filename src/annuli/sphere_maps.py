@@ -18,7 +18,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import _kernels
-from .geometry import SphericalQuadrature, row_norms, tangent_frames
+from .geometry import SphericalQuadrature, _as_points, row_norms, tangent_frames
 
 _DET_TOL = 1e-12
 # angle of the centred great-circle differences of a callable sphere map
@@ -68,9 +68,7 @@ class MobiusTransform:
 def _act(kernel, t: MobiusTransform, pts, *vecs):
     """Run a sphere-action kernel of ``_kernels`` on unit vectors of shape
     ``(N, 3)`` and on tangent vectors of the same shape."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("expected points of shape (N, 3)")
+    pts = _as_points(pts)
     if np.any(np.abs(row_norms(pts) - 1.0) > 1e-9):
         raise ValueError("sphere action expects unit vectors")
     vecs = [np.asarray(v, dtype=float) for v in vecs]

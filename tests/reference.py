@@ -1,12 +1,14 @@
 """Independent reference formulas that the tests check the package against.
 
 None of these is part of the ``annuli`` API.  The stereographic chart
-and the 2x2 matrix product check the Lorentz-matrix sphere action, and
-the analytic single-point differential checks the finite-difference
-differential of a generalized radial map.
+and the 2x2 matrix product check the Lorentz-matrix sphere action, the
+analytic single-point differential checks the finite-difference
+differential of a generalized radial map, and the logs of the closed-form
+energies decide where those energies lie beyond the float range.
 """
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from annuli import (
     mobius_pushforward,
     tangent_frames,
 )
+from annuli.geometry import _log_ratio
 
 
 def stereographic(p) -> complex:
@@ -84,3 +87,29 @@ def map_differential(f: GeneralizedRadialMap, x) -> np.ndarray:
     d = np.outer(hd * s, eta)
     d += (h / t) * (np.outer(ds[0], u[0]) + np.outer(ds[1], v[0]))
     return d
+
+
+def log_min_weighted_energy(pair) -> float:
+    """Log of the weighted minimum, finite for every valid pair: each
+    term of the sum is taken in logs."""
+    r, R = pair.r, pair.R
+    terms = [math.log(2.0) + math.log(R - r)]
+    ell = abs(_log_ratio(pair.R_star, pair.r_star))
+    if ell > 0.0:
+        terms.append(math.log(r) + math.log(R) + 2.0 * math.log(ell) - math.log(R - r))
+    hi = max(terms)
+    return math.log(4.0 * math.pi) + hi + math.log(sum(math.exp(x - hi) for x in terms))
+
+
+def log_dirichlet_energy_radial(pair) -> float:
+    """Log of the harmonic map's Dirichlet energy, finite for every valid
+    pair.  With the exact coefficients ``a`` and ``b`` of
+    ``H(t) = a t + b / t^2``, the integrand ``t^2 H'^2 + 2 H^2`` is
+    ``3 a^2 t^2 + 6 b^2 / t^4``, so the energy is
+    ``4 pi (R^3 - r^3) (a^2 + 2 b^2 / (r R)^3)``, a sum of squares."""
+    r, R, rs, Rs = map(Fraction, (pair.r, pair.R, pair.r_star, pair.R_star))
+    cube = R**3 - r**3
+    a = (R**2 * Rs - r**2 * rs) / cube
+    b = r**2 * R**2 * (R * rs - r * Rs) / cube
+    energy = cube * (a * a + 2 * b * b / (r * R) ** 3)
+    return math.log(4.0 * math.pi) + math.log(energy.numerator) - math.log(energy.denominator)

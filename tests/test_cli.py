@@ -252,6 +252,12 @@ class TestSweepCommand:
                                "--sweep", "Rstar=1.5:2:2")
         assert code == 0, err
 
+    def test_one_radius_on_both_axes_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", *CANON[:6], "--Rstar", "2",
+                                 "--sweep", "Rstar=2:3:2", "--sweep", "Rstar=1:2:2")
+        assert code == 2 and out == ""
+        assert err == "error: sweep axes must vary different radii, got Rstar on both\n"
+
     def test_bad_sweep_spec(self, capsys):
         code, _, err = run_cli(capsys, "sweep", *CANON, "--sweep", "Rstar=1:2")
         assert code == 2 and "sweep" in err.lower()
@@ -284,7 +290,7 @@ _ERROR_CAUSES = {
     "energy --r 1 --R 2 --rstar 1e-300 --Rstar 1e300":
         "error: EvaluationError: increasing exponential profile a exp(b / t) has a = inf",
     "energy --r 1e200 --R 1e300 --rstar 1 --Rstar 2":
-        "error: EvaluationError: increasing exponential profile a exp(b / t) has a = 2.0, b = -inf",
+        "error: EvaluationError: radial energy integral is not finite (nan): t^2 overflows",
     "nitsche --r 1 --R 2 --rstar 1 --Rstar 2 --output /nonexistent/x.csv":
         "error: cannot write output file: [Errno 2] No such file or directory",
     "nitsche --r 1 --R 2 --rstar 1 --Rstar 2 --output .":

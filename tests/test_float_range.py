@@ -1,11 +1,12 @@
 """Float-range contract: for radii anywhere in the float range, the
 direct solve, shooting and the closed forms give a finite answer or
 raise ``DomainError`` / ``EvaluationError``, never a warning or another
-exception.  The two closed-form energies return ``inf`` where the value
+exception.  The three closed-form energies return ``inf`` where the value
 itself lies beyond the float range, and only there."""
 import math
 import sys
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 from hypothesis import given, settings
@@ -16,18 +17,30 @@ from annuli import (
     DomainError,
     EvaluationError,
     GeneralizedRadialMap,
+    analytic_dirichlet_energy_radial,
     analytic_min_weighted_energy,
     dirichlet_lower_bound,
     exp_profile_from_boundary,
+    harmonic_radial_bvp,
     make_radial_grid,
     minimize_reduced_energy,
     nitsche_condition,
     shoot_el,
     weighted_energy,
 )
-from annuli.energy import _log_min_weighted_energy
+from reference import log_dirichlet_energy_radial, log_min_weighted_energy
 
 _LOG_MAX = math.log(sys.float_info.max)
+
+
+def _checked_energy(energy: float, log_energy: float) -> float:
+    """``energy`` if it is finite and not negative, 0.0 where it is
+    ``inf`` because the value itself lies beyond the float range, and nan,
+    which fails the finiteness check, otherwise."""
+    if energy == math.inf and log_energy > _LOG_MAX:
+        return 0.0
+    return energy if energy >= 0.0 else math.nan
+
 
 _ROUTES = {
     "minimize_reduced_energy": lambda p: minimize_reduced_energy(
@@ -36,6 +49,9 @@ _ROUTES = {
     "nitsche_condition": lambda p: nitsche_condition(p).margin,
     "weighted_energy": lambda p: weighted_energy(
         GeneralizedRadialMap(exp_profile_from_boundary(p)), p).value,
+    "harmonic_radial_bvp": lambda p: astuple(harmonic_radial_bvp(p)),
+    "analytic_dirichlet_energy_radial": lambda p: _checked_energy(
+        analytic_dirichlet_energy_radial(p), log_dirichlet_energy_radial(p)),
 }
 
 
@@ -69,7 +85,7 @@ class TestFloatRange:
                     continue
                 assert np.all(np.isfinite(value)), (name, radii)
             try:
-                log_min = _log_min_weighted_energy(pair)
+                log_min = log_min_weighted_energy(pair)
                 minimum = analytic_min_weighted_energy(pair)
                 bound = dirichlet_lower_bound(pair)
             except (DomainError, EvaluationError):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,13 @@ class TestTangentFrames:
     def test_rejects_non_unit_normal(self):
         with pytest.raises(ValueError):
             tangent_frames(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]))
+
+    @pytest.mark.parametrize("points", [[[0.0, 1.0], [1.0, 0.0]], [0.0, 0.0, 1.0]],
+                             ids=["two-columns", "one-dimensional"])
+    def test_rejects_points_not_of_shape_n_by_3(self, points):
+        shape = np.shape(points)
+        with pytest.raises(ValueError, match=rf"shape \(N, 3\), got shape {re.escape(str(shape))}"):
+            tangent_frames(np.array(points))
 
 
 class TestRowNorms:

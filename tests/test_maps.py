@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -255,6 +256,22 @@ class TestInversionTransform:
         f = GeneralizedRadialMap(exp_profile_from_boundary(canonical_pair, "increasing"))
         with pytest.raises(ValueError):
             inversion_transform(f, a=0.0)
+
+
+class TestSampledMap:
+    @pytest.mark.parametrize("evaluator, shape", [(lambda x: x[:, :2], (2, 2)),
+                                                  (lambda x: x[:, 0], (2,))],
+                             ids=["two-columns", "one-dimensional"])
+    def test_evaluator_of_the_wrong_shape_is_rejected(self, evaluator, shape, canonical_pair):
+        from annuli import SampledMap, weighted_energy
+
+        f = SampledMap(evaluator=evaluator)
+        message = f"map evaluator returned shape {shape}, not (2, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            map_eval_many(f, np.ones((2, 3)))
+        # the FD route evaluates on the stencil and used to integrate the result
+        with pytest.raises(ValueError, match="map evaluator returned shape"):
+            weighted_energy(f, canonical_pair, 16, 8, refine=False)
 
 
 class TestPerturbedProfile:
