@@ -53,9 +53,11 @@ class EnergyReport:
 def _profile_quadrature(profile: RadialProfile, annulus: Annulus, order: int):
     """Radial quadrature triples (t, weight, H, H') for a profile.
 
-    Sampled profiles integrate their piecewise-linear interpolant
-    exactly with a two-point rule per interval; closed forms use a
-    single global Gauss rule.
+    Sampled profiles take a two-point Gauss rule per interval on their
+    piecewise-linear interpolant, with its slope as ``H'``.  That rule is
+    exact for the plain Dirichlet integrand, a polynomial on each
+    interval, but not for the weighted one, ``t^2 (H'/H)^2``.  Closed
+    forms use a single global Gauss rule.
     """
     if isinstance(profile, SampledProfile):
         t = profile.grid.nodes
@@ -64,11 +66,8 @@ def _profile_quadrature(profile: RadialProfile, annulus: Annulus, order: int):
         mid = 0.5 * (t[:-1] + t[1:])
         off = dt * (0.5 / math.sqrt(3.0))
         tq = np.concatenate([mid - off, mid + off])
-        hq = np.concatenate([profile.values[:-1] + (mid - off - t[:-1]) * slopes,
-                             profile.values[:-1] + (mid + off - t[:-1]) * slopes])
-        hdq = np.concatenate([slopes, slopes])
         wq = np.concatenate([0.5 * dt, 0.5 * dt])
-        return tq, wq, hq, hdq
+        return tq, wq, profile.eval(tq), np.concatenate([slopes, slopes])
     tq, wq = gauss_legendre(annulus.inner, annulus.outer, order)
     # extreme radii overflow here; _radial_integral raises on the result
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -159,12 +159,11 @@ def make_radial_grid(annulus: Annulus, n: int, spacing_mode: str = "uniform-in-t
         raise ValueError("need at least two intervals")
     if annulus.is_degenerate:
         raise DomainError(f"cannot grid a degenerate annulus, got {annulus!r}")
-    if spacing_mode == "uniform-in-t":
-        nodes = np.linspace(annulus.inner, annulus.outer, n + 1)
-    elif spacing_mode == "uniform-in-1/t":
+    # RadialGrid rejects any other mode
+    if spacing_mode == "uniform-in-1/t":
         nodes = 1.0 / np.linspace(1.0 / annulus.inner, 1.0 / annulus.outer, n + 1)
     else:
-        raise ValueError(f"unknown spacing mode {spacing_mode!r}")
+        nodes = np.linspace(annulus.inner, annulus.outer, n + 1)
     nodes[0] = annulus.inner
     nodes[-1] = annulus.outer
     return RadialGrid(annulus, nodes, spacing_mode)

@@ -2,16 +2,18 @@
 
 A generalized radial map sends ``x`` with ``t = |x|`` to
 ``H(t) * T(x / t)`` where ``H`` is a positive radial profile and ``T`` a
-Moebius transform of the unit sphere.  Sampled maps wrap an arbitrary
-vectorized evaluator and are differentiated by finite differences.
+Moebius transform of the unit sphere.  Closed-form profiles have
+derivatives; sampled profiles have values only.  Sampled maps wrap an
+arbitrary vectorized evaluator and are differentiated by finite
+differences.
 """
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -27,10 +29,9 @@ _FD_STEP = 1e-5
 class _Profile:
     """Front shared by every radial profile.
 
-    ``eval`` and ``derivative`` take a radius or an array of radii, run
-    the class's domain check (``t > 0`` unless overridden) and return a
-    Python float for a scalar radius.  A class supplies ``_h``, ``_d1``
-    and ``_d2`` on float arrays.
+    ``eval`` takes a radius or an array of radii, runs the class's domain
+    check (``t > 0`` unless overridden) and returns a Python float for a
+    scalar radius.  A class supplies ``_h`` on float arrays.
     """
 
     def _check(self, t):
@@ -48,6 +49,11 @@ class _Profile:
     def eval(self, t):
         return self._front(t, self._h)
 
+
+class _ClosedFormProfile(_Profile):
+    """A profile given by a formula; it also supplies ``_d1`` and ``_d2``,
+    which ``derivative`` evaluates through the same front."""
+
     def derivative(self, t, order: int = 1):
         if order not in (1, 2):
             raise ValueError("derivative order must be 1 or 2")
@@ -55,7 +61,7 @@ class _Profile:
 
 
 @dataclass(frozen=True)
-class ExponentialProfile(_Profile):
+class ExponentialProfile(_ClosedFormProfile):
     """Profile ``H(t) = a * exp(b / t)`` with ``a > 0``.
 
     This two-parameter family contains every solution of the radial
@@ -80,7 +86,7 @@ class ExponentialProfile(_Profile):
 
 
 @dataclass(frozen=True)
-class HarmonicProfile(_Profile):
+class HarmonicProfile(_ClosedFormProfile):
     """Profile ``H(t) = a t + b / t^2``; the radial part of a harmonic
     map of shells, not of a weighted-energy minimizer."""
 
@@ -101,9 +107,9 @@ class HarmonicProfile(_Profile):
 class SampledProfile(_Profile):
     """Piecewise-linear profile on a radial grid.
 
-    Derivatives come from second-order stencils at the nodes (one-sided
-    at the endpoints) interpolated linearly in between, so they are
-    usable anywhere on the closed interval.
+    It has values only, no ``derivative``: the discrete minimizers are
+    judged by the discrete Euler-Lagrange equation they solve, not by
+    differences of their samples.
     """
 
     grid: RadialGrid
@@ -126,51 +132,18 @@ class SampledProfile(_Profile):
             raise DomainError(f"profile sampled on [{a.inner}, {a.outer}], got radius outside: "
                               f"t = {float(outside[0])!r}")
 
-    @cached_property
-    def _nodal(self) -> tuple[np.ndarray, np.ndarray]:
-        return _nodal_derivatives(self.grid.nodes, self.values)
-
     def _h(self, t):
         return np.interp(t, self.grid.nodes, self.values)
 
-    def _d1(self, t):
-        return np.interp(t, self.grid.nodes, self._nodal[0])
-
-    def _d2(self, t):
-        return np.interp(t, self.grid.nodes, self._nodal[1])
-
-
-def _nodal_derivatives(t: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order first and second derivatives on a nonuniform grid.
-
-    First derivatives are one-sided at the endpoints; second derivatives
-    there repeat their neighbours'.
-    """
-    hm = t[1:-1] - t[:-2]
-    hp = t[2:] - t[1:-1]
-    denom = hm * hp * (hm + hp)
-    d1 = np.empty_like(y)
-    d1[1:-1] = (hm**2 * y[2:] - hp**2 * y[:-2] + (hp**2 - hm**2) * y[1:-1]) / denom
-    h0, h1 = hm[0], hp[0]
-    d1[0] = (
-        -(2.0 * h0 + h1) / (h0 * (h0 + h1)) * y[0]
-        + (h0 + h1) / (h0 * h1) * y[1]
-        - h0 / (h1 * (h0 + h1)) * y[2]
-    )
-    g0, g1 = hp[-1], hm[-1]
-    d1[-1] = (
-        (2.0 * g0 + g1) / (g0 * (g0 + g1)) * y[-1]
-        - (g0 + g1) / (g0 * g1) * y[-2]
-        + g0 / (g1 * (g0 + g1)) * y[-3]
-    )
-    d2 = np.empty_like(y)
-    d2[1:-1] = 2.0 * (hm * y[2:] + hp * y[:-2] - (hm + hp) * y[1:-1]) / denom
-    d2[0] = d2[1]
-    d2[-1] = d2[-2]
-    return d1, d2
-
 
 RadialProfile = Union[ExponentialProfile, HarmonicProfile, SampledProfile]
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def exp_profile_from_boundary(pair: AnnulusPair, orientation: str = "increasing") -> ExponentialProfile:
@@ -182,6 +155,8 @@ def exp_profile_from_boundary(pair: AnnulusPair, orientation: str = "increasing"
     With the float ``ell = log(hi / lo)``, ``b = -ell r R / (R - r)`` and
     the exponent of ``a = lo exp(ell R / (R - r))`` are exact on the float
     radii and rounded once; ``geometry._profile_coefficient`` checks both.
+    Where ``exp`` of the exponent overflows or underflows, ``a`` is
+    ``exp(log lo + exponent)``, so any ``a`` in the float range is found.
     """
     if orientation == "increasing":
         lo, hi = pair.r_star, pair.R_star
@@ -192,10 +167,10 @@ def exp_profile_from_boundary(pair: AnnulusPair, orientation: str = "increasing"
     profile = f"{orientation} exponential profile a exp(b / t)"
     r, R = Fraction(pair.r), Fraction(pair.R)
     exponent = Fraction(_log_ratio(hi, lo)) * R / (R - r)
-    try:
-        a = lo * math.exp(float(exponent))
-    except OverflowError:
-        a = math.inf
+    scale = _exp_or_inf(float(exponent))
+    # where exp alone leaves the normal float range, a itself may not
+    a = lo * scale if sys.float_info.min <= scale < math.inf else _exp_or_inf(
+        math.log(lo) + float(exponent))
     return ExponentialProfile(a=_profile_coefficient("a", a, profile, pair),
                               b=_profile_coefficient("b", -exponent * r, profile, pair))
 

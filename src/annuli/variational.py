@@ -21,9 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, EvaluationError
+from .errors import EvaluationError
 from .geometry import AnnulusPair, RadialGrid, _log_ratio, make_radial_grid
-from .maps import RadialProfile, SampledProfile, exp_profile_from_boundary
+from .maps import SampledProfile, _ClosedFormProfile, exp_profile_from_boundary
 
 _FOUR_PI = 4.0 * math.pi
 # RK4 steps of a shooting sweep: at least _MIN_STEPS and at least
@@ -42,45 +42,38 @@ _CG_MAX_ITER = 20_000
 _CG_TOL = 1e-7
 
 
-def _residual_radii(profile: RadialProfile, t):
-    """Radii as a float array plus whether ``t`` was a scalar; sampled
-    profiles only have residuals at interior radii."""
-    t_arr = np.asarray(t, dtype=float)
-    if isinstance(profile, SampledProfile):
-        a = profile.grid.annulus
-        if np.any(t_arr <= a.inner) or np.any(t_arr >= a.outer):
-            raise DomainError("residual of a sampled profile needs interior radii")
-    return t_arr, t_arr.ndim == 0
+def _jet(profile: _ClosedFormProfile, t):
+    """Radii as a float array, with ``H``, ``H'`` and ``H''`` there.  The
+    residuals differentiate a formula: a sampled profile has no derivative,
+    and a discrete solution answers to ``_discrete_el_residual``."""
+    if not isinstance(profile, _ClosedFormProfile):
+        raise TypeError(f"residuals take a closed-form profile, not {type(profile).__name__}")
+    t = np.asarray(t, dtype=float)
+    return t, profile.eval(t), profile.derivative(t, 1), profile.derivative(t, 2)
 
 
-def el_residual(profile: RadialProfile, t):
+def el_residual(profile: _ClosedFormProfile, t):
     """Residual ``2 H H' - t H'^2 + t H H''`` of the radial
     Euler-Lagrange equation; zero exactly on ``a * exp(b / t)``."""
-    t_arr, scalar = _residual_radii(profile, t)
-    h = profile.eval(t_arr)
-    hd = profile.derivative(t_arr, 1)
-    hdd = profile.derivative(t_arr, 2)
-    out = 2.0 * h * hd - t_arr * hd**2 + t_arr * h * hdd
-    return float(out) if scalar else out
+    t, h, hd, hdd = _jet(profile, t)
+    out = 2.0 * h * hd - t * hd**2 + t * h * hdd
+    return float(out) if t.ndim == 0 else out
 
 
-def weighted_harmonic_residual(profile: RadialProfile, t):
+def weighted_harmonic_residual(profile: _ClosedFormProfile, t):
     """Radial residual of the weighted-harmonic system.
 
     Returns the coefficient of the vector Laplacian of the radial map
     minus the coefficient demanded by the first-variation identity; the
     result equals ``el_residual / (t^2 H)``, so the two vanish together.
     """
-    t_arr, scalar = _residual_radii(profile, t)
-    h = profile.eval(t_arr)
+    t, h, hd, hdd = _jet(profile, t)
     if np.any(np.abs(h) < 1e-300):
         raise EvaluationError("profile vanishes; weighted residual is singular")
-    hd = profile.derivative(t_arr, 1)
-    hdd = profile.derivative(t_arr, 2)
-    laplace_coeff = (-2.0 * h + 2.0 * t_arr * hd + t_arr**2 * hdd) / t_arr**3
-    demanded = 2.0 * hd**2 / (t_arr * h) - (2.0 * h**2 / t_arr**2 + hd**2) / (t_arr * h)
+    laplace_coeff = (-2.0 * h + 2.0 * t * hd + t**2 * hdd) / t**3
+    demanded = 2.0 * hd**2 / (t * h) - (2.0 * h**2 / t**2 + hd**2) / (t * h)
     out = laplace_coeff - demanded
-    return float(out) if scalar else out
+    return float(out) if t.ndim == 0 else out
 
 
 def _interval_coefficients(grid: RadialGrid) -> np.ndarray:
@@ -116,12 +109,16 @@ def _interval_coefficients(grid: RadialGrid) -> np.ndarray:
     return a
 
 
-def discrete_reduced_energy(k_values: np.ndarray, grid: RadialGrid) -> float:
-    """Reduced energy of the piecewise profile ``H = exp(K)``."""
+def _k_on_grid(k_values: np.ndarray, grid: RadialGrid) -> np.ndarray:
     k = np.asarray(k_values, dtype=float)
     if k.shape != grid.nodes.shape:
         raise ValueError("K values must match the grid nodes")
-    return _energy_from_coefficients(_interval_coefficients(grid), k, grid)
+    return k
+
+
+def discrete_reduced_energy(k_values: np.ndarray, grid: RadialGrid) -> float:
+    """Reduced energy of the piecewise profile ``H = exp(K)``."""
+    return _energy_from_coefficients(_interval_coefficients(grid), _k_on_grid(k_values, grid), grid)
 
 
 def _energy_from_coefficients(a: np.ndarray, k: np.ndarray, grid: RadialGrid) -> float:
@@ -133,9 +130,7 @@ def _energy_from_coefficients(a: np.ndarray, k: np.ndarray, grid: RadialGrid) ->
 def reduced_energy_gradient(k_values: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """Gradient of :func:`discrete_reduced_energy` at the interior
     nodes (the boundary values are constrained)."""
-    k = np.asarray(k_values, dtype=float)
-    if k.shape != grid.nodes.shape:
-        raise ValueError("K values must match the grid nodes")
+    k = _k_on_grid(k_values, grid)
     a = _interval_coefficients(grid)
     # the gradient of Q = E / (4 pi) - const that conjugate-gradient
     # descent runs on, scaled back to E
@@ -143,6 +138,19 @@ def reduced_energy_gradient(k_values: np.ndarray, grid: RadialGrid) -> np.ndarra
     _kernels._form_gradient(a, k, np.empty(a.size), grad)
     grad *= _FOUR_PI
     return grad
+
+
+def _discrete_el_residual(profile: SampledProfile) -> np.ndarray:
+    """Discrete Euler-Lagrange residual of a sampled profile at the
+    interior nodes: :func:`reduced_energy_gradient` at ``K = log H`` over
+    ``8 pi |mean(a_i (K_{i+1} - K_i))|``, so the jump of the interval flux
+    relative to its mean.  The discrete solvers solve this equation, so it
+    reads rounding on their output; where the mean flux is 0 it reads 0."""
+    grid = profile.grid
+    k = np.log(profile.values)
+    scale = 2.0 * _FOUR_PI * abs(float(np.mean(_interval_coefficients(grid) * np.diff(k))))
+    grad = reduced_energy_gradient(k, grid)
+    return grad / scale if scale > 0.0 else np.zeros_like(grad)
 
 
 @dataclass(frozen=True)

@@ -452,21 +452,26 @@ def check_residuals(config: VerifyConfig) -> list[CheckResult]:
 
     worst_el = 0.0
     worst_wh = 0.0
-    worst_link = 0.0
     for _ in range(20):
         prof = ExponentialProfile(a=rng.uniform(0.5, 2.0), b=rng.uniform(-1.5, 1.5))
-        el = el_residual(prof, t)
-        wh = weighted_harmonic_residual(prof, t)
-        worst_el = max(worst_el, float(np.max(np.abs(el))))
-        worst_wh = max(worst_wh, float(np.max(np.abs(wh))))
-        h = prof.eval(t)
-        worst_link = max(worst_link, float(np.max(np.abs(wh - el / (t**2 * h)))))
+        worst_el = max(worst_el, float(np.max(np.abs(el_residual(prof, t)))))
+        worst_wh = max(worst_wh, float(np.max(np.abs(weighted_harmonic_residual(prof, t)))))
     results.append(_equality("euler-lagrange-residual-vanishes-on-exponential-family",
                              worst_el, 0.0, _RESIDUAL_TOL, "20 random profiles; 100 radii"))
     results.append(_equality("weighted-harmonic-residual-vanishes-on-exponential-family",
                              worst_wh, 0.0, _RESIDUAL_TOL, "same sample"))
+
+    # the identity is checked where both residuals are far from 0, on a
+    # family of its own stream so that no other row moves
+    link_rng = np.random.default_rng([config.seed, 6])
+    worst_link = 0.0
+    for _ in range(20):
+        prof = HarmonicProfile(a=link_rng.uniform(0.5, 2.0), b=link_rng.uniform(0.1, 1.5))
+        gap = weighted_harmonic_residual(prof, t) - el_residual(prof, t) / (t**2 * prof.eval(t))
+        worst_link = max(worst_link, float(np.max(np.abs(gap))))
     results.append(_equality("weighted-residual-equals-scaled-euler-lagrange",
-                             worst_link, 0.0, 1e-12, "identity between the two residuals"))
+                             worst_link, 0.0, 1e-12,
+                             "identity between the two residuals; 20 random profiles a t + b / t^2"))
 
     const = ExponentialProfile(a=1.0, b=0.0)
     worst_const = max(float(np.max(np.abs(el_residual(const, t)))),

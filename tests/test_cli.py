@@ -5,10 +5,12 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annuli import AnnulusPair, exp_profile_from_boundary, make_radial_grid, perturbed_profile
 from annuli.cli import (
     MAX_GRID_N,
     MAX_QUADRATURE_ORDER,
@@ -18,6 +20,7 @@ from annuli.cli import (
     render_csv,
     render_json,
 )
+from annuli.variational import _discrete_el_residual
 
 E_STR = "2.718281828459045"
 CANON = ["--r", "1", "--R", "2", "--rstar", "1", "--Rstar", E_STR]
@@ -159,6 +162,41 @@ class TestMinimizeCommand:
         rows = [l for l in out.strip().splitlines()[1:]
                 if not l.startswith(("energy", "analytic", "gap"))]
         assert all(float(l.split(",")[1]) == 1.5 for l in rows)
+
+    def test_residual_column_is_the_discrete_euler_lagrange_residual(self, capsys):
+        # on the direct solve the column reads rounding; a 1e-3 bump of the
+        # closed form reads far above it.  The finite-difference column
+        # read 1.5e-6 on the direct solve here.
+        n = 10_000
+        _, out, _ = run_cli(capsys, "minimize", *CANON, "--grid-n", str(n))
+        rows = out.strip().splitlines()[1:n + 2]
+        assert rows[0].endswith(",nan") and rows[-1].endswith(",nan")
+        direct = max(abs(float(l.split(",")[4])) for l in rows[1:-1])
+        assert direct <= 1e-8
+        pair = AnnulusPair.from_radii(1.0, 2.0, 1.0, float(E_STR))
+        grid = make_radial_grid(pair.domain, n)
+        bump = perturbed_profile(exp_profile_from_boundary(pair), 1e-3, 3, seed=1, grid=grid)
+        assert np.max(np.abs(_discrete_el_residual(bump))) >= 100.0 * direct
+
+    def test_residual_column_reads_zero_for_equal_targets(self, capsys):
+        _, out, _ = run_cli(capsys, "minimize", "--r", "1", "--R", "2",
+                            "--rstar", "1.5", "--Rstar", "1.5", "--grid-n", "4")
+        column = [l.split(",")[4] for l in out.strip().splitlines()[1:6]]
+        assert column == ["nan"] + ["0.000000000000e+00"] * 3 + ["nan"]
+
+    def test_minimizer_whose_exp_of_the_exponent_overflows(self, capsys):
+        # a = 1e-300 exp(2 log(1e290)) is about 1e280, though the exp alone
+        # overflows
+        argv = ["--r", "1", "--R", "2", "--rstar", "1e-300", "--Rstar", "1e-10"]
+        code, out, err = run_cli(capsys, "minimize", *argv, "--grid-n", "8")
+        assert code == 0 and err == ""
+        first = out.splitlines()[1].split(",")
+        assert math.isclose(float(first[2]), 1e-300, rel_tol=1e-13)
+        # the decreasing minimizer needs a of about 1e-590, beyond the float range
+        code, _, err = run_cli(capsys, "energy", *argv)
+        assert code == 1
+        assert err.startswith("error: EvaluationError: decreasing exponential profile "
+                              "a exp(b / t) has a = 0.0")
 
 
 class TestNitscheCommand:

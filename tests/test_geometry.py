@@ -107,7 +107,7 @@ class TestRadiusErrorsNameTheValue:
                      id="profile-zero-radius"),
         pytest.param(lambda: _sampled_profile().eval(np.array([1.5, 3.5])), 3.5,
                      id="sampled-profile-above"),
-        pytest.param(lambda: _sampled_profile().derivative(0.5), 0.5,
+        pytest.param(lambda: _sampled_profile().eval(0.5), 0.5,
                      id="sampled-profile-below"),
     ])
     def test_message_holds_the_repr(self, build, bad):

@@ -432,11 +432,13 @@ class TestBenchmarkPins:
             for name in funcs:
                 assert callable(getattr(module, name)), f"annuli.{layer}.{name}"
 
-    def test_traced_oracle_pairs_run_passes_its_self_test(self):
+    @pytest.mark.parametrize("workload", ["oracle-pairs", "verify-suite"])
+    def test_traced_run_passes_its_self_test(self, workload):
         # the traced run fails when a span it predicts nonzero reads 0, so
-        # a change that starves a pinned span fails here too; about 2 s
+        # a change that starves a pinned span fails here too; about 2 s for
+        # oracle-pairs, 6 s for verify-suite
         proc = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", "oracle-pairs", "--seed", "1",
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
              "--trace", "1"],
             cwd=_ROOT, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr

@@ -96,23 +96,13 @@ class TestSampledProfile:
         with pytest.raises(DomainError):
             p.eval(2.5)
 
-    def test_nodal_derivatives_second_order(self, canonical_pair):
-        # interior stencil should recover smooth profiles to O(h^2)
-        errs = []
-        for n in (50, 100):
-            grid = make_radial_grid(canonical_pair.domain, n)
-            values = np.exp(1.0 / grid.nodes)
-            p = SampledProfile(grid=grid, values=values)
-            exact = -np.exp(1.0 / grid.nodes) / grid.nodes**2
-            errs.append(np.max(np.abs(p.derivative(grid.nodes[1:-1]) - exact[1:-1])))
-        assert errs[0] / errs[1] > 3.0
-
 
 _FRONT_GRID = make_radial_grid(AnnulusPair.from_radii(1.0, 2.0, 1.0, math.e).domain, 16)
 
 
 class TestProfileFront:
-    """Every profile class shares one eval / derivative front."""
+    """Every profile class shares one eval front, and the closed forms one
+    derivative front."""
 
     @pytest.mark.parametrize("profile, outside", [
         (ExponentialProfile(2.0, -1.5), 0.0),
@@ -121,12 +111,18 @@ class TestProfileFront:
     ], ids=["exponential", "harmonic", "sampled"])
     def test_scalars_arrays_orders_and_domain(self, profile, outside):
         ts = np.array([[1.2, 1.5], [1.7, 1.9]])
-        for call in (profile.eval, profile.derivative, lambda t: profile.derivative(t, 2)):
+        calls = [profile.eval]
+        if isinstance(profile, SampledProfile):
+            # a sampled profile has values only
+            assert not hasattr(profile, "derivative")
+        else:
+            calls += [profile.derivative, lambda t: profile.derivative(t, 2)]
+            with pytest.raises(ValueError, match="derivative order must be 1 or 2"):
+                profile.derivative(1.5, 3)
+        for call in calls:
             assert type(call(1.5)) is float
             assert call(ts).shape == ts.shape
-        with pytest.raises(ValueError, match="derivative order must be 1 or 2"):
-            profile.derivative(1.5, 3)
-        for call in (profile.eval, profile.derivative):
+        for call in calls[:2]:
             with pytest.raises(DomainError):
                 call(outside)
 
@@ -174,6 +170,17 @@ class TestBoundaryProfiles:
         h = exp_profile_from_boundary(pair, "increasing")
         assert math.isclose(h.eval(1e-154), 1.0, rel_tol=1e-14)
         assert math.isclose(h.eval(2e-154), 1.000000000000001, rel_tol=1e-14)
+
+    @pytest.mark.parametrize("radii, orientation", [
+        ((1.0, 2.0, 1e-300, 1e-10), "increasing"),   # exp(1335.5) overflows, a ~ 1e280
+        ((1.0, 2.0, 1e10, 1e300), "decreasing"),     # exp(-1335.5) underflows, a ~ 1e-280
+    ], ids=["exp-overflows", "exp-underflows"])
+    def test_a_in_range_is_found_where_exp_of_the_exponent_is_not(self, radii, orientation):
+        pair = AnnulusPair.from_radii(*radii)
+        h = exp_profile_from_boundary(pair, orientation)
+        at_r, at_R = (pair.r_star, pair.R_star)[::1 if orientation == "increasing" else -1]
+        assert math.isclose(h.eval(pair.r), at_r, rel_tol=1e-13)
+        assert math.isclose(h.eval(pair.R), at_R, rel_tol=1e-13)
 
 
 class TestGeneralizedRadialMap:

@@ -153,6 +153,16 @@ class TestIndividualChecks:
         results = check_residuals(VerifyConfig())
         assert all(r.passed for r in results)
 
+    def test_residual_identity_row_sees_a_scaled_residual(self, monkeypatch):
+        # the identity is checked where both residuals are far from 0, so
+        # a relative error of 1e-6 in one of them fails it
+        plain = verify.weighted_harmonic_residual
+        monkeypatch.setattr(verify, "weighted_harmonic_residual",
+                            lambda profile, t: (1.0 + 1e-6) * plain(profile, t))
+        row = {r.name: r for r in verify.check_residuals(VerifyConfig())}[
+            "weighted-residual-equals-scaled-euler-lagrange"]
+        assert not row.passed and row.observed > 1e-6
+
     def test_inadmissible_default_is_rejected_loudly(self):
         # a pair with zero inner target radius cannot be built, so no
         # VerifyConfig can hold one
