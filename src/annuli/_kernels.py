@@ -1,21 +1,25 @@
 """Hot numeric kernels, numpy/python only.
 
-The Moebius sphere action and RK4 shooting are vectorized numpy.  The
-tridiagonal solve is odd-even cyclic reduction: each of its about
-log2(n) levels halves the system in one numpy op per step, and every n
-takes the same path.  Conjugate-gradient descent on the quadratic form,
-preconditioned in the hierarchical basis, is a loop of whole-array steps
-into buffers allocated once; each basis level is one numpy step of the
-transform, and a hat energy that is not positive and finite ends the run
-unconverged without a step.
+The Moebius sphere action sums scaled coordinate columns of the points,
+with no BLAS product, so neither their memory layout nor the BLAS thread
+count changes a bit; it returns column-major ``(N, 3)`` arrays, whose
+columns the next step reads contiguously.  RK4 shooting is vectorized
+numpy.  The tridiagonal solve is odd-even cyclic reduction: each of its
+about log2(n) levels halves the system in one numpy op per step, and
+every n takes the same path.  Conjugate-gradient descent on the
+quadratic form, preconditioned in the hierarchical basis, is a loop of
+whole-array steps into buffers allocated once; each basis level is one
+numpy step of the transform, and a hat energy that is not positive and
+finite ends the run unconverged without a step.
 
 ``rk4_shoot`` and ``gd_quadratic`` ignore trailing arguments:
 ``perfbench/micro.py`` still passes the retired floor and cap, and mode
 and fixed step, by position.
 
-Contract: array inputs are 1-D float64 (the tridiagonal solve raises
-``NotImplementedError`` for another dtype), and a tridiagonal system is
-symmetric positive definite or strictly diagonally dominant by rows.
+Contract: points are ``(N, 3)`` float64 arrays, other array inputs are
+1-D float64 (the tridiagonal solve raises ``NotImplementedError`` for
+another dtype), and a tridiagonal system is symmetric positive definite
+or strictly diagonally dominant by rows.
 Every ``variational`` caller passes a symmetric positive-definite system,
 as ``variational._interval_coefficients`` guarantees; the kernel tests
 and ``perfbench/micro.py`` pass nonsymmetric, strictly diagonally
@@ -57,36 +61,49 @@ def _lorentz(a, b, c, d):
     return 0.5 * np.einsum("mij,jk,nkl,il->mn", _BASIS, m, _BASIS, m.conj()).real
 
 
+def _affine(lor, pts):
+    """``L[mu, 0] + L[mu, 1:] . p`` for each row ``mu`` of ``lor`` (axis 0)
+    and each row ``p`` of ``pts`` (axis 1), summed column by column."""
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    out = np.empty((lor.shape[0], pts.shape[0]))
+    term = np.empty(pts.shape[0])
+    for row, (c, wx, wy, wz) in zip(out, lor):
+        np.multiply(x, wx, out=row)
+        row += np.multiply(y, wy, out=term)
+        row += np.multiply(z, wz, out=term)
+        row += c
+    return out
+
+
 def _image(lor, pts):
-    """``(A p + l, w . p + w0)`` for each row ``p``, built in place."""
-    den = pts @ lor[0, 1:]
-    den += lor[0, 0]
-    num = pts @ lor[1:, 1:].T
-    num += lor[1:, 0]
-    return num, den[:, None]
+    """``(A p + l) / (w . p + w0)`` as a column-major ``(N, 3)`` array, and
+    the denominator."""
+    den = _affine(lor[:1], pts)[0]
+    num = _affine(lor[1:], pts)
+    num /= den
+    return num.T, den
 
 
 def mobius_apply_points(a, b, c, d, pts):
-    num, den = _image(_lorentz(a, b, c, d), pts)
-    num /= den
-    return num
+    return _image(_lorentz(a, b, c, d), pts)[0]
 
 
 def conformal_stretch_points(a, b, c, d, pts):
-    lor = _lorentz(a, b, c, d)
-    return 1.0 / (pts @ lor[0, 1:] + lor[0, 0])
+    return 1.0 / _affine(_lorentz(a, b, c, d)[:1], pts)[0]
 
 
 def mobius_pushforward(a, b, c, d, pts, vecs):
-    """Derivative of the sphere action at ``pts`` along tangent ``vecs``."""
+    """Derivative of the sphere action at ``pts`` along tangent ``vecs``:
+    ``(A v - image (w . v)) / (w . p + w0)``."""
     lor = _lorentz(a, b, c, d)
     image, den = _image(lor, pts)
-    image /= den
-    image *= (vecs @ lor[0, 1:])[:, None]
-    out = vecs @ lor[1:, 1:].T
-    out -= image
+    linear = lor.copy()
+    linear[:, 0] = 0.0   # w . v and A v: a tangent vector has no offset
+    rows = _affine(linear, vecs)
+    out = rows[1:]
+    out -= image.T * rows[0]
     out /= den
-    return out
+    return out.T
 
 
 # ---------------------------------------------------------------------------

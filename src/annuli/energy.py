@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EvaluationError
 from .geometry import Annulus, AnnulusPair, _log_ratio, gauss_legendre, make_sphere_quadrature
-from .geometry import _four_pi_times
+from .geometry import _four_pi_times, _squared_norms
 from .maps import (
     AnnulusMap,
     GeneralizedRadialMap,
@@ -89,7 +89,7 @@ def _radial_integral(t: np.ndarray, w: np.ndarray, g: np.ndarray) -> float:
     give ``inf`` or ``nan``; they raise instead, naming which.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        val = float(w @ (t**2 * g**2))
+        val = float(np.sum(w * (t**2 * g**2)))
     if not math.isfinite(val):
         lo, hi = float(t[0]), float(t[-1])
         if hi * hi == math.inf:
@@ -119,7 +119,7 @@ def reduced_energy(profile: RadialProfile, annulus: Annulus, radial_order: int =
 def _sphere_factor(f: GeneralizedRadialMap, sphere_order: int) -> float:
     quad = make_sphere_quadrature(sphere_order)
     lam = conformal_stretch_points(f.rotation, quad.nodes)
-    return float(quad.weights @ lam**2)
+    return float(np.sum(quad.weights * lam**2))
 
 
 def _decomposed(f: GeneralizedRadialMap, pair: AnnulusPair, radial_order: int,
@@ -132,7 +132,7 @@ def _decomposed(f: GeneralizedRadialMap, pair: AnnulusPair, radial_order: int,
     if weighted:
         _require_positive(h, t)
     radial = 4.0 * math.pi * _radial_integral(t, w, hd / h if weighted else hd)
-    shell = 2.0 * pair.domain.width if weighted else 2.0 * float(w @ h**2)
+    shell = 2.0 * pair.domain.width if weighted else 2.0 * float(np.sum(w * h**2))
     spherical = shell * _sphere_factor(f, sphere_order)
     return radial, spherical, radial + spherical
 
@@ -146,33 +146,38 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     """FD energies of ``view(f)`` for each ``view`` of the map values,
     all differentiated from one evaluation of ``f`` on the stencil.
 
-    The stencil is walked one axis at a time (``+e_k`` and ``-e_k``, then
-    the centres) rather than in one call over all seven shifts, whose
-    arrays would be seven times larger and fall out of cache.
+    Point batches are column-major, so each coordinate of the nodes is
+    one contiguous column, and shifts, differences and squared norms run
+    column by column.  An evaluator may return either layout, with the
+    same bits.  The stencil is walked one axis at a time (``+e_k`` and
+    ``-e_k``, then the centres); each shift is a fresh copy of the
+    centres, since an evaluator may return its input buffer.
     """
     t, wt = gauss_legendre(pair.domain.inner, pair.domain.outer, radial_order)
     quad = make_sphere_quadrature(sphere_order)
-    centers = (t[:, None, None] * quad.nodes[None, :, :]).reshape(-1, 3)
-    steps = np.repeat(_FD_STEP * t, quad.nodes.shape[0])
+    n_sphere = quad.weights.size
+    centers = np.empty((t.size * n_sphere, 3), order="F")
+    for k in range(3):
+        np.multiply.outer(t, quad.nodes[:, k], out=centers[:, k].reshape(t.size, n_sphere))
+    steps = np.repeat(_FD_STEP * t, n_sphere)
     two_steps = (2.0 * steps)[:, None]
     density = np.zeros((len(views), centers.shape[0]))
     for k in range(3):
-        # a fresh buffer per evaluation: an evaluator may return a view of it
-        plus = centers.copy()
+        plus = centers.copy(order="F")
         plus[:, k] += steps
         plus = map_eval_many(f, plus)
-        minus = centers.copy()
+        minus = centers.copy(order="F")
         minus[:, k] -= steps
         minus = map_eval_many(f, minus)
         for view, dens in zip(views, density):
             dk = view(plus) - view(minus)
             dk /= two_steps
-            dens += np.einsum("ij,ij->i", dk, dk)
+            dens += _squared_norms(dk)
     if weighted:
+        # the last use of the centres
         vals = map_eval_many(f, centers)
         for view, dens in zip(views, density):
-            image = view(vals)
-            nsq = np.einsum("ij,ij->i", image, image)
+            nsq = _squared_norms(view(vals))
             bad = np.nonzero(~np.isfinite(nsq) | (nsq <= 1e-300))[0]
             if bad.size:
                 i = int(bad[0])
@@ -181,7 +186,7 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
                 )
             dens /= nsq
     weights = (wt[:, None] * t[:, None] ** 2 * quad.weights[None, :]).ravel()
-    return [float(weights @ dens) for dens in density]
+    return [float(np.sum(weights * dens)) for dens in density]
 
 
 def _energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_order: int,

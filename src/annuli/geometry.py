@@ -229,14 +229,23 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _squared_norms(pts: np.ndarray) -> np.ndarray:
+    """``x^2 + y^2 + z^2`` of the rows of an ``(N, 3)`` array, summed
+    column by column, so any memory layout gives the same bits."""
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    out = x * x
+    out += y * y
+    out += z * z
+    return out
+
+
 def row_norms(pts: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of an ``(N, 3)`` array.
 
     Same bits as ``np.linalg.norm(pts, axis=1)``, which sums the squares
     in the same order, at a fraction of its cost on long arrays.
     """
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    return np.sqrt(x * x + y * y + z * z)
+    return np.sqrt(_squared_norms(pts))
 
 
 def tangent_frames(points: np.ndarray):

@@ -19,7 +19,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .geometry import AnnulusPair, RadialGrid, _as_points, _log_ratio, _profile_coefficient, row_norms
+from .geometry import AnnulusPair, RadialGrid, _as_points, _log_ratio, _profile_coefficient
+from .geometry import _squared_norms, row_norms
 from .sphere_maps import MobiusTransform, _apply_to_units
 
 # central-difference step of every map differential, relative to |x|
@@ -236,7 +237,7 @@ def sphere_inversion(a: float):
         raise ValueError("inversion scale must be positive and finite")
 
     def invert(vals: np.ndarray) -> np.ndarray:
-        nsq = np.einsum("ij,ij->i", vals, vals)
+        nsq = _squared_norms(vals)
         if np.any(nsq <= 1e-300):
             raise EvaluationError("map value hit the origin; inversion undefined")
         image = a * vals

@@ -2,9 +2,10 @@
 
 A transform is a determinant-normalized 2x2 complex matrix acting on the
 stereographic coordinate.  Its sphere action, conformal stretch and
-pushforward take ``(N, 3)`` arrays of unit vectors and go through the
-equivalent real 4x4 Lorentz matrix (PSL(2, C) = SO+(3, 1)), whose action
-is a quotient with a denominator that stays positive at both poles.
+pushforward take ``(N, 3)`` arrays of unit vectors in any memory order
+and go through the equivalent real 4x4 Lorentz matrix (PSL(2, C) =
+SO+(3, 1)), whose action is a quotient with a denominator that stays
+positive at both poles; point batches come back column-major.
 ``sphere_inequality_integral`` integrates the tangential energy of a
 sphere map, a transform or a callable, over a quadrature rule.
 """
@@ -18,7 +19,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import _kernels
-from .geometry import SphericalQuadrature, _as_points, row_norms, tangent_frames
+from .geometry import SphericalQuadrature, _as_points, _squared_norms, row_norms, tangent_frames
 
 _DET_TOL = 1e-12
 # angle of the centred great-circle differences of a callable sphere map
@@ -164,7 +165,7 @@ def sphere_inequality_integral(mapping: SphereMap, quad: SphericalQuadrature) ->
         dv = mobius_pushforward(mapping, quad.nodes, v)
     else:
         du, dv = _tangent_derivatives_fd(mapping, quad.nodes, u, v, _GREAT_CIRCLE_STEP)
-    density = np.einsum("ij,ij->i", du, du) + np.einsum("ij,ij->i", dv, dv)
+    density = _squared_norms(du) + _squared_norms(dv)
     # on a sphere of radius t the 1/t^2 from each derivative cancels the
     # t^2 area element
-    return float(quad.weights @ density)
+    return float(np.sum(quad.weights * density))

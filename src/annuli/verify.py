@@ -367,7 +367,7 @@ def check_sphere_inequality(config: VerifyConfig) -> list[CheckResult]:
     for t in transforms:
         du = mobius_pushforward(t, quad.nodes, u)
         dv = mobius_pushforward(t, quad.nodes, v)
-        area = float(quad.weights @ row_norms(np.cross(du, dv)))
+        area = float(np.sum(quad.weights * row_norms(np.cross(du, dv))))
         worst_area = max(worst_area, abs(area - 4.0 * math.pi))
     results.append(_equality("mapped-area-identity", worst_area, 0.0, _CLOSED_FORM_TOL,
                              "integral of the gram determinant over the sphere"))

@@ -230,6 +230,24 @@ class TestVerifyCommand:
         assert main(["verify", "--seed", "42", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_same_bytes_at_any_blas_thread_count(self):
+        # the point batches and quadrature sums of the verify path take no
+        # BLAS product, whose threaded split would change the order of sums
+        import subprocess
+        import sys as _sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run([_sys.executable, "-m", "annuli.cli", "verify", "--seed", "42"],
+                                  env=env, capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+
     def test_failing_suite_exits_nonzero(self, capsys, monkeypatch):
         import annuli.cli as cli_mod
         from annuli.verify import CheckResult, SuiteReport

@@ -200,6 +200,28 @@ class TestWeightedEnergiesWithInversion:
             _fd_energies(f, canonical_pair, 32, 16, True, (_same, sphere_inversion(a)))
 
 
+class TestFDRouteBuffers:
+    def test_evaluator_layout_changes_no_bit(self, canonical_pair, rng):
+        g = as_sampled_map(_angular_competitor(canonical_pair, rng))
+        views = (_same, sphere_inversion(0.5))
+        for weighted in (True, False):
+            c_order = _fd_energies(SampledMap(lambda p: np.ascontiguousarray(g.evaluator(p))),
+                                   canonical_pair, 8, 4, weighted, views)
+            f_order = _fd_energies(SampledMap(lambda p: np.asfortranarray(g.evaluator(p))),
+                                   canonical_pair, 8, 4, weighted, views)
+            assert np.array(c_order).tobytes() == np.array(f_order).tobytes()
+
+    def test_evaluator_returning_its_input_gets_a_fresh_buffer(self):
+        # the identity, as its own input buffer: |Dx|^2 = 3, so the
+        # weighted energy is 3 * 4 pi (R - r) and the Dirichlet one 28 pi
+        pair = AnnulusPair.from_radii(1.0, 2.0, 1.0, 2.0)
+        ident = SampledMap(lambda p: p)
+        weighted = weighted_energy(ident, pair, 16, 8, refine=False).value
+        plain = dirichlet_energy(ident, pair, 16, 8, refine=False).value
+        assert math.isclose(weighted, 12.0 * PI * (pair.R - pair.r), rel_tol=1e-9)
+        assert math.isclose(plain, 28.0 * PI, rel_tol=1e-9)
+
+
 class TestDirichletEnergy:
     def test_identity_map_energy(self):
         # ||Dx||^2 = 3, so the integral is 3 * (4 pi / 3) (R^3 - r^3) = 28 pi

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annuli import AnnulusPair, make_radial_grid
+from annuli import AnnulusPair, MobiusTransform, make_radial_grid
 from annuli import _kernels as K
 from annuli.variational import _interval_coefficients
 
@@ -112,6 +112,38 @@ def _thomas_loop(lower, diag, upper, rhs):
     for i in range(n - 2, -1, -1):
         d[i] -= c[i] * d[i + 1]
     return np.array(d)
+
+
+class TestMoebiusLayouts:
+    # every step of the kernels is elementwise on one column of points,
+    # so no memory layout of the input changes a bit of the output
+    T = MobiusTransform(1.2 + 0.3j, 0.4 - 0.1j, -0.2j, 0.9)
+    ABCD = (T.a, T.b, T.c, T.d)
+
+    def _layouts(self, arr):
+        wide = np.zeros((2 * arr.shape[0], 7))
+        wide[::2, 1::2] = arr
+        return {"C": np.ascontiguousarray(arr), "F": np.asfortranarray(arr),
+                "strided": wide[::2, 1::2]}
+
+    def test_every_layout_gives_the_same_bits(self, rng):
+        pts = rng.standard_normal((257, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        vecs = np.cross(pts, rng.standard_normal((257, 3)))
+        outs = {}
+        for (name, p), v in zip(self._layouts(pts).items(), self._layouts(vecs).values()):
+            outs[name] = [K.mobius_apply_points(*self.ABCD, p),
+                          K.conformal_stretch_points(*self.ABCD, p),
+                          K.mobius_pushforward(*self.ABCD, p, v)]
+        for name, out in outs.items():
+            assert [o.tobytes() for o in out] == [o.tobytes() for o in outs["C"]], name
+
+    def test_point_batches_come_back_column_major(self, rng):
+        pts = rng.standard_normal((64, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        vecs = np.cross(pts, [0.0, 0.0, 1.0])
+        assert K.mobius_apply_points(*self.ABCD, pts).flags.f_contiguous
+        assert K.mobius_pushforward(*self.ABCD, pts, vecs).flags.f_contiguous
 
 
 # the parity of the row count at some level changes between these sizes

@@ -151,6 +151,22 @@ class TestBoundaryProfiles:
         assert math.isclose(h2.eval(1.0), math.e, rel_tol=1e-14)
         assert math.isclose(h2.eval(2.0), 1.0, rel_tol=1e-14)
 
+    @pytest.mark.parametrize("radii", [(1.0, 2.0, 1.0, math.e), (0.5, 3.0, 2.0, 7.0)])
+    def test_paper_formula_with_its_sign_corrected(self, radii):
+        # the paper prints rho(t) = R* (r*/R*)^(R (r - t) / ((R - r) t)),
+        # which is R*^2 / r* at t = R, outside the target shell; with the
+        # exponent R (t - r) / ((R - r) t) it is the decreasing minimizer
+        pair = AnnulusPair.from_radii(*radii)
+        r, R, rs, Rs = radii
+
+        def rho(t, sign):
+            return Rs * (rs / Rs) ** (sign * R * (t - r) / ((R - r) * t))
+
+        assert math.isclose(rho(R, -1.0), Rs**2 / rs, rel_tol=1e-14)
+        ts = np.linspace(r, R, 7)
+        h2 = exp_profile_from_boundary(pair, "decreasing")
+        np.testing.assert_allclose(rho(ts, 1.0), h2.eval(ts), rtol=1e-14, atol=0.0)
+
     def test_unknown_orientation_rejected(self, canonical_pair):
         with pytest.raises(ValueError):
             exp_profile_from_boundary(canonical_pair, "sideways")
