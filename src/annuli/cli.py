@@ -25,15 +25,9 @@ from .geometry import AnnulusPair, make_radial_grid
 from .maps import GeneralizedRadialMap, exp_profile_from_boundary
 from .nitsche import analytic_dirichlet_energy_radial, nitsche_condition
 from .variational import _discrete_el_residual, minimize_reduced_energy
-from .verify import DEFAULT_PAIR, VerifyConfig, run_suite
+from .verify import VerifyConfig, run_suite
 
 _RADIUS_KEYS = ("r", "R", "rstar", "Rstar")
-_INT_KEYS = ("grid_n", "sphere_order", "radial_order", "seed")
-# config files may use the flag spelling or the field name
-_FILE_ALIASES = {"output_format": "format", "output_path": "output"}
-_KNOWN_FILE_KEYS = set(_RADIUS_KEYS) | set(_INT_KEYS) | {
-    "format", "output", "output_format", "output_path", "sweep",
-}
 # a refined energy pass doubles both orders, and the sphere rule at order
 # n has 2 n^2 nodes
 MAX_QUADRATURE_ORDER = 512
@@ -42,16 +36,42 @@ MAX_QUADRATURE_ORDER = 512
 MAX_GRID_N = 10**5
 # 10^4 sweep rows take under a second there
 MAX_SWEEP_ROWS = 10**4
+# every option besides the radii, --format, --output and --config
+_OPTIONS = {
+    "grid_n": dict(type=int, help=f"radial grid intervals, 2 to {MAX_GRID_N}"),
+    "sphere_order": dict(type=int, help=f"sphere quadrature order, 2 to {MAX_QUADRATURE_ORDER}"),
+    "radial_order": dict(type=int, help=f"radial quadrature order, 2 to {MAX_QUADRATURE_ORDER}"),
+    "seed": dict(type=int, help="seed of the random checks"),
+    "sweep": dict(action="append", help="PARAM=START:STOP:COUNT (repeat for a second axis)"),
+}
+_INT_KEYS = tuple(key for key, spec in _OPTIONS.items() if spec.get("type") is int)
+# each command's help and the options it reads; it takes no other flag
+_SUBCOMMANDS = {
+    "energy": ("analytic minimal energy and numeric energies of both minimizers",
+               ("radial_order", "sphere_order")),
+    "minimize": ("discrete minimization of the reduced radial energy", ("grid_n",)),
+    "nitsche": ("harmonic BVP admissibility verdict", ()),
+    "verify": ("run the verification suite", ("grid_n", "sphere_order", "radial_order", "seed")),
+    "sweep": ("sweep one or two radii over ranges", ("sweep",)),
+}
+# an option the command does not read keeps this default
+_DEFAULTS = VerifyConfig()
+# config files may use the flag spelling or the field name
+_FILE_ALIASES = {"output_format": "format", "output_path": "output"}
+_KNOWN_FILE_KEYS = set(_RADIUS_KEYS) | set(_OPTIONS) | {
+    "format", "output", "output_format", "output_path",
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved options of one CLI invocation; :func:`parse_config`
-    fills every field and holds the defaults.
+    fills every field, and an option the command does not read holds
+    the :class:`VerifyConfig` default.
 
-    ``pair`` may be None for ``verify`` (defaults apply) and for
-    ``sweep`` when a swept radius has no base value; ``base_radii``
-    then carries the fixed ones."""
+    ``pair`` is None for ``sweep``, which builds one per row from
+    ``base_radii`` and its axes; ``verify`` without radii gets the
+    suite's default pair."""
 
     command: str
     pair: AnnulusPair | None
@@ -85,34 +105,23 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="annuli", description="weighted Dirichlet energies of annulus mappings")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("energy", "analytic minimal energy and numeric energies of both minimizers"),
-        ("minimize", "discrete minimization of the reduced radial energy"),
-        ("nitsche", "harmonic BVP admissibility verdict"),
-        ("verify", "run the verification suite"),
-        ("sweep", "sweep one or two radii over ranges"),
-    ):
+    for name, (text, options) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=text)
-        p.add_argument("--r", type=float, default=None, help="domain inner radius")
-        p.add_argument("--R", type=float, default=None, help="domain outer radius")
-        p.add_argument("--rstar", type=float, default=None, help="target inner radius")
-        p.add_argument("--Rstar", type=float, default=None, help="target outer radius")
-        p.add_argument("--grid-n", type=int, default=None, dest="grid_n")
-        p.add_argument("--sphere-order", type=int, default=None, dest="sphere_order")
-        p.add_argument("--radial-order", type=int, default=None, dest="radial_order")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None, dest="output_format")
-        p.add_argument("--output", default=None, dest="output_path")
-        p.add_argument("--config", default=None, help="JSON or key=value config file")
-        if name == "sweep":
-            p.add_argument("--sweep", action="append", default=None,
-                           help="PARAM=START:STOP:COUNT (repeat for a second axis)")
+        p.add_argument("--r", type=float, help="domain inner radius")
+        p.add_argument("--R", type=float, help="domain outer radius")
+        p.add_argument("--rstar", type=float, help="target inner radius")
+        p.add_argument("--Rstar", type=float, help="target outer radius")
+        for key in options:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **_OPTIONS[key])
+        p.add_argument("--format", choices=("csv", "json"), dest="output_format")
+        p.add_argument("--output", dest="output_path")
+        p.add_argument("--config", help="JSON or key=value config file")
     return parser
 
 
 def _read_config_file(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
@@ -192,9 +201,12 @@ def parse_config(argv) -> RunConfig:
     """Turn an argv list into a validated :class:`RunConfig`.
 
     Explicit flags override config file entries, which override the
-    defaults.  A JSON ``null`` leaves its field at the default.
+    defaults.  A JSON ``null`` leaves its field at the default.  A config
+    file may hold the options of every command: each is type-checked,
+    and only those the command reads are used and range-checked.
     """
     ns = _build_parser().parse_args(argv)
+    reads = _SUBCOMMANDS[ns.command][1]
     filedata = _read_config_file(ns.config) if ns.config else {}
     for key in filedata:
         if key not in _KNOWN_FILE_KEYS:
@@ -212,9 +224,8 @@ def parse_config(argv) -> RunConfig:
 
     sweeps = ()
     swept: set = set()
-    if ns.command == "sweep":
-        raw = getattr(ns, "sweep", None) or filedata.get("sweep") or []
-        sweeps = tuple(_parse_sweep_spec(s) for s in raw)
+    if "sweep" in reads:
+        sweeps = tuple(_parse_sweep_spec(s) for s in pick("sweep", ()))
         if not sweeps:
             raise ConfigError("sweep needs at least one --sweep PARAM=START:STOP:COUNT")
         if len(sweeps) > 2:
@@ -225,45 +236,41 @@ def parse_config(argv) -> RunConfig:
         if math.prod(count for _, _, _, count in sweeps) > MAX_SWEEP_ROWS:
             raise ConfigError(f"a sweep has at most {MAX_SWEEP_ROWS} rows")
 
+    # a swept radius's base value, if given, is replaced on every row
     radii = {k: pick(k) for k in _RADIUS_KEYS}
-    given = [k for k, v in radii.items() if v is not None]
     missing = [k for k in _RADIUS_KEYS if radii[k] is None and k not in swept]
-    pair = None
-    if len(given) == 4:
+    if 0 < len(missing) < 4:
+        raise ConfigError(f"missing radius flags: {' '.join('--' + k for k in missing)}")
+    if missing and ns.command != "verify":
+        raise ConfigError("this command needs all four radii (--r --R --rstar --Rstar)")
+    pair = _DEFAULTS.pair if missing else None
+    if not missing and ns.command != "sweep":
         try:
             pair = AnnulusPair.from_radii(radii["r"], radii["R"], radii["rstar"], radii["Rstar"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    elif ns.command == "sweep":
-        if missing:
-            raise ConfigError(f"missing radius flags: {' '.join('--' + k for k in missing)}")
-    elif given:
-        raise ConfigError(f"missing radius flags: {' '.join('--' + k for k in missing)}")
-    if pair is None and ns.command not in ("verify", "sweep"):
-        raise ConfigError("this command needs all four radii (--r --R --rstar --Rstar)")
 
     fmt = pick("output_format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
-    cfg = RunConfig(
+    ints = {key: getattr(_DEFAULTS, key) for key in _INT_KEYS}
+    ints.update((key, pick(key, ints[key])) for key in reads if key in ints)
+    if "grid_n" in reads and not 2 <= ints["grid_n"] <= MAX_GRID_N:
+        raise ConfigError(f"grid_n must be between 2 and {MAX_GRID_N}")
+    orders = [ints[key] for key in ("sphere_order", "radial_order") if key in reads]
+    if any(order < 2 for order in orders):
+        raise ConfigError("quadrature orders must be at least 2")
+    if any(order > MAX_QUADRATURE_ORDER for order in orders):
+        raise ConfigError(f"quadrature orders must be at most {MAX_QUADRATURE_ORDER}")
+    return RunConfig(
         command=ns.command,
         pair=pair,
-        grid_n=pick("grid_n", 1000),
-        sphere_order=pick("sphere_order", 32),
-        radial_order=pick("radial_order", 64),
-        seed=pick("seed", 42),
+        **ints,
         output_format=fmt,
         output_path=pick("output_path"),
         sweeps=sweeps,
         base_radii=tuple(sorted((k, v) for k, v in radii.items() if v is not None)),
     )
-    if not 2 <= cfg.grid_n <= MAX_GRID_N:
-        raise ConfigError(f"grid_n must be between 2 and {MAX_GRID_N}")
-    if cfg.sphere_order < 2 or cfg.radial_order < 2:
-        raise ConfigError("quadrature orders must be at least 2")
-    if max(cfg.sphere_order, cfg.radial_order) > MAX_QUADRATURE_ORDER:
-        raise ConfigError(f"quadrature orders must be at most {MAX_QUADRATURE_ORDER}")
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +325,11 @@ def _emit(cfg: RunConfig, text: str):
 
 
 # ---------------------------------------------------------------------------
-# Commands.
+# Commands.  Each returns its JSON payload, its CSV rows and its exit code,
+# and main renders one of them.
 
 
-def cmd_energy(cfg: RunConfig) -> tuple[str, int]:
+def cmd_energy(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     pair = cfg.pair
     analytic = analytic_min_weighted_energy(pair)
     reports = [
@@ -335,12 +343,10 @@ def cmd_energy(cfg: RunConfig) -> tuple[str, int]:
         "h2_numeric": reports[1].value,
         "delta": max(r.refinement_delta for r in reports),
     }
-    if cfg.output_format == "json":
-        return render_json(row), 0
-    return render_csv([row]), 0
+    return row, [row], 0
 
 
-def cmd_minimize(cfg: RunConfig) -> tuple[str, int]:
+def cmd_minimize(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     pair = cfg.pair
     grid = make_radial_grid(pair.domain, cfg.grid_n)
     sol = minimize_reduced_energy(pair, grid)
@@ -364,12 +370,9 @@ def cmd_minimize(cfg: RunConfig) -> tuple[str, int]:
         for i in range(t.size)
     ]
     summary = {"energy": sol.energy, "analytic": analytic, "gap": sol.energy - analytic}
-    if cfg.output_format == "json":
-        return render_json({"rows": rows, **summary}), 0
-    text = render_csv(rows)
-    for key, val in summary.items():
-        text += f"{key},{val:.12e},,,\n"
-    return text, 0
+    # the CSV footer is one key,value row per summary entry
+    footer = [{"t": key, "H_discrete": value} for key, value in summary.items()]
+    return {"rows": rows, **summary}, rows + footer, 0
 
 
 def _in_range(value: float) -> float | None:
@@ -383,7 +386,7 @@ def _harmonic_energy(pair: AnnulusPair, verdict) -> float | None:
     return _in_range(analytic_dirichlet_energy_radial(pair)) if verdict.admissible else None
 
 
-def cmd_nitsche(cfg: RunConfig) -> tuple[str, int]:
+def cmd_nitsche(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     verdict = nitsche_condition(cfg.pair)
     row = {
         "ratio": verdict.ratio,
@@ -392,14 +395,12 @@ def cmd_nitsche(cfg: RunConfig) -> tuple[str, int]:
         "admissible": verdict.admissible,
         "harmonic_energy": _harmonic_energy(cfg.pair, verdict),
     }
-    if cfg.output_format == "json":
-        return render_json(row), 0
-    return render_csv([row]), 0
+    return row, [row], 0
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
+def cmd_verify(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     vconf = VerifyConfig(
-        pair=cfg.pair if cfg.pair is not None else DEFAULT_PAIR,
+        pair=cfg.pair,
         seed=cfg.seed,
         radial_order=cfg.radial_order,
         sphere_order=cfg.sphere_order,
@@ -409,13 +410,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
     n_pass = sum(1 for r in report.results if r.passed)
     print(f"{n_pass}/{len(report.results)} checks passed in {report.wall_time:.2f}s",
           file=sys.stderr)
-    if cfg.output_format == "json":
-        payload = {"seed": report.seed, "passed": report.passed, "results": report.rows()}
-        return render_json(payload), 0 if report.passed else 1
-    return render_csv(report.rows()), 0 if report.passed else 1
+    rows = report.rows()
+    return ({"seed": report.seed, "passed": report.passed, "results": rows}, rows,
+            0 if report.passed else 1)
 
 
-def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
+def cmd_sweep(cfg: RunConfig) -> tuple[list[dict], list[dict], int]:
     base = dict(cfg.base_radii)
     # spans near the float limits overflow in linspace; the pair check
     # below rejects every value that came out inf or nan
@@ -445,9 +445,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[str, int]:
             "harmonic_energy": _harmonic_energy(pair, verdict),
             "lower_bound": _in_range(dirichlet_lower_bound(pair)),
         })
-    if cfg.output_format == "json":
-        return render_json(rows), 0
-    return render_csv(rows), 0
+    return rows, rows, 0
 
 
 _COMMANDS = {
@@ -462,8 +460,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         cfg = parse_config(argv if argv is not None else sys.argv[1:])
-        text, code = _COMMANDS[cfg.command](cfg)
-        _emit(cfg, text)
+        payload, rows, code = _COMMANDS[cfg.command](cfg)
+        _emit(cfg, render_json(payload) if cfg.output_format == "json" else render_csv(rows))
         return code
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -15,6 +16,7 @@ from annuli.cli import (
     MAX_GRID_N,
     MAX_QUADRATURE_ORDER,
     MAX_SWEEP_ROWS,
+    _build_parser,
     main,
     parse_config,
     render_csv,
@@ -24,6 +26,15 @@ from annuli.variational import _discrete_el_residual
 
 E_STR = "2.718281828459045"
 CANON = ["--r", "1", "--R", "2", "--rstar", "1", "--Rstar", E_STR]
+# the flags each command reads besides the radii, --format, --output and --config
+_READS = {
+    "energy": ["--radial-order", "--sphere-order"],
+    "minimize": ["--grid-n"],
+    "nitsche": [],
+    "verify": ["--grid-n", "--sphere-order", "--radial-order", "--seed"],
+    "sweep": ["--sweep"],
+}
+_COMMON = {"--r", "--R", "--rstar", "--Rstar", "--format", "--output", "--config"}
 
 
 def run_cli(capsys, *args):
@@ -43,8 +54,39 @@ class TestParseConfig:
     def test_flag_overrides_config_file(self, tmp_path):
         f = tmp_path / "c.txt"
         f.write_text("r=1\nR=2\nrstar=1\nRstar=2.0\nseed=9\n")
-        cfg = parse_config(["energy", "--config", str(f), "--seed", "7"])
+        cfg = parse_config(["verify", "--config", str(f), "--seed", "7"])
         assert cfg.seed == 7
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({"r": 1, "R": 2, "rstar": 1, "Rstar": 2.0, "format": "json"}),
+        "r=1\nR=2\nrstar=1\nRstar=2.0\nformat=json\n",
+    ])
+    def test_config_file_with_a_byte_order_mark(self, tmp_path, text):
+        # as an editor saves "UTF-8 with BOM"
+        f = tmp_path / "c.txt"
+        f.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        cfg = parse_config(["nitsche", "--config", str(f)])
+        assert cfg.pair.r == 1.0 and cfg.output_format == "json"
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        [sub] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {name: {opt for action in p._actions for opt in action.option_strings
+                        if opt not in ("-h", "--help")}
+                 for name, p in sub.choices.items()}
+        assert flags == {name: _COMMON | set(reads) for name, reads in _READS.items()}
+        assert sum(map(len, flags.values())) == 43
+
+    @pytest.mark.parametrize("command, key", [
+        ("nitsche", "grid_n"), ("energy", "grid_n"), ("minimize", "sphere_order"),
+        ("minimize", "radial_order"),
+    ])
+    def test_unread_config_key_is_not_range_checked(self, tmp_path, capsys, command, key):
+        # one config file may hold the keys of every command
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({"r": 1, "R": 2, "rstar": 1, "Rstar": 2, "grid_n": 4,
+                                 "radial_order": 8, "sphere_order": 8, key: 1}))
+        code, out, err = run_cli(capsys, command, "--config", str(f))
+        assert (code, err) == (0, "") and out
 
     def test_json_config_file(self, tmp_path):
         f = tmp_path / "c.json"
@@ -322,6 +364,16 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", *CANON, "--sweep", "Rstar=1:2:0")
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_base_value_of_a_swept_radius_is_ignored(self, capsys, fmt):
+        # R* = 1 < r* = 3 would be no pair, but the sweep replaces R*
+        argv = ["sweep", "--r", "1", "--R", "2", "--rstar", "3", "--sweep", "Rstar=4:5:2",
+                "--format", fmt]
+        code, out, err = run_cli(capsys, *argv, "--Rstar", "1")
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli(capsys, *argv)
+        assert len(out.strip().splitlines()) == (3 if fmt == "csv" else 26)
+
     def test_invalid_pair_on_the_grid_is_an_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--R", "2", "--rstar", "1", "--Rstar", "3",
                                "--sweep", "r=1:3:3")
@@ -370,6 +422,15 @@ _ERROR_CAUSES = {
         "error: inner radius must be less than outer, got 1.0 > -2.0",
     "minimize --r -inf --R 2 --rstar 1 --Rstar 2":
         "error: annulus radii must be finite, got -inf, 2.0",
+    # a flag the command does not read is a usage error, whatever its value
+    "nitsche --r 1 --R 2 --rstar 1 --Rstar 2 --grid-n 50":
+        "error: unrecognized arguments: --grid-n 50\n",
+    "energy --r 1 --R 2 --rstar 1 --Rstar 2 --seed 3": "error: unrecognized arguments: --seed 3\n",
+    "minimize --r 1 --R 2 --rstar 1 --Rstar 2 --grid-n 4 --radial-order 1":
+        "error: unrecognized arguments: --radial-order 1\n",
+    "sweep --r 1 --R 2 --rstar 1 --sweep Rstar=2:3:2 --sphere-order 8":
+        "error: unrecognized arguments: --sphere-order 8\n",
+    "verify --sweep Rstar=2:3:2": "error: unrecognized arguments: --sweep Rstar=2:3:2\n",
 }
 
 
@@ -427,6 +488,14 @@ class TestNoTraceback:
         (["energy", "--r", "-1e-300", "--R", "2", "--rstar", "1", "--Rstar", "2"], 2),
         (["nitsche", "--r", "1", "--R", "2", "--rstar", "1", "--Rstar", "-2e0"], 2),
         (["minimize", "--r", "-inf", "--R", "2", "--rstar", "1", "--Rstar", "2"], 2),
+        # flags the command does not read
+        (["nitsche", "--r", "1", "--R", "2", "--rstar", "1", "--Rstar", "2", "--grid-n", "50"], 2),
+        (["energy", "--r", "1", "--R", "2", "--rstar", "1", "--Rstar", "2", "--seed", "3"], 2),
+        (["minimize", "--r", "1", "--R", "2", "--rstar", "1", "--Rstar", "2", "--grid-n", "4",
+          "--radial-order", "1"], 2),
+        (["sweep", "--r", "1", "--R", "2", "--rstar", "1", "--sweep", "Rstar=2:3:2",
+          "--sphere-order", "8"], 2),
+        (["verify", "--sweep", "Rstar=2:3:2"], 2),
     ])
     def test_exits_with_one_line_error(self, capsys, argv, expected):
         code, _, err = run_cli(capsys, *argv)
@@ -525,20 +594,28 @@ _SWEEP = st.tuples(st.sampled_from(["r", "R", "rstar", "Rstar"]), _RADII, _RADII
     lambda p: ["--sweep", f"{p[0]}={p[1]}:{p[2]}:{p[3]}"])
 
 
+_INT_FLAGS = ("--grid-n", "--sphere-order", "--radial-order", "--seed")
+
+
 @st.composite
 def _argv(draw):
+    """argv of one command with its own flags; about one in twelve also
+    carries a flag the command does not read."""
     command = draw(st.sampled_from(["energy", "minimize", "nitsche", "sweep"]))
     argv = [command]
     for flag in ("--r", "--R", "--rstar", "--Rstar"):
         if draw(st.integers(0, 7)):  # mostly present
             argv += [flag, draw(_RADII)]
-    for flag in ("--grid-n", "--sphere-order", "--radial-order", "--seed"):
-        if not draw(st.integers(0, 3)):  # mostly absent
+    for flag in _INT_FLAGS:
+        if flag in _READS[command] and not draw(st.integers(0, 3)):  # mostly absent
             argv += [flag, draw(_INTS)]
     if command == "sweep":
         for spec in draw(st.lists(_SWEEP, min_size=0, max_size=3)):
             argv += spec
     argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    unread = [flag for flag in _INT_FLAGS if flag not in _READS[command]]
+    if not draw(st.integers(0, 11)):
+        argv += [draw(st.sampled_from(unread)), draw(_INTS)]
     return argv
 
 
@@ -554,6 +631,9 @@ class TestFuzzArgv:
         if code:  # argparse's usage errors too are one line
             assert err.getvalue().startswith("error: "), (argv, err.getvalue())
             assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+        if argv[-2] not in _READS[argv[0]] + ["--format"]:
+            assert (code, err.getvalue()) == (2, f"error: unrecognized arguments: {argv[-2]} "
+                                                 f"{argv[-1]}\n"), argv
 
 
 # a JSON value of every type; a config file field may hold any of them
