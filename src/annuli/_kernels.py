@@ -8,9 +8,9 @@ numpy.  The tridiagonal solve is odd-even cyclic reduction: each of its
 about log2(n) levels halves the system in one numpy op per step, and
 every n takes the same path.  Conjugate-gradient descent on the
 quadratic form, preconditioned in the hierarchical basis, is a loop of
-whole-array steps into buffers allocated once; each basis level is one
-numpy step of the transform, and a hat energy that is not positive and
-finite ends the run unconverged without a step.
+whole-array steps into buffers allocated once, with no BLAS dot; each
+basis level is one numpy step of the transform, and a hat energy that is
+not positive and finite ends the run unconverged without a step.
 
 ``rk4_shoot`` and ``gd_quadratic`` ignore trailing arguments:
 ``perfbench/micro.py`` still passes the retired floor and cap, and mode
@@ -362,14 +362,14 @@ def gd_quadratic(a, k, max_iter, tol, *_):
         _restrict(levels, work)
         work *= dinv
         _interpolate(levels, work)
-        gz = float(g @ z)
+        gz = float(np.sum(np.multiply(g, z, out=tmp)))
         if fresh:
             np.negative(z, out=p)
         else:
             p *= gz / gz_old
             p -= z
         _form_gradient(a, padded, flux, hp)
-        php = float(p @ hp)
+        php = float(np.sum(np.multiply(p, hp, out=tmp)))
         if not php > 0.0:
             break
         alpha = gz / php

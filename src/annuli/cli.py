@@ -25,7 +25,7 @@ from .geometry import AnnulusPair, make_radial_grid
 from .maps import GeneralizedRadialMap, exp_profile_from_boundary
 from .nitsche import analytic_dirichlet_energy_radial, nitsche_condition
 from .variational import _discrete_el_residual, minimize_reduced_energy
-from .verify import VerifyConfig, run_suite
+from .verify import DEFAULT_PAIR, VerifyConfig, run_suite
 
 _RADIUS_KEYS = ("r", "R", "rstar", "Rstar")
 # a refined energy pass doubles both orders, and the sphere rule at order
@@ -36,38 +36,34 @@ MAX_QUADRATURE_ORDER = 512
 MAX_GRID_N = 10**5
 # 10^4 sweep rows take under a second there
 MAX_SWEEP_ROWS = 10**4
-# every option besides the radii, --format, --output and --config
+# every option besides the radii, --format, --output and --config: default, spec
 _OPTIONS = {
-    "grid_n": dict(type=int, help=f"radial grid intervals, 2 to {MAX_GRID_N}"),
-    "sphere_order": dict(type=int, help=f"sphere quadrature order, 2 to {MAX_QUADRATURE_ORDER}"),
-    "radial_order": dict(type=int, help=f"radial quadrature order, 2 to {MAX_QUADRATURE_ORDER}"),
-    "seed": dict(type=int, help="seed of the random checks"),
-    "sweep": dict(action="append", help="PARAM=START:STOP:COUNT (repeat for a second axis)"),
+    "grid_n": (1000, dict(type=int, help=f"radial grid intervals, 2 to {MAX_GRID_N}")),
+    "sphere_order": (32, dict(type=int, help=f"sphere quadrature order, 2 to {MAX_QUADRATURE_ORDER}")),
+    "radial_order": (64, dict(type=int, help=f"radial quadrature order, 2 to {MAX_QUADRATURE_ORDER}")),
+    "seed": (42, dict(type=int, help="seed of the random checks")),
+    "sweep": ((), dict(action="append", help="PARAM=START:STOP:COUNT (repeat for a second axis)")),
 }
-_INT_KEYS = tuple(key for key, spec in _OPTIONS.items() if spec.get("type") is int)
+_INT_KEYS = tuple(key for key, (_, spec) in _OPTIONS.items() if spec.get("type") is int)
 # each command's help and the options it reads; it takes no other flag
 _SUBCOMMANDS = {
     "energy": ("analytic minimal energy and numeric energies of both minimizers",
                ("radial_order", "sphere_order")),
     "minimize": ("discrete minimization of the reduced radial energy", ("grid_n",)),
     "nitsche": ("harmonic BVP admissibility verdict", ()),
-    "verify": ("run the verification suite", ("grid_n", "sphere_order", "radial_order", "seed")),
+    "verify": ("run the verification suite", ("seed",)),
     "sweep": ("sweep one or two radii over ranges", ("sweep",)),
 }
-# an option the command does not read keeps this default
-_DEFAULTS = VerifyConfig()
 # config files may use the flag spelling or the field name
 _FILE_ALIASES = {"output_format": "format", "output_path": "output"}
-_KNOWN_FILE_KEYS = set(_RADIUS_KEYS) | set(_OPTIONS) | {
-    "format", "output", "output_format", "output_path",
-}
+_KNOWN_FILE_KEYS = set(_RADIUS_KEYS) | set(_OPTIONS) | {"format", "output", *_FILE_ALIASES}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved options of one CLI invocation; :func:`parse_config`
     fills every field, and an option the command does not read holds
-    the :class:`VerifyConfig` default.
+    its default.
 
     ``pair`` is None for ``sweep``, which builds one per row from
     ``base_radii`` and its axes; ``verify`` without radii gets the
@@ -112,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rstar", type=float, help="target inner radius")
         p.add_argument("--Rstar", type=float, help="target outer radius")
         for key in options:
-            p.add_argument("--" + key.replace("_", "-"), dest=key, **_OPTIONS[key])
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **_OPTIONS[key][1])
         p.add_argument("--format", choices=("csv", "json"), dest="output_format")
         p.add_argument("--output", dest="output_path")
         p.add_argument("--config", help="JSON or key=value config file")
@@ -225,7 +221,7 @@ def parse_config(argv) -> RunConfig:
     sweeps = ()
     swept: set = set()
     if "sweep" in reads:
-        sweeps = tuple(_parse_sweep_spec(s) for s in pick("sweep", ()))
+        sweeps = tuple(_parse_sweep_spec(s) for s in pick("sweep", _OPTIONS["sweep"][0]))
         if not sweeps:
             raise ConfigError("sweep needs at least one --sweep PARAM=START:STOP:COUNT")
         if len(sweeps) > 2:
@@ -243,7 +239,7 @@ def parse_config(argv) -> RunConfig:
         raise ConfigError(f"missing radius flags: {' '.join('--' + k for k in missing)}")
     if missing and ns.command != "verify":
         raise ConfigError("this command needs all four radii (--r --R --rstar --Rstar)")
-    pair = _DEFAULTS.pair if missing else None
+    pair = DEFAULT_PAIR if missing else None
     if not missing and ns.command != "sweep":
         try:
             pair = AnnulusPair.from_radii(radii["r"], radii["R"], radii["rstar"], radii["Rstar"])
@@ -253,7 +249,7 @@ def parse_config(argv) -> RunConfig:
     fmt = pick("output_format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
-    ints = {key: getattr(_DEFAULTS, key) for key in _INT_KEYS}
+    ints = {key: _OPTIONS[key][0] for key in _INT_KEYS}
     ints.update((key, pick(key, ints[key])) for key in reads if key in ints)
     if "grid_n" in reads and not 2 <= ints["grid_n"] <= MAX_GRID_N:
         raise ConfigError(f"grid_n must be between 2 and {MAX_GRID_N}")
@@ -399,14 +395,7 @@ def cmd_nitsche(cfg: RunConfig) -> tuple[dict, list[dict], int]:
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[dict, list[dict], int]:
-    vconf = VerifyConfig(
-        pair=cfg.pair,
-        seed=cfg.seed,
-        radial_order=cfg.radial_order,
-        sphere_order=cfg.sphere_order,
-        grid_n=cfg.grid_n,
-    )
-    report = run_suite(vconf)
+    report = run_suite(VerifyConfig(pair=cfg.pair, seed=cfg.seed))
     n_pass = sum(1 for r in report.results if r.passed)
     print(f"{n_pass}/{len(report.results)} checks passed in {report.wall_time:.2f}s",
           file=sys.stderr)

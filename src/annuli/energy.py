@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import DomainError, EvaluationError
 from .geometry import Annulus, AnnulusPair, _log_ratio, gauss_legendre, make_sphere_quadrature
 from .geometry import _four_pi_times, _squared_norms
 from .maps import (
@@ -56,10 +56,12 @@ def _profile_quadrature(profile: RadialProfile, annulus: Annulus, order: int):
     Sampled profiles take a two-point Gauss rule per interval on their
     piecewise-linear interpolant, with its slope as ``H'``.  That rule is
     exact for the plain Dirichlet integrand, a polynomial on each
-    interval, but not for the weighted one, ``t^2 (H'/H)^2``.  Closed
-    forms use a single global Gauss rule.
+    interval, but not for the weighted one, ``t^2 (H'/H)^2``, and needs
+    a grid on ``annulus``.  Closed forms use a single global Gauss rule.
     """
     if isinstance(profile, SampledProfile):
+        if profile.grid.annulus != annulus:
+            raise DomainError(f"profile sampled on {profile.grid.annulus!r}, not on {annulus!r}")
         t = profile.grid.nodes
         dt = np.diff(t)
         slopes = np.diff(profile.values) / dt
@@ -108,7 +110,8 @@ def reduced_energy(profile: RadialProfile, annulus: Annulus, radial_order: int =
     ``4 pi * integral(t^2 (H'/H)^2 + 2) dt``.
 
     This equals the weighted energy of the radial map built from the
-    profile and an arbitrary Moebius rotation.
+    profile and an arbitrary Moebius rotation.  A sampled profile takes
+    its per-interval two-point rule and ignores ``radial_order``.
     """
     t, w, h, hd = _profile_quadrature(profile, annulus, radial_order)
     _require_positive(h, t)

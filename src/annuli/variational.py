@@ -122,9 +122,11 @@ def discrete_reduced_energy(k_values: np.ndarray, grid: RadialGrid) -> float:
 
 
 def _energy_from_coefficients(a: np.ndarray, k: np.ndarray, grid: RadialGrid) -> float:
+    # a plain sum, not a BLAS dot, whose threaded split moves the last bits
     dk = np.diff(k)
     dk *= dk
-    return _FOUR_PI * (float(a @ dk) + 2.0 * grid.annulus.width)
+    dk *= a
+    return _FOUR_PI * (float(np.sum(dk)) + 2.0 * grid.annulus.width)
 
 
 def reduced_energy_gradient(k_values: np.ndarray, grid: RadialGrid) -> np.ndarray:

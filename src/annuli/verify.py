@@ -78,6 +78,11 @@ _FD_ENERGY_REL_TOL = 1e-4
 _RESIDUAL_TOL = 1e-9
 # tolerance of the checks against closed forms evaluated by quadrature
 _CLOSED_FORM_TOL = 1e-8
+# quadrature orders of the decomposition route and of the sphere rows
+_RADIAL_ORDER = 64
+_SPHERE_ORDER = 32
+# relative gap of the finest convergence grid: a quarter of the row's tolerance
+_GRID_GAP_TARGET = 2.5e-6
 # sample counts: competitor profiles, maps composed with an inversion,
 # random Moebius transforms, non-conformal sphere maps, random pairs
 _N_COMPETITORS = 50
@@ -121,26 +126,16 @@ def _lower_bound(name: str, observed: float, bound: float, slack: float,
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Pair, seed, quadrature orders and grid size of the verification
-    suite."""
+    """Pair and seed of the suite, which fixes its orders and derives its grids."""
 
     pair: AnnulusPair = DEFAULT_PAIR
     seed: int = 42
-    radial_order: int = 64
-    sphere_order: int = 32
-    grid_n: int = 1000
 
     def __post_init__(self):
-        for name in ("seed", "radial_order", "sphere_order", "grid_n"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ConfigError(f"verify config field {name!r} must be an integer")
-            if v < 0:
-                raise ConfigError(f"verify config field {name!r} must be nonnegative")
-        if self.grid_n < 8:
-            raise ConfigError("verify config field 'grid_n' must be at least 8")
-        if self.radial_order < 2 or self.sphere_order < 2:
-            raise ConfigError("verify config orders must be at least 2")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ConfigError("verify config field 'seed' must be an integer")
+        if self.seed < 0:
+            raise ConfigError("verify config field 'seed' must be nonnegative")
 
 
 @dataclass
@@ -244,6 +239,29 @@ def _angular_competitor(pair: AnnulusPair, rng: np.random.Generator) -> SampledM
 # Checks.
 
 
+def _discrete_convergence(pair: AnnulusPair, target: float) -> CheckResult:
+    """Discrete minima on ``n / 4``, ``n / 2`` and ``n`` intervals.  Since ``1 / a =
+    (h / (t0 t1)) (1 - h^2 / (t0^2 + t0 t1 + t1^2))`` on ``[t0, t1]``, ``h = t1 - t0``,
+    the relative gap is at most about ``((R - r) / n)^2 (1 + q + q^2) / (9 r^2)``,
+    ``q = r / R``; ``n`` puts it at ``_GRID_GAP_TARGET``, within 1000 to 100 000."""
+    q = pair.r / pair.R
+    need = (pair.R / pair.r - 1.0) * math.sqrt((1.0 + q + q * q) / (9.0 * _GRID_GAP_TARGET))
+    # R / r may overflow to inf, which math.ceil rejects
+    grid_n = math.ceil(min(max(1000.0, need), 100_000.0))
+    gaps = []
+    for n in (grid_n // 4, grid_n // 2, grid_n):
+        sol = minimize_reduced_energy(pair, make_radial_grid(pair.domain, n))
+        gaps.append(sol.energy - target)
+    monotone = all(g2 <= g1 + 1e-12 * target for g1, g2 in zip(gaps, gaps[1:]))
+    above = all(g >= -1e-9 * target for g in gaps)
+    final_ok = gaps[-1] <= 1e-5 * target
+    return CheckResult(
+        "discrete-minimum-converges-from-above",
+        bool(monotone and above and final_ok),
+        gaps[-1] / target, 0.0, 1e-5,
+        "energy gaps decrease and stay nonnegative under grid refinement")
+
+
 def check_minimal_energy(config: VerifyConfig) -> list[CheckResult]:
     """Minimal-energy value, minimizer structure, and the lower bound
     against perturbed competitors."""
@@ -258,7 +276,7 @@ def check_minimal_energy(config: VerifyConfig) -> list[CheckResult]:
         profile = exp_profile_from_boundary(pair, orientation)
         for t in transforms:
             rep = weighted_energy(GeneralizedRadialMap(profile, t), pair,
-                                  config.radial_order, config.sphere_order, refine=False)
+                                  _RADIAL_ORDER, _SPHERE_ORDER, refine=False)
             worst = max(worst, abs(rep.value - target) / target)
     results.append(_equality(
         "minimal-energy-analytic-vs-numeric", worst, 0.0, _CLOSED_FORM_TOL,
@@ -280,7 +298,7 @@ def check_minimal_energy(config: VerifyConfig) -> list[CheckResult]:
         amp = rng.uniform(0.02, 0.5)
         mode = int(rng.integers(1, 5))
         prof = perturbed_profile(inc, amp, mode, seed=int(rng.integers(2**31)), grid=grid)
-        e = reduced_energy(prof, pair.domain, config.radial_order)
+        e = reduced_energy(prof, pair.domain)
         min_gap = min(min_gap, e - target)
     for i in range(n_angular):
         f = _angular_competitor(pair, rng)
@@ -290,19 +308,7 @@ def check_minimal_energy(config: VerifyConfig) -> list[CheckResult]:
         "competitor-energies-above-minimum", min_gap, 0.0, 1e-6,
         f"{n_radial} radial and {n_angular} angular perturbations"))
 
-    gaps = []
-    grid_n = config.grid_n
-    for n in (grid_n // 4, grid_n // 2, grid_n):
-        sol = minimize_reduced_energy(pair, make_radial_grid(pair.domain, n))
-        gaps.append(sol.energy - target)
-    monotone = all(g2 <= g1 + 1e-12 * target for g1, g2 in zip(gaps, gaps[1:]))
-    above = all(g >= -1e-9 * target for g in gaps)
-    final_ok = gaps[-1] <= 1e-5 * target
-    results.append(CheckResult(
-        "discrete-minimum-converges-from-above",
-        bool(monotone and above and final_ok),
-        gaps[-1] / target, 0.0, 1e-5,
-        "energy gaps decrease and stay nonnegative under grid refinement"))
+    results.append(_discrete_convergence(pair, target))
     return results
 
 
@@ -353,7 +359,7 @@ def check_sphere_inequality(config: VerifyConfig) -> list[CheckResult]:
     strictly larger for non-conformal surjections, and the mapped area
     identity ``4 pi``."""
     rng = np.random.default_rng([config.seed, 3])
-    quad = make_sphere_quadrature(config.sphere_order)
+    quad = make_sphere_quadrature(_SPHERE_ORDER)
     results = []
 
     transforms = [MobiusTransform.identity()]

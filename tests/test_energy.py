@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from annuli import (
+    Annulus,
     AnnulusPair,
     DomainError,
     EvaluationError,
     GeneralizedRadialMap,
     SampledMap,
+    SampledProfile,
     analytic_min_weighted_energy,
     as_sampled_map,
     dirichlet_energy,
     dirichlet_lower_bound,
     exp_profile_from_boundary,
     inversion_transform,
+    make_radial_grid,
     random_mobius,
     reduced_energy,
     weighted_energy,
@@ -139,6 +142,31 @@ class TestWeightedEnergy:
         with pytest.raises(EvaluationError, match="quadrature node"):
             weighted_energy(SampledMap(evaluator=collapse), canonical_pair,
                             radial_order=8, sphere_order=4, refine=False)
+
+    @pytest.mark.parametrize("domain", [(3.0, 4.0), (1.0, 5.0), (1.0, 1.5)])
+    def test_sampled_profile_must_span_the_domain(self, domain):
+        # the decomposition route integrates over the grid's own nodes, which it
+        # used to do whatever the domain; the FD route raises the same error
+        # where the domain leaves the grid
+        grid = make_radial_grid(Annulus(1.0, 2.0), 10)
+        profile = SampledProfile(grid, np.linspace(1.0, 2.0, 11))
+        pair = AnnulusPair.from_radii(*domain, 1.0, 2.0)
+        match = r"profile sampled on .*1\.0.*2\.0"
+        with pytest.raises(DomainError, match=match):
+            reduced_energy(profile, pair.domain)
+        for energy in (weighted_energy, dirichlet_energy):
+            with pytest.raises(DomainError, match=match):
+                energy(GeneralizedRadialMap(profile), pair, refine=False)
+        if domain[1] > 2.0:
+            with pytest.raises(DomainError, match=match):
+                weighted_energy(as_sampled_map(GeneralizedRadialMap(profile)), pair,
+                                radial_order=8, sphere_order=4, refine=False)
+
+    def test_sampled_profile_on_the_domain_is_integrated(self, canonical_pair):
+        grid = make_radial_grid(canonical_pair.domain, 10)
+        profile = SampledProfile(grid, np.full(11, 1.5))
+        assert math.isclose(reduced_energy(profile, canonical_pair.domain), 8.0 * PI,
+                            rel_tol=1e-15)
 
     @pytest.mark.parametrize("energy", [weighted_energy, dirichlet_energy])
     def test_radii_beyond_float_range_are_an_evaluation_error(self, energy):
