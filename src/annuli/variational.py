@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .errors import EvaluationError
+from .errors import DomainError, EvaluationError
 from .geometry import AnnulusPair, RadialGrid, _log_ratio, make_radial_grid
 from .maps import SampledProfile, _ClosedFormProfile, exp_profile_from_boundary
 
@@ -210,7 +210,7 @@ def _discrete_minimize(pair: AnnulusPair, grid: RadialGrid, solve) -> DiscreteSo
     interval stiffness ``a`` and the boundary values ``k0, kn`` of
     ``K = log H``."""
     if grid.annulus != pair.domain:
-        raise ValueError("grid must live on the domain annulus of the pair")
+        raise DomainError(f"grid on {grid.annulus!r}, not on {pair.domain!r}")
     if pair.r_star == pair.R_star:
         return _constant_solution(pair, grid)
     a = _interval_coefficients(grid)

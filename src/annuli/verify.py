@@ -15,7 +15,6 @@ import math
 import numbers
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -194,45 +193,42 @@ def random_admissible_pair(rng: np.random.Generator) -> AnnulusPair:
             return pair
 
 
-def _modulated_minimizer(pair: AnnulusPair, rot: MobiusTransform,
-                         factor: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> SampledMap:
-    """Map ``x -> H(t) factor(t, eta) rot(eta)``, with ``t = |x|``,
-    ``eta = x / t`` and ``H`` the increasing minimizer profile."""
+def _twisted_minimizer(pair: AnnulusPair, rng: np.random.Generator) -> tuple[SampledMap, float]:
+    """Seeded map ``x -> exp(log a + b / t + eps phi(t)) T0(Rot_z(c (t - r)) eta)``,
+    ``t = |x|``, ``eta = x / t``, and its exact weighted energy.  ``a exp(b / t)`` is
+    the increasing minimizer, ``phi = (t - r)(R - t) / (R - r)^2`` and ``T0`` a
+    seeded rotation.  The cross term ``2 eps t^2 K' phi'`` integrates to zero, as
+    ``t^2 K'`` is constant and ``phi`` vanishes at both ends, and each sphere maps by
+    a rotation, so the energy is ``E_min + 4 pi eps^2 ((r + R)^2 / (12 (R - r))
+    + (R - r) / 20) + (8 pi / 9) c^2 (R^3 - r^3)``.  ``0 <= eps < log(R* / r*) r / R``
+    keeps ``|f|`` increasing along rays, so each map is a homeomorphism; ``c`` makes
+    the twist term a log-uniform fraction in [1e-3, 1e-1] of ``E_min``."""
+    r, R, width = pair.r, pair.R, pair.domain.width
     base = exp_profile_from_boundary(pair, "increasing")
+    log_a, b = math.log(base.a), base.b
+    # a unit quaternion as an SU(2) matrix, which acts as a rotation
+    q = rng.normal(size=4)
+    q /= math.hypot(*q)
+    rot = MobiusTransform(complex(q[0], q[1]), complex(q[2], q[3]),
+                          complex(-q[2], q[3]), complex(q[0], -q[1]))
+    eps = rng.uniform(0.0, 1.0) * _log_ratio(pair.R_star, pair.r_star) * r / R
+    target = analytic_min_weighted_energy(pair)
+    twist = target * 10.0 ** rng.uniform(-3.0, -1.0)
+    # the twist rate whose term (8 pi / 9) c^2 (R^3 - r^3) is `twist`
+    c = math.sqrt(9.0 * twist / (8.0 * math.pi * width * (R * R + R * r + r * r)))
 
     def evaluator(points: np.ndarray) -> np.ndarray:
         t = row_norms(points)
         units = points / t[:, None]
+        cos, sin = np.cos(c * (t - r)), np.sin(c * (t - r))
+        x, y = units[:, 0], units[:, 1]
+        units[:, 0], units[:, 1] = cos * x - sin * y, sin * x + cos * y
         image = mobius_apply_points(rot, units)
-        image *= (base.eval(t) * factor(t, units))[:, None]
+        image *= np.exp(log_a + b / t + eps * ((t - r) / width) * ((R - t) / width))[:, None]
         return image
 
-    return SampledMap(evaluator=evaluator)
-
-
-def _smooth_bump_map(pair: AnnulusPair, rng: np.random.Generator) -> SampledMap:
-    """Radial map with a smooth multiplicative sine bump on the
-    increasing minimizer profile and a random sphere rotation."""
-    rot = random_mobius(rng)
-    amp = rng.uniform(0.05, 0.3)
-    mode = int(rng.integers(1, 4))
-    r, width = pair.r, pair.domain.width
-    return _modulated_minimizer(
-        pair, rot, lambda t, units: 1.0 + amp * np.sin(mode * np.pi * (t - r) / width))
-
-
-def _angular_competitor(pair: AnnulusPair, rng: np.random.Generator) -> SampledMap:
-    """Admissible non-radial competitor: the increasing minimizer with a
-    seeded angular modulation that vanishes on both boundary spheres."""
-    rot = random_mobius(rng)
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    ell = _log_ratio(pair.R_star, pair.r_star)
-    cap = 0.4 * ell * pair.r / (math.pi * pair.R)
-    amp = rng.uniform(0.3, 1.0) * cap
-    r, width = pair.r, pair.domain.width
-    return _modulated_minimizer(
-        pair, rot, lambda t, units: 1.0 + amp * np.sin(np.pi * (t - r) / width) * (units @ axis))
+    excess = 4.0 * math.pi * eps * eps * ((r + R) ** 2 / (12.0 * width) + width / 20.0)
+    return SampledMap(evaluator=evaluator), target + excess + twist
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +260,9 @@ def _discrete_convergence(pair: AnnulusPair, target: float) -> CheckResult:
 
 def check_minimal_energy(config: VerifyConfig) -> list[CheckResult]:
     """Minimal-energy value, minimizer structure, and the lower bound
-    against perturbed competitors."""
+    against perturbed competitors: piecewise-linear radial profiles and
+    twisted minimizers, whose exact energy (see ``_twisted_minimizer``)
+    exceeds ``E_min`` by at least 1e-3 of it."""
     pair = config.pair
     rng = np.random.default_rng([config.seed, 1])
     results: list[CheckResult] = []
@@ -301,7 +299,7 @@ def check_minimal_energy(config: VerifyConfig) -> list[CheckResult]:
         e = reduced_energy(prof, pair.domain)
         min_gap = min(min_gap, e - target)
     for i in range(n_angular):
-        f = _angular_competitor(pair, rng)
+        f, _ = _twisted_minimizer(pair, rng)
         rep = weighted_energy(f, pair, _FD_RADIAL_ORDER, _FD_SPHERE_ORDER, refine=False)
         min_gap = min(min_gap, rep.value - target)
     results.append(_lower_bound(
@@ -315,6 +313,10 @@ def check_minimal_energy(config: VerifyConfig) -> list[CheckResult]:
 def check_inversion_invariance(config: VerifyConfig) -> list[CheckResult]:
     """Weighted energy is unchanged by composing with ``y -> a y / |y|^2``.
 
+    One map in three is a generalized radial minimizer with a random
+    Moebius rotation; the others are twisted minimizers
+    ``exp(log a + b / t + eps phi(t)) T0(Rot_z(c (t - r)) eta)`` of known
+    energy (see ``_twisted_minimizer``), homeomorphisms on every pair.
     The composed map always goes through the finite-difference route;
     other maps are differentiated from the same stencil samples as
     their composition.  Generalized radial maps take the decomposition
@@ -329,24 +331,16 @@ def check_inversion_invariance(config: VerifyConfig) -> list[CheckResult]:
     scales = (0.5, 1.0, pair.r_star * pair.R_star)
     worst = 0.0
     for i in range(_N_INVERSION_MAPS):
-        kind = i % 3
-        if kind == 0:
+        invert = sphere_inversion(scales[i % len(scales)])
+        if i % 3 == 0:
             orientation = "increasing" if i % 2 == 0 else "decreasing"
             f = GeneralizedRadialMap(exp_profile_from_boundary(pair, orientation),
                                      random_mobius(rng))
-        elif kind == 1:
-            # smooth radial bump; piecewise-linear profiles would put
-            # kinks under the global radial quadrature of the
-            # finite-difference route and drown the comparison
-            f = _smooth_bump_map(pair, rng)
-        else:
-            f = _angular_competitor(pair, rng)
-        invert = sphere_inversion(scales[i % len(scales)])
-        if kind == 0:
             # the decomposition route gives the energy of f itself
             e_f = weighted_energy(f, pair, *orders, refine=False).value
             [e_g] = _fd_energies(f, pair, *orders, True, (invert,))
         else:
+            f, _ = _twisted_minimizer(pair, rng)
             e_f, e_g = _fd_energies(f, pair, *orders, True, (_same, invert))
         worst = max(worst, abs(e_f - e_g) / max(abs(e_f), 1.0))
     return [_equality("inversion-invariance-of-weighted-energy", worst, 0.0,
@@ -381,11 +375,15 @@ def check_sphere_inequality(config: VerifyConfig) -> list[CheckResult]:
     min_excess = math.inf
     for _ in range(_N_PERTURBATIONS):
         axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
+        axis /= math.hypot(*axis)
         amp = rng.uniform(0.15, 0.35)
 
         def stretch(etas, axis=axis, amp=amp):
-            out = etas + amp * (etas @ axis)[:, None] * axis[None, :]
+            # eta . axis summed column by column, as geometry._squared_norms does
+            along = etas[:, 0] * axis[0]
+            along += etas[:, 1] * axis[1]
+            along += etas[:, 2] * axis[2]
+            out = etas + amp * along[:, None] * axis[None, :]
             return out / row_norms(out)[:, None]
 
         min_excess = min(min_excess, sphere_inequality_integral(stretch, quad) - EIGHT_PI)

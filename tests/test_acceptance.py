@@ -51,7 +51,7 @@ from annuli import (
     weighted_harmonic_residual,
 )
 from annuli.cli import render_csv
-from annuli.verify import _angular_competitor, _smooth_bump_map
+from annuli.verify import _twisted_minimizer
 
 CANONICAL = AnnulusPair.from_radii(1.0, 2.0, 1.0, math.e)
 SIXTEEN_PI = 16.0 * math.pi
@@ -180,10 +180,8 @@ def test_criterion_06_inversion_invariance():
             orientation = "increasing" if i % 2 == 0 else "decreasing"
             f = GeneralizedRadialMap(exp_profile_from_boundary(pair, orientation),
                                      random_mobius(rng))
-        elif kind == 1:
-            f = _smooth_bump_map(pair, rng)
         else:
-            f = _angular_competitor(pair, rng)
+            f, _ = _twisted_minimizer(pair, rng)
         e_f = weighted_energy(f, pair, 32, 16, refine=False).value
         for a in scales:
             e_g = weighted_energy(inversion_transform(f, a), pair, 32, 16, refine=False).value
@@ -207,7 +205,7 @@ def test_criterion_07_lower_bound_property():
         prof = perturbed_profile(inc, amp, mode, seed=int(rng.integers(2**31)), grid=grid)
         min_gap = min(min_gap, reduced_energy(prof, pair.domain, 64) - target)
     for _ in range(33):
-        f = _angular_competitor(pair, rng)
+        f, _ = _twisted_minimizer(pair, rng)
         min_gap = min(min_gap, weighted_energy(f, pair, 32, 16, refine=False).value - target)
 
     ok = min_gap >= -1e-6 and min_gap > 0.0  # strict gap desk-check

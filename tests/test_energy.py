@@ -25,8 +25,7 @@ from annuli import (
 from annuli.energy import _fd_energies, _same
 from annuli.maps import sphere_inversion
 from annuli.verify import (
-    _angular_competitor,
-    _smooth_bump_map,
+    _twisted_minimizer,
     random_admissible_pair,
     random_annulus_pair,
 )
@@ -194,9 +193,13 @@ def _inversion_test_map(kind, pair, rng):
     if kind == "radial":
         return GeneralizedRadialMap(exp_profile_from_boundary(pair, "decreasing"),
                                     random_mobius(rng))
+    # every twisted minimizer carries both a smooth bump e^(eps phi) on the
+    # minimizer's modulus and an angular twist; the two kinds draw
+    # different members
     if kind == "bump":
-        return _smooth_bump_map(pair, rng)
-    return _angular_competitor(pair, rng)
+        return _twisted_minimizer(pair, rng)[0]
+    _twisted_minimizer(pair, rng)
+    return _twisted_minimizer(pair, rng)[0]
 
 
 class TestWeightedEnergiesWithInversion:
@@ -230,7 +233,7 @@ class TestWeightedEnergiesWithInversion:
 
 class TestFDRouteBuffers:
     def test_evaluator_layout_changes_no_bit(self, canonical_pair, rng):
-        g = as_sampled_map(_angular_competitor(canonical_pair, rng))
+        g, _ = _twisted_minimizer(canonical_pair, rng)
         views = (_same, sphere_inversion(0.5))
         for weighted in (True, False):
             c_order = _fd_energies(SampledMap(lambda p: np.ascontiguousarray(g.evaluator(p))),

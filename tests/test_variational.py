@@ -129,7 +129,8 @@ class TestDiscreteMinimization:
 
     def test_grid_and_pair_must_share_the_domain(self, canonical_pair):
         other = make_radial_grid(AnnulusPair.from_radii(1.0, 3.0, 1.0, 2.0).domain, 16)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match=r"grid on Annulus\(inner=1\.0, outer=3\.0\), "
+                                              r"not on Annulus\(inner=1\.0, outer=2\.0\)"):
             minimize_reduced_energy(canonical_pair, other)
 
 

@@ -15,6 +15,7 @@ from annuli import (
     check_sphere_inequality,
     check_minimal_energy,
     run_suite,
+    weighted_energy,
 )
 from annuli import verify
 from annuli.verify import random_admissible_pair, random_annulus_pair
@@ -220,3 +221,86 @@ class TestDiscreteConvergence:
         monkeypatch.setattr(verify, "minimize_reduced_energy", recording)
         check_minimal_energy(VerifyConfig())
         assert sizes == [250, 500, 1000]
+
+
+# pairs where a competitor whose true excess is below the FD route's
+# quadrature error at 32 x 16 would read under the minimum: the third draw
+# of default_rng(7), a degenerate target, and R / r = 100
+_COMPETITOR_PAIRS = [
+    (0.8627200784746587, 3.9277049631522187, 0.360455141134823, 0.40370567424729303),
+    (1.0, 2.0, 1.0, 1.0),
+    (1.0, 100.0, 1.0, 2.0),
+]
+# draws of random_annulus_pair(default_rng(2026)) where competitors with an
+# amplitude-capped excess read under the minimum at seed 1, R / r 2.85 to 85.38
+_COMPETITOR_DRAWS = (19, 36, 48, 61, 82, 88, 90, 97, 106, 118, 119, 129, 145, 161,
+                     168, 172, 182, 197)
+
+
+def _generator_draws(indices):
+    rng = np.random.default_rng(2026)
+    draws = [random_annulus_pair(rng) for _ in range(max(indices) + 1)]
+    return [draws[i] for i in indices]
+
+
+class TestTwistedMinimizers:
+    def test_competitor_row_passes_where_fd_error_beat_the_excess(self):
+        pairs = [AnnulusPair.from_radii(*radii) for radii in _COMPETITOR_PAIRS]
+        pairs += _generator_draws(_COMPETITOR_DRAWS)
+        assert max(p.R / p.r for p in pairs) >= 41.0
+        for pair in pairs:
+            failed = [(r.name, r.observed) for r in check_minimal_energy(
+                VerifyConfig(pair=pair, seed=1)) if not r.passed]
+            assert not failed, (pair, failed)
+
+    def test_inversion_row_passes_on_a_wide_target(self):
+        # log(R* / r*) = 23: an angular modulation whose amplitude grows with
+        # it leaves the homeomorphisms and sends points through the origin;
+        # measured 2.7e-8 at seeds 1, 7 and 42
+        pair = AnnulusPair.from_radii(1.0, 2.0, 1e-5, 1e5)
+        [row] = check_inversion_invariance(VerifyConfig(pair=pair, seed=1))
+        assert row.passed and row.observed <= 1e-6, row.observed
+
+    # bounds about 3-10 times the worst relative error measured over 30
+    # seeds x 3 members; it is the FD route's quadrature error, largest
+    # where R / r or log(R* / r*) is large
+    @pytest.mark.parametrize("radii, bound", [
+        ((1.0, 2.0, 1.0, math.e), 1e-9),                  # measured 1.3e-10
+        ((1.0, 2.0, 1e-5, 1e5), 1e-7),                    # measured 3.4e-8
+        # the widest of 200 generator draws, R / r = 85.38; measured 1.7e-6
+        ((0.11218689008861876, 9.578096379656353, 0.31846056021909763, 7.199308323624769),
+         5e-6),
+    ])
+    def test_fd_energy_matches_the_closed_form(self, radii, bound):
+        pair = AnnulusPair.from_radii(*radii)
+        target = analytic_min_weighted_energy(pair)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            f, exact = verify._twisted_minimizer(pair, rng)
+            assert exact >= target * (1.0 + 0.999e-3)
+            value = weighted_energy(f, pair, 32, 16, refine=False).value
+            assert abs(value - exact) <= bound * exact, (value, exact)
+
+    def test_generator_members_match_the_closed_form(self):
+        # the first 10 draws, R / r up to 8.4; measured 4.6e-10 over 10 seeds
+        worst = 0.0
+        for i, pair in enumerate(_generator_draws(range(10))):
+            f, exact = verify._twisted_minimizer(pair, np.random.default_rng(i))
+            value = weighted_energy(f, pair, 32, 16, refine=False).value
+            worst = max(worst, abs(value - exact) / exact)
+        assert worst <= 5e-9
+
+    @pytest.mark.parametrize("radii", [(1.0, 2.0, 1.0, math.e), (1.0, 2.0, 1e-5, 1e5),
+                                       (1.0, 100.0, 1.0, 2.0)])
+    def test_modulus_increases_along_rays(self, radii):
+        pair = AnnulusPair.from_radii(*radii)
+        rng = np.random.default_rng(11)
+        t = np.linspace(pair.r, pair.R, 2001)
+        etas = rng.normal(size=(16, 3))
+        etas /= np.sqrt(np.sum(etas * etas, axis=1))[:, None]
+        for _ in range(20):
+            f, _ = verify._twisted_minimizer(pair, rng)
+            for eta in etas:
+                image = f.evaluator(t[:, None] * eta[None, :])
+                modulus = np.sqrt(np.sum(image * image, axis=1))
+                assert np.all(np.diff(modulus) > 0.0)
