@@ -8,7 +8,8 @@ main verification tools, so neither is allowed to call the other.
 
 The FD route evaluates a map once per stencil point.  For the inversion
 check, ``f`` and its composition with ``y -> a y / |y|^2`` are
-differentiated from that one set of samples.
+differentiated from that one set of samples.  Its differences and squared
+norms are written into buffers reused across the stencil's axes.
 """
 from __future__ import annotations
 
@@ -154,7 +155,10 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     column by column.  An evaluator may return either layout, with the
     same bits.  The stencil is walked one axis at a time (``+e_k`` and
     ``-e_k``, then the centres); each shift is a fresh copy of the
-    centres, since an evaluator may return its input buffer.
+    centres, since an evaluator may return its input buffer.  Each
+    difference goes to one ``(N, 3)`` buffer and each squared norm, of a
+    difference or of the values, to one ``(N,)`` buffer, both allocated
+    once per call; in-place steps keep the bits of fresh arrays.
     """
     t, wt = gauss_legendre(pair.domain.inner, pair.domain.outer, radial_order)
     quad = make_sphere_quadrature(sphere_order)
@@ -165,6 +169,8 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     steps = np.repeat(_FD_STEP * t, n_sphere)
     two_steps = (2.0 * steps)[:, None]
     density = np.zeros((len(views), centers.shape[0]))
+    diff = np.empty(centers.shape, order="F")
+    nsq = np.empty(centers.shape[0])
     for k in range(3):
         plus = centers.copy(order="F")
         plus[:, k] += steps
@@ -173,14 +179,14 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
         minus[:, k] -= steps
         minus = map_eval_many(f, minus)
         for view, dens in zip(views, density):
-            dk = view(plus) - view(minus)
-            dk /= two_steps
-            dens += _squared_norms(dk)
+            np.subtract(view(plus), view(minus), out=diff)
+            diff /= two_steps
+            dens += _squared_norms(diff, out=nsq)
     if weighted:
         # the last use of the centres
         vals = map_eval_many(f, centers)
         for view, dens in zip(views, density):
-            nsq = _squared_norms(view(vals))
+            _squared_norms(view(vals), out=nsq)
             bad = np.nonzero(~np.isfinite(nsq) | (nsq <= 1e-300))[0]
             if bad.size:
                 i = int(bad[0])

@@ -229,11 +229,12 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def _squared_norms(pts: np.ndarray) -> np.ndarray:
+def _squared_norms(pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``x^2 + y^2 + z^2`` of the rows of an ``(N, 3)`` array, summed
-    column by column, so any memory layout gives the same bits."""
+    column by column, so any memory layout gives the same bits; written
+    to ``out`` when given."""
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    out = x * x
+    out = np.multiply(x, x, out=out)
     out += y * y
     out += z * z
     return out
@@ -245,7 +246,8 @@ def row_norms(pts: np.ndarray) -> np.ndarray:
     Same bits as ``np.linalg.norm(pts, axis=1)``, which sums the squares
     in the same order, at a fraction of its cost on long arrays.
     """
-    return np.sqrt(_squared_norms(pts))
+    out = _squared_norms(pts)
+    return np.sqrt(out, out=out)
 
 
 def tangent_frames(points: np.ndarray):

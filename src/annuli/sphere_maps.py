@@ -70,7 +70,9 @@ def _act(kernel, t: MobiusTransform, pts, *vecs):
     """Run a sphere-action kernel of ``_kernels`` on unit vectors of shape
     ``(N, 3)`` and on tangent vectors of the same shape."""
     pts = _as_points(pts)
-    if np.any(np.abs(row_norms(pts) - 1.0) > 1e-9):
+    dev = row_norms(pts)
+    dev -= 1.0
+    if np.any(np.abs(dev, out=dev) > 1e-9):
         raise ValueError("sphere action expects unit vectors")
     vecs = [np.asarray(v, dtype=float) for v in vecs]
     if any(v.shape != pts.shape for v in vecs):
@@ -82,8 +84,12 @@ def _apply_to_units(t: MobiusTransform, units: np.ndarray, norms: np.ndarray) ->
     """The sphere action on the rows of an ``(N, 3)`` float array that the
     caller has just divided by ``norms``, its ``row_norms``.  A norm in
     1e-150..1e150 squares to a normal float, so such rows are unit
-    vectors up to rounding and skip the unit check; others take it."""
+    vectors up to rounding and skip the unit check; others take it.
+    Among the former, the identity returns ``units`` itself: the kernel
+    would give the same bits, but for the sign of an exact zero."""
     if norms.size and 1e-150 <= norms.min() and norms.max() <= 1e150:
+        if t.a == 1.0 and t.b == 0.0 and t.c == 0.0 and t.d == 1.0:
+            return units
         return _kernels.mobius_apply_points(t.a, t.b, t.c, t.d, units)
     return mobius_apply_points(t, units)
 

@@ -202,7 +202,8 @@ def _twisted_minimizer(pair: AnnulusPair, rng: np.random.Generator) -> tuple[Sam
     a rotation, so the energy is ``E_min + 4 pi eps^2 ((r + R)^2 / (12 (R - r))
     + (R - r) / 20) + (8 pi / 9) c^2 (R^3 - r^3)``.  ``0 <= eps < log(R* / r*) r / R``
     keeps ``|f|`` increasing along rays, so each map is a homeomorphism; ``c`` makes
-    the twist term a log-uniform fraction in [1e-3, 1e-1] of ``E_min``."""
+    the twist term a log-uniform fraction in [1e-3, 1e-1] of ``E_min``.  ``T0`` acts
+    by its 3x3 matrix and ``Rot_z`` through ``tan(theta / 2)``, as column sums."""
     r, R, width = pair.r, pair.R, pair.domain.width
     base = exp_profile_from_boundary(pair, "increasing")
     log_a, b = math.log(base.a), base.b
@@ -216,15 +217,48 @@ def _twisted_minimizer(pair: AnnulusPair, rng: np.random.Generator) -> tuple[Sam
     twist = target * 10.0 ** rng.uniform(-3.0, -1.0)
     # the twist rate whose term (8 pi / 9) c^2 (R^3 - r^3) is `twist`
     c = math.sqrt(9.0 * twist / (8.0 * math.pi * width * (R * R + R * r + r * r)))
+    # T0 is linear: row k of `m` is the image of the axis e_k
+    m = mobius_apply_points(rot, np.eye(3))
 
     def evaluator(points: np.ndarray) -> np.ndarray:
+        x, y, z = points[:, 0], points[:, 1], points[:, 2]
         t = row_norms(points)
-        units = points / t[:, None]
-        cos, sin = np.cos(c * (t - r)), np.sin(c * (t - r))
-        x, y = units[:, 0], units[:, 1]
-        units[:, 0], units[:, 1] = cos * x - sin * y, sin * x + cos * y
-        image = mobius_apply_points(rot, units)
-        image *= np.exp(log_a + b / t + eps * ((t - r) / width) * ((R - t) / width))[:, None]
+        tau = np.subtract(t, r)
+        # eps phi(t), then g = |f| / t = exp(log a + b / t + eps phi(t)) / t
+        phi = np.divide(tau, width)
+        phi *= eps
+        tmp = np.subtract(R, t)
+        tmp /= width
+        phi *= tmp
+        g = np.divide(b, t)
+        g += log_a
+        g += phi
+        np.exp(g, out=g)
+        g /= t
+        # tau = tan(theta / 2) gives cos theta = (1 - tau^2) / (1 + tau^2) and
+        # sin theta = 2 tau / (1 + tau^2); hz, hc and hs are g z, g cos theta
+        # and g sin theta
+        tau *= 0.5 * c
+        np.tan(tau, out=tau)
+        hz = np.multiply(g, z, out=tmp)
+        hc = np.multiply(tau, tau, out=phi)
+        g /= np.add(hc, 1.0, out=t)
+        hs = tau
+        hs *= g
+        hs *= 2.0
+        np.subtract(1.0, hc, out=hc)
+        hc *= g
+        # g Rot_z(theta) eta, then its image under the matrix of T0
+        v0 = np.multiply(hc, x, out=g)
+        v0 -= np.multiply(hs, y, out=t)
+        v1 = np.multiply(hs, x)
+        v1 += np.multiply(hc, y, out=t)
+        image = np.empty(points.shape, order="F")
+        for j in range(3):
+            col = image[:, j]
+            np.multiply(v0, m[0, j], out=col)
+            col += np.multiply(v1, m[1, j], out=t)
+            col += np.multiply(hz, m[2, j], out=t)
         return image
 
     excess = 4.0 * math.pi * eps * eps * ((r + R) ** 2 / (12.0 * width) + width / 20.0)

@@ -3,8 +3,10 @@
 None of these is part of the ``annuli`` API.  The stereographic chart
 and the 2x2 matrix product check the Lorentz-matrix sphere action, the
 analytic single-point differential checks the finite-difference
-differential of a generalized radial map, and the logs of the closed-form
-energies decide where those energies lie beyond the float range.
+differential of a generalized radial map, the projective form of the
+twisted minimizers checks their matrix form, and the logs of the
+closed-form energies decide where those energies lie beyond the float
+range.
 """
 import cmath
 import math
@@ -16,6 +18,8 @@ from annuli import (
     DomainError,
     GeneralizedRadialMap,
     MobiusTransform,
+    analytic_min_weighted_energy,
+    exp_profile_from_boundary,
     mobius_apply_points,
     mobius_pushforward,
     tangent_frames,
@@ -87,6 +91,36 @@ def map_differential(f: GeneralizedRadialMap, x) -> np.ndarray:
     d = np.outer(hd * s, eta)
     d += (h / t) * (np.outer(ds[0], u[0]) + np.outer(ds[1], v[0]))
     return d
+
+
+def projective_twisted_minimizer(pair, rng):
+    """The member that ``verify._twisted_minimizer(pair, rng)`` draws from the
+    same stream, as the evaluator ``x -> exp(log a + b / t + eps phi(t))
+    mobius_apply_points(T0, Rot_z(c (t - r)) eta)`` with ``np.cos`` and
+    ``np.sin``: ``T0`` goes through the projective sphere action and its
+    unit check.  Returns the evaluator and the twist rate ``c``."""
+    r, R, width = pair.r, pair.R, pair.domain.width
+    base = exp_profile_from_boundary(pair, "increasing")
+    log_a, b = math.log(base.a), base.b
+    q = rng.normal(size=4)
+    q /= math.hypot(*q)
+    rot = MobiusTransform(complex(q[0], q[1]), complex(q[2], q[3]),
+                          complex(-q[2], q[3]), complex(q[0], -q[1]))
+    eps = rng.uniform(0.0, 1.0) * _log_ratio(pair.R_star, pair.r_star) * r / R
+    twist = analytic_min_weighted_energy(pair) * 10.0 ** rng.uniform(-3.0, -1.0)
+    c = math.sqrt(9.0 * twist / (8.0 * math.pi * width * (R * R + R * r + r * r)))
+
+    def evaluator(points):
+        t = np.linalg.norm(points, axis=1)
+        units = points / t[:, None]
+        cos, sin = np.cos(c * (t - r)), np.sin(c * (t - r))
+        x, y = units[:, 0], units[:, 1]
+        units[:, 0], units[:, 1] = cos * x - sin * y, sin * x + cos * y
+        image = mobius_apply_points(rot, units)
+        image *= np.exp(log_a + b / t + eps * ((t - r) / width) * ((R - t) / width))[:, None]
+        return image
+
+    return evaluator, c
 
 
 def log_min_weighted_energy(pair) -> float:

@@ -19,6 +19,7 @@ from annuli import (
     perturbed_profile,
     random_mobius,
 )
+from annuli import _kernels
 from reference import map_differential
 
 
@@ -214,6 +215,19 @@ class TestGeneralizedRadialMap:
         ts = rng.uniform(1.0, 2.0, size=30)
         xs = pts * ts[:, None]
         assert np.allclose(np.linalg.norm(map_eval_many(f, xs), axis=1), h1.eval(ts), rtol=1e-12)
+
+    def test_identity_rotation_gives_the_kernel_bits(self, canonical_pair, rng):
+        # the identity skips the sphere action; the kernel's quotient by
+        # w . p + w0 = 1 is exact, so only the sign of an exact zero may differ
+        h1 = exp_profile_from_boundary(canonical_pair, "increasing")
+        pts = rng.normal(size=(500, 3))
+        pts[:3] = np.eye(3)
+        pts[3:6] = -np.eye(3)
+        pts *= rng.uniform(1.0, 2.0, size=(500, 1)) / np.linalg.norm(pts, axis=1)[:, None]
+        t = np.linalg.norm(pts, axis=1)
+        expect = h1.eval(t)[:, None] * _kernels.mobius_apply_points(1, 0, 0, 1, pts / t[:, None])
+        got = map_eval_many(GeneralizedRadialMap(h1), pts)
+        assert np.all(np.isfinite(got)) and np.array_equal(got, expect)
 
     def test_eval_outside_annulus_raises(self, canonical_pair):
         grid = make_radial_grid(canonical_pair.domain, 16)

@@ -16,6 +16,7 @@ from annuli import (
     sphere_inequality_integral,
     tangent_frames,
 )
+from annuli import sphere_maps
 from annuli.geometry import row_norms
 from annuli.sphere_maps import _apply_to_units
 from reference import (
@@ -277,6 +278,29 @@ class TestUnitCheck:
         norms = row_norms(pts)
         with pytest.raises(ValueError, match="unit vectors"):
             _apply_to_units(random_mobius(rng), pts / norms[:, None], norms)
+
+    def test_identity_returns_freshly_normalized_rows_themselves(self, rng):
+        pts = rng.normal(size=(50, 3)) * 10.0 ** rng.uniform(-140.0, 140.0, size=(50, 1))
+        norms = row_norms(pts)
+        units = pts / norms[:, None]
+        assert _apply_to_units(MobiusTransform.identity(), units, norms) is units
+
+    def test_identity_outside_the_norm_range_keeps_the_check(self, monkeypatch):
+        identity = MobiusTransform.identity()
+        pts = np.array([[1e-160, 1e-160, 0.0]])
+        norms = row_norms(pts)
+        with pytest.raises(ValueError, match="unit vectors"):
+            _apply_to_units(identity, pts / norms[:, None], norms)
+        # a norm of 2^-500 squares to a normal float, but lies below 1e-150:
+        # its exact unit rows still go through the public action
+        calls = []
+        public = sphere_maps.mobius_apply_points
+        monkeypatch.setattr(sphere_maps, "mobius_apply_points",
+                            lambda t, p: calls.append(p) or public(t, p))
+        pts = 2.0**-500 * np.eye(3)
+        norms = row_norms(pts)
+        out = _apply_to_units(identity, pts / norms[:, None], norms)
+        assert len(calls) == 1 and np.array_equal(out, np.eye(3))
 
 
 class TestSphereInequality:
