@@ -35,7 +35,6 @@ from .maps import (
     SampledProfile,
     as_sampled_map,
     exp_profile_from_boundary,
-    inversion_transform,
     map_eval_many,
     perturbed_profile,
 )

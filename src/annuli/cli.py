@@ -28,9 +28,6 @@ from .variational import _discrete_el_residual, minimize_reduced_energy
 from .verify import DEFAULT_PAIR, VerifyConfig, run_suite
 
 _RADIUS_KEYS = ("r", "R", "rstar", "Rstar")
-# a refined energy pass doubles both orders, and the sphere rule at order
-# n has 2 n^2 nodes
-MAX_QUADRATURE_ORDER = 512
 # minimize prints a row per node; on a 2-core host 10^5 nodes take 1.6 s,
 # 10^6 nodes 16 s and 0.8 GB
 MAX_GRID_N = 10**5
@@ -39,16 +36,13 @@ MAX_SWEEP_ROWS = 10**4
 # every option besides the radii, --format, --output and --config: default, spec
 _OPTIONS = {
     "grid_n": (1000, dict(type=int, help=f"radial grid intervals, 2 to {MAX_GRID_N}")),
-    "sphere_order": (32, dict(type=int, help=f"sphere quadrature order, 2 to {MAX_QUADRATURE_ORDER}")),
-    "radial_order": (64, dict(type=int, help=f"radial quadrature order, 2 to {MAX_QUADRATURE_ORDER}")),
     "seed": (42, dict(type=int, help="seed of the random checks")),
     "sweep": ((), dict(action="append", help="PARAM=START:STOP:COUNT (repeat for a second axis)")),
 }
 _INT_KEYS = tuple(key for key, (_, spec) in _OPTIONS.items() if spec.get("type") is int)
 # each command's help and the options it reads; it takes no other flag
 _SUBCOMMANDS = {
-    "energy": ("analytic minimal energy and numeric energies of both minimizers",
-               ("radial_order", "sphere_order")),
+    "energy": ("analytic minimal energy and numeric energies of both minimizers", ()),
     "minimize": ("discrete minimization of the reduced radial energy", ("grid_n",)),
     "nitsche": ("harmonic BVP admissibility verdict", ()),
     "verify": ("run the verification suite", ("seed",)),
@@ -72,8 +66,6 @@ class RunConfig:
     command: str
     pair: AnnulusPair | None
     grid_n: int
-    sphere_order: int
-    radial_order: int
     seed: int
     output_format: str
     output_path: str | None
@@ -253,11 +245,6 @@ def parse_config(argv) -> RunConfig:
     ints.update((key, pick(key, ints[key])) for key in reads if key in ints)
     if "grid_n" in reads and not 2 <= ints["grid_n"] <= MAX_GRID_N:
         raise ConfigError(f"grid_n must be between 2 and {MAX_GRID_N}")
-    orders = [ints[key] for key in ("sphere_order", "radial_order") if key in reads]
-    if any(order < 2 for order in orders):
-        raise ConfigError("quadrature orders must be at least 2")
-    if any(order > MAX_QUADRATURE_ORDER for order in orders):
-        raise ConfigError(f"quadrature orders must be at most {MAX_QUADRATURE_ORDER}")
     return RunConfig(
         command=ns.command,
         pair=pair,
@@ -329,8 +316,8 @@ def cmd_energy(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     pair = cfg.pair
     analytic = analytic_min_weighted_energy(pair)
     reports = [
-        weighted_energy(GeneralizedRadialMap(exp_profile_from_boundary(pair, orientation)),
-                        pair, cfg.radial_order, cfg.sphere_order, refine=True)
+        weighted_energy(GeneralizedRadialMap(exp_profile_from_boundary(pair, orientation)), pair,
+                        refine=True)
         for orientation in ("increasing", "decreasing")
     ]
     row = {

@@ -6,6 +6,13 @@ arbitrary sampled maps go through a full 3-D tensor rule with central
 finite differences (the FD route).  Cross-checking the two is one of the
 main verification tools, so neither is allowed to call the other.
 
+The FD route and the decomposition of a closed-form profile integrate
+over the radius with one Gauss-Legendre rule in ``s = log(t / r)``.  The
+weighted density of the minimizer is ``b^2 / t^2 + 2`` in ``t`` but
+``b^2 / t + 2 t`` in ``s``, which is smooth on any shell, so at the
+default orders the decomposition route reads the minimizers' energies
+to rounding on thin and wide shells alike.
+
 The FD route evaluates a map once per stencil point.  For the inversion
 check, ``f`` and its composition with ``y -> a y / |y|^2`` are
 differentiated from that one set of samples.  Its differences and squared
@@ -51,6 +58,27 @@ class EnergyReport:
     refinement_delta: float | None
 
 
+# radial order of reduced_energy and default of the energy routes
+_RADIAL_ORDER = 64
+
+
+def _radial_rule(annulus: Annulus, order: int):
+    """Nodes and weights of ``integral(g(t) dt)`` over the shell: Gauss-
+    Legendre in ``s = log(t / r)``, with ``t = r + r expm1(s)`` and
+    ``dt = t ds``.  The width ``log1p((R - r) / r)`` keeps every digit on
+    thin shells; where ``(R - r) / r`` leaves the float range, so would
+    ``expm1(s)``, and the nodes come from ``log r + s`` instead."""
+    r, R = annulus.inner, annulus.outer
+    ratio = (R - r) / r
+    if ratio < math.inf:
+        s, ws = gauss_legendre(0.0, math.log1p(ratio), order)
+        t = r + r * np.expm1(s)
+    else:
+        s, ws = gauss_legendre(0.0, _log_ratio(R, r), order)
+        t = np.exp(math.log(r) + s)
+    return t, ws * t
+
+
 def _profile_quadrature(profile: RadialProfile, annulus: Annulus, order: int):
     """Radial quadrature triples (t, weight, H, H') for a profile.
 
@@ -58,7 +86,8 @@ def _profile_quadrature(profile: RadialProfile, annulus: Annulus, order: int):
     piecewise-linear interpolant, with its slope as ``H'``.  That rule is
     exact for the plain Dirichlet integrand, a polynomial on each
     interval, but not for the weighted one, ``t^2 (H'/H)^2``, and needs
-    a grid on ``annulus``.  Closed forms use a single global Gauss rule.
+    a grid on ``annulus``.  Closed forms use :func:`_radial_rule`, Gauss
+    in ``log t``, of the given order.
     """
     if isinstance(profile, SampledProfile):
         if profile.grid.annulus != annulus:
@@ -71,7 +100,7 @@ def _profile_quadrature(profile: RadialProfile, annulus: Annulus, order: int):
         tq = np.concatenate([mid - off, mid + off])
         wq = np.concatenate([0.5 * dt, 0.5 * dt])
         return tq, wq, profile.eval(tq), np.concatenate([slopes, slopes])
-    tq, wq = gauss_legendre(annulus.inner, annulus.outer, order)
+    tq, wq = _radial_rule(annulus, order)
     # extreme radii overflow here; _radial_integral raises on the result
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return tq, wq, profile.eval(tq), profile.derivative(tq, 1)
@@ -106,15 +135,16 @@ def _radial_integral(t: np.ndarray, w: np.ndarray, g: np.ndarray) -> float:
     return val
 
 
-def reduced_energy(profile: RadialProfile, annulus: Annulus, radial_order: int = 64) -> float:
+def reduced_energy(profile: RadialProfile, annulus: Annulus) -> float:
     """One-dimensional weighted energy of a radial profile,
     ``4 pi * integral(t^2 (H'/H)^2 + 2) dt``.
 
     This equals the weighted energy of the radial map built from the
-    profile and an arbitrary Moebius rotation.  A sampled profile takes
-    its per-interval two-point rule and ignores ``radial_order``.
+    profile and an arbitrary Moebius rotation.  A closed form takes the
+    Gauss rule in ``log t`` of order 64, a sampled profile its
+    per-interval two-point rule.
     """
-    t, w, h, hd = _profile_quadrature(profile, annulus, radial_order)
+    t, w, h, hd = _profile_quadrature(profile, annulus, _RADIAL_ORDER)
     _require_positive(h, t)
     val = _radial_integral(t, w, hd / h) + 2.0 * annulus.width
     return 4.0 * math.pi * val
@@ -160,7 +190,7 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     difference or of the values, to one ``(N,)`` buffer, both allocated
     once per call; in-place steps keep the bits of fresh arrays.
     """
-    t, wt = gauss_legendre(pair.domain.inner, pair.domain.outer, radial_order)
+    t, wt = _radial_rule(pair.domain, radial_order)
     quad = make_sphere_quadrature(sphere_order)
     n_sphere = quad.weights.size
     centers = np.empty((t.size * n_sphere, 3), order="F")
@@ -213,14 +243,14 @@ def _energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_order: i
     return EnergyReport(value, radial, spherical, (radial_order, sphere_order), delta)
 
 
-def weighted_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int = 64,
+def weighted_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int = _RADIAL_ORDER,
                     sphere_order: int = 32, refine: bool = True) -> EnergyReport:
     """Weighted Dirichlet energy ``integral(|Df|^2 / |f|^2)`` over the
     domain annulus."""
     return _energy(f, pair, radial_order, sphere_order, refine, True)
 
 
-def dirichlet_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int = 64,
+def dirichlet_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int = _RADIAL_ORDER,
                      sphere_order: int = 32, refine: bool = True) -> EnergyReport:
     """Plain Dirichlet energy ``integral(|Df|^2)`` over the domain
     annulus."""

@@ -153,21 +153,24 @@ def exp_profile_from_boundary(pair: AnnulusPair, orientation: str = "increasing"
     ``increasing`` interpolates ``H(r) = r_star, H(R) = R_star``;
     ``decreasing`` swaps the target radii.  The two profiles multiply to
     the constant ``r_star * R_star``.
-    With the float ``ell = log(hi / lo)``, ``b = -ell r R / (R - r)`` and
-    the exponent of ``a = lo exp(ell R / (R - r))`` are exact on the float
-    radii and rounded once; ``geometry._profile_coefficient`` checks both.
+    With the float ``ell = log(R_star / r_star)``, negated for
+    ``decreasing`` so that the two ``b`` are exact opposites, and with
+    ``lo = H(r)``, ``b = -ell r R / (R - r)`` and the exponent of
+    ``a = lo exp(ell R / (R - r))`` are exact on the float radii and
+    rounded once; ``geometry._profile_coefficient`` checks both.
     Where ``exp`` of the exponent overflows or underflows, ``a`` is
     ``exp(log lo + exponent)``, so any ``a`` in the float range is found.
     """
+    ell = Fraction(_log_ratio(pair.R_star, pair.r_star))
     if orientation == "increasing":
-        lo, hi = pair.r_star, pair.R_star
+        lo = pair.r_star
     elif orientation == "decreasing":
-        lo, hi = pair.R_star, pair.r_star
+        lo, ell = pair.R_star, -ell
     else:
         raise ValueError("orientation must be 'increasing' or 'decreasing'")
     profile = f"{orientation} exponential profile a exp(b / t)"
     r, R = Fraction(pair.r), Fraction(pair.R)
-    exponent = Fraction(_log_ratio(hi, lo)) * R / (R - r)
+    exponent = ell * R / (R - r)
     scale = _exp_or_inf(float(exponent))
     # where exp alone leaves the normal float range, a itself may not
     a = lo * scale if sys.float_info.min <= scale < math.inf else _exp_or_inf(
@@ -245,20 +248,6 @@ def sphere_inversion(a: float):
         return image
 
     return invert
-
-
-def inversion_transform(f: AnnulusMap, a: float = 1.0) -> SampledMap:
-    """Compose a map with the sphere inversion ``y -> a * y / |y|^2``.
-
-    The weighted energy is invariant under this composition; the image
-    annulus radii become ``a / R_star`` and ``a / r_star``.
-    """
-    invert = sphere_inversion(a)
-
-    def evaluator(points: np.ndarray) -> np.ndarray:
-        return invert(map_eval_many(f, points))
-
-    return SampledMap(evaluator=evaluator)
 
 
 def perturbed_profile(

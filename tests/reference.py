@@ -4,9 +4,10 @@ None of these is part of the ``annuli`` API.  The stereographic chart
 and the 2x2 matrix product check the Lorentz-matrix sphere action, the
 analytic single-point differential checks the finite-difference
 differential of a generalized radial map, the projective form of the
-twisted minimizers checks their matrix form, and the logs of the
-closed-form energies decide where those energies lie beyond the float
-range.
+twisted minimizers checks their matrix form, the map composed with a
+sphere inversion checks the FD route's shared-stencil inversion, and the
+logs of the closed-form energies decide where those energies lie beyond
+the float range.
 """
 import cmath
 import math
@@ -18,13 +19,16 @@ from annuli import (
     DomainError,
     GeneralizedRadialMap,
     MobiusTransform,
+    SampledMap,
     analytic_min_weighted_energy,
     exp_profile_from_boundary,
+    map_eval_many,
     mobius_apply_points,
     mobius_pushforward,
     tangent_frames,
 )
 from annuli.geometry import _log_ratio
+from annuli.maps import sphere_inversion
 
 
 def stereographic(p) -> complex:
@@ -91,6 +95,16 @@ def map_differential(f: GeneralizedRadialMap, x) -> np.ndarray:
     d = np.outer(hd * s, eta)
     d += (h / t) * (np.outer(ds[0], u[0]) + np.outer(ds[1], v[0]))
     return d
+
+
+def inversion_transform(f, a: float = 1.0) -> SampledMap:
+    """Compose a map with the sphere inversion ``y -> a * y / |y|^2``.
+
+    The weighted energy is invariant under this composition; the image
+    annulus radii become ``a / R_star`` and ``a / r_star``.
+    """
+    invert = sphere_inversion(a)
+    return SampledMap(evaluator=lambda points: invert(map_eval_many(f, points)))
 
 
 def projective_twisted_minimizer(pair, rng):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from annuli import AnnulusPair, exp_profile_from_boundary, make_radial_grid, perturbed_profile
 from annuli.cli import (
     MAX_GRID_N,
-    MAX_QUADRATURE_ORDER,
     MAX_SWEEP_ROWS,
     _build_parser,
     main,
@@ -28,7 +27,7 @@ E_STR = "2.718281828459045"
 CANON = ["--r", "1", "--R", "2", "--rstar", "1", "--Rstar", E_STR]
 # the flags each command reads besides the radii, --format, --output and --config
 _READS = {
-    "energy": ["--radial-order", "--sphere-order"],
+    "energy": [],
     "minimize": ["--grid-n"],
     "nitsche": [],
     "verify": ["--seed"],
@@ -64,8 +63,7 @@ class TestParseConfig:
     def test_flags_build_a_pair(self):
         cfg = parse_config(["energy", *CANON])
         assert cfg.pair.r == 1.0 and math.isclose(cfg.pair.R_star, math.e)
-        assert cfg.grid_n == 1000 and cfg.sphere_order == 32
-        assert cfg.radial_order == 64 and cfg.seed == 42
+        assert cfg.grid_n == 1000 and cfg.seed == 42
         assert cfg.output_format == "csv"
 
     def test_flag_overrides_config_file(self, tmp_path):
@@ -91,19 +89,29 @@ class TestParseConfig:
                         if opt not in ("-h", "--help")}
                  for name, p in sub.choices.items()}
         assert flags == {name: _COMMON | set(reads) for name, reads in _READS.items()}
-        assert sum(map(len, flags.values())) == 40
+        assert sum(map(len, flags.values())) == 38
 
     @pytest.mark.parametrize("command, key", [
-        ("nitsche", "grid_n"), ("energy", "grid_n"), ("minimize", "sphere_order"),
-        ("minimize", "radial_order"),
+        ("nitsche", "grid_n"), ("energy", "grid_n"),
     ])
     def test_unread_config_key_is_not_range_checked(self, tmp_path, capsys, command, key):
         # one config file may hold the keys of every command
         f = tmp_path / "c.json"
-        f.write_text(json.dumps({"r": 1, "R": 2, "rstar": 1, "Rstar": 2, "grid_n": 4,
-                                 "radial_order": 8, "sphere_order": 8, key: 1}))
+        f.write_text(json.dumps({"r": 1, "R": 2, "rstar": 1, "Rstar": 2, "grid_n": 4, key: 1}))
         code, out, err = run_cli(capsys, command, "--config", str(f))
         assert (code, err) == (0, "") and out
+
+    @pytest.mark.parametrize("key", ["radial_order", "sphere_order"])
+    def test_quadrature_orders_are_no_option(self, tmp_path, capsys, key):
+        # the energy command's radial rule is exact at its fixed orders
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({"r": 1, "R": 2, "rstar": 1, "Rstar": 2, key: 64}))
+        code, out, err = run_cli(capsys, "energy", "--config", str(f))
+        assert (code, out) == (2, "")
+        assert err == f"error: config field {key!r} is not recognized\n"
+        flag = "--" + key.replace("_", "-")
+        code, out, err = run_cli(capsys, "energy", *CANON, flag, "64")
+        assert (code, out, err) == (2, "", f"error: unrecognized arguments: {flag} 64\n")
 
     def test_json_config_file(self, tmp_path):
         f = tmp_path / "c.json"
@@ -441,6 +449,12 @@ _ERROR_CAUSES = {
         "error: unrecognized arguments: --radial-order 1\n",
     "sweep --r 1 --R 2 --rstar 1 --sweep Rstar=2:3:2 --sphere-order 8":
         "error: unrecognized arguments: --sphere-order 8\n",
+    "energy --r 1 --R 2 --rstar 1 --Rstar 2 --sphere-order 100000":
+        "error: unrecognized arguments: --sphere-order 100000\n",
+    # (R - r) / r overflows; the message names the largest finite node
+    "energy --r 1e-300 --R 1e300 --rstar 1 --Rstar 2":
+        "error: EvaluationError: radial energy integral is not finite (nan): t^2 overflows at "
+        "radii up to 6.18746e+299;",
     "verify --sweep Rstar=2:3:2": "error: unrecognized arguments: --sweep Rstar=2:3:2\n",
     # the suite derives its grid from the pair
     "verify --grid-n 5": "error: unrecognized arguments: --grid-n 5\n",
@@ -452,7 +466,7 @@ class TestNoTraceback:
         # a grid this fine would need arrays of 745 GiB
         (["minimize", "--r", "1", "--R", "2", "--rstar", "1", "--Rstar", "2",
           "--grid-n", "100000000000"], 2),
-        # a Gauss rule of this order would need a dense 100000^2 matrix
+        # the energy command takes no quadrature order
         (["energy", "--r", "1", "--R", "2", "--rstar", "1", "--Rstar", "2",
           "--sphere-order", "100000"], 2),
         # so would a sweep axis this long
@@ -510,6 +524,8 @@ class TestNoTraceback:
           "--sphere-order", "8"], 2),
         (["verify", "--sweep", "Rstar=2:3:2"], 2),
         (["verify", "--grid-n", "5"], 2),
+        # R / r = 1e600: the radial rule's nodes stay finite
+        (["energy", "--r", "1e-300", "--R", "1e300", "--rstar", "1", "--Rstar", "2"], 1),
     ])
     def test_exits_with_one_line_error(self, capsys, argv, expected):
         code, _, err = run_cli(capsys, *argv)
@@ -600,15 +616,14 @@ _EXTREME_RADII = ["0", "-1", "1e-300", "-1e-300", "1e300", "-1e300", "5e-324", "
                   "2.2250738585072014e-308", "1.7976931348623157e308", "inf", "-inf", "nan"]
 _RADII = st.one_of(st.sampled_from(["1", "2", "3"]), st.sampled_from(_EXTREME_RADII),
                    st.floats(0.1, 10.0).map(repr))
-_INTS = st.sampled_from([8, -1, 0, 2, MAX_QUADRATURE_ORDER, MAX_QUADRATURE_ORDER + 1,
-                         MAX_GRID_N, MAX_GRID_N + 1, MAX_SWEEP_ROWS, MAX_SWEEP_ROWS + 1,
+_INTS = st.sampled_from([8, -1, 0, 2, MAX_GRID_N, MAX_GRID_N + 1, MAX_SWEEP_ROWS, MAX_SWEEP_ROWS + 1,
                          10**11]).map(str)
 _SWEEP = st.tuples(st.sampled_from(["r", "R", "rstar", "Rstar"]), _RADII, _RADII,
                    st.one_of(_INTS, st.sampled_from(["1", "3"]))).map(
     lambda p: ["--sweep", f"{p[0]}={p[1]}:{p[2]}:{p[3]}"])
 
 
-_INT_FLAGS = ("--grid-n", "--sphere-order", "--radial-order", "--seed")
+_INT_FLAGS = ("--grid-n", "--seed")
 
 
 @st.composite
@@ -660,7 +675,7 @@ _JSON_VALUES = st.one_of(
 _GOOD_VALUES = {
     **{key: st.one_of(_RADII, st.floats(0.1, 10.0)) for key in ("r", "R", "rstar", "Rstar")},
     **{key: st.one_of(st.integers(-1, 40), st.sampled_from(["8", "x"]))
-       for key in ("grid_n", "sphere_order", "radial_order", "seed")},
+       for key in ("grid_n", "seed")},
     "format": st.sampled_from(["csv", "json", "xml"]),
     "output_format": st.sampled_from(["csv", "json"]),
     "sweep": st.one_of(_SWEEP.map(lambda spec: spec[1]),
@@ -676,7 +691,7 @@ _NON_STRINGS = _JSON_VALUES.filter(lambda value: not isinstance(value, str))
 @st.composite
 def _json_config(draw):
     config = {}
-    for key in ("r", "R", "rstar", "Rstar", "grid_n", "sphere_order", "radial_order", "seed",
+    for key in ("r", "R", "rstar", "Rstar", "grid_n", "seed",
                 "format", "output_format", "sweep", "output", "output_path"):
         radius = key in ("r", "R", "rstar", "Rstar")
         if bool(draw(st.integers(0, 7 if radius else 2))) != radius:

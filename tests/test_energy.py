@@ -16,7 +16,6 @@ from annuli import (
     dirichlet_energy,
     dirichlet_lower_bound,
     exp_profile_from_boundary,
-    inversion_transform,
     make_radial_grid,
     random_mobius,
     reduced_energy,
@@ -29,6 +28,7 @@ from annuli.verify import (
     random_admissible_pair,
     random_annulus_pair,
 )
+from reference import inversion_transform
 
 PI = math.pi
 
@@ -127,6 +127,21 @@ class TestWeightedEnergy:
         fd = weighted_energy(as_sampled_map(f), canonical_pair,
                              radial_order=32, sphere_order=16, refine=False).value
         assert math.isclose(fd, exact, rel_tol=1e-6)
+
+    @pytest.mark.parametrize("radii", [
+        (1.0, 1.001, 1.0, 2.0),
+        (1e5, 1.01e5, 1.0, 2.0),
+        # the decreasing profile read 2.7e-12 low while its log(r_star / R_star)
+        # was rounded apart from -log(R_star / r_star)
+        (3.7, 3.7 * (1.0 + 1e-6), 2.0, 2.0000001),
+    ])
+    def test_minimizers_reach_the_minimum_on_thin_shells(self, radii):
+        pair = AnnulusPair.from_radii(*radii)
+        target = analytic_min_weighted_energy(pair)
+        for orientation in ("increasing", "decreasing"):
+            f = GeneralizedRadialMap(exp_profile_from_boundary(pair, orientation))
+            value = weighted_energy(f, pair, refine=False).value
+            assert abs(value - target) <= 1e-13 * target, (orientation, value, target)
 
     def test_refinement_delta_is_small_for_smooth_maps(self, canonical_pair):
         h1 = exp_profile_from_boundary(canonical_pair, "increasing")

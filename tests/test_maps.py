@@ -13,14 +13,13 @@ from annuli import (
     HarmonicProfile,
     SampledProfile,
     exp_profile_from_boundary,
-    inversion_transform,
     make_radial_grid,
     map_eval_many,
     perturbed_profile,
     random_mobius,
 )
 from annuli import _kernels
-from reference import map_differential
+from reference import inversion_transform, map_differential
 
 
 def fd_derivative(fn, t, h=1e-6):

@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "check_sphere_inequality", "conformal_stretch_points", "dirichlet_energy",
     "dirichlet_lower_bound", "discrete_reduced_energy", "el_residual",
     "exp_profile_from_boundary", "gauss_legendre", "gradient_descent_minimize",
-    "harmonic_profile_monotone", "harmonic_radial_bvp", "inversion_transform",
+    "harmonic_profile_monotone", "harmonic_radial_bvp",
     "make_radial_grid", "make_sphere_quadrature", "map_eval_many",
     "minimize_reduced_energy", "mobius_apply_points", "mobius_pushforward",
     "nitsche_condition", "perturbed_profile", "random_admissible_pair",
