@@ -79,19 +79,24 @@ def _radial_rule(annulus: Annulus, order: int):
     return t, ws * t
 
 
+def _same_annulus(profile: SampledProfile, annulus: Annulus):
+    if profile.grid.annulus != annulus:
+        raise DomainError(f"profile sampled on {profile.grid.annulus!r}, not on {annulus!r}")
+
+
 def _profile_quadrature(profile: RadialProfile, annulus: Annulus, order: int):
     """Radial quadrature triples (t, weight, H, H') for a profile.
 
     Sampled profiles take a two-point Gauss rule per interval on their
     piecewise-linear interpolant, with its slope as ``H'``.  That rule is
-    exact for the plain Dirichlet integrand, a polynomial on each
-    interval, but not for the weighted one, ``t^2 (H'/H)^2``, and needs
-    a grid on ``annulus``.  Closed forms use :func:`_radial_rule`, Gauss
-    in ``log t``, of the given order.
+    exact where the integrand is a polynomial of degree at most 3 on each
+    interval, as are ``t^2 H'^2`` and ``H^2``, so it serves the plain
+    energy only; the weighted one is :func:`_sampled_weighted_integral`.
+    Closed forms use :func:`_radial_rule`, Gauss in ``log t``, of the
+    given order.
     """
     if isinstance(profile, SampledProfile):
-        if profile.grid.annulus != annulus:
-            raise DomainError(f"profile sampled on {profile.grid.annulus!r}, not on {annulus!r}")
+        _same_annulus(profile, annulus)
         t = profile.grid.nodes
         dt = np.diff(t)
         slopes = np.diff(profile.values) / dt
@@ -106,6 +111,46 @@ def _profile_quadrature(profile: RadialProfile, annulus: Annulus, order: int):
         return tq, wq, profile.eval(tq), profile.derivative(tq, 1)
 
 
+# Taylor coefficients, highest degree first, of (sinh y - y) / y^3 in y^2 and
+# of (e^-y - 1 + y) / y^2 in y; for |y| < 1 the terms left out are below 1e-16
+# of either sum
+_SINH_SERIES = [1.0 / math.factorial(2 * k + 3) for k in reversed(range(8))]
+_EXP_SERIES = [(-1.0) ** k / math.factorial(k + 2) for k in reversed(range(17))]
+
+
+def _sampled_weighted_integral(profile: SampledProfile, annulus: Annulus) -> float:
+    """``integral(t^2 (H'/H)^2) dt`` of the piecewise-linear interpolant,
+    in closed form on each interval.
+
+    With ``H = alpha + s t`` on ``[t0, t1]``, ``h = t1 - t0``,
+    ``u0 = H(t0)`` and ``u1 = H(t1)``, the interval contributes
+    ``h (1 - 2 alpha log(u1 / u0) / (u1 - u0) + alpha^2 / (u0 u1))``.  Its
+    three terms cancel when ``s t`` is small beside ``H``, so it is taken
+    as ``h A + t0 (2 B + 4 k sinh^2(y / 2))``, ``y = log(u1 / u0)``,
+    ``k = t0 / h``, ``A = 2 (sinh y - y) / expm1(y)`` and
+    ``B = expm1(-y) + y``: three terms that are never negative, with
+    ``A`` and ``B`` summed as Taylor series where ``|y| < 1``.
+    """
+    _same_annulus(profile, annulus)
+    t, u = profile.grid.nodes, profile.values
+    t0, h = t[:-1], np.diff(t)
+    # extreme profiles overflow here; _finite_radial raises on the result
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y = np.log1p(np.diff(u) / u[:-1])
+        x = np.expm1(y)
+        small = np.abs(y) < 1.0
+        y2 = y * y
+        # y / x is 1 where H is flat
+        y_over_x = np.divide(y, x, out=np.ones_like(y), where=(y != 0.0))
+        a = np.where(small, 2.0 * y2 * y_over_x * np.polyval(_SINH_SERIES, y2),
+                     2.0 * (np.sinh(y) - y) / x)
+        b = np.where(small, y2 * np.polyval(_EXP_SERIES, y), np.expm1(-y) + y)
+        half = np.sinh(0.5 * y)
+        parts = h * a + t0 * (2.0 * b + 4.0 * (t0 / h) * (half * half))
+        val = float(np.sum(parts))
+    return _finite_radial(val, float(t[0]), float(t[-1]))
+
+
 def _require_positive(h: np.ndarray, t: np.ndarray):
     bad = np.nonzero(h <= 0.0)[0]
     if bad.size:
@@ -114,16 +159,20 @@ def _require_positive(h: np.ndarray, t: np.ndarray):
 
 
 def _radial_integral(t: np.ndarray, w: np.ndarray, g: np.ndarray) -> float:
-    """``integral(t^2 g^2) dt`` by the rule ``(t, w)``.
+    """``integral(t^2 g^2) dt`` by the rule ``(t, w)``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = float(np.sum(w * (t**2 * g**2)))
+    return _finite_radial(val, float(t[0]), float(t[-1]))
+
+
+def _finite_radial(val: float, lo: float, hi: float) -> float:
+    """``val``, a radial integral over ``[lo, hi]``, if it is finite.
 
     Radii so large that ``t^2`` overflows, or so small that it underflows
     (a profile derivative ``b / t^2`` is then ``0 / 0`` or infinite), would
     give ``inf`` or ``nan``; they raise instead, naming which.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = float(np.sum(w * (t**2 * g**2)))
     if not math.isfinite(val):
-        lo, hi = float(t[0]), float(t[-1])
         if hi * hi == math.inf:
             cause = f"t^2 overflows at radii up to {hi:.6g}; the radii are too large"
         elif lo * lo < sys.float_info.min:
@@ -135,18 +184,27 @@ def _radial_integral(t: np.ndarray, w: np.ndarray, g: np.ndarray) -> float:
     return val
 
 
+def _weighted_radial(profile: RadialProfile, annulus: Annulus, order: int) -> float:
+    """``integral(t^2 (H'/H)^2) dt`` over the shell: exact for a sampled
+    profile, by the Gauss rule in ``log t`` of the given order for a
+    closed form."""
+    if isinstance(profile, SampledProfile):
+        return _sampled_weighted_integral(profile, annulus)
+    t, w, h, hd = _profile_quadrature(profile, annulus, order)
+    _require_positive(h, t)
+    return _radial_integral(t, w, hd / h)
+
+
 def reduced_energy(profile: RadialProfile, annulus: Annulus) -> float:
     """One-dimensional weighted energy of a radial profile,
     ``4 pi * integral(t^2 (H'/H)^2 + 2) dt``.
 
     This equals the weighted energy of the radial map built from the
     profile and an arbitrary Moebius rotation.  A closed form takes the
-    Gauss rule in ``log t`` of order 64, a sampled profile its
-    per-interval two-point rule.
+    Gauss rule in ``log t`` of order 64; a sampled profile is integrated
+    exactly, as its piecewise-linear interpolant.
     """
-    t, w, h, hd = _profile_quadrature(profile, annulus, _RADIAL_ORDER)
-    _require_positive(h, t)
-    val = _radial_integral(t, w, hd / h) + 2.0 * annulus.width
+    val = _weighted_radial(profile, annulus, _RADIAL_ORDER) + 2.0 * annulus.width
     return 4.0 * math.pi * val
 
 
@@ -162,11 +220,13 @@ def _decomposed(f: GeneralizedRadialMap, pair: AnnulusPair, radial_order: int,
     radial map.  The radial part integrates ``t^2 (H'/H)^2`` (weighted)
     or ``t^2 H'^2``; the sphere factor is scaled by ``2 (R - r)`` or by
     ``2 integral(H^2)``."""
-    t, w, h, hd = _profile_quadrature(f.profile, pair.domain, radial_order)
     if weighted:
-        _require_positive(h, t)
-    radial = 4.0 * math.pi * _radial_integral(t, w, hd / h if weighted else hd)
-    shell = 2.0 * pair.domain.width if weighted else 2.0 * float(np.sum(w * h**2))
+        radial = 4.0 * math.pi * _weighted_radial(f.profile, pair.domain, radial_order)
+        shell = 2.0 * pair.domain.width
+    else:
+        t, w, h, hd = _profile_quadrature(f.profile, pair.domain, radial_order)
+        radial = 4.0 * math.pi * _radial_integral(t, w, hd)
+        shell = 2.0 * float(np.sum(w * h**2))
     spherical = shell * _sphere_factor(f, sphere_order)
     return radial, spherical, radial + spherical
 

@@ -22,7 +22,8 @@ from annuli import (
 )
 from annuli import verify
 from annuli.energy import _fd_energies
-from annuli.geometry import row_norms
+from annuli.geometry import make_sphere_quadrature, row_norms
+from annuli.sphere_maps import conformal_stretch_points, random_mobius
 from annuli.verify import random_admissible_pair, random_annulus_pair
 from reference import projective_twisted_minimizer
 
@@ -227,6 +228,19 @@ class TestClosedFormRow:
             assert row.passed, (seed, row.observed)
 
 
+class TestCompetitorRow:
+    # a two-point Gauss rule per interval reads the piecewise-linear
+    # competitors far below the minimum here, -204 and -4 520 at seed 1;
+    # exact per interval, they read 43 and 431
+    @pytest.mark.parametrize("radii", [(1.0, 1e3, 1.0, 1e3), (1.0, 1e4, 1e-5, 1e5)])
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_row_passes_on_wide_shells(self, radii, seed):
+        config = VerifyConfig(pair=AnnulusPair.from_radii(*radii), seed=seed)
+        row = {r.name: r for r in check_minimal_energy(config)}[
+            "competitor-energies-above-minimum"]
+        assert row.passed and row.observed > 0.0, row.observed
+
+
 class TestDiscreteConvergence:
     @pytest.mark.parametrize("radii", _WIDE_GENERATOR_PAIRS)
     def test_row_passes_on_wide_generator_pairs(self, radii):
@@ -275,6 +289,23 @@ def _generator_draws(indices):
     return [draws[i] for i in indices]
 
 
+class TestFdOrders:
+    def test_sphere_order_integrates_moebius_stretch(self):
+        # no verify row sees the FD sphere order: each sphere of a twisted
+        # member maps by a rotation, and the inversion row's f and its inverted
+        # composition have pointwise equal integrands on one shared rule.  The
+        # radial maps' random Moebius rotations are what the rule integrates,
+        # and the area of a Moebius image is 4 pi; measured 1.5e-5 at order 16
+        # (12: 3.6e-4, 8: 7.6e-3)
+        quad = make_sphere_quadrature(verify._FD_SPHERE_ORDER)
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for _ in range(300):
+            lam = conformal_stretch_points(random_mobius(rng), quad.nodes)
+            worst = max(worst, abs(float(np.sum(quad.weights * lam**2)) / (4.0 * math.pi) - 1.0))
+        assert worst <= 1e-4
+
+
 class TestTwistedMinimizers:
     def test_competitor_row_passes_where_fd_error_beat_the_excess(self):
         pairs = [AnnulusPair.from_radii(*radii) for radii in _COMPETITOR_PAIRS]
@@ -294,14 +325,14 @@ class TestTwistedMinimizers:
         assert row.passed and row.observed <= 1e-6, row.observed
 
     # bounds about 3-10 times the worst relative error measured over 30
-    # seeds x 3 members; it is the FD route's quadrature error, largest
-    # where R / r or log(R* / r*) is large
+    # seeds x 3 members at the suite's FD orders; it is set by the FD step,
+    # largest where log(R* / r*) is large
     @pytest.mark.parametrize("radii, bound", [
         ((1.0, 2.0, 1.0, math.e), 1e-9),                  # measured 1.3e-10
         ((1.0, 2.0, 1e-5, 1e5), 1e-7),                    # measured 3.4e-8
-        # the widest of 200 generator draws, R / r = 85.38; measured 1.7e-6
+        # the widest of 200 generator draws, R / r = 85.38; measured 4.5e-11
         ((0.11218689008861876, 9.578096379656353, 0.31846056021909763, 7.199308323624769),
-         5e-6),
+         5e-10),
     ])
     def test_fd_energy_matches_the_closed_form(self, radii, bound):
         pair = AnnulusPair.from_radii(*radii)
@@ -310,15 +341,17 @@ class TestTwistedMinimizers:
         for _ in range(3):
             f, exact = verify._twisted_minimizer(pair, rng)
             assert exact >= target * (1.0 + 0.999e-3)
-            value = weighted_energy(f, pair, 32, 16, refine=False).value
+            value = weighted_energy(f, pair, verify._FD_RADIAL_ORDER, verify._FD_SPHERE_ORDER,
+                                    refine=False).value
             assert abs(value - exact) <= bound * exact, (value, exact)
 
     def test_generator_members_match_the_closed_form(self):
-        # the first 10 draws, R / r up to 8.4; measured 4.6e-10 over 10 seeds
+        # the first 10 draws, R / r up to 8.4; measured 3.7e-10
         worst = 0.0
         for i, pair in enumerate(_generator_draws(range(10))):
             f, exact = verify._twisted_minimizer(pair, np.random.default_rng(i))
-            value = weighted_energy(f, pair, 32, 16, refine=False).value
+            value = weighted_energy(f, pair, verify._FD_RADIAL_ORDER, verify._FD_SPHERE_ORDER,
+                                    refine=False).value
             worst = max(worst, abs(value - exact) / exact)
         assert worst <= 5e-9
 
@@ -358,20 +391,23 @@ class TestTwistedMinimizers:
         assert poles == (3 if radii[2] == 1e-5 else 0)
 
     def test_fd_route_peak_allocation(self):
-        # one FD energy of a twisted member at 32 x 16 (16 384 nodes) holds the
-        # centres, the steps, the difference buffers, the two evaluated shifts
-        # and the evaluator's scratch: measured 201.3 bytes per node, against
-        # 225.3 when the differences, squares and evaluator steps were fresh arrays
+        # one FD energy of a twisted member at the suite's orders, 16 x 16
+        # (8 192 nodes), holds the centres, the steps, the difference buffers,
+        # the two evaluated shifts and the evaluator's scratch: measured 202.4
+        # bytes per node, against 225.3 at 32 x 16 when the differences,
+        # squares and evaluator steps were fresh arrays
         pair = verify.DEFAULT_PAIR
+        orders = (verify._FD_RADIAL_ORDER, verify._FD_SPHERE_ORDER)
         f, _ = verify._twisted_minimizer(pair, np.random.default_rng(0))
-        _fd_energies(f, pair, 32, 16, True)
+        _fd_energies(f, pair, *orders, True)
         tracemalloc.start()
         try:
-            _fd_energies(f, pair, 32, 16, True)
+            _fd_energies(f, pair, *orders, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 213 * 32 * 2 * 16 * 16
+        radial_order, sphere_order = orders
+        assert peak <= 213 * radial_order * 2 * sphere_order * sphere_order
 
     @pytest.mark.parametrize("radii", [(1.0, 2.0, 1.0, math.e), (1.0, 2.0, 1e-5, 1e5),
                                        (1.0, 100.0, 1.0, 2.0)])
