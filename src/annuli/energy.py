@@ -35,10 +35,12 @@ from .maps import (
     GeneralizedRadialMap,
     RadialProfile,
     SampledProfile,
-    _FD_STEP,
     map_eval_many,
 )
 from .sphere_maps import conformal_stretch_points
+
+# central-difference step of the FD route, relative to the radius t
+_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -256,7 +258,10 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     centers = np.empty((t.size * n_sphere, 3), order="F")
     for k in range(3):
         np.multiply.outer(t, quad.nodes[:, k], out=centers[:, k].reshape(t.size, n_sphere))
-    steps = np.repeat(_FD_STEP * t, n_sphere)
+    # at most 1e-5 of 64 shell widths: on a thin shell log H bends as 2 b / t^3,
+    # with |b| up to log(R* / r*) r R / (R - r), and a step of 1e-5 t would set
+    # the error; from R / r = 64 / 63 on the step is 1e-5 t
+    steps = np.repeat(_FD_STEP * np.minimum(t, 64.0 * pair.domain.width), n_sphere)
     two_steps = (2.0 * steps)[:, None]
     density = np.zeros((len(views), centers.shape[0]))
     diff = np.empty(centers.shape, order="F")

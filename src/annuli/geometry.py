@@ -104,17 +104,16 @@ def _four_pi_times(exact: Fraction) -> float:
         return math.inf
 
 
-def _profile_coefficient(name: str, exact, profile: str, pair: AnnulusPair) -> float:
-    """Coefficient ``name`` of ``profile``: ``exact``, a ``Fraction`` or a
-    float from ``exp``, rounded once.  It must be finite, and normal or
-    within 1e-12 relative of a ``Fraction``; else :class:`EvaluationError`
-    names it and the radii."""
+def _profile_coefficient(name: str, exact: Fraction, profile: str, pair: AnnulusPair) -> float:
+    """Coefficient ``name`` of ``profile``: ``exact`` rounded once.  It must
+    be finite, and normal or within 1e-12 relative of ``exact``; else
+    :class:`EvaluationError` names it and the radii."""
     try:
         value = float(exact)
     except OverflowError:
         value = math.inf if exact > 0 else -math.inf
-    if math.isfinite(value) and (abs(value) >= sys.float_info.min or (
-            isinstance(exact, Fraction) and abs(exact - Fraction(value)) <= abs(exact) / 10**12)):
+    if math.isfinite(value) and (abs(value) >= sys.float_info.min
+                                 or abs(exact - Fraction(value)) <= abs(exact) / 10**12):
         return value
     how = ", rounded through subnormal floats" if math.isfinite(value) else ""
     raise EvaluationError(f"{profile} has {name} = {value!r}{how}; the radii r = {pair.r!r}, "

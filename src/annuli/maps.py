@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
@@ -22,9 +21,6 @@ from .errors import DomainError, EvaluationError
 from .geometry import AnnulusPair, RadialGrid, _as_points, _log_ratio, _profile_coefficient
 from .geometry import _squared_norms, row_norms
 from .sphere_maps import MobiusTransform, _apply_to_units
-
-# central-difference step of every map differential, relative to |x|
-_FD_STEP = 1e-5
 
 
 class _Profile:
@@ -63,21 +59,30 @@ class _ClosedFormProfile(_Profile):
 
 @dataclass(frozen=True)
 class ExponentialProfile(_ClosedFormProfile):
-    """Profile ``H(t) = a * exp(b / t)`` with ``a > 0``.
+    """Profile ``H(t) = a * exp(b * (1 / t - 1 / t0))`` with ``a > 0``, the
+    value at the anchor radius ``t0 > 0``; the default ``t0 = inf`` gives
+    ``a * exp(b / t)``.
 
     This two-parameter family contains every solution of the radial
-    Euler-Lagrange equation of the weighted energy.
+    Euler-Lagrange equation of the weighted energy.  ``H`` is taken as
+    ``exp(log a + x)``, ``x = (b / t0) ((t0 - t) / t)``: anchored at a
+    boundary radius, ``x`` stays within the profile's log range, where the
+    unanchored ``a`` may lie beyond the float range, and ``exp`` stays in
+    range wherever ``H`` does.
     """
 
     a: float
     b: float
+    t0: float = math.inf
 
     def __post_init__(self):
-        if not (self.a > 0.0 and math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError("exponential profile needs a > 0 and finite parameters")
+        if not (self.a > 0.0 and math.isfinite(self.a) and math.isfinite(self.b)
+                and self.t0 > 0.0):
+            raise ValueError("exponential profile needs a > 0, t0 > 0 and finite a, b")
 
     def _h(self, t):
-        return np.exp(math.log(self.a) + self.b / t)
+        x = self.b / t if self.t0 == math.inf else (self.b / self.t0) * ((self.t0 - t) / t)
+        return np.exp(math.log(self.a) + x)
 
     def _d1(self, t):
         return -self.b / t**2 * self._h(t)
@@ -140,26 +145,18 @@ class SampledProfile(_Profile):
 RadialProfile = Union[ExponentialProfile, HarmonicProfile, SampledProfile]
 
 
-def _exp_or_inf(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def exp_profile_from_boundary(pair: AnnulusPair, orientation: str = "increasing") -> ExponentialProfile:
     """Euler-Lagrange profile through the boundary radii of a pair.
 
     ``increasing`` interpolates ``H(r) = r_star, H(R) = R_star``;
     ``decreasing`` swaps the target radii.  The two profiles multiply to
     the constant ``r_star * R_star``.
-    With the float ``ell = log(R_star / r_star)``, negated for
-    ``decreasing`` so that the two ``b`` are exact opposites, and with
-    ``lo = H(r)``, ``b = -ell r R / (R - r)`` and the exponent of
-    ``a = lo exp(ell R / (R - r))`` are exact on the float radii and
-    rounded once; ``geometry._profile_coefficient`` checks both.
-    Where ``exp`` of the exponent overflows or underflows, ``a`` is
-    ``exp(log lo + exponent)``, so any ``a`` in the float range is found.
+    The profile is anchored at ``t0 = r`` with ``a = H(r)``, as the paper
+    writes the minimizer: ``H(t) = H(r) exp(ell R (t - r) / ((R - r) t))``
+    with the float ``ell = log(R_star / r_star)``, negated for
+    ``decreasing`` so that the two ``b`` are exact opposites.  Its exponent
+    stays between 0 and ``ell``.  ``b = -ell r R / (R - r)`` is exact on the
+    float radii and rounded once; ``geometry._profile_coefficient`` checks it.
     """
     ell = Fraction(_log_ratio(pair.R_star, pair.r_star))
     if orientation == "increasing":
@@ -170,13 +167,8 @@ def exp_profile_from_boundary(pair: AnnulusPair, orientation: str = "increasing"
         raise ValueError("orientation must be 'increasing' or 'decreasing'")
     profile = f"{orientation} exponential profile a exp(b / t)"
     r, R = Fraction(pair.r), Fraction(pair.R)
-    exponent = ell * R / (R - r)
-    scale = _exp_or_inf(float(exponent))
-    # where exp alone leaves the normal float range, a itself may not
-    a = lo * scale if sys.float_info.min <= scale < math.inf else _exp_or_inf(
-        math.log(lo) + float(exponent))
-    return ExponentialProfile(a=_profile_coefficient("a", a, profile, pair),
-                              b=_profile_coefficient("b", -exponent * r, profile, pair))
+    b = _profile_coefficient("b", -ell * r * R / (R - r), profile, pair)
+    return ExponentialProfile(a=lo, b=b, t0=pair.r)
 
 
 @dataclass(frozen=True)

@@ -161,9 +161,7 @@ class DiscreteSolution:
 
     ``sup_error_vs_closed_form`` is computed when first read, not by the
     solve, and then kept.  It is the max nodal distance from the closed-form
-    minimizer, exactly 0.0 when ``r_star == R_star``.  Reading it raises
-    :class:`EvaluationError` where the closed form leaves the float range,
-    as on very thin shells, even though the solve itself succeeded.
+    minimizer, exactly 0.0 when ``r_star == R_star``.
     """
 
     profile: SampledProfile
@@ -224,8 +222,8 @@ def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolu
 
     The solve never evaluates the closed form, so it succeeds wherever the
     interval stiffness is positive and finite, thin shells included.  The
-    returned ``sup_error_vs_closed_form`` is computed on first read and
-    may raise there (see :class:`DiscreteSolution`).
+    returned ``sup_error_vs_closed_form`` is computed on first read (see
+    :class:`DiscreteSolution`).
     """
     return _discrete_minimize(pair, grid, _direct_k)
 

@@ -197,10 +197,11 @@ def random_admissible_pair(rng: np.random.Generator) -> AnnulusPair:
 
 
 def _twisted_minimizer(pair: AnnulusPair, rng: np.random.Generator) -> tuple[SampledMap, float]:
-    """Seeded map ``x -> exp(log a + b / t + eps phi(t)) T0(Rot_z(c (t - r)) eta)``,
-    ``t = |x|``, ``eta = x / t``, and its exact weighted energy.  ``a exp(b / t)`` is
-    the increasing minimizer, ``phi = (t - r)(R - t) / (R - r)^2`` and ``T0`` a
-    seeded rotation.  The cross term ``2 eps t^2 K' phi'`` integrates to zero, as
+    """Seeded map ``x -> exp(log r* + k (t - r) / t + eps phi(t)) T0(Rot_z(c (t - r)) eta)``,
+    ``t = |x|``, ``eta = x / t``, and its exact weighted energy.  With
+    ``k = log(R* / r*) R / (R - r)``, ``r* exp(k (t - r) / t)`` is the increasing
+    minimizer anchored at ``t = r``, ``phi = (t - r)(R - t) / (R - r)^2`` and ``T0``
+    a seeded rotation.  The cross term ``2 eps t^2 K' phi'`` integrates to zero, as
     ``t^2 K'`` is constant and ``phi`` vanishes at both ends, and each sphere maps by
     a rotation, so the energy is ``E_min + 4 pi eps^2 ((r + R)^2 / (12 (R - r))
     + (R - r) / 20) + (8 pi / 9) c^2 (R^3 - r^3)``.  ``0 <= eps < log(R* / r*) r / R``
@@ -208,14 +209,14 @@ def _twisted_minimizer(pair: AnnulusPair, rng: np.random.Generator) -> tuple[Sam
     the twist term a log-uniform fraction in [1e-3, 1e-1] of ``E_min``.  ``T0`` acts
     by its 3x3 matrix and ``Rot_z`` through ``tan(theta / 2)``, as column sums."""
     r, R, width = pair.r, pair.R, pair.domain.width
-    base = exp_profile_from_boundary(pair, "increasing")
-    log_a, b = math.log(base.a), base.b
+    ell = _log_ratio(pair.R_star, pair.r_star)
+    log_rs, k = math.log(pair.r_star), ell * R / width
     # a unit quaternion as an SU(2) matrix, which acts as a rotation
     q = rng.normal(size=4)
     q /= math.hypot(*q)
     rot = MobiusTransform(complex(q[0], q[1]), complex(q[2], q[3]),
                           complex(-q[2], q[3]), complex(q[0], -q[1]))
-    eps = rng.uniform(0.0, 1.0) * _log_ratio(pair.R_star, pair.r_star) * r / R
+    eps = rng.uniform(0.0, 1.0) * ell * r / R
     target = analytic_min_weighted_energy(pair)
     twist = target * 10.0 ** rng.uniform(-3.0, -1.0)
     # the twist rate whose term (8 pi / 9) c^2 (R^3 - r^3) is `twist`
@@ -227,14 +228,15 @@ def _twisted_minimizer(pair: AnnulusPair, rng: np.random.Generator) -> tuple[Sam
         x, y, z = points[:, 0], points[:, 1], points[:, 2]
         t = row_norms(points)
         tau = np.subtract(t, r)
-        # eps phi(t), then g = |f| / t = exp(log a + b / t + eps phi(t)) / t
+        # eps phi(t), then g = |f| / t = exp(log r* + k tau / t + eps phi(t)) / t
         phi = np.divide(tau, width)
         phi *= eps
         tmp = np.subtract(R, t)
         tmp /= width
         phi *= tmp
-        g = np.divide(b, t)
-        g += log_a
+        g = np.divide(tau, t)
+        g *= k
+        g += log_rs
         g += phi
         np.exp(g, out=g)
         g /= t
@@ -352,7 +354,7 @@ def check_inversion_invariance(config: VerifyConfig) -> list[CheckResult]:
 
     One map in three is a generalized radial minimizer with a random
     Moebius rotation; the others are twisted minimizers
-    ``exp(log a + b / t + eps phi(t)) T0(Rot_z(c (t - r)) eta)`` of known
+    ``exp(log r* + k (t - r) / t + eps phi(t)) T0(Rot_z(c (t - r)) eta)`` of known
     energy (see ``_twisted_minimizer``), homeomorphisms on every pair.
     The composed map always goes through the finite-difference route;
     other maps are differentiated from the same stencil samples as

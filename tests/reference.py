@@ -21,7 +21,6 @@ from annuli import (
     MobiusTransform,
     SampledMap,
     analytic_min_weighted_energy,
-    exp_profile_from_boundary,
     map_eval_many,
     mobius_apply_points,
     mobius_pushforward,
@@ -109,18 +108,18 @@ def inversion_transform(f, a: float = 1.0) -> SampledMap:
 
 def projective_twisted_minimizer(pair, rng):
     """The member that ``verify._twisted_minimizer(pair, rng)`` draws from the
-    same stream, as the evaluator ``x -> exp(log a + b / t + eps phi(t))
+    same stream, as the evaluator ``x -> exp(log r* + k (t - r) / t + eps phi(t))
     mobius_apply_points(T0, Rot_z(c (t - r)) eta)`` with ``np.cos`` and
     ``np.sin``: ``T0`` goes through the projective sphere action and its
     unit check.  Returns the evaluator and the twist rate ``c``."""
     r, R, width = pair.r, pair.R, pair.domain.width
-    base = exp_profile_from_boundary(pair, "increasing")
-    log_a, b = math.log(base.a), base.b
+    ell = _log_ratio(pair.R_star, pair.r_star)
+    log_rs, k = math.log(pair.r_star), ell * R / width
     q = rng.normal(size=4)
     q /= math.hypot(*q)
     rot = MobiusTransform(complex(q[0], q[1]), complex(q[2], q[3]),
                           complex(-q[2], q[3]), complex(q[0], -q[1]))
-    eps = rng.uniform(0.0, 1.0) * _log_ratio(pair.R_star, pair.r_star) * r / R
+    eps = rng.uniform(0.0, 1.0) * ell * r / R
     twist = analytic_min_weighted_energy(pair) * 10.0 ** rng.uniform(-3.0, -1.0)
     c = math.sqrt(9.0 * twist / (8.0 * math.pi * width * (R * R + R * r + r * r)))
 
@@ -131,7 +130,8 @@ def projective_twisted_minimizer(pair, rng):
         x, y = units[:, 0], units[:, 1]
         units[:, 0], units[:, 1] = cos * x - sin * y, sin * x + cos * y
         image = mobius_apply_points(rot, units)
-        image *= np.exp(log_a + b / t + eps * ((t - r) / width) * ((R - t) / width))[:, None]
+        image *= np.exp((t - r) / t * k + log_rs
+                        + eps * ((t - r) / width) * ((R - t) / width))[:, None]
         return image
 
     return evaluator, c

@@ -252,18 +252,23 @@ class TestMinimizeCommand:
         assert column == ["nan"] + ["0.000000000000e+00"] * 3 + ["nan"]
 
     def test_minimizer_whose_exp_of_the_exponent_overflows(self, capsys):
-        # a = 1e-300 exp(2 log(1e290)) is about 1e280, though the exp alone
-        # overflows
+        # exp(2 log(1e290)) overflows; the profiles are anchored at t = r, so
+        # neither the increasing a exp(b / t), a = 1e280, nor the decreasing
+        # one, a = 1e-590, is formed
         argv = ["--r", "1", "--R", "2", "--rstar", "1e-300", "--Rstar", "1e-10"]
         code, out, err = run_cli(capsys, "minimize", *argv, "--grid-n", "8")
         assert code == 0 and err == ""
-        first = out.splitlines()[1].split(",")
-        assert math.isclose(float(first[2]), 1e-300, rel_tol=1e-13)
-        # the decreasing minimizer needs a of about 1e-590, beyond the float range
-        code, _, err = run_cli(capsys, "energy", *argv)
-        assert code == 1
-        assert err.startswith("error: EvaluationError: decreasing exponential profile "
-                              "a exp(b / t) has a = 0.0")
+        rows = [l.split(",") for l in out.splitlines()[1:10]]
+        assert math.isclose(float(rows[0][2]), 1e-300, rel_tol=1e-13)
+        assert math.isclose(float(rows[-1][2]), 1e-10, rel_tol=1e-13)
+        code, out, err = run_cli(capsys, "energy", *argv, "--format", "json")
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        # 4 pi (2 (R - r) + r R ell^2 / (R - r)), ell = log(1e290)
+        ell = 290.0 * math.log(10.0)
+        expect = 4.0 * math.pi * (2.0 + 2.0 * ell * ell)
+        for key in ("analytic", "h1_numeric", "h2_numeric"):
+            assert math.isclose(data[key], expect, rel_tol=1e-12), key
 
     def test_same_bytes_at_any_blas_thread_count(self):
         # the discrete energy sums a plain array, not a BLAS dot; a BLAS
@@ -331,6 +336,32 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--r", "1", "--R", "2", "--rstar", "0",
                                "--Rstar", "1")
         assert (code, err) == (2, "error: inner radius must be positive, got 0.0\n")
+
+
+class TestThinShells:
+    """Pairs whose unanchored minimizer coefficient
+    ``a = r_star exp(log(R_star / r_star) R / (R - r))``, ``exp(771)`` and
+    ``exp(772)``, lies beyond the float range; every command answers."""
+
+    @pytest.mark.parametrize("radii", [("1", "1.0009", "1", "2"), ("1", "1.006", "1", "100")])
+    def test_energy_minimize_and_verify_exit_zero(self, capsys, radii):
+        argv = [v for flag, x in zip(("--r", "--R", "--rstar", "--Rstar"), radii)
+                for v in (flag, x)]
+        r, R, rs, Rs = map(float, radii)
+        # 4 pi (2 (R - r) + r R log^2(R* / r*) / (R - r)): 6 714.4 and 44 683.7
+        e_min = 4.0 * math.pi * (2.0 * (R - r) + r * R * math.log(Rs / rs) ** 2 / (R - r))
+        code, out, err = run_cli(capsys, "energy", *argv, "--format", "json")
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        for key in ("analytic", "h1_numeric", "h2_numeric"):
+            assert math.isclose(data[key], e_min, rel_tol=1e-12), key
+        code, out, err = run_cli(capsys, "minimize", *argv, "--grid-n", "1000")
+        assert code == 0 and err == ""
+        gap = float(out.strip().splitlines()[-1].split(",")[1])
+        assert 0.0 <= gap <= 1e-5 * e_min
+        for seed in ("1", "42"):
+            code, _, err = run_cli(capsys, "verify", *argv, "--seed", seed)
+            assert code == 0 and "checks passed" in err, seed
 
 
 class TestSweepCommand:
@@ -414,8 +445,8 @@ _ERROR_CAUSES = {
         "error: EvaluationError: interval stiffness a_0 = inf",
     "minimize --r 5e-324 --R 1e-300 --rstar 1e-300 --Rstar 1 --grid-n 8":
         "error: EvaluationError: interval stiffness a_0 = 0.0",
-    "energy --r 1 --R 2 --rstar 1e-300 --Rstar 1e300":
-        "error: EvaluationError: increasing exponential profile a exp(b / t) has a = inf",
+    "energy --r 1e300 --R 1.0000000000000002e300 --rstar 1 --Rstar 2":
+        "error: EvaluationError: increasing exponential profile a exp(b / t) has b = -inf;",
     "energy --r 1e200 --R 1e300 --rstar 1 --Rstar 2":
         "error: EvaluationError: radial energy integral is not finite (nan): t^2 overflows",
     "nitsche --r 1 --R 2 --rstar 1 --Rstar 2 --output /nonexistent/x.csv":
@@ -487,8 +518,9 @@ class TestNoTraceback:
         # b = -log(1e300) r R / (R - r) is subnormal: H(r) came out 0.80, not 1
         (["minimize", "--r", "5e-324", "--R", "1", "--rstar", "1", "--Rstar", "1e300",
           "--grid-n", "8"], 1),
-        # a = 1e-300 exp(2 log(1e600)) of the minimizer H = a exp(b / t)
-        (["energy", "--r", "1", "--R", "2", "--rstar", "1e-300", "--Rstar", "1e300"], 1),
+        # b = -log(2) r R / (R - r) is about -3e315
+        (["energy", "--r", "1e300", "--R", "1.0000000000000002e300", "--rstar", "1",
+          "--Rstar", "2"], 1),
         # b = -log(2) r R / (R - r) with r R = 1e500
         (["energy", "--r", "1e200", "--R", "1e300", "--rstar", "1", "--Rstar", "2"], 1),
         # an output file in a missing directory, and one that is a directory
@@ -546,6 +578,18 @@ class TestNoTraceback:
                             rel_tol=1e-11)
         # r_star^2 underflows: the bound rounds to zero
         assert float(vals["lower_bound"]) == 0.0
+
+    def test_extreme_target_ratio_energy_is_a_value(self, capsys):
+        # the minimizers are anchored at t = r: r_star exp(ell (t - r) R / ((R - r) t)),
+        # ell = log(1e600), with no coefficient a = 1e-300 exp(2 ell) to overflow
+        code, out, err = run_cli(capsys, "energy", "--r", "1", "--R", "2", "--rstar", "1e-300",
+                                 "--Rstar", "1e300", "--format", "json")
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        ell = 600.0 * math.log(10.0)
+        expect = 4.0 * math.pi * (2.0 + 2.0 * ell * ell)
+        for key in ("analytic", "h1_numeric", "h2_numeric"):
+            assert math.isclose(data[key], expect, rel_tol=1e-11), key
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_lower_bound_beyond_float_range_is_empty(self, capsys, fmt):

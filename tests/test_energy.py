@@ -22,6 +22,7 @@ from annuli import (
     weighted_energy,
 )
 from annuli.energy import _fd_energies, _same
+from annuli.geometry import row_norms
 from annuli.maps import sphere_inversion
 from annuli.verify import (
     _twisted_minimizer,
@@ -329,6 +330,28 @@ class TestFDRouteBuffers:
         plain = dirichlet_energy(ident, pair, 16, 8, refine=False).value
         assert math.isclose(weighted, 12.0 * PI * (pair.R - pair.r), rel_tol=1e-9)
         assert math.isclose(plain, 28.0 * PI, rel_tol=1e-9)
+
+
+class TestFDStep:
+    @staticmethod
+    def _radii_and_steps(pair):
+        """Radii of the FD stencil centres and the half distance of their
+        first pair of shifts, ``+e_0`` and ``-e_0``."""
+        calls = []
+        _fd_energies(SampledMap(lambda p: calls.append(p.copy()) or p), pair, 8, 4, True)
+        plus, minus, centres = calls[0], calls[1], calls[-1]
+        return row_norms(centres), 0.5 * (plus[:, 0] - minus[:, 0])
+
+    @pytest.mark.parametrize("ratio", [1.02, 64.0 / 63.0 + 1e-12, 2.0, 100.0])
+    def test_step_is_relative_to_the_radius(self, ratio):
+        t, step = self._radii_and_steps(AnnulusPair.from_radii(1.0, ratio, 1.0, 2.0))
+        np.testing.assert_allclose(step, 1e-5 * t, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("ratio", [1.001, 1.0 + 1e-6])
+    def test_step_on_thin_shells_is_capped_by_the_width(self, ratio):
+        pair = AnnulusPair.from_radii(1.0, ratio, 1.0, 2.0)
+        _, step = self._radii_and_steps(pair)
+        np.testing.assert_allclose(step, 64e-5 * pair.domain.width, rtol=1e-6, atol=0.0)
 
 
 class TestDirichletEnergy:

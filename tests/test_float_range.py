@@ -9,6 +9,7 @@ import warnings
 from dataclasses import astuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -93,3 +94,30 @@ class TestFloatRange:
             assert minimum > 0.0 and (math.isfinite(minimum) or log_min > _LOG_MAX), radii
             log_bound = 2.0 * math.log(pair.r_star) + log_min
             assert bound >= 0.0 and (math.isfinite(bound) or log_bound > _LOG_MAX), radii
+
+
+class TestThinShells:
+    """``R / r = 1 + 1e-3 ... 1 + 1e-10``.  Unanchored, the minimizer
+    ``a exp(b / t)`` needs ``a = r_star exp(log(R_star / r_star) R / (R - r))``,
+    beyond the float range from ``R / r = 1.0009`` on at ``R_star / r_star = 2``;
+    anchored at ``t = r`` its exponent stays within ``[0, log(R_star / r_star)]``."""
+
+    @pytest.mark.parametrize("gap", [10.0**-e for e in range(3, 11)])
+    @pytest.mark.parametrize("ratio", [2.0, 100.0])
+    def test_minimizers_and_the_discrete_solve(self, gap, ratio):
+        pair = AnnulusPair.from_radii(1.0, 1.0 + gap, 1.0, ratio)
+        target = analytic_min_weighted_energy(pair)
+        t = np.linspace(pair.r, pair.R, 101)
+        # the closed form with t - r exact, within 1.5e-15 of 50-digit mpmath
+        x = math.log(ratio) * pair.R * (t - pair.r) / ((pair.R - pair.r) * t)
+        for orientation, closed in (("increasing", np.exp(x)), ("decreasing", ratio * np.exp(-x))):
+            profile = exp_profile_from_boundary(pair, orientation)
+            # measured at most 1.6e-15
+            np.testing.assert_allclose(profile.eval(t), closed, rtol=4e-15, atol=0.0)
+            value = weighted_energy(GeneralizedRadialMap(profile), pair, refine=False).value
+            # measured at most 3.1e-16
+            assert abs(value - target) <= 1e-14 * target, orientation
+        sol = minimize_reduced_energy(pair, make_radial_grid(pair.domain, 1000))
+        # measured at most 3.3e-13 and 3.7e-12 R_star
+        assert abs(sol.energy - target) <= 1e-12 * target
+        assert sol.sup_error_vs_closed_form <= 1e-11 * ratio

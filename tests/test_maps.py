@@ -31,7 +31,7 @@ def fd_second(fn, t, h=1e-5):
 
 
 class TestExponentialProfile:
-    """H(t) = a exp(b / t)."""
+    """H(t) = a exp(b (1 / t - 1 / t0)), a exp(b / t) for the default t0 = inf."""
 
     def test_eval_matches_formula(self):
         p = ExponentialProfile(2.0, -1.5)
@@ -51,6 +51,22 @@ class TestExponentialProfile:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(DomainError):
             ExponentialProfile(1.0, 1.0).eval(0.0)
+
+    def test_anchored_profile_is_a_at_its_anchor(self):
+        # a exp(b (1 / t - 1 / t0)) is the unanchored a exp(-b / t0) exp(b / t)
+        p = ExponentialProfile(2.0, -1.5, t0=1.25)
+        assert p.eval(1.25) == 2.0
+        q = ExponentialProfile(2.0 * math.exp(1.5 / 1.25), -1.5)
+        ts = np.linspace(0.5, 4.0, 9)
+        np.testing.assert_allclose(p.eval(ts), q.eval(ts), rtol=1e-15, atol=0.0)
+        for order in (1, 2):
+            np.testing.assert_allclose(p.derivative(ts, order), q.derivative(ts, order),
+                                       rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("t0", [0.0, -1.0, math.nan])
+    def test_anchor_must_be_positive(self, t0):
+        with pytest.raises(ValueError):
+            ExponentialProfile(1.0, 1.0, t0=t0)
 
 
 class TestHarmonicProfile:
@@ -134,10 +150,12 @@ class TestBoundaryProfiles:
         assert math.isclose(h1.eval(2.0), math.e, rel_tol=1e-14)
 
     def test_canonical_coefficients(self, canonical_pair):
-        # a = e^2 and b = -2 for the (1, 2) -> (1, e) problem
+        # H = e^2 exp(-2 / t) for the (1, 2) -> (1, e) problem, anchored at
+        # t0 = r = 1, where a = H(1) = 1
         h1 = exp_profile_from_boundary(canonical_pair, "increasing")
-        assert math.isclose(h1.a, math.e**2, rel_tol=1e-13)
+        assert h1.a == 1.0 and h1.t0 == 1.0
         assert math.isclose(h1.b, -2.0, abs_tol=1e-13)
+        assert math.isclose(h1.a * math.exp(-h1.b / h1.t0), math.e**2, rel_tol=1e-13)
 
     def test_two_minimizers_multiply_to_constant(self, canonical_pair, rng):
         h1 = exp_profile_from_boundary(canonical_pair, "increasing")

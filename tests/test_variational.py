@@ -138,16 +138,22 @@ class TestLazySupError:
     """``sup_error_vs_closed_form`` is computed on first read, not by the
     solve."""
 
-    def test_thin_shell_solves_and_only_the_read_raises(self):
-        # the closed form a exp(b / t) has a = inf here, so the diagnostic
-        # cannot be computed, while the solve reaches the minimum
+    def test_thin_shell_solves_and_reads_the_sup_error(self):
+        # unanchored, the closed form a exp(b / t) would need a = exp(6.9e9);
+        # anchored at t = r it is exp(log(2) R (t - r) / ((R - r) t)), within
+        # 1.4e-16 relative of 50-digit mpmath on these nodes
         pair = AnnulusPair.from_radii(1.0, 1.0 + 1e-10, 1.0, 2.0)
-        sol = minimize_reduced_energy(pair, make_radial_grid(pair.domain, 1000))
+        grid = make_radial_grid(pair.domain, 1000)
+        sol = minimize_reduced_energy(pair, grid)
         target = analytic_min_weighted_energy(pair)
         assert sol.converged
         assert abs(sol.energy - target) <= 1e-12 * target
-        with pytest.raises(EvaluationError, match="exponential profile"):
-            sol.sup_error_vs_closed_form
+        # t - r is exact on these nodes
+        closed = [math.exp(math.log(2.0) * pair.R * (t - pair.r) / ((pair.R - pair.r) * t))
+                  for t in grid.nodes]
+        assert np.max(np.abs(exp_profile_from_boundary(pair).eval(grid.nodes) - closed)) <= 1e-15
+        # measured 1.8e-13
+        assert sol.sup_error_vs_closed_form <= 1e-12
 
     @pytest.mark.parametrize("solve", [minimize_reduced_energy, gradient_descent_minimize])
     def test_lazy_value_is_the_closed_form_sup_error(self, solve, canonical_pair):
@@ -361,8 +367,13 @@ class TestShooting:
         pair = AnnulusPair.from_radii(1.0, 2.0, 0.5, np.float64(1.7976931348623157e308))
         with pytest.raises(EvaluationError, match=r"R_star = 1\.7976931348623157e\+308"):
             shoot_el(pair)
-        with pytest.raises(EvaluationError, match="too extreme for floating point"):
-            exp_profile_from_boundary(pair)
+        # the closed form is anchored at t = r, 0.5 exp(ell 2 (t - 1) / t) with
+        # ell = log(R_star / 0.5), and reaches R_star though exp(ell) overflows
+        h = exp_profile_from_boundary(pair)
+        ell = math.log(1.7976931348623157e308) - math.log(0.5)
+        assert h.a == 0.5 and h.t0 == 1.0
+        assert math.isclose(h.b, -2.0 * ell, rel_tol=1e-15)
+        assert math.isclose(h.eval(2.0), 1.7976931348623157e308, rel_tol=1e-13)
 
     @pytest.mark.parametrize("radii", [
         # H'(r) = 9.5e-314 is subnormal, H'(r) / H(r) is not
