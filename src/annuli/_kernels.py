@@ -21,7 +21,7 @@ Contract: points are ``(N, 3)`` float64 arrays, other array inputs are
 another dtype), and a tridiagonal system is symmetric positive definite
 or strictly diagonally dominant by rows.
 Every ``variational`` caller passes a symmetric positive-definite system,
-as ``variational._interval_coefficients`` guarantees; the kernel tests
+as ``geometry.RadialGrid._stiffness`` guarantees; the kernel tests
 and ``perfbench/micro.py`` pass nonsymmetric, strictly diagonally
 dominant ones.  Cyclic reduction needs no pivoting on either class.  A
 zero pivot of the tridiagonal solve raises ``ZeroDivisionError``, where

@@ -15,8 +15,11 @@ to rounding on thin and wide shells alike.
 
 The FD route evaluates a map once per stencil point.  For the inversion
 check, ``f`` and its composition with ``y -> a y / |y|^2`` are
-differentiated from that one set of samples.  Its differences and squared
-norms are written into buffers reused across the stencil's axes.
+differentiated from that one set of samples.  Each shell has one stencil
+per pair of orders: its centres, steps and weights are built once and
+shared, read-only, by every FD energy on that shell, as are the radial
+rules.  Differences and squared norms are written into buffers of each
+call, reused across the stencil's axes.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +36,7 @@ from .geometry import Annulus, AnnulusPair, _log_ratio, gauss_legendre, make_sph
 from .geometry import _four_pi_times, _squared_norms
 from .maps import (
     AnnulusMap,
+    ExponentialProfile,
     GeneralizedRadialMap,
     RadialProfile,
     SampledProfile,
@@ -64,12 +69,14 @@ class EnergyReport:
 _RADIAL_ORDER = 64
 
 
+@lru_cache(maxsize=4)
 def _radial_rule(annulus: Annulus, order: int):
     """Nodes and weights of ``integral(g(t) dt)`` over the shell: Gauss-
     Legendre in ``s = log(t / r)``, with ``t = r + r expm1(s)`` and
     ``dt = t ds``.  The width ``log1p((R - r) / r)`` keeps every digit on
     thin shells; where ``(R - r) / r`` leaves the float range, so would
-    ``expm1(s)``, and the nodes come from ``log r + s`` instead."""
+    ``expm1(s)``, and the nodes come from ``log r + s`` instead.  Both
+    arrays are read-only, as the rule is kept for the next call."""
     r, R = annulus.inner, annulus.outer
     ratio = (R - r) / r
     if ratio < math.inf:
@@ -78,7 +85,10 @@ def _radial_rule(annulus: Annulus, order: int):
     else:
         s, ws = gauss_legendre(0.0, _log_ratio(R, r), order)
         t = np.exp(math.log(r) + s)
-    return t, ws * t
+    w = ws * t
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 def _same_annulus(profile: SampledProfile, annulus: Annulus):
@@ -189,12 +199,20 @@ def _finite_radial(val: float, lo: float, hi: float) -> float:
 def _weighted_radial(profile: RadialProfile, annulus: Annulus, order: int) -> float:
     """``integral(t^2 (H'/H)^2) dt`` over the shell: exact for a sampled
     profile, by the Gauss rule in ``log t`` of the given order for a
-    closed form."""
+    closed form.  An exponential profile's ``H'/H`` is ``-b / t^2``, which
+    stays in range where ``H`` and ``H'`` need not, so neither is formed."""
     if isinstance(profile, SampledProfile):
         return _sampled_weighted_integral(profile, annulus)
-    t, w, h, hd = _profile_quadrature(profile, annulus, order)
-    _require_positive(h, t)
-    return _radial_integral(t, w, hd / h)
+    t, w = _radial_rule(annulus, order)
+    # extreme radii overflow here; _radial_integral raises on the result
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if isinstance(profile, ExponentialProfile):
+            log_slope = -profile.b / t**2
+        else:
+            h = profile.eval(t)
+            _require_positive(h, t)
+            log_slope = profile.derivative(t, 1) / h
+    return _radial_integral(t, w, log_slope)
 
 
 def reduced_energy(profile: RadialProfile, annulus: Annulus) -> float:
@@ -237,22 +255,14 @@ def _same(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_order: int,
-                 weighted: bool, views=(_same,)) -> list[float]:
-    """FD energies of ``view(f)`` for each ``view`` of the map values,
-    all differentiated from one evaluation of ``f`` on the stencil.
-
-    Point batches are column-major, so each coordinate of the nodes is
-    one contiguous column, and shifts, differences and squared norms run
-    column by column.  An evaluator may return either layout, with the
-    same bits.  The stencil is walked one axis at a time (``+e_k`` and
-    ``-e_k``, then the centres); each shift is a fresh copy of the
-    centres, since an evaluator may return its input buffer.  Each
-    difference goes to one ``(N, 3)`` buffer and each squared norm, of a
-    difference or of the values, to one ``(N,)`` buffer, both allocated
-    once per call; in-place steps keep the bits of fresh arrays.
-    """
-    t, wt = _radial_rule(pair.domain, radial_order)
+@lru_cache(maxsize=1)
+def _fd_stencil(annulus: Annulus, radial_order: int, sphere_order: int):
+    """The FD route's stencil on a shell: its centres, a column-major
+    ``(N, 3)`` product of the radial rule and the sphere rule, the step
+    at each centre and twice that step as an ``(N, 1)`` column, and the
+    quadrature weight of each centre.  Built once per shell and orders
+    and kept; every array is read-only."""
+    t, wt = _radial_rule(annulus, radial_order)
     quad = make_sphere_quadrature(sphere_order)
     n_sphere = quad.weights.size
     centers = np.empty((t.size * n_sphere, 3), order="F")
@@ -261,8 +271,32 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     # at most 1e-5 of 64 shell widths: on a thin shell log H bends as 2 b / t^3,
     # with |b| up to log(R* / r*) r R / (R - r), and a step of 1e-5 t would set
     # the error; from R / r = 64 / 63 on the step is 1e-5 t
-    steps = np.repeat(_FD_STEP * np.minimum(t, 64.0 * pair.domain.width), n_sphere)
+    steps = np.repeat(_FD_STEP * np.minimum(t, 64.0 * annulus.width), n_sphere)
     two_steps = (2.0 * steps)[:, None]
+    weights = (wt[:, None] * t[:, None] ** 2 * quad.weights[None, :]).ravel()
+    for a in (centers, steps, two_steps, weights):
+        a.setflags(write=False)
+    return centers, steps, two_steps, weights
+
+
+def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_order: int,
+                 weighted: bool, views=(_same,)) -> list[float]:
+    """FD energies of ``view(f)`` for each ``view`` of the map values,
+    all differentiated from one evaluation of ``f`` on the stencil.
+
+    Point batches are column-major, so each coordinate of the nodes is
+    one contiguous column, and shifts, differences and squared norms run
+    column by column.  An evaluator may return either layout, with the
+    same bits.  The stencil (:func:`_fd_stencil`) is walked one axis at a
+    time (``+e_k`` and ``-e_k``, then the centres).  Its centres are shared
+    and read-only, and an evaluator may return or write to its input
+    buffer, so each shift is a fresh copy of them, and the centres go to
+    the difference buffer once it is spent.  Each difference goes to that
+    one ``(N, 3)`` buffer and each squared norm, of a difference or of the
+    values, to one ``(N,)`` buffer, both allocated once per call; in-place
+    steps keep the bits of fresh arrays.
+    """
+    centers, steps, two_steps, weights = _fd_stencil(pair.domain, radial_order, sphere_order)
     density = np.zeros((len(views), centers.shape[0]))
     diff = np.empty(centers.shape, order="F")
     nsq = np.empty(centers.shape[0])
@@ -278,8 +312,8 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
             diff /= two_steps
             dens += _squared_norms(diff, out=nsq)
     if weighted:
-        # the last use of the centres
-        vals = map_eval_many(f, centers)
+        np.copyto(diff, centers)
+        vals = map_eval_many(f, diff)
         for view, dens in zip(views, density):
             _squared_norms(view(vals), out=nsq)
             bad = np.nonzero(~np.isfinite(nsq) | (nsq <= 1e-300))[0]
@@ -289,7 +323,6 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
                     f"image norm vanished at quadrature node {i}, x={centers[i].tolist()}"
                 )
             dens /= nsq
-    weights = (wt[:, None] * t[:, None] ** 2 * quad.weights[None, :]).ravel()
     return [float(np.sum(weights * dens)) for dens in density]
 
 
@@ -322,9 +355,10 @@ def dirichlet_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int = _RADI
     return _energy(f, pair, radial_order, sphere_order, refine, False)
 
 
+@lru_cache(maxsize=4)
 def _min_weighted_energy(pair: AnnulusPair) -> Fraction:
     """The weighted minimum over ``4 pi``, exact on the float radii and
-    the float ``log(R_star / r_star)``."""
+    the float ``log(R_star / r_star)``; kept for the pair's next call."""
     r, R = Fraction(pair.r), Fraction(pair.R)
     ell = Fraction(_log_ratio(pair.R_star, pair.r_star))
     return 2 * (R - r) + r * R * ell * ell / (R - r)

@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -121,16 +121,29 @@ def _profile_coefficient(name: str, exact: Fraction, profile: str, pair: Annulus
                           "are too extreme for floating point")
 
 
+def _read_only(values) -> np.ndarray:
+    """``values`` as a read-only float array: itself if it is one, else a
+    copy, so that no caller's buffer is frozen or shared writable."""
+    arr = np.asarray(values, dtype=float)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Strictly increasing radial nodes spanning an annulus exactly."""
+    """Strictly increasing radial nodes spanning an annulus exactly.
+
+    The nodes are read-only, so the grid's interval stiffness is computed
+    on first read and kept, read-only, with the grid."""
 
     annulus: Annulus
     nodes: np.ndarray
     spacing_mode: str
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = _read_only(self.nodes)
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("grid needs at least two nodes")
@@ -144,6 +157,42 @@ class RadialGrid:
                               f"to {float(nodes[-1])!r} on {self.annulus!r}")
         if self.spacing_mode not in SPACING_MODES:
             raise ValueError(f"unknown spacing mode {self.spacing_mode!r}")
+
+    @cached_property
+    def _stiffness(self) -> np.ndarray:
+        """Per-interval stiffness ``a_i`` of the discrete quadratic form
+        ``Q(K) = sum a_i (K_{i+1} - K_i)^2`` of the reduced energy.
+
+        The weight ``t^2`` is integrated exactly against the interpolant in
+        the grid's native coordinate, so the form is the true reduced energy
+        of the discrete competitor.  That keeps the discrete minimum an
+        upper bound of the continuum minimum on every grid, and makes the
+        reciprocal spacing reproduce the closed-form minimizer at the nodes.
+        Where ``a_i`` is not positive and finite, every read raises
+        :class:`EvaluationError`, as nothing is kept.
+        """
+        t0, t1 = self.nodes[:-1], self.nodes[1:]
+        # the integral of t^2 against a K linear in 1/t over one interval is
+        # t0 t1; against a K linear in t it is (t0^2 + t0 t1 + t1^2) / 3.
+        # Two buffers hold every step, in the plain formula's operation order
+        tmp = np.empty(t0.size)
+        with np.errstate(over="ignore"):
+            a = np.multiply(t0, t1)
+            if self.spacing_mode == "uniform-in-t":
+                a += np.multiply(t0, t0, out=tmp)
+                a += np.multiply(t1, t1, out=tmp)
+                a /= 3.0
+            a /= np.subtract(t1, t0, out=tmp)
+        # t^2 overflows for huge radii and underflows to zero for tiny ones;
+        # a positive min() and a finite max() need no temporary
+        if not (a.min() > 0.0 and math.isfinite(a.max())):
+            i = int(np.nonzero(~(np.isfinite(a) & (a > 0.0)))[0][0])
+            raise EvaluationError(
+                f"interval stiffness a_{i} = {a[i]} on [{t0[i]:.6g}, {t1[i]:.6g}] is not positive "
+                "and finite; the radii are too extreme for floating point"
+            )
+        a.setflags(write=False)
+        return a
 
 
 def make_radial_grid(annulus: Annulus, n: int, spacing_mode: str = "uniform-in-t") -> RadialGrid:
@@ -165,6 +214,8 @@ def make_radial_grid(annulus: Annulus, n: int, spacing_mode: str = "uniform-in-t
         nodes = np.linspace(annulus.inner, annulus.outer, n + 1)
     nodes[0] = annulus.inner
     nodes[-1] = annulus.outer
+    # RadialGrid keeps a read-only array as it is, without a copy
+    nodes.setflags(write=False)
     return RadialGrid(annulus, nodes, spacing_mode)
 
 
@@ -191,18 +242,38 @@ class SphericalQuadrature:
 
     Gauss-Legendre in the polar cosine crossed with a uniform azimuthal
     rule.  Weights sum to the sphere area ``4 pi`` and the rule is exact
-    for polynomial integrands up to the Gauss degree in ``z``.
+    for polynomial integrands up to the Gauss degree in ``z``.  Nodes and
+    weights are read-only, so the tangent frames at the nodes are computed
+    on first read and kept, read-only, with the rule.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "nodes", _read_only(self.nodes))
+        object.__setattr__(self, "weights", _read_only(self.weights))
+
+    @cached_property
+    def _frames(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`tangent_frames` of the nodes."""
+        u, v = tangent_frames(self.nodes)
+        u.setflags(write=False)
+        v.setflags(write=False)
+        return u, v
+
 
 def make_sphere_quadrature(order: int) -> SphericalQuadrature:
-    """Build a sphere rule with ``order`` polar nodes and ``2 * order``
-    azimuthal nodes (``2 * order**2`` points in total)."""
+    """A sphere rule with ``order`` polar nodes and ``2 * order``
+    azimuthal nodes (``2 * order**2`` points in total).  Rules are built
+    once per order and shared; their arrays are read-only."""
     if order < 2:
         raise ValueError("sphere quadrature order must be at least 2")
+    return _sphere_rule(order)
+
+
+@lru_cache(maxsize=8)
+def _sphere_rule(order: int) -> SphericalQuadrature:
     z, wz = _leggauss(order)
     n_phi = 2 * order
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
@@ -212,8 +283,6 @@ def make_sphere_quadrature(order: int) -> SphericalQuadrature:
     zz = np.repeat(z, n_phi)
     nodes = np.column_stack([x, y, zz])
     weights = np.repeat(wz, n_phi) * (np.pi / order)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
     return SphericalQuadrature(nodes=nodes, weights=weights)
 
 

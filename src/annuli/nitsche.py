@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .geometry import AnnulusPair, _four_pi_times, _profile_coefficient
 from .maps import HarmonicProfile
@@ -94,11 +95,13 @@ def analytic_dirichlet_energy_radial(pair: AnnulusPair) -> float:
     return _four_pi_times(Fraction(num, (R**3 - r**3) * scale**3))
 
 
+@lru_cache(maxsize=4)
 def _integer_radii(pair: AnnulusPair):
-    """The float radii times one power of two ``scale``, as ints; and ``scale``."""
+    """The float radii times one power of two ``scale``, as a tuple of
+    ints; and ``scale``.  Kept for the pair's next call."""
     ratios = [x.as_integer_ratio() for x in (pair.r, pair.R, pair.r_star, pair.R_star)]
     scale = max(d for _, d in ratios)  # powers of two: each divides the largest
-    return [n * (scale // d) for n, d in ratios], scale
+    return tuple(n * (scale // d) for n, d in ratios), scale
 
 
 def _bvp_terms(r, R, rs, Rs):

@@ -19,7 +19,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import _kernels
-from .geometry import SphericalQuadrature, _as_points, _squared_norms, row_norms, tangent_frames
+from .geometry import SphericalQuadrature, _as_points, _squared_norms, row_norms
 
 _DET_TOL = 1e-12
 # angle of the centred great-circle differences of a callable sphere map
@@ -165,7 +165,7 @@ def sphere_inequality_integral(mapping: SphereMap, quad: SphericalQuadrature) ->
     transform, and exceeds ``8 pi`` for any other surjective map of the
     sphere.
     """
-    u, v = tangent_frames(quad.nodes)
+    u, v = quad._frames
     if isinstance(mapping, MobiusTransform):
         du = mobius_pushforward(mapping, quad.nodes, u)
         dv = mobius_pushforward(mapping, quad.nodes, v)

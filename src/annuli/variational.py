@@ -76,39 +76,6 @@ def weighted_harmonic_residual(profile: _ClosedFormProfile, t):
     return float(out) if t.ndim == 0 else out
 
 
-def _interval_coefficients(grid: RadialGrid) -> np.ndarray:
-    """Per-interval stiffness ``a_i`` of the discrete quadratic form
-    ``Q(K) = sum a_i (K_{i+1} - K_i)^2``.
-
-    The weight ``t^2`` is integrated exactly against the interpolant in
-    the grid's native coordinate, so the form is the true reduced energy
-    of the discrete competitor.  That keeps the discrete minimum an
-    upper bound of the continuum minimum on every grid, and makes the
-    reciprocal spacing reproduce the closed-form minimizer at the nodes.
-    """
-    t0, t1 = grid.nodes[:-1], grid.nodes[1:]
-    # the integral of t^2 against a K linear in 1/t over one interval is
-    # t0 t1; against a K linear in t it is (t0^2 + t0 t1 + t1^2) / 3.
-    # Two buffers hold every step, in the plain formula's operation order
-    tmp = np.empty(t0.size)
-    with np.errstate(over="ignore"):
-        a = np.multiply(t0, t1)
-        if grid.spacing_mode == "uniform-in-t":
-            a += np.multiply(t0, t0, out=tmp)
-            a += np.multiply(t1, t1, out=tmp)
-            a /= 3.0
-        a /= np.subtract(t1, t0, out=tmp)
-    # t^2 overflows for huge radii and underflows to zero for tiny ones;
-    # a positive min() and a finite max() need no temporary
-    if not (a.min() > 0.0 and math.isfinite(a.max())):
-        i = int(np.nonzero(~(np.isfinite(a) & (a > 0.0)))[0][0])
-        raise EvaluationError(
-            f"interval stiffness a_{i} = {a[i]} on [{t0[i]:.6g}, {t1[i]:.6g}] is not positive "
-            "and finite; the radii are too extreme for floating point"
-        )
-    return a
-
-
 def _k_on_grid(k_values: np.ndarray, grid: RadialGrid) -> np.ndarray:
     k = np.asarray(k_values, dtype=float)
     if k.shape != grid.nodes.shape:
@@ -118,7 +85,7 @@ def _k_on_grid(k_values: np.ndarray, grid: RadialGrid) -> np.ndarray:
 
 def discrete_reduced_energy(k_values: np.ndarray, grid: RadialGrid) -> float:
     """Reduced energy of the piecewise profile ``H = exp(K)``."""
-    return _energy_from_coefficients(_interval_coefficients(grid), _k_on_grid(k_values, grid), grid)
+    return _energy_from_coefficients(grid._stiffness, _k_on_grid(k_values, grid), grid)
 
 
 def _energy_from_coefficients(a: np.ndarray, k: np.ndarray, grid: RadialGrid) -> float:
@@ -133,7 +100,7 @@ def reduced_energy_gradient(k_values: np.ndarray, grid: RadialGrid) -> np.ndarra
     """Gradient of :func:`discrete_reduced_energy` at the interior
     nodes (the boundary values are constrained)."""
     k = _k_on_grid(k_values, grid)
-    a = _interval_coefficients(grid)
+    a = grid._stiffness
     # the gradient of Q = E / (4 pi) - const that conjugate-gradient
     # descent runs on, scaled back to E
     grad = np.empty(a.size - 1)
@@ -150,7 +117,7 @@ def _discrete_el_residual(profile: SampledProfile) -> np.ndarray:
     reads rounding on their output; where the mean flux is 0 it reads 0."""
     grid = profile.grid
     k = np.log(profile.values)
-    scale = 2.0 * _FOUR_PI * abs(float(np.mean(_interval_coefficients(grid) * np.diff(k))))
+    scale = 2.0 * _FOUR_PI * abs(float(np.mean(grid._stiffness * np.diff(k))))
     grad = reduced_energy_gradient(k, grid)
     return grad / scale if scale > 0.0 else np.zeros_like(grad)
 
@@ -182,15 +149,14 @@ def _closed_form_sup_error(pair: AnnulusPair, grid: RadialGrid, values: np.ndarr
     return float(np.max(np.abs(values - closed.eval(grid.nodes))))
 
 
-def _solution_from_k(pair: AnnulusPair, grid: RadialGrid, a: np.ndarray, k: np.ndarray,
+def _solution_from_k(pair: AnnulusPair, grid: RadialGrid, k: np.ndarray,
                      iterations: int, converged: bool) -> DiscreteSolution:
-    """Solution for the nodal ``K`` values; ``a`` is the interval
-    stiffness the solver already built."""
+    """Solution for the nodal ``K`` values."""
     values = np.exp(k)
     values[0] = pair.r_star
     values[-1] = pair.R_star
     profile = SampledProfile(grid=grid, values=values)
-    energy = _energy_from_coefficients(a, k, grid)
+    energy = _energy_from_coefficients(grid._stiffness, k, grid)
     return DiscreteSolution(profile, energy, iterations, converged, pair)
 
 
@@ -211,9 +177,9 @@ def _discrete_minimize(pair: AnnulusPair, grid: RadialGrid, solve) -> DiscreteSo
         raise DomainError(f"grid on {grid.annulus!r}, not on {pair.domain!r}")
     if pair.r_star == pair.R_star:
         return _constant_solution(pair, grid)
-    a = _interval_coefficients(grid)
+    a = grid._stiffness
     k, iterations, converged = solve(grid, a, math.log(pair.r_star), math.log(pair.R_star))
-    return _solution_from_k(pair, grid, a, k, iterations, converged)
+    return _solution_from_k(pair, grid, k, iterations, converged)
 
 
 def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolution:

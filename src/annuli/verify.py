@@ -35,7 +35,6 @@ from .geometry import (
     make_radial_grid,
     make_sphere_quadrature,
     row_norms,
-    tangent_frames,
 )
 from .maps import (
     ExponentialProfile,
@@ -401,7 +400,7 @@ def check_sphere_inequality(config: VerifyConfig) -> list[CheckResult]:
     results.append(_equality("shell-energy-sharp-at-mobius", worst, 0.0, _CLOSED_FORM_TOL,
                              f"{len(transforms)} transforms on the unit shell"))
 
-    u, v = tangent_frames(quad.nodes)
+    u, v = quad._frames
     worst_area = 0.0
     for t in transforms:
         du = mobius_pushforward(t, quad.nodes, u)

@@ -8,10 +8,16 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from annuli import AnnulusPair, exp_profile_from_boundary, make_radial_grid, perturbed_profile
+from annuli import (
+    AnnulusPair,
+    analytic_min_weighted_energy,
+    exp_profile_from_boundary,
+    make_radial_grid,
+    perturbed_profile,
+)
 from annuli.cli import (
     MAX_GRID_N,
     MAX_SWEEP_ROWS,
@@ -489,6 +495,9 @@ _ERROR_CAUSES = {
     "verify --sweep Rstar=2:3:2": "error: unrecognized arguments: --sweep Rstar=2:3:2\n",
     # the suite derives its grid from the pair
     "verify --grid-n 5": "error: unrecognized arguments: --grid-n 5\n",
+    # H' = -b H / t^2 overflows with H near the float maximum; H'/H is taken as -b / t^2
+    "energy --r 1 --R 1e300 --rstar 3 --Rstar 1.7976931348623157e308":
+        "error: EvaluationError: radial energy integral is not finite (nan): t^2 overflows",
 }
 
 
@@ -558,6 +567,9 @@ class TestNoTraceback:
         (["verify", "--grid-n", "5"], 2),
         # R / r = 1e600: the radial rule's nodes stay finite
         (["energy", "--r", "1e-300", "--R", "1e300", "--rstar", "1", "--Rstar", "2"], 1),
+        # H near the float maximum: t^2 overflows, with no warning on H' / H
+        (["energy", "--r", "1", "--R", "1e300", "--rstar", "3",
+          "--Rstar", "1.7976931348623157e308"], 1),
     ])
     def test_exits_with_one_line_error(self, capsys, argv, expected):
         code, _, err = run_cli(capsys, *argv)
@@ -590,6 +602,19 @@ class TestNoTraceback:
         expect = 4.0 * math.pi * (2.0 + 2.0 * ell * ell)
         for key in ("analytic", "h1_numeric", "h2_numeric"):
             assert math.isclose(data[key], expect, rel_tol=1e-11), key
+
+    def test_target_at_the_float_maximum_energy_is_a_value(self, capsys):
+        # H rises to the float maximum, where H' = -b H / t^2 overflows; the
+        # log-derivative -b / t^2 is about 1 400 and E_min about 1.27e7
+        radii = (1.0, 2.0, 0.5, 1.7976931348623157e308)
+        code, out, err = run_cli(capsys, "energy", "--r", "1", "--R", "2", "--rstar", "0.5",
+                                 "--Rstar", repr(radii[3]), "--format", "json")
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        expect = analytic_min_weighted_energy(AnnulusPair.from_radii(*radii))
+        # values print to 13 digits
+        for key in ("analytic", "h1_numeric", "h2_numeric"):
+            assert math.isclose(data[key], expect, rel_tol=1e-12), key
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_lower_bound_beyond_float_range_is_empty(self, capsys, fmt):
@@ -695,6 +720,9 @@ def _argv(draw):
 class TestFuzzArgv:
     @settings(max_examples=400, deadline=None)
     @given(argv=_argv())
+    # H' overflowed here and warned before the error line
+    @example(argv=["energy", "--r", "1", "--R", "1e300", "--rstar", "3",
+                   "--Rstar", "1.7976931348623157e308", "--format", "csv"])
     def test_exit_code_and_no_traceback(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

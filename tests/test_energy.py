@@ -21,7 +21,7 @@ from annuli import (
     reduced_energy,
     weighted_energy,
 )
-from annuli.energy import _fd_energies, _same
+from annuli.energy import _fd_energies, _fd_stencil, _min_weighted_energy, _radial_rule, _same
 from annuli.geometry import row_norms
 from annuli.maps import sphere_inversion
 from annuli.verify import (
@@ -330,6 +330,39 @@ class TestFDRouteBuffers:
         plain = dirichlet_energy(ident, pair, 16, 8, refine=False).value
         assert math.isclose(weighted, 12.0 * PI * (pair.R - pair.r), rel_tol=1e-9)
         assert math.isclose(plain, 28.0 * PI, rel_tol=1e-9)
+
+
+class TestSharedStencil:
+    """Radial rules, the FD stencil and the exact minimum are computed once
+    per shell, orders or pair and shared read-only."""
+
+    def test_repeated_calls_share_one_object(self, canonical_pair):
+        domain = canonical_pair.domain
+        assert _radial_rule(domain, 16) is _radial_rule(Annulus(domain.inner, domain.outer), 16)
+        assert _fd_stencil(domain, 16, 8) is _fd_stencil(domain, 16, 8)
+        same_pair = AnnulusPair.from_radii(canonical_pair.r, canonical_pair.R,
+                                           canonical_pair.r_star, canonical_pair.R_star)
+        assert _min_weighted_energy(canonical_pair) is _min_weighted_energy(same_pair)
+
+    def test_shared_arrays_are_read_only(self, canonical_pair):
+        arrays = (*_radial_rule(canonical_pair.domain, 16),
+                  *_fd_stencil(canonical_pair.domain, 16, 8))
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_evaluator_writing_to_its_input_gets_a_writable_copy(self):
+        # x -> 2 x, computed in place: |Dy|^2 / |y|^2 = 3 / |x|^2, so the
+        # weighted energy is 3 * 4 pi (R - r), as for the identity
+        pair = AnnulusPair.from_radii(1.0, 2.0, 2.0, 4.0)
+
+        def double(p):
+            p *= 2.0
+            return p
+
+        for _ in range(2):
+            value = weighted_energy(SampledMap(double), pair, 16, 8, refine=False).value
+            assert math.isclose(value, 12.0 * PI * (pair.R - pair.r), rel_tol=1e-9)
 
 
 class TestFDStep:

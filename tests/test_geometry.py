@@ -10,9 +10,11 @@ from annuli import (
     Annulus,
     AnnulusPair,
     DomainError,
+    EvaluationError,
     HarmonicProfile,
     RadialGrid,
     SampledProfile,
+    SphericalQuadrature,
     gauss_legendre,
     make_radial_grid,
     make_sphere_quadrature,
@@ -195,6 +197,50 @@ class TestSphereQuadrature:
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError):
             make_sphere_quadrature(0)
+
+
+class TestSharedInvariants:
+    """Rules, frames and stiffness are computed once and shared read-only."""
+
+    def test_sphere_rule_and_frames_are_built_once(self):
+        q = make_sphere_quadrature(16)
+        assert make_sphere_quadrature(16) is q
+        assert q._frames is q._frames
+        u, v = tangent_frames(q.nodes)
+        assert q._frames[0].tobytes() == u.tobytes()
+        assert q._frames[1].tobytes() == v.tobytes()
+
+    def test_stiffness_is_kept_with_its_grid(self):
+        grid = make_radial_grid(Annulus(1.0, 2.0), 50)
+        assert grid._stiffness is grid._stiffness
+        # a new grid on the same annulus computes its own
+        assert make_radial_grid(Annulus(1.0, 2.0), 50)._stiffness is not grid._stiffness
+
+    def test_shared_arrays_are_read_only(self):
+        q = make_sphere_quadrature(8)
+        grid = make_radial_grid(Annulus(1.0, 2.0), 8)
+        for arr in (q.nodes, q.weights, *q._frames, grid.nodes, grid._stiffness):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_a_callers_buffer_is_copied_not_frozen(self):
+        # the kept stiffness and frames need nodes that cannot change
+        nodes = np.array([1.0, 1.5, 2.0])
+        grid = RadialGrid(Annulus(1.0, 2.0), nodes, "uniform-in-t")
+        q = make_sphere_quadrature(4)
+        pts, wts = q.nodes.copy(), q.weights.copy()
+        rule = SphericalQuadrature(pts, wts)
+        nodes[1] = 1.25
+        pts[0] = 0.0
+        assert grid.nodes[1] == 1.5 and rule.nodes[0].tolist() == q.nodes[0].tolist()
+        assert not (grid.nodes.flags.writeable or rule.nodes.flags.writeable
+                    or rule.weights.flags.writeable)
+
+    def test_bad_stiffness_raises_on_every_read(self):
+        grid = make_radial_grid(Annulus(1.0, 1e300), 10)
+        for _ in range(2):
+            with pytest.raises(EvaluationError, match="interval stiffness a_0 = inf"):
+                grid._stiffness
 
 
 @st.composite

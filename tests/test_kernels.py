@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from annuli import AnnulusPair, MobiusTransform, make_radial_grid
 from annuli import _kernels as K
-from annuli.variational import _interval_coefficients
 
 
 class TestBackendReporting:
@@ -222,7 +221,7 @@ class TestCyclicReduction:
         # generator pairs, relative to max(|k0|, |kn|, |kn - k0|): at most
         # 1.24e-9 for the reduction and 1.04e-9 for the loop.
         pair = AnnulusPair.from_radii(*radii)
-        a = _interval_coefficients(make_radial_grid(pair.domain, 100_000))
+        a = make_radial_grid(pair.domain, 100_000)._stiffness
         k0, kn = math.log(pair.r_star), math.log(pair.R_star)
         rhs = np.zeros(a.size - 1)
         rhs[0] = a[0] * k0

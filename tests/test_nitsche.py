@@ -14,7 +14,7 @@ from annuli import (
     nitsche_condition,
 )
 from annuli.errors import DomainError
-from annuli.nitsche import NitscheVerdict
+from annuli.nitsche import NitscheVerdict, _integer_radii
 from annuli.verify import random_annulus_pair
 
 PI = math.pi
@@ -85,6 +85,14 @@ class TestIntegerScaledCondition:
             checked += 1
             assert _bits(nitsche_condition(pair)) == _bits(_rational_verdict(pair)), pair
         assert checked > 1500
+
+
+class TestSharedIntegerRadii:
+    def test_one_tuple_per_pair(self):
+        pair = AnnulusPair.from_radii(1.0, 2.0, 0.75, 1.5)
+        radii, scale = _integer_radii(pair)
+        assert radii == (4, 8, 3, 6) and scale == 4
+        assert _integer_radii(AnnulusPair.from_radii(1.0, 2.0, 0.75, 1.5)) is _integer_radii(pair)
 
 
 class TestHarmonicBVP:

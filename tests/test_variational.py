@@ -22,7 +22,7 @@ from annuli import (
     weighted_harmonic_residual,
 )
 from annuli import _kernels, variational
-from annuli.variational import _closed_form_sup_error, _interval_coefficients
+from annuli.variational import _closed_form_sup_error
 from annuli.verify import random_annulus_pair
 
 
@@ -110,7 +110,7 @@ class TestDiscreteMinimization:
             pair = random_annulus_pair(rng)
             grid = make_radial_grid(pair.domain, n, spacing)
             sol = minimize_reduced_energy(pair, grid)
-            c = np.cumsum(1.0 / _interval_coefficients(grid).astype(np.longdouble))
+            c = np.cumsum(1.0 / grid._stiffness.astype(np.longdouble))
             k0, kn = math.log(pair.r_star), math.log(pair.R_star)
             exact = k0 + (kn - k0) * np.concatenate([[0.0], c / c[-1]])
             err = np.abs(np.log(sol.profile.values.astype(np.longdouble)) - exact)
@@ -188,7 +188,7 @@ class TestIntervalCoefficients:
                     plain = (t[:-1] ** 2 + t[:-1] * t[1:] + t[1:] ** 2) / 3.0 / np.diff(t)
                 else:
                     plain = t[:-1] * t[1:] / np.diff(t)
-                assert _interval_coefficients(grid).tobytes() == plain.tobytes(), (pair, n)
+                assert grid._stiffness.tobytes() == plain.tobytes(), (pair, n)
 
 
 class TestEnergyGradient:

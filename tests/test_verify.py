@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -20,9 +21,9 @@ from annuli import (
     run_suite,
     weighted_energy,
 )
-from annuli import verify
+from annuli import energy, geometry, nitsche, verify
 from annuli.energy import _fd_energies
-from annuli.geometry import make_sphere_quadrature, row_norms
+from annuli.geometry import RadialGrid, make_sphere_quadrature, row_norms
 from annuli.sphere_maps import conformal_stretch_points, random_mobius
 from annuli.verify import random_admissible_pair, random_annulus_pair
 from reference import projective_twisted_minimizer
@@ -109,6 +110,59 @@ class TestSuite:
             monkeypatch.setattr(verify, name, count)
         report = run_suite(VerifyConfig(seed=7))
         assert report.passed, [r.name for r in report.results if not r.passed]
+
+
+def _clear_caches():
+    for cached in (geometry._leggauss, geometry._sphere_rule, energy._radial_rule,
+                   energy._fd_stencil, energy._min_weighted_energy, nitsche._integer_radii):
+        cached.cache_clear()
+
+
+class TestSharedInvariants:
+    """Values that depend only on a grid, an order, a shell or a pair are
+    computed once per verify op, or once per process, and change no bit."""
+
+    def test_residuals_compute_their_grid_stiffness_once(self, monkeypatch):
+        stiffness = RadialGrid.__dict__["_stiffness"].func
+        grids = []
+
+        def counted(grid):
+            grids.append(grid)
+            return stiffness(grid)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(RadialGrid, "_stiffness")
+        monkeypatch.setattr(RadialGrid, "_stiffness", prop)
+        assert all(r.passed for r in check_residuals(VerifyConfig(seed=1)))
+        assert len(grids) == 1
+
+    def test_sphere_check_computes_frames_once_per_rule(self, monkeypatch):
+        calls = []
+        frames = geometry.tangent_frames
+        monkeypatch.setattr(geometry, "tangent_frames", lambda pts: calls.append(1) or frames(pts))
+        geometry._sphere_rule.cache_clear()
+        assert all(r.passed for r in check_sphere_inequality(VerifyConfig(seed=1)))
+        assert len(calls) == 1
+        assert all(r.passed for r in check_sphere_inequality(VerifyConfig(seed=2)))
+        assert len(calls) == 1
+
+    def test_cold_and_warm_caches_give_the_same_report(self):
+        _clear_caches()
+        cold = run_suite(VerifyConfig(seed=42)).rows()
+        warm = run_suite(VerifyConfig(seed=42)).rows()
+        assert repr(cold) == repr(warm)
+
+    def test_builds_per_warm_op(self):
+        run_suite(VerifyConfig(seed=1))
+        cached = (geometry._sphere_rule, energy._radial_rule, energy._fd_stencil,
+                  energy._min_weighted_energy)
+        before = [c.cache_info().misses for c in cached]
+        run_suite(VerifyConfig(seed=2))
+        built = [c.cache_info().misses - b for c, b in zip(cached, before)]
+        # one shell of the pair and 20 admissible shells of the harmonic row,
+        # each at the FD orders; the pair's radial rule also at order 64; the
+        # pair's exact minimum and 100 lower bounds
+        assert built == [0, 22, 21, 101]
 
 
 class TestConfig:
@@ -393,10 +447,11 @@ class TestTwistedMinimizers:
 
     def test_fd_route_peak_allocation(self):
         # one FD energy of a twisted member at the suite's orders, 16 x 16
-        # (8 192 nodes), holds the centres, the steps, the difference buffers,
-        # the two evaluated shifts and the evaluator's scratch: measured 202.4
-        # bytes per node, against 225.3 at 32 x 16 when the differences,
-        # squares and evaluator steps were fresh arrays
+        # (8 192 nodes), holds the difference buffers, the two evaluated shifts
+        # and the evaluator's scratch, the stencil being shared: measured 160.2
+        # bytes per node; 202.4 when each call built its own centres and steps,
+        # and 225.3 at 32 x 16 when the differences, squares and evaluator
+        # steps were fresh arrays
         pair = verify.DEFAULT_PAIR
         orders = (verify._FD_RADIAL_ORDER, verify._FD_SPHERE_ORDER)
         f, _ = verify._twisted_minimizer(pair, np.random.default_rng(0))
