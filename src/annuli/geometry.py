@@ -45,6 +45,11 @@ class Annulus:
             raise DomainError(f"inner radius must be positive, got {inner!r}")
         if inner > outer:
             raise DomainError(f"inner radius must be less than outer, got {inner!r} > {outer!r}")
+        # the dataclass hash, computed once: per-shell caches look shells up often
+        object.__setattr__(self, "_hash", hash((inner, outer)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def width(self) -> float:
@@ -74,6 +79,11 @@ class AnnulusPair:
     def __post_init__(self):
         if self.domain.is_degenerate:
             raise DomainError(f"domain annulus must have inner < outer, got {self.domain!r}")
+        # the dataclass hash, computed once: per-pair caches look pairs up often
+        object.__setattr__(self, "_hash", hash((self.domain, self.target)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_radii(cls, r: float, R: float, r_star: float, R_star: float) -> "AnnulusPair":

@@ -68,12 +68,10 @@ from .variational import (
 )
 
 EIGHT_PI = 8.0 * math.pi
-# quadrature orders of the finite-difference energy route, its relative
-# tolerance, and the tolerance of the pointwise residual identities; the
-# minimizer's density in log t, b^2 / t + 2 t, is smooth, so 16 radial nodes
-# leave the FD step as the error, while the sphere order is set by the
-# stretch of the random Moebius rotations (order 12 misses 4 pi by 3.6e-4)
-_FD_RADIAL_ORDER = 16
+# sphere order of the finite-difference energy route (see _fd_radial_order for
+# its radial order), its relative tolerance, and the tolerance of the pointwise
+# residual identities; the sphere order is set by the stretch of the random
+# Moebius rotations (order 12 misses 4 pi by 3.6e-4)
 _FD_SPHERE_ORDER = 16
 _FD_ENERGY_REL_TOL = 1e-4
 _RESIDUAL_TOL = 1e-9
@@ -155,6 +153,29 @@ class SuiteReport:
         """Deterministic serialization; excludes wall time on purpose so
         repeat runs compare byte-identical."""
         return [asdict(r) for r in self.results]
+
+
+def _fd_radial_order(annulus: Annulus) -> int:
+    """Radial Gauss order of the finite-difference route on ``annulus``:
+    ``8 + ceil(log(R / r))``.
+
+    In ``s = log t`` the weighted density of the minimizer and of its twisted
+    members is built from ``exp(+-s)`` terms on ``[0, log(R / r)]``, so the
+    nodes it needs grow with ``log(R / r)``, not with ``R / r``.  Worst relative
+    error of three twisted members against their exact energy, ``R* / r* = e``:
+
+    ============  ================  ==============
+    R / r         this order        order 16
+    ============  ================  ==============
+    2             9: 9.1e-11        9.1e-11
+    100           13: 3.9e-11       3.9e-11
+    1e4           18: 4.1e-11       4.1e-11
+    1e10          32: 4.2e-11       4.2e-8
+    ============  ================  ==============
+
+    so the FD step, not the quadrature, sets the error at this order.
+    """
+    return 8 + math.ceil(_log_ratio(annulus.outer, annulus.inner))
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +347,7 @@ def check_minimal_energy(config: VerifyConfig) -> list[CheckResult]:
         "minimizer-profiles-multiply-to-constant", prod_err, 0.0,
         1e-12 * pair.r_star * pair.R_star))
 
+    fd_order = _fd_radial_order(pair.domain)
     n_angular = _N_COMPETITORS // 3
     n_radial = _N_COMPETITORS - n_angular
     grid = make_radial_grid(pair.domain, 200)
@@ -338,7 +360,7 @@ def check_minimal_energy(config: VerifyConfig) -> list[CheckResult]:
         min_gap = min(min_gap, e - target)
     for i in range(n_angular):
         f, _ = _twisted_minimizer(pair, rng)
-        rep = weighted_energy(f, pair, _FD_RADIAL_ORDER, _FD_SPHERE_ORDER, refine=False)
+        rep = weighted_energy(f, pair, fd_order, _FD_SPHERE_ORDER, refine=False)
         min_gap = min(min_gap, rep.value - target)
     results.append(_lower_bound(
         "competitor-energies-above-minimum", min_gap, 0.0, 1e-6,
@@ -364,7 +386,7 @@ def check_inversion_invariance(config: VerifyConfig) -> list[CheckResult]:
     one per route.
     """
     pair = config.pair
-    orders = (_FD_RADIAL_ORDER, _FD_SPHERE_ORDER)
+    orders = (_fd_radial_order(pair.domain), _FD_SPHERE_ORDER)
     rng = np.random.default_rng([config.seed, 2])
     scales = (0.5, 1.0, pair.r_star * pair.R_star)
     worst = 0.0
@@ -460,7 +482,8 @@ def check_harmonic_bvp(config: VerifyConfig) -> list[CheckResult]:
     for p in admissible:
         x = analytic_dirichlet_energy_radial(p)
         f = as_sampled_map(GeneralizedRadialMap(harmonic_radial_bvp(p)))
-        num = dirichlet_energy(f, p, _FD_RADIAL_ORDER, _FD_SPHERE_ORDER, refine=False).value
+        num = dirichlet_energy(f, p, _fd_radial_order(p.domain), _FD_SPHERE_ORDER,
+                               refine=False).value
         worst_rel = max(worst_rel, abs(num - x) / x)
     results.append(_equality("harmonic-energy-closed-form-vs-quadrature",
                              worst_rel, 0.0, _FD_ENERGY_REL_TOL, "20 admissible pairs"))

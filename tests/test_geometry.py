@@ -216,6 +216,16 @@ class TestSharedInvariants:
         # a new grid on the same annulus computes its own
         assert make_radial_grid(Annulus(1.0, 2.0), 50)._stiffness is not grid._stiffness
 
+    def test_hashes_are_the_dataclass_hashes_computed_once(self, monkeypatch):
+        pair = AnnulusPair.from_radii(1.0, 2.0, 0.5, 3.0)
+        assert hash(pair.domain) == hash((1.0, 2.0))
+        assert hash(pair) == hash((pair.domain, pair.target))
+        assert hash(pair) == hash(AnnulusPair.from_radii(1.0, 2.0, 0.5, 3.0))
+        # a pair's lookup does not rehash its shells
+        expect = hash(pair)
+        monkeypatch.setattr(Annulus, "__hash__", lambda a: 1 / 0)
+        assert hash(pair) == expect
+
     def test_shared_arrays_are_read_only(self):
         q = make_sphere_quadrature(8)
         grid = make_radial_grid(Annulus(1.0, 2.0), 8)

@@ -23,7 +23,7 @@ from annuli import (
 )
 from annuli import energy, geometry, nitsche, verify
 from annuli.energy import _fd_energies
-from annuli.geometry import RadialGrid, make_sphere_quadrature, row_norms
+from annuli.geometry import Annulus, RadialGrid, make_sphere_quadrature, row_norms
 from annuli.sphere_maps import conformal_stretch_points, random_mobius
 from annuli.verify import random_admissible_pair, random_annulus_pair
 from reference import projective_twisted_minimizer
@@ -359,6 +359,16 @@ class TestFdOrders:
             worst = max(worst, abs(float(np.sum(quad.weights * lam**2)) / (4.0 * math.pi) - 1.0))
         assert worst <= 1e-4
 
+    def test_radial_order_follows_the_log_width(self):
+        # 8 + ceil(log(R / r)): 9 on the reference pair and on thin shells,
+        # one more node per unit of log(R / r)
+        assert verify._fd_radial_order(verify.DEFAULT_PAIR.domain) == 9
+        assert verify._fd_radial_order(Annulus(1.0, 1.0 + 1e-8)) == 9
+        orders = [verify._fd_radial_order(Annulus(1.0, 10.0**k)) for k in range(1, 11)]
+        assert orders == [11, 13, 15, 18, 20, 22, 25, 27, 29, 32]
+        # R / r beyond the float range: log(R / r) = 1381.6 is taken radius by radius
+        assert verify._fd_radial_order(Annulus(1e-300, 1e300)) == 1390
+
 
 class TestTwistedMinimizers:
     def test_competitor_row_passes_where_fd_error_beat_the_excess(self):
@@ -378,16 +388,26 @@ class TestTwistedMinimizers:
         [row] = check_inversion_invariance(VerifyConfig(pair=pair, seed=1))
         assert row.passed and row.observed <= 1e-6, row.observed
 
+    def test_inversion_row_stays_at_its_floor_on_a_very_wide_shell(self):
+        # log(R / r) = 92, radial order 101: measured 2.7e-10, as on the
+        # reference pair; a fixed order 16 read 1.2e-4 here and failed the
+        # row's 2e-4 bound from R / r = 1e50 on
+        pair = AnnulusPair.from_radii(1.0, 1e40, 1.0, 2.0)
+        [row] = check_inversion_invariance(VerifyConfig(pair=pair, seed=1))
+        assert row.passed and row.observed <= 1e-8, row.observed
+
     # bounds about 3-10 times the worst relative error measured over 30
     # seeds x 3 members at the suite's FD orders; it is set by the FD step,
     # largest where log(R* / r*) is large
     @pytest.mark.parametrize("radii, bound", [
         ((1.0, 2.0, 1.0, math.e), 1e-9),                  # measured 1.3e-10
         ((1.0, 2.0, 1e-5, 1e5), 1e-7),                    # measured 3.4e-8
-        # the widest of 200 generator draws, R / r = 85.38; measured 4.5e-11
+        # the widest of 200 generator draws, R / r = 85.38; measured 4.4e-11
         # (1.7e-6 with the radial rule in t, which set this bound)
         ((0.11218689008861876, 9.578096379656353, 0.31846056021909763, 7.199308323624769),
          5e-6),
+        # radial order 32; measured 4.9e-11, and 3.8e-7 at a fixed order 16
+        ((1.0, 1e10, 1.0, 2.0), 1e-9),
     ])
     def test_fd_energy_matches_the_closed_form(self, radii, bound):
         pair = AnnulusPair.from_radii(*radii)
@@ -396,17 +416,17 @@ class TestTwistedMinimizers:
         for _ in range(3):
             f, exact = verify._twisted_minimizer(pair, rng)
             assert exact >= target * (1.0 + 0.999e-3)
-            value = weighted_energy(f, pair, verify._FD_RADIAL_ORDER, verify._FD_SPHERE_ORDER,
-                                    refine=False).value
+            value = weighted_energy(f, pair, verify._fd_radial_order(pair.domain),
+                                    verify._FD_SPHERE_ORDER, refine=False).value
             assert abs(value - exact) <= bound * exact, (value, exact)
 
     def test_generator_members_match_the_closed_form(self):
-        # the first 10 draws, R / r up to 8.4; measured 3.7e-10
+        # the first 10 draws, R / r up to 8.4; measured 3.6e-10
         worst = 0.0
         for i, pair in enumerate(_generator_draws(range(10))):
             f, exact = verify._twisted_minimizer(pair, np.random.default_rng(i))
-            value = weighted_energy(f, pair, verify._FD_RADIAL_ORDER, verify._FD_SPHERE_ORDER,
-                                    refine=False).value
+            value = weighted_energy(f, pair, verify._fd_radial_order(pair.domain),
+                                    verify._FD_SPHERE_ORDER, refine=False).value
             worst = max(worst, abs(value - exact) / exact)
         assert worst <= 5e-9
 
@@ -446,14 +466,14 @@ class TestTwistedMinimizers:
         assert poles == (3 if radii[2] == 1e-5 else 0)
 
     def test_fd_route_peak_allocation(self):
-        # one FD energy of a twisted member at the suite's orders, 16 x 16
-        # (8 192 nodes), holds the difference buffers, the two evaluated shifts
-        # and the evaluator's scratch, the stencil being shared: measured 160.2
-        # bytes per node; 202.4 when each call built its own centres and steps,
-        # and 225.3 at 32 x 16 when the differences, squares and evaluator
-        # steps were fresh arrays
+        # one FD energy of a twisted member at the suite's orders, 9 x 16
+        # (4 608 nodes), holds the difference buffers, the two evaluated shifts
+        # and the evaluator's scratch, the stencil being shared: measured 160.4
+        # bytes per node (160.2 at 16 x 16); 202.4 when each call built its own
+        # centres and steps, and 225.3 at 32 x 16 when the differences, squares
+        # and evaluator steps were fresh arrays
         pair = verify.DEFAULT_PAIR
-        orders = (verify._FD_RADIAL_ORDER, verify._FD_SPHERE_ORDER)
+        orders = (verify._fd_radial_order(pair.domain), verify._FD_SPHERE_ORDER)
         f, _ = verify._twisted_minimizer(pair, np.random.default_rng(0))
         _fd_energies(f, pair, *orders, True)
         tracemalloc.start()
