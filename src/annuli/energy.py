@@ -18,8 +18,9 @@ check, ``f`` and its composition with ``y -> a y / |y|^2`` are
 differentiated from that one set of samples.  Each shell has one stencil
 per pair of orders: its centres, steps and weights are built once and
 shared, read-only, by every FD energy on that shell, as are the radial
-rules.  Differences and squared norms are written into buffers of each
-call, reused across the stencil's axes.
+rules.  The last two stencils are kept, since the inversion check
+alternates two sphere orders on one shell.  Differences and squared norms
+are written into buffers of each call, reused across the stencil's axes.
 """
 from __future__ import annotations
 
@@ -255,7 +256,7 @@ def _same(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _fd_stencil(annulus: Annulus, radial_order: int, sphere_order: int):
     """The FD route's stencil on a shell: its centres, a column-major
     ``(N, 3)`` product of the radial rule and the sphere rule, the step
@@ -294,36 +295,45 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     the difference buffer once it is spent.  Each difference goes to that
     one ``(N, 3)`` buffer and each squared norm, of a difference or of the
     values, to one ``(N,)`` buffer, both allocated once per call; in-place
-    steps keep the bits of fresh arrays.
+    steps keep the bits of fresh arrays.  An image norm or an energy beyond
+    the float range raises :class:`EvaluationError`, with no numpy warning.
     """
     centers, steps, two_steps, weights = _fd_stencil(pair.domain, radial_order, sphere_order)
     density = np.zeros((len(views), centers.shape[0]))
     diff = np.empty(centers.shape, order="F")
     nsq = np.empty(centers.shape[0])
-    for k in range(3):
-        plus = centers.copy(order="F")
-        plus[:, k] += steps
-        plus = map_eval_many(f, plus)
-        minus = centers.copy(order="F")
-        minus[:, k] -= steps
-        minus = map_eval_many(f, minus)
-        for view, dens in zip(views, density):
-            np.subtract(view(plus), view(minus), out=diff)
-            diff /= two_steps
-            dens += _squared_norms(diff, out=nsq)
-    if weighted:
-        np.copyto(diff, centers)
-        vals = map_eval_many(f, diff)
-        for view, dens in zip(views, density):
-            _squared_norms(view(vals), out=nsq)
-            bad = np.nonzero(~np.isfinite(nsq) | (nsq <= 1e-300))[0]
-            if bad.size:
-                i = int(bad[0])
-                raise EvaluationError(
-                    f"image norm vanished at quadrature node {i}, x={centers[i].tolist()}"
-                )
-            dens /= nsq
-    return [float(np.sum(weights * dens)) for dens in density]
+    # images near the float maximum overflow here; the checks below raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(3):
+            plus = centers.copy(order="F")
+            plus[:, k] += steps
+            plus = map_eval_many(f, plus)
+            minus = centers.copy(order="F")
+            minus[:, k] -= steps
+            minus = map_eval_many(f, minus)
+            for view, dens in zip(views, density):
+                np.subtract(view(plus), view(minus), out=diff)
+                diff /= two_steps
+                dens += _squared_norms(diff, out=nsq)
+        if weighted:
+            np.copyto(diff, centers)
+            vals = map_eval_many(f, diff)
+            for view, dens in zip(views, density):
+                _squared_norms(view(vals), out=nsq)
+                bad = np.nonzero(~np.isfinite(nsq) | (nsq <= 1e-300))[0]
+                if bad.size:
+                    i = int(bad[0])
+                    what = "vanished" if nsq[i] <= 1e-300 else "left the float range"
+                    raise EvaluationError(
+                        f"image norm {what} at quadrature node {i}, x={centers[i].tolist()}"
+                    )
+                dens /= nsq
+        energies = [float(np.sum(weights * dens)) for dens in density]
+    for value in energies:
+        if not math.isfinite(value):
+            raise EvaluationError(f"finite-difference energy is not finite ({value}): the "
+                                  "map's differences leave the float range")
+    return energies
 
 
 def _energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_order: int,

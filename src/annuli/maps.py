@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
@@ -21,6 +22,11 @@ from .errors import DomainError, EvaluationError
 from .geometry import AnnulusPair, RadialGrid, _as_points, _log_ratio, _profile_coefficient
 from .geometry import _squared_norms, row_norms
 from .sphere_maps import MobiusTransform, _apply_to_units
+
+
+# the largest exponent whose exp is finite, and the float epsilon
+_LOG_MAX = math.log(sys.float_info.max)
+_EPS = sys.float_info.epsilon
 
 
 class _Profile:
@@ -82,7 +88,15 @@ class ExponentialProfile(_ClosedFormProfile):
 
     def _h(self, t):
         x = self.b / t if self.t0 == math.inf else (self.b / self.t0) * ((self.t0 - t) / t)
-        return np.exp(math.log(self.a) + x)
+        log_a = math.log(self.a)
+        y = log_a + x
+        if np.any(y > _LOG_MAX):
+            # y carries a few ulps of rounding, so an H that is the float maximum
+            # (R* at t = R) may come out past _LOG_MAX; within that rounding the
+            # value is the float maximum, beyond it exp overflows
+            near = y <= _LOG_MAX + 4.0 * _EPS * (abs(log_a) + np.abs(x))
+            y = np.where(near, np.minimum(y, _LOG_MAX), y)
+        return np.exp(y)
 
     def _d1(self, t):
         return -self.b / t**2 * self._h(t)
@@ -271,7 +285,14 @@ def perturbed_profile(
     bump = np.zeros_like(s)
     for j, cj in enumerate(coef, start=1):
         bump += cj * np.sin(j * np.pi * s)
-    values = base.eval(t) * (1.0 + amplitude * bump)
+    # a profile near the float maximum may be pushed past it; that raises below
+    with np.errstate(over="ignore"):
+        values = base.eval(t) * (1.0 + amplitude * bump)
     if np.any(values <= 0.0):
         raise ValueError("perturbation amplitude destroys positivity")
+    beyond = np.nonzero(values == math.inf)[0]
+    if beyond.size:
+        i = int(beyond[0])
+        raise EvaluationError(f"perturbed profile exceeds the float range at t = {float(t[i])!r} "
+                              f"(node {i})")
     return SampledProfile(grid=grid, values=values)

@@ -68,11 +68,26 @@ from .variational import (
 )
 
 EIGHT_PI = 8.0 * math.pi
-# sphere order of the finite-difference energy route (see _fd_radial_order for
+# sphere orders of the finite-difference energy route (see _fd_radial_order for
 # its radial order), its relative tolerance, and the tolerance of the pointwise
-# residual identities; the sphere order is set by the stretch of the random
-# Moebius rotations (order 12 misses 4 pi by 3.6e-4)
+# residual identities.  Maps x -> H(t) T(eta) with a random Moebius rotation T
+# take _FD_SPHERE_ORDER, set by the stretch of T (order 12 misses 4 pi by
+# 3.6e-4).  Maps whose spheres map by rotations take _FD_ROTATION_SPHERE_ORDER:
+# for G(t) T0(Rot_z(theta(t)) eta) with theta = c (t - r) the weighted density
+# is (G' / G)^2 + 2 / t^2 + theta'^2 (1 - eta_z^2), quadratic in eta, which the
+# product rule integrates exactly from order 2 on; an inversion y -> a y / |y|^2
+# only swaps G for a / G, and the plain density of H(t) eta is H'^2 + 2 H^2 / t^2,
+# constant on each sphere.  Only the O(h^2) FD error terms have angular content.
+# Worst relative gap to the order-16 FD energy:
+#
+#   family                                            order 2  order 3  order 4
+#   twisted members, 44 pairs x 3                      6.3e-9  2.1e-10  9.9e-12
+#   radial harmonic maps, 100 admissible pairs        3.2e-11  3.2e-12  3.9e-12
+#
+# and against the exact energy order 4 reads as order 16 does (1.31e-10 and
+# 1.33e-10 on the reference pair, 5.1e-8 at both on (1, 1.035, 1, 2)).
 _FD_SPHERE_ORDER = 16
+_FD_ROTATION_SPHERE_ORDER = 4
 _FD_ENERGY_REL_TOL = 1e-4
 _RESIDUAL_TOL = 1e-9
 # tolerance of the checks against closed forms evaluated by quadrature
@@ -342,7 +357,15 @@ def check_minimal_energy(config: VerifyConfig) -> list[CheckResult]:
     inc = exp_profile_from_boundary(pair, "increasing")
     dec = exp_profile_from_boundary(pair, "decreasing")
     ts = np.linspace(pair.r, pair.R, 101)
-    prod_err = float(np.max(np.abs(inc.eval(ts) * dec.eval(ts) - pair.r_star * pair.R_star)))
+    # in units of 4^k, about r* R*, so that neither the products nor r* R* leave
+    # the float range; scaling by a power of two changes no bit
+    k = (math.frexp(pair.r_star)[1] + math.frexp(pair.R_star)[1]) // 2
+    gap = (np.ldexp(inc.eval(ts), -k) * np.ldexp(dec.eval(ts), -k)
+           - math.ldexp(pair.r_star, -k) * math.ldexp(pair.R_star, -k))
+    try:
+        prod_err = math.ldexp(float(np.max(np.abs(gap))), 2 * k)
+    except OverflowError:
+        prod_err = math.inf
     results.append(_equality(
         "minimizer-profiles-multiply-to-constant", prod_err, 0.0,
         1e-12 * pair.r_star * pair.R_star))
@@ -360,7 +383,7 @@ def check_minimal_energy(config: VerifyConfig) -> list[CheckResult]:
         min_gap = min(min_gap, e - target)
     for i in range(n_angular):
         f, _ = _twisted_minimizer(pair, rng)
-        rep = weighted_energy(f, pair, fd_order, _FD_SPHERE_ORDER, refine=False)
+        rep = weighted_energy(f, pair, fd_order, _FD_ROTATION_SPHERE_ORDER, refine=False)
         min_gap = min(min_gap, rep.value - target)
     results.append(_lower_bound(
         "competitor-energies-above-minimum", min_gap, 0.0, 1e-6,
@@ -386,7 +409,9 @@ def check_inversion_invariance(config: VerifyConfig) -> list[CheckResult]:
     one per route.
     """
     pair = config.pair
-    orders = (_fd_radial_order(pair.domain), _FD_SPHERE_ORDER)
+    fd_order = _fd_radial_order(pair.domain)
+    mobius_orders = (fd_order, _FD_SPHERE_ORDER)
+    rotation_orders = (fd_order, _FD_ROTATION_SPHERE_ORDER)
     rng = np.random.default_rng([config.seed, 2])
     scales = (0.5, 1.0, pair.r_star * pair.R_star)
     worst = 0.0
@@ -397,11 +422,11 @@ def check_inversion_invariance(config: VerifyConfig) -> list[CheckResult]:
             f = GeneralizedRadialMap(exp_profile_from_boundary(pair, orientation),
                                      random_mobius(rng))
             # the decomposition route gives the energy of f itself
-            e_f = weighted_energy(f, pair, *orders, refine=False).value
-            [e_g] = _fd_energies(f, pair, *orders, True, (invert,))
+            e_f = weighted_energy(f, pair, *mobius_orders, refine=False).value
+            [e_g] = _fd_energies(f, pair, *mobius_orders, True, (invert,))
         else:
             f, _ = _twisted_minimizer(pair, rng)
-            e_f, e_g = _fd_energies(f, pair, *orders, True, (_same, invert))
+            e_f, e_g = _fd_energies(f, pair, *rotation_orders, True, (_same, invert))
         worst = max(worst, abs(e_f - e_g) / max(abs(e_f), 1.0))
     return [_equality("inversion-invariance-of-weighted-energy", worst, 0.0,
                       2.0 * _FD_ENERGY_REL_TOL,
@@ -482,7 +507,7 @@ def check_harmonic_bvp(config: VerifyConfig) -> list[CheckResult]:
     for p in admissible:
         x = analytic_dirichlet_energy_radial(p)
         f = as_sampled_map(GeneralizedRadialMap(harmonic_radial_bvp(p)))
-        num = dirichlet_energy(f, p, _fd_radial_order(p.domain), _FD_SPHERE_ORDER,
+        num = dirichlet_energy(f, p, _fd_radial_order(p.domain), _FD_ROTATION_SPHERE_ORDER,
                                refine=False).value
         worst_rel = max(worst_rel, abs(num - x) / x)
     results.append(_equality("harmonic-energy-closed-form-vs-quadrature",

@@ -498,6 +498,11 @@ _ERROR_CAUSES = {
     # H' = -b H / t^2 overflows with H near the float maximum; H'/H is taken as -b / t^2
     "energy --r 1 --R 1e300 --rstar 3 --Rstar 1.7976931348623157e308":
         "error: EvaluationError: radial energy integral is not finite (nan): t^2 overflows",
+    # |f|^2 of the competitors' FD route overflows, with no warning before the line
+    "verify --r 1 --R 2 --rstar 3 --Rstar 1.7976931348623157e308 --seed 1":
+        "error: EvaluationError: image norm left the float range at quadrature node",
+    "verify --r 1 --R 2 --rstar 1.6e308 --Rstar 1.7976931348623157e308 --seed 1":
+        "error: EvaluationError: perturbed profile exceeds the float range at t = 1.585",
 }
 
 
@@ -570,6 +575,12 @@ class TestNoTraceback:
         # H near the float maximum: t^2 overflows, with no warning on H' / H
         (["energy", "--r", "1", "--R", "1e300", "--rstar", "3",
           "--Rstar", "1.7976931348623157e308"], 1),
+        # r* R* overflowed in the product row and H(R) in exp, each with a warning
+        (["verify", "--r", "1", "--R", "2", "--rstar", "3",
+          "--Rstar", "1.7976931348623157e308", "--seed", "1"], 1),
+        # a radial competitor rises past the float maximum: it warned and exited 2
+        (["verify", "--r", "1", "--R", "2", "--rstar", "1.6e308",
+          "--Rstar", "1.7976931348623157e308", "--seed", "1"], 1),
     ])
     def test_exits_with_one_line_error(self, capsys, argv, expected):
         code, _, err = run_cli(capsys, *argv)
@@ -615,6 +626,20 @@ class TestNoTraceback:
         # values print to 13 digits
         for key in ("analytic", "h1_numeric", "h2_numeric"):
             assert math.isclose(data[key], expect, rel_tol=1e-12), key
+
+    def test_target_at_the_float_maximum_minimize_is_a_value(self, capsys):
+        # log r* + ell rounded past log(float max) at t = R, so exp overflowed
+        # with a warning and H_closed_form read inf there; its true value is R*
+        top = 1.7976931348623157e308
+        code, out, err = run_cli(capsys, "minimize", "--r", "1", "--R", "2", "--rstar", "3",
+                                 "--Rstar", repr(top), "--format", "json")
+        assert code == 0 and err == ""
+        last = json.loads(out)["rows"][-1]
+        assert last["t"] == 2.0
+        # values print to 13 digits
+        for key in ("H_discrete", "H_closed_form"):
+            assert math.isclose(last[key], top, rel_tol=1e-12), key
+        assert math.isfinite(last["abs_error"])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_lower_bound_beyond_float_range_is_empty(self, capsys, fmt):
@@ -722,6 +747,9 @@ class TestFuzzArgv:
     @given(argv=_argv())
     # H' overflowed here and warned before the error line
     @example(argv=["energy", "--r", "1", "--R", "1e300", "--rstar", "3",
+                   "--Rstar", "1.7976931348623157e308", "--format", "csv"])
+    # exp of H(R) = R* overflowed and warned, with exit code 0
+    @example(argv=["minimize", "--r", "1", "--R", "2", "--rstar", "3",
                    "--Rstar", "1.7976931348623157e308", "--format", "csv"])
     def test_exit_code_and_no_traceback(self, argv):
         out, err = io.StringIO(), io.StringIO()

@@ -221,6 +221,20 @@ class TestWeightedEnergy:
             weighted_energy(SampledMap(evaluator=collapse), canonical_pair,
                             radial_order=8, sphere_order=4, refine=False)
 
+    def test_images_beyond_the_float_range_are_an_evaluation_error(self):
+        # |f|^2 of a twisted member overflows where |f| passes 1.3e154, and its
+        # differences overflow too; both warned before the FD route's result
+        pair = AnnulusPair.from_radii(1.0, 2.0, 3.0, 1.7976931348623157e308)
+        f, _ = _twisted_minimizer(pair, np.random.default_rng(0))
+        with pytest.raises(EvaluationError, match="image norm left the float range at "
+                                                  "quadrature node"):
+            weighted_energy(f, pair, 9, 4, refine=False)
+        # the plain density |Df|^2 = 3e400 overflows, the values do not
+        huge = SampledMap(evaluator=lambda pts: 1e200 * pts)
+        with pytest.raises(EvaluationError, match=r"finite-difference energy is not finite "
+                                                  r"\(inf\)"):
+            dirichlet_energy(huge, pair, 8, 4, refine=False)
+
     @pytest.mark.parametrize("domain", [(3.0, 4.0), (1.0, 5.0), (1.0, 1.5)])
     def test_sampled_profile_must_span_the_domain(self, domain):
         # the decomposition route integrates over the grid's own nodes, which it
@@ -340,6 +354,10 @@ class TestSharedStencil:
         domain = canonical_pair.domain
         assert _radial_rule(domain, 16) is _radial_rule(Annulus(domain.inner, domain.outer), 16)
         assert _fd_stencil(domain, 16, 8) is _fd_stencil(domain, 16, 8)
+        # two stencils are kept, as the inversion row alternates two sphere orders
+        stencil = _fd_stencil(domain, 16, 8)
+        _fd_stencil(domain, 16, 4)
+        assert _fd_stencil(domain, 16, 8) is stencil
         same_pair = AnnulusPair.from_radii(canonical_pair.r, canonical_pair.R,
                                            canonical_pair.r_star, canonical_pair.R_star)
         assert _min_weighted_energy(canonical_pair) is _min_weighted_energy(same_pair)

@@ -63,6 +63,19 @@ class TestExponentialProfile:
             np.testing.assert_allclose(p.derivative(ts, order), q.derivative(ts, order),
                                        rtol=1e-15, atol=0.0)
 
+    def test_value_at_the_float_maximum_is_finite(self):
+        # H(R) = R* is the float maximum; log r* + ell rounds past its log, where
+        # exp overflowed with a warning
+        top = 1.7976931348623157e308
+        pair = AnnulusPair.from_radii(1.0, 2.0, 3.0, top)
+        h = exp_profile_from_boundary(pair)
+        assert math.log(h.a) + (h.b / h.t0) * ((h.t0 - 2.0) / 2.0) > math.log(top)
+        assert math.isclose(h.eval(2.0), top, rel_tol=1e-13)
+        assert np.all(np.isfinite(h.eval(np.linspace(1.0, 2.0, 101))))
+        # beyond the exponent's rounding the value is beyond the float range
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert ExponentialProfile(top, 1e-12, t0=1.0).eval(0.5) == math.inf
+
     @pytest.mark.parametrize("t0", [0.0, -1.0, math.nan])
     def test_anchor_must_be_positive(self, t0):
         with pytest.raises(ValueError):
@@ -350,6 +363,21 @@ class TestPerturbedProfile:
         with pytest.raises(ValueError, match="positivity"):
             perturbed_profile(base, -1.5, mode=1, seed=0,
                               grid=make_radial_grid(canonical_pair.domain, 64))
+
+    def test_values_beyond_the_float_range_are_an_evaluation_error(self, canonical_pair):
+        # one of the two signs raises the profile at the float maximum past it;
+        # the product overflowed with a warning and failed as a bad profile
+        base = ExponentialProfile(1.7976931348623157e308, 0.0)
+        grid = make_radial_grid(canonical_pair.domain, 8)
+        outcomes = []
+        for amplitude in (0.5, -0.5):
+            try:
+                perturbed_profile(base, amplitude, mode=1, seed=0, grid=grid)
+                outcomes.append("kept")
+            except EvaluationError as exc:
+                assert re.search(r"exceeds the float range at t = 1\.125 \(node 1\)", str(exc))
+                outcomes.append("raised")
+        assert sorted(outcomes) == ["kept", "raised"]
 
     @pytest.mark.parametrize("mode", [2.5, True, 0])
     @pytest.mark.parametrize("seed", [3])

@@ -12,12 +12,14 @@ from annuli import (
     GeneralizedRadialMap,
     VerifyConfig,
     analytic_min_weighted_energy,
+    as_sampled_map,
     check_harmonic_bvp,
     check_inversion_invariance,
     check_residuals,
     check_sphere_inequality,
     check_minimal_energy,
     exp_profile_from_boundary,
+    harmonic_radial_bvp,
     run_suite,
     weighted_energy,
 )
@@ -159,10 +161,12 @@ class TestSharedInvariants:
         before = [c.cache_info().misses for c in cached]
         run_suite(VerifyConfig(seed=2))
         built = [c.cache_info().misses - b for c, b in zip(cached, before)]
-        # one shell of the pair and 20 admissible shells of the harmonic row,
-        # each at the FD orders; the pair's radial rule also at order 64; the
-        # pair's exact minimum and 100 lower bounds
-        assert built == [0, 22, 21, 101]
+        # the pair's shell at both FD sphere orders and 20 admissible shells of
+        # the harmonic row at the rotation order (two stencils are kept, so the
+        # inversion row's alternating orders build none); the radial rules of
+        # those 21 shells and the pair's at order 64; the pair's exact minimum
+        # and 100 lower bounds
+        assert built == [0, 22, 22, 101]
 
 
 class TestConfig:
@@ -282,6 +286,30 @@ class TestClosedFormRow:
             assert row.passed, (seed, row.observed)
 
 
+class TestProductRow:
+    def _row(self, pair):
+        return {r.name: r for r in check_minimal_energy(VerifyConfig(pair=pair, seed=1))}[
+            "minimizer-profiles-multiply-to-constant"]
+
+    @pytest.mark.parametrize("radii", [(1.0, 2.0, 1.0, math.e), (1.0, 2.0, 1e-5, 1e5),
+                                       (1e-3, 1.0, 1.0, 2.0)])
+    def test_scaled_products_keep_every_bit(self, radii):
+        pair = AnnulusPair.from_radii(*radii)
+        inc = exp_profile_from_boundary(pair, "increasing")
+        dec = exp_profile_from_boundary(pair, "decreasing")
+        ts = np.linspace(pair.r, pair.R, 101)
+        plain = np.max(np.abs(inc.eval(ts) * dec.eval(ts) - pair.r_star * pair.R_star))
+        assert self._row(pair).observed == float(plain)
+
+    def test_target_at_the_float_maximum(self, monkeypatch):
+        # r* R* is 3 times the float maximum, and the plain products overflowed;
+        # the angular competitors' |f|^2 leaves the float range on this pair, so
+        # the competitor row keeps only radial profiles here
+        monkeypatch.setattr(verify, "_N_COMPETITORS", 2)
+        row = self._row(AnnulusPair.from_radii(1.0, 2.0, 3.0, 1.7976931348623157e308))
+        assert row.passed and math.isfinite(row.tolerance), row
+
+
 class TestCompetitorRow:
     # a two-point Gauss rule per interval reads the piecewise-linear
     # competitors far below the minimum here, -204 and -4 520 at seed 1;
@@ -345,12 +373,12 @@ def _generator_draws(indices):
 
 class TestFdOrders:
     def test_sphere_order_integrates_moebius_stretch(self):
-        # no verify row sees the FD sphere order: each sphere of a twisted
-        # member maps by a rotation, and the inversion row's f and its inverted
-        # composition have pointwise equal integrands on one shared rule.  The
-        # radial maps' random Moebius rotations are what the rule integrates,
-        # and the area of a Moebius image is 4 pi; measured 1.5e-5 at order 16
-        # (12: 3.6e-4, 8: 7.6e-3)
+        # only the inversion row's radial maps with random Moebius rotations take
+        # this order, and no row would see it lowered: that row compares f with
+        # its inverted composition, whose integrands are pointwise equal on one
+        # shared rule.  The rule must integrate the rotations' stretch^2, and the
+        # area of a Moebius image is 4 pi; measured 1.5e-5 at order 16 (12:
+        # 3.6e-4, 8: 7.6e-3)
         quad = make_sphere_quadrature(verify._FD_SPHERE_ORDER)
         rng = np.random.default_rng(0)
         worst = 0.0
@@ -358,6 +386,37 @@ class TestFdOrders:
             lam = conformal_stretch_points(random_mobius(rng), quad.nodes)
             worst = max(worst, abs(float(np.sum(quad.weights * lam**2)) / (4.0 * math.pi) - 1.0))
         assert worst <= 1e-4
+
+    def test_rotation_order_matches_the_moebius_order(self):
+        # maps whose spheres map by rotations have a weighted density quadratic
+        # in eta (twisted members) or constant on each sphere (the plain density
+        # of radial harmonic maps), so the rotation order reads as order 16 up
+        # to the FD error's angular terms.  Worst relative gap measured at
+        # order 4: 9.9e-12 on the twisted members, 4.1e-12 on the harmonic maps;
+        # order 3 reads 2.1e-10 and order 2 reads 6.3e-9 on the twisted members
+        order = verify._FD_ROTATION_SPHERE_ORDER
+        pairs = [AnnulusPair.from_radii(*radii) for radii in [
+            (1.0, 2.0, 1.0, math.e), (1.0, 2.0, 1e-5, 1e5), (1.0, 1e10, 1.0, 2.0),
+            (1.0, 1.0009, 1.0, 2.0)]]
+        pairs += _generator_draws(range(40))
+        worst = 0.0
+        for i, pair in enumerate(pairs):
+            radial_order = verify._fd_radial_order(pair.domain)
+            rng = np.random.default_rng(i)
+            for _ in range(3):
+                f, _ = verify._twisted_minimizer(pair, rng)
+                low, high = (_fd_energies(f, pair, radial_order, o, True)[0] for o in (order, 16))
+                worst = max(worst, abs(low - high) / high)
+        assert worst <= 1e-10, worst
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(100):
+            pair = random_admissible_pair(rng)
+            f = as_sampled_map(GeneralizedRadialMap(harmonic_radial_bvp(pair)))
+            radial_order = verify._fd_radial_order(pair.domain)
+            low, high = (_fd_energies(f, pair, radial_order, o, False)[0] for o in (order, 16))
+            worst = max(worst, abs(low - high) / high)
+        assert worst <= 1e-10, worst
 
     def test_radial_order_follows_the_log_width(self):
         # 8 + ceil(log(R / r)): 9 on the reference pair and on thin shells,
@@ -417,7 +476,7 @@ class TestTwistedMinimizers:
             f, exact = verify._twisted_minimizer(pair, rng)
             assert exact >= target * (1.0 + 0.999e-3)
             value = weighted_energy(f, pair, verify._fd_radial_order(pair.domain),
-                                    verify._FD_SPHERE_ORDER, refine=False).value
+                                    verify._FD_ROTATION_SPHERE_ORDER, refine=False).value
             assert abs(value - exact) <= bound * exact, (value, exact)
 
     def test_generator_members_match_the_closed_form(self):
@@ -426,7 +485,7 @@ class TestTwistedMinimizers:
         for i, pair in enumerate(_generator_draws(range(10))):
             f, exact = verify._twisted_minimizer(pair, np.random.default_rng(i))
             value = weighted_energy(f, pair, verify._fd_radial_order(pair.domain),
-                                    verify._FD_SPHERE_ORDER, refine=False).value
+                                    verify._FD_ROTATION_SPHERE_ORDER, refine=False).value
             worst = max(worst, abs(value - exact) / exact)
         assert worst <= 5e-9
 
@@ -466,7 +525,7 @@ class TestTwistedMinimizers:
         assert poles == (3 if radii[2] == 1e-5 else 0)
 
     def test_fd_route_peak_allocation(self):
-        # one FD energy of a twisted member at the suite's orders, 9 x 16
+        # one FD energy of a twisted member at the Moebius maps' orders, 9 x 16
         # (4 608 nodes), holds the difference buffers, the two evaluated shifts
         # and the evaluator's scratch, the stencil being shared: measured 160.4
         # bytes per node (160.2 at 16 x 16); 202.4 when each call built its own
