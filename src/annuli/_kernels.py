@@ -30,6 +30,7 @@ numpy would return ``inf`` or ``nan``.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,9 +57,21 @@ _BASIS = np.array([
 
 
 def _lorentz(a, b, c, d):
-    """``L[mu, nu] = Re tr(B_mu M B_nu M^H) / 2`` for ``M = [[a, b], [c, d]]``."""
-    m = np.array([[a, b], [c, d]], dtype=complex)
-    return 0.5 * np.einsum("mij,jk,nkl,il->mn", _BASIS, m, _BASIS, m.conj()).real
+    """``L[mu, nu] = Re tr(B_mu M B_nu M^H) / 2`` for ``M = [[a, b], [c, d]]``,
+    read-only: kept for the next call with the same entries, bit for bit."""
+    return _lorentz_of(np.array([[a, b], [c, d]], dtype=complex).tobytes())
+
+
+# a verify-suite op applies each of its about 90 transforms up to 7 times,
+# and 32 entries keep all but one of those matrices for their next use
+@lru_cache(maxsize=32)
+def _lorentz_of(entries: bytes):
+    """:func:`_lorentz` of the matrix whose complex128 entries, row by row,
+    are the bytes ``entries``: a key that tells ``-0.0`` from ``0.0``."""
+    m = np.frombuffer(entries, dtype=complex).reshape(2, 2)
+    lor = 0.5 * np.einsum("mij,jk,nkl,il->mn", _BASIS, m, _BASIS, m.conj()).real
+    lor.setflags(write=False)
+    return lor
 
 
 def _affine(lor, pts):

@@ -13,7 +13,9 @@ weighted density of the minimizer is ``b^2 / t^2 + 2`` in ``t`` but
 default orders the decomposition route reads the minimizers' energies
 to rounding on thin and wide shells alike.
 
-The FD route evaluates a map once per stencil point.  For the inversion
+The FD route evaluates a map once per stencil point, several point sets
+per call where they are small, as numpy's fixed cost per call outweighs
+the arithmetic on a few hundred points.  For the inversion
 check, ``f`` and its composition with ``y -> a y / |y|^2`` are
 differentiated from that one set of samples.  Each shell has one stencil
 per pair of orders: its centres, steps and weights are built once and
@@ -47,6 +49,9 @@ from .sphere_maps import conformal_stretch_points
 
 # central-difference step of the FD route, relative to the radius t
 _FD_STEP = 1e-5
+# most points of one map call of the FD route: a stencil of up to 585 centres
+# goes to the map in one call, one of 4 608 (9 x 16) one point set at a time
+_FD_BATCH_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -280,54 +285,82 @@ def _fd_stencil(annulus: Annulus, radial_order: int, sphere_order: int):
     return centers, steps, two_steps, weights
 
 
+def _fd_points(centers: np.ndarray, steps: np.ndarray, sets: range) -> np.ndarray:
+    """A fresh column-major batch of the stencil's point sets ``sets``, one
+    block of ``N`` rows each: set ``2 k`` is the centres shifted by
+    ``+e_k``, set ``2 k + 1`` by ``-e_k``, and set 6 the centres."""
+    n = centers.shape[0]
+    points = np.empty((len(sets) * n, 3), order="F")
+    for j, s in enumerate(sets):
+        block = points[j * n:(j + 1) * n]
+        np.copyto(block, centers)
+        if s < 6:
+            if s % 2:
+                block[:, s // 2] -= steps
+            else:
+                block[:, s // 2] += steps
+    return points
+
+
 def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_order: int,
                  weighted: bool, views=(_same,)) -> list[float]:
     """FD energies of ``view(f)`` for each ``view`` of the map values,
     all differentiated from one evaluation of ``f`` on the stencil.
 
+    The stencil (:func:`_fd_stencil`) has seven point sets of ``N`` points:
+    ``+e_k`` and ``-e_k`` for each axis, then the centres, which only the
+    weighted route evaluates.  Consecutive sets go to the map together, in
+    calls of at most ``_FD_BATCH_POINTS`` points, or one set per call where
+    a set is larger: a small stencil takes one call, and a large one holds
+    no more than two evaluated sets at a time.  A ``+e_k`` set and its
+    ``-e_k`` set may come from two calls; either way the differences are
+    taken set by set, in the order of the sets, so the bits do not depend
+    on the batching.  Each call gets a fresh input buffer, as an evaluator
+    may return or write to it.
+
     Point batches are column-major, so each coordinate of the nodes is
     one contiguous column, and shifts, differences and squared norms run
     column by column.  An evaluator may return either layout, with the
-    same bits.  The stencil (:func:`_fd_stencil`) is walked one axis at a
-    time (``+e_k`` and ``-e_k``, then the centres).  Its centres are shared
-    and read-only, and an evaluator may return or write to its input
-    buffer, so each shift is a fresh copy of them, and the centres go to
-    the difference buffer once it is spent.  Each difference goes to that
-    one ``(N, 3)`` buffer and each squared norm, of a difference or of the
-    values, to one ``(N,)`` buffer, both allocated once per call; in-place
-    steps keep the bits of fresh arrays.  An image norm or an energy beyond
-    the float range raises :class:`EvaluationError`, with no numpy warning.
+    same bits.  Each difference goes to one ``(N, 3)`` buffer and each
+    squared norm, of a difference or of the values, to one ``(N,)``
+    buffer, both allocated once per call; in-place steps keep the bits of
+    fresh arrays.  An image norm or an energy beyond the float range
+    raises :class:`EvaluationError`, with no numpy warning.
     """
     centers, steps, two_steps, weights = _fd_stencil(pair.domain, radial_order, sphere_order)
-    density = np.zeros((len(views), centers.shape[0]))
+    n = centers.shape[0]
+    n_sets = 7 if weighted else 6
+    per_call = max(1, _FD_BATCH_POINTS // n)
+    density = np.zeros((len(views), n))
     diff = np.empty(centers.shape, order="F")
-    nsq = np.empty(centers.shape[0])
+    nsq = np.empty(n)
     # images near the float maximum overflow here; the checks below raise
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(3):
-            plus = centers.copy(order="F")
-            plus[:, k] += steps
-            plus = map_eval_many(f, plus)
-            minus = centers.copy(order="F")
-            minus[:, k] -= steps
-            minus = map_eval_many(f, minus)
-            for view, dens in zip(views, density):
-                np.subtract(view(plus), view(minus), out=diff)
-                diff /= two_steps
-                dens += _squared_norms(diff, out=nsq)
-        if weighted:
-            np.copyto(diff, centers)
-            vals = map_eval_many(f, diff)
-            for view, dens in zip(views, density):
-                _squared_norms(view(vals), out=nsq)
-                bad = np.nonzero(~np.isfinite(nsq) | (nsq <= 1e-300))[0]
-                if bad.size:
-                    i = int(bad[0])
-                    what = "vanished" if nsq[i] <= 1e-300 else "left the float range"
-                    raise EvaluationError(
-                        f"image norm {what} at quadrature node {i}, x={centers[i].tolist()}"
-                    )
-                dens /= nsq
+        for first in range(0, n_sets, per_call):
+            sets = range(first, min(first + per_call, n_sets))
+            batch = map_eval_many(f, _fd_points(centers, steps, sets))
+            for j, s in enumerate(sets):
+                vals = batch[j * n:(j + 1) * n]
+                if s == 6:
+                    for view, dens in zip(views, density):
+                        _squared_norms(view(vals), out=nsq)
+                        bad = np.nonzero(~np.isfinite(nsq) | (nsq <= 1e-300))[0]
+                        if bad.size:
+                            i = int(bad[0])
+                            what = "vanished" if nsq[i] <= 1e-300 else "left the float range"
+                            raise EvaluationError(
+                                f"image norm {what} at quadrature node {i}, "
+                                f"x={centers[i].tolist()}"
+                            )
+                        dens /= nsq
+                elif s % 2 == 0:
+                    plus = vals
+                else:
+                    for view, dens in zip(views, density):
+                        np.subtract(view(plus), view(vals), out=diff)
+                        diff /= two_steps
+                        dens += _squared_norms(diff, out=nsq)
+                    plus = None   # spent: free it before the next call
         energies = [float(np.sum(weights * dens)) for dens in density]
     for value in energies:
         if not math.isfinite(value):

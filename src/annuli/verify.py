@@ -210,17 +210,28 @@ def random_annulus_pair(rng: np.random.Generator, low: float = 0.1,
     ``0 < low < high < inf`` and ``high / low >= 1.02^2``, where that is
     at least 1/16, it raises :class:`ValueError` before drawing.
     """
+    return _random_annulus_pairs(rng, 1, low, high)[0]
+
+
+def _random_annulus_pairs(rng: np.random.Generator, count: int, low: float = 0.1,
+                          high: float = 10.0) -> list[AnnulusPair]:
+    """The pairs of ``count`` calls of :func:`random_annulus_pair`, which
+    leave ``rng`` in the same state.  Each round draws
+    the radii of the pairs still missing in one call and rejects as each
+    draw would, so no round draws past the last pair kept."""
     if not (0.0 < low < high < math.inf and high / low >= _MIN_RATIO**2):
         raise ValueError(f"random pair needs 0 < low < high < inf and high / low >= "
                          f"{_MIN_RATIO}^2, got low = {low!r}, high = {high!r}")
     lo, hi = math.log(low), math.log(high)
-    while True:
-        vals = np.exp(rng.uniform(lo, hi, size=4))
-        r, R = sorted(vals[:2])
-        rs, Rs = sorted(vals[2:])
-        if R / r < _MIN_RATIO or Rs / rs < _MIN_RATIO:
-            continue
-        return AnnulusPair.from_radii(r, R, rs, Rs)
+    pairs = []
+    while len(pairs) < count:
+        for a, b, c, d in np.exp(rng.uniform(lo, hi, size=(count - len(pairs), 4))).tolist():
+            r, R = (a, b) if a <= b else (b, a)
+            rs, Rs = (c, d) if c <= d else (d, c)
+            if R / r < _MIN_RATIO or Rs / rs < _MIN_RATIO:
+                continue
+            pairs.append(AnnulusPair.from_radii(r, R, rs, Rs))
+    return pairs
 
 
 def random_admissible_pair(rng: np.random.Generator) -> AnnulusPair:
@@ -484,7 +495,7 @@ def check_harmonic_bvp(config: VerifyConfig) -> list[CheckResult]:
     results = []
 
     mismatches = 0
-    pairs = [random_annulus_pair(rng) for _ in range(_N_PAIRS)]
+    pairs = _random_annulus_pairs(rng, _N_PAIRS)
     for p in pairs:
         if nitsche_condition(p).admissible != harmonic_profile_monotone(p):
             mismatches += 1

@@ -5,7 +5,9 @@ and the 2x2 matrix product check the Lorentz-matrix sphere action, the
 analytic single-point differential checks the finite-difference
 differential of a generalized radial map, the projective form of the
 twisted minimizers checks their matrix form, the map composed with a
-sphere inversion checks the FD route's shared-stencil inversion, and the
+sphere inversion checks the FD route's shared-stencil inversion, the FD
+route that evaluates its stencil one point set per call checks the
+batched one, the pair generator's scalar loop checks its rounds, and the
 logs of the closed-form energies decide where those energies lie beyond
 the float range.
 """
@@ -26,8 +28,10 @@ from annuli import (
     mobius_pushforward,
     tangent_frames,
 )
-from annuli.geometry import _log_ratio
+from annuli.energy import _fd_stencil, _same
+from annuli.geometry import _log_ratio, _squared_norms
 from annuli.maps import sphere_inversion
+from annuli.verify import _MIN_RATIO
 
 
 def stereographic(p) -> complex:
@@ -161,3 +165,40 @@ def log_dirichlet_energy_radial(pair) -> float:
     b = r**2 * R**2 * (R * rs - r * Rs) / cube
     energy = cube * (a * a + 2 * b * b / (r * R) ** 3)
     return math.log(4.0 * math.pi) + math.log(energy.numerator) - math.log(energy.denominator)
+
+
+def fd_energies_per_set(f, pair, radial_order, sphere_order, weighted, views=(_same,)):
+    """``energy._fd_energies`` with one map call per point set of the
+    stencil: ``+e_k`` and ``-e_k`` for each axis in turn, then the centres.
+    The values, differences and squared norms are those of the batched
+    route, so it must give the same bits; no error checks."""
+    centers, steps, two_steps, weights = _fd_stencil(pair.domain, radial_order, sphere_order)
+    density = np.zeros((len(views), centers.shape[0]))
+    for k in range(3):
+        plus = centers.copy(order="F")
+        plus[:, k] += steps
+        plus = map_eval_many(f, plus)
+        minus = centers.copy(order="F")
+        minus[:, k] -= steps
+        minus = map_eval_many(f, minus)
+        for view, dens in zip(views, density):
+            dens += _squared_norms((view(plus) - view(minus)) / two_steps)
+    if weighted:
+        vals = map_eval_many(f, centers.copy(order="F"))
+        for view, dens in zip(views, density):
+            dens /= _squared_norms(view(vals))
+    return [float(np.sum(weights * dens)) for dens in density]
+
+
+def random_annulus_pair_scalar(rng, low=0.1, high=10.0):
+    """One pair with radii log-uniform in ``[low, high]``, four uniforms a
+    draw, rejected until ``R / r`` and ``R* / r*`` reach the generator's
+    least ratio: the generator's draw, one at a time."""
+    lo, hi = math.log(low), math.log(high)
+    while True:
+        vals = np.exp(rng.uniform(lo, hi, size=4))
+        r, R = sorted(vals[:2])
+        rs, Rs = sorted(vals[2:])
+        if R / r < _MIN_RATIO or Rs / rs < _MIN_RATIO:
+            continue
+        return float(r), float(R), float(rs), float(Rs)

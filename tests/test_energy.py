@@ -29,7 +29,7 @@ from annuli.verify import (
     random_admissible_pair,
     random_annulus_pair,
 )
-from reference import inversion_transform
+from reference import fd_energies_per_set, inversion_transform
 
 PI = math.pi
 
@@ -346,6 +346,60 @@ class TestFDRouteBuffers:
         assert math.isclose(plain, 28.0 * PI, rel_tol=1e-9)
 
 
+class TestFDBatches:
+    """The stencil's seven point sets go to the map in calls of at most
+    ``_FD_BATCH_POINTS`` points, with the bits of one call per set."""
+
+    # points of each map call, weighted route (seven sets) and plain one
+    # (six): at (9, 4), 288 centres, all sets go in one call; at (9, 8),
+    # 1 152 centres, three sets a call, so the -e_1 set comes a call after
+    # its +e_1 set; at (9, 16), 4 608 centres, one set a call
+    ORDERS = {(9, 4): ([2016], [1728]),
+              (9, 8): ([3456, 3456, 1152], [3456, 3456]),
+              (9, 16): ([4608] * 7, [4608] * 6)}
+
+    @staticmethod
+    def _maps(pair):
+        twisted, _ = _twisted_minimizer(pair, np.random.default_rng(0))
+        moebius = GeneralizedRadialMap(exp_profile_from_boundary(pair, "decreasing"),
+                                       random_mobius(np.random.default_rng(1)))
+        return twisted, moebius
+
+    @pytest.mark.parametrize("orders", list(ORDERS))
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_matches_one_call_per_set_bit_for_bit(self, canonical_pair, orders, weighted):
+        views = (_same, sphere_inversion(0.5))
+        for f in self._maps(canonical_pair):
+            batched = _fd_energies(f, canonical_pair, *orders, weighted, views)
+            per_set = fd_energies_per_set(f, canonical_pair, *orders, weighted, views)
+            assert np.array(batched).tobytes() == np.array(per_set).tobytes()
+
+    @pytest.mark.parametrize("orders", list(ORDERS))
+    def test_map_calls(self, canonical_pair, orders):
+        twisted, _ = self._maps(canonical_pair)
+        for weighted, expect in zip((True, False), self.ORDERS[orders]):
+            sizes = []
+            counted = SampledMap(lambda p: sizes.append(p.shape[0]) or twisted.evaluator(p))
+            _fd_energies(counted, canonical_pair, *orders, weighted)
+            assert sizes == expect
+
+    @pytest.mark.parametrize("orders", list(ORDERS))
+    @pytest.mark.parametrize("node", [0, 100, 287])
+    def test_vanished_image_names_the_centre(self, canonical_pair, orders, node):
+        centre = _fd_stencil(canonical_pair.domain, *orders)[0][node]
+
+        def collapse_at_centre(p):
+            image = np.array(p)
+            image[np.all(p == centre, axis=1)] = 0.0
+            return image
+
+        for views in ((_same,), (_same, sphere_inversion(1.0))):
+            with pytest.raises(EvaluationError, match=f"image norm vanished at quadrature "
+                                                      f"node {node}, x="):
+                _fd_energies(SampledMap(collapse_at_centre), canonical_pair, *orders, True,
+                             views)
+
+
 class TestSharedStencil:
     """Radial rules, the FD stencil and the exact minimum are computed once
     per shell, orders or pair and shared read-only."""
@@ -387,10 +441,14 @@ class TestFDStep:
     @staticmethod
     def _radii_and_steps(pair):
         """Radii of the FD stencil centres and the half distance of their
-        first pair of shifts, ``+e_0`` and ``-e_0``."""
+        first pair of shifts, ``+e_0`` and ``-e_0``: the first, second and
+        last of the stencil's seven point sets, in the order the map gets
+        them, whatever the batching."""
         calls = []
         _fd_energies(SampledMap(lambda p: calls.append(p.copy()) or p), pair, 8, 4, True)
-        plus, minus, centres = calls[0], calls[1], calls[-1]
+        points = np.concatenate(calls)
+        n = points.shape[0] // 7
+        plus, minus, centres = points[:n], points[n:2 * n], points[6 * n:]
         return row_norms(centres), 0.5 * (plus[:, 0] - minus[:, 0])
 
     @pytest.mark.parametrize("ratio", [1.02, 64.0 / 63.0 + 1e-12, 2.0, 100.0])

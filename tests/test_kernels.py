@@ -149,6 +149,44 @@ class TestMoebiusLayouts:
 _PARITY_SIZES = sorted({2**k + j for k in range(1, 13) for j in (-1, 0, 1)})
 
 
+class TestLorentzCache:
+    """``_lorentz`` keeps the matrix of each transform's entries, read-only,
+    with the bits of a fresh einsum; entries whose bits differ, if only in
+    the sign of a zero, get their own matrix."""
+
+    @staticmethod
+    def _fresh(a, b, c, d):
+        m = np.array([[a, b], [c, d]], dtype=complex)
+        return 0.5 * np.einsum("mij,jk,nkl,il->mn", K._BASIS, m, K._BASIS, m.conj()).real
+
+    def _check(self, entries):
+        lor = K._lorentz(*entries)
+        assert lor.tobytes() == self._fresh(*entries).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            lor[0, 0] = 0.0
+        assert K._lorentz(*entries) is lor
+        return lor
+
+    def test_identity(self):
+        self._check((1.0, 0.0, 0.0, 1.0))
+
+    def test_random_transform(self, rng):
+        from annuli import random_mobius
+
+        t = random_mobius(rng)
+        self._check((t.a, t.b, t.c, t.d))
+
+    # the zero parts of the identity's entries, (entry, part)
+    @pytest.mark.parametrize("index, part", [(0, "imag"), (1, "real"), (1, "imag"),
+                                             (2, "real"), (2, "imag"), (3, "imag")])
+    def test_sign_of_a_zero_is_part_of_the_key(self, index, part):
+        entries = [complex(1.0, 0.0), complex(0.0, 0.0), complex(0.0, 0.0), complex(1.0, 0.0)]
+        flipped = list(entries)
+        v = entries[index]
+        flipped[index] = complex(-0.0, v.imag) if part == "real" else complex(v.real, -0.0)
+        assert self._check(entries) is not self._check(flipped)
+
+
 class TestCyclicReduction:
     # Over 1 500 systems like _dominant_system's, half of them symmetric,
     # with n from 1 to 3 000, the reduction came within 6.9e-16 of the

@@ -27,8 +27,8 @@ from annuli import energy, geometry, nitsche, verify
 from annuli.energy import _fd_energies
 from annuli.geometry import Annulus, RadialGrid, make_sphere_quadrature, row_norms
 from annuli.sphere_maps import conformal_stretch_points, random_mobius
-from annuli.verify import random_admissible_pair, random_annulus_pair
-from reference import projective_twisted_minimizer
+from annuli.verify import _random_annulus_pairs, random_admissible_pair, random_annulus_pair
+from reference import projective_twisted_minimizer, random_annulus_pair_scalar
 
 
 class TestGenerators:
@@ -55,6 +55,18 @@ class TestGenerators:
         with pytest.raises(ValueError, match=f"low = {low!r}, high = {high!r}"):
             random_annulus_pair(rng, low, high)
         assert rng.uniform() == np.random.default_rng(0).uniform()
+
+    @pytest.mark.parametrize("low, high, count", [(0.1, 10.0, 1000), (1.0, 1.0405, 50)])
+    def test_rounds_draw_the_pairs_of_the_scalar_loop(self, low, high, count):
+        # 1.0405 rejects about 15 draws in 16, so a draw takes many rounds
+        for seed in range(20):
+            rngs = [np.random.default_rng([seed, 4]) for _ in range(3)]
+            expect = [random_annulus_pair_scalar(rngs[0], low, high) for _ in range(count)]
+            rounds = _random_annulus_pairs(rngs[1], count, low, high)
+            singles = [random_annulus_pair(rngs[2], low, high) for _ in range(count)]
+            for pairs in (rounds, singles):
+                assert [(p.r, p.R, p.r_star, p.R_star) for p in pairs] == expect
+            assert rngs[0].uniform() == rngs[1].uniform() == rngs[2].uniform()
 
     def test_admissible_generator_only_yields_admissible(self):
         from annuli import nitsche_condition
