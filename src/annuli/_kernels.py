@@ -3,7 +3,9 @@
 The Moebius sphere action sums scaled coordinate columns of the points,
 with no BLAS product, so neither their memory layout nor the BLAS thread
 count changes a bit; it returns column-major ``(N, 3)`` arrays, whose
-columns the next step reads contiguously.  RK4 shooting is vectorized
+columns the next step reads contiguously.  Each coordinate column is
+scaled for every Lorentz row at once, one broadcast step per coordinate,
+and the action's numerator and denominator come from that one pass.  RK4 shooting is vectorized
 numpy.  The tridiagonal solve is odd-even cyclic reduction: each of its
 about log2(n) levels halves the system in one numpy op per step, and
 every n takes the same path.  Conjugate-gradient descent on the
@@ -76,23 +78,23 @@ def _lorentz_of(entries: bytes):
 
 def _affine(lor, pts):
     """``L[mu, 0] + L[mu, 1:] . p`` for each row ``mu`` of ``lor`` (axis 0)
-    and each row ``p`` of ``pts`` (axis 1), summed column by column."""
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    out = np.empty((lor.shape[0], pts.shape[0]))
-    term = np.empty(pts.shape[0])
-    for row, (c, wx, wy, wz) in zip(out, lor):
-        np.multiply(x, wx, out=row)
-        row += np.multiply(y, wy, out=term)
-        row += np.multiply(z, wz, out=term)
-        row += c
+    and each row ``p`` of ``pts`` (axis 1), summed column by column.  All
+    rows of ``lor`` are formed together, each step broadcasting one column
+    of ``lor`` against one coordinate of the points, so the sums are those
+    of a loop over the rows at a fixed count of numpy calls."""
+    out = np.multiply(lor[:, 1:2], pts[:, 0])
+    term = np.multiply(lor[:, 2:3], pts[:, 1])
+    out += term
+    out += np.multiply(lor[:, 3:4], pts[:, 2], out=term)
+    out += lor[:, 0:1]
     return out
 
 
 def _image(lor, pts):
     """``(A p + l) / (w . p + w0)`` as a column-major ``(N, 3)`` array, and
-    the denominator."""
-    den = _affine(lor[:1], pts)[0]
-    num = _affine(lor[1:], pts)
+    the denominator, both from one affine pass over the four rows."""
+    rows = _affine(lor, pts)
+    den, num = rows[0], rows[1:]
     num /= den
     return num.T, den
 

@@ -15,14 +15,16 @@ to rounding on thin and wide shells alike.
 
 The FD route evaluates a map once per stencil point, several point sets
 per call where they are small, as numpy's fixed cost per call outweighs
-the arithmetic on a few hundred points.  For the inversion
-check, ``f`` and its composition with ``y -> a y / |y|^2`` are
-differentiated from that one set of samples.  Each shell has one stencil
-per pair of orders: its centres, steps and weights are built once and
-shared, read-only, by every FD energy on that shell, as are the radial
-rules.  The last two stencils are kept, since the inversion check
-alternates two sphere orders on one shell.  Differences and squared norms
-are written into buffers of each call, reused across the stencil's axes.
+the arithmetic on a few hundred points; the ``+-e_k`` pairs of a call
+are then differenced as one block, each step one numpy call for all of
+them.  For the inversion check, ``f`` and its composition with
+``y -> a y / |y|^2`` are differentiated from that one set of samples.
+Each shell has one stencil per pair of orders: its centres, steps and
+weights are built once and shared, read-only, by every FD energy on that
+shell, as are the radial rules.  The last two stencils are kept, since
+the inversion check alternates two sphere orders on one shell.
+Differences and squared norms are written into buffers of each call,
+reused across the stencil's blocks.
 """
 from __future__ import annotations
 
@@ -265,9 +267,9 @@ def _same(vals: np.ndarray) -> np.ndarray:
 def _fd_stencil(annulus: Annulus, radial_order: int, sphere_order: int):
     """The FD route's stencil on a shell: its centres, a column-major
     ``(N, 3)`` product of the radial rule and the sphere rule, the step
-    at each centre and twice that step as an ``(N, 1)`` column, and the
-    quadrature weight of each centre.  Built once per shell and orders
-    and kept; every array is read-only."""
+    at each centre and twice that step, and the quadrature weight of each
+    centre.  Built once per shell and orders and kept; every array is
+    read-only."""
     t, wt = _radial_rule(annulus, radial_order)
     quad = make_sphere_quadrature(sphere_order)
     n_sphere = quad.weights.size
@@ -278,7 +280,7 @@ def _fd_stencil(annulus: Annulus, radial_order: int, sphere_order: int):
     # with |b| up to log(R* / r*) r R / (R - r), and a step of 1e-5 t would set
     # the error; from R / r = 64 / 63 on the step is 1e-5 t
     steps = np.repeat(_FD_STEP * np.minimum(t, 64.0 * annulus.width), n_sphere)
-    two_steps = (2.0 * steps)[:, None]
+    two_steps = 2.0 * steps
     weights = (wt[:, None] * t[:, None] ** 2 * quad.weights[None, :]).ravel()
     for a in (centers, steps, two_steps, weights):
         a.setflags(write=False)
@@ -291,14 +293,15 @@ def _fd_points(centers: np.ndarray, steps: np.ndarray, sets: range) -> np.ndarra
     ``+e_k``, set ``2 k + 1`` by ``-e_k``, and set 6 the centres."""
     n = centers.shape[0]
     points = np.empty((len(sets) * n, 3), order="F")
+    # axes: coordinate, set, node
+    blocks = points.T.reshape(3, len(sets), n)
+    np.copyto(blocks, centers.T[:, None])
     for j, s in enumerate(sets):
-        block = points[j * n:(j + 1) * n]
-        np.copyto(block, centers)
         if s < 6:
             if s % 2:
-                block[:, s // 2] -= steps
+                blocks[s // 2, j] -= steps
             else:
-                block[:, s // 2] += steps
+                blocks[s // 2, j] += steps
     return points
 
 
@@ -312,55 +315,81 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     weighted route evaluates.  Consecutive sets go to the map together, in
     calls of at most ``_FD_BATCH_POINTS`` points, or one set per call where
     a set is larger: a small stencil takes one call, and a large one holds
-    no more than two evaluated sets at a time.  A ``+e_k`` set and its
-    ``-e_k`` set may come from two calls; either way the differences are
-    taken set by set, in the order of the sets, so the bits do not depend
-    on the batching.  Each call gets a fresh input buffer, as an evaluator
-    may return or write to it.
+    no more than two evaluated sets at a time.
+
+    The ``+-e_k`` pairs whose two sets come in one call are processed as
+    one block: each view runs once on the block, and the differences,
+    their squared norms and the density sums take one numpy call for all
+    of its pairs.  A pair split across two calls, its ``+e_k`` set held
+    over to the next call, is the same code on a block of one pair.  A
+    view acts row by row, so the bits are those of one pair at a time,
+    and the densities add the pairs in the order ``+x, +y, +z``.  Views
+    run on each block before its differences, and the centres' norms are
+    checked after every difference, view by view, so an input raises what
+    it raised set by set.  Each call gets a fresh input buffer, as an
+    evaluator may return or write to it.
 
     Point batches are column-major, so each coordinate of the nodes is
     one contiguous column, and shifts, differences and squared norms run
     column by column.  An evaluator may return either layout, with the
-    same bits.  Each difference goes to one ``(N, 3)`` buffer and each
-    squared norm, of a difference or of the values, to one ``(N,)``
-    buffer, both allocated once per call; in-place steps keep the bits of
-    fresh arrays.  An image norm or an energy beyond the float range
-    raises :class:`EvaluationError`, with no numpy warning.
+    same bits.  Differences and squared norms go to buffers allocated once
+    per call, sized for the most pairs a map call holds; in-place steps
+    keep the bits of fresh arrays.  An image norm or an energy beyond the
+    float range raises :class:`EvaluationError`, with no numpy warning.
     """
     centers, steps, two_steps, weights = _fd_stencil(pair.domain, radial_order, sphere_order)
     n = centers.shape[0]
     n_sets = 7 if weighted else 6
     per_call = max(1, _FD_BATCH_POINTS // n)
+    most_pairs = min(3, max(1, per_call // 2))
     density = np.zeros((len(views), n))
-    diff = np.empty(centers.shape, order="F")
-    nsq = np.empty(n)
+    # axes: coordinate, pair, node; a call holds at most three whole pairs
+    diff = np.empty((3, most_pairs, n))
+    nsq = np.empty((most_pairs, n))
     # images near the float maximum overflow here; the checks below raise
     with np.errstate(over="ignore", invalid="ignore"):
+        plus = None   # a +e_k set whose -e_k set opens the next call
         for first in range(0, n_sets, per_call):
             sets = range(first, min(first + per_call, n_sets))
             batch = map_eval_many(f, _fd_points(centers, steps, sets))
-            for j, s in enumerate(sets):
-                vals = batch[j * n:(j + 1) * n]
-                if s == 6:
-                    for view, dens in zip(views, density):
-                        _squared_norms(view(vals), out=nsq)
-                        bad = np.nonzero(~np.isfinite(nsq) | (nsq <= 1e-300))[0]
-                        if bad.size:
-                            i = int(bad[0])
-                            what = "vanished" if nsq[i] <= 1e-300 else "left the float range"
-                            raise EvaluationError(
-                                f"image norm {what} at quadrature node {i}, "
-                                f"x={centers[i].tolist()}"
-                            )
-                        dens /= nsq
-                elif s % 2 == 0:
-                    plus = vals
-                else:
-                    for view, dens in zip(views, density):
-                        np.subtract(view(plus), view(vals), out=diff)
-                        diff /= two_steps
-                        dens += _squared_norms(diff, out=nsq)
-                    plus = None   # spent: free it before the next call
+            shifted = (min(sets.stop, 6) - first) * n   # rows of the +-e_k sets
+            # the pairs of this call: one split from the last call, as its two
+            # sets, then the whole pairs, as one block of rows
+            runs = [] if plus is None else [(plus, batch[:n])]
+            start = n * len(runs)
+            stop = start + (shifted - start) // (2 * n) * (2 * n)
+            if stop > start:
+                runs.append((batch[start:stop],))
+            plus = batch[stop:shifted] if stop < shifted else None
+            for run in runs:
+                for view, dens in zip(views, density):
+                    # p and q: the +e_k and -e_k values, axes coordinate, pair, node
+                    if len(run) == 2:
+                        p, q = view(run[0]).T[:, None], view(run[1]).T[:, None]
+                    else:
+                        # rows +e_k, -e_k, +e_k', -e_k', ... of N each
+                        block = view(run[0]).T.reshape(3, -1, 2, n)
+                        p, q = block[:, :, 0], block[:, :, 1]
+                    m = p.shape[1]
+                    d = np.subtract(p, q, out=diff[:, :m])
+                    d /= two_steps
+                    sq = _squared_norms(d.reshape(3, -1).T, out=nsq[:m].reshape(-1))
+                    for row in sq.reshape(m, n):
+                        dens += row
+            run = runs = p = q = block = None   # spent: free them before the next call
+            if sets.stop == 7:
+                vals, sq = batch[shifted:], nsq[0]
+                for view, dens in zip(views, density):
+                    _squared_norms(view(vals), out=sq)
+                    bad = np.nonzero(~np.isfinite(sq) | (sq <= 1e-300))[0]
+                    if bad.size:
+                        i = int(bad[0])
+                        what = "vanished" if sq[i] <= 1e-300 else "left the float range"
+                        raise EvaluationError(
+                            f"image norm {what} at quadrature node {i}, "
+                            f"x={centers[i].tolist()}"
+                        )
+                    dens /= sq
         energies = [float(np.sum(weights * dens)) for dens in density]
     for value in energies:
         if not math.isfinite(value):
@@ -402,9 +431,14 @@ def dirichlet_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int = _RADI
 def _min_weighted_energy(pair: AnnulusPair) -> Fraction:
     """The weighted minimum over ``4 pi``, exact on the float radii and
     the float ``log(R_star / r_star)``; kept for the pair's next call."""
-    r, R = Fraction(pair.r), Fraction(pair.R)
-    ell = Fraction(_log_ratio(pair.R_star, pair.r_star))
-    return 2 * (R - r) + r * R * ell * ell / (R - r)
+    # in integers, over one denominator: with r = r_n / r_d, R = R_n / R_d,
+    # ell = l_n / l_d and R - r = w / (r_d R_d) the sum is
+    # (2 w^2 l_d^2 + r_n R_n l_n^2 r_d R_d) / (r_d R_d l_d^2 w)
+    (r, r_d), (R, R_d) = pair.r.as_integer_ratio(), pair.R.as_integer_ratio()
+    ell, l_d = _log_ratio(pair.R_star, pair.r_star).as_integer_ratio()
+    w_d, l_d2 = r_d * R_d, l_d * l_d
+    w = R * r_d - r * R_d
+    return Fraction(2 * w * w * l_d2 + r * R * ell * ell * w_d, w_d * l_d2 * w)
 
 
 def analytic_min_weighted_energy(pair: AnnulusPair) -> float:
@@ -428,4 +462,6 @@ def dirichlet_lower_bound(pair: AnnulusPair) -> float:
     exists.  Exact on the float radii and rounded once, it is ``inf``
     beyond the float range and rounds toward 0 below it.
     """
-    return _four_pi_times(Fraction(pair.r_star) ** 2 * _min_weighted_energy(pair))
+    exact = _min_weighted_energy(pair)
+    rs, rs_d = pair.r_star.as_integer_ratio()
+    return _four_pi_times(Fraction(rs * rs * exact.numerator, rs_d * rs_d * exact.denominator))

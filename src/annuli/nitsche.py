@@ -41,11 +41,12 @@ def nitsche_condition(pair: AnnulusPair) -> NitscheVerdict:
     """
     (r, R, rs, Rs), _ = _integer_radii(pair)
     num, den = 3 * r * R * R, r**3 + 2 * R**3
+    lhs, rhs = rs * den, num * Rs
     return NitscheVerdict(
-        admissible=rs * den <= num * Rs,
+        admissible=lhs <= rhs,
         ratio=rs / Rs,
         threshold=num / den,
-        margin=(num * Rs - rs * den) / (Rs * den),
+        margin=(rhs - lhs) / (Rs * den),
     )
 
 
@@ -78,7 +79,7 @@ def harmonic_profile_monotone(pair: AnnulusPair) -> bool:
     """
     (r, R, rs, Rs), _ = _integer_radii(pair)
     a_num, b_num, _ = _bvp_terms(r, R, rs, Rs)
-    return all(a_num * t**3 - 2 * b_num <= 0 for t in (r, R))
+    return a_num * r**3 - 2 * b_num <= 0 and a_num * R**3 - 2 * b_num <= 0
 
 
 def analytic_dirichlet_energy_radial(pair: AnnulusPair) -> float:
@@ -99,9 +100,10 @@ def analytic_dirichlet_energy_radial(pair: AnnulusPair) -> float:
 def _integer_radii(pair: AnnulusPair):
     """The float radii times one power of two ``scale``, as a tuple of
     ints; and ``scale``.  Kept for the pair's next call."""
-    ratios = [x.as_integer_ratio() for x in (pair.r, pair.R, pair.r_star, pair.R_star)]
-    scale = max(d for _, d in ratios)  # powers of two: each divides the largest
-    return tuple(n * (scale // d) for n, d in ratios), scale
+    (r, dr), (R, dR) = pair.r.as_integer_ratio(), pair.R.as_integer_ratio()
+    (rs, drs), (Rs, dRs) = pair.r_star.as_integer_ratio(), pair.R_star.as_integer_ratio()
+    scale = max(dr, dR, drs, dRs)  # powers of two: each divides the largest
+    return (r * (scale // dr), R * (scale // dR), rs * (scale // drs), Rs * (scale // dRs)), scale
 
 
 def _bvp_terms(r, R, rs, Rs):

@@ -7,7 +7,9 @@ and go through the equivalent real 4x4 Lorentz matrix (PSL(2, C) =
 SO+(3, 1)), whose action is a quotient with a denominator that stays
 positive at both poles; point batches come back column-major.
 ``sphere_inequality_integral`` integrates the tangential energy of a
-sphere map, a transform or a callable, over a quadrature rule.
+sphere map, a transform or a callable, over a quadrature rule; a
+callable is differentiated along great circles from one call on all four
+of its point sets.
 """
 from __future__ import annotations
 
@@ -148,11 +150,40 @@ SphereMap = Union[MobiusTransform, Callable[[np.ndarray], np.ndarray]]
 
 def _tangent_derivatives_fd(s: Callable[[np.ndarray], np.ndarray], etas: np.ndarray,
                             u: np.ndarray, v: np.ndarray, step: float):
-    """Centered great-circle differences of a sphere-to-sphere callable."""
+    """Centered great-circle differences of a sphere-to-sphere callable.
+
+    The four point sets, ``cos(step) etas +- sin(step) u`` and then the
+    same along ``v``, go to ``s`` in one column-major ``(4 N, 3)`` call; as
+    ``s`` acts row by row, the bits are those of four calls.  An output of
+    another shape raises :class:`ValueError` naming both shapes."""
     ch, sh = math.cos(step), math.sin(step)
-    du = (s(ch * etas + sh * u) - s(ch * etas - sh * u)) / (2.0 * step)
-    dv = (s(ch * etas + sh * v) - s(ch * etas - sh * v)) / (2.0 * step)
-    return du, dv
+    n = etas.shape[0]
+    points = np.empty((4 * n, 3), order="F")
+    # axes: coordinate, tangent (u or v), sign of the offset, node
+    sets = points.T.reshape(3, 2, 2, n)
+    along = np.multiply(etas, ch).T[:, None]
+    offsets = np.empty((3, 2, n))
+    np.multiply(u.T, sh, out=offsets[:, 0])
+    np.multiply(v.T, sh, out=offsets[:, 1])
+    np.add(along, offsets, out=sets[:, :, 0])
+    np.subtract(along, offsets, out=sets[:, :, 1])
+    vals = np.asarray(s(points))
+    if vals.shape != points.shape:
+        raise ValueError(f"sphere map returned shape {vals.shape}, not {points.shape}")
+    images = vals.T.reshape(3, 2, 2, n)
+    diffs = np.subtract(images[:, :, 0], images[:, :, 1], out=offsets)
+    diffs /= 2.0 * step
+    return diffs[:, 0].T, diffs[:, 1].T
+
+
+def _shell_energy(du: np.ndarray, dv: np.ndarray, quad: SphericalQuadrature) -> float:
+    """Quadrature sum of ``|du|^2 + |dv|^2``: the tangential energy of a
+    sphere map with derivatives ``du`` and ``dv`` along the frames of
+    ``quad``."""
+    density = _squared_norms(du) + _squared_norms(dv)
+    # on a sphere of radius t the 1/t^2 from each derivative cancels the
+    # t^2 area element
+    return float(np.sum(quad.weights * density))
 
 
 def sphere_inequality_integral(mapping: SphereMap, quad: SphericalQuadrature) -> float:
@@ -164,6 +195,12 @@ def sphere_inequality_integral(mapping: SphereMap, quad: SphericalQuadrature) ->
     the unit sphere of ``quad``.  It is exactly ``8 pi`` for every Moebius
     transform, and exceeds ``8 pi`` for any other surjective map of the
     sphere.
+
+    A callable acts row by row: it takes an ``(M, 3)`` array of unit
+    vectors, in any memory layout, and returns the ``(M, 3)`` array of
+    their images, each row depending on its own row alone.  It is called
+    once, on four point sets of the nodes' size; an output of another
+    shape raises :class:`ValueError`.
     """
     u, v = quad._frames
     if isinstance(mapping, MobiusTransform):
@@ -171,7 +208,4 @@ def sphere_inequality_integral(mapping: SphereMap, quad: SphericalQuadrature) ->
         dv = mobius_pushforward(mapping, quad.nodes, v)
     else:
         du, dv = _tangent_derivatives_fd(mapping, quad.nodes, u, v, _GREAT_CIRCLE_STEP)
-    density = _squared_norms(du) + _squared_norms(dv)
-    # on a sphere of radius t the 1/t^2 from each derivative cancels the
-    # t^2 area element
-    return float(np.sum(quad.weights * density))
+    return _shell_energy(du, dv, quad)

@@ -88,14 +88,20 @@ def discrete_reduced_energy(k_values: np.ndarray, grid: RadialGrid) -> float:
     return _energy_from_coefficients(grid._stiffness, _k_on_grid(k_values, grid), grid)
 
 
-def _energy_from_coefficients(a: np.ndarray, k: np.ndarray, grid: RadialGrid) -> float:
-    # a plain sum, not a BLAS dot, whose threaded split moves the last bits;
-    # the ufunc and method calls, not the np.diff and np.sum wrappers, as the
-    # gradient check calls this on small grids about a thousand times an op
-    dk = np.subtract(k[1:], k[:-1])
+def _energy_from_coefficients(a: np.ndarray, k: np.ndarray, grid: RadialGrid):
+    """Reduced energy of the nodal values ``k`` on ``grid``, whose interval
+    stiffness is ``a``: a float, or for a stack of states (nodes on the
+    last axis) the array of their energies, each with the bits of its own
+    call, as every row is summed alone."""
+    # a plain sum, not a BLAS dot, whose threaded split moves the last bits
+    dk = np.subtract(k[..., 1:], k[..., :-1])
     dk *= dk
     dk *= a
-    return _FOUR_PI * (float(dk.sum()) + 2.0 * grid.annulus.width)
+    total = dk.sum(axis=-1)
+    if total.ndim:
+        return _FOUR_PI * (total + 2.0 * grid.annulus.width)
+    # Python floats, which overflow to inf without a numpy warning
+    return _FOUR_PI * (float(total) + 2.0 * grid.annulus.width)
 
 
 def reduced_energy_gradient(k_values: np.ndarray, grid: RadialGrid) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import time
 from dataclasses import asdict, dataclass
 
@@ -54,13 +55,14 @@ from .nitsche import (
 )
 from .sphere_maps import (
     MobiusTransform,
+    _shell_energy,
     mobius_apply_points,
     mobius_pushforward,
     random_mobius,
     sphere_inequality_integral,
 )
 from .variational import (
-    discrete_reduced_energy,
+    _energy_from_coefficients,
     el_residual,
     minimize_reduced_energy,
     reduced_energy_gradient,
@@ -235,11 +237,23 @@ def _random_annulus_pairs(rng: np.random.Generator, count: int, low: float = 0.1
 
 
 def random_admissible_pair(rng: np.random.Generator) -> AnnulusPair:
-    """Random pair satisfying the Nitsche admissibility condition."""
-    while True:
-        pair = random_annulus_pair(rng)
-        if nitsche_condition(pair).admissible:
-            return pair
+    """Random pair satisfying the Nitsche admissibility condition: the
+    first admissible draw of :func:`random_annulus_pair`."""
+    return _random_admissible_pairs(rng, 1)[0]
+
+
+def _random_admissible_pairs(rng: np.random.Generator, count: int) -> list[AnnulusPair]:
+    """The pairs of ``count`` calls of :func:`random_admissible_pair`, which
+    leave ``rng`` in the same state: the first ``count`` admissible draws of
+    :func:`random_annulus_pair`.  Each round draws as many pairs as are
+    still missing, and at most that many of them are admissible, so no
+    round draws past the last pair kept."""
+    pairs = []
+    while len(pairs) < count:
+        for pair in _random_annulus_pairs(rng, count - len(pairs)):
+            if nitsche_condition(pair).admissible:
+                pairs.append(pair)
+    return pairs
 
 
 def _twisted_minimizer(pair: AnnulusPair, rng: np.random.Generator) -> tuple[SampledMap, float]:
@@ -324,11 +338,16 @@ def _discrete_convergence(pair: AnnulusPair, target: float) -> CheckResult:
     """Discrete minima on ``n / 4``, ``n / 2`` and ``n`` intervals.  Since ``1 / a =
     (h / (t0 t1)) (1 - h^2 / (t0^2 + t0 t1 + t1^2))`` on ``[t0, t1]``, ``h = t1 - t0``,
     the relative gap is at most about ``((R - r) / n)^2 (1 + q + q^2) / (9 r^2)``,
-    ``q = r / R``; ``n`` puts it at ``_GRID_GAP_TARGET``, within 1000 to 100 000."""
+    ``q = r / R``; ``n`` puts it at ``_GRID_GAP_TARGET``, within 1000 to 100 000.
+    Where that bound on ``n`` intervals is below the float epsilon, as on
+    ``(1, 1 + 1e-6)``, the gaps are rounding and the row reads about 0, so
+    ``detail`` says that the refinement is below float resolution."""
     q = pair.r / pair.R
     need = (pair.R / pair.r - 1.0) * math.sqrt((1.0 + q + q * q) / (9.0 * _GRID_GAP_TARGET))
     # R / r may overflow to inf, which math.ceil rejects
     grid_n = math.ceil(min(max(1000.0, need), 100_000.0))
+    step = (pair.R / pair.r - 1.0) / grid_n   # a product, as ** raises past the float range
+    finest = step * step * (1.0 + q + q * q) / 9.0
     gaps = []
     for n in (grid_n // 4, grid_n // 2, grid_n):
         sol = minimize_reduced_energy(pair, make_radial_grid(pair.domain, n))
@@ -336,11 +355,14 @@ def _discrete_convergence(pair: AnnulusPair, target: float) -> CheckResult:
     monotone = all(g2 <= g1 + 1e-12 * target for g1, g2 in zip(gaps, gaps[1:]))
     above = all(g >= -1e-9 * target for g in gaps)
     final_ok = gaps[-1] <= 1e-5 * target
+    detail = "energy gaps decrease and stay nonnegative under grid refinement"
+    if finest < sys.float_info.epsilon:
+        detail += (f"; the refinement is below float resolution: the gap on {grid_n} "
+                   f"intervals is at most {finest:.1e} of the minimum")
     return CheckResult(
         "discrete-minimum-converges-from-above",
         bool(monotone and above and final_ok),
-        gaps[-1] / target, 0.0, 1e-5,
-        "energy gaps decrease and stay nonnegative under grid refinement")
+        gaps[-1] / target, 0.0, 1e-5, detail)
 
 
 def check_minimal_energy(config: VerifyConfig) -> list[CheckResult]:
@@ -454,17 +476,17 @@ def check_sphere_inequality(config: VerifyConfig) -> list[CheckResult]:
 
     transforms = [MobiusTransform.identity()]
     transforms += [random_mobius(rng) for _ in range(_N_TRANSFORMS)]
-    worst = max(abs(sphere_inequality_integral(t, quad) - EIGHT_PI) for t in transforms)
-    results.append(_equality("shell-energy-sharp-at-mobius", worst, 0.0, _CLOSED_FORM_TOL,
-                             f"{len(transforms)} transforms on the unit shell"))
-
+    # both rows read one pushforward of each transform along each frame
     u, v = quad._frames
-    worst_area = 0.0
+    worst = worst_area = 0.0
     for t in transforms:
         du = mobius_pushforward(t, quad.nodes, u)
         dv = mobius_pushforward(t, quad.nodes, v)
+        worst = max(worst, abs(_shell_energy(du, dv, quad) - EIGHT_PI))
         area = float(np.sum(quad.weights * row_norms(np.cross(du, dv))))
         worst_area = max(worst_area, abs(area - 4.0 * math.pi))
+    results.append(_equality("shell-energy-sharp-at-mobius", worst, 0.0, _CLOSED_FORM_TOL,
+                             f"{len(transforms)} transforms on the unit shell"))
     results.append(_equality("mapped-area-identity", worst_area, 0.0, _CLOSED_FORM_TOL,
                              "integral of the gram determinant over the sphere"))
 
@@ -475,12 +497,18 @@ def check_sphere_inequality(config: VerifyConfig) -> list[CheckResult]:
         amp = rng.uniform(0.15, 0.35)
 
         def stretch(etas, axis=axis, amp=amp):
-            # eta . axis summed column by column, as geometry._squared_norms does
+            # eta . axis summed column by column, as geometry._squared_norms
+            # does, then eta + (amp eta . axis) axis a column at a time
             along = etas[:, 0] * axis[0]
             along += etas[:, 1] * axis[1]
             along += etas[:, 2] * axis[2]
-            out = etas + amp * along[:, None] * axis[None, :]
-            return out / row_norms(out)[:, None]
+            along *= amp
+            out = np.empty(etas.shape, order="F")
+            for k in range(3):
+                col = np.multiply(along, axis[k], out=out[:, k])
+                col += etas[:, k]
+            out /= row_norms(out)[:, None]
+            return out
 
         min_excess = min(min_excess, sphere_inequality_integral(stretch, quad) - EIGHT_PI)
     results.append(_lower_bound("shell-energy-strict-for-non-mobius", min_excess, 0.0, 0.0,
@@ -513,10 +541,11 @@ def check_harmonic_bvp(config: VerifyConfig) -> list[CheckResult]:
                              worst_res, 0.0, _RESIDUAL_TOL,
                              "50 random pairs; 100 radii each"))
 
-    admissible = [random_admissible_pair(rng) for _ in range(20)]
+    # the first 20 of the 100 admissible pairs also take the FD route
+    admissible = _random_admissible_pairs(rng, 100)
+    exact = [analytic_dirichlet_energy_radial(p) for p in admissible]
     worst_rel = 0.0
-    for p in admissible:
-        x = analytic_dirichlet_energy_radial(p)
+    for p, x in zip(admissible[:20], exact):
         f = as_sampled_map(GeneralizedRadialMap(harmonic_radial_bvp(p)))
         num = dirichlet_energy(f, p, _fd_radial_order(p.domain), _FD_ROTATION_SPHERE_ORDER,
                                refine=False).value
@@ -525,8 +554,7 @@ def check_harmonic_bvp(config: VerifyConfig) -> list[CheckResult]:
                              worst_rel, 0.0, _FD_ENERGY_REL_TOL, "20 admissible pairs"))
 
     min_gap_rel = math.inf
-    for p in admissible + [random_admissible_pair(rng) for _ in range(80)]:
-        x = analytic_dirichlet_energy_radial(p)
+    for p, x in zip(admissible, exact):
         y = dirichlet_lower_bound(p)
         min_gap_rel = min(min_gap_rel, (x - y) / x)
     results.append(_lower_bound("lower-bound-below-harmonic-energy", min_gap_rel, 0.0, 0.0,
@@ -599,14 +627,15 @@ def check_residuals(config: VerifyConfig) -> list[CheckResult]:
     for _ in range(10):
         k = rng.normal(0.0, 0.5, size=grid.nodes.size)
         grad = reduced_energy_gradient(k, grid)
-        fd = np.empty_like(grad)
-        for j in range(1, grid.nodes.size - 1):
-            h = 1e-6 * max(1.0, abs(k[j]))
-            kp = k.copy()
-            km = k.copy()
-            kp[j] += h
-            km[j] -= h
-            fd[j - 1] = (discrete_reduced_energy(kp, grid) - discrete_reduced_energy(km, grid)) / (2.0 * h)
+        # central differences at every interior node j from one stack of
+        # states: row j - 1 of plane 0 moves node j by +h_j, of plane 1 by -h_j
+        h = 1e-6 * np.maximum(1.0, np.abs(k[1:-1]))
+        rows = np.arange(h.size)
+        shifted = np.tile(k, (2, h.size, 1))
+        shifted[0, rows, rows + 1] += h
+        shifted[1, rows, rows + 1] -= h
+        energies = _energy_from_coefficients(grid._stiffness, shifted, grid)
+        fd = (energies[0] - energies[1]) / (2.0 * h)
         scale = float(np.max(np.abs(grad))) + 1.0
         worst_grad = max(worst_grad, float(np.max(np.abs(grad - fd))) / scale)
     results.append(_equality("discrete-gradient-matches-finite-differences",

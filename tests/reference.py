@@ -9,7 +9,10 @@ sphere inversion checks the FD route's shared-stencil inversion, the FD
 route that evaluates its stencil one point set per call checks the
 batched one, the pair generator's scalar loop checks its rounds, and the
 logs of the closed-form energies decide where those energies lie beyond
-the float range.
+the float range.  The Lorentz affine map one row at a time, the
+great-circle differences of a sphere map in four calls, the weighted
+minimum in ``Fraction`` arithmetic and the admissible pair drawn one pair
+at a time check the forms that replaced them.
 """
 import cmath
 import math
@@ -26,6 +29,8 @@ from annuli import (
     map_eval_many,
     mobius_apply_points,
     mobius_pushforward,
+    nitsche_condition,
+    random_annulus_pair,
     tangent_frames,
 )
 from annuli.energy import _fd_stencil, _same
@@ -182,7 +187,7 @@ def fd_energies_per_set(f, pair, radial_order, sphere_order, weighted, views=(_s
         minus[:, k] -= steps
         minus = map_eval_many(f, minus)
         for view, dens in zip(views, density):
-            dens += _squared_norms((view(plus) - view(minus)) / two_steps)
+            dens += _squared_norms((view(plus) - view(minus)) / two_steps[:, None])
     if weighted:
         vals = map_eval_many(f, centers.copy(order="F"))
         for view, dens in zip(views, density):
@@ -202,3 +207,45 @@ def random_annulus_pair_scalar(rng, low=0.1, high=10.0):
         if R / r < _MIN_RATIO or Rs / rs < _MIN_RATIO:
             continue
         return float(r), float(R), float(rs), float(Rs)
+
+
+def affine_per_row(lor, pts):
+    """``_kernels._affine`` as a loop over the rows of ``lor``, each row
+    summed column by column into its own output row."""
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    out = np.empty((lor.shape[0], pts.shape[0]))
+    term = np.empty(pts.shape[0])
+    for row, (c, wx, wy, wz) in zip(out, lor):
+        np.multiply(x, wx, out=row)
+        row += np.multiply(y, wy, out=term)
+        row += np.multiply(z, wz, out=term)
+        row += c
+    return out
+
+
+def great_circle_differences_four_calls(s, etas, u, v, step):
+    """Centred great-circle differences of a sphere map ``s`` from four
+    calls, one per point set: ``cos(step) etas +- sin(step) u``, then the
+    same along ``v``."""
+    ch, sh = math.cos(step), math.sin(step)
+    du = (s(ch * etas + sh * u) - s(ch * etas - sh * u)) / (2.0 * step)
+    dv = (s(ch * etas + sh * v) - s(ch * etas - sh * v)) / (2.0 * step)
+    return du, dv
+
+
+def min_weighted_energy_fraction(pair) -> Fraction:
+    """The weighted minimum over ``4 pi``, ``2 (R - r) + r R ell^2 / (R - r)``
+    with ``ell = log(R* / r*)``, in ``Fraction`` arithmetic on the floats."""
+    r, R = Fraction(pair.r), Fraction(pair.R)
+    ell = Fraction(_log_ratio(pair.R_star, pair.r_star))
+    return 2 * (R - r) + r * R * ell * ell / (R - r)
+
+
+
+def random_admissible_pair_loop(rng):
+    """One admissible pair: :func:`annuli.random_annulus_pair` drawn one
+    pair at a time until ``nitsche_condition`` admits one."""
+    while True:
+        pair = random_annulus_pair(rng)
+        if nitsche_condition(pair).admissible:
+            return pair

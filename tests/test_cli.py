@@ -315,6 +315,14 @@ class TestVerifyCommand:
         assert main(["verify", "--seed", "42", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_json_report_matches_the_pinned_bytes(self, capsys):
+        # the file CI compares the installed entry point's output against
+        from pathlib import Path
+
+        pinned = Path(__file__).parent / "data" / "verify_seed42.json"
+        code, out, _ = run_cli(capsys, "verify", "--seed", "42", "--format", "json")
+        assert code == 0 and out == pinned.read_text()
+
     def test_same_bytes_at_any_blas_thread_count(self):
         # the point batches and quadrature sums of the verify path take no
         # BLAS product, whose threaded split would change the order of sums

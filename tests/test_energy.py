@@ -348,7 +348,8 @@ class TestFDRouteBuffers:
 
 class TestFDBatches:
     """The stencil's seven point sets go to the map in calls of at most
-    ``_FD_BATCH_POINTS`` points, with the bits of one call per set."""
+    ``_FD_BATCH_POINTS`` points, and the ``+-e_k`` pairs of a call are
+    differenced as one block, with the bits of one call per set."""
 
     # points of each map call, weighted route (seven sets) and plain one
     # (six): at (9, 4), 288 centres, all sets go in one call; at (9, 8),
@@ -398,6 +399,26 @@ class TestFDBatches:
                                                       f"node {node}, x="):
                 _fd_energies(SampledMap(collapse_at_centre), canonical_pair, *orders, True,
                              views)
+
+
+    @pytest.mark.parametrize("orders", list(ORDERS))
+    def test_differences_raise_before_the_centres_norms(self, canonical_pair, orders):
+        # a +e_2 value at the origin and a vanished centre: the inversion view
+        # raises on the differences, which come before the centres' norms
+        centers, steps, _, _ = _fd_stencil(canonical_pair.domain, *orders)
+        shifted = centers[5].copy()
+        shifted[2] += steps[5]
+
+        def collapse(p):
+            image = np.array(p)
+            image[np.all(p == shifted, axis=1) | np.all(p == centers[7], axis=1)] = 0.0
+            return image
+
+        with pytest.raises(EvaluationError, match="hit the origin"):
+            _fd_energies(SampledMap(collapse), canonical_pair, *orders, True,
+                         (_same, sphere_inversion(1.0)))
+        with pytest.raises(EvaluationError, match="image norm vanished at quadrature node 7,"):
+            _fd_energies(SampledMap(collapse), canonical_pair, *orders, True)
 
 
 class TestSharedStencil:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from annuli import AnnulusPair, MobiusTransform, make_radial_grid
 from annuli import _kernels as K
+from reference import affine_per_row
 
 
 class TestBackendReporting:
@@ -143,6 +144,35 @@ class TestMoebiusLayouts:
         vecs = np.cross(pts, [0.0, 0.0, 1.0])
         assert K.mobius_apply_points(*self.ABCD, pts).flags.f_contiguous
         assert K.mobius_pushforward(*self.ABCD, pts, vecs).flags.f_contiguous
+
+
+class TestBroadcastAffine:
+    """``_affine`` forms every Lorentz row in one broadcast pass per
+    coordinate, with the bits of a loop over the rows."""
+
+    @pytest.mark.parametrize("n", [3, 288, 2048, 4608])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_the_row_loop(self, rng, n, order):
+        from annuli import random_mobius
+
+        pts = np.asarray(rng.standard_normal((n, 3)), order=order)
+        for _ in range(5):
+            t = random_mobius(rng)
+            lor = K._lorentz(t.a, t.b, t.c, t.d)
+            for rows in (lor, lor[:1], lor[1:]):
+                out = K._affine(rows, pts)
+                assert out.tobytes() == affine_per_row(rows, pts).tobytes()
+
+    def test_image_reads_numerator_and_denominator_from_one_pass(self, rng):
+        # the identity's matrix has signed zeros, whose signs must survive
+        pts = rng.standard_normal((4608, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        for lor in (K._lorentz(1.0, 0.0, 0.0, 1.0), K._lorentz(*TestMoebiusLayouts.ABCD)):
+            image, den = K._image(lor, pts)
+            rows = affine_per_row(lor, pts)
+            assert den.tobytes() == rows[0].tobytes()
+            assert image.tobytes() == np.asfortranarray((rows[1:] / rows[0]).T).tobytes()
+            assert image.flags.f_contiguous
 
 
 # the parity of the row count at some level changes between these sizes

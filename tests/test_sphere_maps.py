@@ -20,6 +20,7 @@ from annuli import sphere_maps
 from annuli.geometry import row_norms
 from annuli.sphere_maps import _apply_to_units
 from reference import (
+    great_circle_differences_four_calls,
     inverse_stereographic,
     mobius_compose,
     mobius_inverse,
@@ -339,6 +340,49 @@ class TestSphereInequality:
             return out
 
         assert sphere_inequality_integral(squash, q) > EIGHT_PI + 1e-3
+
+
+class TestGreatCircleDifferences:
+    """A callable gets the four great-circle point sets in one call, with
+    the bits of one call per set."""
+
+    @staticmethod
+    def _maps(rng):
+        t = random_mobius(rng)
+        axis = np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98)
+
+        # maps that act row by row whatever the layout: column sums, no BLAS
+        def stretch(etas):
+            along = etas[:, 0] * axis[0] + etas[:, 1] * axis[1] + etas[:, 2] * axis[2]
+            out = etas + 0.25 * along[:, None] * axis[None, :]
+            return out / row_norms(out)[:, None]
+
+        def squash_c_order(etas):
+            out = np.ascontiguousarray(etas)
+            out[:, 2] *= 0.8
+            return out / row_norms(out)[:, None]
+
+        return [lambda pts: mobius_apply_points(t, pts), stretch, squash_c_order]
+
+    @pytest.mark.parametrize("order", [8, 32])
+    def test_one_call_matches_four_calls(self, rng, order):
+        q = make_sphere_quadrature(order)
+        u, v = q._frames
+        for s in self._maps(rng):
+            calls = []
+            one = sphere_maps._tangent_derivatives_fd(
+                lambda pts: calls.append(pts.shape) or s(pts), q.nodes, u, v, 1e-6)
+            four = great_circle_differences_four_calls(s, q.nodes, u, v, 1e-6)
+            assert calls == [(4 * q.nodes.shape[0], 3)]
+            for a, b in zip(one, four):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("shape", [lambda n: (n,), lambda n: (n, 2), lambda n: (n // 2, 3)])
+    def test_output_of_another_shape_raises(self, shape):
+        q = make_sphere_quadrature(4)
+        n = 4 * q.nodes.shape[0]
+        with pytest.raises(ValueError, match=rf"shape \({shape(n)[0]},.*not \({n}, 3\)"):
+            sphere_inequality_integral(lambda pts: np.zeros(shape(pts.shape[0])), q)
 
 
 class TestRandomMobius:

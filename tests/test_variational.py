@@ -219,6 +219,26 @@ class TestEnergyGradient:
         assert np.max(np.abs(g - fd)) / np.max(np.abs(fd)) < 1e-6
 
 
+class TestStackedEnergies:
+    """``_energy_from_coefficients`` on a stack of states gives each state's
+    own energy, bit for bit, as the gradient row of the verify suite reads."""
+
+    @pytest.mark.parametrize("n", [2, 7, 50, 1000])
+    def test_rows_keep_the_bits_of_their_own_calls(self, rng, n):
+        grid = make_radial_grid(AnnulusPair.from_radii(1.0, 2.0, 1.0, 3.0).domain, n)
+        for scale in (0.01, 0.5, 300.0):
+            ks = rng.normal(0.0, scale, size=(2, 9, n + 1))
+            stacked = variational._energy_from_coefficients(grid._stiffness, ks, grid)
+            assert stacked.shape == (2, 9)
+            single = [[discrete_reduced_energy(k, grid) for k in plane] for plane in ks]
+            assert stacked.tobytes() == np.array(single).tobytes()
+
+    def test_one_state_is_a_float_that_overflows_without_a_warning(self):
+        grid = make_radial_grid(AnnulusPair.from_radii(1.0, 2.0, 1.0, 3.0).domain, 4)
+        energy = discrete_reduced_energy(np.array([0.0, 1e153, 0.0, 1e153, 0.0]), grid)
+        assert type(energy) is float and energy == math.inf
+
+
 def _assert_converged_on_the_true_gradient(gd, grid, tol=1e-7):
     """``converged`` promises a gradient max-norm of at most ``tol`` at
     the returned profile, recomputed here from its values."""

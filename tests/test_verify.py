@@ -1,6 +1,9 @@
 import functools
+import json
 import math
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +29,30 @@ from annuli import (
 from annuli import energy, geometry, nitsche, verify
 from annuli.energy import _fd_energies
 from annuli.geometry import Annulus, RadialGrid, make_sphere_quadrature, row_norms
-from annuli.sphere_maps import conformal_stretch_points, random_mobius
-from annuli.verify import _random_annulus_pairs, random_admissible_pair, random_annulus_pair
-from reference import projective_twisted_minimizer, random_annulus_pair_scalar
+from annuli.sphere_maps import (
+    MobiusTransform,
+    conformal_stretch_points,
+    random_mobius,
+    sphere_inequality_integral,
+)
+from annuli.verify import (
+    _random_admissible_pairs,
+    _random_annulus_pairs,
+    random_admissible_pair,
+    random_annulus_pair,
+)
+from reference import (
+    min_weighted_energy_fraction,
+    projective_twisted_minimizer,
+    random_admissible_pair_loop,
+    random_annulus_pair_scalar,
+)
+
+# run_suite(VerifyConfig(seed=s)).rows() of the seeds below, floats as repr,
+# written before the verify path was last restructured; regenerate with
+#   json.dumps({str(s): [{k: repr(v) if isinstance(v, float) else v
+#                         for k, v in row.items()} for row in rows(s)]}, indent=1)
+REFERENCE_ROWS = Path(__file__).parent / "data" / "verify_reference_rows.json"
 
 
 class TestGenerators:
@@ -74,6 +98,14 @@ class TestGenerators:
         rng = np.random.default_rng(1)
         for _ in range(30):
             assert nitsche_condition(random_admissible_pair(rng)).admissible
+
+    def test_admissible_rounds_draw_the_pairs_of_the_single_pair_loop(self):
+        for seed in range(20):
+            rngs = [np.random.default_rng([seed, 4]) for _ in range(3)]
+            expect = [random_admissible_pair_loop(rngs[0]) for _ in range(100)]
+            assert _random_admissible_pairs(rngs[1], 100) == expect
+            assert [random_admissible_pair(rngs[2]) for _ in range(100)] == expect
+            assert rngs[0].uniform() == rngs[1].uniform() == rngs[2].uniform()
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +211,77 @@ class TestSharedInvariants:
         # those 21 shells and the pair's at order 64; the pair's exact minimum
         # and 100 lower bounds
         assert built == [0, 22, 22, 101]
+
+
+class TestPinnedReports:
+    """Every row of four seeds' reports, bit for bit, against the pinned
+    rows: the CLI's JSON rounds to 13 digits, so it cannot pin them."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 42, 12345])
+    def test_rows_match_the_pinned_rows(self, seed):
+        pinned = json.loads(REFERENCE_ROWS.read_text())[str(seed)]
+        rows = [{k: repr(v) if isinstance(v, float) else v for k, v in row.items()}
+                for row in run_suite(VerifyConfig(seed=seed)).rows()]
+        assert rows == pinned
+
+
+class TestSphereRows:
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_sharp_row_is_the_worst_integral_of_its_transforms(self, seed):
+        # the row reads the pushforwards it shares with the area row; its
+        # value is that of sphere_inequality_integral on the same 21 transforms
+        rng = np.random.default_rng([seed, 3])
+        transforms = [MobiusTransform.identity()]
+        transforms += [random_mobius(rng) for _ in range(verify._N_TRANSFORMS)]
+        quad = make_sphere_quadrature(verify._SPHERE_ORDER)
+        worst = max(abs(sphere_inequality_integral(t, quad) - verify.EIGHT_PI)
+                    for t in transforms)
+        rows = {r.name: r for r in check_sphere_inequality(VerifyConfig(seed=seed))}
+        assert rows["shell-energy-sharp-at-mobius"].observed == worst
+        assert len(transforms) == 21
+
+    def test_each_transform_takes_one_pushforward_per_frame(self, monkeypatch):
+        calls = []
+        push = verify.mobius_pushforward
+        monkeypatch.setattr(verify, "mobius_pushforward",
+                            lambda *a: calls.append(1) or push(*a))
+        check_sphere_inequality(VerifyConfig(seed=1))
+        assert len(calls) == 2 * (verify._N_TRANSFORMS + 1)
+
+
+class TestHarmonicRow:
+    def test_closed_form_energy_once_per_admissible_pair(self, monkeypatch):
+        pairs = []
+        energy_of = verify.analytic_dirichlet_energy_radial
+        monkeypatch.setattr(verify, "analytic_dirichlet_energy_radial",
+                            lambda p: pairs.append(p) or energy_of(p))
+        check_harmonic_bvp(VerifyConfig(seed=1))
+        assert len(pairs) == len(set(pairs)) == 100
+
+    def test_generator_is_read_no_further_than_the_pairs(self, monkeypatch):
+        made = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *a: made.append(default_rng(*a)) or made[-1])
+        check_harmonic_bvp(VerifyConfig(seed=3))
+        expect = default_rng([3, 4])
+        _random_annulus_pairs(expect, verify._N_PAIRS)
+        for _ in range(100):
+            random_admissible_pair_loop(expect)
+        assert len(made) == 1 and made[0].uniform() == expect.uniform()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exact_minimum_in_integers_is_the_fraction_form(self, seed):
+        rng = np.random.default_rng(seed)
+        pairs = _random_annulus_pairs(rng, 200, 1e-300, 1e300)
+        pairs += [AnnulusPair.from_radii(*radii) for radii in (
+            (1.0, 2.0, 1.0, math.e), (1.0, 2.0, 1.0, 1.0), (5e-324, 1e-300, 1.0, 2.0),
+            (1.0, 1.0 + 2.0**-52, 1.0, 1.7976931348623157e308))]
+        for pair in pairs:
+            exact = min_weighted_energy_fraction(pair)
+            assert energy._min_weighted_energy(pair) == exact
+            bound = energy.dirichlet_lower_bound(pair)
+            assert bound == geometry._four_pi_times(exact * Fraction(pair.r_star) ** 2)
 
 
 class TestConfig:
@@ -349,6 +452,19 @@ class TestDiscreteConvergence:
             pair = random_annulus_pair(rng)
             row = verify._discrete_convergence(pair, analytic_min_weighted_energy(pair))
             assert row.passed, (pair, row.observed)
+
+    def test_thin_shell_says_its_refinement_is_below_float_resolution(self):
+        # on (1, 1 + 1e-6) the gap on 1000 intervals is about 3e-19 of the
+        # minimum, so the row reads 0 and says why; the reference pair's
+        # detail is pinned by TestPinnedReports
+        thin = AnnulusPair.from_radii(1.0, 1.0 + 1e-6, 1.0, 2.0)
+        row = verify._discrete_convergence(thin, analytic_min_weighted_energy(thin))
+        assert row.passed and row.observed == 0.0
+        assert "refinement is below float resolution" in row.detail
+        assert "on 1000 intervals is at most 3.3e-19 of the minimum" in row.detail
+        pair = verify.DEFAULT_PAIR
+        row = verify._discrete_convergence(pair, analytic_min_weighted_energy(pair))
+        assert row.detail == "energy gaps decrease and stay nonnegative under grid refinement"
 
     def test_default_pair_keeps_1000_intervals(self, monkeypatch):
         sizes = []
