@@ -48,6 +48,8 @@ from .maps import (
     sphere_inversion,
 )
 from .nitsche import (
+    _admissible_rows,
+    _monotone_rows,
     analytic_dirichlet_energy_radial,
     harmonic_profile_monotone,
     harmonic_radial_bvp,
@@ -212,28 +214,30 @@ def random_annulus_pair(rng: np.random.Generator, low: float = 0.1,
     ``0 < low < high < inf`` and ``high / low >= 1.02^2``, where that is
     at least 1/16, it raises :class:`ValueError` before drawing.
     """
-    return _random_annulus_pairs(rng, 1, low, high)[0]
+    return AnnulusPair.from_radii(*_random_radii(rng, 1, low, high)[0])
 
 
-def _random_annulus_pairs(rng: np.random.Generator, count: int, low: float = 0.1,
-                          high: float = 10.0) -> list[AnnulusPair]:
-    """The pairs of ``count`` calls of :func:`random_annulus_pair`, which
-    leave ``rng`` in the same state.  Each round draws
-    the radii of the pairs still missing in one call and rejects as each
-    draw would, so no round draws past the last pair kept."""
+def _random_radii(rng: np.random.Generator, count: int, low: float = 0.1,
+                  high: float = 10.0) -> list[tuple[float, float, float, float]]:
+    """The radii ``(r, R, r*, R*)`` of the pairs of ``count`` calls of
+    :func:`random_annulus_pair`, which leave ``rng`` in the same state, as
+    tuples of Python floats: a caller builds a pair only from the tuples it
+    uses as pairs.  Each round draws the radii of the tuples still missing
+    in one call and rejects as each draw would, so no round draws past the
+    last tuple kept."""
     if not (0.0 < low < high < math.inf and high / low >= _MIN_RATIO**2):
         raise ValueError(f"random pair needs 0 < low < high < inf and high / low >= "
                          f"{_MIN_RATIO}^2, got low = {low!r}, high = {high!r}")
     lo, hi = math.log(low), math.log(high)
-    pairs = []
-    while len(pairs) < count:
-        for a, b, c, d in np.exp(rng.uniform(lo, hi, size=(count - len(pairs), 4))).tolist():
+    radii = []
+    while len(radii) < count:
+        for a, b, c, d in np.exp(rng.uniform(lo, hi, size=(count - len(radii), 4))).tolist():
             r, R = (a, b) if a <= b else (b, a)
             rs, Rs = (c, d) if c <= d else (d, c)
             if R / r < _MIN_RATIO or Rs / rs < _MIN_RATIO:
                 continue
-            pairs.append(AnnulusPair.from_radii(r, R, rs, Rs))
-    return pairs
+            radii.append((r, R, rs, Rs))
+    return radii
 
 
 def random_admissible_pair(rng: np.random.Generator) -> AnnulusPair:
@@ -245,14 +249,17 @@ def random_admissible_pair(rng: np.random.Generator) -> AnnulusPair:
 def _random_admissible_pairs(rng: np.random.Generator, count: int) -> list[AnnulusPair]:
     """The pairs of ``count`` calls of :func:`random_admissible_pair`, which
     leave ``rng`` in the same state: the first ``count`` admissible draws of
-    :func:`random_annulus_pair`.  Each round draws as many pairs as are
-    still missing, and at most that many of them are admissible, so no
-    round draws past the last pair kept."""
+    :func:`random_annulus_pair`.  Each round draws as many radius tuples as
+    pairs are still missing, and at most that many of them are admissible,
+    so no round draws past the last pair kept; the round's tuples are tested
+    in one :func:`nitsche._admissible_rows` call, and only the admissible
+    ones are built into pairs."""
     pairs = []
     while len(pairs) < count:
-        for pair in _random_annulus_pairs(rng, count - len(pairs)):
-            if nitsche_condition(pair).admissible:
-                pairs.append(pair)
+        radii = _random_radii(rng, count - len(pairs))
+        for row, admissible in zip(radii, _admissible_rows(np.array(radii)).tolist()):
+            if admissible:
+                pairs.append(AnnulusPair.from_radii(*row))
     return pairs
 
 
@@ -518,21 +525,32 @@ def check_sphere_inequality(config: VerifyConfig) -> list[CheckResult]:
 
 def check_harmonic_bvp(config: VerifyConfig) -> list[CheckResult]:
     """Radial harmonic BVP: threshold equivalence, harmonicity, energy
-    closed form, and its ordering against the universal lower bound."""
+    closed form, and its ordering against the universal lower bound.
+
+    The threshold row draws radius tuples, not pairs, and decides both
+    statements on all of them in two array passes of the filtered exact
+    predicates (float signs where an error bound settles them, integers
+    elsewhere); the public functions then decide the threshold pair
+    ``(1, 2, 12, 17)`` and its one-ulp neighbours in ``r*``, the pairs
+    only the exact path decides.  Pairs are built only for the rows that
+    read them: the first 50 tuples and the admissible draws."""
     rng = np.random.default_rng([config.seed, 4])
     results = []
 
-    mismatches = 0
-    pairs = _random_annulus_pairs(rng, _N_PAIRS)
-    for p in pairs:
-        if nitsche_condition(p).admissible != harmonic_profile_monotone(p):
-            mismatches += 1
+    radii = _random_radii(rng, _N_PAIRS)
+    rows = np.array(radii)
+    mismatches = int(np.count_nonzero(_admissible_rows(rows) != _monotone_rows(rows)))
+    for rs in (math.nextafter(12.0, 0.0), 12.0, math.nextafter(12.0, math.inf)):
+        p = AnnulusPair.from_radii(1.0, 2.0, rs, 17.0)
+        mismatches += nitsche_condition(p).admissible != harmonic_profile_monotone(p)
     results.append(_equality("nitsche-threshold-matches-monotonicity",
                              float(mismatches), 0.0, 0.0,
-                             f"{_N_PAIRS} random pairs"))
+                             f"{_N_PAIRS} random pairs; the threshold pair r = 1; R = 2; "
+                             "r* = 12; R* = 17 and its one-ulp neighbours in r*"))
 
     worst_res = 0.0
-    for p in pairs[:50]:
+    for x in radii[:50]:
+        p = AnnulusPair.from_radii(*x)
         prof = harmonic_radial_bvp(p)
         t = np.linspace(p.r, p.R, 100)
         res = prof.derivative(t, 2) + 2.0 * prof.derivative(t, 1) / t - 2.0 * prof.eval(t) / t**2

@@ -308,6 +308,9 @@ class TestVerifyCommand:
         assert code == 0
         assert "checks passed" in err
         assert out.startswith("name,passed,")
+        # fields are joined unquoted, so no detail may hold a comma
+        header, *rows = out.splitlines()
+        assert all(row.count(",") == header.count(",") for row in rows)
 
     def test_byte_identical_outputs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,9 +14,10 @@ from annuli import (
     harmonic_radial_bvp,
     nitsche_condition,
 )
+from annuli import nitsche
 from annuli.errors import DomainError
-from annuli.nitsche import NitscheVerdict, _integer_radii
-from annuli.verify import random_annulus_pair
+from annuli.nitsche import NitscheVerdict, _admissible_rows, _integer_radii, _monotone_rows
+from annuli.verify import _random_radii, random_annulus_pair
 
 PI = math.pi
 
@@ -85,6 +87,70 @@ class TestIntegerScaledCondition:
             checked += 1
             assert _bits(nitsche_condition(pair)) == _bits(_rational_verdict(pair)), pair
         assert checked > 1500
+
+
+def _rational_admissible(radii):
+    r, R, rs, Rs = map(Fraction, radii)
+    return rs / Rs <= 3 * r * R * R / (r**3 + 2 * R**3)
+
+
+def _rational_monotone(radii):
+    """``H' >= 0`` at ``t = r`` and ``t = R``, in rationals on the floats."""
+    r, R, rs, Rs = map(Fraction, radii)
+    den = r**3 - R**3
+    a = (r * r * rs - R * R * Rs) / den
+    b = r * r * R * R * (r * Rs - R * rs) / den
+    return all(a - 2 * b / t**3 >= 0 for t in (r, R))
+
+
+# the pair on the threshold and its one-ulp neighbours in r* and in R*
+_THRESHOLD_ROWS = [(1.0, 2.0, rs, Rs) for rs, Rs in (
+    (12.0, 17.0), (math.nextafter(12.0, 0.0), 17.0), (math.nextafter(12.0, math.inf), 17.0),
+    (12.0, math.nextafter(17.0, 0.0)), (12.0, math.nextafter(17.0, math.inf)))]
+# radii whose monomials leave the float range or underflow
+_EXTREME_ROWS = [(5e-324, 1e-300, 1.0, 2.0), (1.0, 1.0 + 2.0**-52, 1.0, 1.7976931348623157e308)]
+
+
+class TestFilteredPredicates:
+    """The float filter decides a row only where its error bound settles the
+    sign, so both batch predicates equal the exact integer decisions."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        generator = _random_radii(np.random.default_rng(21), 2000)
+        wide = _random_radii(np.random.default_rng(22), 200, 1e-300, 1e300)
+        return {"generator": generator, "threshold": _THRESHOLD_ROWS, "wide": wide,
+                "extreme": _EXTREME_ROWS}
+
+    @pytest.mark.parametrize("predicate, exact_name, rational", [
+        (_admissible_rows, "_exact_admissible", _rational_admissible),
+        (_monotone_rows, "_exact_monotone", _rational_monotone),
+    ])
+    def test_batch_matches_the_exact_decisions(self, rows, monkeypatch, predicate, exact_name,
+                                               rational):
+        exact = getattr(nitsche, exact_name)
+        sent = []
+        monkeypatch.setattr(nitsche, exact_name, lambda *x: sent.append(x) or exact(*x))
+        every = [x for group in rows.values() for x in group]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdicts = predicate(np.array(every)).tolist()
+        expect = [exact(*x) for x in every]
+        assert verdicts == expect
+        assert expect == [rational(x) for x in every]
+        assert 0 < sum(verdicts) < len(verdicts)
+        # generator rows are decided in float64; the threshold rows and the
+        # radii outside [2^-100, 2^100] only exactly
+        assert not set(sent) & set(rows["generator"])
+        assert set(rows["threshold"] + rows["extreme"]) <= set(sent)
+        assert [x for x in rows["wide"] if x not in sent] == [
+            x for x in rows["wide"] if all(2.0**-100 <= v <= 2.0**100 for v in x)]
+
+    @pytest.mark.parametrize("radii", _THRESHOLD_ROWS + _EXTREME_ROWS)
+    def test_public_functions_follow_the_rational_decisions(self, radii):
+        pair = AnnulusPair.from_radii(*radii)
+        assert nitsche_condition(pair).admissible == _rational_admissible(radii)
+        assert harmonic_profile_monotone(pair) == _rational_monotone(radii)
 
 
 class TestSharedIntegerRadii:

@@ -37,7 +37,7 @@ from annuli.sphere_maps import (
 )
 from annuli.verify import (
     _random_admissible_pairs,
-    _random_annulus_pairs,
+    _random_radii,
     random_admissible_pair,
     random_annulus_pair,
 )
@@ -48,8 +48,8 @@ from reference import (
     random_annulus_pair_scalar,
 )
 
-# run_suite(VerifyConfig(seed=s)).rows() of the seeds below, floats as repr,
-# written before the verify path was last restructured; regenerate with
+# run_suite(VerifyConfig(seed=s)).rows() of the seeds below, floats as repr; a
+# change that moves a row on purpose regenerates it with
 #   json.dumps({str(s): [{k: repr(v) if isinstance(v, float) else v
 #                         for k, v in row.items()} for row in rows(s)]}, indent=1)
 REFERENCE_ROWS = Path(__file__).parent / "data" / "verify_reference_rows.json"
@@ -86,10 +86,10 @@ class TestGenerators:
         for seed in range(20):
             rngs = [np.random.default_rng([seed, 4]) for _ in range(3)]
             expect = [random_annulus_pair_scalar(rngs[0], low, high) for _ in range(count)]
-            rounds = _random_annulus_pairs(rngs[1], count, low, high)
+            rounds = _random_radii(rngs[1], count, low, high)
             singles = [random_annulus_pair(rngs[2], low, high) for _ in range(count)]
-            for pairs in (rounds, singles):
-                assert [(p.r, p.R, p.r_star, p.R_star) for p in pairs] == expect
+            assert rounds == expect
+            assert [(p.r, p.R, p.r_star, p.R_star) for p in singles] == expect
             assert rngs[0].uniform() == rngs[1].uniform() == rngs[2].uniform()
 
     def test_admissible_generator_only_yields_admissible(self):
@@ -265,23 +265,83 @@ class TestHarmonicRow:
                             lambda *a: made.append(default_rng(*a)) or made[-1])
         check_harmonic_bvp(VerifyConfig(seed=3))
         expect = default_rng([3, 4])
-        _random_annulus_pairs(expect, verify._N_PAIRS)
+        _random_radii(expect, verify._N_PAIRS)
         for _ in range(100):
             random_admissible_pair_loop(expect)
         assert len(made) == 1 and made[0].uniform() == expect.uniform()
 
+    def test_only_the_threshold_pairs_reach_the_exact_path(self, monkeypatch):
+        sent = {}
+        for name in ("_exact_admissible", "_exact_monotone"):
+            exact = getattr(nitsche, name)
+            sent[name] = []
+            monkeypatch.setattr(nitsche, name,
+                                lambda *x, log=sent[name], exact=exact: log.append(x) or exact(*x))
+        check_harmonic_bvp(VerifyConfig(seed=1))
+        expect = [(1.0, 2.0, rs, 17.0)
+                  for rs in (math.nextafter(12.0, 0.0), 12.0, math.nextafter(12.0, math.inf))]
+        assert sent == {"_exact_admissible": expect, "_exact_monotone": expect}
+
     @pytest.mark.parametrize("seed", range(5))
     def test_exact_minimum_in_integers_is_the_fraction_form(self, seed):
         rng = np.random.default_rng(seed)
-        pairs = _random_annulus_pairs(rng, 200, 1e-300, 1e300)
-        pairs += [AnnulusPair.from_radii(*radii) for radii in (
+        radii = _random_radii(rng, 200, 1e-300, 1e300) + [
             (1.0, 2.0, 1.0, math.e), (1.0, 2.0, 1.0, 1.0), (5e-324, 1e-300, 1.0, 2.0),
-            (1.0, 1.0 + 2.0**-52, 1.0, 1.7976931348623157e308))]
-        for pair in pairs:
+            (1.0, 1.0 + 2.0**-52, 1.0, 1.7976931348623157e308)]
+        for pair in (AnnulusPair.from_radii(*x) for x in radii):
             exact = min_weighted_energy_fraction(pair)
             assert energy._min_weighted_energy(pair) == exact
             bound = energy.dirichlet_lower_bound(pair)
             assert bound == geometry._four_pi_times(exact * Fraction(pair.r_star) ** 2)
+
+
+def _admissible_terms_with(constant):
+    """``nitsche._admissible_terms`` with ``constant`` in place of its 3."""
+    def terms(r, R, rs, Rs):
+        rhs = constant * r * R * R * Rs
+        lhs = rs * (r * r * r + 2.0 * (R * R * R))
+        return [(rhs - lhs, rhs + lhs)]
+    return terms
+
+
+def _strict_exact_monotone(r, R, rs, Rs):
+    """``nitsche._exact_monotone`` with ``<`` in place of ``<=``."""
+    (r, R, rs, Rs), _ = nitsche._scaled_integers(r, R, rs, Rs)
+    a_num, b_num, _ = nitsche._bvp_terms(r, R, rs, Rs)
+    return a_num * r**3 - 2 * b_num < 0 and a_num * R**3 - 2 * b_num < 0
+
+
+class TestThresholdRowDefects:
+    """Each defect planted in a predicate fails the threshold row."""
+
+    def _row(self, seed):
+        row = check_harmonic_bvp(VerifyConfig(seed=seed))[0]
+        assert row.name == "nitsche-threshold-matches-monotonicity"
+        return row
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_monotone_test_at_the_outer_radius_only(self, monkeypatch, seed):
+        # H'(R) >= 0 holds on every pair, so the row sees every inadmissible pair
+        terms = nitsche._monotone_terms
+        monkeypatch.setattr(nitsche, "_monotone_terms", lambda *radii: terms(*radii)[1:])
+        row = self._row(seed)
+        assert not row.passed and row.observed > 300
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    @pytest.mark.parametrize("constant", [2.97, 2.997])
+    def test_admissibility_constant(self, monkeypatch, seed, constant):
+        # 2.997 moves no random pair at seeds 1 and 42; the threshold pair
+        # and its lower neighbour catch it
+        monkeypatch.setattr(nitsche, "_admissible_terms", _admissible_terms_with(constant))
+        row = self._row(seed)
+        assert not row.passed and row.observed >= 2
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_strict_slope_test_on_the_exact_path(self, monkeypatch, seed):
+        # only the pair on the threshold has H'(r) = 0 exactly
+        monkeypatch.setattr(nitsche, "_exact_monotone", _strict_exact_monotone)
+        row = self._row(seed)
+        assert not row.passed and row.observed == 1.0
 
 
 class TestConfig:
