@@ -7,12 +7,13 @@ exactly when the target radii satisfy
 that condition, checks it against the slope of ``H`` at the two
 boundary radii (``H'' = 6 b / t^4`` has one sign, so the least slope on
 ``[r, R]`` is at an endpoint), and provides the harmonic map's
-Dirichlet energy in closed form.  The two sign tests are filtered exact
-predicates over ``(N, 4)`` arrays of radii (Shewchuk 1997): float64
-decides a pair wherever a proven error bound settles the sign, and exact
-integer arithmetic decides every other pair.  Every reported value is
-exact on the float radii, scaled to integers by one power of two, and
-rounded once.
+Dirichlet energy in closed form.  The public functions decide one pair
+in exact integer arithmetic.  Over ``(N, 4)`` arrays of radii the two
+sign tests are filtered exact predicates (Shewchuk 1997): float64 decides
+a pair wherever a proven error bound settles the sign, and the same
+integer tests decide every other pair.  Every reported value is exact on
+the float radii, scaled to integers by one power of two, and rounded
+once.
 """
 from __future__ import annotations
 
@@ -39,21 +40,21 @@ class NitscheVerdict:
 def nitsche_condition(pair: AnnulusPair) -> NitscheVerdict:
     """Decide ``r_star / R_star <= 3 r R^2 / (r^3 + 2 R^3)``.
 
-    ``admissible`` is the pair's row of :func:`_admissible_rows`, exact on
-    the float radii, so boundary cases do not flip on rounding noise.
-    Both sides are homogeneous of degree 0, and Python's int division
-    rounds correctly, so ``ratio``, ``threshold`` and ``margin``, formed
-    from the radii scaled to integers by one power of two, are the exact
-    values rounded once.
+    ``admissible`` is :func:`_exact_admissible` on the radii scaled to
+    integers by one power of two, exact on the float radii, so boundary
+    cases do not flip on rounding noise.  Both sides are homogeneous of
+    degree 0, and Python's int division rounds correctly, so ``ratio``,
+    ``threshold`` and ``margin``, formed from the same integers, are the
+    exact values rounded once.
     """
-    (r, R, rs, Rs), _ = _integer_radii(pair)
+    radii, _ = _integer_radii(pair)
+    r, R, rs, Rs = radii
     num, den = 3 * r * R * R, r**3 + 2 * R**3
-    lhs, rhs = rs * den, num * Rs
     return NitscheVerdict(
-        admissible=bool(_admissible_rows(_radii_row(pair))[0]),
+        admissible=_exact_admissible(*radii),
         ratio=rs / Rs,
         threshold=num / den,
-        margin=(rhs - lhs) / (Rs * den),
+        margin=(num * Rs - rs * den) / (Rs * den),
     )
 
 
@@ -81,10 +82,10 @@ def harmonic_profile_monotone(pair: AnnulusPair) -> bool:
     so its least value on ``[r, R]`` sits at an endpoint.  As
     ``H'(t) = (a_num t^3 - 2 b_num) / (t^3 (r^3 - R^3))`` with ``r < R``,
     its sign is that of ``2 b_num - a_num t^3``, a homogeneous polynomial
-    decided exactly on the float radii by :func:`_monotone_rows`.  At the
+    decided exactly on the float radii by :func:`_exact_monotone`.  At the
     threshold ``H'(r)`` is exactly 0, which counts as monotone.
     """
-    return bool(_monotone_rows(_radii_row(pair))[0])
+    return _exact_monotone(*_integer_radii(pair)[0])
 
 
 def analytic_dirichlet_energy_radial(pair: AnnulusPair) -> float:
@@ -136,16 +137,14 @@ def _monotone_terms(r, R, rs, Rs):
     return out
 
 
-def _exact_admissible(r, R, rs, Rs) -> bool:
-    """:func:`_admissible_terms` is ``>= 0``, on the radii scaled to integers."""
-    (r, R, rs, Rs), _ = _scaled_integers(r, R, rs, Rs)
+def _exact_admissible(r: int, R: int, rs: int, Rs: int) -> bool:
+    """:func:`_admissible_terms` is ``>= 0``, on radii scaled to integers."""
     return rs * (r**3 + 2 * R**3) <= 3 * r * R * R * Rs
 
 
-def _exact_monotone(r, R, rs, Rs) -> bool:
-    """Both values of :func:`_monotone_terms` are ``>= 0``, on the radii
-    scaled to integers."""
-    (r, R, rs, Rs), _ = _scaled_integers(r, R, rs, Rs)
+def _exact_monotone(r: int, R: int, rs: int, Rs: int) -> bool:
+    """Both values of :func:`_monotone_terms` are ``>= 0``, on radii scaled
+    to integers."""
     a_num, b_num, _ = _bvp_terms(r, R, rs, Rs)
     return a_num * r**3 - 2 * b_num <= 0 and a_num * R**3 - 2 * b_num <= 0
 
@@ -167,7 +166,8 @@ def _filtered(radii: np.ndarray, terms, exact) -> np.ndarray:
 
     A row whose radii all lie in ``[_SAFE_LOW, _SAFE_HIGH]`` is decided in
     float64 when every value exceeds ``_FILTER_REL`` times its bound, or one
-    lies below minus that; ``exact`` decides every other row.
+    lies below minus that; ``exact`` decides every other row on its radii
+    scaled to integers.
     """
     safe = np.all((radii >= _SAFE_LOW) & (radii <= _SAFE_HIGH), axis=1)
     rows = radii[safe]
@@ -182,13 +182,8 @@ def _filtered(radii: np.ndarray, terms, exact) -> np.ndarray:
     undecided = ~safe
     undecided[safe] = ~(positive | negative)
     for i in np.flatnonzero(undecided).tolist():
-        verdict[i] = exact(*radii[i].tolist())
+        verdict[i] = exact(*_scaled_integers(*radii[i].tolist())[0])
     return verdict
-
-
-def _radii_row(pair: AnnulusPair) -> np.ndarray:
-    """The pair's radii as a ``(1, 4)`` row."""
-    return np.array([[pair.r, pair.R, pair.r_star, pair.R_star]])
 
 
 @lru_cache(maxsize=4)

@@ -16,7 +16,13 @@ from annuli import (
 )
 from annuli import nitsche
 from annuli.errors import DomainError
-from annuli.nitsche import NitscheVerdict, _admissible_rows, _integer_radii, _monotone_rows
+from annuli.nitsche import (
+    NitscheVerdict,
+    _admissible_rows,
+    _integer_radii,
+    _monotone_rows,
+    _scaled_integers,
+)
 from annuli.verify import _random_radii, random_annulus_pair
 
 PI = math.pi
@@ -135,15 +141,16 @@ class TestFilteredPredicates:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             verdicts = predicate(np.array(every)).tolist()
-        expect = [exact(*x) for x in every]
+        scaled = {x: _scaled_integers(*x)[0] for x in every}
+        expect = [exact(*scaled[x]) for x in every]
         assert verdicts == expect
         assert expect == [rational(x) for x in every]
         assert 0 < sum(verdicts) < len(verdicts)
         # generator rows are decided in float64; the threshold rows and the
         # radii outside [2^-100, 2^100] only exactly
-        assert not set(sent) & set(rows["generator"])
-        assert set(rows["threshold"] + rows["extreme"]) <= set(sent)
-        assert [x for x in rows["wide"] if x not in sent] == [
+        assert not set(sent) & {scaled[x] for x in rows["generator"]}
+        assert {scaled[x] for x in rows["threshold"] + rows["extreme"]} <= set(sent)
+        assert [x for x in rows["wide"] if scaled[x] not in sent] == [
             x for x in rows["wide"] if all(2.0**-100 <= v <= 2.0**100 for v in x)]
 
     @pytest.mark.parametrize("radii", _THRESHOLD_ROWS + _EXTREME_ROWS)

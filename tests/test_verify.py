@@ -270,7 +270,7 @@ class TestHarmonicRow:
             random_admissible_pair_loop(expect)
         assert len(made) == 1 and made[0].uniform() == expect.uniform()
 
-    def test_only_the_threshold_pairs_reach_the_exact_path(self, monkeypatch):
+    def test_only_the_threshold_pairs_reach_the_exact_tests(self, monkeypatch):
         sent = {}
         for name in ("_exact_admissible", "_exact_monotone"):
             exact = getattr(nitsche, name)
@@ -278,9 +278,10 @@ class TestHarmonicRow:
             monkeypatch.setattr(nitsche, name,
                                 lambda *x, log=sent[name], exact=exact: log.append(x) or exact(*x))
         check_harmonic_bvp(VerifyConfig(seed=1))
-        expect = [(1.0, 2.0, rs, 17.0)
+        expect = [nitsche._scaled_integers(1.0, 2.0, rs, 17.0)[0]
                   for rs in (math.nextafter(12.0, 0.0), 12.0, math.nextafter(12.0, math.inf))]
-        assert sent == {"_exact_admissible": expect, "_exact_monotone": expect}
+        # the last row reads its threshold from nitsche_condition on (1, 2, 1, 2)
+        assert sent == {"_exact_admissible": expect + [(1, 2, 1, 2)], "_exact_monotone": expect}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_exact_minimum_in_integers_is_the_fraction_form(self, seed):
@@ -304,9 +305,16 @@ def _admissible_terms_with(constant):
     return terms
 
 
+def _exact_admissible_with(constant):
+    """``nitsche._exact_admissible`` with the fraction ``constant`` in place
+    of its 3."""
+    def exact(r, R, rs, Rs):
+        return rs * (r**3 + 2 * R**3) <= constant * r * R * R * Rs
+    return exact
+
+
 def _strict_exact_monotone(r, R, rs, Rs):
     """``nitsche._exact_monotone`` with ``<`` in place of ``<=``."""
-    (r, R, rs, Rs), _ = nitsche._scaled_integers(r, R, rs, Rs)
     a_num, b_num, _ = nitsche._bvp_terms(r, R, rs, Rs)
     return a_num * r**3 - 2 * b_num < 0 and a_num * R**3 - 2 * b_num < 0
 
@@ -328,13 +336,19 @@ class TestThresholdRowDefects:
         assert not row.passed and row.observed > 300
 
     @pytest.mark.parametrize("seed", [1, 42])
-    @pytest.mark.parametrize("constant", [2.97, 2.997])
-    def test_admissibility_constant(self, monkeypatch, seed, constant):
-        # 2.997 moves no random pair at seeds 1 and 42; the threshold pair
-        # and its lower neighbour catch it
-        monkeypatch.setattr(nitsche, "_admissible_terms", _admissible_terms_with(constant))
+    def test_admissibility_constant_on_the_float_path(self, monkeypatch, seed):
+        monkeypatch.setattr(nitsche, "_admissible_terms", _admissible_terms_with(2.97))
         row = self._row(seed)
-        assert not row.passed and row.observed >= 2
+        assert not row.passed and row.observed >= 3
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_admissibility_constant_on_the_exact_path(self, monkeypatch, seed):
+        # 2.997 in the float path moves no random pair at seeds 1 and 42; in
+        # the exact path the threshold pair and its lower neighbour catch it
+        monkeypatch.setattr(nitsche, "_exact_admissible",
+                            _exact_admissible_with(Fraction(2997, 1000)))
+        row = self._row(seed)
+        assert not row.passed and row.observed == 2.0
 
     @pytest.mark.parametrize("seed", [1, 42])
     def test_strict_slope_test_on_the_exact_path(self, monkeypatch, seed):
