@@ -10,6 +10,8 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -271,13 +273,17 @@ def _fmt_csv(value) -> str:
 
 
 def render_csv(rows: list[dict]) -> str:
+    """The rows under a header of the first row's keys.  Fields are quoted
+    as the csv module's ``QUOTE_MINIMAL`` does, only where they hold a
+    comma, a quote or a line break, and lines end in ``\\n``."""
     if not rows:
         return "\n"
     header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt_csv(row.get(k)) for k in header))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt_csv(row.get(k)) for k in header] for row in rows)
+    return out.getvalue()
 
 
 def _json_ready(obj):

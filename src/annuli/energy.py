@@ -13,18 +13,20 @@ weighted density of the minimizer is ``b^2 / t^2 + 2`` in ``t`` but
 default orders the decomposition route reads the minimizers' energies
 to rounding on thin and wide shells alike.
 
-The FD route evaluates a map once per stencil point, several point sets
-per call where they are small, as numpy's fixed cost per call outweighs
-the arithmetic on a few hundred points; the ``+-e_k`` pairs of a call
-are then differenced as one block, each step one numpy call for all of
-them.  For the inversion check, ``f`` and its composition with
-``y -> a y / |y|^2`` are differentiated from that one set of samples.
-Each shell has one stencil per pair of orders: its centres, steps and
-weights are built once and shared, read-only, by every FD energy on that
-shell, as are the radial rules.  The last two stencils are kept, since
-the inversion check alternates two sphere orders on one shell.
-Differences and squared norms are written into buffers of each call,
-reused across the stencil's blocks.
+The FD route evaluates a map once per stencil point.  It sends the
+stencil a chunk of centres at a time, with all six or seven point sets
+of the chunk in one call, as numpy's fixed cost per call outweighs the
+arithmetic on a few hundred points; the ``+-e_k`` pairs of a call are
+then differenced as one block, each step one numpy call for all of them.
+A stencil of up to 672 centres takes one call, the 4 608 centres of
+orders (9, 16) take seven.  For the inversion check, ``f`` and its
+composition with ``y -> a y / |y|^2`` are differentiated from that one
+set of samples.  Each shell has one stencil per pair of orders: its
+centres, steps and weights are built once and shared, read-only, by
+every FD energy on that shell, as are the radial rules.  The last two
+stencils are kept, since the inversion check alternates two sphere
+orders on one shell.  Points, differences and squared norms are written
+into buffers allocated once per FD energy and reused by all its chunks.
 """
 from __future__ import annotations
 
@@ -51,9 +53,13 @@ from .sphere_maps import conformal_stretch_points
 
 # central-difference step of the FD route, relative to the radius t
 _FD_STEP = 1e-5
-# most points of one map call of the FD route: a stencil of up to 585 centres
-# goes to the map in one call, one of 4 608 (9 x 16) one point set at a time
-_FD_BATCH_POINTS = 4096
+# most points of one map call of the FD route, which holds every point set of
+# a chunk of centres: 672 centres a call on the weighted route (seven sets),
+# 784 on the plain one (six).  A stencil of 288 centres (9 x 4) takes one call,
+# one of 4 608 (9 x 16) seven weighted calls or six plain ones.  A Moebius
+# map's call costs no more at 4 704 points than at 4 096 (195 against 200 us on
+# a 2-core Xeon, numpy 2.4.6), and 4 096 would take an eighth call at 9 x 16
+_FD_BATCH_POINTS = 4704
 
 
 @dataclass(frozen=True)
@@ -287,24 +293,6 @@ def _fd_stencil(annulus: Annulus, radial_order: int, sphere_order: int):
     return centers, steps, two_steps, weights
 
 
-def _fd_points(centers: np.ndarray, steps: np.ndarray, sets: range) -> np.ndarray:
-    """A fresh column-major batch of the stencil's point sets ``sets``, one
-    block of ``N`` rows each: set ``2 k`` is the centres shifted by
-    ``+e_k``, set ``2 k + 1`` by ``-e_k``, and set 6 the centres."""
-    n = centers.shape[0]
-    points = np.empty((len(sets) * n, 3), order="F")
-    # axes: coordinate, set, node
-    blocks = points.T.reshape(3, len(sets), n)
-    np.copyto(blocks, centers.T[:, None])
-    for j, s in enumerate(sets):
-        if s < 6:
-            if s % 2:
-                blocks[s // 2, j] -= steps
-            else:
-                blocks[s // 2, j] += steps
-    return points
-
-
 def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_order: int,
                  weighted: bool, views=(_same,)) -> list[float]:
     """FD energies of ``view(f)`` for each ``view`` of the map values,
@@ -312,84 +300,80 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
 
     The stencil (:func:`_fd_stencil`) has seven point sets of ``N`` points:
     ``+e_k`` and ``-e_k`` for each axis, then the centres, which only the
-    weighted route evaluates.  Consecutive sets go to the map together, in
-    calls of at most ``_FD_BATCH_POINTS`` points, or one set per call where
-    a set is larger: a small stencil takes one call, and a large one holds
-    no more than two evaluated sets at a time.
-
-    The ``+-e_k`` pairs whose two sets come in one call are processed as
-    one block: each view runs once on the block, and the differences,
-    their squared norms and the density sums take one numpy call for all
-    of its pairs.  A pair split across two calls, its ``+e_k`` set held
-    over to the next call, is the same code on a block of one pair.  A
-    view acts row by row, so the bits are those of one pair at a time,
-    and the densities add the pairs in the order ``+x, +y, +z``.  Views
-    run on each block before its differences, and the centres' norms are
-    checked after every difference, view by view, so an input raises what
-    it raised set by set.  Each call gets a fresh input buffer, as an
-    evaluator may return or write to it.
+    weighted route evaluates.  The map gets them a chunk of centres at a
+    time, all six or seven sets of the chunk in one call of at most
+    ``_FD_BATCH_POINTS`` points, so every call holds whole ``+-e_k``
+    pairs.  Each view runs once on a chunk's pairs, and their differences,
+    squared norms and density sums take one numpy call for all of them.
+    A view acts row by row, so the bits are those of one set at a time,
+    and each node's density adds its pairs in the order ``+x, +y, +z``.
+    The centres' values are kept until every chunk is differenced; their
+    views and norm checks then run view by view, so an input raises what
+    it raised set by set.  Each call's input buffer is written in full,
+    as an evaluator may return or write to it, and a call's values are
+    read before the next call.
 
     Point batches are column-major, so each coordinate of the nodes is
     one contiguous column, and shifts, differences and squared norms run
     column by column.  An evaluator may return either layout, with the
-    same bits.  Differences and squared norms go to buffers allocated once
-    per call, sized for the most pairs a map call holds; in-place steps
-    keep the bits of fresh arrays.  An image norm or an energy beyond the
-    float range raises :class:`EvaluationError`, with no numpy warning.
+    same bits.  Points, differences and squared norms go to buffers
+    allocated once per energy, sized for one chunk, so a chunk allocates
+    only in the map and the views; in-place steps keep the bits of fresh
+    arrays.  An image norm or an energy beyond the float range raises
+    :class:`EvaluationError`, with no numpy warning.
     """
     centers, steps, two_steps, weights = _fd_stencil(pair.domain, radial_order, sphere_order)
     n = centers.shape[0]
     n_sets = 7 if weighted else 6
-    per_call = max(1, _FD_BATCH_POINTS // n)
-    most_pairs = min(3, max(1, per_call // 2))
-    density = np.zeros((len(views), n))
-    # axes: coordinate, pair, node; a call holds at most three whole pairs
-    diff = np.empty((3, most_pairs, n))
-    nsq = np.empty((most_pairs, n))
+    chunk = min(n, max(1, _FD_BATCH_POINTS // n_sets))
+    density = np.empty((len(views), n))
+    vals = np.empty((n, 3), order="F") if weighted else None   # the centres' values
+    # flat, so that a shorter last chunk takes a contiguous head: axes
+    # coordinate, set, node; coordinate, axis k of the pair, node; pair, node
+    flat_points = np.empty(3 * n_sets * chunk)
+    diff = np.empty(9 * chunk)
+    nsq = np.empty(3 * chunk)
     # images near the float maximum overflow here; the checks below raise
     with np.errstate(over="ignore", invalid="ignore"):
-        plus = None   # a +e_k set whose -e_k set opens the next call
-        for first in range(0, n_sets, per_call):
-            sets = range(first, min(first + per_call, n_sets))
-            batch = map_eval_many(f, _fd_points(centers, steps, sets))
-            shifted = (min(sets.stop, 6) - first) * n   # rows of the +-e_k sets
-            # the pairs of this call: one split from the last call, as its two
-            # sets, then the whole pairs, as one block of rows
-            runs = [] if plus is None else [(plus, batch[:n])]
-            start = n * len(runs)
-            stop = start + (shifted - start) // (2 * n) * (2 * n)
-            if stop > start:
-                runs.append((batch[start:stop],))
-            plus = batch[stop:shifted] if stop < shifted else None
-            for run in runs:
-                for view, dens in zip(views, density):
-                    # p and q: the +e_k and -e_k values, axes coordinate, pair, node
-                    if len(run) == 2:
-                        p, q = view(run[0]).T[:, None], view(run[1]).T[:, None]
-                    else:
-                        # rows +e_k, -e_k, +e_k', -e_k', ... of N each
-                        block = view(run[0]).T.reshape(3, -1, 2, n)
-                        p, q = block[:, :, 0], block[:, :, 1]
-                    m = p.shape[1]
-                    d = np.subtract(p, q, out=diff[:, :m])
-                    d /= two_steps
-                    sq = _squared_norms(d.reshape(3, -1).T, out=nsq[:m].reshape(-1))
-                    for row in sq.reshape(m, n):
-                        dens += row
-            run = runs = p = q = block = None   # spent: free them before the next call
-            if sets.stop == 7:
-                vals, sq = batch[shifted:], nsq[0]
-                for view, dens in zip(views, density):
-                    _squared_norms(view(vals), out=sq)
-                    bad = np.nonzero(~np.isfinite(sq) | (sq <= 1e-300))[0]
-                    if bad.size:
-                        i = int(bad[0])
-                        what = "vanished" if sq[i] <= 1e-300 else "left the float range"
-                        raise EvaluationError(
-                            f"image norm {what} at quadrature node {i}, "
-                            f"x={centers[i].tolist()}"
-                        )
-                    dens /= sq
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            m = hi - lo
+            blocks = flat_points[:3 * n_sets * m].reshape(3, n_sets, m)
+            points = blocks.reshape(3, -1).T
+            np.copyto(blocks, centers[lo:hi].T[:, None])
+            for k in range(3):
+                blocks[k, 2 * k] += steps[lo:hi]
+                blocks[k, 2 * k + 1] -= steps[lo:hi]
+            batch = map_eval_many(f, points)
+            if weighted:
+                vals[lo:hi] = batch[6 * m:]
+            d = diff[:9 * m].reshape(3, 3, m)
+            sq = nsq[:3 * m]
+            for view, dens in zip(views, density):
+                # rows +e_0, -e_0, +e_1, -e_1, +e_2, -e_2 of m each
+                block = view(batch[:6 * m]).T.reshape(3, 3, 2, m)
+                np.subtract(block[:, :, 0], block[:, :, 1], out=d)
+                d /= two_steps[lo:hi]
+                pairs = _squared_norms(d.reshape(3, -1).T, out=sq).reshape(3, m)
+                # each node's sum 0 + x + y + z, as 0 + x is x
+                part = np.add(pairs[0], pairs[1], out=dens[lo:hi])
+                part += pairs[2]
+            # spent; the batch is freed when the next call returns, which measured
+            # fewer page faults than freeing it first: the next call's scratch then
+            # reuses the heap below it instead of a heap trimmed and grown again
+            block = None
+        if weighted:
+            for view, dens in zip(views, density):
+                sq = _squared_norms(view(vals))
+                bad = np.nonzero(~np.isfinite(sq) | (sq <= 1e-300))[0]
+                if bad.size:
+                    i = int(bad[0])
+                    what = "vanished" if sq[i] <= 1e-300 else "left the float range"
+                    raise EvaluationError(
+                        f"image norm {what} at quadrature node {i}, "
+                        f"x={centers[i].tolist()}"
+                    )
+                dens /= sq
         energies = [float(np.sum(weights * dens)) for dens in density]
     for value in energies:
         if not math.isfinite(value):

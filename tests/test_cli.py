@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -178,6 +179,15 @@ class TestRendering:
     def test_csv_uses_12_digit_scientific_floats(self):
         text = render_csv([{"x": 1.0, "flag": True, "empty": None}])
         assert text == "x,flag,empty\n1.000000000000e+00,true,\n"
+
+    def test_csv_quotes_a_field_holding_a_comma(self):
+        rows = [{"name": "row", "passed": True, "detail": 'pairs (1, 2, 12, 17); "exact"'},
+                {"name": "plain", "passed": False, "detail": "no comma"}]
+        text = render_csv(rows)
+        assert text.splitlines()[2] == "plain,false,no comma"
+        read = list(csv.reader(io.StringIO(text)))
+        assert [len(r) for r in read] == [3, 3, 3]
+        assert read[1] == ["row", "true", 'pairs (1, 2, 12, 17); "exact"']
 
     def test_json_rounds_and_nests(self):
         text = render_json({"v": 1.23456789012345e-3, "nan": math.nan})

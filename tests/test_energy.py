@@ -347,17 +347,18 @@ class TestFDRouteBuffers:
 
 
 class TestFDBatches:
-    """The stencil's seven point sets go to the map in calls of at most
-    ``_FD_BATCH_POINTS`` points, and the ``+-e_k`` pairs of a call are
-    differenced as one block, with the bits of one call per set."""
+    """The stencil goes to the map a chunk of centres at a time, all point
+    sets of a chunk in one call of at most ``_FD_BATCH_POINTS`` points,
+    and the ``+-e_k`` pairs of a call are differenced as one block, with
+    the bits of one call per set."""
 
     # points of each map call, weighted route (seven sets) and plain one
-    # (six): at (9, 4), 288 centres, all sets go in one call; at (9, 8),
-    # 1 152 centres, three sets a call, so the -e_1 set comes a call after
-    # its +e_1 set; at (9, 16), 4 608 centres, one set a call
+    # (six): chunks of 672 and 784 centres.  At (9, 4), 288 centres, one
+    # call; at (9, 8), 1 152 centres, two; at (9, 16), 4 608 centres, seven
+    # and six
     ORDERS = {(9, 4): ([2016], [1728]),
-              (9, 8): ([3456, 3456, 1152], [3456, 3456]),
-              (9, 16): ([4608] * 7, [4608] * 6)}
+              (9, 8): ([4704, 3360], [4704, 2208]),
+              (9, 16): ([4704] * 6 + [4032], [4704] * 5 + [4128])}
 
     @staticmethod
     def _maps(pair):
@@ -418,6 +419,26 @@ class TestFDBatches:
             _fd_energies(SampledMap(collapse), canonical_pair, *orders, True,
                          (_same, sphere_inversion(1.0)))
         with pytest.raises(EvaluationError, match="image norm vanished at quadrature node 7,"):
+            _fd_energies(SampledMap(collapse), canonical_pair, *orders, True)
+
+    def test_differences_of_a_later_call_raise_before_the_centres_norms(self, canonical_pair):
+        # at (9, 16) centre 0 goes to the map in the first call and the +e_2
+        # value of centre 4 000 in the sixth: the centres' norms are still
+        # checked after every difference
+        orders = (9, 16)
+        centers, steps, _, _ = _fd_stencil(canonical_pair.domain, *orders)
+        shifted = centers[4000].copy()
+        shifted[2] += steps[4000]
+
+        def collapse(p):
+            image = np.array(p)
+            image[np.all(p == shifted, axis=1) | np.all(p == centers[0], axis=1)] = 0.0
+            return image
+
+        with pytest.raises(EvaluationError, match="hit the origin"):
+            _fd_energies(SampledMap(collapse), canonical_pair, *orders, True,
+                         (_same, sphere_inversion(1.0)))
+        with pytest.raises(EvaluationError, match="image norm vanished at quadrature node 0,"):
             _fd_energies(SampledMap(collapse), canonical_pair, *orders, True)
 
 
