@@ -18,8 +18,8 @@ stencil a chunk of centres at a time, with all six or seven point sets
 of the chunk in one call, as numpy's fixed cost per call outweighs the
 arithmetic on a few hundred points; the ``+-e_k`` pairs of a call are
 then differenced as one block, each step one numpy call for all of them.
-A stencil of up to 672 centres takes one call, the 4 608 centres of
-orders (9, 16) take seven.  For the inversion check, ``f`` and its
+The comment on ``_FD_BATCH_POINTS`` gives the calls per stencil.  For
+the inversion check, ``f`` and its
 composition with ``y -> a y / |y|^2`` are differentiated from that one
 set of samples.  Each shell has one stencil per pair of orders: its
 centres, steps and weights are built once and shared, read-only, by
@@ -54,11 +54,10 @@ from .sphere_maps import conformal_stretch_points
 # central-difference step of the FD route, relative to the radius t
 _FD_STEP = 1e-5
 # most points of one map call of the FD route, which holds every point set of
-# a chunk of centres: 672 centres a call on the weighted route (seven sets),
-# 784 on the plain one (six).  A stencil of 288 centres (9 x 4) takes one call,
-# one of 4 608 (9 x 16) seven weighted calls or six plain ones.  A Moebius
-# map's call costs no more at 4 704 points than at 4 096 (195 against 200 us on
-# a 2-core Xeon, numpy 2.4.6), and 4 096 would take an eighth call at 9 x 16
+# a chunk of centres: 7 sets x 672 centres = 4 704 puts the 4 608-centre
+# stencil of orders (9, 16) in seven weighted calls (six plain ones, of 784
+# centres), as many as one call per set; 4 096 would take an eighth.  A stencil
+# of 288 centres (9 x 4) takes one call, one of 1 152 (9 x 8) two
 _FD_BATCH_POINTS = 4704
 
 
@@ -308,8 +307,10 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     A view acts row by row, so the bits are those of one set at a time,
     and each node's density adds its pairs in the order ``+x, +y, +z``.
     The centres' values are kept until every chunk is differenced; their
-    views and norm checks then run view by view, so an input raises what
-    it raised set by set.  Each call's input buffer is written in full,
+    views and norm checks then run view by view, so a view error still
+    raises before any centre's norm check.  An error of the evaluator
+    itself comes in chunk order, so it can precede a view error on a set
+    of a later chunk.  Each call's input buffer is written in full,
     as an evaluator may return or write to it, and a call's values are
     read before the next call.
 

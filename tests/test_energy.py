@@ -352,10 +352,7 @@ class TestFDBatches:
     and the ``+-e_k`` pairs of a call are differenced as one block, with
     the bits of one call per set."""
 
-    # points of each map call, weighted route (seven sets) and plain one
-    # (six): chunks of 672 and 784 centres.  At (9, 4), 288 centres, one
-    # call; at (9, 8), 1 152 centres, two; at (9, 16), 4 608 centres, seven
-    # and six
+    # points of each map call, weighted route (seven sets) and plain one (six)
     ORDERS = {(9, 4): ([2016], [1728]),
               (9, 8): ([4704, 3360], [4704, 2208]),
               (9, 16): ([4704] * 6 + [4032], [4704] * 5 + [4128])}
