@@ -23,7 +23,8 @@ the inversion check, ``f`` and its
 composition with ``y -> a y / |y|^2`` are differentiated from that one
 set of samples.  Each shell has one stencil per pair of orders: its
 centres, steps and weights are built once and shared, read-only, by
-every FD energy on that shell, as are the radial rules.  The last two
+every FD energy on that shell.  The radial rule is rebuilt on each
+decomposition, which costs microseconds.  The last two
 stencils are kept, since the inversion check alternates two sphere
 orders on one shell.  Points, differences and squared norms are written
 into buffers allocated once per FD energy and reused by all its chunks.
@@ -82,14 +83,12 @@ class EnergyReport:
 _RADIAL_ORDER = 64
 
 
-@lru_cache(maxsize=4)
 def _radial_rule(annulus: Annulus, order: int):
     """Nodes and weights of ``integral(g(t) dt)`` over the shell: Gauss-
     Legendre in ``s = log(t / r)``, with ``t = r + r expm1(s)`` and
     ``dt = t ds``.  The width ``log1p((R - r) / r)`` keeps every digit on
     thin shells; where ``(R - r) / r`` leaves the float range, so would
-    ``expm1(s)``, and the nodes come from ``log r + s`` instead.  Both
-    arrays are read-only, as the rule is kept for the next call."""
+    ``expm1(s)``, and the nodes come from ``log r + s`` instead."""
     r, R = annulus.inner, annulus.outer
     ratio = (R - r) / r
     if ratio < math.inf:
@@ -98,10 +97,7 @@ def _radial_rule(annulus: Annulus, order: int):
     else:
         s, ws = gauss_legendre(0.0, _log_ratio(R, r), order)
         t = np.exp(math.log(r) + s)
-    w = ws * t
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
+    return t, ws * t
 
 
 def _same_annulus(profile: SampledProfile, annulus: Annulus):

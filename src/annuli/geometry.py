@@ -45,11 +45,6 @@ class Annulus:
             raise DomainError(f"inner radius must be positive, got {inner!r}")
         if inner > outer:
             raise DomainError(f"inner radius must be less than outer, got {inner!r} > {outer!r}")
-        # the dataclass hash, computed once: per-shell caches look shells up often
-        object.__setattr__(self, "_hash", hash((inner, outer)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def width(self) -> float:

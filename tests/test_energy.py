@@ -21,7 +21,7 @@ from annuli import (
     reduced_energy,
     weighted_energy,
 )
-from annuli.energy import _fd_energies, _fd_stencil, _min_weighted_energy, _radial_rule, _same
+from annuli.energy import _fd_energies, _fd_stencil, _min_weighted_energy, _same
 from annuli.geometry import row_norms
 from annuli.maps import sphere_inversion
 from annuli.verify import (
@@ -440,13 +440,13 @@ class TestFDBatches:
 
 
 class TestSharedStencil:
-    """Radial rules, the FD stencil and the exact minimum are computed once
-    per shell, orders or pair and shared read-only."""
+    """The FD stencil and the exact minimum are computed once per shell and
+    orders or per pair, and shared read-only."""
 
     def test_repeated_calls_share_one_object(self, canonical_pair):
         domain = canonical_pair.domain
-        assert _radial_rule(domain, 16) is _radial_rule(Annulus(domain.inner, domain.outer), 16)
-        assert _fd_stencil(domain, 16, 8) is _fd_stencil(domain, 16, 8)
+        # an equal shell built anew finds the same stencil
+        assert _fd_stencil(domain, 16, 8) is _fd_stencil(Annulus(domain.inner, domain.outer), 16, 8)
         # two stencils are kept, as the inversion row alternates two sphere orders
         stencil = _fd_stencil(domain, 16, 8)
         _fd_stencil(domain, 16, 4)
@@ -456,9 +456,7 @@ class TestSharedStencil:
         assert _min_weighted_energy(canonical_pair) is _min_weighted_energy(same_pair)
 
     def test_shared_arrays_are_read_only(self, canonical_pair):
-        arrays = (*_radial_rule(canonical_pair.domain, 16),
-                  *_fd_stencil(canonical_pair.domain, 16, 8))
-        for arr in arrays:
+        for arr in _fd_stencil(canonical_pair.domain, 16, 8):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 

@@ -531,11 +531,11 @@ class TestBenchmarkPins:
             for name in funcs:
                 assert callable(getattr(module, name)), f"annuli.{layer}.{name}"
 
-    @pytest.mark.parametrize("workload", ["oracle-pairs", "verify-suite"])
+    @pytest.mark.parametrize("workload", ["cli-oneshot", "oracle-pairs", "verify-suite"])
     def test_traced_run_passes_its_self_test(self, workload):
         # the traced run fails when a span it predicts nonzero reads 0, so
         # a change that starves a pinned span fails here too; about 2 s for
-        # oracle-pairs, 6 s for verify-suite
+        # cli-oneshot and oracle-pairs, 6 s for verify-suite
         proc = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
              "--trace", "1"],

@@ -159,8 +159,8 @@ class TestSuite:
 
 
 def _clear_caches():
-    for cached in (geometry._leggauss, geometry._sphere_rule, energy._radial_rule,
-                   energy._fd_stencil, energy._min_weighted_energy, nitsche._integer_radii):
+    for cached in (geometry._leggauss, geometry._sphere_rule, energy._fd_stencil,
+                   energy._min_weighted_energy, nitsche._integer_radii):
         cached.cache_clear()
 
 
@@ -200,17 +200,15 @@ class TestSharedInvariants:
 
     def test_builds_per_warm_op(self):
         run_suite(VerifyConfig(seed=1))
-        cached = (geometry._sphere_rule, energy._radial_rule, energy._fd_stencil,
-                  energy._min_weighted_energy)
+        cached = (geometry._sphere_rule, energy._fd_stencil, energy._min_weighted_energy)
         before = [c.cache_info().misses for c in cached]
         run_suite(VerifyConfig(seed=2))
         built = [c.cache_info().misses - b for c, b in zip(cached, before)]
         # the pair's shell at both FD sphere orders and 20 admissible shells of
         # the harmonic row at the rotation order (two stencils are kept, so the
-        # inversion row's alternating orders build none); the radial rules of
-        # those 21 shells and the pair's at order 64; the pair's exact minimum
-        # and 100 lower bounds
-        assert built == [0, 22, 22, 101]
+        # inversion row's alternating orders build none); the pair's exact
+        # minimum and 100 lower bounds
+        assert built == [0, 22, 101]
 
 
 class TestPinnedReports:
