@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .geometry import Annulus, AnnulusPair, _log_ratio, gauss_legendre, make_sphere_quadrature
-from .geometry import _four_pi_times, _squared_norms
+from .geometry import _four_pi_times, _log_width, _radii, _squared_norms
 from .maps import (
     AnnulusMap,
     ExponentialProfile,
@@ -85,18 +85,10 @@ _RADIAL_ORDER = 64
 
 def _radial_rule(annulus: Annulus, order: int):
     """Nodes and weights of ``integral(g(t) dt)`` over the shell: Gauss-
-    Legendre in ``s = log(t / r)``, with ``t = r + r expm1(s)`` and
-    ``dt = t ds``.  The width ``log1p((R - r) / r)`` keeps every digit on
-    thin shells; where ``(R - r) / r`` leaves the float range, so would
-    ``expm1(s)``, and the nodes come from ``log r + s`` instead."""
-    r, R = annulus.inner, annulus.outer
-    ratio = (R - r) / r
-    if ratio < math.inf:
-        s, ws = gauss_legendre(0.0, math.log1p(ratio), order)
-        t = r + r * np.expm1(s)
-    else:
-        s, ws = gauss_legendre(0.0, _log_ratio(R, r), order)
-        t = np.exp(math.log(r) + s)
+    Legendre in ``s = log(t / r)``, with ``t = r e^s`` and ``dt = t ds``,
+    both to every digit on thin shells (:func:`~annuli.geometry._radii`)."""
+    s, ws = gauss_legendre(0.0, _log_width(annulus), order)
+    t = _radii(annulus, s)
     return t, ws * t
 
 

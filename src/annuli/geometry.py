@@ -3,7 +3,8 @@
 Everything downstream integrates over a spherical shell ``A(r, R)`` by
 splitting into a radial factor and a unit-sphere factor, so this module
 owns the two discretizations: Gauss-Legendre nodes along the radius and
-a product rule on the sphere.
+a product rule on the sphere.  Radial grids space their nodes evenly in
+``t``, in ``1 / t`` or in ``log t``.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 
-SPACING_MODES = ("uniform-in-t", "uniform-in-1/t")
+SPACING_MODES = ("uniform-in-t", "uniform-in-1/t", "uniform-in-log-t")
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,25 @@ def _log_ratio(hi: float, lo: float) -> float:
         return math.log(ratio)
     # the quotient leaves the float range for extreme radii; its log does not
     return math.log(hi) - math.log(lo)
+
+
+def _log_width(annulus: Annulus) -> float:
+    """``log(R / r)`` of a shell: ``log1p((R - r) / r)``, which keeps every
+    digit on thin shells, or ``log R - log r`` where ``(R - r) / r`` leaves
+    the float range."""
+    ratio = (annulus.outer - annulus.inner) / annulus.inner
+    return math.log1p(ratio) if ratio < math.inf else _log_ratio(annulus.outer, annulus.inner)
+
+
+def _radii(annulus: Annulus, s: np.ndarray) -> np.ndarray:
+    """The radii ``t = r e^s`` at offsets ``s`` from 0 to :func:`_log_width`:
+    ``r + r expm1(s)``, which keeps every digit on thin shells, or
+    ``exp(log r + s)`` where ``(R - r) / r``, and so ``expm1(s)``, leaves
+    the float range."""
+    r = annulus.inner
+    if (annulus.outer - r) / r < math.inf:
+        return r + r * np.expm1(s)
+    return np.exp(math.log(r) + s)
 
 
 @dataclass(frozen=True)
@@ -168,9 +188,10 @@ class RadialGrid:
         """Per-interval stiffness ``a_i`` of the discrete quadratic form
         ``Q(K) = sum a_i (K_{i+1} - K_i)^2`` of the reduced energy.
 
-        The weight ``t^2`` is integrated exactly against the interpolant in
-        the grid's native coordinate, so the form is the true reduced energy
-        of the discrete competitor.  That keeps the discrete minimum an
+        The weight ``t^2`` is integrated exactly against the interpolant:
+        linear in ``1 / t`` on a ``uniform-in-1/t`` grid, linear in ``t`` on
+        the other two.  So the form is the true reduced energy of the
+        discrete competitor.  That keeps the discrete minimum an
         upper bound of the continuum minimum on every grid, and makes the
         reciprocal spacing reproduce the closed-form minimizer at the nodes.
         Where ``a_i`` is not positive and finite, every read raises
@@ -183,7 +204,7 @@ class RadialGrid:
         tmp = np.empty(t0.size)
         with np.errstate(over="ignore"):
             a = np.multiply(t0, t1)
-            if self.spacing_mode == "uniform-in-t":
+            if self.spacing_mode != "uniform-in-1/t":
                 a += np.multiply(t0, t0, out=tmp)
                 a += np.multiply(t1, t1, out=tmp)
                 a /= 3.0
@@ -206,7 +227,9 @@ def make_radial_grid(annulus: Annulus, n: int, spacing_mode: str = "uniform-in-t
     ``uniform-in-t`` spaces the nodes evenly in the radius itself;
     ``uniform-in-1/t`` spaces them evenly in the reciprocal radius,
     which is the natural coordinate of the radial Euler-Lagrange
-    equation.  Endpoints land on the annulus boundary exactly.
+    equation; ``uniform-in-log-t`` spaces them evenly in ``log t``, so
+    every interval has the same ``h / t`` on any shell.  Endpoints land on
+    the annulus boundary exactly.
     """
     if n < 2:
         raise ValueError("need at least two intervals")
@@ -215,6 +238,8 @@ def make_radial_grid(annulus: Annulus, n: int, spacing_mode: str = "uniform-in-t
     # RadialGrid rejects any other mode
     if spacing_mode == "uniform-in-1/t":
         nodes = 1.0 / np.linspace(1.0 / annulus.inner, 1.0 / annulus.outer, n + 1)
+    elif spacing_mode == "uniform-in-log-t":
+        nodes = _radii(annulus, np.linspace(0.0, _log_width(annulus), n + 1))
     else:
         nodes = np.linspace(annulus.inner, annulus.outer, n + 1)
     nodes[0] = annulus.inner

@@ -17,11 +17,13 @@ import numbers
 import sys
 import time
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .energy import (
     _fd_energies,
+    _min_weighted_energy,
     _same,
     analytic_min_weighted_energy,
     dirichlet_energy,
@@ -34,6 +36,7 @@ from .geometry import (
     Annulus,
     AnnulusPair,
     _log_ratio,
+    _log_width,
     make_radial_grid,
     make_sphere_quadrature,
     row_norms,
@@ -100,8 +103,6 @@ _CLOSED_FORM_TOL = 1e-8
 # quadrature orders of the decomposition route and of the sphere rows
 _RADIAL_ORDER = 64
 _SPHERE_ORDER = 32
-# relative gap of the finest convergence grid: a quarter of the row's tolerance
-_GRID_GAP_TARGET = 2.5e-6
 # sample counts: competitor profiles, maps composed with an inversion,
 # random Moebius transforms, non-conformal sphere maps, random pairs
 _N_COMPETITORS = 50
@@ -349,22 +350,21 @@ def _twisted_minimizer(pair: AnnulusPair, rng: np.random.Generator) -> tuple[Sam
 
 
 def _discrete_convergence(pair: AnnulusPair, target: float) -> CheckResult:
-    """Discrete minima on ``n / 4``, ``n / 2`` and ``n`` intervals.  Since ``1 / a =
-    (h / (t0 t1)) (1 - h^2 / (t0^2 + t0 t1 + t1^2))`` on ``[t0, t1]``, ``h = t1 - t0``,
-    the relative gap is at most about ``((R - r) / n)^2 (1 + q + q^2) / (9 r^2)``,
-    ``q = r / R``; ``n`` puts it at ``_GRID_GAP_TARGET``, within 1000 to 100 000.
-    Where that bound on ``n`` intervals is below the float epsilon, as on
-    ``(1, 1 + 1e-6)``, the gaps are rounding and the row reads about 0, so
-    ``detail`` says that the refinement is below float resolution."""
-    q = pair.r / pair.R
-    need = (pair.R / pair.r - 1.0) * math.sqrt((1.0 + q + q * q) / (9.0 * _GRID_GAP_TARGET))
-    # R / r may overflow to inf, which math.ceil rejects
-    grid_n = math.ceil(min(max(1000.0, need), 100_000.0))
-    step = (pair.R / pair.r - 1.0) / grid_n   # a product, as ** raises past the float range
-    finest = step * step * (1.0 + q + q * q) / 9.0
+    """Discrete minima on ``n / 4``, ``n / 2`` and ``n = 1000`` intervals uniform in
+    ``log t``.  Since ``1 / a = (h / (t0 t1)) (1 - h^2 / (t0^2 + t0 t1 + t1^2))`` on
+    ``[t0, t1]``, ``h = t1 - t0``, and ``t1 / t0 = rho = (R / r)^(1 / n)`` on every
+    interval, the ``t^2 K'^2`` part of the discrete minimum exceeds its continuum
+    value by ``(rho - 1)^2 / (3 rho) = (4 / 3) sinh^2(log(R / r) / (2 n))`` of it.
+    That part's share of the minimum, the rest being ``8 pi (R - r)``, then bounds
+    the relative gap.  Where the bound is below the float epsilon, as on
+    ``(1, 1 + 1e-6)`` or ``(1, 1e100)``, the gaps are rounding and the row reads
+    about 0, so ``detail`` says that the refinement is below float resolution."""
+    grid_n = 1000
+    share = float(1 - 2 * (Fraction(pair.R) - Fraction(pair.r)) / _min_weighted_energy(pair))
+    finest = share * 4.0 / 3.0 * math.sinh(0.5 * _log_width(pair.domain) / grid_n) ** 2
     gaps = []
     for n in (grid_n // 4, grid_n // 2, grid_n):
-        sol = minimize_reduced_energy(pair, make_radial_grid(pair.domain, n))
+        sol = minimize_reduced_energy(pair, make_radial_grid(pair.domain, n, "uniform-in-log-t"))
         gaps.append(sol.energy - target)
     monotone = all(g2 <= g1 + 1e-12 * target for g1, g2 in zip(gaps, gaps[1:]))
     above = all(g >= -1e-9 * target for g in gaps)

@@ -145,6 +145,24 @@ class TestRadialGrid:
         assert np.allclose(np.diff(inv), inv[1] - inv[0])
         assert g.nodes[0] == 1.0 and g.nodes[-1] == 2.0
 
+    def test_log_grid_is_uniform_in_log_t(self):
+        g = make_radial_grid(Annulus(1.0, 1e6), 1000, "uniform-in-log-t")
+        assert g.nodes[0] == 1.0 and g.nodes[-1] == 1e6
+        assert np.allclose(np.diff(np.log(g.nodes)), math.log(1e6) / 1000, rtol=1e-12, atol=0.0)
+
+    def test_log_grid_keeps_thin_shells_increasing(self):
+        # exp(linspace(log r, log R)) would repeat nodes here, as its log steps
+        # of 1e-14 are below the float spacing of log r = -230; r + r expm1(s)
+        # keeps every interval within a few percent of (R - r) / n
+        annulus = Annulus(1e-100, 1e-100 * (1.0 + 1e-11))
+        g = make_radial_grid(annulus, 1000, "uniform-in-log-t")
+        assert np.allclose(np.diff(g.nodes), annulus.width / 1000, rtol=0.05, atol=0.0)
+
+    def test_log_grid_takes_the_stiffness_linear_in_t(self):
+        g = make_radial_grid(Annulus(1.0, 100.0), 50, "uniform-in-log-t")
+        t0, t1 = g.nodes[:-1], g.nodes[1:]
+        assert np.array_equal(g._stiffness, (t0 * t1 + t0 * t0 + t1 * t1) / 3.0 / (t1 - t0))
+
     def test_nodes_must_increase(self):
         with pytest.raises(DomainError):
             RadialGrid(Annulus(1.0, 2.0), np.array([1.0, 1.5, 1.4, 2.0]), "uniform-in-t")

@@ -518,6 +518,22 @@ class TestDiscreteConvergence:
             "discrete-minimum-converges-from-above"]
         assert row.passed and 0.0 <= row.observed <= 2.5e-6
 
+    @pytest.mark.parametrize("radii", [(1.0, 1e4, 1e-5, 1e5), (1.0, 1e6, 1e-5, 1e5),
+                                       (1.0, 1e6, 1.0, 2.0)])
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_row_passes_on_wide_shells(self, radii, seed):
+        # on a grid uniform in log t the gap is the share of the t^2 K'^2 part,
+        # r R l^2 / (r R l^2 + 2 (R - r)^2), times (4 / 3) sinh^2(log(R / r) / 2000)
+        config = VerifyConfig(pair=AnnulusPair.from_radii(*radii), seed=seed)
+        row = {r.name: r for r in check_minimal_energy(config)}[
+            "discrete-minimum-converges-from-above"]
+        r, R, r_star, R_star = radii
+        dirichlet = r * R * math.log(R_star / r_star) ** 2
+        share = dirichlet / (dirichlet + 2.0 * (R - r) ** 2)
+        assert row.passed
+        assert row.observed == pytest.approx(
+            share * 4.0 / 3.0 * math.sinh(math.log(R / r) / 2000.0) ** 2, rel=1e-4)
+
     def test_row_passes_on_every_generator_pair(self):
         rng = np.random.default_rng(2026)
         for _ in range(200):
@@ -537,6 +553,13 @@ class TestDiscreteConvergence:
         pair = verify.DEFAULT_PAIR
         row = verify._discrete_convergence(pair, analytic_min_weighted_energy(pair))
         assert row.detail == "energy gaps decrease and stay nonnegative under grid refinement"
+
+    def test_ultra_wide_shell_says_its_refinement_is_below_float_resolution(self):
+        # on (1, 1e100) the minimum is 8 pi (R - r) but for 4e-101 of it
+        pair = AnnulusPair.from_radii(1.0, 1e100, 1.0, 2.0)
+        row = verify._discrete_convergence(pair, analytic_min_weighted_energy(pair))
+        assert row.passed and row.observed == 0.0
+        assert "on 1000 intervals is at most 4.3e-103 of the minimum" in row.detail
 
     def test_default_pair_keeps_1000_intervals(self, monkeypatch):
         sizes = []
