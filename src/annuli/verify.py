@@ -152,6 +152,8 @@ class VerifyConfig:
     seed: int = 42
 
     def __post_init__(self):
+        if not isinstance(self.pair, AnnulusPair):
+            raise ConfigError("verify config field 'pair' must be an AnnulusPair")
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
             raise ConfigError("verify config field 'seed' must be an integer")
         if self.seed < 0:

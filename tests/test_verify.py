@@ -373,6 +373,11 @@ class TestConfig:
     def test_accepts_numpy_integers(self):
         assert VerifyConfig(seed=np.int64(7)).seed == 7
 
+    @pytest.mark.parametrize("pair", [(1.0, 2.0, 1.0, 2.0), None, Annulus(1.0, 2.0)])
+    def test_rejects_a_pair_that_is_not_an_annulus_pair(self, pair):
+        with pytest.raises(ConfigError, match="'pair' must be an AnnulusPair"):
+            VerifyConfig(pair=pair)
+
 
 class TestIndividualChecks:
     def test_minimal_energy_group(self, canonical_pair, monkeypatch):
