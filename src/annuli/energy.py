@@ -85,8 +85,9 @@ _RADIAL_ORDER = 64
 
 def _radial_rule(annulus: Annulus, order: int):
     """Nodes and weights of ``integral(g(t) dt)`` over the shell: Gauss-
-    Legendre in ``s = log(t / r)``, with ``t = r e^s`` and ``dt = t ds``,
-    both to every digit on thin shells (:func:`~annuli.geometry._radii`)."""
+    Legendre in ``s = log(t / r)``, with ``t = r e^s`` and ``dt = t ds``.
+    The width and the nodes keep every digit on thin shells (see
+    ``geometry._log_width`` and ``geometry._radii``)."""
     s, ws = gauss_legendre(0.0, _log_width(annulus), order)
     t = _radii(annulus, s)
     return t, ws * t
