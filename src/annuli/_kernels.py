@@ -76,24 +76,26 @@ def _lorentz_of(entries: bytes):
     return lor
 
 
-def _affine(lor, pts):
+def _affine(lor, pts, out=None, term=None):
     """``L[mu, 0] + L[mu, 1:] . p`` for each row ``mu`` of ``lor`` (axis 0)
     and each row ``p`` of ``pts`` (axis 1), summed column by column.  All
     rows of ``lor`` are formed together, each step broadcasting one column
     of ``lor`` against one coordinate of the points, so the sums are those
-    of a loop over the rows at a fixed count of numpy calls."""
-    out = np.multiply(lor[:, 1:2], pts[:, 0])
-    term = np.multiply(lor[:, 2:3], pts[:, 1])
+    of a loop over the rows at a fixed count of numpy calls.  Written to
+    ``out`` when given, with ``term``, of its shape, as the scratch."""
+    out = np.multiply(lor[:, 1:2], pts[:, 0], out=out)
+    term = np.multiply(lor[:, 2:3], pts[:, 1], out=term)
     out += term
     out += np.multiply(lor[:, 3:4], pts[:, 2], out=term)
     out += lor[:, 0:1]
     return out
 
 
-def _image(lor, pts):
+def _image(lor, pts, out=None, term=None):
     """``(A p + l) / (w . p + w0)`` as a column-major ``(N, 3)`` array, and
-    the denominator, both from one affine pass over the four rows."""
-    rows = _affine(lor, pts)
+    the denominator, both from one affine pass over the four rows, which
+    go to ``out`` (and ``term``) when given, as in :func:`_affine`."""
+    rows = _affine(lor, pts, out, term)
     den, num = rows[0], rows[1:]
     num /= den
     return num.T, den

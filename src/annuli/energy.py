@@ -28,6 +28,20 @@ decomposition, which costs microseconds.  The last two
 stencils are kept, since the inversion check alternates two sphere
 orders on one shell.  Points, differences and squared norms are written
 into buffers allocated once per FD energy and reused by all its chunks.
+
+A generalized radial map with a closed-form profile sends no points to
+``map_eval_many``.  ``f(x) = H(t) T(x / t)``, ``t = |x|``, so the route
+reads the norms and unit vectors of the stencil's points from its polar
+form, computed once per stencil with the numpy steps ``map_eval_many``
+takes on those points, and ``H(t)`` from values kept there for the last
+two profiles; it applies the Moebius action ``T`` from one Lorentz matrix
+per energy and multiplies by ``H``, chunk by chunk, in one buffer.  Every
+step acts point by point, with the operations and operands of
+``map_eval_many``, so the values, and the energies, keep their bits.  The
+inversion row's Moebius members alternate two minimizers on one stencil,
+so all but the first two reuse their profile values.  Sampled maps and
+sampled profiles, and stencils with a norm outside ``[1e-150, 1e150]``,
+where the sphere action checks unit length, take ``map_eval_many``.
 """
 from __future__ import annotations
 
@@ -39,21 +53,32 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _kernels
 from .errors import DomainError, EvaluationError
 from .geometry import Annulus, AnnulusPair, _log_ratio, gauss_legendre, make_sphere_quadrature
-from .geometry import _four_pi_times, _log_width, _radii, _squared_norms
+from .geometry import _four_pi_times, _log_width, _radii, _squared_norms, row_norms
 from .maps import (
     AnnulusMap,
     ExponentialProfile,
     GeneralizedRadialMap,
+    HarmonicProfile,
     RadialProfile,
     SampledProfile,
     map_eval_many,
 )
-from .sphere_maps import conformal_stretch_points
+from .sphere_maps import _is_identity, conformal_stretch_points
 
 # central-difference step of the FD route, relative to the radius t
 _FD_STEP = 1e-5
+# least step at the outer radius R, in ulps of R, on a shell that verify
+# accepts.  The shifted coordinates round to floats, so a central difference
+# spans 2 h to within one ulp, and the density |Df|^2 is off by up to 1 / u
+# at a step of u ulps: 1.2e-4 at this floor, under the 2e-4 of the inversion
+# row.  Over 40 random shells per band at each of r = 1e-8, 1 and 1e8, at
+# seeds 1 and 2, the row's worst read 8.0e-4 at 800-1 000 ulps, 2.3e-4 at
+# 2 800-3 000 (8 of 80 over 2e-4 at r = 1e8), 1.7e-4 at 3 500-4 000 and
+# 7.9e-5 at 8 000-9 000
+_FD_MIN_STEP_ULPS = 8192
 # most points of one map call of the FD route, which holds every point set of
 # a chunk of centres: 7 sets x 672 centres = 4 704 puts the 4 608-centre
 # stencil of orders (9, 16) in seven weighted calls (six plain ones, of 784
@@ -257,8 +282,22 @@ def _same(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _fd_steps(t, width: float):
+    """The FD step at radii ``t`` on a shell of the given width."""
+    # at most 1e-5 of 64 shell widths: on a thin shell log H bends as 2 b / t^3,
+    # with |b| up to log(R* / r*) r R / (R - r), and a step of 1e-5 t would set
+    # the error; from R / r = 64 / 63 on the step is 1e-5 t
+    return _FD_STEP * np.minimum(t, 64.0 * width)
+
+
+class _Stencil(tuple):
+    """An FD stencil, ``(centers, steps, two_steps, weights)``, which keeps
+    the polar form :func:`_fd_polar` builds from it as an attribute, so
+    that form lives as long as the stencil's cache entry."""
+
+
 @lru_cache(maxsize=2)
-def _fd_stencil(annulus: Annulus, radial_order: int, sphere_order: int):
+def _fd_stencil(annulus: Annulus, radial_order: int, sphere_order: int) -> _Stencil:
     """The FD route's stencil on a shell: its centres, a column-major
     ``(N, 3)`` product of the radial rule and the sphere rule, the step
     at each centre and twice that step, and the quadrature weight of each
@@ -270,15 +309,84 @@ def _fd_stencil(annulus: Annulus, radial_order: int, sphere_order: int):
     centers = np.empty((t.size * n_sphere, 3), order="F")
     for k in range(3):
         np.multiply.outer(t, quad.nodes[:, k], out=centers[:, k].reshape(t.size, n_sphere))
-    # at most 1e-5 of 64 shell widths: on a thin shell log H bends as 2 b / t^3,
-    # with |b| up to log(R* / r*) r R / (R - r), and a step of 1e-5 t would set
-    # the error; from R / r = 64 / 63 on the step is 1e-5 t
-    steps = np.repeat(_FD_STEP * np.minimum(t, 64.0 * annulus.width), n_sphere)
+    steps = np.repeat(_fd_steps(t, annulus.width), n_sphere)
     two_steps = 2.0 * steps
     weights = (wt[:, None] * t[:, None] ** 2 * quad.weights[None, :]).ravel()
     for a in (centers, steps, two_steps, weights):
         a.setflags(write=False)
-    return centers, steps, two_steps, weights
+    return _Stencil((centers, steps, two_steps, weights))
+
+
+def _fd_chunk(n: int, n_sets: int) -> int:
+    """Centres per chunk of an ``n``-centre stencil sent as ``n_sets`` sets."""
+    return min(n, max(1, _FD_BATCH_POINTS // n_sets))
+
+
+def _stencil_points(centers: np.ndarray, steps: np.ndarray, lo: int, hi: int,
+                    out: np.ndarray) -> np.ndarray:
+    """Write the point sets of centres ``lo:hi`` to ``out``, read as axes
+    coordinate, set, node: ``+e_k`` and ``-e_k`` for each axis, then the
+    centres, or only the first six sets where ``out`` holds six."""
+    blocks = out.reshape(3, -1, hi - lo)
+    np.copyto(blocks, centers[lo:hi].T[:, None])
+    for k in range(3):
+        blocks[k, 2 * k] += steps[lo:hi]
+        blocks[k, 2 * k + 1] -= steps[lo:hi]
+    return blocks
+
+
+# the closed-form profiles, whose maps take the polar route and whose values
+# on a stencil are shared: they compare by value, and a value depends on the
+# radius alone
+_SHARED_PROFILES = (ExponentialProfile, HarmonicProfile)
+
+
+def _fd_polar(stencil: _Stencil):
+    """The stencil's polar form: the norm ``t`` and the unit vector
+    ``p / t`` of each point ``p`` of its seven sets, computed as
+    :func:`maps.map_eval_many` computes them, and a dict that keeps the
+    values ``H(t)`` of at most two profiles (:func:`_profile_values`).
+    None if a norm leaves ``[1e-150, 1e150]``, where the sphere action
+    checks that its points are unit vectors.
+
+    The points are laid out as the weighted route's map calls: chunk by
+    chunk of :func:`_fd_chunk` centres, each chunk's seven sets one after
+    another, so the ``n_sets * m`` points of a chunk of ``m`` centres are
+    one contiguous span.  Built on first use and kept on the stencil, so
+    it is evicted with it; the arrays are read-only."""
+    if "polar" not in vars(stencil):
+        centers, steps, _, _ = stencil
+        n = centers.shape[0]
+        chunk = _fd_chunk(n, 7)
+        units = np.empty((3, 7 * n))
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            _stencil_points(centers, steps, lo, hi, units[:, 7 * lo:7 * hi])
+        # a norm beyond the float range is inf here, and no polar form is kept
+        with np.errstate(over="ignore"):
+            t = row_norms(units.T)
+        stencil.polar = None
+        if 1e-150 <= t.min() and t.max() <= 1e150:
+            units /= t
+            for a in (t, units):
+                a.setflags(write=False)
+            stencil.polar = t, units, {}
+    return stencil.polar
+
+
+def _profile_values(polar, profile: RadialProfile) -> np.ndarray:
+    """``H(t)`` on every point of a polar form, read-only, kept with the
+    polar form for at most two profiles, as the inversion row alternates
+    two minimizers; the oldest goes first."""
+    t, _, kept = polar
+    h = kept.get(profile)
+    if h is None:
+        h = profile.eval(t)
+        h.setflags(write=False)
+        for old in list(kept)[:-1]:
+            kept.pop(old, None)
+        kept[profile] = h
+    return h
 
 
 def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_order: int,
@@ -311,30 +419,69 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     only in the map and the views; in-place steps keep the bits of fresh
     arrays.  An image norm or an energy beyond the float range raises
     :class:`EvaluationError`, with no numpy warning.
+
+    A :class:`GeneralizedRadialMap` with an exponential or harmonic
+    profile is evaluated from the stencil's polar form (:func:`_fd_polar`)
+    instead: each chunk's image is ``H(t) T(u)``, with ``t`` and ``u`` the
+    kept norms and unit vectors, ``H(t)`` the kept profile values
+    (:func:`_profile_values`) and ``T`` the sphere action through
+    ``_kernels._image`` with the transform's Lorentz matrix, fetched once;
+    the identity multiplies ``u`` alone, as ``map_eval_many`` does.  The
+    affine rows, the image and their scratch go to one buffer allocated
+    per energy.  These are ``map_eval_many``'s steps on the same points,
+    each point by point, so the values have its bits; chunks follow the
+    polar form's seven-set layout on both routes, which changes no value,
+    as no step mixes nodes.  Such a map's profile and action cannot raise,
+    so its errors are the views' and the checks', as before.  Where the
+    polar form is None the map takes ``map_eval_many``.
     """
-    centers, steps, two_steps, weights = _fd_stencil(pair.domain, radial_order, sphere_order)
+    stencil = _fd_stencil(pair.domain, radial_order, sphere_order)
+    centers, steps, two_steps, weights = stencil
     n = centers.shape[0]
     n_sets = 7 if weighted else 6
-    chunk = min(n, max(1, _FD_BATCH_POINTS // n_sets))
+    polar = None
+    if isinstance(f, GeneralizedRadialMap) and type(f.profile) in _SHARED_PROFILES:
+        polar = _fd_polar(stencil)
+    chunk = _fd_chunk(n, n_sets if polar is None else 7)
     density = np.empty((len(views), n))
     vals = np.empty((n, 3), order="F") if weighted else None   # the centres' values
     # flat, so that a shorter last chunk takes a contiguous head: axes
-    # coordinate, set, node; coordinate, axis k of the pair, node; pair, node
-    flat_points = np.empty(3 * n_sets * chunk)
+    # coordinate, axis k of the pair, node; pair, node; for the points
+    # coordinate, set, node
     diff = np.empty(9 * chunk)
     nsq = np.empty(3 * chunk)
+    if polar is None:
+        flat_points = np.empty(3 * n_sets * chunk)
+    else:
+        _, units, _ = polar
+        rotation = f.rotation
+        lor = None if _is_identity(rotation) else _kernels._lorentz(
+            rotation.a, rotation.b, rotation.c, rotation.d)
+        # the affine rows of the sphere action, the image in rows 1-3, and
+        # their scratch
+        rows = np.empty((2, 4, n_sets * chunk))
     # images near the float maximum overflow here; the checks below raise
     with np.errstate(over="ignore", invalid="ignore"):
+        if polar is not None:
+            h = _profile_values(polar, f.profile)
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
             m = hi - lo
-            blocks = flat_points[:3 * n_sets * m].reshape(3, n_sets, m)
-            points = blocks.reshape(3, -1).T
-            np.copyto(blocks, centers[lo:hi].T[:, None])
-            for k in range(3):
-                blocks[k, 2 * k] += steps[lo:hi]
-                blocks[k, 2 * k + 1] -= steps[lo:hi]
-            batch = map_eval_many(f, points)
+            if polar is None:
+                points = _stencil_points(centers, steps, lo, hi,
+                                         flat_points[:3 * n_sets * m]).reshape(3, -1).T
+                batch = map_eval_many(f, points)
+            else:
+                # map_eval_many's steps on this chunk's points, in its order
+                span = slice(7 * lo, 7 * lo + n_sets * m)
+                image = rows[0, 1:, :n_sets * m]
+                if lor is None:
+                    np.multiply(units[:, span], h[span], out=image)
+                else:
+                    _kernels._image(lor, units[:, span].T, rows[0, :, :n_sets * m],
+                                    rows[1, :, :n_sets * m])
+                    image *= h[span]
+                batch = image.T
             if weighted:
                 vals[lo:hi] = batch[6 * m:]
             d = diff[:9 * m].reshape(3, 3, m)

@@ -82,6 +82,11 @@ def _act(kernel, t: MobiusTransform, pts, *vecs):
     return kernel(t.a, t.b, t.c, t.d, pts, *vecs)
 
 
+def _is_identity(t: MobiusTransform) -> bool:
+    """Whether ``t`` has the entries of the identity matrix."""
+    return t.a == 1.0 and t.b == 0.0 and t.c == 0.0 and t.d == 1.0
+
+
 def _apply_to_units(t: MobiusTransform, units: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """The sphere action on the rows of an ``(N, 3)`` float array that the
     caller has just divided by ``norms``, its ``row_norms``.  A norm in
@@ -90,7 +95,7 @@ def _apply_to_units(t: MobiusTransform, units: np.ndarray, norms: np.ndarray) ->
     Among the former, the identity returns ``units`` itself: the kernel
     would give the same bits, but for the sign of an exact zero."""
     if norms.size and 1e-150 <= norms.min() and norms.max() <= 1e150:
-        if t.a == 1.0 and t.b == 0.0 and t.c == 0.0 and t.d == 1.0:
+        if _is_identity(t):
             return units
         return _kernels.mobius_apply_points(t.a, t.b, t.c, t.d, units)
     return mobius_apply_points(t, units)

@@ -22,7 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from .energy import (
+    _FD_MIN_STEP_ULPS,
     _fd_energies,
+    _fd_steps,
     _min_weighted_energy,
     _same,
     analytic_min_weighted_energy,
@@ -146,7 +148,14 @@ def _lower_bound(name: str, observed: float, bound: float, slack: float,
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Pair and seed of the suite, which fixes its orders and derives its grids."""
+    """Pair and seed of the suite, which fixes its orders and derives its grids.
+
+    The pair's shell must be thick enough for the finite-difference rows:
+    their step at ``R``, ``1e-5 min(R, 64 (R - r))``, must span at least
+    ``energy._FD_MIN_STEP_ULPS`` (8 192) ulps of ``R``, which on ``r = 1``
+    asks for ``R / r - 1 >= 2.8e-9``.  A thinner shell rounds the steps so
+    far that those rows would misreport, and raises :class:`ConfigError`.
+    """
 
     pair: AnnulusPair = DEFAULT_PAIR
     seed: int = 42
@@ -154,6 +163,12 @@ class VerifyConfig:
     def __post_init__(self):
         if not isinstance(self.pair, AnnulusPair):
             raise ConfigError("verify config field 'pair' must be an AnnulusPair")
+        r, R = self.pair.r, self.pair.R
+        ulps = float(_fd_steps(R, self.pair.domain.width)) / math.ulp(R)
+        if ulps < _FD_MIN_STEP_ULPS:
+            raise ConfigError(f"verify config field 'pair': the finite-difference step at R is "
+                              f"{ulps:.4g} ulps of R, below the floor of {_FD_MIN_STEP_ULPS} "
+                              f"(R/r - 1 = {(R - r) / r:.3g})")
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
             raise ConfigError("verify config field 'seed' must be an integer")
         if self.seed < 0:

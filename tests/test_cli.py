@@ -524,6 +524,10 @@ _ERROR_CAUSES = {
         "error: EvaluationError: image norm left the float range at quadrature node",
     "verify --r 1 --R 2 --rstar 1.6e308 --Rstar 1.7976931348623157e308 --seed 1":
         "error: EvaluationError: perturbed profile exceeds the float range at t = 1.585",
+    # a shell too thin for the FD rows, which misread there
+    "verify --r 1 --R 1.0000000001 --rstar 1 --Rstar 2 --seed 1":
+        "error: verify config field 'pair': the finite-difference step at R is 288.2 ulps of R, "
+        "below the floor of 8192 (R/r - 1 = 1e-10)\n",
 }
 
 
@@ -602,6 +606,8 @@ class TestNoTraceback:
         # a radial competitor rises past the float maximum: it warned and exited 2
         (["verify", "--r", "1", "--R", "2", "--rstar", "1.6e308",
           "--Rstar", "1.7976931348623157e308", "--seed", "1"], 1),
+        (["verify", "--r", "1", "--R", "1.0000000001", "--rstar", "1", "--Rstar", "2",
+          "--seed", "1"], 2),
     ])
     def test_exits_with_one_line_error(self, capsys, argv, expected):
         code, _, err = run_cli(capsys, *argv)

@@ -8,7 +8,9 @@ from annuli import (
     AnnulusPair,
     DomainError,
     EvaluationError,
+    ExponentialProfile,
     GeneralizedRadialMap,
+    HarmonicProfile,
     SampledMap,
     SampledProfile,
     analytic_min_weighted_energy,
@@ -21,7 +23,8 @@ from annuli import (
     reduced_energy,
     weighted_energy,
 )
-from annuli.energy import _fd_energies, _fd_stencil, _min_weighted_energy, _same
+from annuli.energy import _fd_energies, _fd_polar, _fd_stencil, _min_weighted_energy, _same
+from annuli.energy import _profile_values
 from annuli.geometry import row_norms
 from annuli.maps import sphere_inversion
 from annuli.verify import (
@@ -472,6 +475,94 @@ class TestSharedStencil:
         for _ in range(2):
             value = weighted_energy(SampledMap(double), pair, 16, 8, refine=False).value
             assert math.isclose(value, 12.0 * PI * (pair.R - pair.r), rel_tol=1e-9)
+
+
+def _outcome(call):
+    """The energies' bytes, or the type and text of the error raised."""
+    try:
+        return np.array(call()).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestPolarRoute:
+    """A generalized radial map with a closed-form profile is evaluated from
+    its stencil's norms and unit vectors and the kept profile values, with
+    the bits of ``map_eval_many`` on the stencil's points."""
+
+    @staticmethod
+    def _maps(pair):
+        rotated = GeneralizedRadialMap(exp_profile_from_boundary(pair, "increasing"),
+                                       random_mobius(np.random.default_rng(5)))
+        harmonic = GeneralizedRadialMap(HarmonicProfile(1.5, 0.25),
+                                        random_mobius(np.random.default_rng(6)))
+        return rotated, GeneralizedRadialMap(rotated.profile), harmonic
+
+    @pytest.mark.parametrize("orders", [(9, 4), (9, 8), (9, 16), (32, 16)])
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_same_bits_as_the_sampled_route(self, canonical_pair, orders, weighted):
+        # the sampled map sends the stencil's points to map_eval_many; cold
+        # builds the stencil, the polar form and the profile values, warm
+        # finds them kept
+        pair = canonical_pair
+        for f in self._maps(pair):
+            for views in ((_same,), (_same, sphere_inversion(0.5))):
+                sampled = _fd_energies(as_sampled_map(f), pair, *orders, weighted, views)
+                _fd_stencil.cache_clear()
+                cold = _fd_energies(f, pair, *orders, weighted, views)
+                warm = _fd_energies(f, pair, *orders, weighted, views)
+                expect = np.array(sampled).tobytes()
+                assert np.array(cold).tobytes() == expect and np.array(warm).tobytes() == expect
+
+    # norms below 1e-150 or across it: the sphere action's unit check raises, the
+    # energies read 0.0, the origin is hit, or the differences leave the range
+    @pytest.mark.parametrize("radii", [(1e-160, 2e-160, 1.0, 2.0), (1e-151, 1e-149, 1.0, 2.0),
+                                       (1e-200, 1e-100, 1.0, 2.0),
+                                       (1e-155, 1e-145, 1e-5, 1e5)])
+    def test_norms_outside_the_range_take_the_generic_route(self, radii):
+        pair = AnnulusPair.from_radii(*radii)
+        f, _, _ = self._maps(pair)
+        assert _fd_polar(_fd_stencil(pair.domain, 9, 4)) is None
+        for weighted in (True, False):
+            for views in ((_same,), (_same, sphere_inversion(0.5))):
+                expect = _outcome(lambda: _fd_energies(as_sampled_map(f), pair, 9, 4, weighted,
+                                                       views))
+                assert _outcome(lambda: _fd_energies(f, pair, 9, 4, weighted, views)) == expect
+
+    def test_polar_forms_are_read_only_and_evicted_with_their_stencils(self, canonical_pair):
+        domain = canonical_pair.domain
+        stencil = _fd_stencil(domain, 9, 4)
+        polar = _fd_polar(stencil)
+        assert _fd_polar(_fd_stencil(Annulus(domain.inner, domain.outer), 9, 4)) is polar
+        for arr in polar[:2]:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        # two more orders evict the stencil, and its polar form with it
+        _fd_stencil(domain, 9, 8)
+        _fd_stencil(domain, 9, 16)
+        rebuilt = _fd_stencil(domain, 9, 4)
+        assert rebuilt is not stencil and "polar" not in vars(rebuilt)
+        assert _fd_polar(rebuilt) is not polar
+
+    def test_profile_values_are_kept_for_two_closed_forms(self, canonical_pair):
+        pair = canonical_pair
+        inc = exp_profile_from_boundary(pair, "increasing")
+        dec = exp_profile_from_boundary(pair, "decreasing")
+        harmonic = HarmonicProfile(1.5, 0.25)
+        grid = make_radial_grid(pair.domain, 64)
+        sampled = SampledProfile(grid, inc.eval(grid.nodes))
+        _fd_stencil.cache_clear()
+        for profile in (inc, dec, harmonic, sampled, dec):
+            _fd_energies(GeneralizedRadialMap(profile), pair, 9, 4, True)
+        polar = _fd_polar(_fd_stencil(pair.domain, 9, 4))
+        kept = polar[2]
+        # the oldest goes first; a sampled profile takes map_eval_many
+        assert list(kept) == [dec, harmonic]
+        for h in kept.values():
+            with pytest.raises(ValueError, match="read-only"):
+                h[0] = 0.0
+        # a profile equal by value finds the same values
+        assert _profile_values(polar, ExponentialProfile(dec.a, dec.b, dec.t0)) is kept[dec]
 
 
 class TestFDStep:

@@ -211,6 +211,35 @@ class TestSharedInvariants:
         assert built == [0, 22, 101]
 
 
+class TestThinShells:
+    """A shell whose FD step at ``R`` spans fewer than
+    ``energy._FD_MIN_STEP_ULPS`` ulps of ``R`` is refused: there the FD
+    rows misread, and once read a false counterexample to the minimum."""
+
+    # the inversion row read 3.85e-4 and 1.25e-3 against 2e-4 at seed 1; the
+    # competitor row read -1.68e19 on the last
+    @pytest.mark.parametrize("radii", [(1.0, 1.0 + 3e-10, 1.0, 2.0),
+                                       (1.0, 1.0 + 1e-10, 1.0, 2.0),
+                                       (1e8, 1e8 * (1.0 + 1e-12), 1.0, 2.0)])
+    def test_thin_shells_are_refused(self, radii):
+        with pytest.raises(ConfigError, match=r"below the floor of 8192 \(R/r - 1 = "):
+            VerifyConfig(pair=AnnulusPair.from_radii(*radii))
+
+    def test_floor_at_the_thinnest_admitted_shell(self):
+        # 1e-5 * 64 (R - r) is 8 192 ulps of R here, and one ulp less R is not
+        thinnest = 1.000000002842171
+        assert energy._FD_MIN_STEP_ULPS == 8192
+        VerifyConfig(pair=AnnulusPair.from_radii(1.0, thinnest, 1.0, 2.0))
+        with pytest.raises(ConfigError):
+            VerifyConfig(pair=AnnulusPair.from_radii(1.0, math.nextafter(thinnest, 0.0),
+                                                     1.0, 2.0))
+
+    @pytest.mark.parametrize("radii", [(1.0, 1.0 + 1e-8, 1.0, 2.0), (1.0, 1.0009, 1.0, 2.0)])
+    def test_thin_shells_above_the_floor_pass(self, radii):
+        report = run_suite(VerifyConfig(pair=AnnulusPair.from_radii(*radii), seed=1))
+        assert report.passed, [r for r in report.results if not r.passed]
+
+
 class TestPinnedReports:
     """Every row of four seeds' reports, bit for bit, against the pinned
     rows: the CLI's JSON rounds to 13 digits, so it cannot pin them."""
@@ -755,19 +784,26 @@ class TestTwistedMinimizers:
         # and the evaluator's scratch, the stencil being shared: measured 160.4
         # bytes per node (160.2 at 16 x 16); 202.4 when each call built its own
         # centres and steps, and 225.3 at 32 x 16 when the differences, squares
-        # and evaluator steps were fresh arrays
+        # and evaluator steps were fresh arrays.  A Moebius-rotated minimizer,
+        # evaluated from the kept polar form and profile values, holds its
+        # affine rows and their scratch: measured 133.1 bytes per node (154.2 with
+        # the inversion view), 210 when it went to map_eval_many
         pair = verify.DEFAULT_PAIR
         orders = (verify._fd_radial_order(pair.domain), verify._FD_SPHERE_ORDER)
-        f, _ = verify._twisted_minimizer(pair, np.random.default_rng(0))
-        _fd_energies(f, pair, *orders, True)
-        tracemalloc.start()
-        try:
-            _fd_energies(f, pair, *orders, True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        twisted, _ = verify._twisted_minimizer(pair, np.random.default_rng(0))
+        moebius = GeneralizedRadialMap(exp_profile_from_boundary(pair, "increasing"),
+                                       random_mobius(np.random.default_rng(0)))
         radial_order, sphere_order = orders
-        assert peak <= 213 * radial_order * 2 * sphere_order * sphere_order
+        for f in (twisted, moebius):
+            # builds the stencil, and the polar form and profile values it keeps
+            _fd_energies(f, pair, *orders, True)
+            tracemalloc.start()
+            try:
+                _fd_energies(f, pair, *orders, True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 213 * radial_order * 2 * sphere_order * sphere_order, f
 
     @pytest.mark.parametrize("radii", [(1.0, 2.0, 1.0, math.e), (1.0, 2.0, 1e-5, 1e5),
                                        (1.0, 100.0, 1.0, 2.0)])
