@@ -14,34 +14,33 @@ default orders the decomposition route reads the minimizers' energies
 to rounding on thin and wide shells alike.
 
 The FD route evaluates a map once per stencil point.  It sends the
-stencil a chunk of centres at a time, with all six or seven point sets
+stencil ``_FD_CHUNK`` centres at a time, with all six or seven point sets
 of the chunk in one call, as numpy's fixed cost per call outweighs the
 arithmetic on a few hundred points; the ``+-e_k`` pairs of a call are
 then differenced as one block, each step one numpy call for all of them.
-The comment on ``_FD_BATCH_POINTS`` gives the calls per stencil.  For
-the inversion check, ``f`` and its
-composition with ``y -> a y / |y|^2`` are differentiated from that one
-set of samples.  Each shell has one stencil per pair of orders: its
-centres, steps and weights are built once and shared, read-only, by
-every FD energy on that shell.  The radial rule is rebuilt on each
-decomposition, which costs microseconds.  The last two
-stencils are kept, since the inversion check alternates two sphere
-orders on one shell.  Points, differences and squared norms are written
-into buffers allocated once per FD energy and reused by all its chunks.
+For the inversion check, ``f`` and its composition with
+``y -> a y / |y|^2`` are differentiated from that one set of samples.
+Each shell has one stencil per pair of orders: its centres, steps and
+weights are built once and shared, read-only, by every FD energy on that
+shell.  The radial rule is rebuilt on each decomposition, which costs
+microseconds.  The last two stencils are kept, since the inversion check
+alternates two sphere orders on one shell.  Points, differences and
+squared norms are written into buffers allocated once per FD energy and
+reused by all its chunks.
 
-A generalized radial map with a closed-form profile sends no points to
-``map_eval_many``.  ``f(x) = H(t) T(x / t)``, ``t = |x|``, so the route
-reads the norms and unit vectors of the stencil's points from its polar
-form, computed once per stencil with the numpy steps ``map_eval_many``
-takes on those points, and ``H(t)`` from values kept there for the last
-two profiles; it applies the Moebius action ``T`` from one Lorentz matrix
-per energy and multiplies by ``H``, chunk by chunk, in one buffer.  Every
-step acts point by point, with the operations and operands of
-``map_eval_many``, so the values, and the energies, keep their bits.  The
-inversion row's Moebius members alternate two minimizers on one stencil,
-so all but the first two reuse their profile values.  Sampled maps and
-sampled profiles, and stencils with a norm outside ``[1e-150, 1e150]``,
-where the sphere action checks unit length, take ``map_eval_many``.
+A generalized radial map sends no points to ``map_eval_many``.
+``f(x) = H(t) T(x / t)``, ``t = |x|``, so the route reads the norms and
+unit vectors of the stencil's points from its polar form, computed once
+per stencil with the numpy steps ``map_eval_many`` takes on those points,
+and ``H(t)`` from values kept there for the last two closed-form
+profiles; a sampled profile's values are computed once per energy.
+``sphere_maps._apply_to_units``, which forms ``map_eval_many``'s values
+too, applies ``T`` and multiplies by ``H``, chunk by chunk, in one
+buffer, so the values, and the energies, keep their bits.  The inversion
+row's Moebius members alternate two minimizers on one stencil, so all but
+the first two reuse their profile values.  Sampled maps, and stencils
+with a norm outside the window where the sphere action skips its unit
+check, take ``map_eval_many``.
 """
 from __future__ import annotations
 
@@ -49,11 +48,10 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import _kernels
 from .errors import DomainError, EvaluationError
 from .geometry import Annulus, AnnulusPair, _log_ratio, gauss_legendre, make_sphere_quadrature
 from .geometry import _four_pi_times, _log_width, _radii, _squared_norms, row_norms
@@ -61,12 +59,12 @@ from .maps import (
     AnnulusMap,
     ExponentialProfile,
     GeneralizedRadialMap,
-    HarmonicProfile,
     RadialProfile,
     SampledProfile,
+    _ClosedFormProfile,
     map_eval_many,
 )
-from .sphere_maps import _is_identity, conformal_stretch_points
+from .sphere_maps import _apply_to_units, _unit_safe, conformal_stretch_points
 
 # central-difference step of the FD route, relative to the radius t
 _FD_STEP = 1e-5
@@ -79,12 +77,11 @@ _FD_STEP = 1e-5
 # 2 800-3 000 (8 of 80 over 2e-4 at r = 1e8), 1.7e-4 at 3 500-4 000 and
 # 7.9e-5 at 8 000-9 000
 _FD_MIN_STEP_ULPS = 8192
-# most points of one map call of the FD route, which holds every point set of
-# a chunk of centres: 7 sets x 672 centres = 4 704 puts the 4 608-centre
-# stencil of orders (9, 16) in seven weighted calls (six plain ones, of 784
-# centres), as many as one call per set; 4 096 would take an eighth.  A stencil
+# centres per chunk of the FD route, whose map call holds a chunk's six or
+# seven point sets: at most 4 704 points, which puts the 4 608-centre stencil
+# of orders (9, 16) in seven calls, as many as one call per set.  A stencil
 # of 288 centres (9 x 4) takes one call, one of 1 152 (9 x 8) two
-_FD_BATCH_POINTS = 4704
+_FD_CHUNK = 672
 
 
 @dataclass(frozen=True)
@@ -104,8 +101,9 @@ class EnergyReport:
     refinement_delta: float | None
 
 
-# radial order of reduced_energy and default of the energy routes
+# radial order of reduced_energy, and the default orders of the energy routes
 _RADIAL_ORDER = 64
+_SPHERE_ORDER = 32
 
 
 def _radial_rule(annulus: Annulus, order: int):
@@ -292,8 +290,36 @@ def _fd_steps(t, width: float):
 
 class _Stencil(tuple):
     """An FD stencil, ``(centers, steps, two_steps, weights)``, which keeps
-    the polar form :func:`_fd_polar` builds from it as an attribute, so
-    that form lives as long as the stencil's cache entry."""
+    its polar form, so that form lives as long as the stencil's cache
+    entry."""
+
+    @cached_property
+    def polar(self):
+        """The norm ``t`` and the unit vector ``p / t`` of each point ``p`` of
+        the seven sets, computed as :func:`maps.map_eval_many` computes them,
+        and a dict that keeps the values ``H(t)`` of at most two profiles
+        (:func:`_profile_values`).  None if a norm leaves the window where
+        the sphere action skips its unit check (``sphere_maps._unit_safe``).
+
+        The points are laid out as the weighted route's map calls: chunk by
+        chunk of ``_FD_CHUNK`` centres, each chunk's seven sets one after
+        another, so the ``n_sets * m`` points of a chunk of ``m`` centres are
+        one contiguous span.  The arrays are read-only."""
+        centers, steps, _, _ = self
+        n = centers.shape[0]
+        units = np.empty((3, 7 * n))
+        for lo in range(0, n, _FD_CHUNK):
+            hi = min(lo + _FD_CHUNK, n)
+            _stencil_points(centers, steps, lo, hi, units[:, 7 * lo:7 * hi])
+        # a norm beyond the float range is inf here, and no polar form is kept
+        with np.errstate(over="ignore"):
+            t = row_norms(units.T)
+        if not _unit_safe(t):
+            return None
+        units /= t
+        for a in (t, units):
+            a.setflags(write=False)
+        return t, units, {}
 
 
 @lru_cache(maxsize=2)
@@ -302,7 +328,8 @@ def _fd_stencil(annulus: Annulus, radial_order: int, sphere_order: int) -> _Sten
     ``(N, 3)`` product of the radial rule and the sphere rule, the step
     at each centre and twice that step, and the quadrature weight of each
     centre.  Built once per shell and orders and kept; every array is
-    read-only."""
+    read-only.  Weights beyond the float range raise
+    :class:`EvaluationError`, with no numpy warning."""
     t, wt = _radial_rule(annulus, radial_order)
     quad = make_sphere_quadrature(sphere_order)
     n_sphere = quad.weights.size
@@ -311,15 +338,16 @@ def _fd_stencil(annulus: Annulus, radial_order: int, sphere_order: int) -> _Sten
         np.multiply.outer(t, quad.nodes[:, k], out=centers[:, k].reshape(t.size, n_sphere))
     steps = np.repeat(_fd_steps(t, annulus.width), n_sphere)
     two_steps = 2.0 * steps
-    weights = (wt[:, None] * t[:, None] ** 2 * quad.weights[None, :]).ravel()
+    # w t^2 grows as t^3
+    with np.errstate(over="ignore"):
+        weights = (wt[:, None] * t[:, None] ** 2 * quad.weights[None, :]).ravel()
+    if weights.max() == math.inf:
+        raise EvaluationError(f"finite-difference quadrature weights w t^2 overflow at radii "
+                              f"up to {float(t[-1]):.6g}; the radii are too large for "
+                              "floating point")
     for a in (centers, steps, two_steps, weights):
         a.setflags(write=False)
     return _Stencil((centers, steps, two_steps, weights))
-
-
-def _fd_chunk(n: int, n_sets: int) -> int:
-    """Centres per chunk of an ``n``-centre stencil sent as ``n_sets`` sets."""
-    return min(n, max(1, _FD_BATCH_POINTS // n_sets))
 
 
 def _stencil_points(centers: np.ndarray, steps: np.ndarray, lo: int, hi: int,
@@ -335,50 +363,14 @@ def _stencil_points(centers: np.ndarray, steps: np.ndarray, lo: int, hi: int,
     return blocks
 
 
-# the closed-form profiles, whose maps take the polar route and whose values
-# on a stencil are shared: they compare by value, and a value depends on the
-# radius alone
-_SHARED_PROFILES = (ExponentialProfile, HarmonicProfile)
-
-
-def _fd_polar(stencil: _Stencil):
-    """The stencil's polar form: the norm ``t`` and the unit vector
-    ``p / t`` of each point ``p`` of its seven sets, computed as
-    :func:`maps.map_eval_many` computes them, and a dict that keeps the
-    values ``H(t)`` of at most two profiles (:func:`_profile_values`).
-    None if a norm leaves ``[1e-150, 1e150]``, where the sphere action
-    checks that its points are unit vectors.
-
-    The points are laid out as the weighted route's map calls: chunk by
-    chunk of :func:`_fd_chunk` centres, each chunk's seven sets one after
-    another, so the ``n_sets * m`` points of a chunk of ``m`` centres are
-    one contiguous span.  Built on first use and kept on the stencil, so
-    it is evicted with it; the arrays are read-only."""
-    if "polar" not in vars(stencil):
-        centers, steps, _, _ = stencil
-        n = centers.shape[0]
-        chunk = _fd_chunk(n, 7)
-        units = np.empty((3, 7 * n))
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            _stencil_points(centers, steps, lo, hi, units[:, 7 * lo:7 * hi])
-        # a norm beyond the float range is inf here, and no polar form is kept
-        with np.errstate(over="ignore"):
-            t = row_norms(units.T)
-        stencil.polar = None
-        if 1e-150 <= t.min() and t.max() <= 1e150:
-            units /= t
-            for a in (t, units):
-                a.setflags(write=False)
-            stencil.polar = t, units, {}
-    return stencil.polar
-
-
 def _profile_values(polar, profile: RadialProfile) -> np.ndarray:
-    """``H(t)`` on every point of a polar form, read-only, kept with the
-    polar form for at most two profiles, as the inversion row alternates
-    two minimizers; the oldest goes first."""
+    """``H(t)`` on every point of a polar form.  A closed form's values are
+    read-only and kept with the polar form for at most two profiles, as the
+    inversion row alternates two minimizers; the oldest goes first.  A
+    sampled profile's are not kept, as its ``values`` array is writable."""
     t, _, kept = polar
+    if not isinstance(profile, _ClosedFormProfile):
+        return profile.eval(t)
     h = kept.get(profile)
     if h is None:
         h = profile.eval(t)
@@ -396,20 +388,19 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
 
     The stencil (:func:`_fd_stencil`) has seven point sets of ``N`` points:
     ``+e_k`` and ``-e_k`` for each axis, then the centres, which only the
-    weighted route evaluates.  The map gets them a chunk of centres at a
-    time, all six or seven sets of the chunk in one call of at most
-    ``_FD_BATCH_POINTS`` points, so every call holds whole ``+-e_k``
-    pairs.  Each view runs once on a chunk's pairs, and their differences,
-    squared norms and density sums take one numpy call for all of them.
-    A view acts row by row, so the bits are those of one set at a time,
-    and each node's density adds its pairs in the order ``+x, +y, +z``.
-    The centres' values are kept until every chunk is differenced; their
-    views and norm checks then run view by view, so a view error still
-    raises before any centre's norm check.  An error of the evaluator
-    itself comes in chunk order, so it can precede a view error on a set
-    of a later chunk.  Each call's input buffer is written in full,
-    as an evaluator may return or write to it, and a call's values are
-    read before the next call.
+    weighted route evaluates.  The map gets them ``_FD_CHUNK`` centres at
+    a time, all six or seven sets of the chunk in one call, so every call
+    holds whole ``+-e_k`` pairs.  Each view runs once on a chunk's pairs,
+    and their differences, squared norms and density sums take one numpy
+    call for all of them.  A view acts row by row, so the bits are those
+    of one set at a time, and each node's density adds its pairs in the
+    order ``+x, +y, +z``.  The centres' values are kept until every chunk
+    is differenced; their views and norm checks then run view by view, so
+    a view error still raises before any centre's norm check.  An error of
+    the evaluator itself comes in chunk order, so it can precede a view
+    error on a set of a later chunk.  Each call's input buffer is written
+    in full, as an evaluator may return or write to it, and a call's
+    values are read before the next call.
 
     Point batches are column-major, so each coordinate of the nodes is
     one contiguous column, and shifts, differences and squared norms run
@@ -420,29 +411,21 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     arrays.  An image norm or an energy beyond the float range raises
     :class:`EvaluationError`, with no numpy warning.
 
-    A :class:`GeneralizedRadialMap` with an exponential or harmonic
-    profile is evaluated from the stencil's polar form (:func:`_fd_polar`)
-    instead: each chunk's image is ``H(t) T(u)``, with ``t`` and ``u`` the
-    kept norms and unit vectors, ``H(t)`` the kept profile values
-    (:func:`_profile_values`) and ``T`` the sphere action through
-    ``_kernels._image`` with the transform's Lorentz matrix, fetched once;
-    the identity multiplies ``u`` alone, as ``map_eval_many`` does.  The
-    affine rows, the image and their scratch go to one buffer allocated
-    per energy.  These are ``map_eval_many``'s steps on the same points,
-    each point by point, so the values have its bits; chunks follow the
-    polar form's seven-set layout on both routes, which changes no value,
-    as no step mixes nodes.  Such a map's profile and action cannot raise,
-    so its errors are the views' and the checks', as before.  Where the
-    polar form is None the map takes ``map_eval_many``.
+    A :class:`GeneralizedRadialMap` is evaluated from the stencil's polar
+    form instead, where there is one: each chunk's image is
+    ``sphere_maps._apply_to_units`` of the kept unit vectors and the
+    profile values (:func:`_profile_values`), with the affine rows, the
+    image and their scratch in one buffer allocated per energy.  These are
+    ``map_eval_many``'s steps on the same points, each point by point, so
+    the values have its bits.  Such a map's action cannot raise; a sampled
+    profile's domain error comes before any chunk is differenced.
     """
     stencil = _fd_stencil(pair.domain, radial_order, sphere_order)
     centers, steps, two_steps, weights = stencil
     n = centers.shape[0]
     n_sets = 7 if weighted else 6
-    polar = None
-    if isinstance(f, GeneralizedRadialMap) and type(f.profile) in _SHARED_PROFILES:
-        polar = _fd_polar(stencil)
-    chunk = _fd_chunk(n, n_sets if polar is None else 7)
+    polar = stencil.polar if isinstance(f, GeneralizedRadialMap) else None
+    chunk = min(n, _FD_CHUNK)
     density = np.empty((len(views), n))
     vals = np.empty((n, 3), order="F") if weighted else None   # the centres' values
     # flat, so that a shorter last chunk takes a contiguous head: axes
@@ -450,20 +433,17 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     # coordinate, set, node
     diff = np.empty(9 * chunk)
     nsq = np.empty(3 * chunk)
-    if polar is None:
-        flat_points = np.empty(3 * n_sets * chunk)
-    else:
-        _, units, _ = polar
-        rotation = f.rotation
-        lor = None if _is_identity(rotation) else _kernels._lorentz(
-            rotation.a, rotation.b, rotation.c, rotation.d)
-        # the affine rows of the sphere action, the image in rows 1-3, and
-        # their scratch
-        rows = np.empty((2, 4, n_sets * chunk))
-    # images near the float maximum overflow here; the checks below raise
+    # profile values and images near the float maximum overflow here; the
+    # checks below raise
     with np.errstate(over="ignore", invalid="ignore"):
-        if polar is not None:
+        if polar is None:
+            flat_points = np.empty(3 * n_sets * chunk)
+        else:
+            _, units, _ = polar
             h = _profile_values(polar, f.profile)
+            # the affine rows of the sphere action, the image in rows 1-3, and
+            # their scratch
+            rows = np.empty((2, 4, n_sets * chunk))
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
             m = hi - lo
@@ -472,16 +452,9 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
                                          flat_points[:3 * n_sets * m]).reshape(3, -1).T
                 batch = map_eval_many(f, points)
             else:
-                # map_eval_many's steps on this chunk's points, in its order
                 span = slice(7 * lo, 7 * lo + n_sets * m)
-                image = rows[0, 1:, :n_sets * m]
-                if lor is None:
-                    np.multiply(units[:, span], h[span], out=image)
-                else:
-                    _kernels._image(lor, units[:, span].T, rows[0, :, :n_sets * m],
-                                    rows[1, :, :n_sets * m])
-                    image *= h[span]
-                batch = image.T
+                batch = _apply_to_units(f.rotation, units[:, span].T, h[span], True,
+                                        *rows[:, :, :n_sets * m])
             if weighted:
                 vals[lo:hi] = batch[6 * m:]
             d = diff[:9 * m].reshape(3, 3, m)
@@ -535,14 +508,14 @@ def _energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_order: i
 
 
 def weighted_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int = _RADIAL_ORDER,
-                    sphere_order: int = 32, refine: bool = True) -> EnergyReport:
+                    sphere_order: int = _SPHERE_ORDER, refine: bool = True) -> EnergyReport:
     """Weighted Dirichlet energy ``integral(|Df|^2 / |f|^2)`` over the
     domain annulus."""
     return _energy(f, pair, radial_order, sphere_order, refine, True)
 
 
 def dirichlet_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int = _RADIAL_ORDER,
-                     sphere_order: int = 32, refine: bool = True) -> EnergyReport:
+                     sphere_order: int = _SPHERE_ORDER, refine: bool = True) -> EnergyReport:
     """Plain Dirichlet energy ``integral(|Df|^2)`` over the domain
     annulus."""
     return _energy(f, pair, radial_order, sphere_order, refine, False)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 from .geometry import AnnulusPair, RadialGrid, _as_points, _log_ratio, _profile_coefficient
 from .geometry import _squared_norms, row_norms
-from .sphere_maps import MobiusTransform, _apply_to_units
+from .sphere_maps import MobiusTransform, _apply_to_units, _unit_safe
 
 
 # the largest exponent whose exp is finite, and the float epsilon
@@ -211,7 +211,10 @@ AnnulusMap = Union[GeneralizedRadialMap, SampledMap]
 
 
 def map_eval_many(f: AnnulusMap, points: np.ndarray) -> np.ndarray:
-    """Evaluate a map on an ``(N, 3)`` array of points, to one of that shape."""
+    """Evaluate a map on an ``(N, 3)`` array of points, to one of that shape.
+
+    A generalized radial map's value ``H(t) T(x / t)`` is formed by
+    :func:`sphere_maps._apply_to_units`, as on the FD route's polar path."""
     points = _as_points(points)
     if isinstance(f, SampledMap):
         image = np.asarray(f.evaluator(points), dtype=float)
@@ -222,10 +225,7 @@ def map_eval_many(f: AnnulusMap, points: np.ndarray) -> np.ndarray:
     if np.any(t <= 0.0):
         raise DomainError("radial map undefined at the origin")
     h = f.profile.eval(t)
-    units = points / t[:, None]
-    image = _apply_to_units(f.rotation, units, t)
-    image *= h[:, None]
-    return image
+    return _apply_to_units(f.rotation, points / t[:, None], h, _unit_safe(t))
 
 
 def as_sampled_map(f: AnnulusMap) -> SampledMap:

@@ -87,18 +87,31 @@ def _is_identity(t: MobiusTransform) -> bool:
     return t.a == 1.0 and t.b == 0.0 and t.c == 0.0 and t.d == 1.0
 
 
-def _apply_to_units(t: MobiusTransform, units: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """The sphere action on the rows of an ``(N, 3)`` float array that the
-    caller has just divided by ``norms``, its ``row_norms``.  A norm in
-    1e-150..1e150 squares to a normal float, so such rows are unit
-    vectors up to rounding and skip the unit check; others take it.
-    Among the former, the identity returns ``units`` itself: the kernel
-    would give the same bits, but for the sign of an exact zero."""
-    if norms.size and 1e-150 <= norms.min() and norms.max() <= 1e150:
-        if _is_identity(t):
-            return units
-        return _kernels.mobius_apply_points(t.a, t.b, t.c, t.d, units)
-    return mobius_apply_points(t, units)
+def _unit_safe(norms: np.ndarray) -> bool:
+    """Whether rows just divided by ``norms``, their ``row_norms``, are unit
+    vectors up to rounding: a norm in 1e-150..1e150 squares to a normal
+    float."""
+    return bool(norms.size) and 1e-150 <= norms.min() and norms.max() <= 1e150
+
+
+def _apply_to_units(t: MobiusTransform, units: np.ndarray, scale: np.ndarray, safe: bool,
+                    out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
+    """``scale[i] T(units[i])`` for the rows of an ``(N, 3)`` float array
+    that the caller has divided by their norms: the value ``H(t) T(u)`` of
+    a generalized radial map.  ``safe`` is :func:`_unit_safe` of those
+    norms; unsafe rows take the public action's unit check.  Safe rows go
+    to the kernel's Lorentz action, written to rows 1-3 of the ``(4, N)``
+    buffer ``out`` when given, with ``term`` of its shape as the scratch;
+    the identity multiplies ``units`` by ``scale`` alone, as the kernel
+    would give the same bits but for the sign of an exact zero."""
+    if not safe:
+        image = mobius_apply_points(t, units)
+    elif _is_identity(t):
+        return np.multiply(units.T, scale, out=None if out is None else out[1:]).T
+    else:
+        image, _ = _kernels._image(_kernels._lorentz(t.a, t.b, t.c, t.d), units, out, term)
+    image *= scale[:, None]
+    return image
 
 
 def mobius_apply_points(t: MobiusTransform, pts: np.ndarray) -> np.ndarray:

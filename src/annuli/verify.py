@@ -23,6 +23,8 @@ import numpy as np
 
 from .energy import (
     _FD_MIN_STEP_ULPS,
+    _RADIAL_ORDER,
+    _SPHERE_ORDER,
     _fd_energies,
     _fd_steps,
     _min_weighted_energy,
@@ -102,9 +104,6 @@ _FD_ENERGY_REL_TOL = 1e-4
 _RESIDUAL_TOL = 1e-9
 # tolerance of the checks against closed forms evaluated by quadrature
 _CLOSED_FORM_TOL = 1e-8
-# quadrature orders of the decomposition route and of the sphere rows
-_RADIAL_ORDER = 64
-_SPHERE_ORDER = 32
 # sample counts: competitor profiles, maps composed with an inversion,
 # random Moebius transforms, non-conformal sphere maps, random pairs
 _N_COMPETITORS = 50
@@ -311,8 +310,15 @@ def _twisted_minimizer(pair: AnnulusPair, rng: np.random.Generator) -> tuple[Sam
     eps = rng.uniform(0.0, 1.0) * ell * r / R
     target = analytic_min_weighted_energy(pair)
     twist = target * 10.0 ** rng.uniform(-3.0, -1.0)
-    # the twist rate whose term (8 pi / 9) c^2 (R^3 - r^3) is `twist`
-    c = math.sqrt(9.0 * twist / (8.0 * math.pi * width * (R * R + R * r + r * r)))
+    # the twist rate whose term (8 pi / 9) c^2 (R^3 - r^3) is `twist`; where
+    # width (R^2 + R r + r^2) is not a positive normal float, R is taken out
+    # of the root
+    cube = width * (R * R + R * r + r * r)
+    if sys.float_info.min <= cube < math.inf:
+        c = math.sqrt(9.0 * twist / (8.0 * math.pi * cube))
+    else:
+        q = r / R
+        c = math.sqrt(9.0 * twist / (8.0 * math.pi * width)) / (R * math.sqrt(1.0 + q + q * q))
     # T0 is linear: row k of `m` is the image of the axis e_k
     m = mobius_apply_points(rot, np.eye(3))
 

@@ -524,6 +524,10 @@ _ERROR_CAUSES = {
         "error: EvaluationError: image norm left the float range at quadrature node",
     "verify --r 1 --R 2 --rstar 1.6e308 --Rstar 1.7976931348623157e308 --seed 1":
         "error: EvaluationError: perturbed profile exceeds the float range at t = 1.585",
+    # the FD weights w t^2 grow as t^3 and overflow, once with two warnings
+    "verify --r 1e100 --R 1e140 --rstar 1 --Rstar 2 --seed 1":
+        "error: EvaluationError: finite-difference quadrature weights w t^2 overflow at radii up "
+        "to 9.87158e+139;",
     # a shell too thin for the FD rows, which misread there
     "verify --r 1 --R 1.0000000001 --rstar 1 --Rstar 2 --seed 1":
         "error: verify config field 'pair': the finite-difference step at R is 288.2 ulps of R, "
@@ -608,6 +612,9 @@ class TestNoTraceback:
           "--Rstar", "1.7976931348623157e308", "--seed", "1"], 1),
         (["verify", "--r", "1", "--R", "1.0000000001", "--rstar", "1", "--Rstar", "2",
           "--seed", "1"], 2),
+        # the FD quadrature weights overflow: it warned twice and blamed the map
+        (["verify", "--r", "1e100", "--R", "1e140", "--rstar", "1", "--Rstar", "2",
+          "--seed", "1"], 1),
     ])
     def test_exits_with_one_line_error(self, capsys, argv, expected):
         code, _, err = run_cli(capsys, *argv)

@@ -23,7 +23,7 @@ from annuli import (
     reduced_energy,
     weighted_energy,
 )
-from annuli.energy import _fd_energies, _fd_polar, _fd_stencil, _min_weighted_energy, _same
+from annuli.energy import _fd_energies, _fd_stencil, _min_weighted_energy, _same
 from annuli.energy import _profile_values
 from annuli.geometry import row_norms
 from annuli.maps import sphere_inversion
@@ -350,15 +350,14 @@ class TestFDRouteBuffers:
 
 
 class TestFDBatches:
-    """The stencil goes to the map a chunk of centres at a time, all point
-    sets of a chunk in one call of at most ``_FD_BATCH_POINTS`` points,
-    and the ``+-e_k`` pairs of a call are differenced as one block, with
-    the bits of one call per set."""
+    """The stencil goes to the map ``_FD_CHUNK`` centres at a time, all
+    point sets of a chunk in one call, and the ``+-e_k`` pairs of a call
+    are differenced as one block, with the bits of one call per set."""
 
     # points of each map call, weighted route (seven sets) and plain one (six)
     ORDERS = {(9, 4): ([2016], [1728]),
-              (9, 8): ([4704, 3360], [4704, 2208]),
-              (9, 16): ([4704] * 6 + [4032], [4704] * 5 + [4128])}
+              (9, 8): ([4704, 3360], [4032, 2880]),
+              (9, 16): ([4704] * 6 + [4032], [4032] * 6 + [3456])}
 
     @staticmethod
     def _maps(pair):
@@ -486,9 +485,9 @@ def _outcome(call):
 
 
 class TestPolarRoute:
-    """A generalized radial map with a closed-form profile is evaluated from
-    its stencil's norms and unit vectors and the kept profile values, with
-    the bits of ``map_eval_many`` on the stencil's points."""
+    """A generalized radial map is evaluated from its stencil's norms and
+    unit vectors and its profile values, with the bits of ``map_eval_many``
+    on the stencil's points."""
 
     @staticmethod
     def _maps(pair):
@@ -503,9 +502,13 @@ class TestPolarRoute:
     def test_same_bits_as_the_sampled_route(self, canonical_pair, orders, weighted):
         # the sampled map sends the stencil's points to map_eval_many; cold
         # builds the stencil, the polar form and the profile values, warm
-        # finds them kept
+        # finds them kept, but for a sampled profile's values
         pair = canonical_pair
-        for f in self._maps(pair):
+        rotated = self._maps(pair)[0]
+        grid = make_radial_grid(pair.domain, 64)
+        profile = SampledProfile(grid, rotated.profile.eval(grid.nodes))
+        sampled_profile = GeneralizedRadialMap(profile, rotated.rotation)
+        for f in (*self._maps(pair), sampled_profile):
             for views in ((_same,), (_same, sphere_inversion(0.5))):
                 sampled = _fd_energies(as_sampled_map(f), pair, *orders, weighted, views)
                 _fd_stencil.cache_clear()
@@ -522,7 +525,7 @@ class TestPolarRoute:
     def test_norms_outside_the_range_take_the_generic_route(self, radii):
         pair = AnnulusPair.from_radii(*radii)
         f, _, _ = self._maps(pair)
-        assert _fd_polar(_fd_stencil(pair.domain, 9, 4)) is None
+        assert _fd_stencil(pair.domain, 9, 4).polar is None
         for weighted in (True, False):
             for views in ((_same,), (_same, sphere_inversion(0.5))):
                 expect = _outcome(lambda: _fd_energies(as_sampled_map(f), pair, 9, 4, weighted,
@@ -532,8 +535,8 @@ class TestPolarRoute:
     def test_polar_forms_are_read_only_and_evicted_with_their_stencils(self, canonical_pair):
         domain = canonical_pair.domain
         stencil = _fd_stencil(domain, 9, 4)
-        polar = _fd_polar(stencil)
-        assert _fd_polar(_fd_stencil(Annulus(domain.inner, domain.outer), 9, 4)) is polar
+        polar = stencil.polar
+        assert _fd_stencil(Annulus(domain.inner, domain.outer), 9, 4).polar is polar
         for arr in polar[:2]:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
@@ -542,7 +545,7 @@ class TestPolarRoute:
         _fd_stencil(domain, 9, 16)
         rebuilt = _fd_stencil(domain, 9, 4)
         assert rebuilt is not stencil and "polar" not in vars(rebuilt)
-        assert _fd_polar(rebuilt) is not polar
+        assert rebuilt.polar is not polar
 
     def test_profile_values_are_kept_for_two_closed_forms(self, canonical_pair):
         pair = canonical_pair
@@ -554,15 +557,32 @@ class TestPolarRoute:
         _fd_stencil.cache_clear()
         for profile in (inc, dec, harmonic, sampled, dec):
             _fd_energies(GeneralizedRadialMap(profile), pair, 9, 4, True)
-        polar = _fd_polar(_fd_stencil(pair.domain, 9, 4))
+        polar = _fd_stencil(pair.domain, 9, 4).polar
         kept = polar[2]
-        # the oldest goes first; a sampled profile takes map_eval_many
+        # the oldest goes first; a sampled profile's values are not kept
         assert list(kept) == [dec, harmonic]
         for h in kept.values():
             with pytest.raises(ValueError, match="read-only"):
                 h[0] = 0.0
         # a profile equal by value finds the same values
         assert _profile_values(polar, ExponentialProfile(dec.a, dec.b, dec.t0)) is kept[dec]
+
+
+    def test_sampled_profile_values_are_never_kept(self, canonical_pair):
+        # a sampled profile's values array is writable, so an edit between two
+        # energies must reach the second: doubling H quadruples the plain energy
+        pair = canonical_pair
+        grid = make_radial_grid(pair.domain, 64)
+        inc = exp_profile_from_boundary(pair, "increasing")
+        profile = SampledProfile(grid, inc.eval(grid.nodes))
+        f = GeneralizedRadialMap(profile, random_mobius(np.random.default_rng(5)))
+        _fd_stencil.cache_clear()
+        [first] = _fd_energies(f, pair, 9, 4, False)
+        profile.values[:] *= 2.0
+        [again] = _fd_energies(f, pair, 9, 4, False)
+        fresh = GeneralizedRadialMap(SampledProfile(grid, profile.values.copy()), f.rotation)
+        assert again == _fd_energies(fresh, pair, 9, 4, False)[0] == 4.0 * first
+        assert _fd_stencil(pair.domain, 9, 4).polar[2] == {}
 
 
 class TestFDStep:

@@ -240,6 +240,18 @@ class TestThinShells:
         assert report.passed, [r for r in report.results if not r.passed]
 
 
+class TestTinyShells:
+    """Shells whose stencil norms lie below 1e-150, where the sphere action
+    checks unit length and the FD route takes ``map_eval_many``."""
+
+    # width (R^2 + R r + r^2) underflowed to 0 in the twisted members' twist
+    # rate, and the suite raised ZeroDivisionError
+    @pytest.mark.parametrize("radii", [(1e-151, 1e-149, 1.0, 2.0), (1e-152, 1e-150, 1.0, 2.0)])
+    def test_suite_passes(self, radii):
+        report = run_suite(VerifyConfig(pair=AnnulusPair.from_radii(*radii), seed=1))
+        assert report.passed, [r for r in report.results if not r.passed]
+
+
 class TestPinnedReports:
     """Every row of four seeds' reports, bit for bit, against the pinned
     rows: the CLI's JSON rounds to 13 digits, so it cannot pin them."""
