@@ -53,7 +53,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .geometry import Annulus, AnnulusPair, _log_ratio, gauss_legendre, make_sphere_quadrature
+from .geometry import Annulus, AnnulusPair, gauss_legendre, make_sphere_quadrature
 from .geometry import _four_pi_times, _log_width, _radii, _squared_norms, row_norms
 from .maps import (
     AnnulusMap,
@@ -529,7 +529,7 @@ def _min_weighted_energy(pair: AnnulusPair) -> Fraction:
     # ell = l_n / l_d and R - r = w / (r_d R_d) the sum is
     # (2 w^2 l_d^2 + r_n R_n l_n^2 r_d R_d) / (r_d R_d l_d^2 w)
     (r, r_d), (R, R_d) = pair.r.as_integer_ratio(), pair.R.as_integer_ratio()
-    ell, l_d = _log_ratio(pair.R_star, pair.r_star).as_integer_ratio()
+    ell, l_d = _log_width(pair.target).as_integer_ratio()
     w_d, l_d2 = r_d * R_d, l_d * l_d
     w = R * r_d - r * R_d
     return Fraction(2 * w * w * l_d2 + r * R * ell * ell * w_d, w_d * l_d2 * w)

@@ -56,21 +56,14 @@ class Annulus:
         return self.inner == self.outer
 
 
-def _log_ratio(hi: float, lo: float) -> float:
-    """``log(hi / lo)`` of two positive radii."""
-    ratio = hi / lo
-    if 0.0 < ratio < math.inf:
-        return math.log(ratio)
-    # the quotient leaves the float range for extreme radii; its log does not
-    return math.log(hi) - math.log(lo)
-
-
 def _log_width(annulus: Annulus) -> float:
     """``log(R / r)`` of a shell: ``log1p((R - r) / r)``, which keeps every
     digit on thin shells, or ``log R - log r`` where ``(R - r) / r`` leaves
     the float range."""
     ratio = (annulus.outer - annulus.inner) / annulus.inner
-    return math.log1p(ratio) if ratio < math.inf else _log_ratio(annulus.outer, annulus.inner)
+    if ratio < math.inf:
+        return math.log1p(ratio)
+    return math.log(annulus.outer) - math.log(annulus.inner)
 
 
 def _radii(annulus: Annulus, s: np.ndarray) -> np.ndarray:

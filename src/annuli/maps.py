@@ -19,7 +19,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .geometry import AnnulusPair, RadialGrid, _as_points, _log_ratio, _profile_coefficient
+from .geometry import AnnulusPair, RadialGrid, _as_points, _log_width, _profile_coefficient
 from .geometry import _squared_norms, row_norms
 from .sphere_maps import MobiusTransform, _apply_to_units, _unit_safe
 
@@ -172,7 +172,7 @@ def exp_profile_from_boundary(pair: AnnulusPair, orientation: str = "increasing"
     stays between 0 and ``ell``.  ``b = -ell r R / (R - r)`` is exact on the
     float radii and rounded once; ``geometry._profile_coefficient`` checks it.
     """
-    ell = Fraction(_log_ratio(pair.R_star, pair.r_star))
+    ell = Fraction(_log_width(pair.target))
     if orientation == "increasing":
         lo = pair.r_star
     elif orientation == "decreasing":

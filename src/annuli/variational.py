@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, EvaluationError
-from .geometry import AnnulusPair, RadialGrid, _log_ratio, make_radial_grid
+from .geometry import AnnulusPair, RadialGrid, _log_width, make_radial_grid
 from .maps import SampledProfile, _ClosedFormProfile, exp_profile_from_boundary
 
 _FOUR_PI = 4.0 * math.pi
@@ -159,12 +159,21 @@ def _closed_form_sup_error(pair: AnnulusPair, grid: RadialGrid, values: np.ndarr
 
 def _solution_from_k(pair: AnnulusPair, grid: RadialGrid, k: np.ndarray,
                      iterations: int, converged: bool) -> DiscreteSolution:
-    """Solution for the nodal ``K`` values."""
-    values = np.exp(k)
-    values[0] = pair.r_star
-    values[-1] = pair.R_star
-    profile = SampledProfile(grid=grid, values=values)
+    """Solution for the nodal values of ``K = log(H / r_star)``, which rise
+    from 0 to ``span = log(R_star / r_star)``; ``k``, the solver's own
+    array, becomes the profile's values."""
     energy = _energy_from_coefficients(grid._stiffness, k, grid)
+    span = k[-1]
+    # H from the nearer end, r* e^K or R* e^(K - span), which keeps the digits
+    # of thin shells far from 1 and never overflows: e^709.7 is finite, and
+    # e^(709.7 - span) is not 0 even where a subnormal r* gives span > 1419.4.
+    # Both ends come out exact, r* e^0 and R* e^0.
+    i = int(np.searchsorted(k, min(0.5 * span, 709.7)))
+    k[i:] -= span
+    np.exp(k, out=k)
+    k[:i] *= pair.r_star
+    k[i:] *= pair.R_star
+    profile = SampledProfile(grid=grid, values=k)
     return DiscreteSolution(profile, energy, iterations, converged, pair)
 
 
@@ -178,15 +187,15 @@ def _constant_solution(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolution:
 def _discrete_minimize(pair: AnnulusPair, grid: RadialGrid, solve) -> DiscreteSolution:
     """The steps both discrete solvers share: check the grid, answer a
     degenerate target with the constant profile, and otherwise run
-    ``solve(grid, a, k0, kn) -> (k, iterations, converged)`` on the
-    interval stiffness ``a`` and the boundary values ``k0, kn`` of
-    ``K = log H``."""
+    ``solve(grid, a, span) -> (k, iterations, converged)`` on the interval
+    stiffness ``a`` for ``K = log(H / r_star)``, which runs from 0 to
+    ``span = log(R_star / r_star)``: anchored at 0, ``K`` carries no
+    rounding of ``log r_star``."""
     if grid.annulus != pair.domain:
         raise DomainError(f"grid on {grid.annulus!r}, not on {pair.domain!r}")
     if pair.r_star == pair.R_star:
         return _constant_solution(pair, grid)
-    a = grid._stiffness
-    k, iterations, converged = solve(grid, a, math.log(pair.r_star), math.log(pair.R_star))
+    k, iterations, converged = solve(grid, grid._stiffness, _log_width(pair.target))
     return _solution_from_k(pair, grid, k, iterations, converged)
 
 
@@ -202,14 +211,13 @@ def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolu
     return _discrete_minimize(pair, grid, _direct_k)
 
 
-def _direct_k(grid: RadialGrid, a: np.ndarray, k0: float, kn: float):
+def _direct_k(grid: RadialGrid, a: np.ndarray, span: float):
     rhs = np.zeros(grid.nodes.size - 2)
-    rhs[0] = a[0] * k0
-    rhs[-1] = a[-1] * kn
+    rhs[-1] = a[-1] * span
     # the kernel ignores the first lower and the last upper entry
     off = np.negative(a)
     y = _kernels.thomas_solve(off[:-1], a[:-1] + a[1:], off[1:], rhs)
-    return np.concatenate([[k0], y, [kn]]), 1, True
+    return np.concatenate([[0.0], y, [span]]), 1, True
 
 
 def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolution:
@@ -234,9 +242,9 @@ def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSo
     return _discrete_minimize(pair, grid, _cg_k)
 
 
-def _cg_k(grid: RadialGrid, a: np.ndarray, k0: float, kn: float):
+def _cg_k(grid: RadialGrid, a: np.ndarray, span: float):
     t = grid.nodes
-    k = k0 + (t - t[0]) / (t[-1] - t[0]) * (kn - k0)
+    k = (t - t[0]) / (t[-1] - t[0]) * span
     # the kernel minimizes Q = E / (4 pi) - const, so rescale the
     # gradient tolerance accordingly
     iters, converged = _kernels.gd_quadratic(a, k, _CG_MAX_ITER, _CG_TOL / _FOUR_PI)
@@ -293,7 +301,7 @@ def shoot_el(pair: AnnulusPair) -> ShootingResult:
         raise _shooting_error(pair, f"R / r needs more than {_MAX_STEPS} RK4 steps; "
                                     "the domain is too wide")
     n = max(_MIN_STEPS, math.ceil(wide))
-    log_ratio = _log_ratio(R_star, r_star)
+    log_ratio = _log_width(pair.target)
     p0 = log_ratio * (R / r) / (R - r)
     unit = _kernels.rk4_shoot(r, R, 1.0, p0, n)
     sweeps = 1

@@ -11,12 +11,13 @@ not serialized).
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import numbers
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -35,11 +36,10 @@ from .energy import (
     reduced_energy,
     weighted_energy,
 )
-from .errors import ConfigError
+from .errors import ConfigError, EvaluationError
 from .geometry import (
     Annulus,
     AnnulusPair,
-    _log_ratio,
     _log_width,
     make_radial_grid,
     make_sphere_quadrature,
@@ -212,7 +212,7 @@ def _fd_radial_order(annulus: Annulus) -> int:
 
     so the FD step, not the quadrature, sets the error at this order.
     """
-    return 8 + math.ceil(_log_ratio(annulus.outer, annulus.inner))
+    return 8 + math.ceil(_log_width(annulus))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +300,7 @@ def _twisted_minimizer(pair: AnnulusPair, rng: np.random.Generator) -> tuple[Sam
     the twist term a log-uniform fraction in [1e-3, 1e-1] of ``E_min``.  ``T0`` acts
     by its 3x3 matrix and ``Rot_z`` through ``tan(theta / 2)``, as column sums."""
     r, R, width = pair.r, pair.R, pair.domain.width
-    ell = _log_ratio(pair.R_star, pair.r_star)
+    ell = _log_width(pair.target)
     log_rs, k = math.log(pair.r_star), ell * R / width
     # a unit quaternion as an SU(2) matrix, which acts as a rotation
     q = rng.normal(size=4)
@@ -310,15 +310,10 @@ def _twisted_minimizer(pair: AnnulusPair, rng: np.random.Generator) -> tuple[Sam
     eps = rng.uniform(0.0, 1.0) * ell * r / R
     target = analytic_min_weighted_energy(pair)
     twist = target * 10.0 ** rng.uniform(-3.0, -1.0)
-    # the twist rate whose term (8 pi / 9) c^2 (R^3 - r^3) is `twist`; where
-    # width (R^2 + R r + r^2) is not a positive normal float, R is taken out
-    # of the root
-    cube = width * (R * R + R * r + r * r)
-    if sys.float_info.min <= cube < math.inf:
-        c = math.sqrt(9.0 * twist / (8.0 * math.pi * cube))
-    else:
-        q = r / R
-        c = math.sqrt(9.0 * twist / (8.0 * math.pi * width)) / (R * math.sqrt(1.0 + q + q * q))
+    # the twist rate whose term (8 pi / 9) c^2 (R^3 - r^3) is `twist`; on the
+    # unit-scale pairs of the checks width (R^2 + R r + r^2) is a positive
+    # normal float wherever the FD route can evaluate the member
+    c = math.sqrt(9.0 * twist / (8.0 * math.pi * width * (R * R + R * r + r * r)))
     # T0 is linear: row k of `m` is the image of the axis e_k
     m = mobius_apply_points(rot, np.eye(3))
 
@@ -402,64 +397,88 @@ def _discrete_convergence(pair: AnnulusPair, target: float) -> CheckResult:
         gaps[-1] / target, 0.0, 1e-5, detail)
 
 
+@contextlib.contextmanager
+def _at_unit_scale(pair: AnnulusPair):
+    """``(pair', e, e*)``: ``pair`` with its domain scaled by ``2^-e`` and its
+    target by ``2^-e*``, each ``e = (frexp(r)[1] + frexp(R)[1]) // 2 - 1`` of its
+    shell, so that the radii lie about 1 and ``DEFAULT_PAIR`` keeps ``e = e* = 0``.
+
+    The weighted energy does not change under ``f -> 2^-e* f`` and scales by
+    ``2^-e`` under ``x -> 2^-e x``, so a check reads the same relative values
+    on ``pair'``, and scaling by a power of two changes no bit.  There only
+    the widths ``R / r`` and ``R* / r*``, not where the shells sit, can take a
+    value out of the float range.  An :class:`EvaluationError` raised inside
+    names radii of ``pair'`` and says so.
+    """
+    # a subnormal r can take R past the float maximum: e is then the least
+    # that keeps 2^-e R finite
+    e, es = (max((math.frexp(a.inner)[1] + math.frexp(a.outer)[1]) // 2 - 1,
+                 math.frexp(a.outer)[1] - 1024) for a in (pair.domain, pair.target))
+    try:
+        yield AnnulusPair.from_radii(math.ldexp(pair.r, -e), math.ldexp(pair.R, -e),
+                                     math.ldexp(pair.r_star, -es),
+                                     math.ldexp(pair.R_star, -es)), e, es
+    except EvaluationError as exc:
+        raise EvaluationError(f"{exc} (radii at unit scale: the domain's times 2^{-e}, the "
+                              f"target's times 2^{-es})") from None
+
+
 def check_minimal_energy(config: VerifyConfig) -> list[CheckResult]:
     """Minimal-energy value, minimizer structure, and the lower bound
     against perturbed competitors: piecewise-linear radial profiles and
     twisted minimizers, whose exact energy (see ``_twisted_minimizer``)
-    exceeds ``E_min`` by at least 1e-3 of it."""
-    pair = config.pair
-    rng = np.random.default_rng([config.seed, 1])
-    results: list[CheckResult] = []
-    target = analytic_min_weighted_energy(pair)
+    exceeds ``E_min`` by at least 1e-3 of it.  The check runs at unit
+    scale (see ``_at_unit_scale``); the two rows that read absolute values
+    report them in the units of ``config.pair``."""
+    with _at_unit_scale(config.pair) as (pair, e, es):
+        rng = np.random.default_rng([config.seed, 1])
+        results: list[CheckResult] = []
+        target = analytic_min_weighted_energy(pair)
 
-    transforms = [MobiusTransform.identity()] + [random_mobius(rng) for _ in range(3)]
-    worst = 0.0
-    for orientation in ("increasing", "decreasing"):
-        profile = exp_profile_from_boundary(pair, orientation)
-        for t in transforms:
-            rep = weighted_energy(GeneralizedRadialMap(profile, t), pair,
-                                  _RADIAL_ORDER, _SPHERE_ORDER, refine=False)
-            worst = max(worst, abs(rep.value - target) / target)
-    results.append(_equality(
-        "minimal-energy-analytic-vs-numeric", worst, 0.0, _CLOSED_FORM_TOL,
-        "max relative gap over both minimizers and 4 rotations"))
+        transforms = [MobiusTransform.identity()] + [random_mobius(rng) for _ in range(3)]
+        worst = 0.0
+        for orientation in ("increasing", "decreasing"):
+            profile = exp_profile_from_boundary(pair, orientation)
+            for t in transforms:
+                rep = weighted_energy(GeneralizedRadialMap(profile, t), pair,
+                                      _RADIAL_ORDER, _SPHERE_ORDER, refine=False)
+                worst = max(worst, abs(rep.value - target) / target)
+        results.append(_equality(
+            "minimal-energy-analytic-vs-numeric", worst, 0.0, _CLOSED_FORM_TOL,
+            "max relative gap over both minimizers and 4 rotations"))
 
-    inc = exp_profile_from_boundary(pair, "increasing")
-    dec = exp_profile_from_boundary(pair, "decreasing")
-    ts = np.linspace(pair.r, pair.R, 101)
-    # in units of 4^k, about r* R*, so that neither the products nor r* R* leave
-    # the float range; scaling by a power of two changes no bit
-    k = (math.frexp(pair.r_star)[1] + math.frexp(pair.R_star)[1]) // 2
-    gap = (np.ldexp(inc.eval(ts), -k) * np.ldexp(dec.eval(ts), -k)
-           - math.ldexp(pair.r_star, -k) * math.ldexp(pair.R_star, -k))
-    try:
-        prod_err = math.ldexp(float(np.max(np.abs(gap))), 2 * k)
-    except OverflowError:
-        prod_err = math.inf
-    results.append(_equality(
-        "minimizer-profiles-multiply-to-constant", prod_err, 0.0,
-        1e-12 * pair.r_star * pair.R_star))
+        inc = exp_profile_from_boundary(pair, "increasing")
+        dec = exp_profile_from_boundary(pair, "decreasing")
+        ts = np.linspace(pair.r, pair.R, 101)
+        prod_err = float(np.max(np.abs(inc.eval(ts) * dec.eval(ts) - pair.r_star * pair.R_star)))
+        # decided at unit scale, where r* R* is about 1; the error and the
+        # tolerance are 4^e* times larger in the pair's units, where they may
+        # leave the float range
+        row = _equality("minimizer-profiles-multiply-to-constant", prod_err, 0.0,
+                        1e-12 * pair.r_star * pair.R_star)
+        results.append(replace(row, observed=prod_err * 2.0**es * 2.0**es,
+                               tolerance=1e-12 * config.pair.r_star * config.pair.R_star))
 
-    fd_order = _fd_radial_order(pair.domain)
-    n_angular = _N_COMPETITORS // 3
-    n_radial = _N_COMPETITORS - n_angular
-    grid = make_radial_grid(pair.domain, 200)
-    min_gap = math.inf
-    for i in range(n_radial):
-        amp = rng.uniform(0.02, 0.5)
-        mode = int(rng.integers(1, 5))
-        prof = perturbed_profile(inc, amp, mode, seed=int(rng.integers(2**31)), grid=grid)
-        e = reduced_energy(prof, pair.domain)
-        min_gap = min(min_gap, e - target)
-    for i in range(n_angular):
-        f, _ = _twisted_minimizer(pair, rng)
-        rep = weighted_energy(f, pair, fd_order, _FD_ROTATION_SPHERE_ORDER, refine=False)
-        min_gap = min(min_gap, rep.value - target)
-    results.append(_lower_bound(
-        "competitor-energies-above-minimum", min_gap, 0.0, 1e-6,
-        f"{n_radial} radial and {n_angular} angular perturbations"))
+        fd_order = _fd_radial_order(pair.domain)
+        n_angular = _N_COMPETITORS // 3
+        n_radial = _N_COMPETITORS - n_angular
+        grid = make_radial_grid(pair.domain, 200)
+        min_gap = math.inf
+        for i in range(n_radial):
+            amp = rng.uniform(0.02, 0.5)
+            mode = int(rng.integers(1, 5))
+            prof = perturbed_profile(inc, amp, mode, seed=int(rng.integers(2**31)), grid=grid)
+            min_gap = min(min_gap, reduced_energy(prof, pair.domain) - target)
+        for i in range(n_angular):
+            f, _ = _twisted_minimizer(pair, rng)
+            rep = weighted_energy(f, pair, fd_order, _FD_ROTATION_SPHERE_ORDER, refine=False)
+            min_gap = min(min_gap, rep.value - target)
+        # energies scale by 2^e under x -> 2^e x
+        results.append(_lower_bound(
+            "competitor-energies-above-minimum", min_gap * 2.0**e, 0.0, 1e-6,
+            f"{n_radial} radial and {n_angular} angular perturbations"))
 
-    results.append(_discrete_convergence(pair, target))
+        results.append(_discrete_convergence(pair, target))
     return results
 
 
@@ -476,28 +495,28 @@ def check_inversion_invariance(config: VerifyConfig) -> list[CheckResult]:
     route for their own energy, so only their composition is
     differentiated, and the check doubles as a cross-check of the two
     quadrature paths; the tolerance is twice the FD energy tolerance,
-    one per route.
+    one per route.  The check runs at unit scale (see ``_at_unit_scale``).
     """
-    pair = config.pair
-    fd_order = _fd_radial_order(pair.domain)
-    mobius_orders = (fd_order, _FD_SPHERE_ORDER)
-    rotation_orders = (fd_order, _FD_ROTATION_SPHERE_ORDER)
-    rng = np.random.default_rng([config.seed, 2])
-    scales = (0.5, 1.0, pair.r_star * pair.R_star)
-    worst = 0.0
-    for i in range(_N_INVERSION_MAPS):
-        invert = sphere_inversion(scales[i % len(scales)])
-        if i % 3 == 0:
-            orientation = "increasing" if i % 2 == 0 else "decreasing"
-            f = GeneralizedRadialMap(exp_profile_from_boundary(pair, orientation),
-                                     random_mobius(rng))
-            # the decomposition route gives the energy of f itself
-            e_f = weighted_energy(f, pair, *mobius_orders, refine=False).value
-            [e_g] = _fd_energies(f, pair, *mobius_orders, True, (invert,))
-        else:
-            f, _ = _twisted_minimizer(pair, rng)
-            e_f, e_g = _fd_energies(f, pair, *rotation_orders, True, (_same, invert))
-        worst = max(worst, abs(e_f - e_g) / max(abs(e_f), 1.0))
+    with _at_unit_scale(config.pair) as (pair, _, _):
+        fd_order = _fd_radial_order(pair.domain)
+        mobius_orders = (fd_order, _FD_SPHERE_ORDER)
+        rotation_orders = (fd_order, _FD_ROTATION_SPHERE_ORDER)
+        rng = np.random.default_rng([config.seed, 2])
+        scales = (0.5, 1.0, pair.r_star * pair.R_star)
+        worst = 0.0
+        for i in range(_N_INVERSION_MAPS):
+            invert = sphere_inversion(scales[i % len(scales)])
+            if i % 3 == 0:
+                orientation = "increasing" if i % 2 == 0 else "decreasing"
+                f = GeneralizedRadialMap(exp_profile_from_boundary(pair, orientation),
+                                         random_mobius(rng))
+                # the decomposition route gives the energy of f itself
+                e_f = weighted_energy(f, pair, *mobius_orders, refine=False).value
+                [e_g] = _fd_energies(f, pair, *mobius_orders, True, (invert,))
+            else:
+                f, _ = _twisted_minimizer(pair, rng)
+                e_f, e_g = _fd_energies(f, pair, *rotation_orders, True, (_same, invert))
+            worst = max(worst, abs(e_f - e_g) / max(abs(e_f), 1.0))
     return [_equality("inversion-invariance-of-weighted-energy", worst, 0.0,
                       2.0 * _FD_ENERGY_REL_TOL,
                       f"{_N_INVERSION_MAPS} maps at scales 0.5; 1; r*R*")]

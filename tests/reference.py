@@ -34,7 +34,7 @@ from annuli import (
     tangent_frames,
 )
 from annuli.energy import _fd_stencil, _same
-from annuli.geometry import _log_ratio, _squared_norms
+from annuli.geometry import _log_width, _squared_norms
 from annuli.maps import sphere_inversion
 from annuli.verify import _MIN_RATIO
 
@@ -122,7 +122,7 @@ def projective_twisted_minimizer(pair, rng):
     ``np.sin``: ``T0`` goes through the projective sphere action and its
     unit check.  Returns the evaluator and the twist rate ``c``."""
     r, R, width = pair.r, pair.R, pair.domain.width
-    ell = _log_ratio(pair.R_star, pair.r_star)
+    ell = _log_width(pair.target)
     log_rs, k = math.log(pair.r_star), ell * R / width
     q = rng.normal(size=4)
     q /= math.hypot(*q)
@@ -151,7 +151,7 @@ def log_min_weighted_energy(pair) -> float:
     term of the sum is taken in logs."""
     r, R = pair.r, pair.R
     terms = [math.log(2.0) + math.log(R - r)]
-    ell = abs(_log_ratio(pair.R_star, pair.r_star))
+    ell = _log_width(pair.target)
     if ell > 0.0:
         terms.append(math.log(r) + math.log(R) + 2.0 * math.log(ell) - math.log(R - r))
     hi = max(terms)
@@ -237,7 +237,7 @@ def min_weighted_energy_fraction(pair) -> Fraction:
     """The weighted minimum over ``4 pi``, ``2 (R - r) + r R ell^2 / (R - r)``
     with ``ell = log(R* / r*)``, in ``Fraction`` arithmetic on the floats."""
     r, R = Fraction(pair.r), Fraction(pair.R)
-    ell = Fraction(_log_ratio(pair.R_star, pair.r_star))
+    ell = Fraction(_log_width(pair.target))
     return 2 * (R - r) + r * R * ell * ell / (R - r)
 
 

@@ -519,15 +519,18 @@ _ERROR_CAUSES = {
     # H' = -b H / t^2 overflows with H near the float maximum; H'/H is taken as -b / t^2
     "energy --r 1 --R 1e300 --rstar 3 --Rstar 1.7976931348623157e308":
         "error: EvaluationError: radial energy integral is not finite (nan): t^2 overflows",
-    # |f|^2 of the competitors' FD route overflows, with no warning before the line
+    # at unit scale R* / r* = 6e307 still sends the competitors' FD differences
+    # past the float range, with no warning before the line
     "verify --r 1 --R 2 --rstar 3 --Rstar 1.7976931348623157e308 --seed 1":
-        "error: EvaluationError: image norm left the float range at quadrature node",
-    "verify --r 1 --R 2 --rstar 1.6e308 --Rstar 1.7976931348623157e308 --seed 1":
-        "error: EvaluationError: perturbed profile exceeds the float range at t = 1.585",
-    # the FD weights w t^2 grow as t^3 and overflow, once with two warnings
-    "verify --r 1e100 --R 1e140 --rstar 1 --Rstar 2 --seed 1":
+        "error: EvaluationError: finite-difference energy is not finite (inf): the map's "
+        "differences leave the float range (radii at unit scale: the domain's times 2^0, the "
+        "target's times 2^-512)\n",
+    # the FD weights w t^2 grow as t^3 and overflow at R / r = 1e250 on any scale;
+    # the radius named is at unit scale, and the line says so
+    "verify --r 1 --R 1e250 --rstar 1 --Rstar 2 --seed 1":
         "error: EvaluationError: finite-difference quadrature weights w t^2 overflow at radii up "
-        "to 9.87158e+139;",
+        "to 1.17895e+125; the radii are too large for floating point (radii at unit scale: the "
+        "domain's times 2^-415, the target's times 2^0)\n",
     # a shell too thin for the FD rows, which misread there
     "verify --r 1 --R 1.0000000001 --rstar 1 --Rstar 2 --seed 1":
         "error: verify config field 'pair': the finite-difference step at R is 288.2 ulps of R, "
@@ -607,13 +610,11 @@ class TestNoTraceback:
         # r* R* overflowed in the product row and H(R) in exp, each with a warning
         (["verify", "--r", "1", "--R", "2", "--rstar", "3",
           "--Rstar", "1.7976931348623157e308", "--seed", "1"], 1),
-        # a radial competitor rises past the float maximum: it warned and exited 2
-        (["verify", "--r", "1", "--R", "2", "--rstar", "1.6e308",
-          "--Rstar", "1.7976931348623157e308", "--seed", "1"], 1),
         (["verify", "--r", "1", "--R", "1.0000000001", "--rstar", "1", "--Rstar", "2",
           "--seed", "1"], 2),
-        # the FD quadrature weights overflow: it warned twice and blamed the map
-        (["verify", "--r", "1e100", "--R", "1e140", "--rstar", "1", "--Rstar", "2",
+        # the FD quadrature weights overflow: on (1e100, 1e140) it warned twice and
+        # blamed the map
+        (["verify", "--r", "1", "--R", "1e250", "--rstar", "1", "--Rstar", "2",
           "--seed", "1"], 1),
     ])
     def test_exits_with_one_line_error(self, capsys, argv, expected):

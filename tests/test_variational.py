@@ -98,13 +98,15 @@ class TestDiscreteMinimization:
         assert sol.sup_error_vs_closed_form < 1e-12
 
     @pytest.mark.parametrize("spacing", ["uniform-in-t", "uniform-in-1/t"])
-    @pytest.mark.parametrize("n, bound", [(1000, 1e-11), (100_000, 1e-8)])
+    @pytest.mark.parametrize("n, bound", [(2, 1e-14), (1000, 1e-11), (100_000, 1e-8)])
     def test_matches_the_exact_discrete_minimizer(self, spacing, n, bound):
         # The minimizer of sum a_i (K_{i+1} - K_i)^2 puts K in proportion to
         # the running sum of 1/a_i; summed in long double it is exact to
         # float64 rounding.  Over 128 random pairs (seeds 101 and 7) the
         # worst log error of the solve was 3.4e-9 at n = 1e5 and 2.3e-12
-        # at n = 1e3, on either spacing.
+        # at n = 1e3, on either spacing.  With K anchored at log r* the one
+        # interior node of n = 2 lost the inner end's term, which the outer
+        # end's overwrote.
         rng = np.random.default_rng(101)
         for _ in range(6):
             pair = random_annulus_pair(rng)

@@ -12,6 +12,7 @@ from annuli import (
     AnnulusPair,
     ConfigError,
     DomainError,
+    EvaluationError,
     GeneralizedRadialMap,
     VerifyConfig,
     analytic_min_weighted_energy,
@@ -241,8 +242,8 @@ class TestThinShells:
 
 
 class TestTinyShells:
-    """Shells whose stencil norms lie below 1e-150, where the sphere action
-    checks unit length and the FD route takes ``map_eval_many``."""
+    """Shells near 1e-150, which the pair-reading checks run at unit scale;
+    ``test_energy`` takes the FD route below 1e-150 itself."""
 
     # width (R^2 + R r + r^2) underflowed to 0 in the twisted members' twist
     # rate, and the suite raised ZeroDivisionError
@@ -250,6 +251,40 @@ class TestTinyShells:
     def test_suite_passes(self, radii):
         report = run_suite(VerifyConfig(pair=AnnulusPair.from_radii(*radii), seed=1))
         assert report.passed, [r for r in report.results if not r.passed]
+
+
+class TestUnitScale:
+    """The two checks that read the pair run it at unit scale, so a pair's
+    position matters only through the float range, not to the rows."""
+
+    # each failed or raised before the suite ran at unit scale: the first read
+    # 2.06e-5 against 1e-5 in the convergence row, the second a false
+    # counterexample of -2.5e85 in the competitor row
+    @pytest.mark.parametrize("radii", [
+        (8.0, 8.0000003, 1e28, 1.00000002e28),
+        (1e80, 1e84, 1e-89, 1.0002e-89),
+        (1.0, 2.0, 1.0, 1e160),
+        (1e100, 1e140, 1.0, 2.0),
+        (1.0, 2.0, 1.6e308, 1.7976931348623157e308),
+        (1e-300, 2e-300, 1e300, 3e300),
+        (1e300, 1.5e300, 1e-300, 1e-299),
+        (1e250, 1.000001e250, 1e-250, 5e-250),
+        (3e-200, 1e-180, 7e150, 9e150),
+        (1e200, 1.00001e200, 1e-200, 1.0000001e-200),
+        (2e-308, 3e-308, 1e-5, 1e5),
+        (1e-160, 1e-150, 1e307, 1.7e308),
+    ])
+    def test_pairs_over_600_decades_pass(self, radii):
+        report = run_suite(VerifyConfig(pair=AnnulusPair.from_radii(*radii), seed=1))
+        assert report.passed, [r for r in report.results if not r.passed]
+
+    def test_too_wide_a_domain_raises_one_error_in_unit_scale_radii(self):
+        # R / r = 1e250 on any scale: the FD weights overflow at the unit-scale
+        # radius 1.58e125, which is 1e-50 in the pair's units
+        with pytest.raises(EvaluationError, match=r"at radii up to 1\.57906e\+125; .* \(radii at "
+                                                  r"unit scale: the domain's times 2\^582, the "
+                                                  r"target's times 2\^0\)$"):
+            run_suite(VerifyConfig(pair=AnnulusPair.from_radii(1e-300, 1e-50, 1.0, 2.0), seed=1))
 
 
 class TestPinnedReports:
@@ -532,12 +567,19 @@ class TestProductRow:
     @pytest.mark.parametrize("radii", [(1.0, 2.0, 1.0, math.e), (1.0, 2.0, 1e-5, 1e5),
                                        (1e-3, 1.0, 1.0, 2.0)])
     def test_scaled_products_keep_every_bit(self, radii):
-        pair = AnnulusPair.from_radii(*radii)
+        # the plain products on the unit-scale pair, 2^-e on the domain and
+        # 2^-e* on the target, with the error scaled back by 4^e*
+        e, es = [(math.frexp(lo)[1] + math.frexp(hi)[1]) // 2 - 1
+                 for lo, hi in (radii[:2], radii[2:])]
+        pair = AnnulusPair.from_radii(math.ldexp(radii[0], -e), math.ldexp(radii[1], -e),
+                                      math.ldexp(radii[2], -es), math.ldexp(radii[3], -es))
         inc = exp_profile_from_boundary(pair, "increasing")
         dec = exp_profile_from_boundary(pair, "decreasing")
         ts = np.linspace(pair.r, pair.R, 101)
         plain = np.max(np.abs(inc.eval(ts) * dec.eval(ts) - pair.r_star * pair.R_star))
-        assert self._row(pair).observed == float(plain)
+        row = self._row(AnnulusPair.from_radii(*radii))
+        assert row.observed == math.ldexp(float(plain), 2 * es)
+        assert row.tolerance == 1e-12 * radii[2] * radii[3]
 
     def test_target_at_the_float_maximum(self, monkeypatch):
         # r* R* is 3 times the float maximum, and the plain products overflowed;
@@ -583,6 +625,37 @@ class TestDiscreteConvergence:
             pair = random_annulus_pair(rng)
             row = verify._discrete_convergence(pair, analytic_min_weighted_energy(pair))
             assert row.passed, (pair, row.observed)
+
+    # the 12 thin pairs of 120 draws (r, r (1 + w), r*, r* (1 + w*)) from
+    # default_rng(2026), r and r* 10^U(-30, 30), w and w* 10^U(-8, 4); with K
+    # anchored at log r* and log(R* / r*) read off a rounded quotient the gap
+    # grew under refinement or fell below -1e-9 of the minimum
+    @pytest.mark.parametrize("radii", [
+        (13048701746.798008, 13048706272.647652, 6.302380964717613e-14, 6.302381120359035e-14),
+        (1.145110841304438e-24, 1.1451292589753368e-24, 7.36830044699992e+24,
+         7.368793339606232e+24),
+        (142354.39266062694, 142355.4357180724, 11989345178.636406, 11989349258.7487),
+        (8.26234646335187e-09, 8.262346735115722e-09, 8.359035904964219e+27,
+         8.359036098933917e+27),
+        (1.5805905301260298e+21, 1.580592162062459e+21, 4.852576047528796e+18,
+         4.852750685615371e+18),
+        (1.950488077639436e-22, 1.950488116474724e-22, 0.4779718651387031, 0.47797190455376665),
+        (1.1555395088093709e-23, 1.1555471095121987e-23, 3.308155203668818e+29,
+         3.308158130034309e+29),
+        (451710472.932948, 451711624.32821536, 7.876933150520702, 7.876933274648963),
+        (4.309020557555021e+29, 4.3090357234576836e+29, 2.697420567594312e-08,
+         2.697420924859024e-08),
+        (1.2032498127823817e-17, 1.203263237536881e-17, 5.279868944751013e-07,
+         5.279869079366653e-07),
+        (2.7312060518888944e-13, 2.7312226822109454e-13, 7.33872886763932e-11,
+         7.338729244305478e-11),
+        (2.6765599618934225e-13, 2.676565749508356e-13, 1998918627399233.2,
+         1998927235176351.2),
+    ])
+    def test_row_passes_on_thin_shells(self, radii):
+        pair = AnnulusPair.from_radii(*radii)
+        row = verify._discrete_convergence(pair, analytic_min_weighted_energy(pair))
+        assert row.passed, row.observed
 
     def test_thin_shell_says_its_refinement_is_below_float_resolution(self):
         # on (1, 1 + 1e-6) the gap on 1000 intervals is about 3e-19 of the
