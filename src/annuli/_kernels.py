@@ -20,14 +20,17 @@ and fixed step, by position.
 
 Contract: points are ``(N, 3)`` float64 arrays, other array inputs are
 1-D float64 (the tridiagonal solve raises ``NotImplementedError`` for
-another dtype), and a tridiagonal system is symmetric positive definite
-or strictly diagonally dominant by rows.
-Every ``variational`` caller passes a symmetric positive-definite system,
-as ``geometry.RadialGrid._stiffness`` guarantees; the kernel tests
-and ``perfbench/micro.py`` pass nonsymmetric, strictly diagonally
-dominant ones.  Cyclic reduction needs no pivoting on either class.  A
-zero pivot of the tridiagonal solve raises ``ZeroDivisionError``, where
-numpy would return ``inf`` or ``nan``.
+another dtype), and a tridiagonal system is symmetric positive definite,
+the negation of one, or strictly diagonally dominant by rows.
+The ``variational`` direct route passes the negation of the symmetric
+positive-definite system that ``geometry.RadialGrid._stiffness``
+guarantees, whose off-diagonals are the stiffness itself; the kernel
+tests and ``perfbench/micro.py`` pass nonsymmetric, strictly diagonally
+dominant ones.  Cyclic reduction needs no pivoting on any of these: on a
+negated system every intermediate is the exact negation of the one on
+the system itself, so the solution has the same bits.  A zero pivot of
+the tridiagonal solve raises ``ZeroDivisionError``, where numpy would
+return ``inf`` or ``nan``.
 """
 from __future__ import annotations
 
@@ -160,9 +163,9 @@ def rk4_shoot(r, R, h0, slope, n_steps, *_):
 # with lower[0] and upper[-1] ignored: no step reads them, so they may
 # hold nan.  The four inputs are 1-D float64 arrays; another dtype raises
 # NotImplementedError.  Every step is an elementwise ufunc, so strided
-# views give the bits of contiguous copies.  The systems here are SPD and
-# diagonally dominant, so no pivoting is needed and no pivot is zero; a
-# zero pivot raises ZeroDivisionError.
+# views give the bits of contiguous copies.  The systems here are SPD, the
+# negation of an SPD one, or diagonally dominant, so no pivoting is needed
+# and no pivot is zero; a zero pivot raises ZeroDivisionError.
 #
 # Odd-even cyclic reduction (Hockney 1965; stable for diagonally dominant
 # systems, Heller 1976, SIAM J. Numer. Anal. 13).  Each odd row takes its
@@ -177,8 +180,10 @@ def rk4_shoot(r, R, h0, slope, n_steps, *_):
 # output is the scratch of the reduction, the solution is written
 # straight into strided views of it, and the lower diagonal of the level
 # below, no longer needed, is the scratch of the back substitution; so a
-# solve allocates 3 n floats in all.  The output is allocated first, so
-# the buffers freed on return leave no hole below a live array.
+# solve allocates 2 n floats of scratch, plus the n of the output unless
+# the caller passes it as ``out``.  The output is allocated before the
+# scratch, so the buffers freed on return leave no hole below a live
+# array; a caller that passes ``out`` allocates it before the system.
 
 
 def _require_pivots(beta):
@@ -230,11 +235,15 @@ def _substitute(system, x, scratch):
     even /= dg[::2]
 
 
-def thomas_solve(lower, diag, upper, rhs):
+def thomas_solve(lower, diag, upper, rhs, out=None):
+    """The solution ``x`` of the system, written to ``out`` when given: a
+    1-D float64 array of ``n`` entries that overlaps no input, returned."""
     if any(v.dtype != np.float64 for v in (lower, diag, upper, rhs)):
         raise NotImplementedError("the tridiagonal solve takes float64 arrays only")
     n = diag.shape[0]
-    x = np.empty(n)
+    if out is not None and (out.dtype != np.float64 or out.shape != (n,)):
+        raise ValueError(f"out must be float64 of shape {(n,)}, not {out.dtype} {out.shape}")
+    x = np.empty(n) if out is None else out
     levels = [((lower, diag, upper, rhs), x)]
     reduced = np.empty((4, n // 2))
     while reduced.shape[1]:

@@ -64,7 +64,7 @@ from .maps import (
     _ClosedFormProfile,
     map_eval_many,
 )
-from .sphere_maps import _apply_to_units, _unit_safe, conformal_stretch_points
+from .sphere_maps import _apply_to_units, _lorentz, _unit_safe, conformal_stretch_points
 
 # central-difference step of the FD route, relative to the radius t
 _FD_STEP = 1e-5
@@ -415,7 +415,8 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     form instead, where there is one: each chunk's image is
     ``sphere_maps._apply_to_units`` of the kept unit vectors and the
     profile values (:func:`_profile_values`), with the affine rows, the
-    image and their scratch in one buffer allocated per energy.  These are
+    image and their scratch in one buffer allocated per energy, and the
+    action's Lorentz matrix fetched once per energy.  These are
     ``map_eval_many``'s steps on the same points, each point by point, so
     the values have its bits.  Such a map's action cannot raise; a sampled
     profile's domain error comes before any chunk is differenced.
@@ -442,8 +443,9 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
             _, units, _ = polar
             h = _profile_values(polar, f.profile)
             # the affine rows of the sphere action, the image in rows 1-3, and
-            # their scratch
+            # their scratch; the action's matrix, fetched once for every chunk
             rows = np.empty((2, 4, n_sets * chunk))
+            lor = _lorentz(f.rotation)
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
             m = hi - lo
@@ -454,7 +456,7 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
             else:
                 span = slice(7 * lo, 7 * lo + n_sets * m)
                 batch = _apply_to_units(f.rotation, units[:, span].T, h[span], True,
-                                        *rows[:, :, :n_sets * m])
+                                        *rows[:, :, :n_sets * m], lor=lor)
             if weighted:
                 vals[lo:hi] = batch[6 * m:]
             d = diff[:9 * m].reshape(3, 3, m)

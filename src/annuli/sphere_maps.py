@@ -94,22 +94,30 @@ def _unit_safe(norms: np.ndarray) -> bool:
     return bool(norms.size) and 1e-150 <= norms.min() and norms.max() <= 1e150
 
 
+def _lorentz(t: MobiusTransform) -> np.ndarray:
+    """The kernel's read-only Lorentz matrix of ``t``."""
+    return _kernels._lorentz(t.a, t.b, t.c, t.d)
+
+
 def _apply_to_units(t: MobiusTransform, units: np.ndarray, scale: np.ndarray, safe: bool,
-                    out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
+                    out: np.ndarray | None = None, term: np.ndarray | None = None,
+                    lor: np.ndarray | None = None) -> np.ndarray:
     """``scale[i] T(units[i])`` for the rows of an ``(N, 3)`` float array
     that the caller has divided by their norms: the value ``H(t) T(u)`` of
     a generalized radial map.  ``safe`` is :func:`_unit_safe` of those
     norms; unsafe rows take the public action's unit check.  Safe rows go
     to the kernel's Lorentz action, written to rows 1-3 of the ``(4, N)``
-    buffer ``out`` when given, with ``term`` of its shape as the scratch;
-    the identity multiplies ``units`` by ``scale`` alone, as the kernel
-    would give the same bits but for the sign of an exact zero."""
+    buffer ``out`` when given, with ``term`` of its shape as the scratch,
+    and with ``lor``, :func:`_lorentz` of ``t``, when the caller has
+    fetched it once for many calls; the identity multiplies ``units`` by
+    ``scale`` alone, as the kernel would give the same bits but for the
+    sign of an exact zero."""
     if not safe:
         image = mobius_apply_points(t, units)
     elif _is_identity(t):
         return np.multiply(units.T, scale, out=None if out is None else out[1:]).T
     else:
-        image, _ = _kernels._image(_kernels._lorentz(t.a, t.b, t.c, t.d), units, out, term)
+        image, _ = _kernels._image(_lorentz(t) if lor is None else lor, units, out, term)
     image *= scale[:, None]
     return image
 

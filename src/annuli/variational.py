@@ -2,9 +2,13 @@
 
 The reduced functional ``4 pi * integral(t^2 (H'/H)^2 + 2) dt`` becomes,
 after the substitution ``K = log H``, a convex quadratic in the sampled
-``K`` values.  Minimizing it therefore amounts to one symmetric
-positive-definite tridiagonal solve, by odd-even cyclic reduction in
-numpy for every grid size.  Conjugate-gradient descent on the gradient,
+``K`` values.  Minimizing it therefore amounts to one tridiagonal
+solve, by odd-even cyclic reduction in numpy for every grid size.  The
+solve takes the negation of the symmetric positive-definite system, whose
+off-diagonals are then the interval stiffness itself, and writes the
+interior of ``K`` in place: 2 n floats of scratch beyond ``K``, its
+diagonal and its right-hand side, with the bits of the system itself.
+Conjugate-gradient descent on the gradient,
 preconditioned in the hierarchical basis, and RK4 shooting on the
 Euler-Lagrange equation are provided as independent routes to the same
 profile.  In ``K`` that equation is linear, so the discrete rise
@@ -212,12 +216,19 @@ def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolu
 
 
 def _direct_k(grid: RadialGrid, a: np.ndarray, span: float):
-    rhs = np.zeros(grid.nodes.size - 2)
-    rhs[-1] = a[-1] * span
-    # the kernel ignores the first lower and the last upper entry
-    off = np.negative(a)
-    y = _kernels.thomas_solve(off[:-1], a[:-1] + a[1:], off[1:], rhs)
-    return np.concatenate([[0.0], y, [span]]), 1, True
+    # row i of the negated system, a[i-1] K[i-1] - (a[i-1] + a[i]) K[i] + a[i] K[i+1] = 0,
+    # takes its off-diagonals as views of a (the kernel ignores the first lower and
+    # the last upper entry) and solves into the interior of K; K goes first, so the
+    # buffers freed on return leave no hole below it
+    k = np.empty(a.size + 1)
+    k[0] = 0.0
+    k[-1] = span
+    diag = np.add(a[:-1], a[1:])
+    np.negative(diag, out=diag)
+    rhs = np.zeros(a.size - 1)
+    rhs[-1] = -(a[-1] * span)
+    _kernels.thomas_solve(a[:-1], diag, a[1:], rhs, k[1:-1])
+    return k, 1, True
 
 
 def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolution:

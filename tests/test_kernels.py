@@ -281,6 +281,42 @@ class TestCyclicReduction:
             tracemalloc.stop()
         assert peak <= 32 * n
 
+    def test_out_is_the_output_and_its_scratch(self, rng):
+        # with out given, the four level-1 buffers of n // 2 rows are all it
+        # allocates, plus about 11 KB that does not grow with n (numpy's
+        # reduction buffer in the pivot check, the views and the level
+        # list): measured 16.11 bytes per row at n = 99 999
+        n = 99_999
+        args = _dominant_system(rng, n)
+        expect = K.thomas_solve(*args)
+        out = np.empty(n)
+        tracemalloc.start()
+        try:
+            x = K.thomas_solve(*args, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x is out
+        assert out.tobytes() == expect.tobytes()
+        assert peak <= 16 * n + 16 * 1024
+
+    @pytest.mark.parametrize("n", [4999, 5000])
+    def test_negated_system_gives_the_same_bits(self, rng, n):
+        # round-to-nearest is symmetric in sign, so every intermediate of the
+        # reduction on the negated system is the exact negation of its own
+        a = make_radial_grid(AnnulusPair.from_radii(1.0, 2.0, 1.0, math.e).domain, n + 1)._stiffness
+        rhs = np.zeros(n)
+        rhs[-1] = a[-1]
+        for args in (_dominant_system(rng, n), (-a[:-1], a[:-1] + a[1:], -a[1:], rhs)):
+            x = K.thomas_solve(*args)
+            assert K.thomas_solve(*(np.negative(v) for v in args)).tobytes() == x.tobytes()
+
+    def test_out_of_another_shape_or_dtype_raises(self, rng):
+        args = _dominant_system(rng, 10)
+        for out in (np.empty(9), np.empty(10, dtype=np.float32)):
+            with pytest.raises(ValueError, match="out must be float64 of shape"):
+                K.thomas_solve(*args, out)
+
     @pytest.mark.parametrize("radii", [(1.0, 2.0, 1.0, math.e), (0.1, 10.0, 0.5, 3.0),
                                        (1.0, 1.02, 1.0, 5.0)])
     def test_minimize_system_reaches_the_closed_form(self, radii):
