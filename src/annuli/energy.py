@@ -24,9 +24,12 @@ Each shell has one stencil per pair of orders: its centres, steps and
 weights are built once and shared, read-only, by every FD energy on that
 shell.  The radial rule is rebuilt on each decomposition, which costs
 microseconds.  The last two stencils are kept, since the inversion check
-alternates two sphere orders on one shell.  Points, differences and
-squared norms are written into buffers allocated once per FD energy and
-reused by all its chunks.
+alternates two sphere orders on one shell.  In a verify run the harmonic
+check's 20 one-shot shells then evict the inversion check's two, so the
+stencil cache misses 22 times per run, and each run rebuilds the
+4 608-centre stencil, its polar form and both minimizers' ``H(t)``, about
+0.7 ms.  Each chunk's points, differences and squared norms are fresh
+arrays, so an FD energy holds one chunk of them.
 
 A generalized radial map sends no points to ``map_eval_many``.
 ``f(x) = H(t) T(x / t)``, ``t = |x|``, so the route reads the norms and
@@ -36,11 +39,12 @@ and ``H(t)`` from values kept there for the last two closed-form
 profiles; a sampled profile's values are computed once per energy.
 ``sphere_maps._apply_to_units``, which forms ``map_eval_many``'s values
 too, applies ``T`` and multiplies by ``H``, chunk by chunk, in one
-buffer, so the values, and the energies, keep their bits.  The inversion
-row's Moebius members alternate two minimizers on one stencil, so all but
-the first two reuse their profile values.  Sampled maps, and stencils
-with a norm outside the window where the sphere action skips its unit
-check, take ``map_eval_many``.
+buffer kept for the energy, so the values, and the energies, keep their
+bits.  The inversion row's Moebius members alternate two minimizers on
+one stencil, so all but the first two reuse their profile values.
+Sampled maps, stencils of more than ``_POLAR_MAX_POINTS`` points, and
+stencils with a norm outside the window where the sphere action skips
+its unit check, take ``map_eval_many``.
 """
 from __future__ import annotations
 
@@ -82,6 +86,11 @@ _FD_MIN_STEP_ULPS = 8192
 # of orders (9, 16) in seven calls, as many as one call per set.  A stencil
 # of 288 centres (9 x 4) takes one call, one of 1 152 (9 x 8) two
 _FD_CHUNK = 672
+# most points of a stencil that keeps a polar form, of 32 bytes per point and
+# 8 per kept profile: the default pair's stencil has 32 256, and at sphere
+# order 16 radial orders up to 36 (R / r up to e^28 in verify) stay below;
+# at R / r = 1e100 a polar form would hold 41 MB
+_POLAR_MAX_POINTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -298,8 +307,10 @@ class _Stencil(tuple):
         """The norm ``t`` and the unit vector ``p / t`` of each point ``p`` of
         the seven sets, computed as :func:`maps.map_eval_many` computes them,
         and a dict that keeps the values ``H(t)`` of at most two profiles
-        (:func:`_profile_values`).  None if a norm leaves the window where
-        the sphere action skips its unit check (``sphere_maps._unit_safe``).
+        (:func:`_profile_values`).  None, and nothing kept, if the sets hold
+        more than ``_POLAR_MAX_POINTS`` points, or if a norm leaves the
+        window where the sphere action skips its unit check
+        (``sphere_maps._unit_safe``).
 
         The points are laid out as the weighted route's map calls: chunk by
         chunk of ``_FD_CHUNK`` centres, each chunk's seven sets one after
@@ -307,6 +318,8 @@ class _Stencil(tuple):
         one contiguous span.  The arrays are read-only."""
         centers, steps, _, _ = self
         n = centers.shape[0]
+        if 7 * n > _POLAR_MAX_POINTS:
+            return None
         units = np.empty((3, 7 * n))
         for lo in range(0, n, _FD_CHUNK):
             hi = min(lo + _FD_CHUNK, n)
@@ -405,17 +418,16 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     Point batches are column-major, so each coordinate of the nodes is
     one contiguous column, and shifts, differences and squared norms run
     column by column.  An evaluator may return either layout, with the
-    same bits.  Points, differences and squared norms go to buffers
-    allocated once per energy, sized for one chunk, so a chunk allocates
-    only in the map and the views; in-place steps keep the bits of fresh
-    arrays.  An image norm or an energy beyond the float range raises
-    :class:`EvaluationError`, with no numpy warning.
+    same bits.  Each chunk's points, differences and squared norms are
+    fresh arrays; beyond the densities and the centres' values, an energy
+    holds one chunk's.  An image norm or an energy beyond the float range
+    raises :class:`EvaluationError`, with no numpy warning.
 
     A :class:`GeneralizedRadialMap` is evaluated from the stencil's polar
     form instead, where there is one: each chunk's image is
     ``sphere_maps._apply_to_units`` of the kept unit vectors and the
     profile values (:func:`_profile_values`), with the affine rows, the
-    image and their scratch in one buffer allocated per energy, and the
+    image and their scratch in one buffer kept for the energy, and the
     action's Lorentz matrix fetched once per energy.  These are
     ``map_eval_many``'s steps on the same points, each point by point, so
     the values have its bits.  Such a map's action cannot raise; a sampled
@@ -429,51 +441,39 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     chunk = min(n, _FD_CHUNK)
     density = np.empty((len(views), n))
     vals = np.empty((n, 3), order="F") if weighted else None   # the centres' values
-    # flat, so that a shorter last chunk takes a contiguous head: axes
-    # coordinate, axis k of the pair, node; pair, node; for the points
-    # coordinate, set, node
-    diff = np.empty(9 * chunk)
-    nsq = np.empty(3 * chunk)
     # profile values and images near the float maximum overflow here; the
     # checks below raise
     with np.errstate(over="ignore", invalid="ignore"):
-        if polar is None:
-            flat_points = np.empty(3 * n_sets * chunk)
-        else:
+        if polar is not None:
             _, units, _ = polar
             h = _profile_values(polar, f.profile)
             # the affine rows of the sphere action, the image in rows 1-3, and
-            # their scratch; the action's matrix, fetched once for every chunk
+            # their scratch, kept for every chunk: fresh rows per chunk cut a
+            # verify op's page faults from about 500 to 350, but read 0.1-0.3 MB
+            # more peak RSS; the action's matrix, fetched once for every chunk
             rows = np.empty((2, 4, n_sets * chunk))
             lor = _lorentz(f.rotation)
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
             m = hi - lo
             if polar is None:
-                points = _stencil_points(centers, steps, lo, hi,
-                                         flat_points[:3 * n_sets * m]).reshape(3, -1).T
-                batch = map_eval_many(f, points)
+                points = _stencil_points(centers, steps, lo, hi, np.empty((3, n_sets * m)))
+                batch = map_eval_many(f, points.reshape(3, -1).T)
             else:
                 span = slice(7 * lo, 7 * lo + n_sets * m)
                 batch = _apply_to_units(f.rotation, units[:, span].T, h[span], True,
                                         *rows[:, :, :n_sets * m], lor=lor)
             if weighted:
                 vals[lo:hi] = batch[6 * m:]
-            d = diff[:9 * m].reshape(3, 3, m)
-            sq = nsq[:3 * m]
             for view, dens in zip(views, density):
                 # rows +e_0, -e_0, +e_1, -e_1, +e_2, -e_2 of m each
                 block = view(batch[:6 * m]).T.reshape(3, 3, 2, m)
-                np.subtract(block[:, :, 0], block[:, :, 1], out=d)
+                d = block[:, :, 0] - block[:, :, 1]
                 d /= two_steps[lo:hi]
-                pairs = _squared_norms(d.reshape(3, -1).T, out=sq).reshape(3, m)
+                pairs = _squared_norms(d.reshape(3, -1).T).reshape(3, m)
                 # each node's sum 0 + x + y + z, as 0 + x is x
                 part = np.add(pairs[0], pairs[1], out=dens[lo:hi])
                 part += pairs[2]
-            # spent; the batch is freed when the next call returns, which measured
-            # fewer page faults than freeing it first: the next call's scratch then
-            # reuses the heap below it instead of a heap trimmed and grown again
-            block = None
         if weighted:
             for view, dens in zip(views, density):
                 sq = _squared_norms(view(vals))

@@ -193,7 +193,10 @@ class RadialGrid:
         t0, t1 = self.nodes[:-1], self.nodes[1:]
         # the integral of t^2 against a K linear in 1/t over one interval is
         # t0 t1; against a K linear in t it is (t0^2 + t0 t1 + t1^2) / 3.
-        # Two buffers hold every step, in the plain formula's operation order
+        # Two buffers hold every step, in the plain formula's operation order.
+        # The plain formula on fresh arrays keeps every bit and cuts an
+        # oracle-pairs op's page faults from 1 498 to 944, but reads 0.4 MB
+        # more of that workload's peak RSS (41.8 to 42.2 MB)
         tmp = np.empty(t0.size)
         with np.errstate(over="ignore"):
             a = np.multiply(t0, t1)
@@ -320,12 +323,11 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def _squared_norms(pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _squared_norms(pts: np.ndarray) -> np.ndarray:
     """``x^2 + y^2 + z^2`` of the rows of an ``(N, 3)`` array, summed
-    column by column, so any memory layout gives the same bits; written
-    to ``out`` when given."""
+    column by column, so any memory layout gives the same bits."""
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    out = np.multiply(x, x, out=out)
+    out = x * x
     out += y * y
     out += z * z
     return out

@@ -532,6 +532,19 @@ class TestPolarRoute:
                                                        views))
                 assert _outcome(lambda: _fd_energies(f, pair, 9, 4, weighted, views)) == expect
 
+    def test_stencils_above_the_cap_take_the_generic_route(self, canonical_pair):
+        # orders (37, 16) put 132 608 points past the cap of 2^17, where (36, 16)
+        # keeps its polar form at 129 024
+        pair = canonical_pair
+        assert _fd_stencil(pair.domain, 36, 16).polar is not None
+        assert _fd_stencil(pair.domain, 37, 16).polar is None
+        for f in self._maps(pair):
+            for weighted in (True, False):
+                for views in ((_same,), (_same, sphere_inversion(0.5))):
+                    expect = _fd_energies(as_sampled_map(f), pair, 37, 16, weighted, views)
+                    got = _fd_energies(f, pair, 37, 16, weighted, views)
+                    assert np.array(got).tobytes() == np.array(expect).tobytes()
+
     def test_polar_forms_are_read_only_and_evicted_with_their_stencils(self, canonical_pair):
         domain = canonical_pair.domain
         stencil = _fd_stencil(domain, 9, 4)

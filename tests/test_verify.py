@@ -865,14 +865,16 @@ class TestTwistedMinimizers:
 
     def test_fd_route_peak_allocation(self):
         # one FD energy of a twisted member at the Moebius maps' orders, 9 x 16
-        # (4 608 nodes), holds the difference buffers, the two evaluated shifts
-        # and the evaluator's scratch, the stencil being shared: measured 160.4
-        # bytes per node (160.2 at 16 x 16); 202.4 when each call built its own
-        # centres and steps, and 225.3 at 32 x 16 when the differences, squares
-        # and evaluator steps were fresh arrays.  A Moebius-rotated minimizer,
-        # evaluated from the kept polar form and profile values, holds its
-        # affine rows and their scratch: measured 133.1 bytes per node (154.2 with
-        # the inversion view), 210 when it went to map_eval_many
+        # (4 608 nodes), holds one chunk's points, differences and squared
+        # norms, the evaluated shifts and the evaluator's scratch, the stencil
+        # being shared: measured 169.2 bytes per node, as with buffers kept for
+        # the energy; 202.4 when each call built its own centres and steps, and
+        # 225.3 at 32 x 16 when the stencil went to the map in one call per set.
+        # A Moebius-rotated minimizer, evaluated from the kept polar form and
+        # profile values, holds its affine rows and their scratch: measured
+        # 143.6 bytes per node (164.6 with the inversion view alone; 133.1 and
+        # 154.1 with buffers kept for the energy), 210 when it went to
+        # map_eval_many
         pair = verify.DEFAULT_PAIR
         orders = (verify._fd_radial_order(pair.domain), verify._FD_SPHERE_ORDER)
         twisted, _ = verify._twisted_minimizer(pair, np.random.default_rng(0))
