@@ -24,12 +24,9 @@ Each shell has one stencil per pair of orders: its centres, steps and
 weights are built once and shared, read-only, by every FD energy on that
 shell.  The radial rule is rebuilt on each decomposition, which costs
 microseconds.  The last two stencils are kept, since the inversion check
-alternates two sphere orders on one shell.  In a verify run the harmonic
-check's 20 one-shot shells then evict the inversion check's two, so the
-stencil cache misses 22 times per run, and each run rebuilds the
-4 608-centre stencil, its polar form and both minimizers' ``H(t)``, about
-0.7 ms.  Each chunk's points, differences and squared norms are fresh
-arrays, so an FD energy holds one chunk of them.
+alternates two sphere orders on one shell; in a verify run the harmonic
+check's one-shot shells evict those two.  Each chunk's points,
+differences and squared norms are fresh arrays.
 
 A generalized radial map sends no points to ``map_eval_many``.
 ``f(x) = H(t) T(x / t)``, ``t = |x|``, so the route reads the norms and
@@ -86,10 +83,10 @@ _FD_MIN_STEP_ULPS = 8192
 # of orders (9, 16) in seven calls, as many as one call per set.  A stencil
 # of 288 centres (9 x 4) takes one call, one of 1 152 (9 x 8) two
 _FD_CHUNK = 672
-# most points of a stencil that keeps a polar form, of 32 bytes per point and
-# 8 per kept profile: the default pair's stencil has 32 256, and at sphere
-# order 16 radial orders up to 36 (R / r up to e^28 in verify) stay below;
-# at R / r = 1e100 a polar form would hold 41 MB
+# most points of a stencil that keeps a polar form (32 bytes a point, 8 per
+# kept profile): radial orders up to 36 at sphere order 16, where it saves
+# verify at least about the share of wall time that it adds to peak RSS; from
+# order 38 on, map_eval_many saves 1.4-1.8 times the share of RSS it costs
 _POLAR_MAX_POINTS = 2**17
 
 
@@ -411,16 +408,13 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     is differenced; their views and norm checks then run view by view, so
     a view error still raises before any centre's norm check.  An error of
     the evaluator itself comes in chunk order, so it can precede a view
-    error on a set of a later chunk.  Each call's input buffer is written
-    in full, as an evaluator may return or write to it, and a call's
-    values are read before the next call.
+    error on a set of a later chunk.
 
     Point batches are column-major, so each coordinate of the nodes is
     one contiguous column, and shifts, differences and squared norms run
     column by column.  An evaluator may return either layout, with the
     same bits.  Each chunk's points, differences and squared norms are
-    fresh arrays; beyond the densities and the centres' values, an energy
-    holds one chunk's.  An image norm or an energy beyond the float range
+    fresh arrays.  An image norm or an energy beyond the float range
     raises :class:`EvaluationError`, with no numpy warning.
 
     A :class:`GeneralizedRadialMap` is evaluated from the stencil's polar
@@ -448,8 +442,7 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
             _, units, _ = polar
             h = _profile_values(polar, f.profile)
             # the affine rows of the sphere action, the image in rows 1-3, and
-            # their scratch, kept for every chunk: fresh rows per chunk cut a
-            # verify op's page faults from about 500 to 350, but read 0.1-0.3 MB
+            # their scratch, kept for every chunk, as fresh rows read 0.1-0.3 MB
             # more peak RSS; the action's matrix, fetched once for every chunk
             rows = np.empty((2, 4, n_sets * chunk))
             lor = _lorentz(f.rotation)

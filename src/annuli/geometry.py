@@ -193,10 +193,8 @@ class RadialGrid:
         t0, t1 = self.nodes[:-1], self.nodes[1:]
         # the integral of t^2 against a K linear in 1/t over one interval is
         # t0 t1; against a K linear in t it is (t0^2 + t0 t1 + t1^2) / 3.
-        # Two buffers hold every step, in the plain formula's operation order.
-        # The plain formula on fresh arrays keeps every bit and cuts an
-        # oracle-pairs op's page faults from 1 498 to 944, but reads 0.4 MB
-        # more of that workload's peak RSS (41.8 to 42.2 MB)
+        # Two buffers hold every step, in the plain formula's operation order:
+        # fresh arrays keep every bit but read 0.4 MB more oracle-pairs peak RSS
         tmp = np.empty(t0.size)
         with np.errstate(over="ignore"):
             a = np.multiply(t0, t1)

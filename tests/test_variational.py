@@ -130,8 +130,21 @@ class TestDiscreteMinimization:
         sol = minimize_reduced_energy(pair, make_radial_grid(pair.domain, 16))
         assert np.all(sol.profile.values == 1.5)
         assert math.isclose(sol.energy, 8.0 * math.pi, rel_tol=1e-15)
-        # the general solve, of a system whose right-hand side is 0
-        assert (sol.iterations, sol.converged) == (1, True)
+        assert (sol.iterations, sol.converged) == (0, True)
+
+    @pytest.mark.parametrize("solve", [minimize_reduced_energy, gradient_descent_minimize])
+    @pytest.mark.parametrize("radii", [(1e160, 2e160, 1.0, 1.0), (1e-170, 2e-170, 3.0, 3.0)])
+    def test_degenerate_target_reads_no_stiffness(self, solve, radii):
+        # t0 t1 overflows on the first shell and underflows to 0 on the second,
+        # so the stiffness raises there; the constant profile does not need it
+        pair = AnnulusPair.from_radii(*radii)
+        grid = make_radial_grid(pair.domain, 4)
+        with pytest.raises(EvaluationError):
+            grid._stiffness
+        sol = solve(pair, grid)
+        assert np.all(sol.profile.values == radii[2])
+        assert sol.energy == 8.0 * math.pi * pair.domain.width
+        assert (sol.iterations, sol.converged) == (0, True)
 
     def test_grid_and_pair_must_share_the_domain(self, canonical_pair):
         other = make_radial_grid(AnnulusPair.from_radii(1.0, 3.0, 1.0, 2.0).domain, 16)
