@@ -180,10 +180,15 @@ def rk4_shoot(r, R, h0, slope, n_steps, *_):
 # output is the scratch of the reduction, the solution is written
 # straight into strided views of it, and the lower diagonal of the level
 # below, no longer needed, is the scratch of the back substitution; so a
-# solve allocates 2 n floats of scratch, plus the n of the output unless
-# the caller passes it as ``out``.  The output is allocated before the
-# scratch, so the buffers freed on return leave no hole below a live
-# array; a caller that passes ``out`` allocates it before the system.
+# solve allocates the 2 n floats of those buffers unless the caller passes
+# them as ``work``, and the n of the output unless it passes ``out``.  The
+# ``variational`` direct route passes both: ``out`` is the interior of its
+# ``K``, and ``work`` a view of the float64 scratch each thread keeps, up
+# to 2^19 floats (``geometry._scratch``), so a solve at n = 1e5 allocates
+# nothing that grows with n.  The solve takes no scratch itself, so a
+# caller may hold its views across the call.  The output is allocated before
+# the scratch, so the buffers freed on return leave no hole below a live
+# array.
 
 
 def _require_pivots(beta):
@@ -235,17 +240,33 @@ def _substitute(system, x, scratch):
     even /= dg[::2]
 
 
-def thomas_solve(lower, diag, upper, rhs, out=None):
+def _require_apart(name, buf, others):
+    if any(np.shares_memory(buf, v) for v in others):
+        raise ValueError(f"{name} must overlap no input or other buffer")
+
+
+def thomas_solve(lower, diag, upper, rhs, out=None, work=None):
     """The solution ``x`` of the system, written to ``out`` when given: a
-    1-D float64 array of ``n`` entries that overlaps no input, returned."""
-    if any(v.dtype != np.float64 for v in (lower, diag, upper, rhs)):
+    1-D float64 array of ``n`` entries, returned.  ``work``, when given, is
+    the reduction's buffer: a 1-D float64 array of at least
+    ``4 * (n // 2)`` entries.  Neither may overlap an input or the other."""
+    system = (lower, diag, upper, rhs)
+    if any(v.dtype != np.float64 for v in system):
         raise NotImplementedError("the tridiagonal solve takes float64 arrays only")
     n = diag.shape[0]
-    if out is not None and (out.dtype != np.float64 or out.shape != (n,)):
-        raise ValueError(f"out must be float64 of shape {(n,)}, not {out.dtype} {out.shape}")
+    half = n // 2
+    if out is not None:
+        if out.dtype != np.float64 or out.shape != (n,):
+            raise ValueError(f"out must be float64 of shape {(n,)}, not {out.dtype} {out.shape}")
+        _require_apart("out", out, system)
+    if work is not None:
+        if work.dtype != np.float64 or work.ndim != 1 or work.size < 4 * half:
+            raise ValueError(f"work must be 1-D float64 of at least {4 * half} entries, "
+                             f"not {work.dtype} {work.shape}")
+        _require_apart("work", work, system + (() if out is None else (out,)))
     x = np.empty(n) if out is None else out
-    levels = [((lower, diag, upper, rhs), x)]
-    reduced = np.empty((4, n // 2))
+    levels = [(system, x)]
+    reduced = np.empty((4, half)) if work is None else work[:4 * half].reshape(4, half)
     while reduced.shape[1]:
         system, xs = levels[-1]
         _reduce(system, reduced, x)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -19,6 +20,27 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 
 SPACING_MODES = ("uniform-in-t", "uniform-in-1/t", "uniform-in-log-t")
+
+# Per-thread float64 scratch of the direct route.  A thread keeps one
+# array, grown to its largest request up to _SCRATCH_CAP floats (4 MiB,
+# which holds the 399 994 floats of a solve on 10^5 intervals); a larger
+# request gets a fresh array that is not kept.  So the route's n-sized
+# temporaries are not freed and faulted in again on every solve.  The
+# one rule: a scratch view never outlives the function that took it, and
+# is never held across a call that may take scratch.
+_SCRATCH_CAP = 2**19
+_scratch_local = threading.local()
+
+
+def _scratch(size: int) -> np.ndarray:
+    """A 1-D float64 view of ``size`` floats of this thread's scratch,
+    with unspecified contents."""
+    if size > _SCRATCH_CAP:
+        return np.empty(size)
+    buf = getattr(_scratch_local, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _scratch_local.buf = np.empty(size)
+    return buf[:size]
 
 
 @dataclass(frozen=True)
@@ -193,9 +215,11 @@ class RadialGrid:
         t0, t1 = self.nodes[:-1], self.nodes[1:]
         # the integral of t^2 against a K linear in 1/t over one interval is
         # t0 t1; against a K linear in t it is (t0^2 + t0 t1 + t1^2) / 3.
-        # Two buffers hold every step, in the plain formula's operation order:
-        # fresh arrays keep every bit but read 0.4 MB more oracle-pairs peak RSS
-        tmp = np.empty(t0.size)
+        # a and tmp hold every step, in the plain formula's operation order;
+        # tmp is a view of the float64 scratch this thread keeps, up to 2^19
+        # floats (_scratch), dropped on return and held across no call that
+        # may take scratch
+        tmp = _scratch(t0.size)
         with np.errstate(over="ignore"):
             a = np.multiply(t0, t1)
             if self.spacing_mode != "uniform-in-1/t":

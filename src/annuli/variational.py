@@ -6,8 +6,12 @@ after the substitution ``K = log H``, a convex quadratic in the sampled
 solve, by odd-even cyclic reduction in numpy for every grid size.  The
 solve takes the negation of the symmetric positive-definite system, whose
 off-diagonals are then the interval stiffness itself, and writes the
-interior of ``K`` in place: 2 n floats of scratch beyond ``K``, its
-diagonal and its right-hand side, with the bits of the system itself.
+interior of ``K`` in place, with the bits of the system itself.  Its
+diagonal, its right-hand side and the reduction's 2 n floats are views of
+one per-thread scratch array (``geometry._scratch``), kept up to 2^19
+floats, so only ``K`` is allocated anew; a scratch view never outlives
+the function that took it, and is never held across a call that may take
+scratch.
 Conjugate-gradient descent on the gradient,
 preconditioned in the hierarchical basis, and RK4 shooting on the
 Euler-Lagrange equation are provided as independent routes to the same
@@ -26,7 +30,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, EvaluationError
-from .geometry import AnnulusPair, RadialGrid, _log_width, make_radial_grid
+from .geometry import AnnulusPair, RadialGrid, _log_width, _scratch, make_radial_grid
 from .maps import SampledProfile, _ClosedFormProfile, exp_profile_from_boundary
 
 _FOUR_PI = 4.0 * math.pi
@@ -98,8 +102,12 @@ def _energy_from_coefficients(a: np.ndarray, k: np.ndarray, grid: RadialGrid):
     last axis) the array of their energies, each with the bits of its own
     call, as every row is summed alone."""
     # a plain sum, not a BLAS dot, whose threaded split moves the last bits;
-    # in place, as fresh arrays keep every bit but read 0.4 MB more oracle-pairs RSS
-    dk = np.subtract(k[..., 1:], k[..., :-1])
+    # in place, in a view of the float64 scratch this thread keeps, up to 2^19
+    # floats (geometry._scratch), dropped on return and held across no call
+    # that may take scratch
+    shape = k.shape[:-1] + (k.shape[-1] - 1,)
+    dk = _scratch(math.prod(shape)).reshape(shape)
+    np.subtract(k[..., 1:], k[..., :-1], out=dk)
     dk *= dk
     dk *= a
     total = dk.sum(axis=-1)
@@ -220,16 +228,19 @@ def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolu
 def _direct_k(grid: RadialGrid, a: np.ndarray, span: float):
     # row i of the negated system, a[i-1] K[i-1] - (a[i-1] + a[i]) K[i] + a[i] K[i+1] = 0,
     # takes its off-diagonals as views of a (the kernel ignores the first lower and
-    # the last upper entry) and solves into the interior of K; K goes first, so the
-    # buffers freed on return leave no hole below it
+    # the last upper entry) and solves into the interior of K; its diagonal, its
+    # right-hand side and the reduction's buffer are one view of this thread's scratch
+    m = a.size - 1
     k = np.empty(a.size + 1)
     k[0] = 0.0
     k[-1] = span
-    diag = np.add(a[:-1], a[1:])
+    scratch = _scratch(2 * m + 4 * (m // 2))
+    diag, rhs, work = scratch[:m], scratch[m:2 * m], scratch[2 * m:]
+    np.add(a[:-1], a[1:], out=diag)
     np.negative(diag, out=diag)
-    rhs = np.zeros(a.size - 1)
+    rhs[:-1] = 0.0
     rhs[-1] = -(a[-1] * span)
-    _kernels.thomas_solve(a[:-1], diag, a[1:], rhs, k[1:-1])
+    _kernels.thomas_solve(a[:-1], diag, a[1:], rhs, k[1:-1], work)
     return k, 1, True
 
 

@@ -317,6 +317,56 @@ class TestCyclicReduction:
             with pytest.raises(ValueError, match="out must be float64 of shape"):
                 K.thomas_solve(*args, out)
 
+    def test_overlapping_out_raises(self, rng):
+        args = _dominant_system(rng, 10)
+        with pytest.raises(ValueError, match="out must overlap no input"):
+            K.thomas_solve(*args, args[3])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4999, 5000])
+    def test_work_gives_the_same_bits(self, rng, n):
+        # work holds the reduction's four level-1 buffers; its contents are
+        # never read before they are written, and a longer work is allowed
+        args = _dominant_system(rng, n)
+        expect = K.thomas_solve(*args)
+        for size in (4 * (n // 2), 4 * (n // 2) + 7):
+            work = np.full(size, np.nan)
+            assert K.thomas_solve(*args, work=work).tobytes() == expect.tobytes()
+            out = np.empty(n)
+            assert K.thomas_solve(*args, out, work) is out
+            assert out.tobytes() == expect.tobytes()
+
+    def test_out_and_work_leave_nothing_that_grows_with_n(self, rng):
+        # with both buffers given, a solve allocates only the views, the
+        # level list and numpy's reduction buffer of the pivot check
+        n = 99_999
+        args = _dominant_system(rng, n)
+        out, work = np.empty(n), np.empty(4 * (n // 2))
+        K.thomas_solve(*args, out, work)
+        tracemalloc.start()
+        try:
+            K.thomas_solve(*args, out, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 1024
+
+    def test_short_wrong_or_overlapping_work_raises(self, rng):
+        args = _dominant_system(rng, 10)
+        out = np.empty(10)
+        for work in (np.empty(19), np.empty(20, dtype=np.float32), np.empty((4, 5))):
+            with pytest.raises(ValueError, match="work must be 1-D float64 of at least 20"):
+                K.thomas_solve(*args, work=work)
+        # a work that shares memory with the right-hand side, or with out
+        lower, diag, upper, rhs = args
+        shared = np.empty(40)
+        shared[:10] = rhs
+        for given_out, work in ((None, shared[5:25]), (shared[10:20], shared[15:35])):
+            with pytest.raises(ValueError, match="work must overlap no input"):
+                K.thomas_solve(lower, diag, upper, shared[:10], given_out, work)
+        expect = K.thomas_solve(*args)
+        x = K.thomas_solve(lower, diag, upper, shared[:10], shared[10:20], shared[20:])
+        assert x.tobytes() == expect.tobytes()
+
     @pytest.mark.parametrize("radii", [(1.0, 2.0, 1.0, math.e), (0.1, 10.0, 0.5, 3.0),
                                        (1.0, 1.02, 1.0, 5.0)])
     def test_minimize_system_reaches_the_closed_form(self, radii):

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,7 +24,7 @@ from annuli import (
     shoot_el,
     weighted_harmonic_residual,
 )
-from annuli import _kernels, variational
+from annuli import _kernels, geometry, variational
 from annuli.geometry import _log_width
 from annuli.variational import _closed_form_sup_error
 from annuli.verify import random_annulus_pair
@@ -158,20 +160,38 @@ class TestDirectSolveInPlace:
     ``K``: the stiffness is its off-diagonals, and no copy of the solution
     is made."""
 
-    def test_peak_allocation_at_n_1e5(self, canonical_pair):
-        # K, its diagonal and right-hand side, and the solve's 2 n floats of
-        # scratch: measured 5.01 n floats, against 6.01 n with a negated copy
-        # of the stiffness and the ends concatenated onto the solution
+    def test_peak_allocation_of_a_cold_solve_at_n_1e5(self, canonical_pair):
+        # a thread's first solve grows its scratch: K, and the diagonal, the
+        # right-hand side and the reduction's 2 n floats in the scratch.
+        # Measured 5.01 n floats, against 6.01 n with a negated copy of the
+        # stiffness and the ends concatenated onto the solution
         n = 100_000
         grid = make_radial_grid(canonical_pair.domain, n)
-        minimize_reduced_energy(canonical_pair, grid)   # reads the stiffness
+        grid._stiffness   # formed here, outside the traced solve
         tracemalloc.start()
         try:
-            minimize_reduced_energy(canonical_pair, grid)
+            _in_fresh_thread(lambda: minimize_reduced_energy(canonical_pair, grid))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 5.5 * 8 * n
+
+    def test_peak_allocation_of_a_warm_solve_at_n_1e5(self, canonical_pair):
+        # the thread's second solve takes every temporary from its scratch
+        # and allocates K alone: measured 1.01 n floats
+        n = 100_000
+        grid = make_radial_grid(canonical_pair.domain, n)
+
+        def second_solve():
+            minimize_reduced_energy(canonical_pair, grid)
+            tracemalloc.start()
+            try:
+                minimize_reduced_energy(canonical_pair, grid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert _in_fresh_thread(second_solve) <= 1.1 * 8 * n
 
     @pytest.mark.parametrize("n, n_pairs, bound", [(1000, 200, 1e-9), (100_000, 40, 5e-7)])
     def test_flux_is_constant(self, n, n_pairs, bound):
@@ -202,6 +222,74 @@ class TestDirectSolveInPlace:
             k, iterations, converged = variational._direct_k(grid, a, span)
             assert k.tobytes() == expect.tobytes()
             assert (iterations, converged) == (1, True)
+
+
+def _in_fresh_thread(func):
+    """``func()`` run in a new thread, which starts with no scratch."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(func()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and result, "the thread hung or raised"
+    return result[0]
+
+
+class TestPerThreadScratch:
+    """The direct route's temporaries are views of one array per thread
+    (``geometry._scratch``); nothing it returns lives there."""
+
+    @staticmethod
+    def _solve(pair, n=100_000):
+        grid = make_radial_grid(pair.domain, n)
+        sol = minimize_reduced_energy(pair, grid)
+        return grid._stiffness.tobytes(), sol.profile.values.tobytes(), sol.energy.hex()
+
+    def test_concurrent_solves_give_the_bits_of_sequential_ones(self):
+        # more threads than the two cores of the machine measured on, and a
+        # short switch interval, so the solves interleave
+        rng = np.random.default_rng(49)
+        batches = [[random_annulus_pair(rng) for _ in range(3)] for _ in range(3)]
+        expect = [[self._solve(pair) for pair in batch] for batch in batches]
+        start = threading.Barrier(len(batches))
+        got = [None] * len(batches)
+
+        def run(i):
+            start.wait()
+            got[i] = [self._solve(pair) for pair in batches[i]]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(batches))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expect
+
+    def test_results_share_no_memory_with_the_scratch(self, canonical_pair):
+        for n in (2, 1000, 100_000):
+            grid = make_radial_grid(canonical_pair.domain, n)
+            sol = minimize_reduced_energy(canonical_pair, grid)
+            scratch = geometry._scratch_local.buf
+            for arr in (sol.profile.values, grid._stiffness, grid.nodes):
+                assert not np.shares_memory(arr, scratch), n
+
+    def test_a_solve_above_the_cap_keeps_at_most_the_cap(self, canonical_pair):
+        # 140 000 intervals need 559 994 floats of scratch, more than 2^19
+        n = 140_000
+        expect = self._solve(canonical_pair, n)
+
+        def solve_and_measure():
+            got = self._solve(canonical_pair, n)
+            return got, geometry._scratch_local.buf.size
+
+        got, kept = _in_fresh_thread(solve_and_measure)
+        assert got == expect
+        assert kept <= geometry._SCRATCH_CAP
 
 
 class TestLazySupError:
