@@ -352,7 +352,6 @@ class TestCyclicReduction:
 
     def test_short_wrong_or_overlapping_work_raises(self, rng):
         args = _dominant_system(rng, 10)
-        out = np.empty(10)
         for work in (np.empty(19), np.empty(20, dtype=np.float32), np.empty((4, 5))):
             with pytest.raises(ValueError, match="work must be 1-D float64 of at least 20"):
                 K.thomas_solve(*args, work=work)
