@@ -7,8 +7,10 @@ columns the next step reads contiguously.  Each coordinate column is
 scaled for every Lorentz row at once, one broadcast step per coordinate,
 and the action's numerator and denominator come from that one pass.  RK4 shooting is vectorized
 numpy.  The tridiagonal solve is odd-even cyclic reduction: each of its
-about log2(n) levels halves the system in one numpy op per step, and
-every n takes the same path.  Conjugate-gradient descent on the
+about log2(n) levels halves the system in one numpy op per step, every n
+takes the same path, and every level it stores has a stride of at most
+2 elements, in a ``work`` of ``_work_size(n)`` floats, about 8 n / 3.
+Conjugate-gradient descent on the
 quadratic form, preconditioned in the hierarchical basis, is a loop of
 whole-array steps into buffers allocated once, with no BLAS dot; each
 basis level is one numpy step of the transform, and a hat energy that is
@@ -23,7 +25,7 @@ Contract: points are ``(N, 3)`` float64 arrays, other array inputs are
 another dtype), and a tridiagonal system is symmetric positive definite,
 the negation of one, or strictly diagonally dominant by rows.
 The ``variational`` direct route passes the negation of the symmetric
-positive-definite system that ``geometry.RadialGrid._stiffness``
+positive-definite system that ``geometry._form_stiffness``
 guarantees, whose off-diagonals are the stiffness itself; the kernel
 tests and ``perfbench/micro.py`` pass nonsymmetric, strictly diagonally
 dominant ones.  Cyclic reduction needs no pivoting on any of these: on a
@@ -174,21 +176,25 @@ def rk4_shoot(r, R, h0, slope, n_steps, *_):
 # 2^floor(log2 n) - 1 is left alone.  Back substitution then solves the
 # even rows of each level, last level first, from the odd values on
 # either side.  Each step is one numpy op across a level, so any n takes
-# the same path.  Level 1 goes into four buffers of n // 2 rows, and each
-# later level overwrites the odd rows of the one before, as strided
-# views: the even rows, which the back substitution reads, are kept.  The
-# output is the scratch of the reduction, the solution is written
-# straight into strided views of it, and the lower diagonal of the level
-# below, no longer needed, is the scratch of the back substitution; so a
-# solve allocates the 2 n floats of those buffers unless the caller passes
-# them as ``work``, and the n of the output unless it passes ``out``.  The
-# ``variational`` direct route passes both: ``out`` is the interior of its
-# ``K``, and ``work`` a view of the float64 scratch each thread keeps, up
-# to 2^19 floats (``geometry._scratch``), so a solve at n = 1e5 allocates
-# nothing that grows with n.  The solve takes no scratch itself, so a
-# caller may hold its views across the call.  The output is allocated before
-# the scratch, so the buffers freed on return leave no hole below a live
-# array.
+# the same path.  Level 1 goes into four buffers of n // 2 rows, and
+# each later level into the odd rows of the one before, as strided views
+# (the even rows, which the back substitution reads, are kept), unless
+# that view would have a stride above 2 elements: then the level goes
+# into the next contiguous block of four buffers instead.  So levels 1,
+# 3, 5, ... are contiguous, levels 2, 4, 6, ... have a stride of 2, and
+# the buffers take ``_work_size(n)``, about 8 n / 3 floats.  The output
+# is the scratch of the reduction, the solution is written straight into
+# strided views of it, and the lower diagonal of the level below, no
+# longer needed, is the scratch of the back substitution; so a solve
+# allocates the ``_work_size(n)`` floats of those buffers unless the
+# caller passes them as ``work``, and the n of the output unless it
+# passes ``out``.  The ``variational`` direct route passes both: ``out``
+# is the interior of its ``K``, and ``work`` a view of the float64
+# scratch each thread keeps, up to 2^20 floats (``geometry._scratch``),
+# so a solve at n = 1e5 allocates nothing that grows with n.  The solve
+# takes no scratch itself, so a caller may hold its views across the
+# call.  The output is allocated before the scratch, so the buffers
+# freed on return leave no hole below a live array.
 
 
 def _require_pivots(beta):
@@ -245,33 +251,51 @@ def _require_apart(name, buf, others):
         raise ValueError(f"{name} must overlap no input or other buffer")
 
 
+def _work_size(n):
+    """The least ``work`` of a solve of ``n`` rows: four buffers for each
+    level stored in a block of its own, levels 1, 3, 5, ..., whose rows
+    fall by a factor of 4 from one to the next."""
+    size, rows = 0, n // 2
+    while rows:
+        size += 4 * rows
+        rows //= 4
+    return size
+
+
 def thomas_solve(lower, diag, upper, rhs, out=None, work=None):
     """The solution ``x`` of the system, written to ``out`` when given: a
     1-D float64 array of ``n`` entries, returned.  ``work``, when given, is
     the reduction's buffer: a 1-D float64 array of at least
-    ``4 * (n // 2)`` entries.  Neither may overlap an input or the other."""
+    ``_work_size(n)`` entries.  Neither may overlap an input or the other.
+    Each level goes into ``work`` at a stride of at most 2 elements of it."""
     system = (lower, diag, upper, rhs)
     if any(v.dtype != np.float64 for v in system):
         raise NotImplementedError("the tridiagonal solve takes float64 arrays only")
     n = diag.shape[0]
-    half = n // 2
+    half, size = n // 2, _work_size(n)
     if out is not None:
         if out.dtype != np.float64 or out.shape != (n,):
             raise ValueError(f"out must be float64 of shape {(n,)}, not {out.dtype} {out.shape}")
         _require_apart("out", out, system)
     if work is not None:
-        if work.dtype != np.float64 or work.ndim != 1 or work.size < 4 * half:
-            raise ValueError(f"work must be 1-D float64 of at least {4 * half} entries, "
+        if work.dtype != np.float64 or work.ndim != 1 or work.size < size:
+            raise ValueError(f"work must be 1-D float64 of at least {size} entries, "
                              f"not {work.dtype} {work.shape}")
         _require_apart("work", work, system + (() if out is None else (out,)))
     x = np.empty(n) if out is None else out
+    if work is None:
+        work = np.empty(size)
     levels = [(system, x)]
-    reduced = np.empty((4, half)) if work is None else work[:4 * half].reshape(4, half)
+    reduced, used = work[:4 * half].reshape(4, half), 4 * half
     while reduced.shape[1]:
         system, xs = levels[-1]
         _reduce(system, reduced, x)
         levels.append((reduced, xs[1::2]))
         reduced = reduced[:, 1::2]
+        if len(levels) % 2:   # levels 3, 5, ...: the next block, not a stride of 4
+            rows = reduced.shape[1]
+            reduced = work[used:used + 4 * rows].reshape(4, rows)
+            used += 4 * rows
     (_, dg, _, rh), xs = levels[-1]
     _require_pivots(dg)
     np.divide(rh, dg, out=xs)

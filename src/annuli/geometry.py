@@ -22,13 +22,14 @@ from .errors import DomainError, EvaluationError
 SPACING_MODES = ("uniform-in-t", "uniform-in-1/t", "uniform-in-log-t")
 
 # Per-thread float64 scratch of the direct route.  A thread keeps one
-# array, grown to its largest request up to _SCRATCH_CAP floats (4 MiB,
-# which holds the 399 994 floats of a solve on 10^5 intervals); a larger
-# request gets a fresh array that is not kept.  So the route's n-sized
-# temporaries are not freed and faulted in again on every solve.  The
-# one rule: a scratch view never outlives the function that took it, and
-# is never held across a call that may take scratch.
-_SCRATCH_CAP = 2**19
+# array, grown to its largest request up to _SCRATCH_CAP floats (8 MiB,
+# which holds the 566 642 floats of a solve on 10^5 intervals: the
+# stiffness, the diagonal, the right-hand side and the reduction's
+# buffers); a larger request gets a fresh array that is not kept.  So the
+# route's n-sized temporaries are not freed and faulted in again on every
+# solve.  The one rule: a scratch view never outlives the function that
+# took it, and is never held across a call that may take scratch.
+_SCRATCH_CAP = 2**20
 _scratch_local = threading.local()
 
 
@@ -212,31 +213,38 @@ class RadialGrid:
         Where ``a_i`` is not positive and finite, every read raises
         :class:`EvaluationError`, as nothing is kept.
         """
-        t0, t1 = self.nodes[:-1], self.nodes[1:]
-        # the integral of t^2 against a K linear in 1/t over one interval is
-        # t0 t1; against a K linear in t it is (t0^2 + t0 t1 + t1^2) / 3.
-        # a and tmp hold every step, in the plain formula's operation order;
-        # tmp is a view of the float64 scratch this thread keeps, up to 2^19
-        # floats (_scratch), dropped on return and held across no call that
-        # may take scratch
-        tmp = _scratch(t0.size)
-        with np.errstate(over="ignore"):
-            a = np.multiply(t0, t1)
-            if self.spacing_mode != "uniform-in-1/t":
-                a += np.multiply(t0, t0, out=tmp)
-                a += np.multiply(t1, t1, out=tmp)
-                a /= 3.0
-            a /= np.subtract(t1, t0, out=tmp)
-        # t^2 overflows for huge radii and underflows to zero for tiny ones;
-        # a positive min() and a finite max() need no temporary
-        if not (a.min() > 0.0 and math.isfinite(a.max())):
-            i = int(np.nonzero(~(np.isfinite(a) & (a > 0.0)))[0][0])
-            raise EvaluationError(
-                f"interval stiffness a_{i} = {a[i]} on [{t0[i]:.6g}, {t1[i]:.6g}] is not positive "
-                "and finite; the radii are too extreme for floating point"
-            )
+        # tmp is a view of this thread's scratch (_scratch), dropped on return
+        tmp = _scratch(self.nodes.size - 1)
+        a = _form_stiffness(self, np.empty(tmp.size), tmp)
         a.setflags(write=False)
         return a
+
+
+def _form_stiffness(grid: RadialGrid, a: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The interval stiffness of ``grid`` (see ``RadialGrid._stiffness``)
+    written into ``a``, returned, with ``tmp`` as scratch: both are float64
+    arrays of one entry per interval, and share no memory.  Raises
+    :class:`EvaluationError` where an entry is not positive and finite."""
+    t0, t1 = grid.nodes[:-1], grid.nodes[1:]
+    # the integral of t^2 against a K linear in 1/t over one interval is
+    # t0 t1; against a K linear in t it is (t0^2 + t0 t1 + t1^2) / 3.
+    # a and tmp hold every step, in the plain formula's operation order
+    with np.errstate(over="ignore"):
+        np.multiply(t0, t1, out=a)
+        if grid.spacing_mode != "uniform-in-1/t":
+            a += np.multiply(t0, t0, out=tmp)
+            a += np.multiply(t1, t1, out=tmp)
+            a /= 3.0
+        a /= np.subtract(t1, t0, out=tmp)
+    # t^2 overflows for huge radii and underflows to zero for tiny ones;
+    # a positive min() and a finite max() need no temporary
+    if not (a.min() > 0.0 and math.isfinite(a.max())):
+        i = int(np.nonzero(~(np.isfinite(a) & (a > 0.0)))[0][0])
+        raise EvaluationError(
+            f"interval stiffness a_{i} = {a[i]} on [{t0[i]:.6g}, {t1[i]:.6g}] is not positive "
+            "and finite; the radii are too extreme for floating point"
+        )
+    return a
 
 
 def make_radial_grid(annulus: Annulus, n: int, spacing_mode: str = "uniform-in-t") -> RadialGrid:

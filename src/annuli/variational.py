@@ -6,10 +6,13 @@ after the substitution ``K = log H``, a convex quadratic in the sampled
 solve, by odd-even cyclic reduction in numpy for every grid size.  The
 solve takes the negation of the symmetric positive-definite system, whose
 off-diagonals are then the interval stiffness itself, and writes the
-interior of ``K`` in place, with the bits of the system itself.  Its
-diagonal, its right-hand side and the reduction's 2 n floats are views of
-one per-thread scratch array (``geometry._scratch``), kept up to 2^19
-floats, so only ``K`` is allocated anew; a scratch view never outlives
+interior of ``K`` in place, with the bits of the system itself.  The
+stiffness, the diagonal, the right-hand side and the reduction's buffers
+(about 8 n / 3 floats, every level at a stride of at most 2 elements)
+are views of one per-thread scratch array (``geometry._scratch``), kept
+up to 2^20 floats, and the energy is formed in a region of it that the
+solve leaves dead.  So the route forms no cached stiffness of the grid,
+and a warm solve allocates ``K`` alone; a scratch view never outlives
 the function that took it, and is never held across a call that may take
 scratch.
 Conjugate-gradient descent on the gradient,
@@ -30,7 +33,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, EvaluationError
-from .geometry import AnnulusPair, RadialGrid, _log_width, _scratch, make_radial_grid
+from .geometry import (AnnulusPair, RadialGrid, _form_stiffness, _log_width, _scratch,
+                       make_radial_grid)
 from .maps import SampledProfile, _ClosedFormProfile, exp_profile_from_boundary
 
 _FOUR_PI = 4.0 * math.pi
@@ -96,17 +100,20 @@ def discrete_reduced_energy(k_values: np.ndarray, grid: RadialGrid) -> float:
     return _energy_from_coefficients(grid._stiffness, _k_on_grid(k_values, grid), grid)
 
 
-def _energy_from_coefficients(a: np.ndarray, k: np.ndarray, grid: RadialGrid):
+def _energy_from_coefficients(a: np.ndarray, k: np.ndarray, grid: RadialGrid,
+                              dk: np.ndarray | None = None):
     """Reduced energy of the nodal values ``k`` on ``grid``, whose interval
     stiffness is ``a``: a float, or for a stack of states (nodes on the
     last axis) the array of their energies, each with the bits of its own
-    call, as every row is summed alone."""
+    call, as every row is summed alone.  ``dk``, when given, is the
+    scratch: a contiguous float64 array of one entry per interval and
+    state, which shares no memory with ``a`` or ``k``; else it is a view of
+    this thread's scratch (``geometry._scratch``), so a caller that holds
+    scratch views passes its own."""
     # a plain sum, not a BLAS dot, whose threaded split moves the last bits;
-    # in place, in a view of the float64 scratch this thread keeps, up to 2^19
-    # floats (geometry._scratch), dropped on return and held across no call
-    # that may take scratch
+    # in place in dk, dropped on return
     shape = k.shape[:-1] + (k.shape[-1] - 1,)
-    dk = _scratch(math.prod(shape)).reshape(shape)
+    dk = (_scratch(math.prod(shape)) if dk is None else dk).reshape(shape)
     np.subtract(k[..., 1:], k[..., :-1], out=dk)
     dk *= dk
     dk *= a
@@ -170,12 +177,11 @@ def _closed_form_sup_error(pair: AnnulusPair, grid: RadialGrid, values: np.ndarr
     return float(np.max(np.abs(values - closed.eval(grid.nodes))))
 
 
-def _solution_from_k(pair: AnnulusPair, grid: RadialGrid, k: np.ndarray,
+def _solution_from_k(pair: AnnulusPair, grid: RadialGrid, k: np.ndarray, energy: float,
                      iterations: int, converged: bool) -> DiscreteSolution:
     """Solution for the nodal values of ``K = log(H / r_star)``, which rise
-    from 0 to ``span = log(R_star / r_star)``; ``k``, the solver's own
-    array, becomes the profile's values."""
-    energy = _energy_from_coefficients(grid._stiffness, k, grid)
+    from 0 to ``span = log(R_star / r_star)``, and their ``energy``; ``k``,
+    the solver's own array, becomes the profile's values."""
     span = k[-1]
     # H from the nearer end, r* e^K or R* e^(K - span), which keeps the digits
     # of thin shells far from 1 and never overflows: e^709.7 is finite, and
@@ -200,17 +206,18 @@ def _constant_solution(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolution:
 def _discrete_minimize(pair: AnnulusPair, grid: RadialGrid, solve) -> DiscreteSolution:
     """The steps both discrete solvers share: check the grid, answer a
     degenerate target with the constant profile, and otherwise run
-    ``solve(grid, a, span) -> (k, iterations, converged)`` on the interval
-    stiffness ``a`` for ``K = log(H / r_star)``, which runs from 0 to
+    ``solve(grid, span) -> (k, energy, iterations, converged)`` for
+    ``K = log(H / r_star)``, which runs from 0 to
     ``span = log(R_star / r_star)``: anchored at 0, ``K`` carries no
-    rounding of ``log r_star``."""
+    rounding of ``log r_star``.  Each solver forms the interval stiffness
+    and the energy of ``k`` itself."""
     if grid.annulus != pair.domain:
         raise DomainError(f"grid on {grid.annulus!r}, not on {pair.domain!r}")
     # reads no stiffness, which raises on shells such as (1e160, 2e160)
     if pair.r_star == pair.R_star:
         return _constant_solution(pair, grid)
-    k, iterations, converged = solve(grid, grid._stiffness, _log_width(pair.target))
-    return _solution_from_k(pair, grid, k, iterations, converged)
+    k, energy, iterations, converged = solve(grid, _log_width(pair.target))
+    return _solution_from_k(pair, grid, k, energy, iterations, converged)
 
 
 def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolution:
@@ -225,23 +232,28 @@ def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolu
     return _discrete_minimize(pair, grid, _direct_k)
 
 
-def _direct_k(grid: RadialGrid, a: np.ndarray, span: float):
+def _direct_k(grid: RadialGrid, span: float):
     # row i of the negated system, a[i-1] K[i-1] - (a[i-1] + a[i]) K[i] + a[i] K[i+1] = 0,
     # takes its off-diagonals as views of a (the kernel ignores the first lower and
-    # the last upper entry) and solves into the interior of K; its diagonal, its
-    # right-hand side and the reduction's buffer are one view of this thread's scratch
-    m = a.size - 1
-    k = np.empty(a.size + 1)
+    # the last upper entry) and solves into the interior of K.  The stiffness a, the
+    # diagonal, the right-hand side and the reduction's buffer are one view of this
+    # thread's scratch; the n floats after a, still unused, are the tmp that forms a,
+    # and, dead after the solve, the dk of the energy
+    n = grid.nodes.size - 1
+    m = n - 1
+    k = np.empty(n + 1)
     k[0] = 0.0
     k[-1] = span
-    scratch = _scratch(2 * m + 4 * (m // 2))
-    diag, rhs, work = scratch[:m], scratch[m:2 * m], scratch[2 * m:]
+    scratch = _scratch(n + 2 * m + _kernels._work_size(m))
+    a, spare = scratch[:n], scratch[n:2 * n]
+    diag, rhs, work = scratch[n:n + m], scratch[n + m:n + 2 * m], scratch[n + 2 * m:]
+    _form_stiffness(grid, a, spare)
     np.add(a[:-1], a[1:], out=diag)
     np.negative(diag, out=diag)
     rhs[:-1] = 0.0
     rhs[-1] = -(a[-1] * span)
     _kernels.thomas_solve(a[:-1], diag, a[1:], rhs, k[1:-1], work)
-    return k, 1, True
+    return k, _energy_from_coefficients(a, k, grid, spare), 1, True
 
 
 def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolution:
@@ -266,13 +278,14 @@ def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSo
     return _discrete_minimize(pair, grid, _cg_k)
 
 
-def _cg_k(grid: RadialGrid, a: np.ndarray, span: float):
+def _cg_k(grid: RadialGrid, span: float):
+    a = grid._stiffness
     t = grid.nodes
     k = (t - t[0]) / (t[-1] - t[0]) * span
     # the kernel minimizes Q = E / (4 pi) - const, so rescale the
     # gradient tolerance accordingly
     iters, converged = _kernels.gd_quadratic(a, k, _CG_MAX_ITER, _CG_TOL / _FOUR_PI)
-    return k, int(iters), bool(converged)
+    return k, _energy_from_coefficients(a, k, grid), int(iters), bool(converged)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -87,6 +88,11 @@ def _dominant_system(rng, n):
     lower, upper = -rng.random(n), -rng.random(n)
     lower[0] = upper[-1] = np.nan
     return lower, 2.5 + rng.random(n), upper, rng.standard_normal(n)
+
+
+def _seeded_system(n):
+    """:func:`_dominant_system` of ``n`` rows drawn from seed ``n``."""
+    return _dominant_system(np.random.default_rng(n), n)
 
 
 def _residual(lower, diag, upper, rhs, x):
@@ -267,8 +273,8 @@ class TestCyclicReduction:
                 K.thomas_solve(lower, diag, upper, rhs)
 
     def test_peak_allocation_is_at_most_four_floats_per_row(self, rng):
-        # the output and the four level-1 buffers of n // 2 rows: measured
-        # 24.1 bytes per row, against 40.1 for a reduction that allocates
+        # the output and the reduction's _work_size(n) floats: measured
+        # 29.4 bytes per row, against 40.1 for a reduction that allocates
         # each level and its scratch anew
         n = 99_999
         args = _dominant_system(rng, n)
@@ -282,10 +288,10 @@ class TestCyclicReduction:
         assert peak <= 32 * n
 
     def test_out_is_the_output_and_its_scratch(self, rng):
-        # with out given, the four level-1 buffers of n // 2 rows are all it
-        # allocates, plus about 11 KB that does not grow with n (numpy's
-        # reduction buffer in the pivot check, the views and the level
-        # list): measured 16.11 bytes per row at n = 99 999
+        # with out given, the reduction's _work_size(n) floats (21.3 bytes
+        # per row) are all it allocates, plus about 11 KB that does not grow
+        # with n (numpy's reduction buffer in the pivot check, the views and
+        # the level list): measured 21.44 bytes per row at n = 99 999
         n = 99_999
         args = _dominant_system(rng, n)
         expect = K.thomas_solve(*args)
@@ -298,7 +304,7 @@ class TestCyclicReduction:
             tracemalloc.stop()
         assert x is out
         assert out.tobytes() == expect.tobytes()
-        assert peak <= 16 * n + 16 * 1024
+        assert peak <= 8 * K._work_size(n) + 16 * 1024
 
     @pytest.mark.parametrize("n", [4999, 5000])
     def test_negated_system_gives_the_same_bits(self, rng, n):
@@ -324,11 +330,11 @@ class TestCyclicReduction:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4999, 5000])
     def test_work_gives_the_same_bits(self, rng, n):
-        # work holds the reduction's four level-1 buffers; its contents are
-        # never read before they are written, and a longer work is allowed
+        # work holds the reduction's buffers; its contents are never read
+        # before they are written, and a longer work is allowed
         args = _dominant_system(rng, n)
         expect = K.thomas_solve(*args)
-        for size in (4 * (n // 2), 4 * (n // 2) + 7):
+        for size in (K._work_size(n), K._work_size(n) + 7):
             work = np.full(size, np.nan)
             assert K.thomas_solve(*args, work=work).tobytes() == expect.tobytes()
             out = np.empty(n)
@@ -340,7 +346,7 @@ class TestCyclicReduction:
         # level list and numpy's reduction buffer of the pivot check
         n = 99_999
         args = _dominant_system(rng, n)
-        out, work = np.empty(n), np.empty(4 * (n // 2))
+        out, work = np.empty(n), np.empty(K._work_size(n))
         K.thomas_solve(*args, out, work)
         tracemalloc.start()
         try:
@@ -352,19 +358,74 @@ class TestCyclicReduction:
 
     def test_short_wrong_or_overlapping_work_raises(self, rng):
         args = _dominant_system(rng, 10)
-        for work in (np.empty(19), np.empty(20, dtype=np.float32), np.empty((4, 5))):
-            with pytest.raises(ValueError, match="work must be 1-D float64 of at least 20"):
+        size = K._work_size(10)
+        for work in (np.empty(size - 1), np.empty(size, dtype=np.float32),
+                     np.empty((4, size // 4))):
+            with pytest.raises(ValueError, match=f"work must be 1-D float64 of at least {size}"):
                 K.thomas_solve(*args, work=work)
         # a work that shares memory with the right-hand side, or with out
         lower, diag, upper, rhs = args
-        shared = np.empty(40)
+        shared = np.empty(20 + size)
         shared[:10] = rhs
-        for given_out, work in ((None, shared[5:25]), (shared[10:20], shared[15:35])):
+        for given_out, work in ((None, shared[5:5 + size]), (shared[10:20], shared[15:15 + size])):
             with pytest.raises(ValueError, match="work must overlap no input"):
                 K.thomas_solve(lower, diag, upper, shared[:10], given_out, work)
         expect = K.thomas_solve(*args)
         x = K.thomas_solve(lower, diag, upper, shared[:10], shared[10:20], shared[20:])
         assert x.tobytes() == expect.tobytes()
+
+    # SHA-256 of the solutions of _seeded_system(n), concatenated over the
+    # sizes, as the reduction that stored level l at a stride of 2^(l - 1)
+    # elements computed them: any change of arithmetic changes a digest
+    _DIGESTS = [
+        (range(1, 71), "86aa8d6f8b11ca75cf53dd2b608bee4a4a732c1cd414aca4d931da2ca9c8639e"),
+        ([4999], "3e71d950a6a784ff2a69f25c51de225add85b52fd47ced46512373627f1ced3a"),
+        ([5000], "2f88823eed5af3dc8c4cb6043c53919de7565ecbacab4a34e38cb5561382cf16"),
+        ([99_999], "6a6a611e09e49a03888e4aed838a53b6f0dfffb578e2f4a6175caa94cbfbe3a4"),
+    ]
+
+    @pytest.mark.parametrize("sizes, digest", _DIGESTS)
+    @pytest.mark.parametrize("buffers", ["none", "out", "work", "out-and-work"])
+    def test_bytes_of_the_solution(self, sizes, digest, buffers):
+        h = hashlib.sha256()
+        for n in sizes:
+            out = np.empty(n) if "out" in buffers else None
+            work = np.full(K._work_size(n), np.nan) if "work" in buffers else None
+            h.update(K.thomas_solve(*_seeded_system(n), out, work).tobytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("with_work", [False, True])
+    def test_every_reduced_level_has_a_stride_of_at_most_two(self, monkeypatch, with_work):
+        # level 0 is the caller's system, at any stride; every level after it
+        # reaches _reduce at a stride of at most 2 floats, as does every
+        # level it writes
+        strides = []
+        reduce = K._reduce
+
+        def recording(system, reduced, scratch):
+            strides.append((max(v.strides[0] for v in system), reduced.strides[1]))
+            return reduce(system, reduced, scratch)
+
+        monkeypatch.setattr(K, "_reduce", recording)
+        for n in (*range(1, 71), 4999, 5000, 99_999):
+            strides.clear()
+            work = np.empty(K._work_size(n)) if with_work else None
+            K.thomas_solve(*_seeded_system(n), None, work)
+            assert len(strides) == n.bit_length() - 1
+            later = [system for system, _ in strides[1:]] + [reduced for _, reduced in strides]
+            assert max(later, default=0) <= 16, (n, strides)
+
+    @pytest.mark.parametrize("n", [10, 5000, 99_999])
+    def test_work_shorter_than_its_size_raises_naming_it(self, rng, n):
+        # levels 1, 3, 5, ... each take a block of their own: 8 n / 3 floats
+        # and a little less, against the 4 (n // 2) of the level-1 buffers
+        size = K._work_size(n)
+        assert 4 * (n // 2) < size <= 8 * n / 3
+        args = _dominant_system(rng, n)
+        for short in (4 * (n // 2), size - 1):
+            with pytest.raises(ValueError, match=f"of at least {size} entries"):
+                K.thomas_solve(*args, work=np.empty(short))
+        assert K._work_size(99_999) == 266_644
 
     @pytest.mark.parametrize("radii", [(1.0, 2.0, 1.0, math.e), (0.1, 10.0, 0.5, 3.0),
                                        (1.0, 1.02, 1.0, 5.0)])
