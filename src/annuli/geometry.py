@@ -174,10 +174,8 @@ def _read_only(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Strictly increasing radial nodes spanning an annulus exactly.
-
-    The nodes are read-only, so the grid's interval stiffness is computed
-    on first read and kept, read-only, with the grid."""
+    """Strictly increasing radial nodes spanning an annulus exactly.  The
+    nodes are read-only, so a grid can be shared."""
 
     annulus: Annulus
     nodes: np.ndarray
@@ -199,32 +197,21 @@ class RadialGrid:
         if self.spacing_mode not in SPACING_MODES:
             raise ValueError(f"unknown spacing mode {self.spacing_mode!r}")
 
-    @cached_property
-    def _stiffness(self) -> np.ndarray:
-        """Per-interval stiffness ``a_i`` of the discrete quadratic form
-        ``Q(K) = sum a_i (K_{i+1} - K_i)^2`` of the reduced energy.
-
-        The weight ``t^2`` is integrated exactly against the interpolant:
-        linear in ``1 / t`` on a ``uniform-in-1/t`` grid, linear in ``t`` on
-        the other two.  So the form is the true reduced energy of the
-        discrete competitor.  That keeps the discrete minimum an
-        upper bound of the continuum minimum on every grid, and makes the
-        reciprocal spacing reproduce the closed-form minimizer at the nodes.
-        Where ``a_i`` is not positive and finite, every read raises
-        :class:`EvaluationError`, as nothing is kept.
-        """
-        # tmp is a view of this thread's scratch (_scratch), dropped on return
-        tmp = _scratch(self.nodes.size - 1)
-        a = _form_stiffness(self, np.empty(tmp.size), tmp)
-        a.setflags(write=False)
-        return a
-
 
 def _form_stiffness(grid: RadialGrid, a: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """The interval stiffness of ``grid`` (see ``RadialGrid._stiffness``)
+    """Per-interval stiffness ``a_i`` of the discrete quadratic form
+    ``Q(K) = sum a_i (K_{i+1} - K_i)^2`` of the reduced energy on ``grid``,
     written into ``a``, returned, with ``tmp`` as scratch: both are float64
-    arrays of one entry per interval, and share no memory.  Raises
-    :class:`EvaluationError` where an entry is not positive and finite."""
+    arrays of one entry per interval, and share no memory.
+
+    The weight ``t^2`` is integrated exactly against the interpolant:
+    linear in ``1 / t`` on a ``uniform-in-1/t`` grid, linear in ``t`` on
+    the other two.  So the form is the true reduced energy of the
+    discrete competitor.  That keeps the discrete minimum an upper bound
+    of the continuum minimum on every grid, and makes the reciprocal
+    spacing reproduce the closed-form minimizer at the nodes.  Raises
+    :class:`EvaluationError` where an entry is not positive and finite.
+    """
     t0, t1 = grid.nodes[:-1], grid.nodes[1:]
     # the integral of t^2 against a K linear in 1/t over one interval is
     # t0 t1; against a K linear in t it is (t0^2 + t0 t1 + t1^2) / 3.

@@ -11,10 +11,10 @@ stiffness, the diagonal, the right-hand side and the reduction's buffers
 (about 8 n / 3 floats, every level at a stride of at most 2 elements)
 are views of one per-thread scratch array (``geometry._scratch``), kept
 up to 2^20 floats, and the energy is formed in a region of it that the
-solve leaves dead.  So the route forms no cached stiffness of the grid,
-and a warm solve allocates ``K`` alone; a scratch view never outlives
-the function that took it, and is never held across a call that may take
-scratch.
+solve leaves dead.  So a warm solve allocates ``K`` alone; a scratch view
+never outlives the function that took it, and is never held across a
+call that may take scratch.  The grid keeps no stiffness: every reader
+forms it with ``geometry._form_stiffness`` where it uses it.
 Conjugate-gradient descent on the gradient,
 preconditioned in the hierarchical basis, and RK4 shooting on the
 Euler-Lagrange equation are provided as independent routes to the same
@@ -97,7 +97,9 @@ def _k_on_grid(k_values: np.ndarray, grid: RadialGrid) -> np.ndarray:
 
 def discrete_reduced_energy(k_values: np.ndarray, grid: RadialGrid) -> float:
     """Reduced energy of the piecewise profile ``H = exp(K)``."""
-    return _energy_from_coefficients(grid._stiffness, _k_on_grid(k_values, grid), grid)
+    k = _k_on_grid(k_values, grid)
+    n = k.size - 1
+    return _energy_from_coefficients(_form_stiffness(grid, np.empty(n), _scratch(n)), k, grid)
 
 
 def _energy_from_coefficients(a: np.ndarray, k: np.ndarray, grid: RadialGrid,
@@ -128,11 +130,12 @@ def reduced_energy_gradient(k_values: np.ndarray, grid: RadialGrid) -> np.ndarra
     """Gradient of :func:`discrete_reduced_energy` at the interior
     nodes (the boundary values are constrained)."""
     k = _k_on_grid(k_values, grid)
-    a = grid._stiffness
+    n = k.size - 1
+    a = _form_stiffness(grid, np.empty(n), _scratch(n))
     # the gradient of Q = E / (4 pi) - const that conjugate-gradient
     # descent runs on, scaled back to E
-    grad = np.empty(a.size - 1)
-    _kernels._form_gradient(a, k, np.empty(a.size), grad)
+    grad = np.empty(n - 1)
+    _kernels._form_gradient(a, k, np.empty(n), grad)
     grad *= _FOUR_PI
     return grad
 
@@ -142,11 +145,18 @@ def _discrete_el_residual(profile: SampledProfile) -> np.ndarray:
     interior nodes: :func:`reduced_energy_gradient` at ``K = log H`` over
     ``8 pi |mean(a_i (K_{i+1} - K_i))|``, so the jump of the interval flux
     relative to its mean.  The discrete solvers solve this equation, so it
-    reads rounding on their output; where the mean flux is 0 it reads 0."""
-    grid = profile.grid
+    reads rounding on their output; where the mean flux is 0 it reads 0,
+    and a constant ``K`` reads 0 before any stiffness is formed."""
     k = np.log(profile.values)
-    scale = 2.0 * _FOUR_PI * abs(float(np.mean(grid._stiffness * np.diff(k))))
-    grad = reduced_energy_gradient(k, grid)
+    n = k.size - 1
+    # a degenerate target's domain may have no stiffness in the float range
+    if k.min() == k.max():
+        return np.zeros(n - 1)
+    a = _form_stiffness(profile.grid, np.empty(n), _scratch(n))
+    flux, grad = np.empty(n), np.empty(n - 1)
+    _kernels._form_gradient(a, k, flux, grad)
+    grad *= _FOUR_PI
+    scale = 2.0 * _FOUR_PI * abs(float(np.mean(flux)))
     return grad / scale if scale > 0.0 else np.zeros_like(grad)
 
 
@@ -279,8 +289,8 @@ def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSo
 
 
 def _cg_k(grid: RadialGrid, span: float):
-    a = grid._stiffness
     t = grid.nodes
+    a = _form_stiffness(grid, np.empty(t.size - 1), _scratch(t.size - 1))
     k = (t - t[0]) / (t[-1] - t[0]) * span
     # the kernel minimizes Q = E / (4 pi) - const, so rescale the
     # gradient tolerance accordingly

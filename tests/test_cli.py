@@ -239,12 +239,22 @@ class TestMinimizeCommand:
             errs[n] = max(float(l.split(",")[3]) for l in rows)
         assert 3.2 < errs[500] / errs[1000] < 4.8
 
-    def test_constant_solution_for_equal_targets(self, capsys):
-        _, out, _ = run_cli(capsys, "minimize", "--r", "1", "--R", "2",
-                            "--rstar", "1.5", "--Rstar", "1.5", "--grid-n", "4")
-        rows = [l for l in out.strip().splitlines()[1:]
+    # the last four domains have a stiffness that overflows (t0 t1 on the
+    # first, t1^2 / 3 on the second) or underflows to 0; the constant
+    # profile and its residual need none
+    @pytest.mark.parametrize("radii", [("1", "2", "1.5", "1.5"), ("1e160", "2e160", "1", "1"),
+                                       ("1", "1e300", "1", "1"), ("1e-170", "2e-170", "3", "3"),
+                                       ("5e-324", "1e-300", "1", "1")], ids="-".join)
+    def test_constant_solution_for_equal_targets(self, capsys, radii):
+        r, R, rstar, Rstar = radii
+        code, out, _ = run_cli(capsys, "minimize", "--r", r, "--R", R,
+                               "--rstar", rstar, "--Rstar", Rstar, "--grid-n", "4")
+        assert code == 0
+        rows = [l.split(",") for l in out.strip().splitlines()[1:]
                 if not l.startswith(("energy", "analytic", "gap"))]
-        assert all(float(l.split(",")[1]) == 1.5 for l in rows)
+        assert len(rows) == 5
+        assert all(float(row[1]) == float(rstar) for row in rows)
+        assert all(float(row[4]) == 0.0 for row in rows[1:-1])
 
     def test_residual_column_is_the_discrete_euler_lagrange_residual(self, capsys):
         # on the direct solve the column reads rounding; a 1e-3 bump of the

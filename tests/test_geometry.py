@@ -20,7 +20,7 @@ from annuli import (
     make_sphere_quadrature,
     tangent_frames,
 )
-from annuli.geometry import row_norms
+from annuli.geometry import _form_stiffness, row_norms
 
 
 class TestAnnulus:
@@ -161,7 +161,8 @@ class TestRadialGrid:
     def test_log_grid_takes_the_stiffness_linear_in_t(self):
         g = make_radial_grid(Annulus(1.0, 100.0), 50, "uniform-in-log-t")
         t0, t1 = g.nodes[:-1], g.nodes[1:]
-        assert np.array_equal(g._stiffness, (t0 * t1 + t0 * t0 + t1 * t1) / 3.0 / (t1 - t0))
+        a = _form_stiffness(g, np.empty(50), np.empty(50))
+        assert np.array_equal(a, (t0 * t1 + t0 * t0 + t1 * t1) / 3.0 / (t1 - t0))
 
     def test_nodes_must_increase(self):
         with pytest.raises(DomainError):
@@ -218,7 +219,7 @@ class TestSphereQuadrature:
 
 
 class TestSharedInvariants:
-    """Rules, frames and stiffness are computed once and shared read-only."""
+    """Rules and frames are computed once and shared read-only."""
 
     def test_sphere_rule_and_frames_are_built_once(self):
         q = make_sphere_quadrature(16)
@@ -227,12 +228,6 @@ class TestSharedInvariants:
         u, v = tangent_frames(q.nodes)
         assert q._frames[0].tobytes() == u.tobytes()
         assert q._frames[1].tobytes() == v.tobytes()
-
-    def test_stiffness_is_kept_with_its_grid(self):
-        grid = make_radial_grid(Annulus(1.0, 2.0), 50)
-        assert grid._stiffness is grid._stiffness
-        # a new grid on the same annulus computes its own
-        assert make_radial_grid(Annulus(1.0, 2.0), 50)._stiffness is not grid._stiffness
 
     def test_hashes_are_the_dataclass_hashes_computed_once(self, monkeypatch):
         pair = AnnulusPair.from_radii(1.0, 2.0, 0.5, 3.0)
@@ -247,12 +242,12 @@ class TestSharedInvariants:
     def test_shared_arrays_are_read_only(self):
         q = make_sphere_quadrature(8)
         grid = make_radial_grid(Annulus(1.0, 2.0), 8)
-        for arr in (q.nodes, q.weights, *q._frames, grid.nodes, grid._stiffness):
+        for arr in (q.nodes, q.weights, *q._frames, grid.nodes):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 
     def test_a_callers_buffer_is_copied_not_frozen(self):
-        # the kept stiffness and frames need nodes that cannot change
+        # a shared grid or rule needs arrays that cannot change
         nodes = np.array([1.0, 1.5, 2.0])
         grid = RadialGrid(Annulus(1.0, 2.0), nodes, "uniform-in-t")
         q = make_sphere_quadrature(4)
@@ -268,7 +263,7 @@ class TestSharedInvariants:
         grid = make_radial_grid(Annulus(1.0, 1e300), 10)
         for _ in range(2):
             with pytest.raises(EvaluationError, match="interval stiffness a_0 = inf"):
-                grid._stiffness
+                _form_stiffness(grid, np.empty(10), np.empty(10))
 
 
 @st.composite

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from annuli import AnnulusPair, MobiusTransform, make_radial_grid
 from annuli import _kernels as K
+from annuli.geometry import _form_stiffness
 from reference import affine_per_row
 
 
@@ -310,7 +311,8 @@ class TestCyclicReduction:
     def test_negated_system_gives_the_same_bits(self, rng, n):
         # round-to-nearest is symmetric in sign, so every intermediate of the
         # reduction on the negated system is the exact negation of its own
-        a = make_radial_grid(AnnulusPair.from_radii(1.0, 2.0, 1.0, math.e).domain, n + 1)._stiffness
+        grid = make_radial_grid(AnnulusPair.from_radii(1.0, 2.0, 1.0, math.e).domain, n + 1)
+        a = _form_stiffness(grid, np.empty(n + 1), np.empty(n + 1))
         rhs = np.zeros(n)
         rhs[-1] = a[-1]
         for args in (_dominant_system(rng, n), (-a[:-1], a[:-1] + a[1:], -a[1:], rhs)):
@@ -435,7 +437,8 @@ class TestCyclicReduction:
         # generator pairs, relative to max(|k0|, |kn|, |kn - k0|): at most
         # 1.24e-9 for the reduction and 1.04e-9 for the loop.
         pair = AnnulusPair.from_radii(*radii)
-        a = make_radial_grid(pair.domain, 100_000)._stiffness
+        a = _form_stiffness(make_radial_grid(pair.domain, 100_000), np.empty(100_000),
+                            np.empty(100_000))
         k0, kn = math.log(pair.r_star), math.log(pair.R_star)
         rhs = np.zeros(a.size - 1)
         rhs[0] = a[0] * k0

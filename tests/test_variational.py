@@ -25,9 +25,16 @@ from annuli import (
     weighted_harmonic_residual,
 )
 from annuli import _kernels, geometry, variational
-from annuli.geometry import _log_width
+from annuli.geometry import _form_stiffness, _log_width
 from annuli.variational import _closed_form_sup_error
 from annuli.verify import random_annulus_pair
+
+
+def _stiffness(grid):
+    """The interval stiffness of ``grid``, formed as the package's readers
+    form it: in a fresh array, with this thread's scratch as ``tmp``."""
+    n = grid.nodes.size - 1
+    return _form_stiffness(grid, np.empty(n), geometry._scratch(n))
 
 
 class TestElResidual:
@@ -116,7 +123,7 @@ class TestDiscreteMinimization:
             pair = random_annulus_pair(rng)
             grid = make_radial_grid(pair.domain, n, spacing)
             sol = minimize_reduced_energy(pair, grid)
-            c = np.cumsum(1.0 / grid._stiffness.astype(np.longdouble))
+            c = np.cumsum(1.0 / _stiffness(grid).astype(np.longdouble))
             k0, kn = math.log(pair.r_star), math.log(pair.R_star)
             exact = k0 + (kn - k0) * np.concatenate([[0.0], c / c[-1]])
             err = np.abs(np.log(sol.profile.values.astype(np.longdouble)) - exact)
@@ -142,7 +149,7 @@ class TestDiscreteMinimization:
         pair = AnnulusPair.from_radii(*radii)
         grid = make_radial_grid(pair.domain, 4)
         with pytest.raises(EvaluationError):
-            grid._stiffness
+            _stiffness(grid)
         sol = solve(pair, grid)
         assert np.all(sol.profile.values == radii[2])
         assert sol.energy == 8.0 * math.pi * pair.domain.width
@@ -210,14 +217,19 @@ class TestDirectSolveInPlace:
 
         assert _in_fresh_thread(second_solve) <= 1.1 * 8 * n
 
-    @pytest.mark.parametrize("solve", [minimize_reduced_energy, gradient_descent_minimize])
+    @pytest.mark.parametrize("solve", [
+        minimize_reduced_energy, gradient_descent_minimize,
+        lambda pair, grid: discrete_reduced_energy(np.zeros(grid.nodes.size), grid),
+        lambda pair, grid: reduced_energy_gradient(np.zeros(grid.nodes.size), grid),
+    ], ids=["minimize_reduced_energy", "gradient_descent_minimize", "discrete_reduced_energy",
+            "reduced_energy_gradient"])
     @pytest.mark.parametrize("radii", [(1.0, 1e300, 1.0, 2.0), (5e-324, 1e-300, 1e-300, 1.0)])
     def test_a_bad_stiffness_raises_the_grids_error(self, solve, radii):
-        # the direct route forms its stiffness in the scratch and the CG
-        # route reads the grid's; both raise the grid's error, word for word
+        # the direct route forms its stiffness in the scratch and every other
+        # reader in a fresh array; each raises the grid's error, word for word
         pair = AnnulusPair.from_radii(*radii)
         with pytest.raises(EvaluationError) as expect:
-            make_radial_grid(pair.domain, 10)._stiffness
+            _stiffness(make_radial_grid(pair.domain, 10))
         with pytest.raises(EvaluationError) as got:
             solve(pair, make_radial_grid(pair.domain, 10))
         assert str(got.value) == str(expect.value)
@@ -232,7 +244,7 @@ class TestDirectSolveInPlace:
             pair = random_annulus_pair(rng)
             grid = make_radial_grid(pair.domain, n)
             k, _, _, _ = variational._direct_k(grid, _log_width(pair.target))
-            flux = grid._stiffness * np.diff(k)
+            flux = _stiffness(grid) * np.diff(k)
             assert flux.max() - flux.min() <= bound * abs(flux.mean()), pair
 
     def test_bits_of_the_positive_definite_system(self):
@@ -240,7 +252,7 @@ class TestDirectSolveInPlace:
         for _ in range(40):
             pair = random_annulus_pair(rng)
             grid = make_radial_grid(pair.domain, 1000)
-            a, span = grid._stiffness, _log_width(pair.target)
+            a, span = _stiffness(grid), _log_width(pair.target)
             # the system itself, with its solution copied between the ends
             rhs = np.zeros(a.size - 1)
             rhs[-1] = a[-1] * span
@@ -270,7 +282,7 @@ class TestPerThreadScratch:
     def _solve(pair, n=100_000):
         grid = make_radial_grid(pair.domain, n)
         sol = minimize_reduced_energy(pair, grid)
-        return grid._stiffness.tobytes(), sol.profile.values.tobytes(), sol.energy.hex()
+        return _stiffness(grid).tobytes(), sol.profile.values.tobytes(), sol.energy.hex()
 
     def test_concurrent_solves_give_the_bits_of_sequential_ones(self):
         # more threads than the two cores of the machine measured on, and a
@@ -299,13 +311,11 @@ class TestPerThreadScratch:
         assert got == expect
 
     def test_results_share_no_memory_with_the_scratch(self, canonical_pair):
-        # the route forms its stiffness in the scratch, not the grid's
         for n in (2, 1000, 100_000):
             grid = make_radial_grid(canonical_pair.domain, n)
             sol = minimize_reduced_energy(canonical_pair, grid)
-            assert "_stiffness" not in vars(grid), n
             scratch = geometry._scratch_local.buf
-            for arr in (sol.profile.values, grid._stiffness, grid.nodes):
+            for arr in (sol.profile.values, grid.nodes):
                 assert not np.shares_memory(arr, scratch), n
 
     def test_a_solve_above_the_cap_keeps_at_most_the_cap(self, canonical_pair):
@@ -376,7 +386,7 @@ class TestIntervalCoefficients:
                     plain = (t[:-1] ** 2 + t[:-1] * t[1:] + t[1:] ** 2) / 3.0 / np.diff(t)
                 else:
                     plain = t[:-1] * t[1:] / np.diff(t)
-                assert grid._stiffness.tobytes() == plain.tobytes(), (pair, n)
+                assert _stiffness(grid).tobytes() == plain.tobytes(), (pair, n)
 
 
 class TestEnergyGradient:
@@ -416,7 +426,7 @@ class TestStackedEnergies:
         grid = make_radial_grid(AnnulusPair.from_radii(1.0, 2.0, 1.0, 3.0).domain, n)
         for scale in (0.01, 0.5, 300.0):
             ks = rng.normal(0.0, scale, size=(2, 9, n + 1))
-            stacked = variational._energy_from_coefficients(grid._stiffness, ks, grid)
+            stacked = variational._energy_from_coefficients(_stiffness(grid), ks, grid)
             assert stacked.shape == (2, 9)
             single = [[discrete_reduced_energy(k, grid) for k in plane] for plane in ks]
             assert stacked.tobytes() == np.array(single).tobytes()

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import tracemalloc
@@ -29,7 +28,7 @@ from annuli import (
 )
 from annuli import energy, geometry, nitsche, verify
 from annuli.energy import _fd_energies
-from annuli.geometry import Annulus, RadialGrid, make_sphere_quadrature, row_norms
+from annuli.geometry import Annulus, make_sphere_quadrature, row_norms
 from annuli.sphere_maps import (
     MobiusTransform,
     conformal_stretch_points,
@@ -166,22 +165,8 @@ def _clear_caches():
 
 
 class TestSharedInvariants:
-    """Values that depend only on a grid, an order, a shell or a pair are
-    computed once per verify op, or once per process, and change no bit."""
-
-    def test_residuals_compute_their_grid_stiffness_once(self, monkeypatch):
-        stiffness = RadialGrid.__dict__["_stiffness"].func
-        grids = []
-
-        def counted(grid):
-            grids.append(grid)
-            return stiffness(grid)
-
-        prop = functools.cached_property(counted)
-        prop.__set_name__(RadialGrid, "_stiffness")
-        monkeypatch.setattr(RadialGrid, "_stiffness", prop)
-        assert all(r.passed for r in check_residuals(VerifyConfig(seed=1)))
-        assert len(grids) == 1
+    """Values that depend only on an order, a shell or a pair are computed
+    once per verify op, or once per process, and change no bit."""
 
     def test_sphere_check_computes_frames_once_per_rule(self, monkeypatch):
         calls = []
