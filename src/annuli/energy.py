@@ -23,10 +23,11 @@ For the inversion check, ``f`` and its composition with
 Each shell has one stencil per pair of orders: its centres, steps and
 weights are built once and shared, read-only, by every FD energy on that
 shell.  The radial rule is rebuilt on each decomposition, which costs
-microseconds.  The last two stencils are kept, since the inversion check
-alternates two sphere orders on one shell; in a verify run the harmonic
-check's one-shot shells evict those two.  Each chunk's points,
-differences and squared norms are fresh arrays.
+microseconds.  The last two stencils requested more than once are kept,
+since the inversion check alternates two sphere orders on one shell, and
+apart from them the last two requested once, so the harmonic check's
+one-shot shells never evict the pair's two (:class:`_StencilCache`).
+Each chunk's points, differences and squared norms are fresh arrays.
 
 A generalized radial map sends no points to ``map_eval_many``.
 ``f(x) = H(t) T(x / t)``, ``t = |x|``, so the route reads the norms and
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -173,13 +175,16 @@ def _sampled_weighted_integral(profile: SampledProfile, annulus: Annulus) -> flo
     ``k = t0 / h``, ``A = 2 (sinh y - y) / expm1(y)`` and
     ``B = expm1(-y) + y``: three terms that are never negative, with
     ``A`` and ``B`` summed as Taylor series where ``|y| < 1``.
+
+    A stack of profiles gives one integral per row, each summed alone and
+    so with the bits of its own call.
     """
     _same_annulus(profile, annulus)
     t, u = profile.grid.nodes, profile.values
     t0, h = t[:-1], np.diff(t)
     # extreme profiles overflow here; _finite_radial raises on the result
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        y = np.log1p(np.diff(u) / u[:-1])
+        y = np.log1p(np.diff(u) / u[..., :-1])
         x = np.expm1(y)
         small = np.abs(y) < 1.0
         y2 = y * y
@@ -190,32 +195,39 @@ def _sampled_weighted_integral(profile: SampledProfile, annulus: Annulus) -> flo
         b = np.where(small, y2 * np.polyval(_EXP_SERIES, y), np.expm1(-y) + y)
         half = np.sinh(0.5 * y)
         parts = h * a + t0 * (2.0 * b + 4.0 * (t0 / h) * (half * half))
-        val = float(np.sum(parts))
+        val = parts.sum(axis=-1)
     return _finite_radial(val, float(t[0]), float(t[-1]))
 
 
 def _require_positive(h: np.ndarray, t: np.ndarray):
-    bad = np.nonzero(h <= 0.0)[0]
+    # the node index of the first zero, of the first row that has one
+    bad = np.nonzero(h <= 0.0)[-1]
     if bad.size:
         i = int(bad[0])
         raise EvaluationError(f"profile vanishes at radius t={t[i]!r} (node {i})")
 
 
 def _radial_integral(t: np.ndarray, w: np.ndarray, g: np.ndarray) -> float:
-    """``integral(t^2 g^2) dt`` by the rule ``(t, w)``."""
+    """``integral(t^2 g^2) dt`` by the rule ``(t, w)``, one per row of a
+    stack of ``g``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        val = float(np.sum(w * (t**2 * g**2)))
+        val = np.sum(w * (t**2 * g**2), axis=-1)
     return _finite_radial(val, float(t[0]), float(t[-1]))
 
 
-def _finite_radial(val: float, lo: float, hi: float) -> float:
-    """``val``, a radial integral over ``[lo, hi]``, if it is finite.
+def _finite_radial(val, lo: float, hi: float):
+    """``val``, a radial integral over ``[lo, hi]`` or an array of them, one
+    per row of a stack, if every one is finite: a Python float, or the
+    array.
 
     Radii so large that ``t^2`` overflows, or so small that it underflows
     (a profile derivative ``b / t^2`` is then ``0 / 0`` or infinite), would
-    give ``inf`` or ``nan``; they raise instead, naming which.
+    give ``inf`` or ``nan``; they raise instead, naming which, with the
+    first value that is not finite.
     """
-    if not math.isfinite(val):
+    bad = np.flatnonzero(~np.isfinite(val))
+    if bad.size:
+        val = float(np.ravel(val)[bad[0]])
         if hi * hi == math.inf:
             cause = f"t^2 overflows at radii up to {hi:.6g}; the radii are too large"
         elif lo * lo < sys.float_info.min:
@@ -224,7 +236,7 @@ def _finite_radial(val: float, lo: float, hi: float) -> float:
             cause = f"(H'/H)^2 overflows on [{lo:.6g}, {hi:.6g}]; the profile is too steep"
         raise EvaluationError(f"radial energy integral is not finite ({val}): {cause} "
                               "for floating point")
-    return val
+    return val if np.ndim(val) else float(val)
 
 
 def _weighted_radial(profile: RadialProfile, annulus: Annulus, order: int) -> float:
@@ -254,6 +266,13 @@ def reduced_energy(profile: RadialProfile, annulus: Annulus) -> float:
     profile and an arbitrary Moebius rotation.  A closed form takes the
     Gauss rule in ``log t`` of order 64; a sampled profile is integrated
     exactly, as its piecewise-linear interpolant.
+
+    The profile may be a stack: a :class:`SampledProfile` whose values hold
+    the nodes on the last axis, or a closed form whose coefficient arrays
+    broadcast against the radii with one more axis.  The energy is then an
+    array of one per member, each with the bits of its own one-profile
+    call, as each row is summed alone (a plain ``sum(axis=-1)``, not a
+    BLAS product); the first member whose integral is not finite raises.
     """
     val = _weighted_radial(profile, annulus, _RADIAL_ORDER) + 2.0 * annulus.width
     return 4.0 * math.pi * val
@@ -332,14 +351,48 @@ class _Stencil(tuple):
         return t, units, {}
 
 
-@lru_cache(maxsize=2)
-def _fd_stencil(annulus: Annulus, radial_order: int, sphere_order: int) -> _Stencil:
+class _StencilCache:
+    """The FD stencils kept, by shell and orders.  A stencil is built on its
+    first request and kept among the last ``once`` stencils requested once;
+    a second request moves it among the last ``kept`` stencils requested
+    again, the least recently used going first.  So shells requested once,
+    as the harmonic row's twenty, pass through without evicting the two
+    stencils that the competitor and inversion rows request again and
+    again.  ``builds`` counts the stencils built."""
+
+    def __init__(self, build, kept: int, once: int):
+        self._build, self._kept_size, self._once_size = build, kept, once
+        self._kept, self._once = {}, {}
+        self._lock = threading.Lock()
+        self.builds = 0
+
+    def __call__(self, annulus: Annulus, radial_order: int, sphere_order: int) -> _Stencil:
+        key = (annulus, radial_order, sphere_order)
+        with self._lock:
+            stencil = self._kept.pop(key, None) or self._once.pop(key, None)
+            if stencil is None:
+                stencil, tier, size = self._build(*key), self._once, self._once_size
+                self.builds += 1
+            else:
+                tier, size = self._kept, self._kept_size
+            tier[key] = stencil
+            if len(tier) > size:
+                del tier[next(iter(tier))]
+        return stencil
+
+    def cache_clear(self):
+        with self._lock:
+            self._kept.clear()
+            self._once.clear()
+
+
+def _build_stencil(annulus: Annulus, radial_order: int, sphere_order: int) -> _Stencil:
     """The FD route's stencil on a shell: its centres, a column-major
     ``(N, 3)`` product of the radial rule and the sphere rule, the step
     at each centre and twice that step, and the quadrature weight of each
-    centre.  Built once per shell and orders and kept; every array is
-    read-only.  Weights beyond the float range raise
-    :class:`EvaluationError`, with no numpy warning."""
+    centre.  Built once per shell and orders and kept by
+    :data:`_fd_stencil`; every array is read-only.  Weights beyond the
+    float range raise :class:`EvaluationError`, with no numpy warning."""
     t, wt = _radial_rule(annulus, radial_order)
     quad = make_sphere_quadrature(sphere_order)
     n_sphere = quad.weights.size
@@ -358,6 +411,9 @@ def _fd_stencil(annulus: Annulus, radial_order: int, sphere_order: int) -> _Sten
     for a in (centers, steps, two_steps, weights):
         a.setflags(write=False)
     return _Stencil((centers, steps, two_steps, weights))
+
+
+_fd_stencil = _StencilCache(_build_stencil, kept=2, once=2)
 
 
 def _stencil_points(centers: np.ndarray, steps: np.ndarray, lo: int, hi: int,

@@ -75,6 +75,14 @@ class ExponentialProfile(_ClosedFormProfile):
     boundary radius, ``x`` stays within the profile's log range, where the
     unanchored ``a`` may lie beyond the float range, and ``exp`` stays in
     range wherever ``H`` does.
+
+    ``a`` and ``b`` may be arrays of one shape, a stack of profiles that
+    broadcasts against the radii as :class:`HarmonicProfile`'s does:
+    coefficients of shape ``(m, 1)`` on ``n`` radii give ``(m, n)`` values.
+    Each row keeps the bits of its own scalar profile, as ``log a`` and
+    ``b^2`` are taken member by member with Python's float operations
+    (``np.log`` and ``np.square`` differ from them in the last bit on some
+    draws).
     """
 
     a: float
@@ -82,13 +90,13 @@ class ExponentialProfile(_ClosedFormProfile):
     t0: float = math.inf
 
     def __post_init__(self):
-        if not (self.a > 0.0 and math.isfinite(self.a) and math.isfinite(self.b)
-                and self.t0 > 0.0):
+        if not (all(a > 0.0 and math.isfinite(a) for a in np.ravel(self.a).tolist())
+                and all(map(math.isfinite, np.ravel(self.b).tolist())) and self.t0 > 0.0):
             raise ValueError("exponential profile needs a > 0, t0 > 0 and finite a, b")
 
     def _h(self, t):
         x = self.b / t if self.t0 == math.inf else (self.b / self.t0) * ((self.t0 - t) / t)
-        log_a = math.log(self.a)
+        log_a = _each(math.log, self.a)
         y = log_a + x
         if np.any(y > _LOG_MAX):
             # y carries a few ulps of rounding, so an H that is the float maximum
@@ -102,7 +110,20 @@ class ExponentialProfile(_ClosedFormProfile):
         return -self.b / t**2 * self._h(t)
 
     def _d2(self, t):
-        return (2.0 * self.b / t**3 + self.b**2 / t**4) * self._h(t)
+        return (2.0 * self.b / t**3 + _each(_square, self.b) / t**4) * self._h(t)
+
+
+def _square(x: float) -> float:
+    return x**2
+
+
+def _each(fn, x):
+    """``fn`` of a Python float, or of each member of an array of them, in
+    an array of its shape: a stack's row keeps the bits of its own scalar
+    call where numpy's elementwise form of ``fn`` may round otherwise."""
+    if np.ndim(x) == 0:
+        return fn(x)
+    return np.array([fn(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
 
 
 @dataclass(frozen=True)
@@ -130,6 +151,11 @@ class SampledProfile(_Profile):
     It has values only, no ``derivative``: the discrete minimizers are
     judged by the discrete Euler-Lagrange equation they solve, not by
     differences of their samples.
+
+    ``values`` may be a stack of profiles on the grid, with the nodes on
+    the last axis, which :func:`energy.reduced_energy` reads as one energy
+    per row, each with the bits of its own one-row profile.  ``eval`` and
+    the map routes take one profile.
     """
 
     grid: RadialGrid
@@ -138,7 +164,7 @@ class SampledProfile(_Profile):
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if values.shape != self.grid.nodes.shape:
+        if values.shape[-1:] != self.grid.nodes.shape:
             raise ValueError("values must match the grid nodes")
         # a positive min() and a finite max() also reject nan
         if not (values.min() > 0.0 and values.max() < math.inf):
@@ -270,29 +296,44 @@ def perturbed_profile(
     The bump is a random mixture of the first ``mode`` frequencies,
     drawn from ``seed``, at total relative amplitude ``amplitude``.
     Endpoint values are untouched, so the perturbation stays admissible
-    for boundary value problems.
+    for boundary value problems.  The profile takes one member; its values
+    are row 0 of :func:`_perturbed_values`, which forms a stack of members
+    with the same bits per row.
     """
     if isinstance(mode, bool) or not isinstance(mode, numbers.Integral) or mode < 1:
         raise ValueError(f"mode must be a positive integer, got {mode!r}")
     if not math.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude!r}")
-    t = grid.nodes
-    a = grid.annulus
-    s = (t - a.inner) / a.width
-    rng = np.random.default_rng(seed)
-    coef = rng.uniform(-1.0, 1.0, size=mode)
-    coef /= np.sum(np.abs(coef))
-    bump = np.zeros_like(s)
-    for j, cj in enumerate(coef, start=1):
-        bump += cj * np.sin(j * np.pi * s)
-    # a profile near the float maximum may be pushed past it; that raises below
-    with np.errstate(over="ignore"):
-        values = base.eval(t) * (1.0 + amplitude * bump)
+    values = _perturbed_values(base, [amplitude], [int(mode)], [seed], grid)[0]
     if np.any(values <= 0.0):
         raise ValueError("perturbation amplitude destroys positivity")
     beyond = np.nonzero(values == math.inf)[0]
     if beyond.size:
         i = int(beyond[0])
-        raise EvaluationError(f"perturbed profile exceeds the float range at t = {float(t[i])!r} "
-                              f"(node {i})")
+        raise EvaluationError(f"perturbed profile exceeds the float range at t = "
+                              f"{float(grid.nodes[i])!r} (node {i})")
     return SampledProfile(grid=grid, values=values)
+
+
+def _perturbed_values(base: RadialProfile, amplitudes, modes, seeds,
+                      grid: RadialGrid) -> np.ndarray:
+    """The values of :func:`perturbed_profile` for each member
+    ``(amplitude, mode, seed)`` of the three sequences, one row each, with
+    the bits of that member's own call, unchecked.  ``H`` on the nodes and
+    each frequency's sine are formed once for all rows; a row adds ``0``
+    times each sine past its mode, which moves no bit of
+    ``1 + amplitude * bump``."""
+    t = grid.nodes
+    a = grid.annulus
+    s = (t - a.inner) / a.width
+    coef = np.zeros((len(modes), max(modes)))
+    for row, mode, seed in zip(coef, modes, seeds):
+        c = np.random.default_rng(seed).uniform(-1.0, 1.0, size=mode)
+        c /= np.sum(np.abs(c))
+        row[:mode] = c
+    bump = np.zeros((len(modes), s.size))
+    for j in range(1, coef.shape[1] + 1):
+        bump += coef[:, j - 1:j] * np.sin(j * np.pi * s)
+    # a profile near the float maximum may be pushed past it; the caller checks
+    with np.errstate(over="ignore"):
+        return base.eval(t) * (1.0 + np.reshape(amplitudes, (-1, 1)) * bump)

@@ -52,6 +52,8 @@ from .maps import (
     GeneralizedRadialMap,
     HarmonicProfile,
     SampledMap,
+    SampledProfile,
+    _perturbed_values,
     as_sampled_map,
     exp_profile_from_boundary,
     perturbed_profile,
@@ -138,6 +140,20 @@ def _equality(name: str, observed: float, expected: float, tolerance: float,
     ok = math.isfinite(observed) and abs(observed - expected) <= tolerance
     return CheckResult(name, bool(ok), float(observed), float(expected),
                        float(tolerance), detail)
+
+
+def _worst(rows: np.ndarray) -> float:
+    """0 raised to each row's ``max |row|`` in turn, as a loop over the
+    members of a stack raised it one at a time (a nan row is passed over)."""
+    return max(0.0, *np.max(np.abs(rows), axis=-1).tolist())
+
+
+def _profile_stack(cls, coefficients):
+    """The profiles ``cls(a, b)`` of the ``m`` pairs ``(a, b)`` as one
+    ``cls`` of ``(m, 1)`` coefficient arrays, a stack that broadcasts
+    against radii on the last axis."""
+    a, b = np.array(coefficients).T[:, :, None]
+    return cls(a=a, b=b)
 
 
 def _lower_bound(name: str, observed: float, bound: float, slack: float,
@@ -425,13 +441,33 @@ def _at_unit_scale(pair: AnnulusPair):
                               f"target's times 2^{-es})") from None
 
 
+def _competitor_energies(base, amps, modes, seeds, grid) -> np.ndarray:
+    """``reduced_energy(perturbed_profile(base, amp, mode, seed=seed,
+    grid=grid), grid.annulus)`` of each member ``(amp, mode, seed)``, from
+    one stack of values (``maps._perturbed_values``) and one
+    :func:`reduced_energy` call, each with the bits of its own calls.  A
+    member that ``perturbed_profile`` refuses raises its error after the
+    energies of the members before it, as one member at a time would."""
+    values = _perturbed_values(base, amps, modes, seeds, grid)
+    accepted = np.logical_and.accumulate((values.min(axis=1) > 0.0)
+                                         & (values.max(axis=1) < math.inf))
+    n_ok = int(np.count_nonzero(accepted))
+    energies = reduced_energy(SampledProfile(grid, values[:n_ok]), grid.annulus) if n_ok else None
+    if n_ok < len(values):
+        # the first refused member raises its own error
+        perturbed_profile(base, amps[n_ok], modes[n_ok], seed=seeds[n_ok], grid=grid)
+    return energies
+
+
 def check_minimal_energy(config: VerifyConfig) -> list[CheckResult]:
     """Minimal-energy value, minimizer structure, and the lower bound
     against perturbed competitors: piecewise-linear radial profiles and
     twisted minimizers, whose exact energy (see ``_twisted_minimizer``)
     exceeds ``E_min`` by at least 1e-3 of it.  The check runs at unit
     scale (see ``_at_unit_scale``); the two rows that read absolute values
-    report them in the units of ``config.pair``."""
+    report them in the units of ``config.pair``.  The radial competitors'
+    parameters are drawn member by member, and their energies are one
+    stack (``_competitor_energies``)."""
     with _at_unit_scale(config.pair) as (pair, e, es):
         rng = np.random.default_rng([config.seed, 1])
         results: list[CheckResult] = []
@@ -466,12 +502,11 @@ def check_minimal_energy(config: VerifyConfig) -> list[CheckResult]:
         n_radial = _N_COMPETITORS - n_angular
         grid = make_radial_grid(pair.domain, 200)
         min_gap = math.inf
-        for i in range(n_radial):
-            amp = rng.uniform(0.02, 0.5)
-            mode = int(rng.integers(1, 5))
-            prof = perturbed_profile(inc, amp, mode, seed=int(rng.integers(2**31)), grid=grid)
-            min_gap = min(min_gap, reduced_energy(prof, pair.domain) - target)
-        for i in range(n_angular):
+        draws = [(rng.uniform(0.02, 0.5), int(rng.integers(1, 5)), int(rng.integers(2**31)))
+                 for _ in range(n_radial)]
+        gaps = _competitor_energies(inc, *zip(*draws), grid) - target
+        min_gap = min(min_gap, *gaps.tolist())
+        for _ in range(n_angular):
             f, _ = _twisted_minimizer(pair, rng)
             rep = weighted_energy(f, pair, fd_order, _FD_ROTATION_SPHERE_ORDER, refine=False)
             min_gap = min(min_gap, rep.value - target)
@@ -574,6 +609,17 @@ def check_sphere_inequality(config: VerifyConfig) -> list[CheckResult]:
     return results
 
 
+def _bvp_laplacians(pairs: list[AnnulusPair]) -> np.ndarray:
+    """The radial Laplacian ``H'' + 2 H' / t - 2 H / t^2`` of each pair's
+    :func:`harmonic_radial_bvp` profile on ``np.linspace(r, R, 100)``, a row
+    per pair: one :class:`HarmonicProfile` stack on one array of radii, each
+    row with the bits of its own profile on its own radii."""
+    prof = _profile_stack(HarmonicProfile, [(q.a, q.b) for q in map(harmonic_radial_bvp, pairs)])
+    # contiguous, as numpy's power may take another loop on strided radii
+    t = np.ascontiguousarray(np.linspace([p.r for p in pairs], [p.R for p in pairs], 100, axis=1))
+    return prof.derivative(t, 2) + 2.0 * prof.derivative(t, 1) / t - 2.0 * prof.eval(t) / t**2
+
+
 def check_harmonic_bvp(config: VerifyConfig) -> list[CheckResult]:
     """Radial harmonic BVP: threshold equivalence, harmonicity, energy
     closed form, and its ordering against the universal lower bound.
@@ -584,7 +630,10 @@ def check_harmonic_bvp(config: VerifyConfig) -> list[CheckResult]:
     elsewhere); the public functions then decide the threshold pair
     ``(1, 2, 12, 17)`` and its one-ulp neighbours in ``r*``, the pairs
     only the exact path decides.  Pairs are built only for the rows that
-    read them: the first 50 tuples and the admissible draws."""
+    read them: the first 50 tuples and the admissible draws.
+
+    The harmonicity row evaluates its 50 BVP profiles as one stack
+    (``_bvp_laplacians``)."""
     rng = np.random.default_rng([config.seed, 4])
     results = []
 
@@ -599,13 +648,7 @@ def check_harmonic_bvp(config: VerifyConfig) -> list[CheckResult]:
                              f"{_N_PAIRS} random pairs; the threshold pair r = 1; R = 2; "
                              "r* = 12; R* = 17 and its one-ulp neighbours in r*"))
 
-    worst_res = 0.0
-    for x in radii[:50]:
-        p = AnnulusPair.from_radii(*x)
-        prof = harmonic_radial_bvp(p)
-        t = np.linspace(p.r, p.R, 100)
-        res = prof.derivative(t, 2) + 2.0 * prof.derivative(t, 1) / t - 2.0 * prof.eval(t) / t**2
-        worst_res = max(worst_res, float(np.max(np.abs(res))))
+    worst_res = _worst(_bvp_laplacians([AnnulusPair.from_radii(*x) for x in radii[:50]]))
     results.append(_equality("harmonic-bvp-radial-laplacian-vanishes",
                              worst_res, 0.0, _RESIDUAL_TOL,
                              "50 random pairs; 100 radii each"))
@@ -643,17 +686,20 @@ def check_harmonic_bvp(config: VerifyConfig) -> list[CheckResult]:
 def check_residuals(config: VerifyConfig) -> list[CheckResult]:
     """Pointwise identities: the Euler-Lagrange family, the weighted
     harmonicity reformulation, and the first-order form of the
-    log-derivative density."""
+    log-derivative density.
+
+    The 20 exponential and the 20 harmonic profiles are each one stack
+    (coefficients of shape ``(20, 1)``), drawn member by member and
+    evaluated on the 100 radii at once, each row with the bits of its own
+    profile's residuals."""
     rng = np.random.default_rng([config.seed, 5])
     results = []
     t = np.linspace(0.8, 4.0, 100)
 
-    worst_el = 0.0
-    worst_wh = 0.0
-    for _ in range(20):
-        prof = ExponentialProfile(a=rng.uniform(0.5, 2.0), b=rng.uniform(-1.5, 1.5))
-        worst_el = max(worst_el, float(np.max(np.abs(el_residual(prof, t)))))
-        worst_wh = max(worst_wh, float(np.max(np.abs(weighted_harmonic_residual(prof, t)))))
+    prof = _profile_stack(ExponentialProfile,
+                          [(rng.uniform(0.5, 2.0), rng.uniform(-1.5, 1.5)) for _ in range(20)])
+    worst_el = _worst(el_residual(prof, t))
+    worst_wh = _worst(weighted_harmonic_residual(prof, t))
     results.append(_equality("euler-lagrange-residual-vanishes-on-exponential-family",
                              worst_el, 0.0, _RESIDUAL_TOL, "20 random profiles; 100 radii"))
     results.append(_equality("weighted-harmonic-residual-vanishes-on-exponential-family",
@@ -662,11 +708,11 @@ def check_residuals(config: VerifyConfig) -> list[CheckResult]:
     # the identity is checked where both residuals are far from 0, on a
     # family of its own stream so that no other row moves
     link_rng = np.random.default_rng([config.seed, 6])
-    worst_link = 0.0
-    for _ in range(20):
-        prof = HarmonicProfile(a=link_rng.uniform(0.5, 2.0), b=link_rng.uniform(0.1, 1.5))
-        gap = weighted_harmonic_residual(prof, t) - el_residual(prof, t) / (t**2 * prof.eval(t))
-        worst_link = max(worst_link, float(np.max(np.abs(gap))))
+    prof = _profile_stack(HarmonicProfile,
+                          [(link_rng.uniform(0.5, 2.0), link_rng.uniform(0.1, 1.5))
+                           for _ in range(20)])
+    gap = weighted_harmonic_residual(prof, t) - el_residual(prof, t) / (t**2 * prof.eval(t))
+    worst_link = _worst(gap)
     results.append(_equality("weighted-residual-equals-scaled-euler-lagrange",
                              worst_link, 0.0, 1e-12,
                              "identity between the two residuals; 20 random profiles a t + b / t^2"))

@@ -11,8 +11,9 @@ batched one, the pair generator's scalar loop checks its rounds, and the
 logs of the closed-form energies decide where those energies lie beyond
 the float range.  The Lorentz affine map one row at a time, the
 great-circle differences of a sphere map in four calls, the weighted
-minimum in ``Fraction`` arithmetic and the admissible pair drawn one pair
-at a time check the forms that replaced them.
+minimum in ``Fraction`` arithmetic, the admissible pair drawn one pair
+at a time and the perturbed profile's bump summed one frequency at a time
+for one member check the forms that replaced them.
 """
 import cmath
 import math
@@ -249,3 +250,18 @@ def random_admissible_pair_loop(rng):
         pair = random_annulus_pair(rng)
         if nitsche_condition(pair).admissible:
             return pair
+
+
+def perturbed_values_one_member(base, amplitude, mode, seed, grid):
+    """The values of ``perturbed_profile(base, amplitude, mode, seed=seed,
+    grid=grid)``, formed for one member as the function once formed them."""
+    t = grid.nodes
+    a = grid.annulus
+    s = (t - a.inner) / a.width
+    coef = np.random.default_rng(seed).uniform(-1.0, 1.0, size=mode)
+    coef /= np.sum(np.abs(coef))
+    bump = np.zeros_like(s)
+    for j, cj in enumerate(coef, start=1):
+        bump += cj * np.sin(j * np.pi * s)
+    with np.errstate(over="ignore"):
+        return base.eval(t) * (1.0 + amplitude * bump)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from annuli import (
     reduced_energy,
     weighted_energy,
 )
+from annuli import energy
 from annuli.energy import _fd_energies, _fd_stencil, _min_weighted_energy, _same
 from annuli.energy import _profile_values
 from annuli.geometry import row_norms
@@ -457,6 +460,50 @@ class TestSharedStencil:
                                            canonical_pair.r_star, canonical_pair.R_star)
         assert _min_weighted_energy(canonical_pair) is _min_weighted_energy(same_pair)
 
+    def test_shells_requested_once_evict_no_stencil_requested_again(self, canonical_pair):
+        # the harmonic row's twenty one-shot shells once evicted the two
+        # stencils of the pair, which every verify op then rebuilt
+        domain = canonical_pair.domain
+        kept = [_fd_stencil(domain, 9, order) for order in (16, 4, 16, 4)][2:]
+        builds = _fd_stencil.builds
+        for k in range(20):
+            _fd_stencil(Annulus(1.0, 3.0 + k / 8.0), 9, 4)
+        assert _fd_stencil.builds - builds == 20
+        again = [_fd_stencil(domain, 9, order) for order in (16, 4)]
+        assert all(a is b for a, b in zip(again, kept))
+        assert _fd_stencil.builds - builds == 20
+
+    def test_concurrent_requests_lose_no_build_and_keep_the_sizes(self):
+        built, errors = [], []
+
+        def build(*key):
+            built.append(key)
+            return energy._Stencil(key)
+
+        cache = energy._StencilCache(build, kept=2, once=2)
+
+        def worker(seed):
+            try:
+                for k in np.random.default_rng(seed).integers(0, 6, 300).tolist():
+                    assert cache(k, 9, 4) == (k, 9, 4)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert cache.builds == len(built) > 0
+        assert len(cache._kept) <= 2 and len(cache._once) <= 2
+
     def test_shared_arrays_are_read_only(self, canonical_pair):
         for arr in _fd_stencil(canonical_pair.domain, 16, 8):
             with pytest.raises(ValueError, match="read-only"):
@@ -553,9 +600,10 @@ class TestPolarRoute:
         for arr in polar[:2]:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
-        # two more orders evict the stencil, and its polar form with it
-        _fd_stencil(domain, 9, 8)
-        _fd_stencil(domain, 9, 16)
+        # two more orders, each requested twice, evict the stencil, and its
+        # polar form with it
+        for orders in ((9, 8), (9, 8), (9, 16), (9, 16)):
+            _fd_stencil(domain, *orders)
         rebuilt = _fd_stencil(domain, 9, 4)
         assert rebuilt is not stencil and "polar" not in vars(rebuilt)
         assert rebuilt.polar is not polar

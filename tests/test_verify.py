@@ -12,7 +12,9 @@ from annuli import (
     ConfigError,
     DomainError,
     EvaluationError,
+    ExponentialProfile,
     GeneralizedRadialMap,
+    HarmonicProfile,
     VerifyConfig,
     analytic_min_weighted_energy,
     as_sampled_map,
@@ -21,10 +23,15 @@ from annuli import (
     check_residuals,
     check_sphere_inequality,
     check_minimal_energy,
+    el_residual,
     exp_profile_from_boundary,
     harmonic_radial_bvp,
+    make_radial_grid,
+    perturbed_profile,
+    reduced_energy,
     run_suite,
     weighted_energy,
+    weighted_harmonic_residual,
 )
 from annuli import energy, geometry, nitsche, verify
 from annuli.energy import _fd_energies
@@ -43,6 +50,7 @@ from annuli.verify import (
 )
 from reference import (
     min_weighted_energy_fraction,
+    perturbed_values_one_member,
     projective_twisted_minimizer,
     random_admissible_pair_loop,
     random_annulus_pair_scalar,
@@ -186,15 +194,19 @@ class TestSharedInvariants:
 
     def test_builds_per_warm_op(self):
         run_suite(VerifyConfig(seed=1))
-        cached = (geometry._sphere_rule, energy._fd_stencil, energy._min_weighted_energy)
-        before = [c.cache_info().misses for c in cached]
+
+        def builds():
+            return [geometry._sphere_rule.cache_info().misses, energy._fd_stencil.builds,
+                    energy._min_weighted_energy.cache_info().misses]
+
+        before = builds()
         run_suite(VerifyConfig(seed=2))
-        built = [c.cache_info().misses - b for c, b in zip(cached, before)]
-        # the pair's shell at both FD sphere orders and 20 admissible shells of
-        # the harmonic row at the rotation order (two stencils are kept, so the
-        # inversion row's alternating orders build none); the pair's exact
-        # minimum and 100 lower bounds
-        assert built == [0, 22, 101]
+        built = [n - b for n, b in zip(builds(), before)]
+        # 20 admissible shells of the harmonic row at the rotation order, each
+        # requested once, which evict neither of the pair's two stencils (they
+        # were rebuilt on every op while one-shot shells could evict them); the
+        # pair's exact minimum and 100 lower bounds
+        assert built == [0, 20, 101]
 
 
 class TestThinShells:
@@ -282,6 +294,164 @@ class TestPinnedReports:
         rows = [{k: repr(v) if isinstance(v, float) else v for k, v in row.items()}
                 for row in run_suite(VerifyConfig(seed=seed)).rows()]
         assert rows == pinned
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _competitor_draws(seed: int):
+    """The radial competitors' ``(amps, modes, seeds)`` that
+    ``check_minimal_energy`` draws at ``seed``, after its three rotations."""
+    rng = np.random.default_rng([seed, 1])
+    for _ in range(3):
+        random_mobius(rng)
+    n_radial = verify._N_COMPETITORS - verify._N_COMPETITORS // 3
+    draws = [(rng.uniform(0.02, 0.5), int(rng.integers(1, 5)), int(rng.integers(2**31)))
+             for _ in range(n_radial)]
+    return [list(column) for column in zip(*draws)]
+
+
+def _residual_draws(seed: int):
+    """The ``(a, b)`` of ``check_residuals``' exponential and harmonic
+    families at ``seed``."""
+    rng, link_rng = np.random.default_rng([seed, 5]), np.random.default_rng([seed, 6])
+    exponential = [(rng.uniform(0.5, 2.0), rng.uniform(-1.5, 1.5)) for _ in range(20)]
+    harmonic = [(link_rng.uniform(0.5, 2.0), link_rng.uniform(0.1, 1.5)) for _ in range(20)]
+    return exponential, harmonic
+
+
+class TestStackedFamilies:
+    """The suite's three seeded families are each one stack, numpy called
+    once per family, and each row keeps the bits of its member's own
+    single-profile path, on the draws of the checks' streams."""
+
+    SEEDS = range(200)
+
+    def test_competitor_energies_match_single_members(self):
+        for seed in self.SEEDS:
+            # a generator pair per seed, at unit scale as the check runs it
+            outer = random_annulus_pair(np.random.default_rng([seed, 7]))
+            with verify._at_unit_scale(outer) as (pair, _, _):
+                base = exp_profile_from_boundary(pair, "increasing")
+                grid = make_radial_grid(pair.domain, 200)
+                amps, modes, seeds = _competitor_draws(seed)
+                values = verify._perturbed_values(base, amps, modes, seeds, grid)
+                energies = verify._competitor_energies(base, amps, modes, seeds, grid)
+                for row, energy, amp, mode, s in zip(values, energies, amps, modes, seeds):
+                    one = perturbed_profile(base, amp, mode, seed=s, grid=grid)
+                    # and the values of the one-member loop the helper replaced
+                    expect = perturbed_values_one_member(base, amp, mode, s, grid)
+                    assert _bits(row) == _bits(one.values) == _bits(expect), seed
+                    assert _bits(energy) == _bits(reduced_energy(one, pair.domain)), seed
+
+    def test_bvp_laplacians_match_single_profiles(self):
+        for seed in self.SEEDS:
+            radii = _random_radii(np.random.default_rng([seed, 4]), verify._N_PAIRS)[:50]
+            pairs = [AnnulusPair.from_radii(*x) for x in radii]
+            for p, row in zip(pairs, verify._bvp_laplacians(pairs)):
+                prof = harmonic_radial_bvp(p)
+                t = np.linspace(p.r, p.R, 100)
+                res = (prof.derivative(t, 2) + 2.0 * prof.derivative(t, 1) / t
+                       - 2.0 * prof.eval(t) / t**2)
+                assert _bits(row) == _bits(res), (seed, p)
+
+    def test_residual_families_match_single_profiles(self):
+        t = np.linspace(0.8, 4.0, 100)
+        shell = AnnulusPair.from_radii(0.8, 4.0, 1.0, 2.0).domain
+        for seed in self.SEEDS:
+            for cls, draws in zip((ExponentialProfile, HarmonicProfile), _residual_draws(seed)):
+                stack = verify._profile_stack(cls, draws)
+                el, wh = el_residual(stack, t), weighted_harmonic_residual(stack, t)
+                gap = wh - el / (t**2 * stack.eval(t))
+                energies = reduced_energy(stack, shell)
+                for i, (a, b) in enumerate(draws):
+                    one = cls(a=a, b=b)
+                    el_one, wh_one = el_residual(one, t), weighted_harmonic_residual(one, t)
+                    assert _bits(el[i]) == _bits(el_one), (seed, cls)
+                    assert _bits(wh[i]) == _bits(wh_one), (seed, cls)
+                    assert _bits(gap[i]) == _bits(wh_one - el_one / (t**2 * one.eval(t)))
+                    assert _bits(energies[i]) == _bits(reduced_energy(one, shell))
+
+    def test_exponential_stack_takes_log_and_square_member_by_member(self):
+        # draws where np.log(a) is not math.log(a), or np.square(b) not b ** 2
+        # (libm's pow): 0.45 % and 0.1 % of them
+        rng = np.random.default_rng(2026)
+        a, b = rng.uniform(0.5, 2.0, 4000), rng.uniform(-1.5, 1.5, 4000)
+        log_differs = np.log(a) != np.array([math.log(x) for x in a.tolist()])
+        square_differs = np.square(b) != np.array([x**2 for x in b.tolist()])
+        assert np.count_nonzero(log_differs) >= 10 and np.count_nonzero(square_differs) >= 2
+        draws = list(zip(a[log_differs | square_differs].tolist(),
+                         b[log_differs | square_differs].tolist()))
+        t = np.linspace(0.8, 4.0, 100)
+        for t0 in (math.inf, 1.25):
+            stack = ExponentialProfile(a=np.array([x for x, _ in draws])[:, None],
+                                       b=np.array([y for _, y in draws])[:, None], t0=t0)
+            values = stack.eval(t), stack.derivative(t, 1), stack.derivative(t, 2)
+            for i, (x, y) in enumerate(draws):
+                one = ExponentialProfile(x, y, t0)
+                expect = one.eval(t), one.derivative(t, 1), one.derivative(t, 2)
+                for got, want in zip(values, expect):
+                    assert _bits(got[i]) == _bits(want), (t0, x, y)
+
+    def test_exponential_stack_checks_every_member(self):
+        with pytest.raises(ValueError, match="needs a > 0"):
+            ExponentialProfile(a=np.array([[1.0], [0.0]]), b=np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="finite a, b"):
+            ExponentialProfile(a=np.ones((2, 1)), b=np.array([[0.0], [math.nan]]))
+
+    def test_a_refused_competitor_raises_after_the_members_before_it(self):
+        pair = AnnulusPair.from_radii(1.0, 2.0, 1.0, 2.0)
+        base = exp_profile_from_boundary(pair, "increasing")
+        grid = make_radial_grid(pair.domain, 64)
+        # mode 1 at amplitude -1.5 pushes the profile through zero
+        with pytest.raises(ValueError, match="destroys positivity"):
+            verify._competitor_energies(base, [0.2, -1.5, 0.3], [2, 1, 1], [3, 0, 5], grid)
+        with pytest.raises(ValueError, match="destroys positivity"):
+            verify._competitor_energies(base, [-1.5, 0.2], [1, 2], [0, 3], grid)
+        # the first member's energy is not finite, as its one interval from
+        # t = 1 carries a rise of e^1380; one member at a time, that raises
+        # before the second member is formed
+        wide = make_radial_grid(AnnulusPair.from_radii(1.0, 1e10, 1.0, 2.0).domain, 200)
+        steep = ExponentialProfile(1e-300, -1380.0, t0=1.0)
+        with pytest.raises(EvaluationError, match="radial energy integral is not finite"):
+            reduced_energy(perturbed_profile(steep, 0.2, 1, seed=0, grid=wide), wide.annulus)
+        with pytest.raises(EvaluationError, match="radial energy integral is not finite"):
+            verify._competitor_energies(steep, [0.2, -1.5], [1, 1], [0, 0], wide)
+
+    def test_peak_allocation(self):
+        # each family's stack, warm: measured 105.6 bytes per member and node
+        # for the competitors (34 x 201), 49.8 for the BVP rows (50 x 100) and
+        # 73.4 and 65.3 for the two residual families (20 x 100).  A stack
+        # costs its members' arrays at once, and a large one is slower than
+        # a loop: 20 x 8 192-point stretches of the sphere row took 7.9 ms,
+        # against 4.1 ms one at a time
+        pair = verify.DEFAULT_PAIR
+        base = exp_profile_from_boundary(pair, "increasing")
+        grid = make_radial_grid(pair.domain, 200)
+        amps, modes, seeds = _competitor_draws(1)
+        pairs = [AnnulusPair.from_radii(*x)
+                 for x in _random_radii(np.random.default_rng([1, 4]), verify._N_PAIRS)[:50]]
+        t = np.linspace(0.8, 4.0, 100)
+        exponential, harmonic = (verify._profile_stack(cls, d) for cls, d in
+                                 zip((ExponentialProfile, HarmonicProfile), _residual_draws(1)))
+        families = [
+            (lambda: verify._competitor_energies(base, amps, modes, seeds, grid), 34 * 201, 136),
+            (lambda: verify._bvp_laplacians(pairs), 50 * 100, 64),
+            (lambda: (el_residual(exponential, t), weighted_harmonic_residual(exponential, t)),
+             20 * 100, 96),
+            (lambda: weighted_harmonic_residual(harmonic, t)
+             - el_residual(harmonic, t) / (t**2 * harmonic.eval(t)), 20 * 100, 96),
+        ]
+        for family, elements, bound in families:
+            family()
+            tracemalloc.start()
+            try:
+                family()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * elements, (peak / elements, bound)
 
 
 class TestSphereRows:
