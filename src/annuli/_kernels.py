@@ -5,13 +5,17 @@ with no BLAS product, so neither their memory layout nor the BLAS thread
 count changes a bit; it returns column-major ``(N, 3)`` arrays, whose
 columns the next step reads contiguously.  Each coordinate column is
 scaled for every Lorentz row at once, one broadcast step per coordinate,
-and the action's numerator and denominator come from that one pass.  RK4 shooting is vectorized
-numpy.  The tridiagonal solve is odd-even cyclic reduction: each of its
-about log2(n) levels halves the system in one numpy op per step, every n
-takes the same path, and every level it stores has a stride of at most
-2 elements, in a ``work`` of ``_work_size(n)`` floats, about 8 n / 3.
-Conjugate-gradient descent on the
-quadratic form, preconditioned in the hierarchical basis, is a loop of
+and the action's numerator and denominator come from that one pass.  The
+pushforward forms that image once for any number of tangent fields and
+takes one linear pass over them stacked column-major: the sphere rows'
+two frames make one pass of 4 096 points, past the size (about 3 000 on
+numpy 2.4.6) below which the broadcast step is slower than a loop over
+the rows.  RK4 shooting is vectorized numpy.  The tridiagonal solve is
+odd-even cyclic reduction: each of its about log2(n) levels halves the
+system in one numpy op per step, every n takes the same path, and every
+level it stores has a stride of at most 2 elements, in a ``work`` of
+``_work_size(n)`` floats, about 8 n / 3.  Conjugate-gradient descent on
+the quadratic form, preconditioned in the hierarchical basis, is a loop of
 whole-array steps into buffers allocated once, with no BLAS dot; each
 basis level is one numpy step of the transform, and a hat energy that is
 not positive and finite ends the run unconverged without a step.
@@ -69,8 +73,9 @@ def _lorentz(a, b, c, d):
     return _lorentz_of(np.array([[a, b], [c, d]], dtype=complex).tobytes())
 
 
-# a verify-suite op applies each of its about 90 transforms up to 7 times,
-# and 32 entries keep all but one of those matrices for their next use
+# a verify-suite op fetches the matrices of its 90 transforms 112 times, at
+# most 3 times each, and 32 entries keep all but one of those matrices for
+# their next use (21 of the 22 repeated fetches)
 @lru_cache(maxsize=32)
 def _lorentz_of(entries: bytes):
     """:func:`_lorentz` of the matrix whose complex128 entries, row by row,
@@ -114,18 +119,30 @@ def conformal_stretch_points(a, b, c, d, pts):
     return 1.0 / _affine(_lorentz(a, b, c, d)[:1], pts)[0]
 
 
-def mobius_pushforward(a, b, c, d, pts, vecs):
-    """Derivative of the sphere action at ``pts`` along tangent ``vecs``:
-    ``(A v - image (w . v)) / (w . p + w0)``."""
+def mobius_pushforward(a, b, c, d, pts, *vecs):
+    """Derivative of the sphere action at ``pts`` along each tangent field
+    of ``vecs``: ``(A v - image (w . v)) / (w . p + w0)``.  One field gives
+    one ``(N, 3)`` array, several a tuple of one per field.  The image and
+    its denominator are formed once for all fields, and the fields, stacked
+    column-major, take one linear pass; every step is elementwise, so each
+    derivative has the bits of its own one-field call, and any layout of
+    ``pts`` and ``vecs`` the same bits.  Each derivative's columns are
+    contiguous, and one field's array is column-major."""
     lor = _lorentz(a, b, c, d)
     image, den = _image(lor, pts)
     linear = lor.copy()
     linear[:, 0] = 0.0   # w . v and A v: a tangent vector has no offset
-    rows = _affine(linear, vecs)
+    n, k = pts.shape[0], len(vecs)
+    stacked = np.empty((k * n, 3), order="F")
+    for j, v in enumerate(vecs):
+        stacked[j * n:(j + 1) * n] = v
+    rows = _affine(linear, stacked).reshape(4, k, n)
     out = rows[1:]
-    out -= image.T * rows[0]
+    out -= image.T[:, None] * rows[0]
     out /= den
-    return out.T
+    if k == 1:
+        return out[:, 0].T
+    return tuple(out[:, j].T for j in range(k))
 
 
 # ---------------------------------------------------------------------------

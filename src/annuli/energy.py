@@ -177,26 +177,59 @@ def _sampled_weighted_integral(profile: SampledProfile, annulus: Annulus) -> flo
     ``A`` and ``B`` summed as Taylor series where ``|y| < 1``.
 
     A stack of profiles gives one integral per row, each summed alone and
-    so with the bits of its own call.
+    so with the bits of its own call.  Each interval forms only the branch
+    of ``A`` and ``B`` that it takes, and the terms are summed in place.
     """
     _same_annulus(profile, annulus)
     t, u = profile.grid.nodes, profile.values
     t0, h = t[:-1], np.diff(t)
     # extreme profiles overflow here; _finite_radial raises on the result
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        y = np.log1p(np.diff(u) / u[..., :-1])
-        x = np.expm1(y)
+        y = np.diff(u)
+        y /= u[..., :-1]
+        np.log1p(y, out=y)
         small = np.abs(y) < 1.0
-        y2 = y * y
-        # y / x is 1 where H is flat
-        y_over_x = np.divide(y, x, out=np.ones_like(y), where=(y != 0.0))
-        a = np.where(small, 2.0 * y2 * y_over_x * np.polyval(_SINH_SERIES, y2),
-                     2.0 * (np.sinh(y) - y) / x)
-        b = np.where(small, y2 * np.polyval(_EXP_SERIES, y), np.expm1(-y) + y)
-        half = np.sinh(0.5 * y)
-        parts = h * a + t0 * (2.0 * b + 4.0 * (t0 / h) * (half * half))
-        val = parts.sum(axis=-1)
+        a, b = np.empty_like(y), np.empty_like(y)
+        for take, branches in ((small, _series_terms), (~small, _closed_terms)):
+            a[take], b[take] = branches(y[take])
+        # h A + t0 (2 B + 4 (t0 / h) sinh^2(y / 2)), each product in the
+        # order of that formula but for the commuted factors
+        half = np.multiply(y, 0.5, out=y)
+        np.sinh(half, out=half)
+        half *= half
+        half *= 4.0 * (t0 / h)
+        b *= 2.0
+        b += half
+        b *= t0
+        a *= h
+        a += b
+        val = a.sum(axis=-1)
     return _finite_radial(val, float(t[0]), float(t[-1]))
+
+
+def _series_terms(y: np.ndarray):
+    """``A`` and ``B`` of :func:`_sampled_weighted_integral` as Taylor
+    series, for ``|y| < 1``."""
+    y2 = y * y
+    # y / x is 1 where H is flat
+    a = np.divide(y, np.expm1(y), out=np.ones_like(y), where=(y != 0.0))
+    a *= 2.0 * y2
+    a *= np.polyval(_SINH_SERIES, y2)
+    b = np.polyval(_EXP_SERIES, y)
+    b *= y2
+    return a, b
+
+
+def _closed_terms(y: np.ndarray):
+    """``A`` and ``B`` of :func:`_sampled_weighted_integral` in closed
+    form, for ``|y| >= 1`` and for ``y`` that is not a number."""
+    a = np.sinh(y)
+    a -= y
+    a *= 2.0
+    a /= np.expm1(y)
+    b = np.expm1(-y)
+    b += y
+    return a, b
 
 
 def _require_positive(h: np.ndarray, t: np.ndarray):

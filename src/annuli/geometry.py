@@ -20,6 +20,8 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 
 SPACING_MODES = ("uniform-in-t", "uniform-in-1/t", "uniform-in-log-t")
+# angle of the centred great-circle differences of a callable sphere map
+_GREAT_CIRCLE_STEP = 1e-6
 
 # Per-thread float64 scratch of the direct route.  A thread keeps one
 # array, grown to its largest request up to _SCRATCH_CAP floats (8 MiB,
@@ -286,8 +288,10 @@ class SphericalQuadrature:
     Gauss-Legendre in the polar cosine crossed with a uniform azimuthal
     rule.  Weights sum to the sphere area ``4 pi`` and the rule is exact
     for polynomial integrands up to the Gauss degree in ``z``.  Nodes and
-    weights are read-only, so the tangent frames at the nodes are computed
-    on first read and kept, read-only, with the rule.
+    weights are read-only, so the tangent frames at the nodes, and the
+    point sets of the great-circle differences along them, are computed
+    once and kept, read-only, with the rule: on first read, or with the
+    rule for those of :func:`make_sphere_quadrature`.
     """
 
     nodes: np.ndarray
@@ -305,11 +309,34 @@ class SphericalQuadrature:
         v.setflags(write=False)
         return u, v
 
+    @cached_property
+    def _great_circle_points(self) -> np.ndarray:
+        """The four point sets of the centred great-circle differences at
+        the nodes, ``cos(step) nodes +- sin(step) u`` and then the same
+        along ``v``, with ``step`` the ``_GREAT_CIRCLE_STEP``: one
+        column-major, read-only ``(4 N, 3)`` array."""
+        step = _GREAT_CIRCLE_STEP
+        ch, sh = math.cos(step), math.sin(step)
+        u, v = self._frames
+        n = self.nodes.shape[0]
+        points = np.empty((4 * n, 3), order="F")
+        # axes: coordinate, tangent (u or v), sign of the offset, node
+        sets = points.T.reshape(3, 2, 2, n)
+        along = np.multiply(self.nodes, ch).T[:, None]
+        offsets = np.empty((3, 2, n))
+        np.multiply(u.T, sh, out=offsets[:, 0])
+        np.multiply(v.T, sh, out=offsets[:, 1])
+        np.add(along, offsets, out=sets[:, :, 0])
+        np.subtract(along, offsets, out=sets[:, :, 1])
+        points.setflags(write=False)
+        return points
+
 
 def make_sphere_quadrature(order: int) -> SphericalQuadrature:
     """A sphere rule with ``order`` polar nodes and ``2 * order``
     azimuthal nodes (``2 * order**2`` points in total).  Rules are built
-    once per order and shared; their arrays are read-only."""
+    once per order and shared, with their tangent frames and great-circle
+    point sets; their arrays are read-only."""
     if order < 2:
         raise ValueError("sphere quadrature order must be at least 2")
     return _sphere_rule(order)
@@ -326,7 +353,13 @@ def _sphere_rule(order: int) -> SphericalQuadrature:
     zz = np.repeat(z, n_phi)
     nodes = np.column_stack([x, y, zz])
     weights = np.repeat(wz, n_phi) * (np.pi / order)
-    return SphericalQuadrature(nodes=nodes, weights=weights)
+    rule = SphericalQuadrature(nodes=nodes, weights=weights)
+    # built with the shared rule, before any caller's transient arrays: built
+    # on first use, in the middle of a verify op, these long-lived arrays leave
+    # the heap so that glibc trims and faults back the inversion check's arrays
+    # on most later ops, about 1 900 minor faults per op
+    rule._great_circle_points
+    return rule
 
 
 _AXES = np.eye(3)
@@ -347,6 +380,19 @@ def _squared_norms(pts: np.ndarray) -> np.ndarray:
     out = x * x
     out += y * y
     out += z * z
+    return out
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross(a, b)`` of two ``(N, 3)`` arrays, column by column in
+    numpy's order of operations, so with its bits: a column-major
+    ``(N, 3)`` array."""
+    out = np.empty(a.shape, order="F")
+    tmp = np.empty(a.shape[0])
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        col = np.multiply(a[:, i], b[:, j], out=out[:, k])
+        col -= np.multiply(a[:, j], b[:, i], out=tmp)
     return out
 
 

@@ -7,9 +7,10 @@ and go through the equivalent real 4x4 Lorentz matrix (PSL(2, C) =
 SO+(3, 1)), whose action is a quotient with a denominator that stays
 positive at both poles; point batches come back column-major.
 ``sphere_inequality_integral`` integrates the tangential energy of a
-sphere map, a transform or a callable, over a quadrature rule; a
-callable is differentiated along great circles from one call on all four
-of its point sets.
+sphere map, a transform or a callable, over a quadrature rule: a
+transform's action is differentiated along both tangent frames from one
+image, and a callable along great circles from one call on the rule's
+four kept point sets.
 """
 from __future__ import annotations
 
@@ -21,11 +22,15 @@ from typing import Callable, Union
 import numpy as np
 
 from . import _kernels
-from .geometry import SphericalQuadrature, _as_points, _squared_norms, row_norms
+from .geometry import (
+    _GREAT_CIRCLE_STEP,
+    SphericalQuadrature,
+    _as_points,
+    _squared_norms,
+    row_norms,
+)
 
 _DET_TOL = 1e-12
-# angle of the centred great-circle differences of a callable sphere map
-_GREAT_CIRCLE_STEP = 1e-6
 # largest condition number of a random_mobius draw
 _MAX_CONDITION = 5.0
 
@@ -70,7 +75,7 @@ class MobiusTransform:
 
 def _act(kernel, t: MobiusTransform, pts, *vecs):
     """Run a sphere-action kernel of ``_kernels`` on unit vectors of shape
-    ``(N, 3)`` and on tangent vectors of the same shape."""
+    ``(N, 3)`` and on any number of tangent fields of the same shape."""
     pts = _as_points(pts)
     dev = row_norms(pts)
     dev -= 1.0
@@ -174,31 +179,28 @@ def random_mobius(rng: np.random.Generator) -> MobiusTransform:
 SphereMap = Union[MobiusTransform, Callable[[np.ndarray], np.ndarray]]
 
 
-def _tangent_derivatives_fd(s: Callable[[np.ndarray], np.ndarray], etas: np.ndarray,
-                            u: np.ndarray, v: np.ndarray, step: float):
-    """Centered great-circle differences of a sphere-to-sphere callable.
+def _frame_pushforwards(t: MobiusTransform, quad: SphericalQuadrature):
+    """Derivatives of the action of ``t`` at the nodes of ``quad`` along
+    both of its tangent frames, from one kernel call: one image and one
+    unit check of the nodes."""
+    return _act(_kernels.mobius_pushforward, t, quad.nodes, *quad._frames)
 
-    The four point sets, ``cos(step) etas +- sin(step) u`` and then the
-    same along ``v``, go to ``s`` in one column-major ``(4 N, 3)`` call; as
-    ``s`` acts row by row, the bits are those of four calls.  An output of
-    another shape raises :class:`ValueError` naming both shapes."""
-    ch, sh = math.cos(step), math.sin(step)
-    n = etas.shape[0]
-    points = np.empty((4 * n, 3), order="F")
-    # axes: coordinate, tangent (u or v), sign of the offset, node
-    sets = points.T.reshape(3, 2, 2, n)
-    along = np.multiply(etas, ch).T[:, None]
-    offsets = np.empty((3, 2, n))
-    np.multiply(u.T, sh, out=offsets[:, 0])
-    np.multiply(v.T, sh, out=offsets[:, 1])
-    np.add(along, offsets, out=sets[:, :, 0])
-    np.subtract(along, offsets, out=sets[:, :, 1])
+
+def _tangent_derivatives_fd(s: Callable[[np.ndarray], np.ndarray], quad: SphericalQuadrature):
+    """Centered great-circle differences of a sphere-to-sphere callable at
+    the nodes of ``quad``, along both of its tangent frames.
+
+    The rule's four kept point sets (``_great_circle_points``) go to ``s``
+    in one read-only column-major ``(4 N, 3)`` call; as ``s`` acts row by
+    row, the bits are those of four calls.  An output of another shape
+    raises :class:`ValueError` naming both shapes."""
+    points = quad._great_circle_points
     vals = np.asarray(s(points))
     if vals.shape != points.shape:
         raise ValueError(f"sphere map returned shape {vals.shape}, not {points.shape}")
-    images = vals.T.reshape(3, 2, 2, n)
-    diffs = np.subtract(images[:, :, 0], images[:, :, 1], out=offsets)
-    diffs /= 2.0 * step
+    images = vals.T.reshape(3, 2, 2, quad.nodes.shape[0])
+    diffs = np.subtract(images[:, :, 0], images[:, :, 1])
+    diffs /= 2.0 * _GREAT_CIRCLE_STEP
     return diffs[:, 0].T, diffs[:, 1].T
 
 
@@ -225,13 +227,13 @@ def sphere_inequality_integral(mapping: SphereMap, quad: SphericalQuadrature) ->
     A callable acts row by row: it takes an ``(M, 3)`` array of unit
     vectors, in any memory layout, and returns the ``(M, 3)`` array of
     their images, each row depending on its own row alone.  It is called
-    once, on four point sets of the nodes' size; an output of another
-    shape raises :class:`ValueError`.
+    once, on four point sets of the nodes' size, which the rule keeps for
+    every call: the array is read-only, and a callable must not write it
+    (a write raises :class:`ValueError`).  An output of another shape
+    raises :class:`ValueError`.
     """
-    u, v = quad._frames
     if isinstance(mapping, MobiusTransform):
-        du = mobius_pushforward(mapping, quad.nodes, u)
-        dv = mobius_pushforward(mapping, quad.nodes, v)
+        du, dv = _frame_pushforwards(mapping, quad)
     else:
-        du, dv = _tangent_derivatives_fd(mapping, quad.nodes, u, v, _GREAT_CIRCLE_STEP)
+        du, dv = _tangent_derivatives_fd(mapping, quad)
     return _shell_energy(du, dv, quad)

@@ -40,6 +40,7 @@ from .errors import ConfigError, EvaluationError
 from .geometry import (
     Annulus,
     AnnulusPair,
+    _cross,
     _form_stiffness,
     _log_width,
     _scratch,
@@ -69,9 +70,9 @@ from .nitsche import (
 )
 from .sphere_maps import (
     MobiusTransform,
+    _frame_pushforwards,
     _shell_energy,
     mobius_apply_points,
-    mobius_pushforward,
     random_mobius,
     sphere_inequality_integral,
 )
@@ -569,14 +570,12 @@ def check_sphere_inequality(config: VerifyConfig) -> list[CheckResult]:
 
     transforms = [MobiusTransform.identity()]
     transforms += [random_mobius(rng) for _ in range(_N_TRANSFORMS)]
-    # both rows read one pushforward of each transform along each frame
-    u, v = quad._frames
+    # both rows read one pushforward of each transform along both frames
     worst = worst_area = 0.0
     for t in transforms:
-        du = mobius_pushforward(t, quad.nodes, u)
-        dv = mobius_pushforward(t, quad.nodes, v)
+        du, dv = _frame_pushforwards(t, quad)
         worst = max(worst, abs(_shell_energy(du, dv, quad) - EIGHT_PI))
-        area = float(np.sum(quad.weights * row_norms(np.cross(du, dv))))
+        area = float(np.sum(quad.weights * row_norms(_cross(du, dv))))
         worst_area = max(worst_area, abs(area - 4.0 * math.pi))
     results.append(_equality("shell-energy-sharp-at-mobius", worst, 0.0, _CLOSED_FORM_TOL,
                              f"{len(transforms)} transforms on the unit shell"))

@@ -12,8 +12,9 @@ logs of the closed-form energies decide where those energies lie beyond
 the float range.  The Lorentz affine map one row at a time, the
 great-circle differences of a sphere map in four calls, the weighted
 minimum in ``Fraction`` arithmetic, the admissible pair drawn one pair
-at a time and the perturbed profile's bump summed one frequency at a time
-for one member check the forms that replaced them.
+at a time, the perturbed profile's bump summed one frequency at a time
+for one member and the sampled weighted integral with both branches formed
+on every interval check the forms that replaced them.
 """
 import cmath
 import math
@@ -34,7 +35,7 @@ from annuli import (
     random_annulus_pair,
     tangent_frames,
 )
-from annuli.energy import _fd_stencil, _same
+from annuli.energy import _EXP_SERIES, _SINH_SERIES, _fd_stencil, _same
 from annuli.geometry import _log_width, _squared_norms
 from annuli.maps import sphere_inversion
 from annuli.verify import _MIN_RATIO
@@ -265,3 +266,23 @@ def perturbed_values_one_member(base, amplitude, mode, seed, grid):
         bump += cj * np.sin(j * np.pi * s)
     with np.errstate(over="ignore"):
         return base.eval(t) * (1.0 + amplitude * bump)
+
+
+def sampled_weighted_integral_both_branches(t, u):
+    """``integral(t^2 (H'/H)^2) dt`` of the piecewise-linear interpolant of
+    the values ``u`` (one row per profile) on the nodes ``t``, as
+    ``energy._sampled_weighted_integral`` once formed it: both branches of
+    ``A`` and ``B`` on every interval, one picked by ``np.where``."""
+    t0, h = t[:-1], np.diff(t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y = np.log1p(np.diff(u) / u[..., :-1])
+        x = np.expm1(y)
+        small = np.abs(y) < 1.0
+        y2 = y * y
+        y_over_x = np.divide(y, x, out=np.ones_like(y), where=(y != 0.0))
+        a = np.where(small, 2.0 * y2 * y_over_x * np.polyval(_SINH_SERIES, y2),
+                     2.0 * (np.sinh(y) - y) / x)
+        b = np.where(small, y2 * np.polyval(_EXP_SERIES, y), np.expm1(-y) + y)
+        half = np.sinh(0.5 * y)
+        parts = h * a + t0 * (2.0 * b + 4.0 * (t0 / h) * (half * half))
+        return parts.sum(axis=-1)

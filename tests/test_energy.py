@@ -35,7 +35,11 @@ from annuli.verify import (
     random_admissible_pair,
     random_annulus_pair,
 )
-from reference import fd_energies_per_set, inversion_transform
+from reference import (
+    fd_energies_per_set,
+    inversion_transform,
+    sampled_weighted_integral_both_branches,
+)
 
 PI = math.pi
 
@@ -152,6 +156,25 @@ class TestSampledReducedEnergy:
         expect = 4.0 * PI * _gauss_per_interval(profile.grid.nodes, profile.values)
         assert expect > 0.0
         assert abs(radial - expect) <= 1e-13 * expect, (radial, expect)
+
+    @pytest.mark.parametrize("radii", [(1.0, 2.0, 1.0, math.e), (1.0, 1e3, 1.0, 1e3),
+                                       (1e5, 1.01e5, 1.0, 2.0)])
+    def test_each_interval_forms_its_own_branch_with_the_bits_of_both(self, radii):
+        # every kind as one stack, and a row whose log steps cross |y| = 1 both
+        # ways, with flat steps: the series and closed branches side by side
+        pair = AnnulusPair.from_radii(*radii)
+        kinds = ["minimizer", "decreasing", "nearly-flat", "nearly-flat-decreasing", "plateau"]
+        values = np.array([_sampled(pair, kind).values for kind in kinds])
+        n = values.shape[1]
+        mixed = np.exp(np.cumsum(np.resize([0.5, 1.5, -2.0, 0.0, 0.99, -1.0, 1.0, 3.0], n)))
+        values = np.vstack([values, mixed])
+        grid = make_radial_grid(pair.domain, n - 1)
+        expect = sampled_weighted_integral_both_branches(grid.nodes, values)
+        stacked = energy._sampled_weighted_integral(SampledProfile(grid, values), pair.domain)
+        assert stacked.tobytes() == expect.tobytes()
+        for row, e in zip(values, expect):
+            one = energy._sampled_weighted_integral(SampledProfile(grid, row), pair.domain)
+            assert one.hex() == e.hex()
 
     @pytest.mark.parametrize("radii", [(1.0, 2.0, 1.0, math.e), (1e-3, 1.0, 1.0, 2.0),
                                        (1.0, 1e3, 1.0, 1e3), (1.0, 1e4, 1e-5, 1e5)])

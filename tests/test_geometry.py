@@ -20,7 +20,8 @@ from annuli import (
     make_sphere_quadrature,
     tangent_frames,
 )
-from annuli.geometry import _form_stiffness, row_norms
+from annuli import geometry
+from annuli.geometry import _cross, _form_stiffness, row_norms
 
 
 class TestAnnulus:
@@ -229,6 +230,21 @@ class TestSharedInvariants:
         assert q._frames[0].tobytes() == u.tobytes()
         assert q._frames[1].tobytes() == v.tobytes()
 
+    @pytest.mark.parametrize("order", [4, 32])
+    def test_great_circle_points_are_built_once_per_rule(self, order):
+        q = make_sphere_quadrature(order)
+        # built with the shared rule, frames included
+        assert {"_frames", "_great_circle_points"} <= vars(q).keys()
+        pts = q._great_circle_points
+        assert make_sphere_quadrature(order)._great_circle_points is pts
+        assert pts.flags.f_contiguous and pts.shape == (4 * q.nodes.shape[0], 3)
+        step = geometry._GREAT_CIRCLE_STEP
+        ch, sh = math.cos(step), math.sin(step)
+        u, v = q._frames
+        expect = np.vstack([ch * q.nodes + sh * u, ch * q.nodes - sh * u,
+                            ch * q.nodes + sh * v, ch * q.nodes - sh * v])
+        assert pts.tobytes() == expect.tobytes()
+
     def test_hashes_are_the_dataclass_hashes_computed_once(self, monkeypatch):
         pair = AnnulusPair.from_radii(1.0, 2.0, 0.5, 3.0)
         assert hash(pair.domain) == hash((1.0, 2.0))
@@ -242,7 +258,7 @@ class TestSharedInvariants:
     def test_shared_arrays_are_read_only(self):
         q = make_sphere_quadrature(8)
         grid = make_radial_grid(Annulus(1.0, 2.0), 8)
-        for arr in (q.nodes, q.weights, *q._frames, grid.nodes):
+        for arr in (q.nodes, q.weights, *q._frames, q._great_circle_points, grid.nodes):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 
@@ -298,6 +314,20 @@ class TestTangentFrames:
         shape = np.shape(points)
         with pytest.raises(ValueError, match=rf"shape \(N, 3\), got shape {re.escape(str(shape))}"):
             tangent_frames(np.array(points))
+
+
+class TestCross:
+    def test_bitwise_equal_to_np_cross(self):
+        rng = np.random.default_rng(9)
+        a, b = (rng.normal(size=(5_000, 3)) * 10.0 ** rng.uniform(-150, 150, size=(5_000, 1))
+                for _ in range(2))
+        a[:3] = [[0.0, -0.0, 1.0], [np.inf, 1.0, 0.0], [np.nan, 2.0, -3.0]]
+        expect = np.cross(a, b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in (a, np.asfortranarray(a)):
+                for y in (b, np.asfortranarray(b)):
+                    out = _cross(x, y)
+                    assert out.flags.f_contiguous and out.tobytes() == expect.tobytes()
 
 
 class TestRowNorms:

@@ -145,6 +145,24 @@ class TestMoebiusLayouts:
         for name, out in outs.items():
             assert [o.tobytes() for o in out] == [o.tobytes() for o in outs["C"]], name
 
+    def test_several_fields_give_the_bits_of_one_at_a_time(self, rng):
+        # one image and one linear pass over the stacked fields: each
+        # derivative is that of its own one-field call, on any layout
+        pts = rng.standard_normal((257, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        fields = [np.cross(pts, rng.standard_normal((257, 3))) for _ in range(3)]
+        identity = MobiusTransform.identity()
+        for abcd in (self.ABCD, (identity.a, identity.b, identity.c, identity.d)):
+            for order in ("C", "F"):
+                p, *vecs = (np.asarray(a, order=order) for a in (pts, *fields))
+                for k in (2, 3):
+                    outs = K.mobius_pushforward(*abcd, p, *vecs[:k])
+                    assert isinstance(outs, tuple) and len(outs) == k
+                    for out, v in zip(outs, vecs):
+                        one = K.mobius_pushforward(*abcd, p, v)
+                        assert out.shape == one.shape == (257, 3)
+                        assert out.tobytes() == one.tobytes(), (abcd, order, k)
+
     def test_point_batches_come_back_column_major(self, rng):
         pts = rng.standard_normal((64, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)

@@ -16,7 +16,7 @@ from annuli import (
     sphere_inequality_integral,
     tangent_frames,
 )
-from annuli import sphere_maps
+from annuli import _kernels, sphere_maps
 from annuli.geometry import row_norms
 from annuli.sphere_maps import _apply_to_units, _unit_safe
 from reference import (
@@ -254,6 +254,26 @@ class TestPushforward:
                 mobius_pushforward(t, pts, vecs)
 
 
+    def test_several_fields_raise_as_one_field_does(self, rng):
+        # the frames' pushforward goes through the same checks, with the
+        # same errors, as one field of the public call
+        pts = rng.normal(size=(6, 3))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        u, v = tangent_frames(pts)
+        t = random_mobius(rng)
+        cases = [(2.0 * pts, v, "sphere action expects unit vectors")]
+        cases += [(pts, bad, "tangent vectors must have the shape of the points")
+                  for bad in (v[:-1], v.T, v.ravel())]
+        for points, bad, text in cases:
+            errors = []
+            for call in (lambda: mobius_pushforward(t, points, bad),
+                         lambda: sphere_maps._act(_kernels.mobius_pushforward, t, points, u, bad)):
+                with pytest.raises(ValueError) as info:
+                    call()
+                errors.append((type(info.value), str(info.value)))
+            assert errors == [(ValueError, text)] * 2
+
+
 class TestUnitCheck:
     def test_public_actions_reject_points_off_the_sphere(self, rng):
         pts = 2.0 * EQUATOR_POINTS
@@ -376,11 +396,31 @@ class TestGreatCircleDifferences:
         for s in self._maps(rng):
             calls = []
             one = sphere_maps._tangent_derivatives_fd(
-                lambda pts: calls.append(pts.shape) or s(pts), q.nodes, u, v, 1e-6)
+                lambda pts: calls.append(pts.shape) or s(pts), q)
             four = great_circle_differences_four_calls(s, q.nodes, u, v, 1e-6)
             assert calls == [(4 * q.nodes.shape[0], 3)]
             for a, b in zip(one, four):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_every_callable_reads_the_rules_one_read_only_array(self):
+        q = make_sphere_quadrature(8)
+        seen = []
+        for _ in range(2):
+            sphere_inequality_integral(lambda pts: seen.append(pts) or np.array(pts), q)
+        assert seen[0] is seen[1] is q._great_circle_points
+        assert not seen[0].flags.writeable
+
+    def test_a_callable_that_writes_its_input_raises(self):
+        q = make_sphere_quadrature(8)
+        before = q._great_circle_points.copy()
+
+        def squash_in_place(pts):
+            pts[:, 2] *= 0.8
+            return pts / row_norms(pts)[:, None]
+
+        with pytest.raises(ValueError, match="read-only"):
+            sphere_inequality_integral(squash_in_place, q)
+        assert q._great_circle_points.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("shape", [lambda n: (n,), lambda n: (n, 2), lambda n: (n // 2, 3)])
     def test_output_of_another_shape_raises(self, shape):

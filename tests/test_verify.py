@@ -33,7 +33,7 @@ from annuli import (
     weighted_energy,
     weighted_harmonic_residual,
 )
-from annuli import energy, geometry, nitsche, verify
+from annuli import _kernels, energy, geometry, nitsche, sphere_maps, verify
 from annuli.energy import _fd_energies
 from annuli.geometry import Annulus, make_sphere_quadrature, row_norms
 from annuli.sphere_maps import (
@@ -469,13 +469,52 @@ class TestSphereRows:
         assert rows["shell-energy-sharp-at-mobius"].observed == worst
         assert len(transforms) == 21
 
-    def test_each_transform_takes_one_pushforward_per_frame(self, monkeypatch):
-        calls = []
-        push = verify.mobius_pushforward
-        monkeypatch.setattr(verify, "mobius_pushforward",
-                            lambda *a: calls.append(1) or push(*a))
+    def test_each_transform_takes_one_pushforward_and_one_image(self, monkeypatch):
+        # both frames go through one kernel call, so each transform's image,
+        # denominator and unit check of the nodes are formed once
+        calls = {}
+        for module, name in ((_kernels, "mobius_pushforward"), (_kernels, "_image"),
+                             (sphere_maps, "row_norms")):
+            calls[name] = 0
+
+            def counted(*a, name=name, f=getattr(module, name)):
+                calls[name] += 1
+                return f(*a)
+
+            monkeypatch.setattr(module, name, counted)
         check_sphere_inequality(VerifyConfig(seed=1))
-        assert len(calls) == 2 * (verify._N_TRANSFORMS + 1)
+        n = verify._N_TRANSFORMS + 1
+        assert calls == {"mobius_pushforward": n, "_image": n, "row_norms": n}
+
+    # Planted defects.  The smallest factor that trips each row, on a grid of
+    # eighth decades and alike at seeds 1, 7, 42 and 12345: the pushforward's
+    # denominator times 1 +- 2.4e-10 trips the sharp row and 1 +- 4.2e-10 the
+    # area row; the great-circle divisor times 1 + 4.2e-3 trips the strict row
+    # (1 + 3.2e-3 at seed 42).  A divisor too small raises every stretch's
+    # energy, which the one-sided strict row cannot see.
+    SPHERE_ROWS = ("shell-energy-sharp-at-mobius", "mapped-area-identity",
+                   "shell-energy-strict-for-non-mobius")
+
+    def _passed(self, seed):
+        rows = {r.name: r.passed for r in check_sphere_inequality(VerifyConfig(seed=seed))}
+        return tuple(rows[name] for name in self.SPHERE_ROWS)
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_a_pushforward_denominator_off_by_1e_9_fails_the_mobius_rows(self, monkeypatch, seed):
+        image = _kernels._image
+
+        def skewed(*a):
+            num, den = image(*a)
+            return num, den * (1.0 + 1e-9)
+
+        monkeypatch.setattr(_kernels, "_image", skewed)
+        assert self._passed(seed) == (False, False, True)
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_a_great_circle_divisor_off_by_1e_2_fails_the_strict_row(self, monkeypatch, seed):
+        monkeypatch.setattr(sphere_maps, "_GREAT_CIRCLE_STEP",
+                            sphere_maps._GREAT_CIRCLE_STEP * (1.0 + 1e-2))
+        assert self._passed(seed) == (True, True, False)
 
 
 class TestHarmonicRow:
