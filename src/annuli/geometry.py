@@ -200,11 +200,24 @@ class RadialGrid:
             raise ValueError(f"unknown spacing mode {self.spacing_mode!r}")
 
 
+def _stiffness_exponent(grid: RadialGrid) -> int:
+    """``e`` of the scale ``2^-e`` of :func:`_form_stiffness`: the mean binary
+    exponent of ``t0 t1`` and the largest product formed (``R^2``, or ``t_{n-1} R``
+    on a reciprocal grid), halved, to a multiple of 8 (0 on shells near 1), but
+    so large that neither that product nor ``R`` passes ``2^1021``.  Centred on
+    the shell (``verify._at_unit_scale``) or on ``R``, wide grids would not fit."""
+    t, (_, eR) = grid.nodes, math.frexp(grid.annulus.outer)
+    lo = math.frexp(t[0])[1] + math.frexp(t[1])[1]
+    hi = eR + (math.frexp(t[-2])[1] if grid.spacing_mode == "uniform-in-1/t" else eR)
+    return max(8 * round((lo + hi) / 32), (hi - 1021) // 2, eR - 1021)
+
+
 def _form_stiffness(grid: RadialGrid, a: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Per-interval stiffness ``a_i`` of the discrete quadratic form
     ``Q(K) = sum a_i (K_{i+1} - K_i)^2`` of the reduced energy on ``grid``,
-    written into ``a``, returned, with ``tmp`` as scratch: both are float64
-    arrays of one entry per interval, and share no memory.
+    formed on the nodes times ``2^-e`` (:func:`_stiffness_exponent`), so
+    ``2^-e`` times the grid's own, written into ``a``, returned, with ``tmp``
+    as scratch: float64 arrays of one entry per interval sharing no memory.
 
     The weight ``t^2`` is integrated exactly against the interpolant:
     linear in ``1 / t`` on a ``uniform-in-1/t`` grid, linear in ``t`` on
@@ -214,25 +227,26 @@ def _form_stiffness(grid: RadialGrid, a: np.ndarray, tmp: np.ndarray) -> np.ndar
     spacing reproduce the closed-form minimizer at the nodes.  Raises
     :class:`EvaluationError` where an entry is not positive and finite.
     """
-    t0, t1 = grid.nodes[:-1], grid.nodes[1:]
+    e = _stiffness_exponent(grid)
+    t = np.ldexp(grid.nodes, -e) if e else grid.nodes
+    t0, t1 = t[:-1], t[1:]
     # the integral of t^2 against a K linear in 1/t over one interval is
     # t0 t1; against a K linear in t it is (t0^2 + t0 t1 + t1^2) / 3.
     # a and tmp hold every step, in the plain formula's operation order
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         np.multiply(t0, t1, out=a)
         if grid.spacing_mode != "uniform-in-1/t":
             a += np.multiply(t0, t0, out=tmp)
             a += np.multiply(t1, t1, out=tmp)
             a /= 3.0
         a /= np.subtract(t1, t0, out=tmp)
-    # t^2 overflows for huge radii and underflows to zero for tiny ones;
     # a positive min() and a finite max() need no temporary
     if not (a.min() > 0.0 and math.isfinite(a.max())):
         i = int(np.nonzero(~(np.isfinite(a) & (a > 0.0)))[0][0])
         raise EvaluationError(
-            f"interval stiffness a_{i} = {a[i]} on [{t0[i]:.6g}, {t1[i]:.6g}] is not positive "
-            "and finite; the radii are too extreme for floating point"
-        )
+            f"interval stiffness a_{i} = {a[i]} on [{grid.nodes[i]:.6g}, "
+            f"{grid.nodes[i + 1]:.6g}], formed on the nodes times 2^{-e}, is not positive and "
+            "finite; the radii are too extreme for floating point")
     return a
 
 

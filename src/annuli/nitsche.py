@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -186,9 +185,8 @@ def _filtered(radii: np.ndarray, terms, exact) -> np.ndarray:
     return verdict
 
 
-@lru_cache(maxsize=4)
 def _integer_radii(pair: AnnulusPair):
-    """:func:`_scaled_integers` of the pair's radii, kept for its next call."""
+    """:func:`_scaled_integers` of the pair's radii."""
     return _scaled_integers(pair.r, pair.R, pair.r_star, pair.R_star)
 
 

@@ -14,7 +14,8 @@ up to 2^20 floats, and the energy is formed in a region of it that the
 solve leaves dead.  So a warm solve allocates ``K`` alone; a scratch view
 never outlives the function that took it, and is never held across a
 call that may take scratch.  The grid keeps no stiffness: every reader
-forms it with ``geometry._form_stiffness`` where it uses it.
+forms it with ``geometry._form_stiffness`` where it uses it, at one
+power-of-two scale per grid, and scales results back exactly.
 Conjugate-gradient descent on the gradient,
 preconditioned in the hierarchical basis, and RK4 shooting on the
 Euler-Lagrange equation are provided as independent routes to the same
@@ -34,7 +35,7 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, EvaluationError
 from .geometry import (AnnulusPair, RadialGrid, _form_stiffness, _log_width, _scratch,
-                       make_radial_grid)
+                       _stiffness_exponent, make_radial_grid)
 from .maps import SampledProfile, _ClosedFormProfile, exp_profile_from_boundary
 
 _FOUR_PI = 4.0 * math.pi
@@ -47,7 +48,7 @@ _STEPS_PER_RATIO = 20
 _MAX_STEPS = 1_000_000
 _MISS_TOL = 1e-10
 # iteration budget of conjugate-gradient descent, and the max-norm of the
-# energy gradient that ends it.  Converging runs take a few dozen
+# scaled energy gradient that ends it.  Converging runs take a few dozen
 # iterations at most; the budget bounds the CPU of a run whose tolerance
 # lies below the rounding of the gradient, about 2 s at n = 1000.
 _CG_MAX_ITER = 20_000
@@ -104,14 +105,14 @@ def discrete_reduced_energy(k_values: np.ndarray, grid: RadialGrid) -> float:
 
 def _energy_from_coefficients(a: np.ndarray, k: np.ndarray, grid: RadialGrid,
                               dk: np.ndarray | None = None):
-    """Reduced energy of the nodal values ``k`` on ``grid``, whose interval
-    stiffness is ``a``: a float, or for a stack of states (nodes on the
-    last axis) the array of their energies, each with the bits of its own
-    call, as every row is summed alone.  ``dk``, when given, is the
-    scratch: a contiguous float64 array of one entry per interval and
-    state, which shares no memory with ``a`` or ``k``; else it is a view of
-    this thread's scratch (``geometry._scratch``), so a caller that holds
-    scratch views passes its own."""
+    """Reduced energy of the nodal values ``k`` on ``grid``, whose stiffness
+    at the grid's scale ``2^-e`` is ``a``, scaled back exactly (to ``inf``
+    past the float range, without a warning): a float, or for a stack of
+    states (nodes on the last axis) their energies, each with the bits of
+    its own call.  ``dk``, when given, is the scratch: a contiguous float64
+    array of one entry per interval and state, which shares no memory with
+    ``a`` or ``k``; else it is a view of this thread's scratch
+    (``geometry._scratch``), so a caller holding scratch passes its own."""
     # a plain sum, not a BLAS dot, whose threaded split moves the last bits;
     # in place in dk, dropped on return
     shape = k.shape[:-1] + (k.shape[-1] - 1,)
@@ -120,10 +121,10 @@ def _energy_from_coefficients(a: np.ndarray, k: np.ndarray, grid: RadialGrid,
     dk *= dk
     dk *= a
     total = dk.sum(axis=-1)
-    if total.ndim:
-        return _FOUR_PI * (total + 2.0 * grid.annulus.width)
-    # Python floats, which overflow to inf without a numpy warning
-    return _FOUR_PI * (float(total) + 2.0 * grid.annulus.width)
+    e = _stiffness_exponent(grid)
+    with np.errstate(over="ignore"):
+        energy = np.ldexp(_FOUR_PI * (total + 2.0 * math.ldexp(grid.annulus.width, -e)), e)
+    return energy if energy.ndim else float(energy)
 
 
 def reduced_energy_gradient(k_values: np.ndarray, grid: RadialGrid) -> np.ndarray:
@@ -133,11 +134,12 @@ def reduced_energy_gradient(k_values: np.ndarray, grid: RadialGrid) -> np.ndarra
     n = k.size - 1
     a = _form_stiffness(grid, np.empty(n), _scratch(n))
     # the gradient of Q = E / (4 pi) - const that conjugate-gradient
-    # descent runs on, scaled back to E
+    # descent runs on, at the grid's scale 2^-e, scaled back to E
     grad = np.empty(n - 1)
     _kernels._form_gradient(a, k, np.empty(n), grad)
     grad *= _FOUR_PI
-    return grad
+    with np.errstate(over="ignore"):
+        return np.ldexp(grad, _stiffness_exponent(grid), out=grad)
 
 
 def _discrete_el_residual(profile: SampledProfile) -> np.ndarray:
@@ -145,13 +147,10 @@ def _discrete_el_residual(profile: SampledProfile) -> np.ndarray:
     interior nodes: :func:`reduced_energy_gradient` at ``K = log H`` over
     ``8 pi |mean(a_i (K_{i+1} - K_i))|``, so the jump of the interval flux
     relative to its mean.  The discrete solvers solve this equation, so it
-    reads rounding on their output; where the mean flux is 0 it reads 0,
-    and a constant ``K`` reads 0 before any stiffness is formed."""
+    reads rounding on their output, at any stiffness scale; where the mean
+    flux is 0, as for a constant ``K``, it reads 0."""
     k = np.log(profile.values)
     n = k.size - 1
-    # a degenerate target's domain may have no stiffness in the float range
-    if k.min() == k.max():
-        return np.zeros(n - 1)
     a = _form_stiffness(profile.grid, np.empty(n), _scratch(n))
     flux, grad = np.empty(n), np.empty(n - 1)
     _kernels._form_gradient(a, k, flux, grad)
@@ -166,7 +165,7 @@ class DiscreteSolution:
 
     ``sup_error_vs_closed_form`` is computed when first read, not by the
     solve, and then kept.  It is the max nodal distance from the closed-form
-    minimizer, exactly 0.0 when ``r_star == R_star``.
+    minimizer, at most an ulp of ``r_star`` when ``r_star == R_star``.
     """
 
     profile: SampledProfile
@@ -177,14 +176,8 @@ class DiscreteSolution:
 
     @cached_property
     def sup_error_vs_closed_form(self) -> float:
-        if self.pair.r_star == self.pair.R_star:
-            return 0.0
-        return _closed_form_sup_error(self.pair, self.profile.grid, self.profile.values)
-
-
-def _closed_form_sup_error(pair: AnnulusPair, grid: RadialGrid, values: np.ndarray) -> float:
-    closed = exp_profile_from_boundary(pair, "increasing")
-    return float(np.max(np.abs(values - closed.eval(grid.nodes))))
+        closed = exp_profile_from_boundary(self.pair, "increasing")
+        return float(np.max(np.abs(self.profile.values - closed.eval(self.profile.grid.nodes))))
 
 
 def _solution_from_k(pair: AnnulusPair, grid: RadialGrid, k: np.ndarray, energy: float,
@@ -206,27 +199,21 @@ def _solution_from_k(pair: AnnulusPair, grid: RadialGrid, k: np.ndarray, energy:
     return DiscreteSolution(profile, energy, iterations, converged, pair)
 
 
-def _constant_solution(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolution:
-    values = np.full_like(grid.nodes, pair.r_star)
-    profile = SampledProfile(grid=grid, values=values)
-    energy = _FOUR_PI * 2.0 * grid.annulus.width
-    return DiscreteSolution(profile, energy, 0, True, pair)
-
-
 def _discrete_minimize(pair: AnnulusPair, grid: RadialGrid, solve) -> DiscreteSolution:
-    """The steps both discrete solvers share: check the grid, answer a
-    degenerate target with the constant profile, and otherwise run
+    """The steps both discrete solvers share: check the grid, and run
     ``solve(grid, span) -> (k, energy, iterations, converged)`` for
     ``K = log(H / r_star)``, which runs from 0 to
     ``span = log(R_star / r_star)``: anchored at 0, ``K`` carries no
-    rounding of ``log r_star``.  Each solver forms the interval stiffness
-    and the energy of ``k`` itself."""
+    rounding of ``log r_star``, and ``r_star == R_star`` is ``span = 0``.
+    Each solver forms the interval stiffness and the energy of ``k`` itself.
+    An energy past the float range raises :class:`EvaluationError`, unless
+    ``8 pi (R - r)``, the least energy on the domain, is itself ``inf``."""
     if grid.annulus != pair.domain:
         raise DomainError(f"grid on {grid.annulus!r}, not on {pair.domain!r}")
-    # reads no stiffness, which raises on shells such as (1e160, 2e160)
-    if pair.r_star == pair.R_star:
-        return _constant_solution(pair, grid)
     k, energy, iterations, converged = solve(grid, _log_width(pair.target))
+    if energy == math.inf and _FOUR_PI * 2.0 * pair.domain.width < math.inf:
+        raise EvaluationError(f"the discrete energy on r = {pair.r!r}, R = {pair.R!r}, r_star = "
+                              f"{pair.r_star!r}, R_star = {pair.R_star!r} is past the float range")
     return _solution_from_k(pair, grid, k, energy, iterations, converged)
 
 
@@ -235,8 +222,9 @@ def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolu
     solve in ``K = log H``.
 
     The solve never evaluates the closed form, so it succeeds wherever the
-    interval stiffness is positive and finite, thin shells included.  The
-    returned ``sup_error_vs_closed_form`` is computed on first read (see
+    interval stiffness at the grid's scale is positive and finite, thin
+    shells included, at any position.  The returned
+    ``sup_error_vs_closed_form`` is computed on first read (see
     :class:`DiscreteSolution`).
     """
     return _discrete_minimize(pair, grid, _direct_k)
@@ -277,13 +265,13 @@ def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSo
     take a median of 10 and at most 16 iterations.  The route uses
     neither the closed form nor the constant-flux solution.
 
-    Convergence means the max-norm of the energy gradient, recomputed
-    from the final iterate, is at most 1e-7; running out of the budget
-    of 20 000 iterations first yields ``converged=False`` with the
-    current iterate.  That happens where the tolerance lies below the
-    rounding of the gradient, on extreme radii and on very thin shells
-    such as ``(1, 1 + 1e-10, 1, 2)``.  As for the direct solve,
-    ``sup_error_vs_closed_form`` is computed on first read.
+    Convergence means the max-norm of the energy gradient at the grid's
+    stiffness scale ``2^-e``, recomputed from the final iterate, is at most
+    1e-7, so a domain moved by ``2^k`` takes the same steps; running out of
+    the budget of 20 000 iterations first yields ``converged=False`` with
+    the current iterate, where the tolerance lies below the rounding of the
+    gradient, on very thin shells such as ``(1, 1 + 1e-10, 1, 2)``.  As for
+    the direct solve, ``sup_error_vs_closed_form`` is computed on first read.
     """
     return _discrete_minimize(pair, grid, _cg_k)
 
@@ -292,7 +280,7 @@ def _cg_k(grid: RadialGrid, span: float):
     t = grid.nodes
     a = _form_stiffness(grid, np.empty(t.size - 1), _scratch(t.size - 1))
     k = (t - t[0]) / (t[-1] - t[0]) * span
-    # the kernel minimizes Q = E / (4 pi) - const, so rescale the
+    # the kernel minimizes Q = 2^-e E / (4 pi) - const, so rescale the
     # gradient tolerance accordingly
     iters, converged = _kernels.gd_quadratic(a, k, _CG_MAX_ITER, _CG_TOL / _FOUR_PI)
     return k, _energy_from_coefficients(a, k, grid), int(iters), bool(converged)

@@ -239,12 +239,15 @@ class TestMinimizeCommand:
             errs[n] = max(float(l.split(",")[3]) for l in rows)
         assert 3.2 < errs[500] / errs[1000] < 4.8
 
-    # the last four domains have a stiffness that overflows (t0 t1 on the
-    # first, t1^2 / 3 on the second) or underflows to 0; the constant
-    # profile and its residual need none
+    # the other domains have a stiffness that overflows at their own scale
+    # (t0 t1 on the first, t1^2 / 3 on the second) or underflows to 0; at
+    # the grid's scale it does neither.  The last two span the float range
     @pytest.mark.parametrize("radii", [("1", "2", "1.5", "1.5"), ("1e160", "2e160", "1", "1"),
                                        ("1", "1e300", "1", "1"), ("1e-170", "2e-170", "3", "3"),
-                                       ("5e-324", "1e-300", "1", "1")], ids="-".join)
+                                       ("5e-324", "1e-300", "1", "1"),
+                                       ("1", "1.7976931348623157e308", "1", "1"),
+                                       ("5e-324", "1.7976931348623157e308", "1", "1")],
+                             ids="-".join)
     def test_constant_solution_for_equal_targets(self, capsys, radii):
         r, R, rstar, Rstar = radii
         code, out, _ = run_cli(capsys, "minimize", "--r", r, "--R", R,
@@ -255,6 +258,31 @@ class TestMinimizeCommand:
         assert len(rows) == 5
         assert all(float(row[1]) == float(rstar) for row in rows)
         assert all(float(row[4]) == 0.0 for row in rows[1:-1])
+
+    @pytest.mark.parametrize("radii", [("1e160", "2e160", "1", "2"),
+                                       ("1e-160", "2e-160", "1", "2"), ("1", "1e300", "1", "2")],
+                             ids="-".join)
+    def test_any_position(self, capsys, radii):
+        # t^2 overflows or underflows on these domains at their own scale, and
+        # the command exited 1
+        r, R, rstar, Rstar = radii
+        code, out, err = run_cli(capsys, "minimize", "--r", r, "--R", R,
+                                 "--rstar", rstar, "--Rstar", Rstar, "--grid-n", "10")
+        assert (code, err) == (0, "")
+        rows = dict(l.split(",")[:2] for l in out.strip().splitlines()[-3:])
+        assert math.isfinite(float(rows["energy"])) and float(rows["gap"]) > 0.0
+
+    @pytest.mark.parametrize("k", [-1000, -600, -1, 1, 530, 1000])
+    def test_columns_of_a_domain_moved_by_a_power_of_two(self, capsys, k):
+        # H, abs_error and el_residual do not depend on where the domain sits
+        def columns(r, R):
+            code, out, _ = run_cli(capsys, "minimize", "--r", r, "--R", R, "--rstar", "1",
+                                   "--Rstar", "2.718281828459045", "--grid-n", "16")
+            assert code == 0
+            rows = [l.split(",") for l in out.strip().splitlines()[1:-3]]
+            return [(row[1], row[2], row[3], row[4]) for row in rows]
+
+        assert columns(repr(2.0**k), repr(2.0 ** (k + 1))) == columns("1", "2")
 
     def test_residual_column_is_the_discrete_euler_lagrange_residual(self, capsys):
         # on the direct solve the column reads rounding; a 1e-3 bump of the
@@ -478,10 +506,12 @@ _ERROR_CAUSES = {
     "minimize --r 5e-324 --R 1 --rstar 1 --Rstar 1e300 --grid-n 8":
         "error: EvaluationError: increasing exponential profile a exp(b / t) has b = -3.414e-321, "
         "rounded through subnormal floats",
-    "minimize --r 1 --R 1e300 --rstar 1 --Rstar 2 --grid-n 10":
-        "error: EvaluationError: interval stiffness a_0 = inf",
+    "minimize --r 1e298 --R 1.00000001e298 --rstar 1 --Rstar 101 --grid-n 10":
+        "error: EvaluationError: the discrete energy on r = 1e+298, R = 1.00000001e+298, "
+        "r_star = 1.0, R_star = 101.0 is past the float range\n",
     "minimize --r 5e-324 --R 1e-300 --rstar 1e-300 --Rstar 1 --grid-n 8":
-        "error: EvaluationError: interval stiffness a_0 = 0.0",
+        "error: EvaluationError: increasing exponential profile a exp(b / t) has b = -3.414e-321, "
+        "rounded through subnormal floats",
     "energy --r 1e300 --R 1.0000000000000002e300 --rstar 1 --Rstar 2":
         "error: EvaluationError: increasing exponential profile a exp(b / t) has b = -inf;",
     "energy --r 1e200 --R 1e300 --rstar 1 --Rstar 2":
@@ -561,10 +591,12 @@ class TestNoTraceback:
           "--sweep", "Rstar=1:2:100000000000"], 2),
         # t^2 overflows in the radial energy integral
         (["energy", "--r", "1", "--R", "1e300", "--rstar", "1", "--Rstar", "2"], 1),
-        # and in the interval stiffness of the discrete energy
-        (["minimize", "--r", "1", "--R", "1e300", "--rstar", "1", "--Rstar", "2",
+        # the discrete energy, about 2.7e308, is past the float range, while
+        # 8 pi (R - r) is not
+        (["minimize", "--r", "1e298", "--R", "1.00000001e298", "--rstar", "1", "--Rstar", "101",
           "--grid-n", "10"], 1),
-        # t^2 underflows to zero there, which made the tridiagonal solve divide 0 / 0
+        # the solve answers, but the closed form's b = -log(1e300) r R / (R - r)
+        # is subnormal; the stiffness once underflowed to 0 first
         (["minimize", "--r", "5e-324", "--R", "1e-300", "--rstar", "1e-300", "--Rstar", "1",
           "--grid-n", "8"], 1),
         # t^2 underflows to zero in the radial energy integral: no overflow

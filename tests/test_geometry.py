@@ -160,10 +160,34 @@ class TestRadialGrid:
         assert np.allclose(np.diff(g.nodes), annulus.width / 1000, rtol=0.05, atol=0.0)
 
     def test_log_grid_takes_the_stiffness_linear_in_t(self):
-        g = make_radial_grid(Annulus(1.0, 100.0), 50, "uniform-in-log-t")
-        t0, t1 = g.nodes[:-1], g.nodes[1:]
+        # r = 1 and R = 1e6 have binary exponents 1 and 20: the stiffness is
+        # formed at 2^-8
+        g = make_radial_grid(Annulus(1.0, 1e6), 50, "uniform-in-log-t")
+        t = np.ldexp(g.nodes, -8)
+        t0, t1 = t[:-1], t[1:]
         a = _form_stiffness(g, np.empty(50), np.empty(50))
         assert np.array_equal(a, (t0 * t1 + t0 * t0 + t1 * t1) / 3.0 / (t1 - t0))
+
+    @pytest.mark.parametrize("inner, outer, n, spacing, e", [
+        (1.0, 2.0, 1000, "uniform-in-t", 0), (0.1, 10.0, 2, "uniform-in-t", 0),
+        (0.1, 10.0, 1000, "uniform-in-1/t", 0), (1.0, 100.0, 50, "uniform-in-log-t", 0),
+        (1.0, 1e6, 50, "uniform-in-log-t", 8),
+        (2.0**-1000, 2.0**-999, 1000, "uniform-in-t", -1000),
+        (1e160, 2e160, 10, "uniform-in-t", 536),
+        # the first products t0 t1 of this reciprocal grid are about 1e-200 and its
+        # largest, t_{n-1} R, about 1e201: centred on them, e = 0, where centred
+        # on the shell r'^2 would underflow and centred on R it would be 0
+        (1e-100, 1e300, 10, "uniform-in-1/t", 0),
+        # R^2 would overflow at the centre of the products: R 2^-e < 2^511
+        (1.0, 1.7976931348623157e308, 10, "uniform-in-t", 768),
+        (5e-324, 1.7976931348623157e308, 10, "uniform-in-t", 513),
+        # R itself would overflow at the centre: R 2^-e < 2^1021
+        (1e-300, 1e200, 10, "uniform-in-1/t", -356)])
+    def test_stiffness_scale_centres_the_products(self, inner, outer, n, spacing, e):
+        # e = 0 on shells near 1, where every generator pair lies
+        grid = make_radial_grid(Annulus(inner, outer), n, spacing)
+        assert geometry._stiffness_exponent(grid) == e
+        assert math.ldexp(outer, -e) < 2.0 ** (1021 if spacing == "uniform-in-1/t" else 511)
 
     def test_nodes_must_increase(self):
         with pytest.raises(DomainError):
@@ -276,10 +300,12 @@ class TestSharedInvariants:
                     or rule.weights.flags.writeable)
 
     def test_bad_stiffness_raises_on_every_read(self):
-        grid = make_radial_grid(Annulus(1.0, 1e300), 10)
+        # the first nodes times 2^-513 underflow to 0; a_0 is 0 / 0
+        grid = make_radial_grid(Annulus(5e-324, 1.7e308), 1000, "uniform-in-log-t")
         for _ in range(2):
-            with pytest.raises(EvaluationError, match="interval stiffness a_0 = inf"):
-                _form_stiffness(grid, np.empty(10), np.empty(10))
+            with pytest.raises(EvaluationError, match=r"interval stiffness a_0 = nan on "
+                                                      r"\[4\.94066e-324, "):
+                _form_stiffness(grid, np.empty(1000), np.empty(1000))
 
 
 @st.composite

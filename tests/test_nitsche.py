@@ -160,12 +160,11 @@ class TestFilteredPredicates:
         assert harmonic_profile_monotone(pair) == _rational_monotone(radii)
 
 
-class TestSharedIntegerRadii:
-    def test_one_tuple_per_pair(self):
+class TestIntegerRadii:
+    def test_radii_times_one_power_of_two(self):
         pair = AnnulusPair.from_radii(1.0, 2.0, 0.75, 1.5)
         radii, scale = _integer_radii(pair)
         assert radii == (4, 8, 3, 6) and scale == 4
-        assert _integer_radii(AnnulusPair.from_radii(1.0, 2.0, 0.75, 1.5)) is _integer_radii(pair)
 
 
 class TestHarmonicBVP:

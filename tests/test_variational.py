@@ -26,7 +26,6 @@ from annuli import (
 )
 from annuli import _kernels, geometry, variational
 from annuli.geometry import _form_stiffness, _log_width
-from annuli.variational import _closed_form_sup_error
 from annuli.verify import random_annulus_pair
 
 
@@ -135,25 +134,30 @@ class TestDiscreteMinimization:
         assert sol.profile.values[-1] == canonical_pair.R_star
 
     def test_degenerate_target_is_constant(self):
+        # the span 0 on the one path: one direct solve, of a zero right-hand side
         pair = AnnulusPair.from_radii(1.0, 2.0, 1.5, 1.5)
         sol = minimize_reduced_energy(pair, make_radial_grid(pair.domain, 16))
         assert np.all(sol.profile.values == 1.5)
         assert math.isclose(sol.energy, 8.0 * math.pi, rel_tol=1e-15)
-        assert (sol.iterations, sol.converged) == (0, True)
+        assert (sol.iterations, sol.converged) == (1, True)
 
-    @pytest.mark.parametrize("solve", [minimize_reduced_energy, gradient_descent_minimize])
-    @pytest.mark.parametrize("radii", [(1e160, 2e160, 1.0, 1.0), (1e-170, 2e-170, 3.0, 3.0)])
-    def test_degenerate_target_reads_no_stiffness(self, solve, radii):
-        # t0 t1 overflows on the first shell and underflows to 0 on the second,
-        # so the stiffness raises there; the constant profile does not need it
+    @pytest.mark.parametrize("solve, iterations", [(minimize_reduced_energy, 1),
+                                                   (gradient_descent_minimize, 0)])
+    @pytest.mark.parametrize("radii", [(1e160, 2e160, 1.0, 1.0), (1e-170, 2e-170, 3.0, 3.0),
+                                       (1.0, 1.7976931348623157e308, 1.0, 1.0),
+                                       (5e-324, 1.7976931348623157e308, 1.0, 1.0)])
+    def test_degenerate_target_at_any_position(self, solve, iterations, radii):
+        # t0 t1 overflows on the first shell and underflows to 0 on the second
+        # at the grid's own scale; formed at the grid's scale 2^-e it does
+        # neither.  The energy 8 pi (R - r) of the last two is past the float
+        # range, and reads inf.  The closed form reads exp(log 3) = 3 + 1 ulp
         pair = AnnulusPair.from_radii(*radii)
         grid = make_radial_grid(pair.domain, 4)
-        with pytest.raises(EvaluationError):
-            _stiffness(grid)
         sol = solve(pair, grid)
         assert np.all(sol.profile.values == radii[2])
         assert sol.energy == 8.0 * math.pi * pair.domain.width
-        assert (sol.iterations, sol.converged) == (0, True)
+        assert (sol.iterations, sol.converged) == (iterations, True)
+        assert sol.sup_error_vs_closed_form <= math.ulp(radii[2])
 
     def test_grid_and_pair_must_share_the_domain(self, canonical_pair):
         other = make_radial_grid(AnnulusPair.from_radii(1.0, 3.0, 1.0, 2.0).domain, 16)
@@ -223,16 +227,29 @@ class TestDirectSolveInPlace:
         lambda pair, grid: reduced_energy_gradient(np.zeros(grid.nodes.size), grid),
     ], ids=["minimize_reduced_energy", "gradient_descent_minimize", "discrete_reduced_energy",
             "reduced_energy_gradient"])
-    @pytest.mark.parametrize("radii", [(1.0, 1e300, 1.0, 2.0), (5e-324, 1e-300, 1e-300, 1.0)])
-    def test_a_bad_stiffness_raises_the_grids_error(self, solve, radii):
+    def test_a_bad_stiffness_raises_the_grids_error(self, solve):
         # the direct route forms its stiffness in the scratch and every other
-        # reader in a fresh array; each raises the grid's error, word for word
-        pair = AnnulusPair.from_radii(*radii)
+        # reader in a fresh array; each raises the grid's error, word for word.
+        # On this log grid the first nodes times 2^-513 underflow to 0, so
+        # a_0 is 0 / 0: an error that names the grid's own radii, and no warning
+        pair = AnnulusPair.from_radii(5e-324, 1.7e308, 1.0, 2.0)
+        grid = make_radial_grid(pair.domain, 1000, "uniform-in-log-t")
         with pytest.raises(EvaluationError) as expect:
-            _stiffness(make_radial_grid(pair.domain, 10))
+            _stiffness(grid)
+        assert str(expect.value).startswith(
+            "interval stiffness a_0 = nan on [4.94066e-324, 1.97626e-323], formed on the nodes "
+            "times 2^-513, is not positive and finite")
         with pytest.raises(EvaluationError) as got:
-            solve(pair, make_radial_grid(pair.domain, 10))
+            solve(pair, grid)
         assert str(got.value) == str(expect.value)
+
+    @pytest.mark.parametrize("solve", [minimize_reduced_energy, gradient_descent_minimize])
+    def test_an_energy_past_the_float_range_raises(self, solve):
+        # about 4 pi log(101)^2 r R / (R - r) = 2.7e308, while 8 pi (R - r) is finite
+        pair = AnnulusPair.from_radii(1e298, 1.00000001e298, 1.0, 101.0)
+        with pytest.raises(EvaluationError, match=r"the discrete energy on r = 1e\+298, "
+                                                   r".* is past the float range"):
+            solve(pair, make_radial_grid(pair.domain, 1000))
 
     @pytest.mark.parametrize("n, n_pairs, bound", [(1000, 200, 1e-9), (100_000, 40, 5e-7)])
     def test_flux_is_constant(self, n, n_pairs, bound):
@@ -360,7 +377,8 @@ class TestLazySupError:
             grid = make_radial_grid(pair.domain, 1000)
             sol = solve(pair, grid)
             assert "sup_error_vs_closed_form" not in vars(sol)
-            expected = _closed_form_sup_error(pair, grid, sol.profile.values)
+            closed = exp_profile_from_boundary(pair, "increasing").eval(grid.nodes)
+            expected = float(np.max(np.abs(sol.profile.values - closed)))
             assert sol.sup_error_vs_closed_form.hex() == expected.hex()
             assert vars(sol)["sup_error_vs_closed_form"] is sol.sup_error_vs_closed_form
 
@@ -374,19 +392,53 @@ class TestLazySupError:
 class TestIntervalCoefficients:
     @pytest.mark.parametrize("spacing", ["uniform-in-t", "uniform-in-1/t"])
     def test_bits_of_the_plain_formula(self, spacing, canonical_pair):
+        # the plain formula on the nodes times 2^-e, e = 0 on the canonical and
+        # generator pairs
         rng = np.random.default_rng(5)
-        pairs = [canonical_pair, AnnulusPair.from_radii(1e-150, 3e-150, 1.0, 2.0),
-                 AnnulusPair.from_radii(1e153, 1e153 * (1 + 1e-9), 1.0, 2.0)]
-        pairs += [random_annulus_pair(rng) for _ in range(10)]
-        for pair in pairs:
+        far = [AnnulusPair.from_radii(1e-150, 3e-150, 1.0, 2.0),
+               AnnulusPair.from_radii(1e153, 1e153 * (1 + 1e-9), 1.0, 2.0)]
+        pairs = [canonical_pair] + [random_annulus_pair(rng) for _ in range(10)]
+        for pair in pairs + far:
             for n in (2, 1000, 100_000):
                 grid = make_radial_grid(pair.domain, n, spacing)
-                t = grid.nodes
+                e = geometry._stiffness_exponent(grid)
+                assert (e == 0) == (pair in pairs), (pair, n)
+                t = np.ldexp(grid.nodes, -e)
                 if spacing == "uniform-in-t":
                     plain = (t[:-1] ** 2 + t[:-1] * t[1:] + t[1:] ** 2) / 3.0 / np.diff(t)
                 else:
                     plain = t[:-1] * t[1:] / np.diff(t)
                 assert _stiffness(grid).tobytes() == plain.tobytes(), (pair, n)
+
+
+def _moved(k: int, solve=minimize_reduced_energy):
+    """``solve`` on ``(2^k, 2^(k+1), 1, e)`` at n = 1000."""
+    pair = AnnulusPair.from_radii(2.0**k, 2.0 ** (k + 1), 1.0, math.e)
+    return solve(pair, make_radial_grid(pair.domain, 1000))
+
+
+class TestAnyPosition:
+    """The energy does not change under ``f -> lambda f`` and scales by ``mu``
+    under ``x -> mu x``.  The stiffness is formed at one power-of-two scale
+    per grid, so a domain moved by ``2^k`` moves no bit of the discrete
+    solve but the energy's exponent, and CG reads its tolerance at the same
+    scale wherever the domain sits."""
+
+    _K = [-1000, -600, -530, -400, -100, 100, 400, 530, 1000]
+
+    @pytest.mark.parametrize("k", _K)
+    def test_the_direct_solve_moves_with_the_domain(self, k):
+        base, moved = _moved(0), _moved(k)
+        assert moved.profile.values.tobytes() == base.profile.values.tobytes()
+        assert moved.energy.hex() == math.ldexp(base.energy, k).hex()
+
+    @pytest.mark.parametrize("k", _K)
+    def test_conjugate_gradient_converges_to_the_direct_solve(self, k):
+        # it once stopped after 0 iterations, 8.33 % above the minimum, below
+        # 2^-34, where the absolute gradient of the grid's own energy is tiny
+        cg, direct = _moved(k, gradient_descent_minimize), _moved(k)
+        assert cg.converged and cg.iterations > 0
+        assert abs(cg.energy - direct.energy) <= 1e-9 * direct.energy
 
 
 class TestEnergyGradient:

@@ -168,7 +168,7 @@ class TestSuite:
 
 def _clear_caches():
     for cached in (geometry._leggauss, geometry._sphere_rule, energy._fd_stencil,
-                   energy._min_weighted_energy, nitsche._integer_radii):
+                   energy._min_weighted_energy):
         cached.cache_clear()
 
 
