@@ -41,7 +41,6 @@ return ``inf`` or ``nan``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -68,22 +67,9 @@ _BASIS = np.array([
 
 
 def _lorentz(a, b, c, d):
-    """``L[mu, nu] = Re tr(B_mu M B_nu M^H) / 2`` for ``M = [[a, b], [c, d]]``,
-    read-only: kept for the next call with the same entries, bit for bit."""
-    return _lorentz_of(np.array([[a, b], [c, d]], dtype=complex).tobytes())
-
-
-# a verify-suite op fetches the matrices of its 90 transforms 112 times, at
-# most 3 times each, and 32 entries keep all but one of those matrices for
-# their next use (21 of the 22 repeated fetches)
-@lru_cache(maxsize=32)
-def _lorentz_of(entries: bytes):
-    """:func:`_lorentz` of the matrix whose complex128 entries, row by row,
-    are the bytes ``entries``: a key that tells ``-0.0`` from ``0.0``."""
-    m = np.frombuffer(entries, dtype=complex).reshape(2, 2)
-    lor = 0.5 * np.einsum("mij,jk,nkl,il->mn", _BASIS, m, _BASIS, m.conj()).real
-    lor.setflags(write=False)
-    return lor
+    """``L[mu, nu] = Re tr(B_mu M B_nu M^H) / 2`` for ``M = [[a, b], [c, d]]``."""
+    m = np.array([[a, b], [c, d]], dtype=complex)
+    return 0.5 * np.einsum("mij,jk,nkl,il->mn", _BASIS, m, _BASIS, m.conj()).real
 
 
 def _affine(lor, pts, out=None, term=None):
@@ -130,13 +116,12 @@ def mobius_pushforward(a, b, c, d, pts, *vecs):
     contiguous, and one field's array is column-major."""
     lor = _lorentz(a, b, c, d)
     image, den = _image(lor, pts)
-    linear = lor.copy()
-    linear[:, 0] = 0.0   # w . v and A v: a tangent vector has no offset
+    lor[:, 0] = 0.0   # the linear part, w . v and A v: a tangent vector has no offset
     n, k = pts.shape[0], len(vecs)
     stacked = np.empty((k * n, 3), order="F")
     for j, v in enumerate(vecs):
         stacked[j * n:(j + 1) * n] = v
-    rows = _affine(linear, stacked).reshape(4, k, n)
+    rows = _affine(lor, stacked).reshape(4, k, n)
     out = rows[1:]
     out -= image.T[:, None] * rows[0]
     out /= den
@@ -207,7 +192,7 @@ def rk4_shoot(r, R, h0, slope, n_steps, *_):
 # caller passes them as ``work``, and the n of the output unless it
 # passes ``out``.  The ``variational`` direct route passes both: ``out``
 # is the interior of its ``K``, and ``work`` a view of the float64
-# scratch each thread keeps, up to 2^20 floats (``geometry._scratch``),
+# scratch each thread keeps, up to 2^20 floats (``variational._scratch``),
 # so a solve at n = 1e5 allocates nothing that grows with n.  The solve
 # takes no scratch itself, so a caller may hold its views across the
 # call.  The output is allocated before the scratch, so the buffers

@@ -51,7 +51,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -605,10 +605,9 @@ def dirichlet_energy(f: AnnulusMap, pair: AnnulusPair, radial_order: int = _RADI
     return _energy(f, pair, radial_order, sphere_order, refine, False)
 
 
-@lru_cache(maxsize=4)
 def _min_weighted_energy(pair: AnnulusPair) -> Fraction:
     """The weighted minimum over ``4 pi``, exact on the float radii and
-    the float ``log(R_star / r_star)``; kept for the pair's next call."""
+    the float ``log(R_star / r_star)``."""
     # in integers, over one denominator: with r = r_n / r_d, R = R_n / R_d,
     # ell = l_n / l_d and R - r = w / (r_d R_d) the sum is
     # (2 w^2 l_d^2 + r_n R_n l_n^2 r_d R_d) / (r_d R_d l_d^2 w)

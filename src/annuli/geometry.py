@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -22,28 +21,6 @@ from .errors import DomainError, EvaluationError
 SPACING_MODES = ("uniform-in-t", "uniform-in-1/t", "uniform-in-log-t")
 # angle of the centred great-circle differences of a callable sphere map
 _GREAT_CIRCLE_STEP = 1e-6
-
-# Per-thread float64 scratch of the direct route.  A thread keeps one
-# array, grown to its largest request up to _SCRATCH_CAP floats (8 MiB,
-# which holds the 566 642 floats of a solve on 10^5 intervals: the
-# stiffness, the diagonal, the right-hand side and the reduction's
-# buffers); a larger request gets a fresh array that is not kept.  So the
-# route's n-sized temporaries are not freed and faulted in again on every
-# solve.  The one rule: a scratch view never outlives the function that
-# took it, and is never held across a call that may take scratch.
-_SCRATCH_CAP = 2**20
-_scratch_local = threading.local()
-
-
-def _scratch(size: int) -> np.ndarray:
-    """A 1-D float64 view of ``size`` floats of this thread's scratch,
-    with unspecified contents."""
-    if size > _SCRATCH_CAP:
-        return np.empty(size)
-    buf = getattr(_scratch_local, "buf", None)
-    if buf is None or buf.size < size:
-        buf = _scratch_local.buf = np.empty(size)
-    return buf[:size]
 
 
 @dataclass(frozen=True)
@@ -112,11 +89,6 @@ class AnnulusPair:
     def __post_init__(self):
         if self.domain.is_degenerate:
             raise DomainError(f"domain annulus must have inner < outer, got {self.domain!r}")
-        # the dataclass hash, computed once: per-pair caches look pairs up often
-        object.__setattr__(self, "_hash", hash((self.domain, self.target)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def from_radii(cls, r: float, R: float, r_star: float, R_star: float) -> "AnnulusPair":
@@ -258,7 +230,9 @@ def make_radial_grid(annulus: Annulus, n: int, spacing_mode: str = "uniform-in-t
     which is the natural coordinate of the radial Euler-Lagrange
     equation; ``uniform-in-log-t`` spaces them evenly in ``log t``, so
     every interval has the same ``h / t`` on any shell.  Endpoints land on
-    the annulus boundary exactly.
+    the annulus boundary exactly.  A ``uniform-in-1/t`` grid raises
+    :class:`EvaluationError` where ``1 / r`` is past the float range, for
+    ``r`` below about 5.6e-309.
     """
     if n < 2:
         raise ValueError("need at least two intervals")
@@ -266,7 +240,11 @@ def make_radial_grid(annulus: Annulus, n: int, spacing_mode: str = "uniform-in-t
         raise DomainError(f"cannot grid a degenerate annulus, got {annulus!r}")
     # RadialGrid rejects any other mode
     if spacing_mode == "uniform-in-1/t":
-        nodes = 1.0 / np.linspace(1.0 / annulus.inner, 1.0 / annulus.outer, n + 1)
+        inverse = 1.0 / annulus.inner
+        if inverse == math.inf:
+            raise EvaluationError(f"a uniform-in-1/t grid on r = {annulus.inner!r}, R = "
+                                  f"{annulus.outer!r} needs 1 / r, which is past the float range")
+        nodes = 1.0 / np.linspace(inverse, 1.0 / annulus.outer, n + 1)
     elif spacing_mode == "uniform-in-log-t":
         nodes = _radii(annulus, np.linspace(0.0, _log_width(annulus), n + 1))
     else:

@@ -100,7 +100,7 @@ def _unit_safe(norms: np.ndarray) -> bool:
 
 
 def _lorentz(t: MobiusTransform) -> np.ndarray:
-    """The kernel's read-only Lorentz matrix of ``t``."""
+    """The kernel's Lorentz matrix of ``t``, formed anew on every call."""
     return _kernels._lorentz(t.a, t.b, t.c, t.d)
 
 

@@ -9,13 +9,13 @@ off-diagonals are then the interval stiffness itself, and writes the
 interior of ``K`` in place, with the bits of the system itself.  The
 stiffness, the diagonal, the right-hand side and the reduction's buffers
 (about 8 n / 3 floats, every level at a stride of at most 2 elements)
-are views of one per-thread scratch array (``geometry._scratch``), kept
-up to 2^20 floats, and the energy is formed in a region of it that the
-solve leaves dead.  So a warm solve allocates ``K`` alone; a scratch view
-never outlives the function that took it, and is never held across a
-call that may take scratch.  The grid keeps no stiffness: every reader
-forms it with ``geometry._form_stiffness`` where it uses it, at one
-power-of-two scale per grid, and scales results back exactly.
+are views of one per-thread scratch array (:func:`_scratch`), kept up to
+2^20 floats, and the energy is formed in a region of it that the solve
+leaves dead.  So a warm solve allocates ``K`` alone.  The direct solve is
+the scratch's one user; every other reader allocates its own arrays.
+The grid keeps no stiffness: every reader forms it with
+``geometry._form_stiffness`` where it uses it, at one power-of-two scale
+per grid, and scales results back exactly.
 Conjugate-gradient descent on the gradient,
 preconditioned in the hierarchical basis, and RK4 shooting on the
 Euler-Lagrange equation are provided as independent routes to the same
@@ -27,6 +27,7 @@ sweep fixes the slope.  All three routes run on the numpy kernels in
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, EvaluationError
-from .geometry import (AnnulusPair, RadialGrid, _form_stiffness, _log_width, _scratch,
+from .geometry import (AnnulusPair, RadialGrid, _form_stiffness, _log_width,
                        _stiffness_exponent, make_radial_grid)
 from .maps import SampledProfile, _ClosedFormProfile, exp_profile_from_boundary
 
@@ -100,7 +101,7 @@ def discrete_reduced_energy(k_values: np.ndarray, grid: RadialGrid) -> float:
     """Reduced energy of the piecewise profile ``H = exp(K)``."""
     k = _k_on_grid(k_values, grid)
     n = k.size - 1
-    return _energy_from_coefficients(_form_stiffness(grid, np.empty(n), _scratch(n)), k, grid)
+    return _energy_from_coefficients(_form_stiffness(grid, np.empty(n), np.empty(n)), k, grid)
 
 
 def _energy_from_coefficients(a: np.ndarray, k: np.ndarray, grid: RadialGrid,
@@ -111,13 +112,10 @@ def _energy_from_coefficients(a: np.ndarray, k: np.ndarray, grid: RadialGrid,
     states (nodes on the last axis) their energies, each with the bits of
     its own call.  ``dk``, when given, is the scratch: a contiguous float64
     array of one entry per interval and state, which shares no memory with
-    ``a`` or ``k``; else it is a view of this thread's scratch
-    (``geometry._scratch``), so a caller holding scratch passes its own."""
+    ``a`` or ``k``; else the differences go to a fresh array."""
     # a plain sum, not a BLAS dot, whose threaded split moves the last bits;
-    # in place in dk, dropped on return
-    shape = k.shape[:-1] + (k.shape[-1] - 1,)
-    dk = (_scratch(math.prod(shape)) if dk is None else dk).reshape(shape)
-    np.subtract(k[..., 1:], k[..., :-1], out=dk)
+    # in place in dk
+    dk = np.subtract(k[..., 1:], k[..., :-1], out=dk)
     dk *= dk
     dk *= a
     total = dk.sum(axis=-1)
@@ -132,7 +130,7 @@ def reduced_energy_gradient(k_values: np.ndarray, grid: RadialGrid) -> np.ndarra
     nodes (the boundary values are constrained)."""
     k = _k_on_grid(k_values, grid)
     n = k.size - 1
-    a = _form_stiffness(grid, np.empty(n), _scratch(n))
+    a = _form_stiffness(grid, np.empty(n), np.empty(n))
     # the gradient of Q = E / (4 pi) - const that conjugate-gradient
     # descent runs on, at the grid's scale 2^-e, scaled back to E
     grad = np.empty(n - 1)
@@ -151,7 +149,7 @@ def _discrete_el_residual(profile: SampledProfile) -> np.ndarray:
     flux is 0, as for a constant ``K``, it reads 0."""
     k = np.log(profile.values)
     n = k.size - 1
-    a = _form_stiffness(profile.grid, np.empty(n), _scratch(n))
+    a = _form_stiffness(profile.grid, np.empty(n), np.empty(n))
     flux, grad = np.empty(n), np.empty(n - 1)
     _kernels._form_gradient(a, k, flux, grad)
     grad *= _FOUR_PI
@@ -230,6 +228,29 @@ def minimize_reduced_energy(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSolu
     return _discrete_minimize(pair, grid, _direct_k)
 
 
+# Per-thread float64 scratch of the direct solve.  A thread keeps one
+# array, grown to its largest request up to _SCRATCH_CAP floats (8 MiB,
+# which holds the 566 642 floats of a solve on 10^5 intervals: the
+# stiffness, the diagonal, the right-hand side and the reduction's
+# buffers); a larger request gets a fresh array that is not kept.  So the
+# solve's n-sized temporaries are not freed and faulted in again on every
+# solve.  The one rule: a scratch view never outlives the function that
+# took it, and is never held across a call that may take scratch.
+_SCRATCH_CAP = 2**20
+_scratch_local = threading.local()
+
+
+def _scratch(size: int) -> np.ndarray:
+    """A 1-D float64 view of ``size`` floats of this thread's scratch,
+    with unspecified contents."""
+    if size > _SCRATCH_CAP:
+        return np.empty(size)
+    buf = getattr(_scratch_local, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _scratch_local.buf = np.empty(size)
+    return buf[:size]
+
+
 def _direct_k(grid: RadialGrid, span: float):
     # row i of the negated system, a[i-1] K[i-1] - (a[i-1] + a[i]) K[i] + a[i] K[i+1] = 0,
     # takes its off-diagonals as views of a (the kernel ignores the first lower and
@@ -278,7 +299,7 @@ def gradient_descent_minimize(pair: AnnulusPair, grid: RadialGrid) -> DiscreteSo
 
 def _cg_k(grid: RadialGrid, span: float):
     t = grid.nodes
-    a = _form_stiffness(grid, np.empty(t.size - 1), _scratch(t.size - 1))
+    a = _form_stiffness(grid, np.empty(t.size - 1), np.empty(t.size - 1))
     k = (t - t[0]) / (t[-1] - t[0]) * span
     # the kernel minimizes Q = 2^-e E / (4 pi) - const, so rescale the
     # gradient tolerance accordingly

@@ -26,7 +26,7 @@ from annuli import (
     weighted_energy,
 )
 from annuli import energy
-from annuli.energy import _fd_energies, _fd_stencil, _min_weighted_energy, _same
+from annuli.energy import _fd_energies, _fd_stencil, _same
 from annuli.energy import _profile_values
 from annuli.geometry import row_norms
 from annuli.maps import sphere_inversion
@@ -468,8 +468,8 @@ class TestFDBatches:
 
 
 class TestSharedStencil:
-    """The FD stencil and the exact minimum are computed once per shell and
-    orders or per pair, and shared read-only."""
+    """The FD stencil is computed once per shell and orders, and shared
+    read-only."""
 
     def test_repeated_calls_share_one_object(self, canonical_pair):
         domain = canonical_pair.domain
@@ -479,9 +479,6 @@ class TestSharedStencil:
         stencil = _fd_stencil(domain, 16, 8)
         _fd_stencil(domain, 16, 4)
         assert _fd_stencil(domain, 16, 8) is stencil
-        same_pair = AnnulusPair.from_radii(canonical_pair.r, canonical_pair.R,
-                                           canonical_pair.r_star, canonical_pair.R_star)
-        assert _min_weighted_energy(canonical_pair) is _min_weighted_energy(same_pair)
 
     def test_shells_requested_once_evict_no_stencil_requested_again(self, canonical_pair):
         # the harmonic row's twenty one-shot shells once evicted the two

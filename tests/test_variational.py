@@ -30,10 +30,10 @@ from annuli.verify import random_annulus_pair
 
 
 def _stiffness(grid):
-    """The interval stiffness of ``grid``, formed as the package's readers
-    form it: in a fresh array, with this thread's scratch as ``tmp``."""
+    """The interval stiffness of ``grid``, in a fresh array, with this
+    thread's scratch of the direct solve as ``tmp``."""
     n = grid.nodes.size - 1
-    return _form_stiffness(grid, np.empty(n), geometry._scratch(n))
+    return _form_stiffness(grid, np.empty(n), variational._scratch(n))
 
 
 class TestElResidual:
@@ -293,7 +293,7 @@ def _in_fresh_thread(func):
 
 class TestPerThreadScratch:
     """The direct route's temporaries are views of one array per thread
-    (``geometry._scratch``); nothing it returns lives there."""
+    (``variational._scratch``); nothing it returns lives there."""
 
     @staticmethod
     def _solve(pair, n=100_000):
@@ -331,7 +331,7 @@ class TestPerThreadScratch:
         for n in (2, 1000, 100_000):
             grid = make_radial_grid(canonical_pair.domain, n)
             sol = minimize_reduced_energy(canonical_pair, grid)
-            scratch = geometry._scratch_local.buf
+            scratch = variational._scratch_local.buf
             for arr in (sol.profile.values, grid.nodes):
                 assert not np.shares_memory(arr, scratch), n
 
@@ -342,11 +342,11 @@ class TestPerThreadScratch:
 
         def solve_and_measure():
             got = self._solve(canonical_pair, n)
-            return got, geometry._scratch_local.buf.size
+            return got, variational._scratch_local.buf.size
 
         got, kept = _in_fresh_thread(solve_and_measure)
         assert got == expect
-        assert kept <= geometry._SCRATCH_CAP
+        assert kept <= variational._SCRATCH_CAP
 
 
 class TestLazySupError:
