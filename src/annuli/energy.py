@@ -13,36 +13,42 @@ weighted density of the minimizer is ``b^2 / t^2 + 2`` in ``t`` but
 default orders the decomposition route reads the minimizers' energies
 to rounding on thin and wide shells alike.
 
-The FD route evaluates a map once per stencil point.  It sends the
-stencil ``_FD_CHUNK`` centres at a time, with all six or seven point sets
-of the chunk in one call, as numpy's fixed cost per call outweighs the
-arithmetic on a few hundred points; the ``+-e_k`` pairs of a call are
-then differenced as one block, each step one numpy call for all of them.
-For the inversion check, ``f`` and its composition with
-``y -> a y / |y|^2`` are differentiated from that one set of samples.
-Each shell has one stencil per pair of orders: its centres, steps and
-weights are built once and shared, read-only, by every FD energy on that
-shell.  The radial rule is rebuilt on each decomposition, which costs
-microseconds.  The last two stencils requested more than once are kept,
-since the inversion check alternates two sphere orders on one shell, and
-apart from them the last two requested once, so the harmonic check's
-one-shot shells never evict the pair's two (:class:`_StencilCache`).
-Each chunk's points, differences and squared norms are fresh arrays.
+The FD route evaluates a map once per stencil point.  The stencil is a
+product of the radial rule and one unit shell: its points are ``t_i v``,
+with ``t_i`` the radial nodes and ``v`` the ``7 N_s`` points
+``eta +- s e_k`` for each axis, then the sphere rule's nodes ``eta``, at
+one relative step ``s`` per shell.  The route sends the stencil a chunk
+of whole radial nodes at a time, at most ``_FD_CHUNK`` centres, with all
+six or seven point sets of the chunk in one call, as numpy's fixed cost
+per call outweighs the arithmetic on a few hundred points; the ``+-e_k``
+pairs of a call are then differenced as one block, each step one numpy
+call for all of them.  For the inversion check, ``f`` and its
+composition with ``y -> a y / |y|^2`` are differentiated from that one
+set of samples.  Each shell has one stencil per pair of orders: its
+radial nodes, unit shell, spans and weights are built once and shared,
+read-only, by every FD energy on that shell.  The radial rule is rebuilt
+on each decomposition, which costs microseconds.  The last two stencils
+requested more than once are kept, since the inversion check alternates
+two sphere orders on one shell, and apart from them the last two
+requested once, so the harmonic check's one-shot shells never evict the
+pair's two (:class:`_StencilCache`).  Each chunk's points, differences
+and squared norms are fresh arrays.
 
 A generalized radial map sends no points to ``map_eval_many``.
-``f(x) = H(t) T(x / t)``, ``t = |x|``, so the route reads the norms and
-unit vectors of the stencil's points from its polar form, computed once
-per stencil with the numpy steps ``map_eval_many`` takes on those points,
-and ``H(t)`` from values kept there for the last two closed-form
-profiles; a sampled profile's values are computed once per energy.
-``sphere_maps._apply_to_units``, which forms ``map_eval_many``'s values
-too, applies ``T`` and multiplies by ``H``, chunk by chunk, in one
-buffer kept for the energy, so the values, and the energies, keep their
-bits.  The inversion row's Moebius members alternate two minimizers on
-one stencil, so all but the first two reuse their profile values.
-Sampled maps, stencils of more than ``_POLAR_MAX_POINTS`` points, and
-stencils with a norm outside the window where the sphere action skips
-its unit check, take ``map_eval_many``.
+``f(t_i v) = H(t_i |v|) T(v / |v|)``, and the direction does not depend
+on the radial node, so the sphere action runs once per energy on the
+``7 N_s`` unit vectors of the stencil's polar form (3 584 at sphere order
+16), not once per point (32 256 at orders (9, 16)).  Each chunk's image
+is that action times ``H(t_i |v|)``, kept with the polar form for the
+last two closed-form profiles, 8 bytes a point each; a sampled profile's
+values are computed once per energy.  ``sphere_maps._sphere_action`` and
+``sphere_maps._radial_scale``, which form ``map_eval_many``'s values
+too, take the two steps.  The route evaluates the exact points
+``t_i v``, which ``map_eval_many`` would take rounded, so its energies
+differ from the sampled route's in the last digits (at most 1.34e-11
+relative over 48 members measured).  The inversion row's Moebius members
+alternate two minimizers on one stencil, so all but the first two reuse
+their profile values.  Sampled maps take ``map_eval_many``.
 """
 from __future__ import annotations
 
@@ -67,29 +73,29 @@ from .maps import (
     _ClosedFormProfile,
     map_eval_many,
 )
-from .sphere_maps import _apply_to_units, _lorentz, _unit_safe, conformal_stretch_points
+from .sphere_maps import _radial_scale, _sphere_action, conformal_stretch_points
 
 # central-difference step of the FD route, relative to the radius t
 _FD_STEP = 1e-5
 # least step at the outer radius R, in ulps of R, on a shell that verify
-# accepts.  The shifted coordinates round to floats, so a central difference
-# spans 2 h to within one ulp, and the density |Df|^2 is off by up to 1 / u
-# at a step of u ulps: 1.2e-4 at this floor, under the 2e-4 of the inversion
-# row.  Over 40 random shells per band at each of r = 1e-8, 1 and 1e8, at
-# seeds 1 and 2, the row's worst read 8.0e-4 at 800-1 000 ulps, 2.3e-4 at
-# 2 800-3 000 (8 of 80 over 2e-4 at r = 1e8), 1.7e-4 at 3 500-4 000 and
-# 7.9e-5 at 8 000-9 000
+# accepts.  A point t (eta + s e_k) rounds on the unit shell and again times
+# t (a generalized radial map's only on the unit shell), so a central
+# difference spans 2 t s to within about two ulps of t, and the density
+# |Df|^2 is off by up to about 2 / u at a step of u ulps: 2.4e-4 at this
+# floor, where errors of both signs partly cancel in the quadrature.  Over 40
+# random shells per band at each of r = 1e-8, 1 and 1e8, at seeds 1 and 2
+# (240 rows a band, target radii 1 and 2), the inversion row's worst read
+# 1.2e-3 at 800-1 000 ulps, 3.2e-4 at 2 800-3 000 (40 of 240 over its 2e-4),
+# 2.2e-4 at 3 500-4 000 (8 of 240) and 1.0e-4 at 8 000-9 000 (none); with a
+# step added to each rounded centre they read 8.6e-4, 2.2e-4 (12 of 240),
+# 2.0e-4 (none) and 8.4e-5
 _FD_MIN_STEP_ULPS = 8192
-# centres per chunk of the FD route, whose map call holds a chunk's six or
-# seven point sets: at most 4 704 points, which puts the 4 608-centre stencil
-# of orders (9, 16) in seven calls, as many as one call per set.  A stencil
-# of 288 centres (9 x 4) takes one call, one of 1 152 (9 x 8) two
+# most centres per chunk of the FD route, in whole radial nodes (one at
+# least), whose map call holds a chunk's six or seven point sets: at most
+# 4 704 points.  At radial order 9 a stencil of sphere order 4 (32 nodes a
+# shell) takes one call of 2 016 points, one of order 8 (128) two, of 5 and
+# 4 radial nodes, and one of order 16 (512) nine, one radial node each
 _FD_CHUNK = 672
-# most points of a stencil that keeps a polar form (32 bytes a point, 8 per
-# kept profile): radial orders up to 36 at sphere order 16, where it saves
-# verify at least about the share of wall time that it adds to peak RSS; from
-# order 38 on, map_eval_many saves 1.4-1.8 times the share of RSS it costs
-_POLAR_MAX_POINTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -338,50 +344,34 @@ def _same(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _fd_steps(t, width: float):
-    """The FD step at radii ``t`` on a shell of the given width."""
-    # at most 1e-5 of 64 shell widths: on a thin shell log H bends as 2 b / t^3,
-    # with |b| up to log(R* / r*) r R / (R - r), and a step of 1e-5 t would set
-    # the error; from R / r = 64 / 63 on the step is 1e-5 t
-    return _FD_STEP * np.minimum(t, 64.0 * width)
+def _fd_step(annulus: Annulus) -> float:
+    """The FD step on a shell relative to the radius: the step at radius
+    ``t`` is ``t`` times this."""
+    # at most 1e-5 of 64 shell widths at R: on a thin shell log H bends as
+    # 2 b / t^3, with |b| up to log(R* / r*) r R / (R - r), and a step of 1e-5 t
+    # would set the error; from R / r = 64 / 63 on the step is 1e-5 t
+    return _FD_STEP * min(1.0, 64.0 * annulus.width / annulus.outer)
 
 
 class _Stencil(tuple):
-    """An FD stencil, ``(centers, steps, two_steps, weights)``, which keeps
-    its polar form, so that form lives as long as the stencil's cache
-    entry."""
+    """An FD stencil, ``(t, shell, two_steps, weights)``, which keeps its
+    polar form, so that form lives as long as the stencil's cache entry."""
 
     @cached_property
     def polar(self):
-        """The norm ``t`` and the unit vector ``p / t`` of each point ``p`` of
-        the seven sets, computed as :func:`maps.map_eval_many` computes them,
-        and a dict that keeps the values ``H(t)`` of at most two profiles
-        (:func:`_profile_values`).  None, and nothing kept, if the sets hold
-        more than ``_POLAR_MAX_POINTS`` points, or if a norm leaves the
-        window where the sphere action skips its unit check
-        (``sphere_maps._unit_safe``).
-
-        The points are laid out as the weighted route's map calls: chunk by
-        chunk of ``_FD_CHUNK`` centres, each chunk's seven sets one after
-        another, so the ``n_sets * m`` points of a chunk of ``m`` centres are
-        one contiguous span.  The arrays are read-only."""
-        centers, steps, _, _ = self
-        n = centers.shape[0]
-        if 7 * n > _POLAR_MAX_POINTS:
-            return None
-        units = np.empty((3, 7 * n))
-        for lo in range(0, n, _FD_CHUNK):
-            hi = min(lo + _FD_CHUNK, n)
-            _stencil_points(centers, steps, lo, hi, units[:, 7 * lo:7 * hi])
-        # a norm beyond the float range is inf here, and no polar form is kept
-        with np.errstate(over="ignore"):
-            t = row_norms(units.T)
-        if not _unit_safe(t):
-            return None
-        units /= t
-        for a in (t, units):
+        """The norm ``|v|`` and the unit vector ``v / |v|`` of each of the
+        ``7 N_s`` points ``v`` of the unit shell, laid out as the shell,
+        set by set, and a dict that keeps the values ``H(t |v|)`` of at most
+        two profiles (:func:`_profile_values`).  The arrays are read-only;
+        the units, column-major ``(7 N_s, 3)``, are unit vectors by
+        construction, as ``|v|`` is within ``s`` of 1."""
+        _, shell, _, _ = self
+        points = shell.reshape(3, -1).T
+        norms = row_norms(points)
+        units = points / norms[:, None]
+        for a in (norms, units):
             a.setflags(write=False)
-        return t, units, {}
+        return norms, units, {}
 
 
 class _StencilCache:
@@ -420,20 +410,25 @@ class _StencilCache:
 
 
 def _build_stencil(annulus: Annulus, radial_order: int, sphere_order: int) -> _Stencil:
-    """The FD route's stencil on a shell: its centres, a column-major
-    ``(N, 3)`` product of the radial rule and the sphere rule, the step
-    at each centre and twice that step, and the quadrature weight of each
-    centre.  Built once per shell and orders and kept by
+    """The FD route's stencil on a shell, a product of the radial rule and
+    one unit shell: the radial nodes ``t``; the ``(3, 7, N_s)`` unit-shell
+    set ``shell``, coordinate, set and sphere node, which holds
+    ``eta + s e_k`` and ``eta - s e_k`` for each axis, then the sphere
+    rule's nodes ``eta``, with ``s`` :func:`_fd_step`; the nominal span
+    ``2 t s`` of each radial node's differences; and the quadrature
+    weight ``w t^2`` times the sphere weight of each centre ``t_i eta_j``,
+    radial node by radial node.  A point of the stencil is
+    ``t_i shell[:, k, j]``.  Built once per shell and orders and kept by
     :data:`_fd_stencil`; every array is read-only.  Weights beyond the
     float range raise :class:`EvaluationError`, with no numpy warning."""
     t, wt = _radial_rule(annulus, radial_order)
     quad = make_sphere_quadrature(sphere_order)
-    n_sphere = quad.weights.size
-    centers = np.empty((t.size * n_sphere, 3), order="F")
+    step = _fd_step(annulus)
+    shell = np.repeat(quad.nodes.T[:, None, :], 7, axis=1)
     for k in range(3):
-        np.multiply.outer(t, quad.nodes[:, k], out=centers[:, k].reshape(t.size, n_sphere))
-    steps = np.repeat(_fd_steps(t, annulus.width), n_sphere)
-    two_steps = 2.0 * steps
+        shell[k, 2 * k] += step
+        shell[k, 2 * k + 1] -= step
+    two_steps = 2.0 * (t * step)
     # w t^2 grows as t^3
     with np.errstate(over="ignore"):
         weights = (wt[:, None] * t[:, None] ** 2 * quad.weights[None, :]).ravel()
@@ -441,42 +436,43 @@ def _build_stencil(annulus: Annulus, radial_order: int, sphere_order: int) -> _S
         raise EvaluationError(f"finite-difference quadrature weights w t^2 overflow at radii "
                               f"up to {float(t[-1]):.6g}; the radii are too large for "
                               "floating point")
-    for a in (centers, steps, two_steps, weights):
+    for a in (t, shell, two_steps, weights):
         a.setflags(write=False)
-    return _Stencil((centers, steps, two_steps, weights))
+    return _Stencil((t, shell, two_steps, weights))
 
 
 _fd_stencil = _StencilCache(_build_stencil, kept=2, once=2)
 
 
-def _stencil_points(centers: np.ndarray, steps: np.ndarray, lo: int, hi: int,
-                    out: np.ndarray) -> np.ndarray:
-    """Write the point sets of centres ``lo:hi`` to ``out``, read as axes
-    coordinate, set, node: ``+e_k`` and ``-e_k`` for each axis, then the
-    centres, or only the first six sets where ``out`` holds six."""
-    blocks = out.reshape(3, -1, hi - lo)
-    np.copyto(blocks, centers[lo:hi].T[:, None])
-    for k in range(3):
-        blocks[k, 2 * k] += steps[lo:hi]
-        blocks[k, 2 * k + 1] -= steps[lo:hi]
-    return blocks
+def _stencil_points(stencil: _Stencil, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """Write the points ``t_i v`` of radial nodes ``lo:hi`` to ``out``,
+    read as axes coordinate, set, radial node, sphere node: ``+e_k`` and
+    ``-e_k`` for each axis, then the centres, or only the first six sets
+    where ``out`` holds six."""
+    t, shell, _, _ = stencil
+    blocks = out.reshape(3, -1, hi - lo, shell.shape[2])
+    return np.multiply(shell[:, :blocks.shape[1], None], t[lo:hi, None], out=blocks)
 
 
-def _profile_values(polar, profile: RadialProfile) -> np.ndarray:
-    """``H(t)`` on every point of a polar form.  A closed form's values are
-    read-only and kept with the polar form for at most two profiles, as the
-    inversion row alternates two minimizers; the oldest goes first.  A
-    sampled profile's are not kept, as its ``values`` array is writable."""
-    t, _, kept = polar
-    if not isinstance(profile, _ClosedFormProfile):
-        return profile.eval(t)
-    h = kept.get(profile)
+def _profile_values(stencil: _Stencil, profile: RadialProfile) -> np.ndarray:
+    """``H(t_i |v|)`` on every point of a stencil, laid out as set, radial
+    node, sphere node.  A closed form's values are read-only and kept with
+    the stencil's polar form for at most two profiles, as the inversion row
+    alternates two minimizers; the oldest goes first.  A sampled profile's
+    are not kept, as its ``values`` array is writable."""
+    t = stencil[0]
+    norms, _, kept = stencil.polar
+    h = kept.get(profile) if isinstance(profile, _ClosedFormProfile) else None
     if h is None:
-        h = profile.eval(t)
-        h.setflags(write=False)
-        for old in list(kept)[:-1]:
-            kept.pop(old, None)
-        kept[profile] = h
+        # one set at a time, so the profile's temporaries span one set
+        h = np.empty((7, t.size, norms.size // 7))
+        for hj, nj in zip(h, norms.reshape(7, -1)):
+            hj[:] = profile.eval(np.multiply.outer(t, nj))
+        if isinstance(profile, _ClosedFormProfile):
+            h.setflags(write=False)
+            for old in list(kept)[:-1]:
+                kept.pop(old, None)
+            kept[profile] = h
     return h
 
 
@@ -485,19 +481,22 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     """FD energies of ``view(f)`` for each ``view`` of the map values,
     all differentiated from one evaluation of ``f`` on the stencil.
 
-    The stencil (:func:`_fd_stencil`) has seven point sets of ``N`` points:
-    ``+e_k`` and ``-e_k`` for each axis, then the centres, which only the
-    weighted route evaluates.  The map gets them ``_FD_CHUNK`` centres at
-    a time, all six or seven sets of the chunk in one call, so every call
-    holds whole ``+-e_k`` pairs.  Each view runs once on a chunk's pairs,
-    and their differences, squared norms and density sums take one numpy
-    call for all of them.  A view acts row by row, so the bits are those
-    of one set at a time, and each node's density adds its pairs in the
-    order ``+x, +y, +z``.  The centres' values are kept until every chunk
-    is differenced; their views and norm checks then run view by view, so
-    a view error still raises before any centre's norm check.  An error of
-    the evaluator itself comes in chunk order, so it can precede a view
-    error on a set of a later chunk.
+    The stencil (:func:`_fd_stencil`) is the radial nodes ``t_i`` times
+    one unit shell of seven sets of ``N_s`` points ``v``: ``+e_k`` and
+    ``-e_k`` for each axis, then the sphere rule's nodes, whose centres
+    only the weighted route evaluates.  The map gets the points ``t_i v``
+    a chunk of whole radial nodes at a time, at most ``_FD_CHUNK`` centres
+    (or one radial node), all six or seven sets of the chunk in one call,
+    so every call holds whole ``+-e_k`` pairs.  Each view runs once on a
+    chunk's pairs, and their differences, squared norms and density sums
+    take one numpy call for all of them; each difference is divided by the
+    nominal span ``2 t_i s`` of its radial node.  A view acts row by row,
+    so the bits are those of one set at a time, and each node's density
+    adds its pairs in the order ``+x, +y, +z``.  The centres' values are
+    kept until every chunk is differenced; their views and norm checks
+    then run view by view, so a view error still raises before any
+    centre's norm check.  An error of the evaluator itself comes in chunk
+    order, so it can precede a view error on a set of a later chunk.
 
     Point batches are column-major, so each coordinate of the nodes is
     one contiguous column, and shifts, differences and squared norms run
@@ -506,52 +505,48 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
     fresh arrays.  An image norm or an energy beyond the float range
     raises :class:`EvaluationError`, with no numpy warning.
 
-    A :class:`GeneralizedRadialMap` is evaluated from the stencil's polar
-    form instead, where there is one: each chunk's image is
-    ``sphere_maps._apply_to_units`` of the kept unit vectors and the
-    profile values (:func:`_profile_values`), with the affine rows, the
-    image and their scratch in one buffer kept for the energy, and the
-    action's Lorentz matrix fetched once per energy.  These are
-    ``map_eval_many``'s steps on the same points, each point by point, so
-    the values have its bits.  Such a map's action cannot raise; a sampled
+    A :class:`GeneralizedRadialMap` sends no points to ``map_eval_many``:
+    ``f(t_i v) = H(t_i |v|) T(v / |v|)``, so the sphere action
+    (``sphere_maps._sphere_action``) runs once per energy on the ``7 N_s``
+    unit vectors of the stencil's polar form, and each chunk's image is
+    that action times the profile values (``sphere_maps._radial_scale``
+    of :func:`_profile_values`).  These are ``map_eval_many``'s two steps
+    on the exact points ``t_i v``, where ``map_eval_many`` would take
+    their rounded values.  Such a map's action cannot raise; a sampled
     profile's domain error comes before any chunk is differenced.
     """
     stencil = _fd_stencil(pair.domain, radial_order, sphere_order)
-    centers, steps, two_steps, weights = stencil
-    n = centers.shape[0]
+    t, shell, two_steps, weights = stencil
+    n_s = shell.shape[2]
+    n = weights.size
     n_sets = 7 if weighted else 6
-    polar = stencil.polar if isinstance(f, GeneralizedRadialMap) else None
-    chunk = min(n, _FD_CHUNK)
+    polar = isinstance(f, GeneralizedRadialMap)
+    nodes = max(1, _FD_CHUNK // n_s)   # radial nodes per chunk
     density = np.empty((len(views), n))
     vals = np.empty((n, 3), order="F") if weighted else None   # the centres' values
     # profile values and images near the float maximum overflow here; the
     # checks below raise
     with np.errstate(over="ignore", invalid="ignore"):
-        if polar is not None:
-            _, units, _ = polar
-            h = _profile_values(polar, f.profile)
-            # the affine rows of the sphere action, the image in rows 1-3, and
-            # their scratch, kept for every chunk, as fresh rows read 0.1-0.3 MB
-            # more peak RSS; the action's matrix, fetched once for every chunk
-            rows = np.empty((2, 4, n_sets * chunk))
-            lor = _lorentz(f.rotation)
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
+        if polar:
+            h = _profile_values(stencil, f.profile)
+            _, units, _ = stencil.polar
+            sphere = _sphere_action(f.rotation, units).reshape(3, 7, 1, n_s)[:, :n_sets]
+        for a in range(0, t.size, nodes):
+            b = min(a + nodes, t.size)
+            lo, hi = a * n_s, b * n_s
             m = hi - lo
-            if polar is None:
-                points = _stencil_points(centers, steps, lo, hi, np.empty((3, n_sets * m)))
-                batch = map_eval_many(f, points.reshape(3, -1).T)
+            if polar:
+                batch = _radial_scale(sphere, h[:n_sets, a:b]).reshape(3, -1).T
             else:
-                span = slice(7 * lo, 7 * lo + n_sets * m)
-                batch = _apply_to_units(f.rotation, units[:, span].T, h[span], True,
-                                        *rows[:, :, :n_sets * m], lor=lor)
+                points = _stencil_points(stencil, a, b, np.empty((3, n_sets * m)))
+                batch = map_eval_many(f, points.reshape(3, -1).T)
             if weighted:
                 vals[lo:hi] = batch[6 * m:]
             for view, dens in zip(views, density):
                 # rows +e_0, -e_0, +e_1, -e_1, +e_2, -e_2 of m each
-                block = view(batch[:6 * m]).T.reshape(3, 3, 2, m)
+                block = view(batch[:6 * m]).T.reshape(3, 3, 2, b - a, n_s)
                 d = block[:, :, 0] - block[:, :, 1]
-                d /= two_steps[lo:hi]
+                d /= two_steps[a:b, None]
                 pairs = _squared_norms(d.reshape(3, -1).T).reshape(3, m)
                 # each node's sum 0 + x + y + z, as 0 + x is x
                 part = np.add(pairs[0], pairs[1], out=dens[lo:hi])
@@ -563,9 +558,10 @@ def _fd_energies(f: AnnulusMap, pair: AnnulusPair, radial_order: int, sphere_ord
                 if bad.size:
                     i = int(bad[0])
                     what = "vanished" if sq[i] <= 1e-300 else "left the float range"
+                    centre = t[i // n_s] * shell[:, 6, i % n_s]
                     raise EvaluationError(
                         f"image norm {what} at quadrature node {i}, "
-                        f"x={centers[i].tolist()}"
+                        f"x={centre.tolist()}"
                     )
                 dens /= sq
         energies = [float(np.sum(weights * dens)) for dens in density]

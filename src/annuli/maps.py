@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 from .geometry import AnnulusPair, RadialGrid, _as_points, _log_width, _profile_coefficient
 from .geometry import _squared_norms, row_norms
-from .sphere_maps import MobiusTransform, _apply_to_units, _unit_safe
+from .sphere_maps import MobiusTransform, _radial_scale, _sphere_action, _unit_safe
 
 
 # the largest exponent whose exp is finite, and the float epsilon
@@ -240,7 +240,8 @@ def map_eval_many(f: AnnulusMap, points: np.ndarray) -> np.ndarray:
     """Evaluate a map on an ``(N, 3)`` array of points, to one of that shape.
 
     A generalized radial map's value ``H(t) T(x / t)`` is formed by
-    :func:`sphere_maps._apply_to_units`, as on the FD route's polar path."""
+    :func:`sphere_maps._sphere_action` and :func:`sphere_maps._radial_scale`,
+    the two steps of the FD route's polar path."""
     points = _as_points(points)
     if isinstance(f, SampledMap):
         image = np.asarray(f.evaluator(points), dtype=float)
@@ -251,7 +252,8 @@ def map_eval_many(f: AnnulusMap, points: np.ndarray) -> np.ndarray:
     if np.any(t <= 0.0):
         raise DomainError("radial map undefined at the origin")
     h = f.profile.eval(t)
-    return _apply_to_units(f.rotation, points / t[:, None], h, _unit_safe(t))
+    image = _sphere_action(f.rotation, points / t[:, None], _unit_safe(t))
+    return _radial_scale(image, h, out=image).T
 
 
 def as_sampled_map(f: AnnulusMap) -> SampledMap:

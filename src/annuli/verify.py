@@ -27,7 +27,7 @@ from .energy import (
     _RADIAL_ORDER,
     _SPHERE_ORDER,
     _fd_energies,
-    _fd_steps,
+    _fd_step,
     _min_weighted_energy,
     _same,
     analytic_min_weighted_energy,
@@ -168,7 +168,8 @@ class VerifyConfig:
     """Pair and seed of the suite, which fixes its orders and derives its grids.
 
     The pair's shell must be thick enough for the finite-difference rows:
-    their step at ``R``, ``1e-5 min(R, 64 (R - r))``, must span at least
+    their step at ``R``, ``R`` times ``energy._fd_step``, which is
+    ``1e-5 min(R, 64 (R - r))``, must span at least
     ``energy._FD_MIN_STEP_ULPS`` (8 192) ulps of ``R``, which on ``r = 1``
     asks for ``R / r - 1 >= 2.8e-9``.  A thinner shell rounds the steps so
     far that those rows would misreport, and raises :class:`ConfigError`.
@@ -181,7 +182,7 @@ class VerifyConfig:
         if not isinstance(self.pair, AnnulusPair):
             raise ConfigError("verify config field 'pair' must be an AnnulusPair")
         r, R = self.pair.r, self.pair.R
-        ulps = float(_fd_steps(R, self.pair.domain.width)) / math.ulp(R)
+        ulps = _fd_step(self.pair.domain) * R / math.ulp(R)
         if ulps < _FD_MIN_STEP_ULPS:
             raise ConfigError(f"verify config field 'pair': the finite-difference step at R is "
                               f"{ulps:.4g} ulps of R, below the floor of {_FD_MIN_STEP_ULPS} "

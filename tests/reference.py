@@ -36,7 +36,7 @@ from annuli import (
     tangent_frames,
 )
 from annuli.energy import _EXP_SERIES, _SINH_SERIES, _fd_stencil, _same
-from annuli.geometry import _log_width, _squared_norms
+from annuli.geometry import _log_width, _squared_norms, row_norms
 from annuli.maps import sphere_inversion
 from annuli.verify import _MIN_RATIO
 
@@ -176,22 +176,33 @@ def log_dirichlet_energy_radial(pair) -> float:
 
 def fd_energies_per_set(f, pair, radial_order, sphere_order, weighted, views=(_same,)):
     """``energy._fd_energies`` with one map call per point set of the
-    stencil: ``+e_k`` and ``-e_k`` for each axis in turn, then the centres.
-    The values, differences and squared norms are those of the batched
-    route, so it must give the same bits; no error checks."""
-    centers, steps, two_steps, weights = _fd_stencil(pair.domain, radial_order, sphere_order)
-    density = np.zeros((len(views), centers.shape[0]))
+    stencil: ``+e_k`` and ``-e_k`` for each axis in turn, then the centres,
+    each set the points ``t_i v`` of every radial node ``t_i`` and every
+    point ``v`` of that set of the unit shell.  A generalized radial map's
+    values on a set are ``H(t_i |v|) T(v / |v|)``, the public sphere action
+    of the set's unit vectors times the profile; any other map's are
+    ``map_eval_many`` of the points.  The values, differences and squared
+    norms are those of the batched route, so it must give the same bits;
+    no error checks."""
+    t, shell, two_steps, weights = _fd_stencil(pair.domain, radial_order, sphere_order)
+
+    def values(j):
+        v = shell[:, j].T
+        if isinstance(f, GeneralizedRadialMap):
+            norms = row_norms(v)
+            image = mobius_apply_points(f.rotation, v / norms[:, None])
+            h = f.profile.eval(np.multiply.outer(t, norms))
+            return (image * h[:, :, None]).reshape(-1, 3)
+        return map_eval_many(f, np.multiply.outer(t, v).reshape(-1, 3))
+
+    span = np.repeat(two_steps, shell.shape[2])[:, None]
+    density = np.zeros((len(views), weights.size))
     for k in range(3):
-        plus = centers.copy(order="F")
-        plus[:, k] += steps
-        plus = map_eval_many(f, plus)
-        minus = centers.copy(order="F")
-        minus[:, k] -= steps
-        minus = map_eval_many(f, minus)
+        plus, minus = values(2 * k), values(2 * k + 1)
         for view, dens in zip(views, density):
-            dens += _squared_norms((view(plus) - view(minus)) / two_steps[:, None])
+            dens += _squared_norms((view(plus) - view(minus)) / span)
     if weighted:
-        vals = map_eval_many(f, centers.copy(order="F"))
+        vals = values(6)
         for view, dens in zip(views, density):
             dens /= _squared_norms(view(vals))
     return [float(np.sum(weights * dens)) for dens in density]

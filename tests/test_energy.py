@@ -333,9 +333,15 @@ class TestWeightedEnergiesWithInversion:
         f = _inversion_test_map(kind, pair, rng)
         e_f, e_g = _fd_energies(f, pair, 32, 16, True, (_same, sphere_inversion(a)))
         g = inversion_transform(f, a)
-        assert e_g == weighted_energy(g, pair, 32, 16, refine=False).value
-        sampled = as_sampled_map(f)
-        assert e_f == weighted_energy(sampled, pair, 32, 16, refine=False).value
+        separate = [weighted_energy(m, pair, 32, 16, refine=False).value
+                    for m in (as_sampled_map(f), g)]
+        if kind == "radial":
+            # the polar route evaluates the exact stencil points, the separate
+            # sampled routes their rounded values
+            gap = np.abs(np.subtract([e_f, e_g], separate))
+            assert np.all(gap <= TestPolarRoute.BOUND * np.array(separate))
+        else:
+            assert [e_f, e_g] == separate
         assert math.isclose(e_f, e_g, rel_tol=2e-4)
 
     def test_map_hitting_the_origin_is_an_evaluation_error(self, canonical_pair):
@@ -375,15 +381,26 @@ class TestFDRouteBuffers:
         assert math.isclose(plain, 28.0 * PI, rel_tol=1e-9)
 
 
-class TestFDBatches:
-    """The stencil goes to the map ``_FD_CHUNK`` centres at a time, all
-    point sets of a chunk in one call, and the ``+-e_k`` pairs of a call
-    are differenced as one block, with the bits of one call per set."""
+def _point(stencil, j, i):
+    """The point ``t v`` of set ``j`` of the stencil at centre ``i``, as the
+    map gets it: ``+e_k`` and ``-e_k`` are sets ``2 k`` and ``2 k + 1``, the
+    centres set 6."""
+    t, shell, _, _ = stencil
+    n_s = shell.shape[2]
+    return t[i // n_s] * shell[:, j, i % n_s]
 
-    # points of each map call, weighted route (seven sets) and plain one (six)
+
+class TestFDBatches:
+    """The stencil goes to the map a chunk of whole radial nodes at a time,
+    at most ``_FD_CHUNK`` centres, all point sets of a chunk in one call,
+    and the ``+-e_k`` pairs of a call are differenced as one block, with
+    the bits of one call per set."""
+
+    # points of each map call, weighted route (seven sets) and plain one (six):
+    # 21 radial nodes of 32 sphere nodes fit a chunk, 5 of 128 and 1 of 512
     ORDERS = {(9, 4): ([2016], [1728]),
-              (9, 8): ([4704, 3360], [4032, 2880]),
-              (9, 16): ([4704] * 6 + [4032], [4032] * 6 + [3456])}
+              (9, 8): ([4480, 3584], [3840, 3072]),
+              (9, 16): ([3584] * 9, [3072] * 9)}
 
     @staticmethod
     def _maps(pair):
@@ -413,7 +430,7 @@ class TestFDBatches:
     @pytest.mark.parametrize("orders", list(ORDERS))
     @pytest.mark.parametrize("node", [0, 100, 287])
     def test_vanished_image_names_the_centre(self, canonical_pair, orders, node):
-        centre = _fd_stencil(canonical_pair.domain, *orders)[0][node]
+        centre = _point(_fd_stencil(canonical_pair.domain, *orders), 6, node)
 
         def collapse_at_centre(p):
             image = np.array(p)
@@ -431,13 +448,12 @@ class TestFDBatches:
     def test_differences_raise_before_the_centres_norms(self, canonical_pair, orders):
         # a +e_2 value at the origin and a vanished centre: the inversion view
         # raises on the differences, which come before the centres' norms
-        centers, steps, _, _ = _fd_stencil(canonical_pair.domain, *orders)
-        shifted = centers[5].copy()
-        shifted[2] += steps[5]
+        stencil = _fd_stencil(canonical_pair.domain, *orders)
+        shifted, centre = _point(stencil, 4, 5), _point(stencil, 6, 7)
 
         def collapse(p):
             image = np.array(p)
-            image[np.all(p == shifted, axis=1) | np.all(p == centers[7], axis=1)] = 0.0
+            image[np.all(p == shifted, axis=1) | np.all(p == centre, axis=1)] = 0.0
             return image
 
         with pytest.raises(EvaluationError, match="hit the origin"):
@@ -448,16 +464,15 @@ class TestFDBatches:
 
     def test_differences_of_a_later_call_raise_before_the_centres_norms(self, canonical_pair):
         # at (9, 16) centre 0 goes to the map in the first call and the +e_2
-        # value of centre 4 000 in the sixth: the centres' norms are still
-        # checked after every difference
+        # value of centre 4 000, on radial node 7, in the eighth: the centres'
+        # norms are still checked after every difference
         orders = (9, 16)
-        centers, steps, _, _ = _fd_stencil(canonical_pair.domain, *orders)
-        shifted = centers[4000].copy()
-        shifted[2] += steps[4000]
+        stencil = _fd_stencil(canonical_pair.domain, *orders)
+        shifted, centre = _point(stencil, 4, 4000), _point(stencil, 6, 0)
 
         def collapse(p):
             image = np.array(p)
-            image[np.all(p == shifted, axis=1) | np.all(p == centers[0], axis=1)] = 0.0
+            image[np.all(p == shifted, axis=1) | np.all(p == centre, axis=1)] = 0.0
             return image
 
         with pytest.raises(EvaluationError, match="hit the origin"):
@@ -552,9 +567,15 @@ def _outcome(call):
 
 
 class TestPolarRoute:
-    """A generalized radial map is evaluated from its stencil's norms and
-    unit vectors and its profile values, with the bits of ``map_eval_many``
-    on the stencil's points."""
+    """A generalized radial map is evaluated from its stencil's unit
+    vectors and its profile values: ``map_eval_many``'s steps on the exact
+    points ``t_i v``, which the sampled route rounds first."""
+
+    # 100 times the worst relative gap to the sampled route, 1.34e-11, over 48
+    # members (increasing, decreasing, harmonic and sampled profiles on the
+    # pairs (1, 2, 1, 2) and (1, 2, 1, e)) at these orders, both energies and
+    # both views
+    BOUND = 1.34e-9
 
     @staticmethod
     def _maps(pair):
@@ -566,51 +587,63 @@ class TestPolarRoute:
 
     @pytest.mark.parametrize("orders", [(9, 4), (9, 8), (9, 16), (32, 16)])
     @pytest.mark.parametrize("weighted", [True, False])
-    def test_same_bits_as_the_sampled_route(self, canonical_pair, orders, weighted):
-        # the sampled map sends the stencil's points to map_eval_many; cold
-        # builds the stencil, the polar form and the profile values, warm
-        # finds them kept, but for a sampled profile's values
+    def test_within_the_bound_of_the_sampled_route(self, canonical_pair, orders, weighted):
+        # the sampled map sends the rounded points to map_eval_many.  The
+        # members run in turn on one stencil: cold builds the stencil, the
+        # polar form and the profile values, warm finds them kept, but for a
+        # sampled profile's values, and each member's rotation acts anew
         pair = canonical_pair
         rotated = self._maps(pair)[0]
         grid = make_radial_grid(pair.domain, 64)
         profile = SampledProfile(grid, rotated.profile.eval(grid.nodes))
-        sampled_profile = GeneralizedRadialMap(profile, rotated.rotation)
-        for f in (*self._maps(pair), sampled_profile):
+        rng = np.random.default_rng(7)
+        members = [*self._maps(pair), GeneralizedRadialMap(profile, rotated.rotation)]
+        members += [GeneralizedRadialMap(exp_profile_from_boundary(pair, "decreasing"),
+                                         random_mobius(rng)) for _ in range(2)]
+        _fd_stencil.cache_clear()
+        for f in members:
             for views in ((_same,), (_same, sphere_inversion(0.5))):
-                sampled = _fd_energies(as_sampled_map(f), pair, *orders, weighted, views)
-                _fd_stencil.cache_clear()
-                cold = _fd_energies(f, pair, *orders, weighted, views)
-                warm = _fd_energies(f, pair, *orders, weighted, views)
-                expect = np.array(sampled).tobytes()
-                assert np.array(cold).tobytes() == expect and np.array(warm).tobytes() == expect
+                sampled = np.array(_fd_energies(as_sampled_map(f), pair, *orders, weighted,
+                                                views))
+                cold = np.array(_fd_energies(f, pair, *orders, weighted, views))
+                warm = np.array(_fd_energies(f, pair, *orders, weighted, views))
+                assert cold.tobytes() == warm.tobytes()
+                assert np.all(np.abs(cold - sampled) <= self.BOUND * sampled)
 
-    # norms below 1e-150 or across it: the sphere action's unit check raises, the
-    # energies read 0.0, the origin is hit, or the differences leave the range
+    # norms below 1e-150 or across it, where map_eval_many takes the sphere
+    # action's unit check: the polar route's unit vectors need none, and it
+    # raises the FD route's own error where the differences leave the float
+    # range, or reads the energies 0.0 as the sampled route does
     @pytest.mark.parametrize("radii", [(1e-160, 2e-160, 1.0, 2.0), (1e-151, 1e-149, 1.0, 2.0),
                                        (1e-200, 1e-100, 1.0, 2.0),
                                        (1e-155, 1e-145, 1e-5, 1e5)])
-    def test_norms_outside_the_range_take_the_generic_route(self, radii):
+    def test_norms_outside_the_unit_check_window(self, radii):
         pair = AnnulusPair.from_radii(*radii)
         f, _, _ = self._maps(pair)
-        assert _fd_stencil(pair.domain, 9, 4).polar is None
         for weighted in (True, False):
             for views in ((_same,), (_same, sphere_inversion(0.5))):
-                expect = _outcome(lambda: _fd_energies(as_sampled_map(f), pair, 9, 4, weighted,
-                                                       views))
-                assert _outcome(lambda: _fd_energies(f, pair, 9, 4, weighted, views)) == expect
+                got = _outcome(lambda: _fd_energies(f, pair, 9, 4, weighted, views))
+                if radii[0] == 1e-151:
+                    assert got == np.zeros(len(views)).tobytes()
+                    assert got == _outcome(lambda: _fd_energies(as_sampled_map(f), pair, 9, 4,
+                                                                weighted, views))
+                else:
+                    assert got[0] is EvaluationError
+                    assert got[1].startswith("finite-difference energy is not finite (nan)")
 
-    def test_stencils_above_the_cap_take_the_generic_route(self, canonical_pair):
-        # orders (37, 16) put 132 608 points past the cap of 2^17, where (36, 16)
-        # keeps its polar form at 129 024
+    def test_wide_stencils_keep_only_profile_values(self, canonical_pair):
+        # orders (37, 16) put 132 608 points past the 2^17 that once bounded
+        # the polar forms kept; two profiles now keep 8 bytes a point each
         pair = canonical_pair
-        assert _fd_stencil(pair.domain, 36, 16).polar is not None
-        assert _fd_stencil(pair.domain, 37, 16).polar is None
-        for f in self._maps(pair):
+        _fd_stencil.cache_clear()
+        for f in self._maps(pair)[:2]:
             for weighted in (True, False):
-                for views in ((_same,), (_same, sphere_inversion(0.5))):
-                    expect = _fd_energies(as_sampled_map(f), pair, 37, 16, weighted, views)
-                    got = _fd_energies(f, pair, 37, 16, weighted, views)
-                    assert np.array(got).tobytes() == np.array(expect).tobytes()
+                expect = np.array(_fd_energies(as_sampled_map(f), pair, 37, 16, weighted))
+                got = np.array(_fd_energies(f, pair, 37, 16, weighted))
+                assert np.all(np.abs(got - expect) <= self.BOUND * expect)
+        norms, units, kept = _fd_stencil(pair.domain, 37, 16).polar
+        assert norms.shape == (7 * 512,) and units.shape == (7 * 512, 3)
+        assert [h.nbytes for h in kept.values()] == [8 * 132_608]
 
     def test_polar_forms_are_read_only_and_evicted_with_their_stencils(self, canonical_pair):
         domain = canonical_pair.domain
@@ -638,15 +671,15 @@ class TestPolarRoute:
         _fd_stencil.cache_clear()
         for profile in (inc, dec, harmonic, sampled, dec):
             _fd_energies(GeneralizedRadialMap(profile), pair, 9, 4, True)
-        polar = _fd_stencil(pair.domain, 9, 4).polar
-        kept = polar[2]
+        stencil = _fd_stencil(pair.domain, 9, 4)
+        kept = stencil.polar[2]
         # the oldest goes first; a sampled profile's values are not kept
         assert list(kept) == [dec, harmonic]
         for h in kept.values():
             with pytest.raises(ValueError, match="read-only"):
                 h[0] = 0.0
         # a profile equal by value finds the same values
-        assert _profile_values(polar, ExponentialProfile(dec.a, dec.b, dec.t0)) is kept[dec]
+        assert _profile_values(stencil, ExponentialProfile(dec.a, dec.b, dec.t0)) is kept[dec]
 
 
     def test_sampled_profile_values_are_never_kept(self, canonical_pair):
@@ -687,9 +720,11 @@ class TestFDStep:
 
     @pytest.mark.parametrize("ratio", [1.001, 1.0 + 1e-6])
     def test_step_on_thin_shells_is_capped_by_the_width(self, ratio):
+        # one step relative to t per shell, 64 widths times 1e-5 at R
         pair = AnnulusPair.from_radii(1.0, ratio, 1.0, 2.0)
-        _, step = self._radii_and_steps(pair)
-        np.testing.assert_allclose(step, 64e-5 * pair.domain.width, rtol=1e-6, atol=0.0)
+        t, step = self._radii_and_steps(pair)
+        np.testing.assert_allclose(step, 64e-5 * pair.domain.width * t / pair.R, rtol=1e-6,
+                                   atol=0.0)
 
 
 class TestDirichletEnergy:

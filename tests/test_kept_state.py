@@ -20,8 +20,9 @@ KEPT_STATE = {
     "annuli.geometry.SphericalQuadrature._great_circle_points",
     # 66 hits and 20 builds per op: the pair's two stencils kept across ops
     "annuli.energy._fd_stencil",
-    # 17 reads per op on the kept stencils; an FD energy of a Moebius member
-    # takes about 1.5 ms through it against 2.8 ms through map_eval_many
+    # read by the 17 Moebius members' energies per op on the kept stencils; an
+    # FD energy of a Moebius member (inversion view, orders (9, 16)) takes
+    # 0.78-0.89 ms through it against 2.2-2.5 ms through map_eval_many
     "annuli.energy._Stencil.polar",
     # 0 reads per op: computed only when read, as `annuli minimize` reads it
     "annuli.variational.DiscreteSolution.sup_error_vs_closed_form",

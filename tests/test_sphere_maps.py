@@ -18,7 +18,7 @@ from annuli import (
 )
 from annuli import _kernels, sphere_maps
 from annuli.geometry import row_norms
-from annuli.sphere_maps import _apply_to_units, _unit_safe
+from annuli.sphere_maps import _radial_scale, _sphere_action, _unit_safe
 from reference import (
     great_circle_differences_four_calls,
     inverse_stereographic,
@@ -27,6 +27,13 @@ from reference import (
     mobius_matrix,
     stereographic,
 )
+
+
+def _scaled_image(t, units, scale, safe):
+    """``scale[i] T(units[i])``: the sphere action, then the radial scale,
+    as an ``(N, 3)`` array, the two steps of ``maps.map_eval_many``."""
+    return _radial_scale(_sphere_action(t, units, safe), scale).T
+
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -292,7 +299,7 @@ class TestUnitCheck:
         scale = rng.uniform(0.5, 2.0, size=50)
         t = random_mobius(rng)
         expect = mobius_apply_points(t, units) * scale[:, None]
-        assert _apply_to_units(t, units, scale, _unit_safe(norms)).tobytes() == expect.tobytes()
+        assert _scaled_image(t, units, scale, _unit_safe(norms)).tobytes() == expect.tobytes()
 
     def test_rows_whose_squares_leave_the_normal_range_keep_the_check(self, rng):
         # (1e-160)^2 is subnormal: the norm is off by 6e-6, and so is the
@@ -301,14 +308,14 @@ class TestUnitCheck:
         norms = row_norms(pts)
         units = pts / norms[:, None]
         with pytest.raises(ValueError, match="unit vectors"):
-            _apply_to_units(random_mobius(rng), units, np.ones(1), _unit_safe(norms))
+            _scaled_image(random_mobius(rng), units, np.ones(1), _unit_safe(norms))
 
     def test_identity_scales_freshly_normalized_rows_alone(self, rng):
         pts = rng.normal(size=(50, 3)) * 10.0 ** rng.uniform(-140.0, 140.0, size=(50, 1))
         norms = row_norms(pts)
         units = pts / norms[:, None]
         scale = rng.uniform(0.5, 2.0, size=50)
-        out = _apply_to_units(MobiusTransform.identity(), units, scale, _unit_safe(norms))
+        out = _scaled_image(MobiusTransform.identity(), units, scale, _unit_safe(norms))
         assert out.tobytes() == (units * scale[:, None]).tobytes()
 
     def test_identity_outside_the_norm_range_keeps_the_check(self, monkeypatch):
@@ -316,7 +323,7 @@ class TestUnitCheck:
         pts = np.array([[1e-160, 1e-160, 0.0]])
         norms = row_norms(pts)
         with pytest.raises(ValueError, match="unit vectors"):
-            _apply_to_units(identity, pts / norms[:, None], np.ones(1), _unit_safe(norms))
+            _scaled_image(identity, pts / norms[:, None], np.ones(1), _unit_safe(norms))
         # a norm of 2^-500 squares to a normal float, but lies below 1e-150:
         # its exact unit rows still go through the public action
         calls = []
@@ -325,7 +332,7 @@ class TestUnitCheck:
                             lambda t, p: calls.append(p) or public(t, p))
         pts = 2.0**-500 * np.eye(3)
         norms = row_norms(pts)
-        out = _apply_to_units(identity, pts / norms[:, None], np.full(3, 2.0), _unit_safe(norms))
+        out = _scaled_image(identity, pts / norms[:, None], np.full(3, 2.0), _unit_safe(norms))
         assert len(calls) == 1 and np.array_equal(out, 2.0 * np.eye(3))
 
 
